@@ -3,14 +3,17 @@
 //! These gate performance regressions of the library itself: the
 //! simulation spends its time in RTP (de)serialisation, feedback
 //! construction/parsing, CC updates, jitter-buffer operations and LTE
-//! channel steps.
+//! channel steps — and, once a cell is done, the campaign engine spends
+//! its time in the result store: envelope CRC, record codec, aggregate
+//! fold.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
 use bytes::Bytes;
+use rpav_core::prelude::*;
 use rpav_gcc::{GccConfig, SendSideBwe};
-use rpav_lte::{Environment, NetworkProfile, Operator, RadioModel};
+use rpav_lte::{NetworkProfile, RadioModel};
 use rpav_rtp::jitter::{JitterBuffer, JitterConfig};
 use rpav_rtp::packet::RtpPacket;
 use rpav_rtp::rfc8888::Rfc8888Builder;
@@ -193,8 +196,41 @@ fn bench_encoder(c: &mut Criterion) {
     });
 }
 
+/// The result store's kernels on one real Urban Static cell (the paper's
+/// 25 Mbps air flight, ≈ 13 MB encoded), built once.
+fn bench_result_store(c: &mut Criterion) {
+    let crc_input: Vec<u8> = (0..8u32 << 20)
+        .map(|i| (i.wrapping_mul(2_654_435_761) >> 13) as u8)
+        .collect();
+    c.bench_function("codec_crc32_8MiB", |b| {
+        b.iter(|| rpav_core::codec::crc32(black_box(&crc_input)))
+    });
+
+    let config = ExperimentConfig::builder()
+        .environment(Environment::Urban)
+        .cc(CcMode::paper_static(Environment::Urban))
+        .seed(0xBE7C)
+        .build();
+    let cell = Simulation::new(config).run_fast();
+    let sealed = cell.to_cache_bytes();
+    c.bench_function("codec_encode_cell", |b| {
+        b.iter(|| black_box(&cell).to_cache_bytes())
+    });
+    c.bench_function("codec_decode_cell", |b| {
+        b.iter(|| RunMetrics::from_cache_bytes(black_box(&sealed)).unwrap())
+    });
+    c.bench_function("aggregates_fold_cell", |b| {
+        b.iter(|| {
+            let mut aggregates = CampaignAggregates::default();
+            aggregates.fold(black_box(&cell));
+            aggregates
+        })
+    });
+}
+
 criterion_group!(
     benches,
+    bench_result_store,
     bench_rtp_wire,
     bench_packetize,
     bench_feedback,

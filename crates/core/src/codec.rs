@@ -40,10 +40,14 @@ const ENVELOPE_MAGIC: &[u8; 4] = b"RPVE";
 /// Envelope header size: magic + u64 payload length + u32 CRC32.
 const ENVELOPE_HEADER: usize = 4 + 8 + 4;
 
-/// CRC-32/ISO-HDLC lookup table (the ubiquitous IEEE 802.3 polynomial),
-/// generated at compile time — dependency-free like the rest of the codec.
-static CRC32_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
+/// CRC-32/ISO-HDLC (the ubiquitous IEEE 802.3 polynomial) slice-by-16
+/// lookup tables, generated at compile time — dependency-free like the
+/// rest of the codec. `CRC32_TABLES[0]` is the classic byte-at-a-time
+/// table; `CRC32_TABLES[k][b]` is the CRC of byte `b` followed by `k`
+/// zero bytes, which lets sixteen input bytes fold into the register with
+/// sixteen independent lookups instead of a sixteen-deep dependency chain.
+static CRC32_TABLES: [[u32; 256]; 16] = {
+    let mut tables = [[0u32; 256]; 16];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -56,18 +60,63 @@ static CRC32_TABLE: [u32; 256] = {
             };
             k += 1;
         }
-        table[i] = c;
+        tables[0][i] = c;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 16 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 };
 
 /// CRC-32/ISO-HDLC of `bytes` — detects any single-burst corruption up to
 /// 32 bits, so every 1-byte flip in a sealed record is caught.
+///
+/// Slice-by-16: sixteen bytes per step through [`CRC32_TABLES`], then a
+/// byte-wise tail. Same polynomial and same values as the byte-at-a-time
+/// loop (which survives as the test oracle) on every input.
 pub fn crc32(bytes: &[u8]) -> u32 {
+    let t = &CRC32_TABLES;
+    let mut c = 0xFFFF_FFFFu32;
+    let mut blocks = bytes.chunks_exact(16);
+    for b in &mut blocks {
+        // The twelve lookups that do not wait for the running CRC first,
+        // then the four that do: the block's critical path is one table
+        // load, not sixteen. (Written as one sixteen-term expression,
+        // LLVM turns the loads into AVX-512 gathers where the target has
+        // them — this workspace builds with `target-cpu=native` — and the
+        // step runs three times slower.)
+        let mut next = 0;
+        for (table, &byte) in t[..12].iter().rev().zip(&b[4..]) {
+            next ^= table[byte as usize];
+        }
+        let head = u32::from_le_bytes([b[0], b[1], b[2], b[3]]) ^ c;
+        c = next
+            ^ t[15][(head & 0xFF) as usize]
+            ^ t[14][((head >> 8) & 0xFF) as usize]
+            ^ t[13][((head >> 16) & 0xFF) as usize]
+            ^ t[12][(head >> 24) as usize];
+    }
+    for &b in blocks.remainder() {
+        c = t[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+    }
+    c ^ 0xFFFF_FFFF
+}
+
+/// The byte-at-a-time CRC-32 [`crc32`] replaced: the oracle its tests
+/// (and the cross-version cache test in `exec`) compare against.
+#[cfg(test)]
+pub(crate) fn crc32_bytewise(bytes: &[u8]) -> u32 {
     let mut c = 0xFFFF_FFFFu32;
     for &b in bytes {
-        c = CRC32_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+        c = CRC32_TABLES[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
     }
     c ^ 0xFFFF_FFFF
 }
@@ -191,8 +240,11 @@ impl ByteWriter {
         }
     }
 
-    /// Write a slice behind a length prefix.
-    pub fn seq<T>(&mut self, items: &[T], mut write: impl FnMut(&mut Self, &T)) {
+    /// Write a slice behind a length prefix. `stride` is the encoded size
+    /// of one element (its minimum, for elements with optional fields):
+    /// the whole sequence is reserved once instead of growing per field.
+    pub fn seq<T>(&mut self, items: &[T], stride: usize, mut write: impl FnMut(&mut Self, &T)) {
+        self.buf.reserve(8 + items.len() * stride);
         self.u64(items.len() as u64);
         for item in items {
             write(self, item);
@@ -284,11 +336,18 @@ impl<'a> ByteReader<'a> {
         }
     }
 
-    /// Read a length-prefixed sequence.
-    pub fn seq<T>(&mut self, mut read: impl FnMut(&mut Self) -> Option<T>) -> Option<Vec<T>> {
-        let n = self.u64()? as usize;
-        // Guard against hostile lengths: each element needs ≥ 1 byte.
-        if n > self.buf.len().saturating_sub(self.pos) {
+    /// Read a length-prefixed sequence whose elements each encode to at
+    /// least `min_stride` (≥ 1) bytes. A length field claiming more
+    /// elements than the remaining bytes could hold is rejected *before*
+    /// anything is allocated, so a hostile length can reserve at most the
+    /// in-memory size of the elements the blob really has room for.
+    pub fn seq<T>(
+        &mut self,
+        min_stride: usize,
+        mut read: impl FnMut(&mut Self) -> Option<T>,
+    ) -> Option<Vec<T>> {
+        let n = usize::try_from(self.u64()?).ok()?;
+        if n > (self.buf.len() - self.pos) / min_stride {
             return None;
         }
         let mut out = Vec::with_capacity(n);
@@ -297,6 +356,45 @@ impl<'a> ByteReader<'a> {
         }
         Some(out)
     }
+
+    /// Bulk form of [`seq`](Self::seq) for elements that always encode to
+    /// exactly `N` bytes: one length check claims the whole `n × N` body,
+    /// then each element decodes from its own `N`-byte chunk — no
+    /// per-field cursor checks against the blob. An element reader that
+    /// fails, or that does not consume its chunk exactly, is a `None`
+    /// like every other malformed input.
+    pub fn seq_fixed<const N: usize, T>(
+        &mut self,
+        mut read: impl FnMut(&mut ByteReader) -> Option<T>,
+    ) -> Option<Vec<T>> {
+        let n = usize::try_from(self.u64()?).ok()?;
+        let body = self.take(n.checked_mul(N)?)?;
+        let mut out = Vec::with_capacity(n);
+        for chunk in body.chunks_exact(N) {
+            let chunk: &[u8; N] = chunk.try_into().ok()?;
+            let mut r = ByteReader::new(chunk);
+            out.push(read(&mut r)?);
+            if !r.exhausted() {
+                return None;
+            }
+        }
+        Some(out)
+    }
+}
+
+/// Encoded element sizes of the `RunMetrics` sequences, for the
+/// [`ByteWriter::seq`] reservation and the decoders' length bound: exact
+/// for the fixed-layout elements (`OWD`, `HANDOVER`, `RADIO`, `SWITCH` —
+/// read with [`ByteReader::seq_fixed`]), the all-`None` minimum for the
+/// rest (read with [`ByteReader::seq`]).
+mod stride {
+    pub const OWD: usize = 8 + 8;
+    pub const HANDOVER: usize = 8 + 8 + 1 + 4 + 4;
+    pub const RADIO: usize = 8 + 4 * 8 + 1;
+    pub const FRAME: usize = 8 + 8 + 1 + 8 + 1;
+    pub const OUTAGE: usize = 8 + 8 + 8 + 4;
+    pub const SWITCH: usize = 8 + 3;
+    pub const PATH_HEALTH: usize = 1 + 3 * 8 + 8 + 1 + 1 + 8;
 }
 
 fn handover_kind_tag(kind: HandoverKind) -> u8 {
@@ -473,13 +571,13 @@ impl RunMetrics {
         w.u64(self.media_sent);
         w.u64(self.media_received);
         w.u64(self.media_received_bytes);
-        w.seq(&self.owd, |w, (t, ms)| {
+        w.seq(&self.owd, stride::OWD, |w, (t, ms)| {
             w.time(*t);
             w.f64(*ms);
         });
-        w.seq(&self.handovers, write_handover);
-        w.seq(&self.radio, write_radio);
-        w.seq(&self.frames, write_frame);
+        w.seq(&self.handovers, stride::HANDOVER, write_handover);
+        w.seq(&self.radio, stride::RADIO, write_radio);
+        w.seq(&self.frames, stride::FRAME, write_frame);
         w.u64(self.stalls);
         w.duration(self.stalled_time);
         w.u64(self.frames_late_discarded);
@@ -494,7 +592,7 @@ impl RunMetrics {
         w.opt(self.watchdog_last_ramp, |w, v| w.duration(v));
         w.u64(self.jitter_inflations);
         w.u64(self.script_dropped);
-        w.seq(&self.outages, write_outage);
+        w.seq(&self.outages, stride::OUTAGE, write_outage);
         w.u64(self.malformed_packets);
         w.u64(self.corrupted_arrivals);
         w.u64(self.duplicate_packets);
@@ -509,8 +607,8 @@ impl RunMetrics {
         w.u64(self.rtx_bytes);
         w.u64(self.rtx_budget_exhausted);
         w.u64(self.rtx_not_in_history);
-        w.seq(&self.switches, write_switch);
-        w.seq(&self.path_health, write_path_health);
+        w.seq(&self.switches, stride::SWITCH, write_switch);
+        w.seq(&self.path_health, stride::PATH_HEALTH, write_path_health);
         w.u64(self.probes_sent);
         w.u64(self.dup_tx_packets);
         w.u64(self.dup_tx_bytes);
@@ -542,10 +640,10 @@ impl RunMetrics {
             media_sent: r.u64()?,
             media_received: r.u64()?,
             media_received_bytes: r.u64()?,
-            owd: r.seq(|r| Some((r.time()?, r.f64()?)))?,
-            handovers: r.seq(read_handover)?,
-            radio: r.seq(read_radio)?,
-            frames: r.seq(read_frame)?,
+            owd: r.seq_fixed::<{ stride::OWD }, _>(|r| Some((r.time()?, r.f64()?)))?,
+            handovers: r.seq_fixed::<{ stride::HANDOVER }, _>(read_handover)?,
+            radio: r.seq_fixed::<{ stride::RADIO }, _>(read_radio)?,
+            frames: r.seq(stride::FRAME, read_frame)?,
             stalls: r.u64()?,
             stalled_time: r.duration()?,
             frames_late_discarded: r.u64()?,
@@ -560,7 +658,7 @@ impl RunMetrics {
             watchdog_last_ramp: r.opt(|r| r.duration())?,
             jitter_inflations: r.u64()?,
             script_dropped: r.u64()?,
-            outages: r.seq(read_outage)?,
+            outages: r.seq(stride::OUTAGE, read_outage)?,
             malformed_packets: r.u64()?,
             corrupted_arrivals: r.u64()?,
             duplicate_packets: r.u64()?,
@@ -575,8 +673,8 @@ impl RunMetrics {
             rtx_bytes: r.u64()?,
             rtx_budget_exhausted: r.u64()?,
             rtx_not_in_history: r.u64()?,
-            switches: r.seq(read_switch)?,
-            path_health: r.seq(read_path_health)?,
+            switches: r.seq_fixed::<{ stride::SWITCH }, _>(read_switch)?,
+            path_health: r.seq(stride::PATH_HEALTH, read_path_health)?,
             probes_sent: r.u64()?,
             dup_tx_packets: r.u64()?,
             dup_tx_bytes: r.u64()?,
@@ -724,6 +822,106 @@ mod tests {
             crc32(b"The quick brown fox jumps over the lazy dog"),
             0x414F_A339
         );
+    }
+
+    #[test]
+    fn crc32_matches_bytewise_reference_at_every_length_and_alignment() {
+        assert_eq!(crc32_bytewise(b"123456789"), 0xCBF4_3926);
+        let mut rng = rpav_sim::SimRng::seed_from_u64(0xC4C3_2016);
+        let mut random =
+            |len: usize| -> Vec<u8> { (0..len).map(|_| rng.uniform_u64(0, 256) as u8).collect() };
+        // Every (start offset, length) around the 16-byte block size: the
+        // block loop, the tail loop, and the hand-over between them.
+        let buf = random(16 + 80);
+        for start in 0..16 {
+            for len in 0..=80 {
+                let s = &buf[start..start + len];
+                assert_eq!(crc32(s), crc32_bytewise(s), "start {start} len {len}");
+            }
+        }
+        let mut lengths = rpav_sim::SimRng::seed_from_u64(0xC4C3_2017);
+        for case in 0..1_000 {
+            let buf = random(lengths.uniform_u64(0, 64 * 1024 + 1) as usize);
+            assert_eq!(crc32(&buf), crc32_bytewise(&buf), "case {case}");
+        }
+    }
+
+    #[test]
+    fn strides_match_the_encoded_element_sizes() {
+        let m = sample();
+        let encoded = |write: &dyn Fn(&mut ByteWriter)| {
+            let mut w = ByteWriter::new();
+            write(&mut w);
+            w.into_bytes().len()
+        };
+        assert_eq!(
+            encoded(&|w| write_handover(w, &m.handovers[0])),
+            stride::HANDOVER
+        );
+        assert_eq!(encoded(&|w| write_radio(w, &m.radio[0])), stride::RADIO);
+        assert_eq!(
+            encoded(&|w| write_switch(w, &m.switches[0])),
+            stride::SWITCH
+        );
+        // The elements with optional fields: the stride is the all-`None`
+        // encoding, the lower bound `ByteReader::seq` divides by.
+        let frame = FrameRecord {
+            latency_ms: None,
+            ..m.frames[0]
+        };
+        assert_eq!(encoded(&|w| write_frame(w, &frame)), stride::FRAME);
+        let outage = OutageRecord {
+            first_arrival_after: None,
+            rate_half_recovered_at: None,
+            ..m.outages[0]
+        };
+        assert_eq!(encoded(&|w| write_outage(w, &outage)), stride::OUTAGE);
+        let health = PathHealthSummary {
+            final_rtt_ms: None,
+            ..m.path_health[0]
+        };
+        assert_eq!(
+            encoded(&|w| write_path_health(w, &health)),
+            stride::PATH_HEALTH
+        );
+    }
+
+    #[test]
+    fn hostile_sequence_lengths_are_rejected_before_allocating() {
+        // A 24-byte blob whose length field claims 2^60 elements: the
+        // bound is `remaining / stride`, so nothing is reserved.
+        let mut w = ByteWriter::new();
+        w.u64(1 << 60);
+        w.u64(0);
+        w.u64(0);
+        let blob = w.into_bytes();
+        assert!(ByteReader::new(&blob).seq(1, |r| r.u8()).is_none());
+        assert!(ByteReader::new(&blob)
+            .seq_fixed::<{ stride::RADIO }, _>(read_radio)
+            .is_none());
+        // One more element than the bytes hold is already too many…
+        let mut w = ByteWriter::new();
+        w.u64(2);
+        w.u64(7);
+        let blob = w.into_bytes();
+        assert!(ByteReader::new(&blob).seq(8, |r| r.u64()).is_none());
+        assert!(ByteReader::new(&blob)
+            .seq_fixed::<8, _>(|r| r.u64())
+            .is_none());
+        // …and exactly as many is fine.
+        let mut w = ByteWriter::new();
+        w.seq(&[7u64, 9], 8, |w, v| w.u64(*v));
+        let blob = w.into_bytes();
+        assert_eq!(ByteReader::new(&blob).seq(8, |r| r.u64()), Some(vec![7, 9]));
+        assert_eq!(
+            ByteReader::new(&blob).seq_fixed::<8, _>(|r| r.u64()),
+            Some(vec![7, 9])
+        );
+        // An element reader that leaves part of its chunk unread is a
+        // malformed decode, not a silent misparse.
+        assert!(ByteReader::new(&blob)
+            .seq_fixed::<8, _>(|r| r.u32())
+            .is_none());
     }
 
     #[test]

@@ -1052,14 +1052,15 @@ pub type FaultHook = Arc<dyn Fn(&Cell, u32) -> bool + Send + Sync>;
 /// Per-worker scratch that survives across the cells of a batch (and
 /// across batches — each worker thread owns one for its whole lifetime).
 /// Holds the buffers a cell completion needs that would otherwise be
-/// allocated per cell: today the durable-cache encode buffer; the
+/// allocated per cell: today the durable-cache record buffer; the
 /// thread-local arena pool rides along for free because the worker thread
 /// itself persists. Reset after a panicked attempt so a poisoned cell
 /// can never leak partial state into the next one.
 #[derive(Default)]
 pub struct CellScratch {
-    /// Recycled encode buffer for [`RunMetrics`] cache serialisation.
-    encode: Vec<u8>,
+    /// Recycled buffer for one cache record (3–17 MB): the sealed file
+    /// being read on a hit, the payload being encoded on a store.
+    record: Vec<u8>,
 }
 
 impl CellScratch {
@@ -1072,7 +1073,7 @@ impl CellScratch {
     /// capacity: the point of the scratch is that steady-state batches
     /// never touch the allocator.
     fn reset(&mut self) {
-        self.encode.clear();
+        self.record.clear();
     }
 }
 
@@ -1108,8 +1109,7 @@ enum WorkerResult {
 /// Sharded on-disk location of one cache entry:
 /// `<dir>/<xx>/<key:016x>.rpav`, where `xx` is the key's top byte in hex —
 /// a 256-way fan-out so million-entry campaigns never pile every record
-/// into one directory. Flat pre-sharding entries at
-/// `<dir>/<key:016x>.rpav` are still found and migrated on first read.
+/// into one directory.
 pub fn cache_entry_path(dir: &std::path::Path, key: u64) -> PathBuf {
     dir.join(format!("{:02x}", (key >> 56) as u8))
         .join(format!("{key:016x}.rpav"))
@@ -1391,7 +1391,11 @@ impl CampaignEngine {
         let cursor = AtomicUsize::new(0);
         let inflight: Mutex<HashMap<usize, Instant>> = Mutex::new(HashMap::new());
         let done = AtomicBool::new(false);
-        let (tx, rx) = mpsc::channel::<(usize, WorkerResult)>();
+        // Bounded hand-off, one slot per worker: when the serial in-order
+        // fold below is the slower side (warm replay on many workers),
+        // workers block here instead of queueing decoded multi-megabyte
+        // `RunMetrics` without limit ahead of it.
+        let (tx, rx) = mpsc::sync_channel::<(usize, WorkerResult)>(workers);
         std::thread::scope(|s| {
             let cursor = &cursor;
             let inflight = &inflight;
@@ -1534,7 +1538,7 @@ impl CampaignEngine {
             };
         }
         if let Some(dir) = &self.cache_dir {
-            if let Some(m) = self.load_disk(dir, key) {
+            if let Some(m) = self.load_disk(dir, key, scratch) {
                 self.cache_hits.fetch_add(1, Ordering::Relaxed);
                 let m = Arc::new(m);
                 if store_memory {
@@ -1605,29 +1609,26 @@ impl CampaignEngine {
         }
     }
 
-    /// Read one sealed cache record, consulting the sharded layout first
-    /// and falling back to (and transparently migrating) a flat legacy
-    /// entry. A file that exists but fails the envelope or the structural
-    /// decode is *quarantined*: moved to `<dir>/quarantine/` (deleted if
-    /// the move fails) and reported as a miss, so one corrupt file costs
-    /// one re-simulation, never the run.
-    fn load_disk(&self, dir: &std::path::Path, key: u64) -> Option<RunMetrics> {
-        let sharded = cache_entry_path(dir, key);
-        let legacy = dir.join(format!("{key:016x}.rpav"));
-        let (bytes, path) = match std::fs::read(&sharded) {
-            Ok(b) => (b, sharded),
-            Err(_) => {
-                let b = std::fs::read(&legacy).ok()?;
-                // Pre-sharding entry: migrate it into its prefix shard.
-                // Migration failing (read-only dir) still serves the bytes.
-                let migrated = sharded
-                    .parent()
-                    .is_some_and(|p| std::fs::create_dir_all(p).is_ok())
-                    && std::fs::rename(&legacy, &sharded).is_ok();
-                (b, if migrated { sharded } else { legacy })
-            }
-        };
-        match RunMetrics::from_cache_bytes(&bytes) {
+    /// Read one sealed cache record into the worker's recycled buffer and
+    /// decode it. A miss is one failed `open`. A file that exists but
+    /// fails the envelope or the structural decode is *quarantined*:
+    /// moved to `<dir>/quarantine/` (deleted if the move fails) and
+    /// reported as a miss, so one corrupt file costs one re-simulation,
+    /// never the run.
+    fn load_disk(
+        &self,
+        dir: &std::path::Path,
+        key: u64,
+        scratch: &mut CellScratch,
+    ) -> Option<RunMetrics> {
+        use std::io::Read as _;
+        let path = cache_entry_path(dir, key);
+        scratch.record.clear();
+        std::fs::File::open(&path)
+            .ok()?
+            .read_to_end(&mut scratch.record)
+            .ok()?;
+        match RunMetrics::from_cache_bytes(&scratch.record) {
             Some(m) => Some(m),
             None => {
                 self.quarantined.fetch_add(1, Ordering::Relaxed);
@@ -1669,7 +1670,7 @@ impl CampaignEngine {
         let tmp = shard.join(format!("{key:016x}.{}.tmp", std::process::id()));
         // Encode into the worker's recycled buffer and stream the sealed
         // envelope straight to the file — no per-cell payload allocation.
-        let mut w = ByteWriter::with_buf(std::mem::take(&mut scratch.encode));
+        let mut w = ByteWriter::with_buf(std::mem::take(&mut scratch.record));
         metrics.write_into(&mut w);
         let payload = w.into_bytes();
         let written = (|| -> std::io::Result<()> {
@@ -1678,7 +1679,7 @@ impl CampaignEngine {
             f.sync_all()?;
             std::fs::rename(&tmp, &path)
         })();
-        scratch.encode = payload;
+        scratch.record = payload;
         if written.is_err() {
             // Best-effort: a read-only target dir must not fail the run.
             let _ = std::fs::remove_file(&tmp);
@@ -2007,7 +2008,7 @@ mod tests {
     }
 
     #[test]
-    fn cache_entries_land_in_prefix_shards_and_flat_legacy_files_migrate() {
+    fn cache_entries_land_in_prefix_shards() {
         let dir = std::env::temp_dir().join(format!("rpav-exec-shard-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let spec = MatrixSpec::new(short_base()).runs(3);
@@ -2033,45 +2034,57 @@ mod tests {
             );
             assert_eq!(*path, cache_entry_path(&dir, key));
         }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 
-        // Demote the store to the flat pre-shard layout, journal
-        // included (its root location is unchanged across layouts, but a
-        // resume would mask the cache path under test).
-        for path in &sharded {
-            let flat = dir.join(path.file_name().unwrap());
-            std::fs::rename(path, &flat).unwrap();
-            let _ = std::fs::remove_dir(path.parent().unwrap());
-        }
-        for entry in std::fs::read_dir(&dir).unwrap().filter_map(Result::ok) {
-            if entry.path().extension().is_some_and(|x| x == "rpavj") {
-                std::fs::remove_file(entry.path()).unwrap();
-            }
-        }
+    /// The envelope as the parent commit wrote it: the same frame, its
+    /// CRC computed by the byte-at-a-time loop.
+    fn seal_bytewise(payload: &[u8]) -> Vec<u8> {
+        let mut out = b"RPVE".to_vec();
+        out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+        out.extend_from_slice(&crate::codec::crc32_bytewise(payload).to_le_bytes());
+        out.extend_from_slice(payload);
+        out
+    }
 
-        // A fresh engine serves the flat entries as hits and migrates
-        // them back into their shards on first read.
-        let warm = CampaignEngine::new()
+    #[test]
+    fn cache_records_interchange_with_the_bytewise_crc_writer() {
+        let dir = std::env::temp_dir().join(format!("rpav-exec-xver-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let cells = MatrixSpec::new(short_base()).runs(2).expand();
+
+        // Parent → change: a cache directory of records sealed with the
+        // byte-wise CRC is served whole — nothing simulated, nothing
+        // quarantined.
+        let metrics: Vec<RunMetrics> = cells.iter().map(Cell::execute).collect();
+        for (cell, m) in cells.iter().zip(&metrics) {
+            let path = cache_entry_path(&dir, cell.key());
+            std::fs::create_dir_all(path.parent().unwrap()).unwrap();
+            std::fs::write(&path, seal_bytewise(&m.to_bytes())).unwrap();
+        }
+        let served = CampaignEngine::new()
             .with_cache_dir(Some(dir.clone()))
             .with_jobs(2)
-            .run(&spec);
-        assert_eq!(warm.report.simulated, 0, "legacy entries must be served");
-        assert_eq!(warm.report.cached, 3);
-        assert_eq!(
-            warm.report.aggregates.to_bytes(),
-            cold.report.aggregates.to_bytes()
-        );
-        assert_eq!(
-            sharded_rpav_files(&dir).len(),
-            3,
-            "legacy entries migrate into shard dirs on first read"
-        );
-        assert!(
-            std::fs::read_dir(&dir)
-                .unwrap()
-                .filter_map(Result::ok)
-                .all(|e| e.path().extension().is_none_or(|x| x != "rpav")),
-            "no flat entries remain after migration"
-        );
+            .run_cells(cells.clone());
+        assert_eq!(served.report.simulated, 0);
+        assert_eq!(served.report.cached, 2);
+        assert_eq!(served.report.quarantined, 0);
+        for (o, m) in served.outcomes.iter().zip(&metrics) {
+            assert_eq!(o.metrics().to_bytes(), m.to_bytes());
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+
+        // Change → parent: the records this engine writes are, byte for
+        // byte, what the byte-wise writer would have produced.
+        let cold = CampaignEngine::new()
+            .with_cache_dir(Some(dir.clone()))
+            .with_jobs(2)
+            .run_cells(cells.clone());
+        assert_eq!(cold.report.simulated, 2);
+        for (cell, m) in cells.iter().zip(&metrics) {
+            let stored = std::fs::read(cache_entry_path(&dir, cell.key())).unwrap();
+            assert_eq!(stored, seal_bytewise(&m.to_bytes()), "{}", cell.label());
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -124,6 +124,99 @@ const HIST_MAX_EXP: i32 = 12;
 const HIST_BUCKETS_PER_DECADE: usize = 32;
 const HIST_BUCKETS: usize = (HIST_MAX_EXP - HIST_MIN_EXP) as usize * HIST_BUCKETS_PER_DECADE;
 
+/// The defining bucket formula of a [`LogHistogram`]: the (unclamped,
+/// possibly negative) bucket number `floor((log10(v) + 6) * 32)` of a
+/// positive `v`. Evaluated only to build [`BucketTable`]; the tests keep
+/// their own per-sample copy as the oracle the table is checked against.
+fn bucket_formula(v: f64) -> f64 {
+    ((v.log10() - HIST_MIN_EXP as f64) * HIST_BUCKETS_PER_DECADE as f64).floor()
+}
+
+/// Mantissa bits kept in a [`BucketTable`] coarse key. Sixteen slots per
+/// binade: the widest (`[1, 1.0625) × 2^e`) spans 0.84 bucket, so a slot
+/// holds at most one bucket edge ([`BucketTable::build`] asserts it).
+const COARSE_MANTISSA_BITS: u32 = 4;
+const COARSE_SHIFT: u32 = 52 - COARSE_MANTISSA_BITS;
+
+/// Log-free bucketing: the exact lower edge of every bucket, found on
+/// [`bucket_formula`] itself, plus a coarse index from a value's exponent
+/// and top mantissa bits to the bucket its slot starts in.
+struct BucketTable {
+    /// `edges[k]` is the smallest f64 whose formula bucket is `>= k`, so
+    /// the bucket of `v` is the largest `k` with `edges[k] <= v` — the
+    /// formula's answer on every f64, whatever rounding the host's
+    /// `log10` does near a boundary. One NaN sentinel follows the last
+    /// edge: nothing compares `>=` it, so the top bucket has no upper end.
+    edges: [f64; HIST_BUCKETS + 1],
+    /// `coarse[(v.to_bits() >> COARSE_SHIFT) - coarse_base]`: the bucket
+    /// of the smallest value sharing `v`'s key (0 where that is below
+    /// range) — `v`'s own bucket, or the one before it. The last slot
+    /// stands for every key from its own up.
+    coarse: Vec<u16>,
+    coarse_base: u64,
+}
+
+impl BucketTable {
+    fn get() -> &'static BucketTable {
+        static TABLE: std::sync::OnceLock<BucketTable> = std::sync::OnceLock::new();
+        TABLE.get_or_init(BucketTable::build)
+    }
+
+    fn build() -> BucketTable {
+        // Positive finite f64s sort like their bit patterns, and the
+        // formula is monotone in `v`, so each edge is one bisection over
+        // bits, started from the previous edge.
+        let mut edges = [f64::NAN; HIST_BUCKETS + 1];
+        let mut lo = 1u64; // 5e-324: below every edge
+        for (k, edge) in edges[..HIST_BUCKETS].iter_mut().enumerate() {
+            let mut hi = f64::MAX.to_bits(); // above every edge
+            while hi - lo > 1 {
+                let mid = lo + (hi - lo) / 2;
+                if bucket_formula(f64::from_bits(mid)) >= k as f64 {
+                    hi = mid;
+                } else {
+                    lo = mid;
+                }
+            }
+            *edge = f64::from_bits(hi);
+        }
+        let key = |v: f64| v.to_bits() >> COARSE_SHIFT;
+        let coarse_base = key(edges[0]);
+        let coarse: Vec<u16> = (coarse_base..=key(edges[HIST_BUCKETS - 1]))
+            .map(|k| {
+                let slot_start = f64::from_bits(k << COARSE_SHIFT);
+                let at_or_below = edges[..HIST_BUCKETS].partition_point(|e| *e <= slot_start);
+                at_or_below.saturating_sub(1) as u16
+            })
+            .collect();
+        // What lets `bucket_of` take one step instead of a search.
+        assert!(
+            coarse.windows(2).all(|w| w[1] - w[0] <= 1)
+                && coarse[coarse.len() - 1] as usize >= HIST_BUCKETS - 2,
+            "a coarse slot spans more than one bucket edge"
+        );
+        BucketTable {
+            edges,
+            coarse,
+            coarse_base,
+        }
+    }
+
+    fn bucket_of(&self, v: f64) -> Option<usize> {
+        if v >= self.edges[0] {
+            let slot = ((v.to_bits() >> COARSE_SHIFT) - self.coarse_base) as usize;
+            let i = self.coarse[slot.min(self.coarse.len() - 1)] as usize;
+            // Branch-free: which side of a slot's one edge a sample falls
+            // on is a coin toss the predictor loses.
+            Some(i + (v >= self.edges[i + 1]) as usize)
+        } else {
+            // Below range (zero and negatives included). NaN never gets
+            // here through `record`; the formula's answer for it is 0.
+            v.is_nan().then_some(0)
+        }
+    }
+}
+
 /// A mergeable HDR-style log-bucketed histogram for streaming campaign
 /// aggregation: fixed memory (576 buckets) regardless of sample count,
 /// deterministic merge (bucket counts add), and quantiles with bounded
@@ -171,16 +264,10 @@ impl LogHistogram {
         }
     }
 
+    /// The bucket of `v`, or `None` below `1e-6`: one [`BucketTable`]
+    /// lookup and one edge compare — no `log10` per sample.
     fn bucket_of(v: f64) -> Option<usize> {
-        if v <= 0.0 {
-            return None; // log10 of non-positive is NaN, not "below range"
-        }
-        let idx = ((v.log10() - HIST_MIN_EXP as f64) * HIST_BUCKETS_PER_DECADE as f64).floor();
-        if idx < 0.0 {
-            None
-        } else {
-            Some((idx as usize).min(HIST_BUCKETS - 1))
-        }
+        BucketTable::get().bucket_of(v)
     }
 
     /// Geometric midpoint of bucket `i` — the value a quantile inside the
@@ -192,20 +279,33 @@ impl LogHistogram {
 
     /// Record one sample.
     pub fn record(&mut self, v: f64) {
-        if !v.is_finite() {
-            self.non_finite += 1;
-            return;
-        }
-        match Self::bucket_of(v) {
-            None => self.below += 1,
-            Some(i) => {
-                self.counts[i] += 1;
-                self.count += 1;
-                self.sum += v;
-                self.min = self.min.min(v);
-                self.max = self.max.max(v);
+        self.record_all([v]);
+    }
+
+    /// Record every sample of `values`, in order: the bucket table is
+    /// fetched once and the running sum / min / max stay in registers,
+    /// updated sample by sample exactly as repeated [`record`](Self::record)
+    /// calls would — the exact `sum` depends on that order.
+    pub fn record_all(&mut self, values: impl IntoIterator<Item = f64>) {
+        let table = BucketTable::get();
+        let (mut sum, mut min, mut max) = (self.sum, self.min, self.max);
+        for v in values {
+            if !v.is_finite() {
+                self.non_finite += 1;
+                continue;
+            }
+            match table.bucket_of(v) {
+                None => self.below += 1,
+                Some(i) => {
+                    self.counts[i] += 1;
+                    self.count += 1;
+                    sum += v;
+                    min = min.min(v);
+                    max = max.max(v);
+                }
             }
         }
+        (self.sum, self.min, self.max) = (sum, min, max);
     }
 
     /// Fold `other` into `self`. Merging is exact for counts and
@@ -422,6 +522,80 @@ mod tests {
         assert!((f - 0.5).abs() < 0.08, "got {f}");
         assert_eq!(h.fraction_at_or_below(1e-9), 0.0);
         assert!((h.fraction_at_or_below(1e11) - 1.0).abs() < 1e-12);
+    }
+
+    /// The per-sample formula [`BucketTable`] replaced, verbatim: the
+    /// oracle for the table on every f64.
+    fn bucket_of_formula(v: f64) -> Option<usize> {
+        if v <= 0.0 {
+            return None; // log10 of non-positive is NaN, not "below range"
+        }
+        let idx = ((v.log10() - HIST_MIN_EXP as f64) * HIST_BUCKETS_PER_DECADE as f64).floor();
+        if idx < 0.0 {
+            None
+        } else {
+            Some((idx as usize).min(HIST_BUCKETS - 1))
+        }
+    }
+
+    #[track_caller]
+    fn assert_bucket_matches_formula(v: f64) {
+        assert_eq!(
+            LogHistogram::bucket_of(v),
+            bucket_of_formula(v),
+            "bucket_of({v:e}) [bits {:#018x}] disagrees with the formula",
+            v.to_bits()
+        );
+    }
+
+    #[test]
+    fn bucket_table_matches_formula_around_every_edge() {
+        let edges = &BucketTable::get().edges[..HIST_BUCKETS];
+        assert_eq!(edges.len(), 576);
+        assert!(edges.windows(2).all(|w| w[0] < w[1]));
+        for (k, edge) in edges.iter().enumerate() {
+            assert_eq!(bucket_of_formula(*edge), Some(k), "edge {k}");
+            let bits = edge.to_bits();
+            for b in bits - 4096..=bits + 4096 {
+                assert_bucket_matches_formula(f64::from_bits(b));
+            }
+        }
+    }
+
+    #[test]
+    fn bucket_table_matches_formula_on_random_and_special_values() {
+        let mut rng = rpav_sim::SimRng::seed_from_u64(0xB0C4_E7ED);
+        // Half over every finite f64 of either sign, half over the bit
+        // patterns from a decade below the range to a decade above it
+        // (all but ~3 % of the former land outside the 18 decades).
+        let (lo, hi) = (1e-7f64.to_bits(), 1e13f64.to_bits());
+        for _ in 0..5_000_000 {
+            let anywhere = f64::from_bits(rng.uniform_u64(0, u64::MAX));
+            if anywhere.is_finite() {
+                assert_bucket_matches_formula(anywhere);
+            }
+            assert_bucket_matches_formula(f64::from_bits(rng.uniform_u64(lo, hi)));
+        }
+        let before_1e_6 = f64::from_bits(1e-6f64.to_bits() - 1);
+        for v in [
+            0.0,
+            -0.0,
+            -1.0,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::MIN_POSITIVE,
+            5e-324,
+            1e-6,
+            before_1e_6,
+            1.0,
+            1e12,
+            1e50,
+            f64::MAX,
+            f64::MIN,
+        ] {
+            assert_bucket_matches_formula(v);
+        }
     }
 
     proptest! {

@@ -258,9 +258,7 @@ impl CampaignAggregates {
         self.rtx_recovered += m.rtx_recovered;
         self.fec_recovered += m.fec_recovered;
         self.goodput_mbps.record(m.goodput_bps() / 1e6);
-        for (_, ms) in &m.owd {
-            self.owd_ms.record(*ms);
-        }
+        self.owd_ms.record_all(m.owd.iter().map(|(_, ms)| *ms));
         for f in &m.frames {
             self.ssim_samples += 1;
             if f.ssim < 0.5 {

@@ -199,3 +199,54 @@ fn cache_roundtrip_is_byte_exact() {
         assert_eq!(back.to_bytes(), m.to_bytes());
     }
 }
+
+/// Offset of the `owd` length field in an encoded record: where the
+/// encodings of an empty and a one-sample record first differ (the low
+/// byte of the little-endian count).
+fn owd_len_offset() -> usize {
+    let empty = RunMetrics::default().to_bytes();
+    let mut one = RunMetrics::default();
+    one.owd.push((SimTime::ZERO, 0.0));
+    let one = one.to_bytes();
+    empty.iter().zip(&one).position(|(a, b)| a != b).unwrap()
+}
+
+/// A length field that claims far more elements than the record has
+/// bytes for — wearing a *valid* CRC, so the envelope lets it through —
+/// is a clean miss for every bulk sequence, and is rejected from the
+/// claimed count alone: nothing close to `claimed × element size` is ever
+/// reserved (a 2^40-element `radio` reservation would abort the process,
+/// not return).
+#[test]
+fn hostile_sequence_length_in_a_crc_valid_record_is_a_miss() {
+    // One record with every bulk sequence empty, so each length field
+    // sits at a known offset: owd, handovers, radio, frames — 8 bytes
+    // each, back to back.
+    let good = RunMetrics::default().to_bytes();
+    assert!(RunMetrics::from_bytes(&good).is_some());
+    let owd = owd_len_offset();
+    for (name, at) in [("owd", owd), ("radio", owd + 16), ("frames", owd + 24)] {
+        assert_eq!(good[at..at + 8], [0; 8], "{name}: not a zero length field");
+        // Far more than the bytes present, a little more than the bytes
+        // present, and lengths whose byte count overflows a usize.
+        let remaining = (good.len() - at - 8) as u64;
+        for claimed in [
+            1 << 40,
+            remaining + 1,
+            remaining / 16 + 1,
+            u64::MAX,
+            u64::MAX / 16 + 2,
+        ] {
+            let mut hostile = good.clone();
+            hostile[at..at + 8].copy_from_slice(&claimed.to_le_bytes());
+            assert!(
+                RunMetrics::from_bytes(&hostile).is_none(),
+                "{name}: claimed {claimed} decoded"
+            );
+            assert!(
+                RunMetrics::from_cache_bytes(&seal(&hostile)).is_none(),
+                "{name}: resealed claimed {claimed} decoded"
+            );
+        }
+    }
+}

@@ -77,3 +77,125 @@ fn warm_cache_replays_without_simulating() {
         assert_eq!(c.metrics().to_bytes(), w.metrics().to_bytes());
     }
 }
+
+/// The `LogHistogram` the aggregates shipped with before bucketing went
+/// table-driven: `floor((log10(v) + 6) * 32)` per sample, 576 buckets
+/// over `[1e-6, 1e12)`, written out in `CampaignAggregates::to_bytes`'s
+/// layout.
+struct FormulaHistogram {
+    counts: Vec<u64>,
+    below: u64,
+    non_finite: u64,
+    count: u64,
+    sum: f64,
+    min: f64,
+    max: f64,
+}
+
+impl FormulaHistogram {
+    fn new() -> Self {
+        FormulaHistogram {
+            counts: vec![0; 576],
+            below: 0,
+            non_finite: 0,
+            count: 0,
+            sum: 0.0,
+            min: f64::INFINITY,
+            max: f64::NEG_INFINITY,
+        }
+    }
+
+    fn record(&mut self, v: f64) {
+        if !v.is_finite() {
+            self.non_finite += 1;
+            return;
+        }
+        let idx = ((v.log10() + 6.0) * 32.0).floor();
+        if v <= 0.0 || idx < 0.0 {
+            self.below += 1;
+            return;
+        }
+        self.counts[(idx as usize).min(575)] += 1;
+        self.count += 1;
+        self.sum += v;
+        self.min = self.min.min(v);
+        self.max = self.max.max(v);
+    }
+
+    fn write(&self, out: &mut Vec<u8>) {
+        let mut u64le = |v: u64| out.extend_from_slice(&v.to_le_bytes());
+        u64le(self.counts.iter().filter(|c| **c > 0).count() as u64);
+        for (i, c) in self.counts.iter().enumerate().filter(|(_, c)| **c > 0) {
+            u64le(i as u64);
+            u64le(*c);
+        }
+        u64le(self.below);
+        u64le(self.non_finite);
+        u64le(self.count);
+        u64le(self.sum.to_bits());
+        u64le(self.min.to_bits());
+        u64le(self.max.to_bits());
+    }
+}
+
+/// `CampaignAggregates::fold` + `to_bytes`, re-derived on the formula.
+fn formula_fold_bytes(runs: &[RunMetrics]) -> Vec<u8> {
+    let (mut goodput, mut owd, mut playback) = (
+        FormulaHistogram::new(),
+        FormulaHistogram::new(),
+        FormulaHistogram::new(),
+    );
+    let (mut ssim_samples, mut ssim_below_half) = (0u64, 0u64);
+    for m in runs {
+        goodput.record(m.goodput_bps() / 1e6);
+        m.owd.iter().for_each(|(_, ms)| owd.record(*ms));
+        for f in &m.frames {
+            ssim_samples += 1;
+            ssim_below_half += (f.ssim < 0.5) as u64;
+            if let Some(latency) = f.latency_ms {
+                playback.record(latency);
+            }
+        }
+    }
+    let sum = |field: fn(&RunMetrics) -> u64| runs.iter().map(field).sum::<u64>();
+    let mut out = Vec::new();
+    for counter in [
+        runs.len() as u64,
+        0, // failed
+        sum(|m| m.media_sent),
+        sum(|m| m.media_received),
+        sum(|m| m.media_received_bytes),
+        sum(|m| m.stalls),
+        sum(|m| m.stalled_time.as_micros()),
+        sum(|m| m.nacks_sent),
+        sum(|m| m.rtx_recovered),
+        sum(|m| m.fec_recovered),
+        ssim_samples,
+        ssim_below_half,
+    ] {
+        out.extend_from_slice(&counter.to_le_bytes());
+    }
+    for h in [&goodput, &owd, &playback] {
+        h.write(&mut out);
+    }
+    out
+}
+
+#[test]
+fn table_driven_fold_is_byte_identical_to_the_formula_fold() {
+    // Real cells with different delay distributions: a saturating urban
+    // Static flight and two adaptive rural ones.
+    let runs: Vec<RunMetrics> = [0usize, 7, 10].map(|i| spec().expand()[i].execute()).into();
+    assert!(runs
+        .iter()
+        .all(|m| m.owd.len() > 1_000 && !m.frames.is_empty()));
+    let mut shipped = CampaignAggregates::default();
+    for (n, m) in runs.iter().enumerate() {
+        shipped.fold(m);
+        assert_eq!(
+            shipped.to_bytes(),
+            formula_fold_bytes(&runs[..=n]),
+            "aggregates diverged from the formula fold after cell {n}"
+        );
+    }
+}
