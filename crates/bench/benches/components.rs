@@ -211,7 +211,7 @@ fn bench_result_store(c: &mut Criterion) {
         .cc(CcMode::paper_static(Environment::Urban))
         .seed(0xBE7C)
         .build();
-    let cell = Simulation::new(config).run_fast();
+    let cell = Simulation::new(config).run();
     let sealed = cell.to_cache_bytes();
     c.bench_function("codec_encode_cell", |b| {
         b.iter(|| black_box(&cell).to_cache_bytes())

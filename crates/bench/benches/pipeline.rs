@@ -46,7 +46,7 @@ fn bench_mini_run(c: &mut Criterion) {
             .build()
     };
     g.bench_function("gcc_urban", |b| {
-        b.iter(|| black_box(Simulation::new(cfg()).run_fast()))
+        b.iter(|| black_box(Simulation::new(cfg()).run()))
     });
     g.finish();
 }

@@ -1,13 +1,17 @@
-//! Shared machinery for the figure-regenerator binaries.
+//! Shared machinery for the `rpav-bench` suites.
 //!
-//! Each paper figure has a binary (`cargo run -p rpav-bench --release --bin
-//! figNN_*`) that runs the required campaigns and prints the figure's
-//! series as labelled text tables — the same rows/series the paper plots.
-//! `RPAV_RUNS` controls the number of runs pooled per configuration
-//! (default 3; the paper pooled ≈130 runs — raise it for smoother tails).
+//! Each paper figure and each acceptance matrix is a suite of the one
+//! `rpav-bench` binary (`cargo run -p rpav-bench --release -- figNN_*
+//! [--smoke]`; `-- list` names them all) that runs the required campaigns
+//! and prints the figure's series as labelled text tables — the same
+//! rows/series the paper plots. `RPAV_RUNS` controls the number of runs
+//! pooled per configuration (default 3; the paper pooled ≈130 runs —
+//! raise it for smoother tails).
 
 use rpav_core::prelude::*;
-use rpav_core::stats::{self, BoxSummary};
+use rpav_core::stats;
+use rpav_netem::{FaultScript, PacketKind};
+use rpav_sim::{SimDuration, SimTime};
 
 /// Number of runs per configuration (env `RPAV_RUNS`, default 3).
 pub fn runs_per_config() -> u64 {
@@ -26,21 +30,8 @@ pub fn master_seed() -> u64 {
         .unwrap_or(0x1AC_2022)
 }
 
-/// One `RPAV_*_SMOKE` knob, parsed once at the edge: set and not `"0"`
-/// means the binary shrinks its sweep for CI.
-pub fn smoke(var: &str) -> bool {
-    std::env::var_os(var).is_some_and(|v| !v.is_empty() && v != "0")
-}
-
-/// The engine every bench binary runs on, constructed from the
-/// process environment exactly once ([`EngineOptions::from_env`]:
-/// `RPAV_JOBS`, `RPAV_CACHE`, `RPAV_REFERENCE_TICK`).
-pub fn engine() -> CampaignEngine {
-    EngineOptions::from_env().engine()
-}
-
-/// Shared matrix-bin base: workload + bench master seed + run index +
-/// short hold. Every `*_matrix` binary starts from this builder and
+/// Shared matrix-suite base: workload + bench master seed + run index +
+/// short hold. Every `*_matrix` suite starts from this builder and
 /// layers its own axes on top.
 pub fn matrix_config(cc: CcMode, run: u64, hold_secs: u64) -> ExperimentConfigBuilder {
     ExperimentConfig::builder()
@@ -48,12 +39,6 @@ pub fn matrix_config(cc: CcMode, run: u64, hold_secs: u64) -> ExperimentConfigBu
         .seed(master_seed())
         .run_index(run)
         .hold_secs(hold_secs)
-}
-
-/// The paper-default campaign as a wire-ready [`CampaignSpec`]
-/// (`runs_per_config()` repetitions).
-pub fn paper_spec(env: Environment, op: Operator, mobility: Mobility, cc: CcMode) -> CampaignSpec {
-    CampaignSpec::new(paper_config(env, op, mobility, cc)).runs(runs_per_config())
 }
 
 /// The resilience harness's small campaign (2 environments × 2 runs,
@@ -73,17 +58,99 @@ pub fn resilience_kill_spec(smoke: bool) -> CampaignSpec {
         .runs(if smoke { 1 } else { 2 })
 }
 
+/// Asymmetric per-leg capacity caps (bps) of the bonding harnesses
+/// (`bonded_matrix`, `nleg_matrix`; the DESIGN §11.5 cell values): leg 0
+/// rides the primary operator's cap, every further leg the secondary's.
+/// Neither alone carries the rural Static workload, two together do.
+pub const CAP_PRIMARY: f64 = 3.0e6;
+pub const CAP_SECONDARY: f64 = 2.5e6;
+
+/// Adaptive-FEC overhead ceiling of the bonding harnesses' FEC sections.
+pub const FEC_CAP: f64 = 0.25;
+
+/// Gilbert–Elliott burst loss on media for the first 30 s — the bursty,
+/// correlated erasures HARQ exhaustion produces during fades. Put on
+/// several legs it is one shared-cell fade: same wall-clock span, each
+/// leg still drawing its own packet-level outcomes (two modems camping
+/// on one congested cell, not one wire feeding both).
+pub fn burst_fade() -> FaultScript {
+    FaultScript::new().burst_loss_window(
+        SimTime::ZERO,
+        SimDuration::from_secs(30),
+        0.05,
+        0.3,
+        0.5,
+        Some(PacketKind::Media),
+    )
+}
+
+/// The bonding harnesses' table header; `label` and `extra` name the two
+/// columns each fills its own way.
+pub fn print_bonding_header(label: &str, extra: &str) {
+    println!(
+        "{:<6} {:<7} {:>3} {:<12} {:>9} {:>9} {:>6} {:>6} {:>6} {:>6} {:>5}",
+        "sect",
+        "cc",
+        "run",
+        label,
+        "put Mbps",
+        "stall ms",
+        "fectx",
+        "fecrec",
+        extra,
+        "nacks",
+        "leg0",
+    );
+}
+
+/// One row under [`print_bonding_header`].
+pub fn print_bonding_row(
+    section: &str,
+    cc: &str,
+    run: u64,
+    label: &str,
+    m: &RunMetrics,
+    extra: u64,
+) {
+    println!(
+        "{:<6} {:<7} {:>3} {:<12} {:>9.2} {:>9.1} {:>6} {:>6} {:>6} {:>6} {:>5.2}",
+        section,
+        cc,
+        run,
+        label,
+        m.goodput_bps() / 1e6,
+        m.stalled_time.as_millis_f64(),
+        m.fec_tx,
+        m.fec_recovered,
+        extra,
+        m.nack_seqs_requested,
+        m.leg_tx_share(0),
+    );
+}
+
+/// The multipath harnesses' primary-operator blackout (`failover_matrix`,
+/// `bonded_matrix`): the primary leg goes fully dark, both directions,
+/// after CC convergence.
+pub const FAULT_AT: SimTime = SimTime::from_secs(10);
+pub const FAULT_FOR: SimDuration = SimDuration::from_secs(15);
+
+/// The blackout script over [`FAULT_AT`] .. `FAULT_AT + FAULT_FOR`.
+pub fn primary_blackout() -> FaultScript {
+    FaultScript::new().blackout(FAULT_AT, FAULT_FOR)
+}
+
 /// Run one paper-default campaign (on the matrix engine's thread pool —
-/// `RPAV_JOBS` workers, `RPAV_CACHE` for the on-disk result cache).
+/// `RPAV_JOBS` workers, `RPAV_CACHE` for the on-disk result cache, one
+/// [`EngineOptions::from_env`] parse).
 pub fn campaign(env: Environment, op: Operator, mobility: Mobility, cc: CcMode) -> CampaignResult {
     config_campaign(paper_config(env, op, mobility, cc))
 }
 
 /// Run `runs_per_config()` repetitions of one configuration through the
-/// spec → engine path (the `run_campaign` replacement for ablations).
+/// spec → engine path.
 pub fn config_campaign(cfg: ExperimentConfig) -> CampaignResult {
     let spec = CampaignSpec::new(cfg).runs(runs_per_config());
-    let result = engine().run(&spec.to_matrix());
+    let result = CampaignEngine::new().run(&spec.to_matrix());
     CampaignResult {
         label: cfg.label(),
         runs: result.metrics().cloned().collect(),
@@ -155,9 +222,50 @@ pub fn print_cdf_quantiles(label: &str, values: &[f64]) {
     println!("{label:<28} {}", row.join(" "));
 }
 
-/// Boxplot summary accessor (re-exported for binaries).
-pub fn summary(values: &[f64]) -> Option<BoxSummary> {
-    stats::box_summary(values)
+/// Determinism spot-check shared by the matrix suites: the engine's
+/// (parallel, possibly cached) result for a cell must equal the cell
+/// executed *directly* — no engine, no cache.
+pub fn assert_replays_directly(outcome: &CellOutcome) {
+    assert_eq!(
+        outcome.cell().execute().to_bytes(),
+        outcome.metrics().to_bytes(),
+        "engine result diverged from direct execution"
+    );
+}
+
+/// Two executions of one matrix must agree byte for byte: every cell's
+/// metrics, in order, and the aggregates folded from them.
+pub fn assert_same_results(what: &str, a: &MatrixResult, b: &MatrixResult) {
+    assert_eq!(a.outcomes.len(), b.outcomes.len());
+    for (x, y) in a.outcomes.iter().zip(&b.outcomes) {
+        assert_eq!(
+            x.metrics().to_bytes(),
+            y.metrics().to_bytes(),
+            "{what} diverged at {}",
+            x.cell().label()
+        );
+    }
+    assert_eq!(
+        a.report.aggregates.to_bytes(),
+        b.report.aggregates.to_bytes(),
+        "{what}: aggregates diverged"
+    );
+}
+
+/// Run `spec` uncached at `jobs = 1` and at `jobs = 8`, assert the two
+/// are byte-identical and that the first cell replays directly, and
+/// return the parallel result.
+pub fn assert_jobs_invariant(spec: &MatrixSpec) -> MatrixResult {
+    let run = |jobs| {
+        CampaignEngine::new()
+            .with_cache_dir(None)
+            .with_jobs(jobs)
+            .run(spec)
+    };
+    let (a, b) = (run(1), run(8));
+    assert_same_results("jobs=1 vs jobs=8", &a, &b);
+    assert_replays_directly(&a.outcomes[0]);
+    b
 }
 
 #[cfg(test)]
@@ -173,7 +281,13 @@ mod tests {
     #[test]
     fn fixtures_round_trip_over_the_wire() {
         for spec in [
-            paper_spec(Environment::Urban, Operator::P1, Mobility::Air, CcMode::Gcc),
+            CampaignSpec::new(paper_config(
+                Environment::Urban,
+                Operator::P1,
+                Mobility::Air,
+                CcMode::Gcc,
+            ))
+            .runs(runs_per_config()),
             resilience_small_spec(),
             resilience_kill_spec(true),
             resilience_kill_spec(false),

@@ -10,7 +10,7 @@ use rpav_bench::{banner, campaign, print_box};
 use rpav_core::prelude::*;
 use rpav_core::stats;
 
-fn main() {
+pub fn run(_: &crate::Args) {
     banner(
         "Ablation A-1",
         "SCReAM ack span: 64 (stock) vs 256 (paper fix)",

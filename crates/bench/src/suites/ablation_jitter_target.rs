@@ -10,7 +10,7 @@ use rpav_bench::{banner, config_campaign, master_seed};
 use rpav_core::prelude::*;
 use rpav_core::stats;
 
-fn main() {
+pub fn run(_: &crate::Args) {
     banner(
         "Ablation A-4",
         "jitter-buffer target sweep (paper default: 150 ms), urban GCC",

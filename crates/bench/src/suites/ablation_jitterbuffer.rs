@@ -10,7 +10,7 @@ use rpav_bench::{banner, config_campaign, master_seed, print_cdf_quantiles};
 use rpav_core::prelude::*;
 use rpav_core::stats;
 
-fn main() {
+pub fn run(_: &crate::Args) {
     banner(
         "Ablation A-2",
         "jitter buffer: stock vs drop-on-latency (App. A.4)",

@@ -13,7 +13,7 @@ use rpav_core::prelude::*;
 use rpav_core::stats;
 use rpav_sim::SimDuration;
 
-fn main() {
+pub fn run(_: &crate::Args) {
     banner(
         "Ablation A-3",
         "A3 hysteresis x time-to-trigger sweep, urban static 25 Mbps",

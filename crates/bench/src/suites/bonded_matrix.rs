@@ -27,69 +27,31 @@
 //!   `jobs = 1` and `jobs = 8`, and the engine's results replay
 //!   byte-equal when executed directly (no engine, no cache).
 //!
-//! `RPAV_BONDED_SMOKE=1` shrinks the sweep to one run per cell for CI.
+//! `--smoke` shrinks the sweep to one run per cell for CI.
 
-use rpav_bench::{banner, matrix_config, runs_per_config, smoke};
-use rpav_core::multipath::{run_multipath_scripted, MultipathScheme};
+use rpav_bench::{
+    assert_jobs_invariant, banner, burst_fade, matrix_config, print_bonding_header,
+    print_bonding_row, primary_blackout, runs_per_config, CAP_PRIMARY, CAP_SECONDARY, FAULT_AT,
+    FAULT_FOR, FEC_CAP,
+};
+use rpav_core::multipath::{run_multipath_legs, MultipathScheme};
 use rpav_core::prelude::*;
-use rpav_netem::{FaultScript, PacketKind};
-use rpav_sim::{SimDuration, SimTime};
-
-/// Asymmetric per-leg capacity caps (bps): neither leg alone carries the
-/// rural Static workload, both together comfortably do.
-const CAP_PRIMARY: f64 = 3.0e6;
-const CAP_SECONDARY: f64 = 2.5e6;
-
-/// Blackout window for the degradation section: the primary operator's
-/// link goes fully dark (both directions) after CC convergence.
-const FAULT_AT: SimTime = SimTime::from_secs(10);
-const FAULT_FOR: SimDuration = SimDuration::from_secs(15);
-
-/// Adaptive-FEC overhead ceiling for the FEC section.
-const FEC_CAP: f64 = 0.25;
 
 fn config(cc: CcMode, run: u64) -> ExperimentConfigBuilder {
     matrix_config(cc, run, 4)
 }
 
-/// Gilbert–Elliott burst loss on media for the first 30 s — the bursty,
-/// correlated erasures HARQ exhaustion produces during fades, applied to
-/// both legs so the parity has realistic holes to fill.
-fn bursty_loss() -> FaultScript {
-    FaultScript::new().burst_loss_window(
-        SimTime::ZERO,
-        SimDuration::from_secs(30),
-        0.05,
-        0.3,
-        0.5,
-        Some(PacketKind::Media),
-    )
-}
-
+/// The suite's own column: packets held in the reorder buffer.
 fn print_row(section: &str, cc: &str, run: u64, scheme: &str, m: &RunMetrics) {
-    println!(
-        "{:<6} {:<7} {:>3} {:<12} {:>9.2} {:>9.1} {:>6} {:>6} {:>6} {:>6} {:>5.2}",
-        section,
-        cc,
-        run,
-        scheme,
-        m.goodput_bps() / 1e6,
-        m.stalled_time.as_millis_f64(),
-        m.fec_tx,
-        m.fec_recovered,
-        m.reorder_buffered,
-        m.nack_seqs_requested,
-        m.leg_tx_share(0),
-    );
+    print_bonding_row(section, cc, run, scheme, m, m.reorder_buffered);
 }
 
-fn main() {
-    let smoke = smoke("RPAV_BONDED_SMOKE");
+pub fn run(args: &crate::Args) {
     banner(
         "Bonded matrix",
         "deficit-weighted bonding + adaptive FEC vs single-leg/failover (seed-matched cells)",
     );
-    let runs = if smoke { 1 } else { runs_per_config() };
+    let runs = if args.smoke { 1 } else { runs_per_config() };
     println!(
         "    caps {}/{} Mbps, blackout t={}s..{}s, burst loss 30 s, fec cap {FEC_CAP}, {} run(s)/cell\n",
         CAP_PRIMARY / 1e6,
@@ -98,44 +60,28 @@ fn main() {
         (FAULT_AT + FAULT_FOR).as_secs_f64(),
         runs
     );
-    println!(
-        "{:<6} {:<7} {:>3} {:<12} {:>9} {:>9} {:>6} {:>6} {:>6} {:>6} {:>5}",
-        "sect",
-        "cc",
-        "run",
-        "scheme",
-        "put Mbps",
-        "stall ms",
-        "fectx",
-        "fecrec",
-        "reord",
-        "nacks",
-        "leg0",
-    );
+    print_bonding_header("scheme", "reord");
 
     let ccs = rpav_bench::paper_ccs(Environment::Rural);
     for cc in ccs {
         for run in 0..runs {
             // ---- (a) Aggregation under asymmetric caps ---------------
-            let bonded = run_multipath_scripted(
+            let bonded = run_multipath_legs(
                 &config(cc, run).leg_caps(CAP_PRIMARY, CAP_SECONDARY).build(),
                 MultipathScheme::Bonded,
-                None,
-                None,
+                vec![None, None],
             );
             // Single-path always rides leg 0: swapping the caps runs the
             // baseline on the other operator's capacity.
-            let single_a = run_multipath_scripted(
+            let single_a = run_multipath_legs(
                 &config(cc, run).leg_caps(CAP_PRIMARY, CAP_SECONDARY).build(),
                 MultipathScheme::SinglePath,
-                None,
-                None,
+                vec![None, None],
             );
-            let single_b = run_multipath_scripted(
+            let single_b = run_multipath_legs(
                 &config(cc, run).leg_caps(CAP_SECONDARY, CAP_PRIMARY).build(),
                 MultipathScheme::SinglePath,
-                None,
-                None,
+                vec![None, None],
             );
             let tag = format!("{}/run{run}", cc.name());
             print_row("caps", cc.name(), run, "bonded", &bonded);
@@ -174,24 +120,20 @@ fn main() {
             }
 
             // ---- (b) Graceful degradation under a leg blackout -------
-            let blackout = || FaultScript::new().blackout(FAULT_AT, FAULT_FOR);
-            let b_bonded = run_multipath_scripted(
+            let b_bonded = run_multipath_legs(
                 &config(cc, run).build(),
                 MultipathScheme::Bonded,
-                Some(blackout()),
-                None,
+                vec![Some(primary_blackout()), None],
             );
-            let b_failover = run_multipath_scripted(
+            let b_failover = run_multipath_legs(
                 &config(cc, run).build(),
                 MultipathScheme::Failover,
-                Some(blackout()),
-                None,
+                vec![Some(primary_blackout()), None],
             );
-            let b_single = run_multipath_scripted(
+            let b_single = run_multipath_legs(
                 &config(cc, run).build(),
                 MultipathScheme::SinglePath,
-                Some(blackout()),
-                None,
+                vec![Some(primary_blackout()), None],
             );
             print_row("black", cc.name(), run, "bonded", &b_bonded);
             print_row("black", cc.name(), run, "failover", &b_failover);
@@ -210,17 +152,15 @@ fn main() {
             );
 
             // ---- (c) FEC recovery strictly reduces NACK/RTX ----------
-            let fec_on = run_multipath_scripted(
+            let fec_on = run_multipath_legs(
                 &config(cc, run).fec_cap(FEC_CAP).repair(true).build(),
                 MultipathScheme::Bonded,
-                Some(bursty_loss()),
-                Some(bursty_loss()),
+                vec![Some(burst_fade()), Some(burst_fade())],
             );
-            let fec_off = run_multipath_scripted(
+            let fec_off = run_multipath_legs(
                 &config(cc, run).repair(true).build(),
                 MultipathScheme::Bonded,
-                Some(bursty_loss()),
-                Some(bursty_loss()),
+                vec![Some(burst_fade()), Some(burst_fade())],
             );
             print_row("fec", cc.name(), run, "fec-on", &fec_on);
             print_row("fec", cc.name(), run, "fec-off", &fec_off);
@@ -251,36 +191,16 @@ fn main() {
         .multipath_schemes([MultipathScheme::Bonded])
         .faults([CellFault::legs(
             "bursty-loss",
-            Some(bursty_loss()),
-            Some(bursty_loss()),
+            Some(burst_fade()),
+            Some(burst_fade()),
         )])
         .runs(runs);
-    let sequential = CampaignEngine::new().with_cache_dir(None).with_jobs(1);
-    let parallel = CampaignEngine::new().with_cache_dir(None).with_jobs(8);
-    let a = sequential.run(&spec);
-    let b = parallel.run(&spec);
-    assert_eq!(a.outcomes.len(), b.outcomes.len());
-    for (x, y) in a.outcomes.iter().zip(b.outcomes.iter()) {
-        assert_eq!(
-            x.metrics().to_bytes(),
-            y.metrics().to_bytes(),
-            "jobs=1 vs jobs=8 diverged at {}",
-            x.cell().label()
-        );
-    }
-    // The first engine cell replays byte-identically when executed
-    // directly (no engine, no cache).
-    let replay = a.outcomes[0].cell().execute();
-    assert_eq!(
-        replay.to_bytes(),
-        a.outcomes[0].metrics().to_bytes(),
-        "engine result diverged from direct execution"
-    );
+    let result = assert_jobs_invariant(&spec);
 
     println!(
         "All bonding invariants hold ({} seed-matched cell sets, {} engine cells).",
         ccs.len() as u64 * runs,
-        a.outcomes.len()
+        result.outcomes.len()
     );
-    println!("{}", b.report.summary());
+    println!("{}", result.report.summary());
 }

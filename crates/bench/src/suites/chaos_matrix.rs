@@ -7,7 +7,7 @@
 //! baseline rate, and the recovery machinery's counters (PLIs, forced
 //! IDRs, watchdog activations/recoveries, jitter-target inflations).
 //!
-//! The binary *asserts* the survival invariants instead of merely printing
+//! The suite *asserts* the survival invariants instead of merely printing
 //! them:
 //!
 //! * no run panics;
@@ -22,10 +22,9 @@
 //! * a repeated run of the first cell is bit-identical (determinism
 //!   spot-check; the whole table is reproducible for a fixed `RPAV_SEED`).
 //!
-//! `RPAV_CHAOS_SMOKE=1` shrinks the sweep to one urban outage length per
-//! CC for CI.
+//! `--smoke` shrinks the sweep to one urban outage length per CC for CI.
 
-use rpav_bench::{banner, paper_config, smoke};
+use rpav_bench::{assert_replays_directly, banner, paper_config};
 use rpav_core::prelude::*;
 use rpav_netem::FaultScript;
 use rpav_sim::{SimDuration, SimTime};
@@ -50,15 +49,6 @@ fn blackout_script(outage_s: f64) -> FaultScript {
     )
 }
 
-/// Direct (engine-free) execution of one cell — the reference the
-/// determinism spot-check replays against.
-fn run_cell_direct(env: Environment, cc: CcMode, outage_s: f64) -> RunMetrics {
-    let cfg = paper_config(env, Operator::P1, Mobility::Air, cc);
-    Simulation::new(cfg)
-        .with_link_script(blackout_script(outage_s))
-        .run()
-}
-
 fn fmt_opt_ms(d: Option<SimDuration>) -> String {
     match d {
         Some(d) => format!("{:.0}", d.as_millis_f64()),
@@ -66,18 +56,17 @@ fn fmt_opt_ms(d: Option<SimDuration>) -> String {
     }
 }
 
-fn main() {
-    let smoke = smoke("RPAV_CHAOS_SMOKE");
+pub fn run(args: &crate::Args) {
     banner(
         "Chaos matrix",
         "mid-flight link blackouts × CC × environment (1 run/cell)",
     );
-    let outages: &[f64] = if smoke {
+    let outages: &[f64] = if args.smoke {
         &[2.0]
     } else {
         &[0.5, 2.0, 5.0, 10.0]
     };
-    let envs: &[Environment] = if smoke {
+    let envs: &[Environment] = if args.smoke {
         &[Environment::Urban]
     } else {
         &[Environment::Urban, Environment::Rural]
@@ -225,19 +214,9 @@ fn main() {
         }
     }
 
-    // Determinism spot-check: the first cell replays bit-identically when
-    // executed *directly* (no engine, no cache) — the engine's parallel
+    // Determinism spot-check on the first cell: the engine's parallel
     // result must equal the sequential reference.
-    {
-        let first = &cells[0];
-        let cc = rpav_bench::paper_ccs(first.env)[0];
-        let replay = run_cell_direct(first.env, cc, first.outage_s);
-        assert_eq!(
-            replay.to_bytes(),
-            first.metrics.to_bytes(),
-            "engine result diverged from direct execution"
-        );
-    }
+    assert_replays_directly(&result.outcomes[0]);
 
     println!("\nAll survival invariants hold ({} cells).", cells.len());
     println!("{}", result.report.summary());

@@ -10,7 +10,7 @@ use rpav_bench::{banner, master_seed, print_cdf_quantiles, runs_per_config};
 use rpav_core::prelude::*;
 use rpav_core::stats;
 
-fn main() {
+pub fn run(_: &crate::Args) {
     banner(
         "Extension E-1",
         "multipath (P1+P2 duplicate) vs single path, rural static 8 Mbps",

@@ -21,18 +21,13 @@
 //!   (determinism spot-check; the whole table is reproducible for a
 //!   fixed `RPAV_SEED`).
 //!
-//! `RPAV_FAILOVER_SMOKE=1` shrinks the sweep to one run per cell for CI.
+//! `--smoke` shrinks the sweep to one run per cell for CI.
 
-use rpav_bench::{banner, matrix_config, runs_per_config, smoke};
-use rpav_core::multipath::{run_multipath_scripted, MultipathScheme};
+use rpav_bench::{
+    assert_replays_directly, banner, matrix_config, primary_blackout, runs_per_config, FAULT_AT,
+    FAULT_FOR,
+};
 use rpav_core::prelude::*;
-use rpav_netem::FaultScript;
-use rpav_sim::{SimDuration, SimTime};
-
-/// Blackout window: the primary operator's link goes fully dark (both
-/// directions) after CC convergence.
-const FAULT_AT: SimTime = SimTime::from_secs(10);
-const FAULT_FOR: SimDuration = SimDuration::from_secs(15);
 
 struct CellResult {
     cc_name: &'static str,
@@ -43,16 +38,6 @@ struct CellResult {
 
 fn config(cc: CcMode, run: u64) -> ExperimentConfig {
     matrix_config(cc, run, 1).build()
-}
-
-fn primary_blackout() -> FaultScript {
-    FaultScript::new().blackout(FAULT_AT, FAULT_FOR)
-}
-
-/// Direct (engine-free) execution of one cell — the reference the
-/// determinism spot-check replays against.
-fn run_cell_direct(cc: CcMode, run: u64, scheme: MultipathScheme) -> RunMetrics {
-    run_multipath_scripted(&config(cc, run), scheme, Some(primary_blackout()), None)
 }
 
 fn in_window_switches(m: &RunMetrics) -> usize {
@@ -84,13 +69,12 @@ fn print_row(cc: &str, run: u64, m: &RunMetrics, scheme: MultipathScheme) {
     );
 }
 
-fn main() {
-    let smoke = smoke("RPAV_FAILOVER_SMOKE");
+pub fn run(args: &crate::Args) {
     banner(
         "Failover matrix",
         "multipath scheme × CC under a primary-operator blackout (seed-matched quadruples)",
     );
-    let runs = if smoke { 1 } else { runs_per_config() };
+    let runs = if args.smoke { 1 } else { runs_per_config() };
     println!(
         "    primary-leg blackout t={}s..{}s (both directions), {} run(s) per cell\n",
         FAULT_AT.as_secs_f64(),
@@ -242,21 +226,12 @@ fn main() {
         }
     }
 
-    // Determinism spot-check: the first failover cell replays
-    // bit-identically when executed *directly* (no engine, no cache).
-    {
-        let first = cells
-            .iter()
-            .find(|c| c.scheme == MultipathScheme::Failover)
-            .expect("no failover cell");
-        let cc = rpav_bench::paper_ccs(Environment::Rural)[0];
-        let replay = run_cell_direct(cc, first.run, MultipathScheme::Failover);
-        assert_eq!(
-            replay.to_bytes(),
-            first.metrics.to_bytes(),
-            "engine result diverged from direct execution"
-        );
-    }
+    // Determinism spot-check on the first failover cell.
+    let failover_i = schemes
+        .iter()
+        .position(|&s| s == MultipathScheme::Failover)
+        .expect("no failover cell");
+    assert_replays_directly(cell_at(0, failover_i, 0));
 
     println!(
         "All failover invariants hold ({} seed-matched cells).",

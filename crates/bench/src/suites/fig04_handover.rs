@@ -11,7 +11,7 @@ use rpav_bench::{banner, campaign, paper_ccs, print_box};
 use rpav_core::prelude::*;
 use rpav_core::stats;
 
-fn main() {
+pub fn run(_: &crate::Args) {
     banner(
         "Figure 4",
         "HO frequency (a) and HET duration (b), air vs ground",

@@ -7,7 +7,7 @@ use rpav_bench::{banner, campaign, print_cdf, print_cdf_quantiles};
 use rpav_core::prelude::*;
 use rpav_core::stats;
 
-fn main() {
+pub fn run(_: &crate::Args) {
     banner("Figure 5", "end-to-end one-way latency CDFs");
     let grid = stats::log_grid(10.0, 4_000.0, 28);
     for (mobility, env) in [

@@ -8,7 +8,7 @@ use rpav_bench::{banner, campaign, paper_ccs, print_box};
 use rpav_core::prelude::*;
 use rpav_core::stats;
 
-fn main() {
+pub fn run(_: &crate::Args) {
     banner("Figure 6", "achieved goodput per method and environment");
     for env in [Environment::Urban, Environment::Rural] {
         println!("\n{}:", env.name());

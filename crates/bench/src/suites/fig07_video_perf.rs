@@ -10,7 +10,7 @@ use rpav_bench::{banner, campaign, paper_ccs, print_cdf};
 use rpav_core::prelude::*;
 use rpav_core::stats;
 
-fn main() {
+pub fn run(_: &crate::Args) {
     banner(
         "Figure 7",
         "FPS (a), SSIM (b) and playback latency (c) CDFs",

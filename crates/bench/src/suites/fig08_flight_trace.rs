@@ -9,7 +9,7 @@ use rpav_bench::{banner, master_seed};
 use rpav_core::prelude::*;
 use rpav_core::trace;
 
-fn main() {
+pub fn run(_: &crate::Args) {
     banner("Figure 8", "GCC urban flight trace (CSV on stdout)");
     let cfg = ExperimentConfig::builder()
         .environment(Environment::Urban)

@@ -8,7 +8,7 @@ use rpav_bench::{banner, campaign, paper_ccs, print_box};
 use rpav_core::prelude::*;
 use rpav_core::stats;
 
-fn main() {
+pub fn run(_: &crate::Args) {
     banner("Figure 9", "max/min latency ratio around aerial handovers");
     let mut before = Vec::new();
     let mut after = Vec::new();

@@ -9,7 +9,7 @@ use rpav_bench::{banner, campaign, paper_ccs, print_box};
 use rpav_core::prelude::*;
 use rpav_core::stats;
 
-fn main() {
+pub fn run(_: &crate::Args) {
     banner(
         "Figure 10",
         "rural operators: throughput (a), HO frequency (b)",

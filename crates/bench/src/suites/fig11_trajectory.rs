@@ -8,7 +8,7 @@ use rpav_bench::banner;
 use rpav_sim::{SimDuration, SimTime};
 use rpav_uav::{profiles, Position};
 
-fn main() {
+pub fn run(_: &crate::Args) {
     banner("Figure 11", "the measurement flight trajectory");
     let plan = profiles::paper_flight(Position::ground(0.0, 0.0), SimDuration::from_secs(5));
     println!(

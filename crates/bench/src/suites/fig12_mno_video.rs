@@ -10,7 +10,7 @@ use rpav_bench::{banner, campaign, paper_ccs, print_box, print_cdf_quantiles};
 use rpav_core::prelude::*;
 use rpav_core::stats;
 
-fn main() {
+pub fn run(_: &crate::Args) {
     banner("Figure 12", "rural video performance, P1 vs P2");
     for cc in paper_ccs(Environment::Rural) {
         for op in [Operator::P1, Operator::P2] {

@@ -9,7 +9,7 @@ use rpav_core::ping::{bin_by_altitude, run_ping};
 use rpav_core::prelude::*;
 use rpav_core::stats;
 
-fn main() {
+pub fn run(_: &crate::Args) {
     banner(
         "Figure 13",
         "RTT by altitude (echo probes, no cross traffic)",

@@ -25,23 +25,18 @@
 //!   faults is bit-identical at `jobs = 1` and `jobs = 8`, and replays
 //!   byte-equal outside the engine.
 //!
-//! `RPAV_NLEG_SMOKE=1` shrinks the sweep to one run per cell for CI.
+//! `--smoke` shrinks the sweep to one run per cell for CI.
 
-use rpav_bench::{banner, matrix_config, runs_per_config, smoke};
+use rpav_bench::{
+    assert_jobs_invariant, banner, burst_fade, matrix_config, print_bonding_header,
+    print_bonding_row, runs_per_config, CAP_PRIMARY, CAP_SECONDARY, FEC_CAP,
+};
 use rpav_core::multipath::{run_multipath_legs, MultipathScheme};
 use rpav_core::prelude::*;
-use rpav_netem::{FaultScript, PacketKind};
+use rpav_netem::FaultScript;
 use rpav_rtp::fec::{rs_recover, FecGroup, RsGroup, RsParityPacket, MAX_RS_PARITY};
 use rpav_rtp::RtpPacket;
 use rpav_sim::{SimDuration, SimTime};
-
-/// Asymmetric per-leg caps (bps): leg 0 rides the primary operator's
-/// cap, every further leg the secondary's (DESIGN §11.5 cell values).
-const CAP_PRIMARY: f64 = 3.0e6;
-const CAP_SECONDARY: f64 = 2.5e6;
-
-/// Adaptive-FEC overhead ceiling for the burst-survival section.
-const FEC_CAP: f64 = 0.25;
 
 /// Per-leg cap for the degradation section: low enough that capacity —
 /// not the congestion controller's own ceiling — is the binding
@@ -54,42 +49,15 @@ fn leg_killer() -> FaultScript {
     FaultScript::new().blackout(SimTime::ZERO, SimDuration::from_secs(3_600))
 }
 
-/// The correlated shared-cell fade: one Gilbert–Elliott burst window,
-/// same wall-clock span on every affected leg (each leg still draws
-/// its own packet-level outcomes — two modems camping on one congested
-/// cell, not one wire feeding both).
-fn shared_fade() -> FaultScript {
-    FaultScript::new().burst_loss_window(
-        SimTime::ZERO,
-        SimDuration::from_secs(30),
-        0.05,
-        0.3,
-        0.5,
-        Some(PacketKind::Media),
-    )
-}
-
 fn config(cc: CcMode, run: u64) -> ExperimentConfigBuilder {
     matrix_config(cc, run, 4)
         .n_legs(3)
         .leg_caps(CAP_PRIMARY, CAP_SECONDARY)
 }
 
+/// The suite's own column: repairs of groups that lost ≥ 2 members.
 fn print_row(section: &str, cc: &str, run: u64, label: &str, m: &RunMetrics) {
-    println!(
-        "{:<6} {:<7} {:>3} {:<12} {:>9.2} {:>9.1} {:>6} {:>6} {:>6} {:>6} {:>5.2}",
-        section,
-        cc,
-        run,
-        label,
-        m.goodput_bps() / 1e6,
-        m.stalled_time.as_millis_f64(),
-        m.fec_tx,
-        m.fec_recovered,
-        m.fec_multi_recovered,
-        m.nack_seqs_requested,
-        m.leg_tx_share(0),
-    );
+    print_bonding_row(section, cc, run, label, m, m.fec_multi_recovered);
 }
 
 /// Component-level proof that the RS layer out-repairs XOR: the same
@@ -146,13 +114,12 @@ fn rs_beats_xor_component() {
     println!("    component: 2-erasure burst — XOR refuses, RS(2) repairs both\n");
 }
 
-fn main() {
-    let smoke = smoke("RPAV_NLEG_SMOKE");
+pub fn run(args: &crate::Args) {
     banner(
         "N-leg matrix",
         "3-leg bonding + RS burst repair + coupled CC vs correlated failures (seed-matched cells)",
     );
-    let runs = if smoke { 1 } else { runs_per_config() };
+    let runs = if args.smoke { 1 } else { runs_per_config() };
     println!(
         "    caps {}/{} Mbps per leg, correlated 2-leg burst 30 s, fec cap {FEC_CAP}, {} run(s)/cell\n",
         CAP_PRIMARY / 1e6,
@@ -160,20 +127,7 @@ fn main() {
         runs
     );
     rs_beats_xor_component();
-    println!(
-        "{:<6} {:<7} {:>3} {:<12} {:>9} {:>9} {:>6} {:>6} {:>6} {:>6} {:>5}",
-        "sect",
-        "cc",
-        "run",
-        "cell",
-        "put Mbps",
-        "stall ms",
-        "fectx",
-        "fecrec",
-        "fecmr",
-        "nacks",
-        "leg0",
-    );
+    print_bonding_header("cell", "fecmr");
 
     // ---- (a) Proportional degradation as legs die 3 → 2 → 1 ----------
     // The Static workload offers 8 Mbps no matter what, so delivered
@@ -228,7 +182,7 @@ fn main() {
     let mut multi_recovered_total = 0u64;
     for cc in ccs {
         for run in 0..runs {
-            let fade = || shared_fade().correlated(3, &[0, 1]);
+            let fade = || burst_fade().correlated(3, &[0, 1]);
             let bonded = run_multipath_legs(
                 &config(cc, run).fec_cap(FEC_CAP).repair(true).build(),
                 MultipathScheme::Bonded,
@@ -324,34 +278,16 @@ fn main() {
     .multipath_schemes([MultipathScheme::Bonded])
     .faults([CellFault::per_leg(
         "corr-2leg-fade",
-        shared_fade().correlated(3, &[0, 1]),
+        burst_fade().correlated(3, &[0, 1]),
     )])
     .runs(runs);
-    let sequential = CampaignEngine::new().with_cache_dir(None).with_jobs(1);
-    let parallel = CampaignEngine::new().with_cache_dir(None).with_jobs(8);
-    let a = sequential.run(&spec);
-    let b = parallel.run(&spec);
-    assert_eq!(a.outcomes.len(), b.outcomes.len());
-    for (x, y) in a.outcomes.iter().zip(b.outcomes.iter()) {
-        assert_eq!(
-            x.metrics().to_bytes(),
-            y.metrics().to_bytes(),
-            "jobs=1 vs jobs=8 diverged at {}",
-            x.cell().label()
-        );
-    }
-    let replay = a.outcomes[0].cell().execute();
-    assert_eq!(
-        replay.to_bytes(),
-        a.outcomes[0].metrics().to_bytes(),
-        "engine result diverged from direct execution"
-    );
+    let result = assert_jobs_invariant(&spec);
 
     println!(
         "All N-leg invariants hold ({} burst cell sets, {} engine cells, {} multi-loss repairs).",
         ccs.len() as u64 * runs,
-        a.outcomes.len(),
+        result.outcomes.len(),
         multi_recovered_total
     );
-    println!("{}", b.report.summary());
+    println!("{}", result.report.summary());
 }

@@ -9,7 +9,7 @@ use rpav_bench::{banner, campaign, paper_ccs};
 use rpav_core::prelude::*;
 use rpav_core::summary::HeadlineStats;
 
-fn main() {
+pub fn run(_: &crate::Args) {
     banner("Headline statistics", "the paper's in-text numbers");
     println!("{}", HeadlineStats::header());
     for env in [Environment::Urban, Environment::Rural] {

@@ -7,41 +7,35 @@
 //! * **cells/s** — whole-matrix throughput (the chaos-matrix currency);
 //! * **ns/tick** — wall time per driver step actually taken;
 //! * **allocs/packet** — heap allocations per media packet sent, counted
-//!   by a wrapping `#[global_allocator]` local to this binary.
+//!   by the `rpav_sim::alloc` counting allocator `rpav-bench` runs on
+//!   (`alloc`, `alloc_zeroed` and `realloc` all count as events — a
+//!   reallocation is exactly the churn the pooled buffers are supposed
+//!   to avoid).
 //!
 //! The default invocation measures the sweeps and writes one JSON object
 //! with a `full` section (paper-length flights, the tracked trajectory),
 //! a `quick` section (1 s holds, the CI smoke), and a `bonded` section
 //! (the two-leg bonded driver with FEC + repair armed, 1 s holds).
-//! `--quick` (or `RPAV_PERF_QUICK=1`) skips only the full sweep. `--check
-//! <baseline.json>` then compares every section measured this run against
-//! the same section of the committed baseline and exits non-zero on a
-//! regression: cells/s dropping more than 25 % below baseline
-//! (`RPAV_PERF_THRESHOLD=<percent>` overrides), or allocs/packet rising
-//! more than 25 % above it (plus a small absolute slack for sweeps that
-//! are already near zero). This is the CI perf gate — the ad-hoc
-//! cells/s-only threshold it replaces lived in the workflow file.
+//! `--smoke` skips only the full sweep. `--check <baseline.json>` then
+//! compares every section measured this run against the same section of
+//! the committed baseline and exits non-zero on a regression: cells/s
+//! dropping more than 25 % below baseline, or allocs/packet rising more
+//! than 25 % above it (plus a small absolute slack for sweeps that are
+//! already near zero). This is the CI perf gate.
 //!
 //! Output goes to stdout and to `BENCH_PIPELINE.json` in the current
-//! directory (override the path with `RPAV_PERF_OUT`).
+//! directory (`--out <file>` overrides the path).
 
 use std::time::Instant;
 
 use rpav_bench::{paper_ccs, paper_config};
 use rpav_core::multipath::{run_multipath, MultipathScheme};
 use rpav_core::prelude::*;
-use rpav_sim::SimDuration;
+use rpav_sim::{alloc, SimDuration};
 
-// The shared counting allocator: `alloc`, `alloc_zeroed` and `realloc`
-// all count as events — a reallocation is exactly the churn the pooled
-// buffers are supposed to avoid.
-#[global_allocator]
-static GLOBAL: rpav_sim::alloc::CountingAlloc = rpav_sim::alloc::CountingAlloc;
-
-/// Allocation events so far (shorthand over the shared counter).
-fn allocs_now() -> u64 {
-    rpav_sim::alloc::events()
-}
+/// The gate's relative band, in percent, on both cells/s and
+/// allocs/packet.
+const THRESHOLD: f64 = 25.0;
 
 /// Absolute slack on the allocs/packet gate: near-zero baselines would
 /// otherwise turn harmless jitter of a handful of allocations into a
@@ -80,36 +74,22 @@ impl Measurement {
     }
 }
 
-/// One cold sweep of the 6 paper workloads (3 CCs × 2 environments),
-/// single-threaded, engine-free.
-fn run_sweep(quick: bool) -> Measurement {
-    let mut ticks = 0u64;
-    let mut packets = 0u64;
-    let mut cells = 0usize;
-    let alloc_start = allocs_now();
+/// Time one cold sweep. `sweep` executes a cell each time it is pulled
+/// and yields that cell's `(ticks, packets)`; wall time and allocation
+/// events are taken around the whole iteration.
+fn measure(mode: &'static str, sweep: impl Iterator<Item = (u64, u64)>) -> Measurement {
+    let alloc_start = alloc::events();
     let wall_start = Instant::now();
-    for env in [Environment::Urban, Environment::Rural] {
-        for cc in paper_ccs(env) {
-            let cfg = if quick {
-                ExperimentConfig::builder()
-                    .environment(env)
-                    .cc(cc)
-                    .seed(0xBE7C)
-                    .hold_secs(1)
-                    .build()
-            } else {
-                paper_config(env, Operator::P1, Mobility::Air, cc)
-            };
-            let (metrics, steps) = Simulation::new(cfg).run_instrumented();
-            ticks += steps;
-            packets += metrics.media_sent + metrics.rtx_sent;
-            cells += 1;
-        }
+    let (mut cells, mut ticks, mut packets) = (0usize, 0u64, 0u64);
+    for (cell_ticks, cell_packets) in sweep {
+        cells += 1;
+        ticks += cell_ticks;
+        packets += cell_packets;
     }
     let wall_s = wall_start.elapsed().as_secs_f64();
-    let allocs = allocs_now() - alloc_start;
+    let allocs = alloc::events() - alloc_start;
     Measurement {
-        mode: if quick { "quick" } else { "full" },
+        mode,
         cells,
         wall_s,
         cells_per_s: cells as f64 / wall_s,
@@ -119,6 +99,29 @@ fn run_sweep(quick: bool) -> Measurement {
         packets,
         allocs,
     }
+}
+
+/// One cold sweep of the 6 paper workloads (3 CCs × 2 environments),
+/// single-threaded, engine-free.
+fn run_sweep(quick: bool) -> Measurement {
+    let workloads = [Environment::Urban, Environment::Rural]
+        .into_iter()
+        .flat_map(|env| paper_ccs(env).map(|cc| (env, cc)));
+    let sweep = workloads.map(|(env, cc)| {
+        let cfg = if quick {
+            ExperimentConfig::builder()
+                .environment(env)
+                .cc(cc)
+                .seed(0xBE7C)
+                .hold_secs(1)
+                .build()
+        } else {
+            paper_config(env, Operator::P1, Mobility::Air, cc)
+        };
+        let (metrics, steps) = Simulation::new(cfg).run_instrumented();
+        (steps, metrics.media_sent + metrics.rtx_sent)
+    });
+    measure(if quick { "quick" } else { "full" }, sweep)
 }
 
 /// One cold sweep of the bonded multipath driver: the three rural CCs
@@ -128,12 +131,7 @@ fn run_sweep(quick: bool) -> Measurement {
 /// its fixed 1 ms cadence over flight + drain: a stable denominator for
 /// trending ns/tick. `cells_per_s` is the gated number.
 fn run_bonded_sweep() -> Measurement {
-    let mut ticks = 0u64;
-    let mut packets = 0u64;
-    let mut cells = 0usize;
-    let alloc_start = allocs_now();
-    let wall_start = Instant::now();
-    for cc in paper_ccs(Environment::Rural) {
+    let sweep = paper_ccs(Environment::Rural).into_iter().map(|cc| {
         let cfg = ExperimentConfig::builder()
             .cc(cc)
             .seed(0xBE7C)
@@ -142,48 +140,14 @@ fn run_bonded_sweep() -> Measurement {
             .repair(true)
             .build();
         let m = run_multipath(&cfg, MultipathScheme::Bonded);
-        ticks += (m.duration + SimDuration::from_secs(3)).as_millis_f64() as u64;
-        packets += m.media_sent + m.rtx_sent + m.fec_tx;
-        cells += 1;
-    }
-    let wall_s = wall_start.elapsed().as_secs_f64();
-    let allocs = allocs_now() - alloc_start;
-    Measurement {
-        mode: "bonded",
-        cells,
-        wall_s,
-        cells_per_s: cells as f64 / wall_s,
-        ns_per_tick: wall_s * 1e9 / ticks as f64,
-        allocs_per_packet: allocs as f64 / packets as f64,
-        ticks,
-        packets,
-        allocs,
-    }
+        let ticks = (m.duration + SimDuration::from_secs(3)).as_millis_f64() as u64;
+        (ticks, m.media_sent + m.rtx_sent + m.fec_tx)
+    });
+    measure("bonded", sweep)
 }
 
-/// Pull `key` out of the named section of a flat two-level JSON object,
-/// without a JSON dependency.
-fn json_field(text: &str, section: &str, key: &str) -> Option<f64> {
-    let start = text.find(&format!("\"{section}\""))?;
-    let body = &text[start..];
-    let body = &body[..body.find('}').unwrap_or(body.len())];
-    let needle = format!("\"{key}\"");
-    let rest = &body[body.find(&needle)? + needle.len()..];
-    let rest = rest.trim_start().strip_prefix(':')?.trim_start();
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-'))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
-fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let quick_only = args.iter().any(|a| a == "--quick")
-        || std::env::var_os("RPAV_PERF_QUICK").is_some_and(|v| v != "0");
-    let check = args
-        .iter()
-        .position(|a| a == "--check")
-        .map(|i| args.get(i + 1).expect("--check needs a baseline path"));
+pub fn run(args: &crate::Args) {
+    let quick_only = args.smoke;
 
     println!(
         "=== perf_matrix — engine throughput ({}, single-threaded)",
@@ -196,8 +160,11 @@ fn main() {
 
     // Read the baseline *before* measuring: the output file may be the
     // baseline path itself, and a self-comparison would gate nothing.
-    let baseline = check
-        .map(|p| std::fs::read_to_string(p).unwrap_or_else(|e| panic!("read baseline {p}: {e}")));
+    let baseline = args.check.as_ref().map(|p| {
+        let text = std::fs::read_to_string(p)
+            .unwrap_or_else(|e| panic!("read baseline {}: {e}", p.display()));
+        Json::parse(&text).unwrap_or_else(|e| panic!("parse baseline {}: {e}", p.display()))
+    });
 
     // Warm-up: touch every code path once so lazy init (thread-locals,
     // cold text pages) doesn't bill the first measured cell.
@@ -207,7 +174,7 @@ fn main() {
             .seed(0xD0)
             .hold_secs(1)
             .build();
-        let _ = Simulation::new(cfg).run_fast();
+        let _ = Simulation::new(cfg).run();
     }
 
     let mut sections = Vec::new();
@@ -231,18 +198,16 @@ fn main() {
             .collect::<Vec<_>>()
             .join(",\n")
     );
-    let out = std::env::var("RPAV_PERF_OUT").unwrap_or_else(|_| "BENCH_PIPELINE.json".into());
-    std::fs::write(&out, &json).expect("write BENCH_PIPELINE.json");
-    println!("wrote {out}");
+    let out = args.out.as_deref();
+    let out = out.unwrap_or(std::path::Path::new("BENCH_PIPELINE.json"));
+    std::fs::write(out, &json).expect("write BENCH_PIPELINE.json");
+    println!("wrote {}", out.display());
 
-    if let Some(text) = baseline {
-        let threshold: f64 = std::env::var("RPAV_PERF_THRESHOLD")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(25.0);
+    if let Some(baseline) = baseline {
+        let field = |section: &str, key: &str| baseline.get(section)?.get(key)?.as_f64();
         let mut failed = false;
         for m in &sections {
-            let Some(base) = json_field(&text, m.mode, "cells_per_s") else {
+            let Some(base) = field(m.mode, "cells_per_s") else {
                 println!("baseline has no `{}` section — skipping gate", m.mode);
                 continue;
             };
@@ -251,9 +216,9 @@ fn main() {
                 "{:<5} baseline {base:.2} cells/s → now {:.2} cells/s ({delta_pct:+.1} %)",
                 m.mode, m.cells_per_s
             );
-            if delta_pct < -threshold {
+            if delta_pct < -THRESHOLD {
                 eprintln!(
-                    "PERF REGRESSION ({}): cells/s dropped more than {threshold}%",
+                    "PERF REGRESSION ({}): cells/s dropped more than {THRESHOLD}%",
                     m.mode
                 );
                 failed = true;
@@ -262,8 +227,8 @@ fn main() {
             // allocs/packet is nearly noise-free — anything beyond the
             // relative threshold plus a small absolute slack means a hot
             // path started allocating again.
-            if let Some(base_ap) = json_field(&text, m.mode, "allocs_per_packet") {
-                let limit = base_ap * (1.0 + threshold / 100.0) + ALLOC_GATE_SLACK;
+            if let Some(base_ap) = field(m.mode, "allocs_per_packet") {
+                let limit = base_ap * (1.0 + THRESHOLD / 100.0) + ALLOC_GATE_SLACK;
                 println!(
                     "{:<5} baseline {base_ap:.2} allocs/packet → now {:.2} (limit {limit:.2})",
                     m.mode, m.allocs_per_packet
@@ -280,6 +245,6 @@ fn main() {
         if failed {
             std::process::exit(1);
         }
-        println!("within {threshold}% gate — ok");
+        println!("within {THRESHOLD}% gate — ok");
     }
 }

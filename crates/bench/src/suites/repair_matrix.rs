@@ -26,10 +26,9 @@
 //!   (determinism spot-check; the whole table is reproducible for a
 //!   fixed `RPAV_SEED`).
 //!
-//! `RPAV_REPAIR_SMOKE=1` shrinks the sweep to the 2 % loss condition for
-//! CI.
+//! `--smoke` shrinks the sweep to the 2 % loss condition for CI.
 
-use rpav_bench::{banner, matrix_config, smoke};
+use rpav_bench::{assert_replays_directly, banner, matrix_config};
 use rpav_core::prelude::*;
 use rpav_netem::{FaultScript, PacketKind};
 use rpav_sim::{SimDuration, SimTime};
@@ -106,15 +105,6 @@ struct CellResult {
     on: RunMetrics,
 }
 
-/// Direct (engine-free) execution of one cell — the reference the
-/// determinism spot-check replays against.
-fn run_cell_direct(cc: CcMode, script: FaultScript, repair: bool) -> RunMetrics {
-    let mut cfg = base_config();
-    cfg.cc = cc;
-    cfg.repair = repair;
-    Simulation::new(cfg).with_uplink_script(script).run()
-}
-
 fn print_row(condition: &str, cc: &str, repair: &str, m: &RunMetrics) {
     println!(
         "{:<9} {:<7} {:<4} {:>9.1} {:>7.3} {:>6} {:>8.1} {:>5} {:>6} {:>6} {:>5} {:>5} {:>5} {:>5.2}",
@@ -135,13 +125,12 @@ fn print_row(condition: &str, cc: &str, repair: &str, m: &RunMetrics) {
     );
 }
 
-fn main() {
-    let smoke = smoke("RPAV_REPAIR_SMOKE");
+pub fn run(args: &crate::Args) {
     banner(
         "Repair matrix",
         "hostile-wire conditions × CC × {NACK/RTX off, on} (urban, seed-matched pairs)",
     );
-    let conditions: &[Condition] = if smoke {
+    let conditions: &[Condition] = if args.smoke {
         &[SMOKE_CONDITION]
     } else {
         CONDITIONS
@@ -265,22 +254,8 @@ fn main() {
         }
     }
 
-    // Determinism spot-check: the first repair-on cell replays
-    // bit-identically when executed *directly* (no engine, no cache).
-    {
-        let first = &cells[0];
-        let cond = conditions
-            .iter()
-            .find(|c| c.name == first.condition)
-            .unwrap();
-        let cc = rpav_bench::paper_ccs(Environment::Urban)[0];
-        let replay = run_cell_direct(cc, (cond.script)(), true);
-        assert_eq!(
-            replay.to_bytes(),
-            first.on.to_bytes(),
-            "engine result diverged from direct execution"
-        );
-    }
+    // Determinism spot-check on the first repair-on cell.
+    assert_replays_directly(&result.outcomes[1]);
 
     println!(
         "\nAll repair invariants hold ({} seed-matched cell pairs).",

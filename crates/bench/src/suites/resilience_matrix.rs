@@ -22,39 +22,27 @@
 //!   is constant as the matrix grows 4×;
 //! * **stuck watchdog** — a 1 ms wall-clock budget flags every cell
 //!   without killing any;
-//! * **daemon kill/resume** (`RPAV_DAEMON_SMOKE=1`) — the same contract
-//!   over the service path: the kill campaign is submitted to a live
-//!   `rpavd` as a JSON spec document, the daemon is SIGKILLed
-//!   mid-campaign and restarted on the same cache, and the aggregates it
-//!   then serves over HTTP are byte-identical to an uninterrupted batch
-//!   run of the same document.
+//! * **daemon kill/resume** — the same contract over the service path:
+//!   the kill campaign is submitted to a live `rpavd` (the one built
+//!   beside this executable) as a JSON spec document, the daemon is
+//!   SIGKILLed mid-campaign and restarted on the same cache, and the
+//!   aggregates it then serves over HTTP are byte-identical to an
+//!   uninterrupted batch run of the same document.
 //!
-//! `RPAV_RESILIENCE_SMOKE=1` shrinks the sweep for CI.
+//! `--smoke` shrinks the sweep for CI.
 
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
-use rpav_bench::{banner, resilience_kill_spec, resilience_small_spec, smoke};
+use rpav_bench::{assert_same_results, banner, resilience_kill_spec, resilience_small_spec};
 use rpav_core::journal;
 use rpav_core::prelude::*;
 
-/// Env var that switches this binary into child mode: its value is the
+/// Env var that switches this suite into child mode: its value is the
 /// cache directory the child campaign writes to (the parent SIGKILLs it
 /// mid-run).
 const CHILD_ENV: &str = "RPAV_RESILIENCE_CHILD";
-
-/// The small matrix most sections run (4 cells, short holds) — the
-/// shared [`rpav_bench::resilience_small_spec`] fixture.
-fn small_spec() -> MatrixSpec {
-    resilience_small_spec().to_matrix()
-}
-
-/// The kill/resume matrix: enough sequential work (jobs=1 in the child)
-/// that the parent can observe partial completion before killing.
-fn kill_spec(smoke: bool) -> MatrixSpec {
-    resilience_kill_spec(smoke).to_matrix()
-}
 
 fn fresh_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("rpav-resilience-{}-{tag}", std::process::id()));
@@ -62,42 +50,49 @@ fn fresh_dir(tag: &str) -> PathBuf {
     dir
 }
 
-/// Sealed cache entries under `dir`, including the 256 shard
-/// subdirectories (skipping `quarantine/` and the daemon's `campaigns/`).
+/// Sealed cache entries under `dir`'s 256 shard subdirectories (skipping
+/// `quarantine/` and the daemon's `campaigns/`).
 fn rpav_files(dir: &Path) -> Vec<PathBuf> {
     let mut files = Vec::new();
-    let Ok(rd) = std::fs::read_dir(dir) else {
-        return files;
-    };
-    for entry in rd.filter_map(Result::ok) {
-        let path = entry.path();
-        if path.is_dir() {
-            let name = entry.file_name();
-            if name == "quarantine" || name == "campaigns" {
-                continue;
+    for shard in std::fs::read_dir(dir).into_iter().flatten().flatten() {
+        let name = shard.file_name();
+        if name == "quarantine" || name == "campaigns" {
+            continue;
+        }
+        for entry in std::fs::read_dir(shard.path()).into_iter().flatten().flatten() {
+            let path = entry.path();
+            if path.extension().is_some_and(|x| x == "rpav") {
+                files.push(path);
             }
-            for sub in std::fs::read_dir(&path).into_iter().flatten().flatten() {
-                let p = sub.path();
-                if p.extension().is_some_and(|x| x == "rpav") {
-                    files.push(p);
-                }
-            }
-        } else if path.extension().is_some_and(|x| x == "rpav") {
-            files.push(path);
         }
     }
     files.sort();
     files
 }
 
+/// Poll `ready` every 20 ms until it yields; panic with `what` after
+/// `secs` seconds.
+fn poll<T>(what: &str, secs: u64, mut ready: impl FnMut() -> Option<T>) -> T {
+    let deadline = Instant::now() + Duration::from_secs(secs);
+    loop {
+        if let Some(value) = ready() {
+            return value;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "{what} within {secs} s"
+        );
+        std::thread::sleep(Duration::from_millis(20));
+    }
+}
+
 /// Child mode: run the kill matrix sequentially into the given cache
 /// directory. The parent kills us somewhere in the middle.
-fn run_child(cache_dir: &str) -> ! {
+fn run_child(cache_dir: &str, smoke: bool) -> ! {
     let engine = CampaignEngine::new()
         .with_jobs(1)
         .with_cache_dir(Some(PathBuf::from(cache_dir)));
-    let smoke = smoke("RPAV_RESILIENCE_SMOKE");
-    let _ = engine.run(&kill_spec(smoke));
+    let _ = engine.run(&resilience_kill_spec(smoke).to_matrix());
     std::process::exit(0);
 }
 
@@ -111,18 +106,18 @@ fn with_quiet_panics<T>(f: impl FnOnce() -> T) -> T {
     out
 }
 
-fn main() {
+pub fn run(args: &crate::Args) {
+    let smoke = args.smoke;
     if let Ok(dir) = std::env::var(CHILD_ENV) {
-        run_child(&dir);
+        run_child(&dir, smoke);
     }
-    let smoke = smoke("RPAV_RESILIENCE_SMOKE");
     banner(
         "resilience_matrix",
         "crash-safe campaign execution: panic isolation, durable cache, kill/resume",
     );
 
     // ---- (a) panic isolation ----------------------------------------
-    let spec = small_spec();
+    let spec = resilience_small_spec().to_matrix();
     let n = spec.expand().len();
     let engine = CampaignEngine::new()
         .with_cache_dir(None)
@@ -203,18 +198,7 @@ fn main() {
     );
     assert_eq!(healed.report.simulated, 2, "only the damaged cells re-ran");
     assert_eq!(healed.report.failed, 0, "corruption must never be fatal");
-    for (a, b) in reference.outcomes.iter().zip(&healed.outcomes) {
-        assert_eq!(
-            a.metrics().to_bytes(),
-            b.metrics().to_bytes(),
-            "healed campaign diverged at {}",
-            a.cell().label()
-        );
-    }
-    assert_eq!(
-        reference.report.aggregates.to_bytes(),
-        healed.report.aggregates.to_bytes()
-    );
+    assert_same_results("healed campaign", &reference, &healed);
     assert_eq!(
         dir.join("quarantine")
             .read_dir()
@@ -232,34 +216,26 @@ fn main() {
     let _ = std::fs::remove_dir_all(&dir);
 
     // ---- (d) SIGKILL mid-campaign, then resume ----------------------
-    let kspec = kill_spec(smoke);
+    let kspec = resilience_kill_spec(smoke).to_matrix();
     let kn = kspec.expand().len();
     let kill_dir = fresh_dir("kill");
     std::fs::create_dir_all(&kill_dir).unwrap();
     let exe = std::env::current_exe().expect("current_exe");
     let mut child = std::process::Command::new(&exe)
+        .arg("resilience_matrix")
+        .args(smoke.then_some("--smoke"))
         .env(CHILD_ENV, kill_dir.display().to_string())
         .stdout(std::process::Stdio::null())
         .stderr(std::process::Stdio::null())
         .spawn()
         .expect("spawn child engine");
     // Wait until at least two cells are durably cached, then SIGKILL.
-    let deadline = std::time::Instant::now() + Duration::from_secs(180);
-    let mut child_finished = false;
-    loop {
+    let child_finished = poll("child produced < 2 cache files", 180, || {
         if rpav_files(&kill_dir).len() >= 2 {
-            break;
+            return Some(false);
         }
-        if child.try_wait().expect("try_wait").is_some() {
-            child_finished = true;
-            break;
-        }
-        assert!(
-            std::time::Instant::now() < deadline,
-            "child produced < 2 cache files within 180 s"
-        );
-        std::thread::sleep(Duration::from_millis(20));
-    }
+        child.try_wait().expect("try_wait").map(|_| true)
+    });
     if !child_finished {
         child.kill().expect("SIGKILL child"); // SIGKILL on unix
         let _ = child.wait();
@@ -294,19 +270,7 @@ fn main() {
         "resume must recompute exactly the unfinished cells"
     );
     assert!(resumed.report.cached >= 2);
-    for (a, b) in uninterrupted.outcomes.iter().zip(&resumed.outcomes) {
-        assert_eq!(
-            a.metrics().to_bytes(),
-            b.metrics().to_bytes(),
-            "resumed campaign diverged at {}",
-            a.cell().label()
-        );
-    }
-    assert_eq!(
-        uninterrupted.report.aggregates.to_bytes(),
-        resumed.report.aggregates.to_bytes(),
-        "resumed aggregates are not byte-identical to the uninterrupted run"
-    );
+    assert_same_results("resumed campaign", &uninterrupted, &resumed);
     assert!(
         journal::journal_path(&kill_dir, {
             // The journal file the engine keyed this campaign under.
@@ -332,10 +296,9 @@ fn main() {
     let _ = std::fs::remove_dir_all(&kill_dir);
 
     // ---- (e) flat memory in streaming mode --------------------------
-    let small = small_spec();
-    let big = small_spec().operators([Operator::P1, Operator::P2]).runs(4); // 4× the cells
+    let big = spec.clone().operators([Operator::P1, Operator::P2]).runs(4); // 4× the cells
     let streaming = CampaignEngine::new().with_cache_dir(None).with_jobs(4);
-    let s_small = streaming.run_streaming(&small);
+    let s_small = streaming.run_streaming(&spec);
     assert_eq!(
         streaming.memory_entries(),
         0,
@@ -371,7 +334,7 @@ fn main() {
         .with_cache_dir(None)
         .with_jobs(1)
         .with_stuck_budget(Duration::from_millis(1));
-    let result = engine.run(&small);
+    let result = engine.run(&spec);
     assert_eq!(result.report.failed, 0, "the watchdog must never kill");
     assert!(
         result.report.stuck_flagged >= 1,
@@ -383,9 +346,7 @@ fn main() {
     );
 
     // ---- (g) daemon service: SIGKILL mid-campaign over HTTP ---------
-    if rpav_bench::smoke("RPAV_DAEMON_SMOKE") {
-        daemon_kill_resume(smoke);
-    }
+    daemon_kill_resume(smoke);
 
     println!("\nAll resilience invariants hold.");
 }
@@ -395,7 +356,6 @@ fn main() {
 /// the HTTP-served aggregates converge byte-identically.
 fn daemon_kill_resume(smoke: bool) {
     use rpav_daemon::client;
-    use std::time::Instant;
     const T: Duration = Duration::from_secs(600);
 
     let spec = rpav_bench::resilience_kill_spec(smoke);
@@ -412,7 +372,7 @@ fn daemon_kill_resume(smoke: bool) {
     let rpavd = exe.parent().expect("bin dir").join("rpavd");
     assert!(
         rpavd.exists(),
-        "rpavd not found at {} — build rpav-daemon first",
+        "rpavd not found at {} — build the workspace first (`cargo build --release`)",
         rpavd.display()
     );
     let dir = fresh_dir("daemon");
@@ -433,20 +393,10 @@ fn daemon_kill_resume(smoke: bool) {
             .stderr(std::process::Stdio::null())
             .spawn()
             .expect("spawn rpavd");
-        let deadline = Instant::now() + Duration::from_secs(60);
-        let addr = loop {
-            if let Ok(s) = std::fs::read_to_string(&port_file) {
-                let s = s.trim().to_string();
-                if !s.is_empty() {
-                    break s;
-                }
-            }
-            assert!(
-                Instant::now() < deadline,
-                "rpavd wrote no port file within 60 s"
-            );
-            std::thread::sleep(Duration::from_millis(20));
-        };
+        let addr = poll("rpavd wrote no port file", 60, || {
+            let addr = std::fs::read_to_string(&port_file).ok()?;
+            Some(addr.trim().to_string()).filter(|a| !a.is_empty())
+        });
         (child, addr)
     };
 
@@ -455,14 +405,9 @@ fn daemon_kill_resume(smoke: bool) {
     assert_eq!(r.status, 201, "submit failed: {}", r.text());
 
     // Wait for partial durable progress, then SIGKILL the daemon.
-    let deadline = Instant::now() + Duration::from_secs(180);
-    while rpav_files(&dir).len() < 2 {
-        assert!(
-            Instant::now() < deadline,
-            "daemon cached < 2 cells within 180 s"
-        );
-        std::thread::sleep(Duration::from_millis(20));
-    }
+    poll("daemon cached < 2 cells", 180, || {
+        (rpav_files(&dir).len() >= 2).then_some(())
+    });
     victim.kill().expect("SIGKILL rpavd"); // SIGKILL on unix
     let _ = victim.wait();
     let survivors = rpav_files(&dir).len();

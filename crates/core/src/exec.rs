@@ -238,22 +238,22 @@ pub enum CcAxis {
 /// A declarative cross-product of scenario axes.
 ///
 /// Empty axes fall back to the base configuration's value, so
-/// `MatrixSpec::new(base).runs(5)` is exactly the old
-/// `run_campaign(base, 5)` shape. Expansion order is part of the API:
+/// `MatrixSpec::new(base).runs(5)` is five runs of one configuration.
+/// Expansion order is part of the API:
 /// environment → operator → mobility → CC → scheme → fault → repair →
 /// run index, with the run index innermost (seed-matched cells stay
 /// adjacent).
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct MatrixSpec {
-    base: ExperimentConfig,
-    environments: Vec<Environment>,
-    operators: Vec<Operator>,
-    mobilities: Vec<Mobility>,
-    ccs: CcAxis,
-    schemes: Vec<RunScheme>,
-    faults: Vec<CellFault>,
-    repairs: Vec<bool>,
-    runs: u64,
+    pub(crate) base: ExperimentConfig,
+    pub(crate) environments: Vec<Environment>,
+    pub(crate) operators: Vec<Operator>,
+    pub(crate) mobilities: Vec<Mobility>,
+    pub(crate) ccs: CcAxis,
+    pub(crate) schemes: Vec<RunScheme>,
+    pub(crate) faults: Vec<CellFault>,
+    pub(crate) repairs: Vec<bool>,
+    pub(crate) runs: u64,
 }
 
 impl MatrixSpec {
@@ -578,7 +578,7 @@ impl Cell {
                 if reference_tick {
                     sim.run_reference()
                 } else {
-                    sim.run_fast()
+                    sim.run()
                 }
             }
             RunScheme::Multipath(scheme) => {
@@ -1013,8 +1013,7 @@ impl EngineOptions {
     }
 
     /// Just the `RPAV_REFERENCE_TICK` knob (no warnings, no other vars) —
-    /// the edge parse for direct [`Cell::execute`] /
-    /// [`Simulation::run`] callers.
+    /// the edge parse for direct [`Cell::execute`] callers.
     pub fn env_reference_tick() -> bool {
         std::env::var_os("RPAV_REFERENCE_TICK").is_some_and(|v| v != "0")
     }

@@ -70,8 +70,6 @@ pub mod trace;
 pub use exec::{CampaignEngine, EngineOptions, MatrixResult, MatrixSpec};
 pub use metrics::RunMetrics;
 pub use pipeline::Simulation;
-#[allow(deprecated)]
-pub use runner::run_campaign;
 pub use runner::CampaignResult;
 pub use scenario::{CcMode, ExperimentConfig, Mobility};
 pub use spec::{CampaignSpec, SpecError, MAX_CELLS, SPEC_VERSION};

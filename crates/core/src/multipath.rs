@@ -550,17 +550,6 @@ pub fn run_multipath(base: &ExperimentConfig, scheme: MultipathScheme) -> RunMet
     run_multipath_legs(base, scheme, Vec::new())
 }
 
-/// [`run_multipath`] with scripted fault campaigns on the first two legs
-/// — the historical two-leg entry point, kept for every existing caller.
-pub fn run_multipath_scripted(
-    base: &ExperimentConfig,
-    scheme: MultipathScheme,
-    primary_script: Option<FaultScript>,
-    secondary_script: Option<FaultScript>,
-) -> RunMetrics {
-    run_multipath_legs(base, scheme, vec![primary_script, secondary_script])
-}
-
 /// [`run_multipath`] with a per-leg scripted fault campaign: entry `i`
 /// of `leg_scripts` (missing entries mean unscripted) hits both
 /// directions of leg `i` — a true link blackout. Correlated cross-leg
@@ -1465,9 +1454,12 @@ mod tests {
         let fault_at = SimTime::ZERO + SimDuration::from_secs(5);
         let fault_for = SimDuration::from_secs(10);
         let script = || FaultScript::new().blackout(fault_at, fault_for);
-        let single =
-            run_multipath_scripted(&cfg, MultipathScheme::SinglePath, Some(script()), None);
-        let fo = run_multipath_scripted(&cfg, MultipathScheme::Failover, Some(script()), None);
+        let single = run_multipath_legs(
+            &cfg,
+            MultipathScheme::SinglePath,
+            vec![Some(script()), None],
+        );
+        let fo = run_multipath_legs(&cfg, MultipathScheme::Failover, vec![Some(script()), None]);
         // Exactly one switch inside the fault window (later radio events
         // elsewhere in the flight may legitimately switch again).
         let in_window: Vec<_> = fo
@@ -1602,11 +1594,10 @@ mod tests {
                 Some(PacketKind::Media),
             )
         };
-        let m = run_multipath_scripted(
+        let m = run_multipath_legs(
             &cfg,
             MultipathScheme::Bonded,
-            Some(script()),
-            Some(script()),
+            vec![Some(script()), Some(script())],
         );
         assert!(m.script_dropped > 0, "burst script never dropped anything");
         assert!(m.fec_tx > 0, "adaptive ratio never turned FEC on");
@@ -1633,7 +1624,7 @@ mod tests {
             SimTime::ZERO + SimDuration::from_secs(1),
             SimDuration::from_secs(120),
         );
-        let m = run_multipath_scripted(&cfg, MultipathScheme::Bonded, None, Some(blackout));
+        let m = run_multipath_legs(&cfg, MultipathScheme::Bonded, vec![None, Some(blackout)]);
         assert!(m.dup_tx_packets > 0, "no keyframe repeats on the lone leg");
         assert!(
             (m.dup_tx_packets as f64) < 0.5 * m.media_sent as f64,
@@ -1667,11 +1658,10 @@ mod tests {
             )
         };
         let run = || {
-            run_multipath_scripted(
+            run_multipath_legs(
                 &cfg,
                 MultipathScheme::Bonded,
-                Some(script()),
-                Some(script()),
+                vec![Some(script()), Some(script())],
             )
         };
         assert_eq!(run().to_bytes(), run().to_bytes());
@@ -1681,14 +1671,16 @@ mod tests {
     fn deterministic_replay_per_seed() {
         let cfg = base();
         let run = || {
-            run_multipath_scripted(
+            run_multipath_legs(
                 &cfg,
                 MultipathScheme::Failover,
-                Some(FaultScript::new().blackout(
-                    SimTime::ZERO + SimDuration::from_secs(3),
-                    SimDuration::from_secs(4),
-                )),
-                None,
+                vec![
+                    Some(FaultScript::new().blackout(
+                        SimTime::ZERO + SimDuration::from_secs(3),
+                        SimDuration::from_secs(4),
+                    )),
+                    None,
+                ],
             )
         };
         let a = run();

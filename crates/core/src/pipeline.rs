@@ -259,40 +259,26 @@ impl Simulation {
         self.with_uplink_script(script).with_downlink_script(cloned)
     }
 
-    /// Execute the run to completion and return its metrics.
-    ///
-    /// Uses the adaptive deadline scheduler unless `RPAV_REFERENCE_TICK=1`
-    /// is set, which restores the unconditional 1 ms loop as an oracle.
-    pub fn run(self) -> RunMetrics {
-        let reference = std::env::var_os("RPAV_REFERENCE_TICK").is_some_and(|v| v != "0");
-        self.run_mode(reference)
+    /// Execute the run to completion on the adaptive deadline scheduler
+    /// and return its metrics.
+    pub fn run(mut self) -> RunMetrics {
+        self.run_loop(false, &mut 0)
     }
 
-    /// Execute with the unconditional 1 ms reference loop, regardless of
-    /// the environment. The adaptive scheduler must be byte-identical to
-    /// this path; `tests/perf_equivalence.rs` holds it to that.
-    pub fn run_reference(self) -> RunMetrics {
-        self.run_mode(true)
-    }
-
-    /// Execute with the adaptive deadline scheduler, regardless of the
-    /// environment.
-    pub fn run_fast(self) -> RunMetrics {
-        self.run_mode(false)
+    /// Execute with the unconditional 1 ms reference loop. The adaptive
+    /// scheduler must be byte-identical to this path;
+    /// `tests/perf_equivalence.rs` holds it to that.
+    pub fn run_reference(mut self) -> RunMetrics {
+        self.run_loop(true, &mut 0)
     }
 
     /// Execute with the adaptive scheduler and also report how many driver
     /// steps the run took — the denominator for the perf harness's ns/tick
-    /// figure. Metrics are identical to [`Simulation::run_fast`].
+    /// figure. Metrics are identical to [`Simulation::run`].
     pub fn run_instrumented(mut self) -> (RunMetrics, u64) {
         let mut steps = 0u64;
         let metrics = self.run_loop(false, &mut steps);
         (metrics, steps)
-    }
-
-    fn run_mode(mut self, reference: bool) -> RunMetrics {
-        let mut steps = 0u64;
-        self.run_loop(reference, &mut steps)
     }
 
     fn run_loop(&mut self, reference: bool, steps: &mut u64) -> RunMetrics {

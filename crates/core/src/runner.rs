@@ -5,14 +5,11 @@
 //! (same deployment, different fading/shadowing/HET draws — the same areas
 //! were flown repeatedly on different days).
 //!
-//! [`run_campaign`] is a thin wrapper over the matrix engine
-//! ([`crate::exec`]): the runs execute on the engine's thread pool
-//! (`RPAV_JOBS` workers) and land in run-index order, bit-identical to
-//! the old sequential loop.
+//! Campaigns are executed by the matrix engine ([`crate::exec`]):
+//! `MatrixResult::campaigns()` groups a matrix's runs, in run-index
+//! order, into the [`CampaignResult`]s pooled here.
 
-use crate::exec::{CampaignEngine, MatrixSpec};
 use crate::metrics::RunMetrics;
-use crate::scenario::ExperimentConfig;
 
 /// All runs of one configuration.
 #[derive(Clone, Debug)]
@@ -21,22 +18,6 @@ pub struct CampaignResult {
     pub label: String,
     /// Per-run metrics.
     pub runs: Vec<RunMetrics>,
-}
-
-/// Run `n_runs` repetitions of `base`, varying the run index.
-///
-/// Superseded by [`CampaignSpec`](crate::spec::CampaignSpec): build
-/// `CampaignSpec::new(base).runs(n)` and execute it through a
-/// [`CampaignEngine`] — the spec is the one construction path shared with
-/// the daemon's wire API, and `MatrixResult::campaigns()` recovers the
-/// same pooled shape.
-#[deprecated(note = "build a `CampaignSpec` and run it through `CampaignEngine`")]
-pub fn run_campaign(base: ExperimentConfig, n_runs: u64) -> CampaignResult {
-    let result = CampaignEngine::new().run(&MatrixSpec::new(base).runs(n_runs));
-    CampaignResult {
-        label: base.label(),
-        runs: result.metrics().cloned().collect(),
-    }
 }
 
 impl CampaignResult {
@@ -125,19 +106,19 @@ impl CampaignResult {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::scenario::CcMode;
+    use crate::exec::{CampaignEngine, MatrixSpec};
+    use crate::scenario::{CcMode, ExperimentConfig};
     use rpav_lte::Environment;
 
     #[test]
-    #[allow(deprecated)]
     fn campaign_runs_and_pools() {
         let base = ExperimentConfig::builder()
             .cc(CcMode::paper_static(Environment::Rural))
             .seed(7)
             .hold_secs(1)
             .build();
-        let c = run_campaign(base, 2);
+        let result = CampaignEngine::new().run(&MatrixSpec::new(base).runs(2));
+        let c = &result.campaigns()[0];
         assert_eq!(c.runs.len(), 2);
         assert_eq!(c.label, "Static-Rural-P1-Air");
         assert!(!c.owd_ms().is_empty());

@@ -174,30 +174,6 @@ impl ExperimentConfig {
         }
     }
 
-    /// Paper-default configuration for the given axes.
-    ///
-    /// Superseded by [`ExperimentConfig::builder`]; the shim survives only
-    /// for the equivalence test below, gated out of shipping builds.
-    #[cfg(test)]
-    #[deprecated(note = "use `ExperimentConfig::builder()` instead")]
-    pub fn paper(
-        environment: Environment,
-        operator: Operator,
-        mobility: Mobility,
-        cc: CcMode,
-        seed: u64,
-        run_index: u64,
-    ) -> Self {
-        ExperimentConfig::builder()
-            .environment(environment)
-            .operator(operator)
-            .mobility(mobility)
-            .cc(cc)
-            .seed(seed)
-            .run_index(run_index)
-            .build()
-    }
-
     /// The *other* cellular operator — the standby carrier a multi-SIM
     /// failover setup would ride (App. A.3 measures both).
     pub fn secondary_operator(&self) -> Operator {
@@ -502,30 +478,6 @@ mod tests {
             .build();
         assert_eq!(g.label(), "SCReAM-Urban-P2-Grd");
         assert_eq!(g.hold, SimDuration::from_secs(45));
-    }
-
-    #[test]
-    fn deprecated_paper_shim_matches_builder() {
-        #[allow(deprecated)]
-        let shim = ExperimentConfig::paper(
-            Environment::Urban,
-            Operator::P2,
-            Mobility::Ground,
-            CcMode::Gcc,
-            9,
-            3,
-        );
-        let built = ExperimentConfig::builder()
-            .environment(Environment::Urban)
-            .operator(Operator::P2)
-            .mobility(Mobility::Ground)
-            .cc(CcMode::Gcc)
-            .seed(9)
-            .run_index(3)
-            .build();
-        assert_eq!(shim.label(), built.label());
-        assert_eq!(shim.hold, built.hold);
-        assert_eq!(shim.ground_sweeps, built.ground_sweeps);
     }
 
     #[test]

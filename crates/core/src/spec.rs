@@ -16,7 +16,7 @@
 //!   to_json(s)` bytewise and [`CampaignSpec::identity`] (FNV-1a over the
 //!   canonical bytes) is a stable campaign identity.
 //!
-//! The identity chain: canonical bytes are stable → [`to_matrix`]
+//! The identity chain: canonical bytes are stable → the [`to_matrix`]
 //! expansion is a pure function of the spec → every [`Cell::key`] and the
 //! engine's journal `spec_hash` are pure functions of the expansion — so
 //! one `CampaignSpec` JSON document, wherever it is parsed, lands on the
@@ -120,24 +120,17 @@ impl From<JsonError> for SpecError {
     }
 }
 
-/// A complete, self-contained campaign: the [`MatrixSpec`] axes, the base
-/// [`ExperimentConfig`], and the [`EngineOptions`] to execute under.
+/// A complete, self-contained campaign: a [`MatrixSpec`] (the axes over a
+/// base [`ExperimentConfig`]) and the [`EngineOptions`] to execute it
+/// under.
 ///
-/// In-process, build one with the fluent methods (mirroring
-/// [`MatrixSpec`]'s). Across processes, [`to_json`](Self::to_json) /
+/// In-process, build one with the fluent methods, which forward to
+/// [`MatrixSpec`]'s. Across processes, [`to_json`](Self::to_json) /
 /// [`from_json`](Self::from_json) are the *only* construction path — the
 /// JSON document is the API.
 #[derive(Clone, Debug, PartialEq)]
 pub struct CampaignSpec {
-    base: ExperimentConfig,
-    environments: Vec<Environment>,
-    operators: Vec<Operator>,
-    mobilities: Vec<Mobility>,
-    ccs: CcAxis,
-    schemes: Vec<RunScheme>,
-    faults: Vec<CellFault>,
-    repairs: Vec<bool>,
-    runs: u64,
+    matrix: MatrixSpec,
     options: EngineOptions,
 }
 
@@ -145,77 +138,64 @@ impl CampaignSpec {
     /// A single-cell campaign of `base` under default engine options.
     pub fn new(base: ExperimentConfig) -> Self {
         CampaignSpec {
-            base,
-            environments: Vec::new(),
-            operators: Vec::new(),
-            mobilities: Vec::new(),
-            ccs: CcAxis::Base,
-            schemes: Vec::new(),
-            faults: Vec::new(),
-            repairs: Vec::new(),
-            runs: 1,
+            matrix: MatrixSpec::new(base),
             options: EngineOptions::default(),
         }
     }
 
-    /// Sweep flight environments.
-    pub fn environments(mut self, envs: impl IntoIterator<Item = Environment>) -> Self {
-        self.environments = envs.into_iter().collect();
+    fn axis(mut self, set: impl FnOnce(MatrixSpec) -> MatrixSpec) -> Self {
+        self.matrix = set(self.matrix);
         self
+    }
+
+    /// Sweep flight environments.
+    pub fn environments(self, envs: impl IntoIterator<Item = Environment>) -> Self {
+        self.axis(|m| m.environments(envs))
     }
 
     /// Sweep cellular operators.
-    pub fn operators(mut self, ops: impl IntoIterator<Item = Operator>) -> Self {
-        self.operators = ops.into_iter().collect();
-        self
+    pub fn operators(self, ops: impl IntoIterator<Item = Operator>) -> Self {
+        self.axis(|m| m.operators(ops))
     }
 
     /// Sweep mobilities.
-    pub fn mobilities(mut self, mobilities: impl IntoIterator<Item = Mobility>) -> Self {
-        self.mobilities = mobilities.into_iter().collect();
-        self
+    pub fn mobilities(self, mobilities: impl IntoIterator<Item = Mobility>) -> Self {
+        self.axis(|m| m.mobilities(mobilities))
     }
 
     /// Sweep an explicit CC list.
-    pub fn ccs(mut self, ccs: impl IntoIterator<Item = CcMode>) -> Self {
-        self.ccs = CcAxis::List(ccs.into_iter().collect());
-        self
+    pub fn ccs(self, ccs: impl IntoIterator<Item = CcMode>) -> Self {
+        self.axis(|m| m.ccs(ccs))
     }
 
     /// Sweep the paper's three §3.2 workloads.
-    pub fn paper_workloads(mut self) -> Self {
-        self.ccs = CcAxis::PaperWorkloads;
-        self
+    pub fn paper_workloads(self) -> Self {
+        self.axis(MatrixSpec::paper_workloads)
     }
 
     /// Sweep run schemes (mix pipeline and multipath cells).
-    pub fn schemes(mut self, schemes: impl IntoIterator<Item = RunScheme>) -> Self {
-        self.schemes = schemes.into_iter().collect();
-        self
+    pub fn schemes(self, schemes: impl IntoIterator<Item = RunScheme>) -> Self {
+        self.axis(|m| m.schemes(schemes))
     }
 
     /// Sweep multipath schemes.
-    pub fn multipath_schemes(mut self, schemes: impl IntoIterator<Item = MultipathScheme>) -> Self {
-        self.schemes = schemes.into_iter().map(RunScheme::Multipath).collect();
-        self
+    pub fn multipath_schemes(self, schemes: impl IntoIterator<Item = MultipathScheme>) -> Self {
+        self.axis(|m| m.multipath_schemes(schemes))
     }
 
     /// Sweep named fault campaigns.
-    pub fn faults(mut self, faults: impl IntoIterator<Item = CellFault>) -> Self {
-        self.faults = faults.into_iter().collect();
-        self
+    pub fn faults(self, faults: impl IntoIterator<Item = CellFault>) -> Self {
+        self.axis(|m| m.faults(faults))
     }
 
     /// Sweep the NACK/RTX repair switch.
-    pub fn repairs(mut self, repairs: impl IntoIterator<Item = bool>) -> Self {
-        self.repairs = repairs.into_iter().collect();
-        self
+    pub fn repairs(self, repairs: impl IntoIterator<Item = bool>) -> Self {
+        self.axis(|m| m.repairs(repairs))
     }
 
     /// Seed-decorrelated runs per cell.
-    pub fn runs(mut self, runs: u64) -> Self {
-        self.runs = runs;
-        self
+    pub fn runs(self, runs: u64) -> Self {
+        self.axis(|m| m.runs(runs))
     }
 
     /// Replace the engine options.
@@ -226,7 +206,7 @@ impl CampaignSpec {
 
     /// The base configuration.
     pub fn base(&self) -> &ExperimentConfig {
-        &self.base
+        &self.matrix.base
     }
 
     /// The engine options the campaign asks for.
@@ -234,24 +214,11 @@ impl CampaignSpec {
         &self.options
     }
 
-    /// Expand into the [`MatrixSpec`] the engine executes. Pure: two
-    /// parses of the same canonical bytes expand to identical cells (and
-    /// hence identical cache keys and journal identity).
+    /// The [`MatrixSpec`] the engine executes. Two parses of the same
+    /// canonical bytes hold identical matrices (and hence identical cache
+    /// keys and journal identity).
     pub fn to_matrix(&self) -> MatrixSpec {
-        let mut m = MatrixSpec::new(self.base)
-            .environments(self.environments.iter().copied())
-            .operators(self.operators.iter().copied())
-            .mobilities(self.mobilities.iter().copied())
-            .schemes(self.schemes.iter().copied())
-            .faults(self.faults.iter().cloned())
-            .repairs(self.repairs.iter().copied())
-            .runs(self.runs);
-        match &self.ccs {
-            CcAxis::Base => {}
-            CcAxis::List(list) => m = m.ccs(list.iter().copied()),
-            CcAxis::PaperWorkloads => m = m.paper_workloads(),
-        }
-        m
+        self.matrix.clone()
     }
 
     /// The campaign identity: FNV-1a over the canonical JSON bytes. The
@@ -266,18 +233,19 @@ impl CampaignSpec {
     /// (defaults included), keys sorted, no whitespace. Byte-stable:
     /// re-parsing and re-serializing reproduces the identical bytes.
     pub fn to_json(&self) -> String {
-        let ccs = match &self.ccs {
+        let m = &self.matrix;
+        let ccs = match &m.ccs {
             CcAxis::Base => Json::Str("base".into()),
             CcAxis::PaperWorkloads => Json::Str("paper_workloads".into()),
             CcAxis::List(list) => Json::Array(list.iter().map(cc_to_json).collect()),
         };
         let doc = Json::Object(vec![
             ("spec_version".into(), Json::UInt(SPEC_VERSION)),
-            ("base".into(), config_to_json(&self.base)),
+            ("base".into(), config_to_json(&m.base)),
             (
                 "environments".into(),
                 Json::Array(
-                    self.environments
+                    m.environments
                         .iter()
                         .map(|e| Json::Str(env_name(*e).into()))
                         .collect(),
@@ -286,7 +254,7 @@ impl CampaignSpec {
             (
                 "operators".into(),
                 Json::Array(
-                    self.operators
+                    m.operators
                         .iter()
                         .map(|o| Json::Str(op_name(*o).into()))
                         .collect(),
@@ -295,9 +263,9 @@ impl CampaignSpec {
             (
                 "mobilities".into(),
                 Json::Array(
-                    self.mobilities
+                    m.mobilities
                         .iter()
-                        .map(|m| Json::Str(mob_name(*m).into()))
+                        .map(|mob| Json::Str(mob_name(*mob).into()))
                         .collect(),
                 ),
             ),
@@ -305,7 +273,7 @@ impl CampaignSpec {
             (
                 "schemes".into(),
                 Json::Array(
-                    self.schemes
+                    m.schemes
                         .iter()
                         .map(|s| Json::Str(s.name().into()))
                         .collect(),
@@ -313,13 +281,13 @@ impl CampaignSpec {
             ),
             (
                 "faults".into(),
-                Json::Array(self.faults.iter().map(fault_to_json).collect()),
+                Json::Array(m.faults.iter().map(fault_to_json).collect()),
             ),
             (
                 "repairs".into(),
-                Json::Array(self.repairs.iter().map(|&r| Json::Bool(r)).collect()),
+                Json::Array(m.repairs.iter().map(|&r| Json::Bool(r)).collect()),
             ),
-            ("runs".into(), Json::UInt(self.runs)),
+            ("runs".into(), Json::UInt(m.runs)),
             ("options".into(), options_to_json(&self.options)),
         ]);
         doc.canonical()
@@ -405,7 +373,7 @@ impl CampaignSpec {
             None => EngineOptions::default(),
         };
 
-        let spec = CampaignSpec {
+        let matrix = MatrixSpec {
             base,
             environments,
             operators,
@@ -415,10 +383,9 @@ impl CampaignSpec {
             faults,
             repairs,
             runs,
-            options,
         };
-        match spec.to_matrix().cell_count() {
-            Some(cells) if cells <= MAX_CELLS => Ok(spec),
+        match matrix.cell_count() {
+            Some(cells) if cells <= MAX_CELLS => Ok(CampaignSpec { matrix, options }),
             cells => Err(SpecError::TooManyCells {
                 cells,
                 max: MAX_CELLS,

@@ -24,7 +24,7 @@
 //!   blocks until done. This is the byte-compare surface of the
 //!   acceptance test.
 //! * `GET /metrics` — live counters: campaigns by state, cell totals,
-//!   queue depth, heap telemetry from [`alloc`].
+//!   queue depth, heap telemetry from [`rpav_sim::alloc`].
 //!
 //! # Durability
 //!
@@ -50,7 +50,6 @@
 //! hash is not cryptographic; don't expose the socket to untrusted
 //! networks.
 
-pub mod alloc;
 pub mod client;
 pub mod http;
 
@@ -63,8 +62,18 @@ use std::sync::{mpsc, Arc, Condvar, Mutex};
 
 use rpav_core::json::{self, Json};
 use rpav_core::prelude::*;
+use rpav_sim::alloc;
 
 use http::{read_request, respond, Chunked, HttpError, Request};
+
+/// Longest a connection may stall between two reads of its request (head
+/// or body) before the server closes it. Handlers that wait for a
+/// campaign block on a condvar, not on the socket, so this only ever
+/// times a client that has stopped sending.
+const READ_TIMEOUT: std::time::Duration = std::time::Duration::from_secs(5);
+/// Longest one response write may block on a peer that has stopped
+/// reading (an `/events` follower whose receive window stays full).
+const WRITE_TIMEOUT: std::time::Duration = std::time::Duration::from_secs(30);
 
 /// Lock a mutex, recovering from poisoning: campaign state is plain
 /// counters and event lines, always left consistent between lock holds,
@@ -576,6 +585,14 @@ fn error_body(message: &str) -> Vec<u8> {
 }
 
 fn handle_connection(shared: Arc<Shared>, mut stream: TcpStream) {
+    // Without these a client that stalls mid-request, or a follower that
+    // stops reading, would pin this thread forever. A timed-out read
+    // surfaces as `HttpError::Io` and closes the connection below.
+    if stream.set_read_timeout(Some(READ_TIMEOUT)).is_err()
+        || stream.set_write_timeout(Some(WRITE_TIMEOUT)).is_err()
+    {
+        return;
+    }
     let request = match read_request(&mut stream) {
         Ok(r) => r,
         Err(HttpError::Io(_)) | Err(HttpError::Truncated) => return,
@@ -923,6 +940,30 @@ mod tests {
         assert_eq!(r.status, 404);
         let r = client::request(&addr, "DELETE", "/metrics", b"", T).unwrap();
         assert_eq!(r.status, 405);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn stalled_request_head_is_closed_while_others_are_served() {
+        use std::io::Read as _;
+        let dir = fresh_dir("stall");
+        let (_daemon, addr) = start_daemon(&dir);
+        // Half a request line, then silence.
+        let mut stalled = TcpStream::connect(&addr).unwrap();
+        stalled.write_all(b"GET /metr").unwrap();
+        // The stalled connection holds only its own thread: a well-formed
+        // request on another connection is answered meanwhile.
+        let r = client::get(&addr, "/metrics", T).unwrap();
+        assert_eq!(r.status, 200);
+        // The server gives up on the head and closes: we see EOF well
+        // before our own (longer) read timeout would fire.
+        stalled.set_read_timeout(Some(READ_TIMEOUT * 4)).unwrap();
+        let started = std::time::Instant::now();
+        let n = stalled
+            .read(&mut [0u8; 64])
+            .expect("server closes the stalled connection");
+        assert_eq!(n, 0, "expected EOF, got a response to half a request");
+        assert!(started.elapsed() < READ_TIMEOUT * 2);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -13,7 +13,8 @@ use std::io::Write as _;
 use std::net::TcpListener;
 use std::path::PathBuf;
 
-use rpav_daemon::{alloc::CountingAlloc, Daemon, DaemonConfig};
+use rpav_daemon::{Daemon, DaemonConfig};
+use rpav_sim::alloc::CountingAlloc;
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;

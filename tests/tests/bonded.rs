@@ -13,7 +13,7 @@
 //!   than the other, and with a leg blacking out mid-flight while the
 //!   adaptive FEC layer is armed.
 
-use rpav_core::multipath::{run_multipath_scripted, MultipathScheme};
+use rpav_core::multipath::{run_multipath_legs, MultipathScheme};
 use rpav_core::prelude::*;
 use rpav_netem::FaultScript;
 use rpav_rtp::nack::Arrival;
@@ -152,7 +152,11 @@ fn skew_250ms() -> FaultScript {
 #[test]
 fn bonded_reassembly_survives_250ms_slower_leg() {
     let cfg = bonded_cfg(0xB0DE).build();
-    let m = run_multipath_scripted(&cfg, MultipathScheme::Bonded, None, Some(skew_250ms()));
+    let m = run_multipath_legs(
+        &cfg,
+        MultipathScheme::Bonded,
+        vec![None, Some(skew_250ms())],
+    );
 
     // Both legs carried traffic despite the skew...
     let share0 = m.leg_tx_share(0);
@@ -176,7 +180,11 @@ fn bonded_reassembly_survives_250ms_slower_leg() {
     assert!(m.media_received > 0);
 
     // Byte-identical replay: the reorder machinery holds determinism.
-    let replay = run_multipath_scripted(&cfg, MultipathScheme::Bonded, None, Some(skew_250ms()));
+    let replay = run_multipath_legs(
+        &cfg,
+        MultipathScheme::Bonded,
+        vec![None, Some(skew_250ms())],
+    );
     assert_eq!(replay.to_bytes(), m.to_bytes(), "skewed run not replayable");
 }
 
@@ -188,7 +196,7 @@ fn fec_survives_leg_death_mid_group() {
     // survivor, nothing may panic, and the run must stay deterministic.
     let blackout = || FaultScript::new().blackout(ms(8_000), SimDuration::from_secs(60));
     let cfg = bonded_cfg(0xFEC).fec_cap(0.25).repair(true).build();
-    let m = run_multipath_scripted(&cfg, MultipathScheme::Bonded, None, Some(blackout()));
+    let m = run_multipath_legs(&cfg, MultipathScheme::Bonded, vec![None, Some(blackout())]);
 
     assert!(m.fec_tx > 0, "parity never emitted before/after leg death");
     // After the death the scheduler concentrated on the surviving leg.
@@ -200,7 +208,7 @@ fn fec_survives_leg_death_mid_group() {
     let displayed = m.frames.iter().filter(|f| f.displayed).count();
     assert!(displayed > 0, "playback died with the leg");
 
-    let replay = run_multipath_scripted(&cfg, MultipathScheme::Bonded, None, Some(blackout()));
+    let replay = run_multipath_legs(&cfg, MultipathScheme::Bonded, vec![None, Some(blackout())]);
     assert_eq!(
         replay.to_bytes(),
         m.to_bytes(),

@@ -1,5 +1,5 @@
 //! The adaptive deadline scheduler must be *byte-identical* to the 1 ms
-//! reference loop: [`Simulation::run_fast`] and [`Simulation::run_reference`]
+//! reference loop: [`Simulation::run`] and [`Simulation::run_reference`]
 //! produce [`RunMetrics`] whose canonical `to_bytes()` encodings match
 //! exactly — every OWD sample's f64 bit pattern, every handover record,
 //! every watchdog stat.
@@ -10,7 +10,7 @@
 //! hardest to get right. The multipath failover driver keeps its fixed
 //! tick, so its cell pins determinism under the scripted scheme instead.
 
-use rpav_core::multipath::{run_multipath_scripted, MultipathScheme};
+use rpav_core::multipath::{run_multipath_legs, MultipathScheme};
 use rpav_core::prelude::*;
 use rpav_netem::FaultScript;
 use rpav_sim::{SimDuration, SimTime};
@@ -46,7 +46,7 @@ fn assert_bit_identical(cfg: ExperimentConfig, script: Option<FaultScript>, labe
         Some(s) => Simulation::new(cfg).with_link_script(s.clone()),
         None => Simulation::new(cfg),
     };
-    let fast = build(cfg).run_fast().to_bytes();
+    let fast = build(cfg).run().to_bytes();
     let reference = build(cfg).run_reference().to_bytes();
     assert!(
         fast == reference,
@@ -163,11 +163,10 @@ fn failover_scheme_stays_deterministic_under_script() {
     // harness sweeps is deterministic end to end.
     let cfg = config(CcMode::Gcc, Environment::Urban, Mobility::Air, 0xE0_0004);
     let run = || {
-        run_multipath_scripted(
+        run_multipath_legs(
             &cfg,
             MultipathScheme::Failover,
-            Some(hostile_script()),
-            None,
+            vec![Some(hostile_script()), None],
         )
         .to_bytes()
     };
