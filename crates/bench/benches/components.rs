@@ -228,8 +228,65 @@ fn bench_result_store(c: &mut Criterion) {
     });
 }
 
+/// The bonded driver's Reed–Solomon layer and one whole bonded cell.
+fn bench_bonded(c: &mut Criterion) {
+    use rpav_core::multipath::{run_multipath, MultipathScheme};
+    use rpav_rtp::fec::{rs_recover, RsGroup, RsParityPacket};
+
+    // Ten full-size members, two parity shards: the group the bonded
+    // scheduler closes at a 0.2 redundancy ratio.
+    let members: Vec<RtpPacket> = (0..12u16)
+        .map(|i| RtpPacket {
+            payload: Bytes::from(vec![i as u8 ^ 0x5A; 1_200]),
+            ..rtp_packet(i)
+        })
+        .collect();
+    c.bench_function("rs_push_k10_r2_1200B", |b| {
+        let mut group = RsGroup::new();
+        let mut parities: Vec<RsParityPacket> = Vec::new();
+        b.iter(|| {
+            for p in &members[..10] {
+                group.push(black_box(p), 2);
+            }
+            parities.clear();
+            group.build_into(&mut parities);
+        })
+    });
+    // Twelve members, two erased, rebuilt from the ten survivors.
+    let mut group = RsGroup::new();
+    for p in &members {
+        group.push(p, 2);
+    }
+    let parities = group.build();
+    let shards = [&parities[0], &parities[1]];
+    c.bench_function("rs_recover_2_of_12", |b| {
+        b.iter(|| {
+            let survivors = members
+                .iter()
+                .enumerate()
+                .filter(|(i, _)| *i != 3 && *i != 8)
+                .map(|(_, p)| p);
+            rs_recover(black_box(&shards), survivors, 2).unwrap()
+        })
+    });
+
+    // One rural Static bonded cell, FEC and repair armed (1 s holds):
+    // the multipath driver end to end.
+    let config = ExperimentConfig::builder()
+        .cc(CcMode::paper_static(Environment::Rural))
+        .seed(0xBE7C)
+        .hold_secs(1)
+        .fec_cap(0.25)
+        .repair(true)
+        .build();
+    c.bench_function("bonded_cell_2leg_static", |b| {
+        b.iter(|| run_multipath(black_box(&config), MultipathScheme::Bonded))
+    });
+}
+
 criterion_group!(
     benches,
+    bench_bonded,
     bench_result_store,
     bench_rtp_wire,
     bench_packetize,

@@ -1,5 +1,4 @@
-//! Calibration diagnostic: SCReAM pipeline health (set RPAV_DEBUG=1 for a
-//! per-second cwnd/queue/target trace).
+//! Calibration diagnostic: SCReAM pipeline health.
 use rpav_core::prelude::*;
 
 fn main() {

@@ -286,14 +286,6 @@ impl CcEngine {
             _ => None,
         }
     }
-
-    /// Debug access to the SCReAM sender (RPAV_DEBUG tracing).
-    pub fn scream_sender(&self) -> Option<&ScreamSender> {
-        match self {
-            CcEngine::Scream { sender } => Some(sender),
-            _ => None,
-        }
-    }
 }
 
 /// Per-leg shadow congestion controllers behind one aggregate target —

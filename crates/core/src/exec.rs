@@ -1033,14 +1033,6 @@ impl EngineOptions {
     }
 }
 
-/// Resolve the worker count: `RPAV_JOBS` if set and a positive integer,
-/// else the host's available parallelism. A set-but-invalid value warns
-/// on stderr and falls back to the detected core count — it must never
-/// silently serialize a campaign.
-pub fn default_jobs() -> usize {
-    EngineOptions::from_env().resolved_jobs()
-}
-
 /// Test-only fault injection: called before each execution attempt with
 /// the cell and the 1-based attempt number; returning `true` panics in
 /// place of the simulation. Lets the resilience harness exercise the
@@ -1971,20 +1963,21 @@ mod tests {
     }
 
     #[test]
-    fn default_jobs_warns_and_recovers_from_invalid_env() {
+    fn from_env_jobs_warn_and_recover_from_invalid_env() {
         // Env mutation: run the cases in one test to avoid races with a
         // parallel test harness touching the same variable.
         let detected = std::thread::available_parallelism()
             .map(std::num::NonZeroUsize::get)
             .unwrap_or(1);
+        let jobs = || EngineOptions::from_env().resolved_jobs();
         std::env::set_var("RPAV_JOBS", "not-a-number");
-        assert_eq!(default_jobs(), detected, "invalid value must fall back");
+        assert_eq!(jobs(), detected, "invalid value must fall back");
         std::env::set_var("RPAV_JOBS", "0");
-        assert_eq!(default_jobs(), detected, "zero must fall back");
+        assert_eq!(jobs(), detected, "zero must fall back");
         std::env::set_var("RPAV_JOBS", "3");
-        assert_eq!(default_jobs(), 3);
+        assert_eq!(jobs(), 3);
         std::env::remove_var("RPAV_JOBS");
-        assert_eq!(default_jobs(), detected);
+        assert_eq!(jobs(), detected);
     }
 
     /// Sealed records under the sharded cache layout (`<dir>/<xx>/*.rpav`).

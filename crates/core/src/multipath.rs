@@ -40,7 +40,7 @@ use bytes::Bytes;
 use rpav_lte::{NetworkProfile, Operator, RadioModel};
 use rpav_netem::{FaultScript, Packet, PacketKind, Path, ReorderConfig};
 use rpav_rtp::fec::{
-    rs_recover, RsGroup, RsParityPacket, MAX_FEC_GROUP, MAX_RS_PARITY, RS_FEC_PAYLOAD_TYPE,
+    rs_recover_into, RsGroup, RsParityPacket, MAX_FEC_GROUP, MAX_RS_PARITY, RS_FEC_PAYLOAD_TYPE,
 };
 use rpav_rtp::jitter::{JitterBuffer, JitterConfig};
 use rpav_rtp::nack::{Arrival, Nack, NackConfig, NackGenerator};
@@ -49,6 +49,7 @@ use rpav_rtp::packetize::{Depacketizer, Packetizer, ReassembledFrame};
 use rpav_rtp::report::PathReport;
 use rpav_rtp::rfc8888::{Rfc8888Builder, Rfc8888Packet};
 use rpav_rtp::rtx::{RtxConfig, RtxSender};
+use rpav_rtp::seqwindow::FirstCopyFilter;
 use rpav_rtp::twcc::{TwccFeedback, TwccRecorder};
 use rpav_sim::{RngSet, SimDuration, SimTime};
 use rpav_uav::{profiles as uav_profiles, Position};
@@ -379,6 +380,68 @@ fn rs_parity_target(legs: &[Leg]) -> usize {
     (1 + (burst / RS_BURST_PER_PARITY) as usize).min(MAX_RS_PARITY)
 }
 
+/// The bonded scheduler's inputs for one tick, read only from the health
+/// clocks: per-leg liveness and weights, whether cross-leg parity is on,
+/// and the burst-adaptive parity depth and group size.
+#[derive(Clone, Copy)]
+struct BondedPlan {
+    up: [bool; MAX_LEGS],
+    up_count: usize,
+    w: [f64; MAX_LEGS],
+    fec_on: bool,
+    rs_parity: usize,
+    group_target: usize,
+}
+
+impl BondedPlan {
+    fn new(scheme: MultipathScheme, fec_cap: f64, legs: &[Leg], now: SimTime) -> Self {
+        let n = legs.len();
+        let mut up = [false; MAX_LEGS];
+        let mut w = [0.0f64; MAX_LEGS];
+        for (li, leg) in legs.iter().enumerate() {
+            up[li] = leg.health.class(now) != HealthClass::Dead;
+            if scheme == MultipathScheme::Bonded {
+                w[li] = bonded_weight(&leg.health, now);
+            }
+        }
+        if scheme == MultipathScheme::Bonded {
+            let wmax = w[..n].iter().fold(0.0f64, |a, &b| a.max(b));
+            if wmax > 0.0 {
+                for li in 0..n {
+                    if up[li] {
+                        w[li] = w[li].max(EXPLORE_WEIGHT_FLOOR * wmax);
+                    }
+                }
+            }
+        }
+        let up_count = up[..n].iter().filter(|&&u| u).count();
+        let ratio = if scheme == MultipathScheme::Bonded {
+            fec_ratio(fec_cap, legs, now)
+        } else {
+            0.0
+        };
+        // Cross-leg parity needs at least two legs worth of diversity;
+        // with one survivor the redundancy budget moves to keyframe
+        // duplication instead.
+        let fec_on = ratio >= FEC_MIN_RATIO && up_count >= 2;
+        let rs_parity = if fec_on { rs_parity_target(legs) } else { 1 };
+        let group_target = if fec_on {
+            ((rs_parity as f64 / ratio).round() as usize)
+                .clamp(rs_parity.max(2), usize::from(MAX_FEC_GROUP))
+        } else {
+            usize::from(MAX_FEC_GROUP)
+        };
+        BondedPlan {
+            up,
+            up_count,
+            w,
+            fec_on,
+            rs_parity,
+            group_target,
+        }
+    }
+}
+
 /// Deficit-weighted leg pick for one packet. Each participating
 /// (positive-weight) leg accrues credit in proportion to its normalized
 /// weight; the richest account (ties toward the lowest index) pays for
@@ -480,6 +543,218 @@ fn emit_rs_parity(
         }
     }
     *group_tx = [0; MAX_LEGS];
+}
+
+/// One parity shard waiting for its group.
+struct PendingParity {
+    /// Playout deadline; the shard is dropped once the clock passes it.
+    deadline: SimTime,
+    shard: RsParityPacket,
+    /// The inputs of this shard's group changed since the last
+    /// [`Reassembly::recover`]: a shard of the group arrived or expired,
+    /// or a member entered or left the window. Nothing else can turn its
+    /// "cannot solve yet" into a recovery.
+    touched: bool,
+}
+
+/// Bonded cross-leg reassembly state: the bounded window of recent media
+/// packets (fuel for FEC recovery) and the parity shards pending against
+/// their playout deadline.
+struct Reassembly {
+    /// The last [`MEDIA_WINDOW_CAP`] accepted packets, oldest overwritten
+    /// first: arrival `id` lives in `ring[id % MEDIA_WINDOW_CAP]`.
+    ring: Vec<RtpPacket>,
+    /// Packets accepted so far (the next arrival's id).
+    arrivals: u32,
+    /// `1 + id` of the oldest arrival still in the window carrying each
+    /// 16-bit sequence number, 0 for none: the window looked up by
+    /// sequence, so finding a group's survivors costs one probe per
+    /// member, not a window scan.
+    by_seq: Vec<u32>,
+    /// `(id, sequence)` of window packets whose sequence number was
+    /// already in the window when they arrived (only a bit-flipped copy
+    /// gets past the first-copy filter that way), oldest first. A scan
+    /// lets the oldest copy win, so each waits here until the ones ahead
+    /// of it are pushed out.
+    shadowed: VecDeque<(u32, u16)>,
+    pending: VecDeque<PendingParity>,
+    /// Some pending shard is `touched`.
+    dirty: bool,
+    /// Reusable buffer for one group's rebuilt packets.
+    rebuilt: Vec<RtpPacket>,
+}
+
+impl Reassembly {
+    fn new() -> Self {
+        Reassembly {
+            ring: Vec::with_capacity(MEDIA_WINDOW_CAP),
+            arrivals: 0,
+            by_seq: vec![0; 1 << 16],
+            shadowed: VecDeque::new(),
+            pending: VecDeque::new(),
+            dirty: false,
+            rebuilt: Vec::with_capacity(MAX_RS_PARITY),
+        }
+    }
+
+    /// The window's packet with this sequence number, if it has not been
+    /// pushed out yet.
+    fn get(&self, sequence: u16) -> Option<&RtpPacket> {
+        let id = self.by_seq[usize::from(sequence)].checked_sub(1)?;
+        self.ring.get(id as usize % MEDIA_WINDOW_CAP)
+    }
+
+    /// Admit an accepted (first-copy or recovered) media packet.
+    fn push_media(&mut self, rtp: &RtpPacket) {
+        let id = self.arrivals;
+        let slot = id as usize % MEDIA_WINDOW_CAP;
+        // A full window pushes its oldest packet out.
+        let evicted = self.ring.get(slot).map(|p| p.sequence);
+        if let Some(seq) = evicted {
+            let gone = id - MEDIA_WINDOW_CAP as u32;
+            if self.shadowed.front().is_some_and(|&(sid, _)| sid == gone) {
+                self.shadowed.pop_front();
+            } else {
+                // It was the indexed copy: the next oldest, if any,
+                // takes its place.
+                let heir = self.shadowed.iter().position(|&(_, s)| s == seq);
+                let heir = heir.and_then(|at| self.shadowed.remove(at));
+                self.by_seq[usize::from(seq)] = heir.map_or(0, |(sid, _)| sid + 1);
+            }
+        }
+        let indexed = &mut self.by_seq[usize::from(rtp.sequence)];
+        if *indexed == 0 {
+            *indexed = id + 1;
+        } else {
+            self.shadowed.push_back((id, rtp.sequence));
+        }
+        if evicted.is_some() {
+            self.ring[slot] = rtp.clone();
+        } else {
+            self.ring.push(rtp.clone());
+        }
+        self.arrivals += 1;
+        for p in &mut self.pending {
+            if p.shard.covers(rtp.sequence) || evicted.is_some_and(|seq| p.shard.covers(seq)) {
+                p.touched = true;
+                self.dirty = true;
+            }
+        }
+    }
+
+    /// Queue a parity shard against its playout deadline.
+    fn push_parity(&mut self, deadline: SimTime, shard: RsParityPacket) {
+        for p in &mut self.pending {
+            p.touched |= p.shard.sn_base == shard.sn_base;
+        }
+        self.pending.push_back(PendingParity {
+            deadline,
+            shard,
+            touched: true,
+        });
+        self.dirty = true;
+    }
+
+    /// Redeem pending parity against the window: each group's shards are
+    /// pooled, and a group missing up to as many members as it has shards
+    /// on hand is rebuilt in one solve. `accept(packet, multi)` is called
+    /// per rebuilt packet (`multi`: its group lost more than one member)
+    /// and says whether it was new; accepted packets join the window.
+    /// Cascades to fixpoint (a recovered packet can complete another
+    /// group); deadline-expired parity is dropped first.
+    ///
+    /// Only groups touched since the previous call are tried. That is
+    /// the same outcome as trying every group every tick: a group left
+    /// pending returned "cannot solve", and a solve reads nothing but the
+    /// group's pooled shards and its members in the window, so the answer
+    /// stands until one of those arrives or leaves. Leaving counts: a
+    /// bit-flipped member fails the solve's header check, and the group
+    /// becomes solvable once that member is pushed out of the window.
+    /// (An expiring shard is marked the same way to keep the rule local,
+    /// though every suffix of a group is tried as its own anchor and
+    /// expiry only ever removes a prefix.)
+    fn recover(&mut self, now: SimTime, mut accept: impl FnMut(&RtpPacket, bool) -> bool) {
+        // Deadlines are arrival time plus a constant, so the expired
+        // shards are a prefix.
+        while self.pending.front().is_some_and(|p| p.deadline < now) {
+            let Some(gone) = self.pending.pop_front() else {
+                break;
+            };
+            for p in &mut self.pending {
+                if p.shard.sn_base == gone.shard.sn_base {
+                    p.touched = true;
+                    self.dirty = true;
+                }
+            }
+        }
+        if !self.dirty {
+            return;
+        }
+        let mut rebuilt = std::mem::take(&mut self.rebuilt);
+        loop {
+            let mut recovered_any = false;
+            let mut i = 0;
+            while i < self.pending.len() {
+                if !self.pending[i].touched {
+                    i += 1;
+                    continue;
+                }
+                // Gather every shard of the group anchored at `i` (later
+                // arrivals of the same group sit further down the deque)
+                // into a fixed scratch array.
+                let mut remove_idx = [0usize; MAX_RS_PARITY];
+                let (solved, remove_cnt) = {
+                    let first = &self.pending[i].shard;
+                    let mut refs: [&RsParityPacket; MAX_RS_PARITY] = [first; MAX_RS_PARITY];
+                    remove_idx[0] = i;
+                    let mut cnt = 1usize;
+                    for (j, p) in self.pending.iter().enumerate().skip(i + 1) {
+                        let p = &p.shard;
+                        if cnt < MAX_RS_PARITY
+                            && p.sn_base == first.sn_base
+                            && p.count == first.count
+                            && p.parity_count == first.parity_count
+                        {
+                            refs[cnt] = p;
+                            remove_idx[cnt] = j;
+                            cnt += 1;
+                        }
+                    }
+                    let survivors = (0..u16::from(first.count))
+                        .filter_map(|off| self.get(first.sn_base.wrapping_add(off)));
+                    (
+                        rs_recover_into(&refs[..cnt], survivors, MEDIA_SSRC, &mut rebuilt),
+                        cnt,
+                    )
+                };
+                if solved {
+                    for k in (0..remove_cnt).rev() {
+                        self.pending.remove(remove_idx[k]);
+                    }
+                    // (Nothing missing: the group retires unused.)
+                    recovered_any |= !rebuilt.is_empty();
+                    let multi = rebuilt.len() >= 2;
+                    for rec in rebuilt.drain(..) {
+                        if accept(&rec, multi) {
+                            self.push_media(&rec);
+                        }
+                    }
+                } else {
+                    // Still short of survivors (or damaged shards):
+                    // leave the group pending for the next arrivals.
+                    i += 1;
+                }
+            }
+            if !recovered_any {
+                break;
+            }
+        }
+        self.rebuilt = rebuilt;
+        for p in &mut self.pending {
+            p.touched = false;
+        }
+        self.dirty = false;
+    }
 }
 
 /// The sender's congestion-control plane: one engine for the classic
@@ -621,15 +896,12 @@ pub fn run_multipath_legs(
     // First-copy-wins accounting across legs: the first arrival of an RTP
     // (sequence, timestamp) identity feeds metrics/jitter/CC; later copies
     // only count as duplicates.
-    let mut seen: HashSet<u64> = HashSet::new();
+    let mut seen = FirstCopyFilter::new();
     // CC feedback rides the leg of the most recent accepted media arrival.
     let mut last_media_leg = 0usize;
-    // Bonded cross-leg reassembly: a bounded window of recent media
-    // packets (fuel for FEC recovery), pending parity packets with their
-    // playout deadline, and the unwrapped-highest sequence for reorder
-    // accounting.
-    let mut media_window: VecDeque<RtpPacket> = VecDeque::new();
-    let mut rs_pending: VecDeque<(SimTime, RsParityPacket)> = VecDeque::new();
+    // Bonded cross-leg reassembly, and the unwrapped-highest sequence
+    // for reorder accounting.
+    let mut reassembly = Reassembly::new();
     let mut highest_useq: Option<u64> = None;
     // Loss-repair plumbing, active only when `base.repair` is set so the
     // stock runs stay bit-identical.
@@ -669,6 +941,7 @@ pub fn run_multipath_legs(
     let mut drained_scratch: Vec<ReassembledFrame> = Vec::new();
     let mut played_scratch = Vec::new();
     let mut pkt_scratch: Vec<RtpPacket> = Vec::new();
+    let mut arrivals: Vec<Packet> = Vec::new();
     let mut per_leg_scratch: Vec<Vec<RtpPacket>> = (0..legs.len()).map(|_| Vec::new()).collect();
     // Reusable feedback values for the receiver's build path (the report
     // vectors inside keep their capacity across feedback intervals).
@@ -746,45 +1019,10 @@ pub fn run_multipath_legs(
             0
         };
 
-        // Bonded scheduler inputs, read only from health clocks: per-leg
-        // liveness and weights, the loss-adaptive FEC ratio, and the
-        // burst-adaptive parity depth. Computed before admission so the
-        // coupled mode can stripe packets as they enter their shadow CCs.
-        let mut bonded_up = [false; MAX_LEGS];
-        let mut bonded_w = [0.0f64; MAX_LEGS];
-        for (li, leg) in legs.iter().enumerate() {
-            bonded_up[li] = leg.health.class(t) != HealthClass::Dead;
-            if scheme == MultipathScheme::Bonded {
-                bonded_w[li] = bonded_weight(&leg.health, t);
-            }
-        }
-        if scheme == MultipathScheme::Bonded {
-            let wmax = bonded_w[..n].iter().fold(0.0f64, |a, &b| a.max(b));
-            if wmax > 0.0 {
-                for li in 0..n {
-                    if bonded_up[li] {
-                        bonded_w[li] = bonded_w[li].max(EXPLORE_WEIGHT_FLOOR * wmax);
-                    }
-                }
-            }
-        }
-        let up_count = bonded_up[..n].iter().filter(|&&u| u).count();
-        let ratio = if scheme == MultipathScheme::Bonded {
-            fec_ratio(base.fec_cap, &legs, t)
-        } else {
-            0.0
-        };
-        // Cross-leg parity needs at least two legs worth of diversity;
-        // with one survivor the redundancy budget moves to keyframe
-        // duplication instead.
-        let fec_on = ratio >= FEC_MIN_RATIO && up_count >= 2;
-        let rs_parity = if fec_on { rs_parity_target(&legs) } else { 1 };
-        let group_target = if fec_on {
-            ((rs_parity as f64 / ratio).round() as usize)
-                .clamp(rs_parity.max(2), usize::from(MAX_FEC_GROUP))
-        } else {
-            usize::from(MAX_FEC_GROUP)
-        };
+        // The bonded scheduler's inputs, worked out on the tick's first
+        // use: most visits send nothing. Health only moves in phases 1, 2
+        // and 8, so every use within a tick reads the same plan.
+        let mut plan: Option<BondedPlan> = None;
 
         // 3. Encoder → packetizer → CC staging. The coupled mode pins
         // each packet to a leg here (deficit-weighted, in sequence order
@@ -807,18 +1045,20 @@ pub fn run_multipath_legs(
                 match &mut cc {
                     CcDriver::Single(c) => c.enqueue_drain(t, &mut pkt_scratch),
                     CcDriver::Coupled(c) => {
+                        let plan = *plan
+                            .get_or_insert_with(|| BondedPlan::new(scheme, base.fec_cap, &legs, t));
                         for rtp in pkt_scratch.drain(..) {
-                            let pick = pick_bonded_leg(&bonded_w, &mut deficit, n);
-                            if fec_on {
-                                rs_group.push(&rtp, rs_parity);
+                            let pick = pick_bonded_leg(&plan.w, &mut deficit, n);
+                            if plan.fec_on {
+                                rs_group.push(&rtp, plan.rs_parity);
                                 rs_group_tx[pick] += 1;
-                                if usize::from(rs_group.len()) >= group_target {
+                                if usize::from(rs_group.len()) >= plan.group_target {
                                     emit_rs_parity(
                                         t,
                                         &mut rs_group,
                                         &mut rs_group_tx,
                                         &mut fec_seq,
-                                        &bonded_up,
+                                        &plan.up,
                                         &mut legs,
                                         &mut parity_buf,
                                         &mut metrics,
@@ -844,20 +1084,23 @@ pub fn run_multipath_legs(
         if let Some(r) = rtx.as_mut() {
             r.refill(t, cc.target_bps());
         }
-        if !fec_on && !rs_group.is_empty() {
-            // The redundancy window closed mid-group (a leg died, or loss
-            // calmed down): emit the partial parity rather than abandoning
-            // the packets already folded in.
-            emit_rs_parity(
-                t,
-                &mut rs_group,
-                &mut rs_group_tx,
-                &mut fec_seq,
-                &bonded_up,
-                &mut legs,
-                &mut parity_buf,
-                &mut metrics,
-            );
+        if !rs_group.is_empty() {
+            let plan = *plan.get_or_insert_with(|| BondedPlan::new(scheme, base.fec_cap, &legs, t));
+            if !plan.fec_on {
+                // The redundancy window closed mid-group (a leg died, or
+                // loss calmed down): emit the partial parity rather than
+                // abandoning the packets already folded in.
+                emit_rs_parity(
+                    t,
+                    &mut rs_group,
+                    &mut rs_group_tx,
+                    &mut fec_seq,
+                    &plan.up,
+                    &mut legs,
+                    &mut parity_buf,
+                    &mut metrics,
+                );
+            }
         }
         match &mut cc {
             CcDriver::Single(engine) => {
@@ -868,25 +1111,30 @@ pub fn run_multipath_legs(
                     }
                     let wire = rtp.serialize();
                     if scheme == MultipathScheme::Bonded {
-                        let pick = pick_bonded_leg(&bonded_w, &mut deficit, n);
+                        let plan = *plan
+                            .get_or_insert_with(|| BondedPlan::new(scheme, base.fec_cap, &legs, t));
+                        let pick = pick_bonded_leg(&plan.w, &mut deficit, n);
                         legs[pick].tx_media += 1;
                         legs[pick].send_up(t, wire.clone(), PacketKind::Media);
-                        if fec_on {
-                            rs_group.push(&rtp, rs_parity);
+                        if plan.fec_on {
+                            rs_group.push(&rtp, plan.rs_parity);
                             rs_group_tx[pick] += 1;
-                            if usize::from(rs_group.len()) >= group_target {
+                            if usize::from(rs_group.len()) >= plan.group_target {
                                 emit_rs_parity(
                                     t,
                                     &mut rs_group,
                                     &mut rs_group_tx,
                                     &mut fec_seq,
-                                    &bonded_up,
+                                    &plan.up,
                                     &mut legs,
                                     &mut parity_buf,
                                     &mut metrics,
                                 );
                             }
-                        } else if n >= 2 && up_count == 1 && keyframe_seqs.remove(&rtp.sequence) {
+                        } else if n >= 2
+                            && plan.up_count == 1
+                            && keyframe_seqs.remove(&rtp.sequence)
+                        {
                             // Single-leg fallback on a multi-leg rig:
                             // repeat keyframe packets on the surviving
                             // leg — time diversity where leg diversity is
@@ -938,8 +1186,11 @@ pub fn run_multipath_legs(
             CcDriver::Coupled(engine) => {
                 // Packets were pinned to legs at admission; each shadow
                 // engine paces its own leg. Parity already emitted there.
-                for (li, leg) in legs.iter_mut().enumerate().take(n) {
+                for li in 0..n {
                     while let Some(rtp) = engine.poll_transmit_leg(li, t) {
+                        let plan = *plan
+                            .get_or_insert_with(|| BondedPlan::new(scheme, base.fec_cap, &legs, t));
+                        let leg = &mut legs[li];
                         metrics.media_sent += 1;
                         if let Some(r) = rtx.as_mut() {
                             r.record(&rtp);
@@ -947,7 +1198,10 @@ pub fn run_multipath_legs(
                         let wire = rtp.serialize();
                         leg.tx_media += 1;
                         leg.send_up(t, wire.clone(), PacketKind::Media);
-                        if !fec_on && n >= 2 && up_count == 1 && keyframe_seqs.remove(&rtp.sequence)
+                        if !plan.fec_on
+                            && n >= 2
+                            && plan.up_count == 1
+                            && keyframe_seqs.remove(&rtp.sequence)
                         {
                             metrics.dup_tx_packets += 1;
                             metrics.dup_tx_bytes += wire.len() as u64;
@@ -988,7 +1242,8 @@ pub fn run_multipath_legs(
         // (reports count everything that crossed the leg), then the media
         // pipeline for first copies only.
         for (li, leg) in legs.iter_mut().enumerate() {
-            while let Some(pkt) = leg.uplink.poll(t) {
+            leg.uplink.drain_due(t, &mut arrivals);
+            for pkt in arrivals.drain(..) {
                 if pkt.corrupted {
                     metrics.corrupted_arrivals += 1;
                 }
@@ -1000,20 +1255,20 @@ pub fn run_multipath_legs(
                 if pkt.kind == PacketKind::Probe {
                     continue;
                 }
-                let Ok(rtp) = RtpPacket::parse(pkt.payload.clone()) else {
+                let Ok(rtp) = RtpPacket::parse(pkt.payload) else {
                     metrics.malformed_packets += 1;
                     continue;
                 };
                 if scheme == MultipathScheme::Bonded && rtp.payload_type == RS_FEC_PAYLOAD_TYPE {
                     // Parity stream: queued against the playout deadline,
                     // never enters the media pipeline itself.
-                    match RsParityPacket::parse_payload(rtp.payload.clone()) {
-                        Ok(fp) => rs_pending.push_back((t + FEC_RECOVERY_DEADLINE, fp)),
+                    match RsParityPacket::parse_payload(rtp.payload) {
+                        Ok(fp) => reassembly.push_parity(t + FEC_RECOVERY_DEADLINE, fp),
                         Err(_) => metrics.malformed_packets += 1,
                     }
                     continue;
                 }
-                if !seen.insert(u64::from(rtp.sequence) | (u64::from(rtp.timestamp) << 16)) {
+                if !seen.insert(rtp.sequence, rtp.timestamp) {
                     metrics.duplicate_packets += 1;
                     continue;
                 }
@@ -1067,99 +1322,37 @@ pub fn run_multipath_legs(
                             }
                         }
                     }
-                    media_window.push_back(rtp.clone());
-                    if media_window.len() > MEDIA_WINDOW_CAP {
-                        media_window.pop_front();
-                    }
+                    reassembly.push_media(&rtp);
                 }
                 jitter.push(t, rtp);
             }
         }
 
-        // 6b. FEC recovery: each pending group's parity shards are
-        // pooled and redeemed against the reassembly window — a group
-        // missing up to as many members as it has shards on hand is
-        // rebuilt in one solve, before the NACK/RTX path ever spends a
-        // round trip on the holes. Cascades to fixpoint (a recovered
-        // packet can complete another group); deadline-expired parity is
-        // dropped first.
-        if scheme == MultipathScheme::Bonded && !rs_pending.is_empty() {
-            rs_pending.retain(|(deadline, _)| *deadline >= t);
-            loop {
-                let mut recovered_any = false;
-                let mut i = 0;
-                while i < rs_pending.len() {
-                    // Gather every shard of the group anchored at `i`
-                    // (later arrivals of the same group sit further down
-                    // the deque) into a fixed scratch array.
-                    let mut remove_idx = [0usize; MAX_RS_PARITY];
-                    let (recs, remove_cnt) = {
-                        let first = &rs_pending[i].1;
-                        let mut refs: [&RsParityPacket; MAX_RS_PARITY] = [first; MAX_RS_PARITY];
-                        remove_idx[0] = i;
-                        let mut cnt = 1usize;
-                        for (j, (_, p)) in rs_pending.iter().enumerate().skip(i + 1) {
-                            if cnt < MAX_RS_PARITY
-                                && p.sn_base == first.sn_base
-                                && p.count == first.count
-                                && p.parity_count == first.parity_count
-                            {
-                                refs[cnt] = p;
-                                remove_idx[cnt] = j;
-                                cnt += 1;
-                            }
-                        }
-                        (
-                            rs_recover(&refs[..cnt], media_window.iter(), MEDIA_SSRC),
-                            cnt,
-                        )
-                    };
-                    let Some(recs) = recs else {
-                        // Still short of survivors (or damaged shards):
-                        // leave the group pending for the next arrivals.
-                        i += 1;
-                        continue;
-                    };
-                    for k in (0..remove_cnt).rev() {
-                        rs_pending.remove(remove_idx[k]);
-                    }
-                    if recs.is_empty() {
-                        // Nothing was missing; the group retires unused.
-                        continue;
-                    }
-                    recovered_any = true;
-                    let multi = recs.len() >= 2;
-                    for rec in recs {
-                        if !seen.insert(u64::from(rec.sequence) | (u64::from(rec.timestamp) << 16))
-                        {
-                            // The original landed after all (late copy or
-                            // an RTX won the race): nothing left to repair.
-                            continue;
-                        }
-                        metrics.fec_recovered += 1;
-                        if multi {
-                            // XOR could never have repaired this packet:
-                            // its group lost more than one member.
-                            metrics.fec_multi_recovered += 1;
-                        }
-                        metrics.media_received += 1;
-                        metrics.media_received_bytes += rec.payload.len() as u64;
-                        if let Some(ng) = nack_gen.as_mut() {
-                            // Cancels any pending retransmission request
-                            // for this sequence.
-                            ng.on_packet(t, rec.sequence);
-                        }
-                        media_window.push_back(rec.clone());
-                        if media_window.len() > MEDIA_WINDOW_CAP {
-                            media_window.pop_front();
-                        }
-                        jitter.push(t, rec);
-                    }
+        // 6b. FEC recovery, before the NACK/RTX path ever spends a round
+        // trip on the holes.
+        if scheme == MultipathScheme::Bonded {
+            reassembly.recover(t, |rec, multi| {
+                if !seen.insert(rec.sequence, rec.timestamp) {
+                    // The original landed after all (late copy or an
+                    // RTX won the race): nothing left to repair.
+                    return false;
                 }
-                if !recovered_any {
-                    break;
+                metrics.fec_recovered += 1;
+                if multi {
+                    // XOR could never have repaired this packet: its
+                    // group lost more than one member.
+                    metrics.fec_multi_recovered += 1;
                 }
-            }
+                metrics.media_received += 1;
+                metrics.media_received_bytes += rec.payload.len() as u64;
+                if let Some(ng) = nack_gen.as_mut() {
+                    // Cancels any pending retransmission request for
+                    // this sequence.
+                    ng.on_packet(t, rec.sequence);
+                }
+                jitter.push(t, rec.clone());
+                true
+            });
         }
 
         // 7. Receiver timers: per-leg path reports on their own downlink,
@@ -1241,7 +1434,8 @@ pub fn run_multipath_legs(
         // everything else is offered to the CC (each leg's feedback to
         // its own shadow engine in coupled mode).
         for (li, leg) in legs.iter_mut().enumerate() {
-            while let Some(pkt) = leg.downlink.poll(t) {
+            leg.downlink.drain_due(t, &mut arrivals);
+            for pkt in arrivals.drain(..) {
                 if pkt.corrupted {
                     metrics.corrupted_arrivals += 1;
                 }
@@ -1313,6 +1507,7 @@ pub fn run_multipath_legs(
                 displayed: ev.displayed,
             });
         }
+
         t += TICK;
     }
 
@@ -1385,6 +1580,240 @@ mod tests {
             .seed(0xD0A1)
             .hold_secs(1)
             .build()
+    }
+
+    /// The recovery the event-driven [`Reassembly`] replaced, kept as
+    /// its oracle: every pending group is re-solved on every tick, each
+    /// try scanning the whole FIFO window for survivors.
+    #[derive(Default)]
+    struct RescanReassembly {
+        window: VecDeque<RtpPacket>,
+        pending: VecDeque<(SimTime, RsParityPacket)>,
+    }
+
+    impl RescanReassembly {
+        fn push_media(&mut self, rtp: &RtpPacket) {
+            self.window.push_back(rtp.clone());
+            if self.window.len() > MEDIA_WINDOW_CAP {
+                self.window.pop_front();
+            }
+        }
+
+        fn push_parity(&mut self, deadline: SimTime, shard: RsParityPacket) {
+            self.pending.push_back((deadline, shard));
+        }
+
+        fn recover(&mut self, now: SimTime, mut accept: impl FnMut(&RtpPacket, bool) -> bool) {
+            self.pending.retain(|(deadline, _)| *deadline >= now);
+            loop {
+                let mut recovered_any = false;
+                let mut i = 0;
+                while i < self.pending.len() {
+                    let first = &self.pending[i].1;
+                    let group: Vec<usize> = (i..self.pending.len())
+                        .filter(|&j| {
+                            let p = &self.pending[j].1;
+                            j == i
+                                || (p.sn_base == first.sn_base
+                                    && p.count == first.count
+                                    && p.parity_count == first.parity_count)
+                        })
+                        .take(MAX_RS_PARITY)
+                        .collect();
+                    let refs: Vec<&RsParityPacket> =
+                        group.iter().map(|&j| &self.pending[j].1).collect();
+                    let Some(recs) =
+                        rpav_rtp::fec::rs_recover(&refs, self.window.iter(), MEDIA_SSRC)
+                    else {
+                        i += 1;
+                        continue;
+                    };
+                    for &j in group.iter().rev() {
+                        self.pending.remove(j);
+                    }
+                    recovered_any |= !recs.is_empty();
+                    let multi = recs.len() >= 2;
+                    for rec in recs {
+                        if accept(&rec, multi) {
+                            self.push_media(&rec);
+                        }
+                    }
+                }
+                if !recovered_any {
+                    break;
+                }
+            }
+        }
+    }
+
+    /// One pseudo-random delivery schedule: `(tick, event)` for every
+    /// copy of every media packet and parity shard that reaches the
+    /// receiver.
+    enum Delivery {
+        Media(RtpPacket),
+        Parity(RsParityPacket),
+    }
+
+    /// One bit of a parity shard flipped in flight, where it hurts: the
+    /// `index` byte (the copy then masks, or stands in for, another row
+    /// of the decode), the group geometry, or the shard bytes the decoded
+    /// member header is checked on. `None` when the receiver's parser
+    /// would turn the copy away.
+    fn damaged(shard: &RsParityPacket, rng: &mut rpav_sim::SimRng) -> Option<RsParityPacket> {
+        let mut bad = shard.clone();
+        match rng.uniform_u64(0, 3) {
+            0 => bad.index ^= 1 << rng.uniform_u64(0, 2),
+            1 => bad.count ^= 1 << rng.uniform_u64(0, 3),
+            _ => {
+                let mut bytes = bad.shard.to_vec();
+                bytes[[1, 6, 7][rng.uniform_u64(0, 3) as usize]] ^= 1 << rng.uniform_u64(0, 8);
+                bad.shard = Bytes::from(bytes);
+            }
+        }
+        RsParityPacket::parse_payload(bad.serialize_payload()).ok()
+    }
+
+    fn random_schedule(rng: &mut rpav_sim::SimRng, dense: bool) -> Vec<(u64, Delivery)> {
+        let first_seq = rng.uniform_u64(0, 1 << 16) as u16;
+        let loss = rng.uniform_range(0.02, 0.25);
+        let mut out = Vec::new();
+        let mut group = RsGroup::new();
+        let mut parities = Vec::new();
+        let mut group_target = 0;
+        let mut parity_count = 0;
+        // ~1.5 packets a tick for 2 000 packets: the 1 024-packet window
+        // turns over, so eviction is part of every schedule. A dense
+        // schedule sends 8 a tick, so members leave the window while
+        // their group's parity is still pending.
+        for i in 0..if dense { 4_000u64 } else { 2_000 } {
+            let sent = if dense { i / 8 } else { i * 2 / 3 };
+            let payload: Vec<u8> = (0..rng.uniform_u64(20, 200))
+                .map(|b| (b as u8).wrapping_mul(31).wrapping_add(i as u8))
+                .collect();
+            let rtp = RtpPacket {
+                marker: i % 7 == 6,
+                payload_type: 96,
+                sequence: first_seq.wrapping_add(i as u16),
+                timestamp: (i / 7 * 3_000) as u32,
+                ssrc: MEDIA_SSRC,
+                transport_seq: None,
+                payload: Bytes::from(payload),
+                wire: None,
+            };
+            if group.is_empty() {
+                group_target = rng.uniform_u64(2, 17) as u8;
+                parity_count = rng.uniform_u64(1, 5) as usize;
+            }
+            group.push(&rtp, parity_count);
+            // First copy (unless lost), reordered by up to 25 ticks —
+            // now and then with a payload bit flipped on the way.
+            if !rng.chance(loss) {
+                let mut copy = rtp.clone();
+                if rng.chance(0.02) {
+                    let mut bytes = copy.payload.to_vec();
+                    bytes[0] ^= 0x10;
+                    copy.payload = Bytes::from(bytes);
+                }
+                out.push((sent + 17 + rng.uniform_u64(0, 25), Delivery::Media(copy)));
+                // Cross-leg duplicate.
+                if rng.chance(0.1) {
+                    out.push((
+                        sent + 20 + rng.uniform_u64(0, 60),
+                        Delivery::Media(rtp.clone()),
+                    ));
+                }
+            } else if rng.chance(0.5) {
+                // Lost, then retransmitted: lands a round trip or two
+                // later — before, inside or after its parity's deadline.
+                out.push((
+                    sent + rng.uniform_u64(60, 260),
+                    Delivery::Media(rtp.clone()),
+                ));
+            }
+            if group.len() >= group_target {
+                group.build_into(&mut parities);
+                for shard in parities.drain(..) {
+                    // A damaged copy, ahead of or behind the good one.
+                    if rng.chance(0.1) {
+                        if let Some(bad) = damaged(&shard, rng) {
+                            out.push((sent + 17 + rng.uniform_u64(0, 40), Delivery::Parity(bad)));
+                        }
+                    }
+                    if !rng.chance(loss) {
+                        out.push((sent + 17 + rng.uniform_u64(0, 40), Delivery::Parity(shard)));
+                    }
+                }
+            }
+        }
+        out.sort_by_key(|(tick, _)| *tick);
+        out
+    }
+
+    #[test]
+    fn event_driven_recovery_matches_rescanning_every_tick() {
+        let rngs = RngSet::new(0xFEC0);
+        let (mut recovered_total, mut multi_total) = (0usize, 0usize);
+        for schedule_no in 0..240u64 {
+            let mut rng = rngs.stream_indexed("recovery.oracle", schedule_no);
+            let schedule = random_schedule(&mut rng, schedule_no % 4 == 3);
+            let end = schedule.last().map_or(0, |(tick, _)| *tick) + 200;
+            let mut events = schedule.into_iter().peekable();
+
+            let mut fast = Reassembly::new();
+            let mut fast_seen = FirstCopyFilter::new();
+            let mut fast_log: Vec<(u64, u16, bool)> = Vec::new();
+            let mut slow = RescanReassembly::default();
+            let mut slow_seen = FirstCopyFilter::new();
+            let mut slow_log: Vec<(u64, u16, bool)> = Vec::new();
+
+            for tick in 0..end {
+                let now = SimTime::from_millis(tick);
+                while let Some((_, delivery)) = events.next_if(|(at, _)| *at == tick) {
+                    match delivery {
+                        Delivery::Media(rtp) => {
+                            if fast_seen.insert(rtp.sequence, rtp.timestamp) {
+                                fast.push_media(&rtp);
+                            }
+                            if slow_seen.insert(rtp.sequence, rtp.timestamp) {
+                                slow.push_media(&rtp);
+                            }
+                        }
+                        Delivery::Parity(shard) => {
+                            fast.push_parity(now + FEC_RECOVERY_DEADLINE, shard.clone());
+                            slow.push_parity(now + FEC_RECOVERY_DEADLINE, shard);
+                        }
+                    }
+                }
+                fast.recover(now, |rec, multi| {
+                    let fresh = fast_seen.insert(rec.sequence, rec.timestamp);
+                    if fresh {
+                        fast_log.push((tick, rec.sequence, multi));
+                    }
+                    fresh
+                });
+                slow.recover(now, |rec, multi| {
+                    let fresh = slow_seen.insert(rec.sequence, rec.timestamp);
+                    if fresh {
+                        slow_log.push((tick, rec.sequence, multi));
+                    }
+                    fresh
+                });
+            }
+            assert_eq!(fast_log, slow_log, "schedule {schedule_no}");
+            assert_eq!(
+                fast.pending.len(),
+                slow.pending.len(),
+                "schedule {schedule_no}"
+            );
+            recovered_total += fast_log.len();
+            multi_total += fast_log.iter().filter(|(_, _, multi)| *multi).count();
+        }
+        // The schedules really exercise recovery, multi-erasure included.
+        assert!(recovered_total > 10_000, "{recovered_total} recoveries");
+        assert!(
+            multi_total > 1_000,
+            "{multi_total} multi-erasure recoveries"
+        );
     }
 
     #[test]

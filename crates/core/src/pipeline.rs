@@ -421,23 +421,6 @@ impl Simulation {
                 });
             }
             self.extra_loss_prob = sample.extra_loss_prob;
-            if std::env::var_os("RPAV_DEBUG").is_some() && now.as_millis() % 1_000 == 0 {
-                if let Some(sender) = self.cc.scream_sender() {
-                    eprintln!(
-                        "t={:>6.1}s target={:>5.1}Mbps cwnd={:>7.0} inflight={:>6} q={:>6} qdel={:>5.1}ms netq={:>5.1}ms disc={} span={} loss_ev={}",
-                        now.as_secs_f64(),
-                        sender.target_bitrate_bps() / 1e6,
-                        sender.cwnd_bytes(),
-                        sender.bytes_in_flight(),
-                        sender.rtp_queue_bytes(),
-                        sender.rtp_queue_delay().as_millis_f64(),
-                        sender.network_queue_delay().as_millis_f64(),
-                        sender.stats().queue_discarded,
-                        sender.stats().span_skipped,
-                        sender.stats().loss_events,
-                    );
-                }
-            }
             self.metrics.radio.push(RadioTraceRow {
                 t: now,
                 altitude_m: pos.z,

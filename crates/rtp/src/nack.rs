@@ -46,35 +46,36 @@ impl Nack {
     /// Serialise to RTCP wire format: 12-byte feedback header plus one
     /// 32-bit `(PID, BLP)` FCI entry per run of ≤17 nearby losses.
     pub fn serialize(&self) -> Bytes {
-        // Pack losses into (PID, BLP) entries: each entry covers PID and
-        // the 16 following sequence numbers.
-        let mut entries: Vec<(u16, u16)> = Vec::new();
-        for &seq in &self.lost {
-            match entries.last_mut() {
-                Some((pid, blp)) => {
-                    let off = seq.wrapping_sub(*pid);
-                    if off != 0 && off <= 16 {
-                        *blp |= 1 << (off - 1);
-                        continue;
-                    }
-                    if off == 0 {
-                        continue; // duplicate in batch
-                    }
-                    entries.push((seq, 0));
-                }
-                None => entries.push((seq, 0)),
-            }
-        }
-        let mut b = BytesMut::with_capacity(12 + 4 * entries.len());
+        let mut b = BytesMut::with_capacity(12 + 4 * self.lost.len());
         b.put_u8((2 << 6) | FMT_NACK);
         b.put_u8(RTCP_PT_RTPFB);
-        b.put_u16(2 + entries.len() as u16); // length in words minus one
+        b.put_u16(0); // length, patched below once the entries are counted
         b.put_u32(self.sender_ssrc);
         b.put_u32(self.media_ssrc);
-        for (pid, blp) in entries {
+        // Pack losses into (PID, BLP) entries, written as each one
+        // closes: an entry covers PID and the 16 following sequence
+        // numbers.
+        let mut open: Option<(u16, u16)> = None;
+        for &seq in &self.lost {
+            if let Some((pid, blp)) = &mut open {
+                let off = seq.wrapping_sub(*pid);
+                if off <= 16 {
+                    if off != 0 {
+                        *blp |= 1 << (off - 1);
+                    } // else: duplicate in batch
+                    continue;
+                }
+                b.put_u16(*pid);
+                b.put_u16(*blp);
+            }
+            open = Some((seq, 0));
+        }
+        if let Some((pid, blp)) = open {
             b.put_u16(pid);
             b.put_u16(blp);
         }
+        let words = (b.len() / 4 - 1) as u16; // length in words minus one
+        b[2..4].copy_from_slice(&words.to_be_bytes());
         b.freeze()
     }
 
@@ -105,7 +106,8 @@ impl Nack {
                 reason: "FCI not a multiple of 4 bytes",
             });
         }
-        let mut lost = Vec::with_capacity(data.len() / 4 * 2);
+        // One allocation: an entry names at most 17 sequence numbers.
+        let mut lost = Vec::with_capacity(data.len() / 4 * 17);
         while data.len() >= 4 {
             let pid = data.get_u16();
             let blp = data.get_u16();
@@ -453,9 +455,13 @@ impl NackGenerator {
         }
         let mut batch: Vec<u16> = Vec::new();
         let base = self.missing.base;
+        let chased = self.missing.occupied;
         for (idx, slot) in self.missing.slots.iter_mut().enumerate() {
             let Some(m) = slot else { continue };
             if now >= m.next_request {
+                if batch.is_empty() {
+                    batch.reserve_exact(chased);
+                }
                 batch.push(((base + idx as u64) & 0xffff) as u16);
                 m.retries += 1;
                 // Re-request only after a full round trip had its chance.

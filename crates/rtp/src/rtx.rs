@@ -158,7 +158,7 @@ impl RtxSender {
     /// transport-wide extension stripped so CC feedback ignores them.
     pub fn on_nack(&mut self, nack: &Nack) -> Vec<RtpPacket> {
         self.stats.nacks_received += 1;
-        let mut out = Vec::new();
+        let mut out = Vec::with_capacity(nack.lost.len());
         for &seq in &nack.lost {
             self.stats.seqs_requested += 1;
             let offset = seq.wrapping_sub(self.base_seq) as usize;

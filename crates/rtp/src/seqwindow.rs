@@ -1,4 +1,6 @@
-//! Dense arrival-time window keyed by unwrapped sequence number.
+//! Dense windows keyed by sequence number: the feedback
+//! recorders' arrival-time map ([`SeqWindow`]) and the multipath
+//! receiver's [`FirstCopyFilter`].
 //!
 //! The feedback recorders ([`twcc`](crate::twcc), [`rfc8888`](crate::rfc8888))
 //! store one arrival time per received media packet and read them back as
@@ -76,9 +78,125 @@ impl SeqWindow {
     }
 }
 
+/// First-copy filter for one RTP stream: remembers, per 16-bit sequence
+/// number, the media timestamp of the newest packet accepted under it.
+/// A packet is a repeat exactly when its slot already holds its
+/// timestamp — the `(sequence, timestamp)` identity, without unwrapping
+/// and therefore without caring how far or in which direction the
+/// sequence jumped (a sender that discards its queue burns tens of
+/// thousands of sequence numbers at once).
+///
+/// 264 KiB for the whole run, whatever its length. The one assumption:
+/// no second copy arrives after a *later* packet has reused its sequence
+/// number, i.e. 2¹⁶ or more sequence numbers behind the first copy; such
+/// a straggler reads as new.
+#[derive(Clone, Debug)]
+pub struct FirstCopyFilter {
+    /// Timestamp last accepted under each sequence number.
+    timestamps: Box<[u32]>,
+    /// Which sequence numbers have carried a packet yet.
+    used: Box<[u64]>,
+}
+
+impl Default for FirstCopyFilter {
+    fn default() -> Self {
+        FirstCopyFilter {
+            timestamps: vec![0; 1 << 16].into_boxed_slice(),
+            used: vec![0; (1 << 16) / 64].into_boxed_slice(),
+        }
+    }
+}
+
+impl FirstCopyFilter {
+    /// Create an empty filter.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Record a packet; `true` when it is the first copy.
+    pub fn insert(&mut self, sequence: u16, timestamp: u32) -> bool {
+        let slot = usize::from(sequence);
+        let (word, bit) = (slot / 64, 1u64 << (slot % 64));
+        let repeat = self.used[word] & bit != 0 && self.timestamps[slot] == timestamp;
+        self.used[word] |= bit;
+        self.timestamps[slot] = timestamp;
+        !repeat
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rpav_sim::SimRng;
+    use std::collections::HashSet;
+
+    /// Media timestamp of the frame a sequence number belongs to: 28
+    /// packets a frame, 3 000 ticks (30 fps at 90 kHz) a frame.
+    fn frame_ts(seq: u64) -> u32 {
+        (seq / 28 * 3_000) as u32
+    }
+
+    #[test]
+    fn first_copy_filter_matches_a_hash_set_across_sequence_wraps() {
+        // 150 000 consecutive sequences starting just below the 16-bit
+        // wrap (two wraps), delivered with duplicates, with stragglers
+        // displaced by more than 1 000 packets, and with late second
+        // copies up to 20 000 packets behind the head of line.
+        let mut rng = SimRng::seed_from_u64(0x5EE9);
+        let first = 65_000u64;
+        let mut arrivals: Vec<(u64, u64)> = Vec::new(); // (delivery key, sequence)
+        for i in 0..150_000u64 {
+            let seq = first + i;
+            let delay = match rng.uniform_u64(0, 100) {
+                0..=4 => rng.uniform_u64(1_000, 3_000),
+                5..=24 => rng.uniform_u64(1, 40),
+                _ => 0,
+            };
+            arrivals.push((i + delay, seq));
+            if rng.chance(0.05) {
+                arrivals.push((i + delay + rng.uniform_u64(0, 20_000), seq));
+            }
+        }
+        arrivals.sort();
+        let mut want = HashSet::new();
+        let mut filter = FirstCopyFilter::new();
+        let (mut firsts, mut dups) = (0u64, 0u64);
+        for (_, seq) in arrivals {
+            let fresh = filter.insert(seq as u16, frame_ts(seq));
+            assert_eq!(fresh, want.insert(seq), "sequence {seq}");
+            if fresh {
+                firsts += 1;
+            } else {
+                dups += 1;
+            }
+        }
+        assert_eq!(firsts, 150_000);
+        assert!(dups > 5_000, "only {dups} duplicates exercised");
+    }
+
+    #[test]
+    fn first_copy_filter_survives_a_sender_queue_discard() {
+        // A blacked-out leg holds packets 1 000..1 100 while the sender
+        // discards 40 000 sequence numbers and carries on over the other
+        // leg; when the blackout lifts the held packets arrive — half of
+        // them first copies, half already delivered before the jump. An
+        // unwrapping filter cannot place them (40 000 > 2^15).
+        let mut filter = FirstCopyFilter::new();
+        for seq in (0..1_100u64).filter(|s| *s < 1_000 || s % 2 == 0) {
+            assert!(filter.insert(seq as u16, frame_ts(seq)));
+        }
+        for seq in 41_100..41_500u64 {
+            assert!(filter.insert(seq as u16, frame_ts(seq)));
+        }
+        for seq in 1_000..1_100u64 {
+            let first_copy = seq % 2 == 1;
+            assert_eq!(
+                filter.insert(seq as u16, frame_ts(seq)),
+                first_copy,
+                "sequence {seq}"
+            );
+        }
+    }
 
     #[test]
     fn insert_get_roundtrip() {
