@@ -15,7 +15,7 @@
 //! The default invocation measures the sweeps and writes one JSON object
 //! with a `full` section (paper-length flights, the tracked trajectory),
 //! a `quick` section (1 s holds, the CI smoke), and a `bonded` section
-//! (the two-leg bonded driver with FEC + repair armed, 1 s holds).
+//! (two-leg bonded sessions with FEC + repair armed, 1 s holds).
 //! `--smoke` skips only the full sweep. `--check <baseline.json>` then
 //! compares every section measured this run against the same section of
 //! the committed baseline and exits non-zero on a regression: cells/s
@@ -29,9 +29,8 @@
 use std::time::Instant;
 
 use rpav_bench::{paper_ccs, paper_config};
-use rpav_core::multipath::{run_multipath, MultipathScheme};
 use rpav_core::prelude::*;
-use rpav_sim::{alloc, SimDuration};
+use rpav_sim::alloc;
 
 /// The gate's relative band, in percent, on both cells/s and
 /// allocs/packet.
@@ -124,12 +123,11 @@ fn run_sweep(quick: bool) -> Measurement {
     measure(if quick { "quick" } else { "full" }, sweep)
 }
 
-/// One cold sweep of the bonded multipath driver: the three rural CCs
-/// with FEC armed and repair on (1 s holds) — the heaviest receive path
-/// in the tree (striping + parity recovery + reassembly window). The
-/// two-leg driver has no instrumented tick counter, so ticks come from
-/// its fixed 1 ms cadence over flight + drain: a stable denominator for
-/// trending ns/tick. `cells_per_s` is the gated number.
+/// One cold sweep of two-leg bonded sessions: the three rural CCs with
+/// FEC armed and repair on (1 s holds) — the heaviest receive path in
+/// the tree (striping + parity recovery + reassembly window). A session
+/// that monitors its legs steps every tick, so its step count is its
+/// flight + drain milliseconds. `cells_per_s` is the gated number.
 fn run_bonded_sweep() -> Measurement {
     let sweep = paper_ccs(Environment::Rural).into_iter().map(|cc| {
         let cfg = ExperimentConfig::builder()
@@ -139,9 +137,9 @@ fn run_bonded_sweep() -> Measurement {
             .fec_cap(0.25)
             .repair(true)
             .build();
-        let m = run_multipath(&cfg, MultipathScheme::Bonded);
-        let ticks = (m.duration + SimDuration::from_secs(3)).as_millis_f64() as u64;
-        (ticks, m.media_sent + m.rtx_sent + m.fec_tx)
+        let (m, steps) =
+            Simulation::multipath(cfg, MultipathScheme::Bonded, Vec::new()).run_instrumented();
+        (steps, m.media_sent + m.rtx_sent + m.fec_tx)
     });
     measure("bonded", sweep)
 }

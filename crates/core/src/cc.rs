@@ -1,5 +1,4 @@
-//! The sender-side congestion-control engine, shared by the single-path
-//! pipeline and the multipath runner.
+//! The sender-side congestion-control engine of a session.
 //!
 //! One [`CcEngine`] wraps the §3.2 workload behaviours behind a uniform
 //! enqueue/poll interface:
@@ -300,6 +299,9 @@ impl CcEngine {
 /// drives only that engine. The encoder follows the *sum* of the per-leg
 /// targets, so one delayed leg costs only its own share of the aggregate
 /// — and a dead leg's shadow watchdog decays only that share.
+///
+/// With one engine it *is* that engine — sums over one element are exact
+/// — which is how every uncoupled session holds its congestion control.
 pub struct CoupledCc {
     legs: Vec<CcEngine>,
 }
@@ -357,6 +359,12 @@ impl CoupledCc {
     pub fn enqueue_leg_drain(&mut self, leg: usize, now: SimTime, packets: &mut Vec<RtpPacket>) {
         let last = self.legs.len() - 1;
         self.legs[leg.min(last)].enqueue_drain(now, packets);
+    }
+
+    /// Earliest future instant any shadow engine needs the driver's
+    /// attention (see [`CcEngine::next_wake`]).
+    pub fn next_wake(&self, now: SimTime) -> Option<SimTime> {
+        self.legs.iter().filter_map(|cc| cc.next_wake(now)).min()
     }
 
     /// Pop the next packet `leg`'s shadow engine releases onto the wire.

@@ -63,7 +63,7 @@ use rpav_netem::{FaultClause, FaultScript, PacketKind};
 use crate::codec::{fnv1a, ByteWriter};
 use crate::journal::CampaignJournal;
 use crate::metrics::RunMetrics;
-use crate::multipath::{run_multipath_legs, MultipathScheme};
+use crate::multipath::MultipathScheme;
 use crate::pipeline::Simulation;
 use crate::runner::CampaignResult;
 use crate::scenario::{CcMode, ExperimentConfig, Mobility};
@@ -87,14 +87,18 @@ impl RunScheme {
         }
     }
 
+    /// The scheme's byte in the cache key. 1–5 were the multipath schemes
+    /// under the second session driver; their results changed when the
+    /// drivers were unified, so a durable cache written back then must
+    /// miss — the numbers are retired, not reused.
     fn tag(&self) -> u8 {
         match self {
             RunScheme::Pipeline => 0,
-            RunScheme::Multipath(MultipathScheme::SinglePath) => 1,
-            RunScheme::Multipath(MultipathScheme::Duplicate) => 2,
-            RunScheme::Multipath(MultipathScheme::Failover) => 3,
-            RunScheme::Multipath(MultipathScheme::SelectiveDuplicate) => 4,
-            RunScheme::Multipath(MultipathScheme::Bonded) => 5,
+            RunScheme::Multipath(MultipathScheme::SinglePath) => 6,
+            RunScheme::Multipath(MultipathScheme::Duplicate) => 7,
+            RunScheme::Multipath(MultipathScheme::Failover) => 8,
+            RunScheme::Multipath(MultipathScheme::SelectiveDuplicate) => 9,
+            RunScheme::Multipath(MultipathScheme::Bonded) => 10,
         }
     }
 }
@@ -105,7 +109,7 @@ impl RunScheme {
 /// directions of the single operator's link. For
 /// [`RunScheme::Multipath`], `uplink` scripts leg 0, `secondary` leg 1,
 /// and `extra` any further legs (each script hits both directions of
-/// its leg, matching [`run_multipath_legs`]); `downlink` is unused.
+/// its leg, matching [`Simulation::multipath`]); `downlink` is unused.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct CellFault {
     /// Short name, part of the cell label (empty = no fault).
@@ -566,7 +570,7 @@ impl Cell {
     /// runs the unconditional 1 ms oracle loop, `false` the adaptive
     /// deadline scheduler (byte-identical by the perf-equivalence tests).
     pub fn execute_with(&self, reference_tick: bool) -> RunMetrics {
-        match self.scheme {
+        let sim = match self.scheme {
             RunScheme::Pipeline => {
                 let mut sim = Simulation::new(self.config);
                 if let Some(s) = &self.fault.uplink {
@@ -575,15 +579,16 @@ impl Cell {
                 if let Some(s) = &self.fault.downlink {
                     sim = sim.with_downlink_script(s.clone());
                 }
-                if reference_tick {
-                    sim.run_reference()
-                } else {
-                    sim.run()
-                }
+                sim
             }
             RunScheme::Multipath(scheme) => {
-                run_multipath_legs(&self.config, scheme, self.fault.leg_scripts())
+                Simulation::multipath(self.config, scheme, self.fault.leg_scripts())
             }
+        };
+        if reference_tick {
+            sim.run_reference()
+        } else {
+            sim.run()
         }
     }
 }
@@ -1293,16 +1298,6 @@ impl CampaignEngine {
         self.run_cells_streaming_observed(cells, &mut |_| {})
     }
 
-    /// Streaming execution of `spec` with a per-cell observer (see
-    /// [`run_cells_streaming_observed`](Self::run_cells_streaming_observed)).
-    pub fn run_streaming_observed(
-        &self,
-        spec: &MatrixSpec,
-        observe: &mut dyn FnMut(&CellOutcome),
-    ) -> StreamSummary {
-        self.run_cells_streaming_observed(spec.expand(), observe)
-    }
-
     /// Streaming execution that additionally hands every outcome — in
     /// **submission order**, straight off the reorder frontier — to
     /// `observe` before dropping it. This is the daemon's event feed:
@@ -1785,6 +1780,20 @@ mod tests {
         moved.index = 99;
         assert_eq!(moved.key(), cells[0].key());
         assert_ne!(cells[0].key(), cells[1].key());
+    }
+
+    #[test]
+    fn pipeline_keys_stay_put_and_multipath_keys_moved() {
+        // Literals computed before the session drivers were unified (FNV
+        // over config bytes: platform-independent). A durable cache from
+        // back then keeps serving pipeline cells and must miss on every
+        // multipath cell, whose results changed.
+        let pipeline = MatrixSpec::new(short_base()).expand();
+        assert_eq!(pipeline[0].key(), 0x5b6c_6bff_9688_12ce);
+        let failover = MatrixSpec::new(short_base())
+            .multipath_schemes([MultipathScheme::Failover])
+            .expand();
+        assert_ne!(failover[0].key(), 0x6628_e85f_3bb9_da1d);
     }
 
     #[test]

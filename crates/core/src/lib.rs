@@ -7,7 +7,8 @@
 //!
 //! * [`scenario`] — experiment axes (environment × operator × mobility ×
 //!   CC) with the paper's default parameters.
-//! * [`pipeline`] — the sender/receiver wiring ([`Simulation`]).
+//! * [`pipeline`] — the one session driver: sender/receiver wiring over
+//!   one leg or several ([`Simulation`]).
 //! * [`metrics`] — per-run records and derived series (goodput, OWD, HET,
 //!   FPS, playback latency, SSIM, stalls, HO-latency ratios).
 //! * [`stats`] — quantiles, boxplot summaries, CDFs.
@@ -26,8 +27,9 @@
 //! * [`runner`] — campaign execution across repeated runs.
 //! * [`ping`] — the cross-traffic-free RTT workload of Fig. 13.
 //! * [`dataset`] — CSV export in the shape of the paper's released dataset.
-//! * [`multipath`] — the paper's future-work multipath experiment
-//!   (redundant transmission over both operators).
+//! * [`multipath`] — the paper's future-work direction: the policy that
+//!   maps the flow onto several operators' legs (duplicate, failover,
+//!   bonded) for a [`Simulation::multipath`] session.
 //! * [`trace`] — Fig. 8-style time-series export (CSV).
 //! * [`summary`] — the in-text headline statistics.
 //!

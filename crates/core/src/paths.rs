@@ -1,5 +1,5 @@
-//! Shared network-path construction — one place for the §3.1/§4.1 wire
-//! parameters so single-path and multipath runs are parameterised
+//! Network-path construction — one place for the §3.1/§4.1 wire
+//! parameters, so every leg of every session is parameterised
 //! identically.
 //!
 //! Every access path in the study is the same chain: fault injector
@@ -36,12 +36,14 @@ pub fn baseline_loss() -> GilbertElliott {
     GilbertElliott::new(0.000_08, 0.12, 0.0, 0.8)
 }
 
-/// RNG stream prefix for multipath leg `leg_index` riding `operator_name`.
-/// Legs 0 and 1 keep the historical `mp.{operator}` prefixes so every
-/// committed two-leg baseline stays bit-identical; legs ≥ 2 reuse the
-/// same operators (the airframe carries multiple SIMs per carrier) but
-/// qualify the prefix with the leg index, making their channel draws
-/// statistically independent.
+/// RNG stream prefix for multipath leg `leg_index` riding `operator_name`
+/// (the single-operator session's leg uses `pipe`). Legs 0 and 1 ride
+/// different operators, so `mp.{operator}` tells them apart; legs ≥ 2
+/// reuse the same operators (the airframe carries multiple SIMs per
+/// carrier) and qualify the prefix with the leg index, making their
+/// channel draws statistically independent. `Leg` appends the per-stream
+/// suffixes (`.ul`, `.dl`, `.extraloss`, `.{ul,dl}.script`,
+/// `.{ul,dl}.reorder`).
 pub fn leg_stream_prefix(operator_name: &str, leg_index: usize) -> String {
     if leg_index < 2 {
         format!("mp.{operator_name}")

@@ -1,6 +1,8 @@
-//! The end-to-end measurement pipeline: one UAV (or motorbike) node
+//! The end-to-end measurement session: one UAV (or motorbike) node
 //! streaming adaptive RTP video over the simulated LTE access + WAN to the
-//! remote-pilot server, with CC feedback flowing back.
+//! remote-pilot server, with CC feedback flowing back — over one modem
+//! ([`Simulation::new`], the paper's rig) or several
+//! ([`Simulation::multipath`], its future-work direction).
 //!
 //! ```text
 //!       sender (UAV payload)                 receiver (AWS server)
@@ -11,31 +13,40 @@
 //!                                                   ─► SSIM ─► player ─► metrics
 //! ```
 //!
-//! Everything advances on a 1 ms driver tick; radio state updates every
+//! Everything advances on a 1 ms driver grid; radio state updates every
 //! 100 ms (the modem cadence). One [`Simulation::run`] is one measurement
-//! run of the campaign.
+//! run of the campaign. `Simulation::step` is the only step function in
+//! the crate: the multipath schemes add legs, a `LegScheduler` between
+//! the congestion controller and the uplinks, and cross-leg dedup /
+//! reassembly ahead of the receiver — never a second sender or receiver
+//! (DESIGN.md §8.5).
 
 use std::collections::VecDeque;
 
-use rpav_lte::{NetworkProfile, RadioModel};
-use rpav_netem::{FaultScript, Packet, PacketKind, Path, ReorderConfig};
+use rpav_netem::{FaultScript, Packet, PacketKind};
+use rpav_rtp::fec::{RsParityPacket, RS_FEC_PAYLOAD_TYPE};
 use rpav_rtp::jitter::{JitterBuffer, JitterConfig};
 use rpav_rtp::nack::{Arrival, Nack, NackConfig, NackGenerator};
-use rpav_rtp::packet::RtpPacket;
+use rpav_rtp::packet::{unwrap_seq, RtpPacket};
 use rpav_rtp::packetize::{Depacketizer, Packetizer, ReassembledFrame};
 use rpav_rtp::pli::Pli;
+use rpav_rtp::report::PathReport;
 use rpav_rtp::rfc8888::{Rfc8888Builder, Rfc8888Packet};
 use rpav_rtp::rtx::{RtxConfig, RtxSender};
+use rpav_rtp::seqwindow::FirstCopyFilter;
 use rpav_rtp::twcc::{TwccFeedback, TwccRecorder};
-use rpav_sim::{RngSet, SimDuration, SimRng, SimTime};
+use rpav_sim::{RngSet, SimDuration, SimTime};
 use rpav_uav::{profiles as uav_profiles, FlightPlan, Position};
 use rpav_video::player::{DecodedFrame, PlayedFrame};
 use rpav_video::{quality, Encoder, EncoderConfig, Player, PlayerConfig, SourceVideo};
 
-use crate::cc::{CcEngine, CCFB_INTERVAL, TWCC_INTERVAL};
+use crate::cc::CoupledCc;
 use crate::metrics::{FrameRecord, HandoverRecord, RadioTraceRow, RunMetrics};
+use crate::multipath::{
+    Leg, LegScheduler, MultipathScheme, Reassembly, FEC_RECOVERY_DEADLINE, MEDIA_SSRC,
+};
 use crate::paths;
-use crate::scenario::{CcMode, ExperimentConfig, Mobility};
+use crate::scenario::{CcMode, ExperimentConfig, Mobility, MAX_LEGS};
 
 /// Driver tick.
 const TICK: SimDuration = SimDuration::from_millis(1);
@@ -52,9 +63,8 @@ const JITTER_INFLATE_FACTOR: f64 = 1.5;
 const JITTER_MAX_LEVEL: u32 = 3;
 /// Clean delivery required before one inflation level decays away.
 const JITTER_DECAY_AFTER: SimDuration = SimDuration::from_secs(20);
-/// SSRCs on the PLI wire: the receiver reports against the media stream.
+/// SSRC on the PLI wire: the receiver reports against the media stream.
 const RECEIVER_SSRC: u32 = 0x1;
-const MEDIA_SSRC: u32 = 0x2;
 
 /// Round an event deadline up to the 1 ms driver grid the reference loop
 /// runs on: the fast scheduler may only stop where the reference stops.
@@ -62,40 +72,43 @@ fn align_up_to_tick(t: SimTime) -> SimTime {
     SimTime::from_micros((t.as_micros().saturating_add(999) / 1_000).saturating_mul(1_000))
 }
 
-/// Disjoint borrows of the sender-side state [`Simulation::send_media`]
-/// needs — callers split these from `self` so the CC state can stay
-/// mutably borrowed across the send loop.
-struct MediaTx<'a> {
-    uplink: &'a mut Path,
-    netem_seq: &'a mut u64,
-    metrics: &'a mut RunMetrics,
-    extra_loss_rng: &'a mut SimRng,
-    /// RTX history to record into; `None` when repair is disabled.
-    rtx: Option<&'a mut RtxSender>,
-}
-
 /// One full measurement run.
 pub struct Simulation {
     config: ExperimentConfig,
     plan: FlightPlan,
-    radio: RadioModel,
-    uplink: Path,
-    downlink: Path,
-    extra_loss_prob: f64,
-    extra_loss_rng: SimRng,
+    legs: Vec<Leg>,
+    /// The multipath policy and monitoring plane (health clocks, path
+    /// reports, probes, failover controller). `None` for the plain
+    /// single-operator session, which then allocates none of it.
+    scheduler: Option<LegScheduler>,
+    // Sender state.
     source: SourceVideo,
     encoder: Encoder,
     packetizer: Packetizer,
-    cc: CcEngine,
+    /// One engine, or one shadow engine per leg when the scheduler
+    /// couples them.
+    cc: CoupledCc,
     pending_frames: VecDeque<rpav_video::EncodedFrame>,
     rtx: RtxSender,
     // Receiver state.
+    /// First-copy-wins across legs (cross-leg copies and the
+    /// FEC-vs-original race); only rigs with more than one leg need it.
+    first_copy: Option<FirstCopyFilter>,
+    /// Bonded cross-leg reassembly, and the unwrapped-highest sequence
+    /// for its reorder accounting.
+    reassembly: Option<Reassembly>,
+    highest_useq: Option<u64>,
     jitter: JitterBuffer,
     depack: Depacketizer,
     nack_gen: NackGenerator,
     player: Player,
-    twcc_rec: TwccRecorder,
-    ccfb: Rfc8888Builder,
+    /// CC feedback recorders, one pair per CC engine: a shadow engine
+    /// only ever hears about its own leg's arrivals, so cross-leg delay
+    /// variance cannot masquerade as congestion.
+    recorders: Vec<(TwccRecorder, Rfc8888Builder)>,
+    /// CC feedback, NACKs and PLIs ride the leg of the most recent
+    /// accepted media arrival.
+    last_media_leg: usize,
     ref_intact: bool,
     last_frame_to_player: Option<u64>,
     last_pli: Option<SimTime>,
@@ -106,7 +119,6 @@ pub struct Simulation {
     // Bookkeeping.
     next_radio: SimTime,
     next_feedback: SimTime,
-    netem_seq: u64,
     outage_windows: Vec<(SimTime, SimTime)>,
     /// Reusable scratch for batch-draining path arrivals each tick.
     arrivals: Vec<Packet>,
@@ -114,8 +126,11 @@ pub struct Simulation {
     drained: Vec<ReassembledFrame>,
     /// Reusable scratch for player display/skip events each tick.
     played: Vec<PlayedFrame>,
-    /// Reusable scratch for freshly packetized frames.
+    /// Reusable scratch for freshly packetized frames, and for the
+    /// retransmissions one NACK asks for.
     pkt_scratch: Vec<RtpPacket>,
+    /// Reusable NACK value for the sender's parse path.
+    nack_rx: Nack,
     /// Reusable TWCC feedback value for the receiver's build path.
     twcc_fb: TwccFeedback,
     /// Reusable RFC 8888 feedback value for the receiver's build path.
@@ -124,17 +139,60 @@ pub struct Simulation {
 }
 
 impl Simulation {
-    /// Assemble a run from its configuration.
+    /// Assemble a single-operator run from its configuration.
     pub fn new(config: ExperimentConfig) -> Self {
         let rngs = RngSet::new(config.seed);
-        let mut profile = NetworkProfile::new(config.environment, config.operator);
-        if let Some(h) = config.hysteresis_override_db {
-            profile.handover.hysteresis_db = h;
+        let leg = Leg::new(
+            "pipe".into(),
+            config.operator,
+            None,
+            &config,
+            &rngs,
+            config.run_index,
+        );
+        Self::assemble(config, vec![leg], None)
+    }
+
+    /// Assemble a multipath run: `config.n_legs` modems (even legs ride
+    /// `config.operator`, odd legs the other one) under `scheme`, every
+    /// leg monitored. Entry `i` of `leg_scripts` (missing entries mean
+    /// unscripted) hits both directions of leg `i` — a true link
+    /// blackout; leg 0's blackout windows become per-outage recovery
+    /// records, scripts beyond `config.n_legs` are ignored.
+    pub fn multipath(
+        config: ExperimentConfig,
+        scheme: MultipathScheme,
+        leg_scripts: Vec<Option<FaultScript>>,
+    ) -> Self {
+        let rngs = RngSet::new(config.seed);
+        let n = config.n_legs.clamp(1, MAX_LEGS);
+        let legs = (0..n)
+            .map(|li| {
+                let op = if li % 2 == 0 {
+                    config.operator
+                } else {
+                    config.secondary_operator()
+                };
+                let cap = config.leg_cap_bps.map(|c| if li == 0 { c.0 } else { c.1 });
+                let prefix = paths::leg_stream_prefix(op.name(), li);
+                let radio_index = config.run_index ^ ((li as u64) << 32);
+                Leg::new(prefix, op, cap, &config, &rngs, radio_index)
+            })
+            .collect();
+        let mut sim = Self::assemble(config, legs, Some(LegScheduler::new(scheme, &config, n)));
+        for (li, script) in leg_scripts.into_iter().take(n).enumerate() {
+            if let Some(script) = script {
+                if li == 0 {
+                    sim.outage_windows.extend(script.blackout_windows());
+                }
+                sim.legs[li].attach_script(true, script.clone(), &rngs, config.run_index);
+                sim.legs[li].attach_script(false, script, &rngs, config.run_index);
+            }
         }
-        if let Some(ttt) = config.ttt_override_ms {
-            profile.handover.time_to_trigger = SimDuration::from_millis(ttt);
-        }
-        let radio = RadioModel::new(&profile, &rngs, config.run_index);
+        sim
+    }
+
+    fn assemble(config: ExperimentConfig, legs: Vec<Leg>, scheduler: Option<LegScheduler>) -> Self {
         let plan = match config.mobility {
             Mobility::Air => uav_profiles::paper_flight(Position::ground(0.0, 0.0), config.hold),
             Mobility::Ground => uav_profiles::ground_run(
@@ -143,21 +201,22 @@ impl Simulation {
                 config.hold,
             ),
         };
-
-        // Both directions: fault injector (bursty PER) → bottleneck → WAN.
-        // Radio propagation ≈ 5 ms; WAN ≈ 12.5 ms → lowest RTT ≈ 35 ms
-        // (§3.1). Parameters live in [`paths`], shared with multipath.
-        let uplink = paths::uplink_path(&rngs, "pipe.ul", config.run_index);
-        let downlink = paths::downlink_path(&rngs, "pipe.dl", config.run_index);
-
         let source = SourceVideo::new(config.seed ^ 0x5EED);
-        let cc = CcEngine::new(config.cc, config.watchdog);
+        let (coupled, reassembles, nack_hold) = scheduler
+            .as_ref()
+            .map_or((false, false, SimDuration::ZERO), |s| {
+                (s.coupled(), s.reassembles(), s.nack_hold())
+            });
+        let cc = CoupledCc::new(
+            config.cc,
+            config.watchdog,
+            if coupled { legs.len() } else { 1 },
+        );
         let ack_span = match config.cc {
             CcMode::Scream { ack_span } => ack_span,
             _ => 64,
         };
         let encoder = Encoder::new(EncoderConfig::default(), source, cc.start_bitrate_bps());
-        let with_twcc = cc.with_twcc();
         let jitter_target = config
             .jitter_target_override_ms
             .map(SimDuration::from_millis)
@@ -166,14 +225,15 @@ impl Simulation {
         Simulation {
             config,
             plan,
-            radio,
-            uplink,
-            downlink,
-            extra_loss_prob: 0.0,
-            extra_loss_rng: rngs.stream_indexed("pipe.extraloss", config.run_index),
+            first_copy: (legs.len() > 1).then(FirstCopyFilter::new),
+            reassembly: (reassembles && legs.len() > 1).then(Reassembly::new),
+            highest_useq: None,
             source,
             encoder,
-            packetizer: Packetizer::new(0x2, with_twcc),
+            packetizer: Packetizer::new(MEDIA_SSRC, cc.with_twcc()),
+            recorders: (0..cc.n_legs())
+                .map(|_| (TwccRecorder::new(), Rfc8888Builder::new(ack_span)))
+                .collect(),
             cc,
             pending_frames: VecDeque::new(),
             rtx: RtxSender::new(RtxConfig::default()),
@@ -184,13 +244,13 @@ impl Simulation {
             depack: Depacketizer::new(),
             nack_gen: NackGenerator::new(NackConfig {
                 playout_budget: jitter_target,
+                initial_hold: nack_hold,
                 ..Default::default()
             }),
             player: Player::new(PlayerConfig::default()),
-            twcc_rec: TwccRecorder::new(),
             twcc_fb: TwccFeedback::empty(),
-            ccfb: Rfc8888Builder::new(ack_span),
             ccfb_pkt: Rfc8888Packet::empty(),
+            last_media_leg: 0,
             ref_intact: true,
             last_frame_to_player: None,
             last_pli: None,
@@ -200,55 +260,34 @@ impl Simulation {
             last_jitter_event: SimTime::ZERO,
             next_radio: SimTime::ZERO,
             next_feedback: SimTime::ZERO,
-            netem_seq: 0,
             arrivals: Vec::new(),
             drained: Vec::new(),
             played: Vec::new(),
             pkt_scratch: Vec::new(),
+            nack_rx: Nack::empty(),
             outage_windows: Vec::new(),
             metrics: RunMetrics::default(),
+            legs,
+            scheduler,
         }
     }
 
-    /// Attach a scripted fault campaign to the uplink (media) direction.
-    /// The script's RNG derives from the run's seed, so a given
-    /// configuration + script is bit-reproducible.
+    /// Attach a scripted fault campaign to the uplink (media) direction
+    /// of leg 0. Timed media-direction blackouts become per-outage
+    /// recovery records in the run's metrics.
     pub fn with_uplink_script(mut self, script: FaultScript) -> Self {
-        let rngs = RngSet::new(self.config.seed);
-        // Timed media-direction blackouts become per-outage recovery
-        // records in the run's metrics.
         self.outage_windows.extend(script.blackout_windows());
-        // Reorder windows retune an exit-side stage that must exist first;
-        // attach a transparent one only when the script needs it so runs
-        // without reorder clauses stay bit-identical.
-        if script.has_reorder() {
-            self.uplink.set_reorder(
-                ReorderConfig::default(),
-                rngs.stream_indexed("pipe.ul.reorder", self.config.run_index),
-            );
-        }
-        self.uplink.set_script(
-            script,
-            rngs.stream_indexed("pipe.ul.script", self.config.run_index),
-        );
+        let rngs = RngSet::new(self.config.seed);
+        self.legs[0].attach_script(true, script, &rngs, self.config.run_index);
         self
     }
 
     /// Attach a scripted fault campaign to the downlink (feedback)
-    /// direction. Feedback-direction blackouts starve the CC but do not
-    /// stop media, so they produce no per-outage recovery records.
+    /// direction of leg 0. Feedback-direction blackouts starve the CC but
+    /// do not stop media, so they produce no per-outage recovery records.
     pub fn with_downlink_script(mut self, script: FaultScript) -> Self {
         let rngs = RngSet::new(self.config.seed);
-        if script.has_reorder() {
-            self.downlink.set_reorder(
-                ReorderConfig::default(),
-                rngs.stream_indexed("pipe.dl.reorder", self.config.run_index),
-            );
-        }
-        self.downlink.set_script(
-            script,
-            rngs.stream_indexed("pipe.dl.script", self.config.run_index),
-        );
+        self.legs[0].attach_script(false, script, &rngs, self.config.run_index);
         self
     }
 
@@ -309,7 +348,7 @@ impl Simulation {
         self.metrics.stalls = pstats.stalls;
         self.metrics.stalled_time = pstats.stalled_time;
         self.metrics.frames_late_discarded = pstats.late_discarded;
-        self.metrics.distinct_cells = self.radio.distinct_cells();
+        self.metrics.distinct_cells = self.legs[0].radio.distinct_cells();
         if let Some(ss) = self.cc.scream_stats() {
             self.metrics.sender_discarded = ss.queue_discarded;
             self.metrics.span_skipped = ss.span_skipped;
@@ -335,12 +374,12 @@ impl Simulation {
         self.metrics.rtx_bytes = rs.bytes_retransmitted;
         self.metrics.rtx_budget_exhausted = rs.budget_exhausted;
         self.metrics.rtx_not_in_history = rs.not_in_history;
-        self.metrics.script_dropped = self.uplink.script_stats().map(|s| s.dropped()).unwrap_or(0)
-            + self
-                .downlink
-                .script_stats()
-                .map(|s| s.dropped())
-                .unwrap_or(0);
+        for (li, leg) in self.legs.iter().enumerate() {
+            self.metrics.script_dropped += leg.script_dropped();
+            if self.scheduler.is_some() {
+                self.metrics.path_health.push(leg.health_summary(li));
+            }
+        }
         let windows = std::mem::take(&mut self.outage_windows);
         self.metrics.record_outages(&windows);
         std::mem::take(&mut self.metrics)
@@ -366,15 +405,27 @@ impl Simulation {
     ///   player reports `now`, deliberately clamping the driver to per-tick
     ///   stepping while skip-patience logic needs every tick);
     /// - jitter-target decay and PLI-nag edges, while armed.
+    ///
+    /// A session with a monitoring plane applies the same clamp for the
+    /// whole run: its health clocks accrue time-in-class per tick.
     fn next_deadline(&self, now: SimTime, flight_end: SimTime) -> SimTime {
+        if self.scheduler.is_some() {
+            return now;
+        }
         let capture = self.encoder.next_capture();
         let deadlines = [
             Some(self.next_radio),
             (capture < flight_end).then_some(capture),
             self.pending_frames.front().map(|f| f.ready_at),
             self.cc.next_wake(now),
-            self.uplink.next_wake_scripted(now),
-            self.downlink.next_wake_scripted(now),
+            self.legs
+                .iter()
+                .filter_map(|l| l.uplink.next_wake_scripted(now))
+                .min(),
+            self.legs
+                .iter()
+                .filter_map(|l| l.downlink.next_wake_scripted(now))
+                .min(),
             if self.config.repair {
                 self.nack_gen.next_wake()
             } else {
@@ -395,43 +446,42 @@ impl Simulation {
     }
 
     fn step(&mut self, now: SimTime, flight_end: SimTime) {
-        // 1. Radio tick: re-rate links, register handovers.
+        // 1. Radio tick: re-rate links, register handovers. Handover
+        // records and the radio trace follow the primary leg.
         if now >= self.next_radio {
-            self.next_radio = now + self.radio.tick();
+            self.next_radio = now + self.legs[0].radio.tick();
             let pos = self.plan.position_at(now);
-            // Positional script clauses (coverage holes) track the UAV.
-            self.uplink.set_position(pos.x, pos.y, pos.z);
-            self.downlink.set_position(pos.x, pos.y, pos.z);
-            let sample = self.radio.step(now, &pos);
-            self.uplink
-                .set_rate_bps(now, sample.uplink_capacity_bps.max(50e3));
-            self.downlink
-                .set_rate_bps(now, sample.downlink_capacity_bps.max(50e3));
-            self.uplink.set_extra_delay(sample.retx_delay);
-            self.downlink.set_extra_delay(sample.retx_delay);
-            if let Some(ho) = sample.handover {
-                self.uplink.pause_until(now, ho.complete_at);
-                self.downlink.pause_until(now, ho.complete_at);
-                self.metrics.handovers.push(HandoverRecord {
-                    at: ho.at,
-                    het: ho.het(),
-                    kind: ho.kind,
-                    from: ho.from.0,
-                    to: ho.to.0,
+            for (li, leg) in self.legs.iter_mut().enumerate() {
+                let sample = leg.radio_tick(now, &pos);
+                if li > 0 {
+                    continue;
+                }
+                if let Some(ho) = sample.handover {
+                    self.metrics.handovers.push(HandoverRecord {
+                        at: ho.at,
+                        het: ho.het(),
+                        kind: ho.kind,
+                        from: ho.from.0,
+                        to: ho.to.0,
+                    });
+                }
+                self.metrics.radio.push(RadioTraceRow {
+                    t: now,
+                    altitude_m: pos.z,
+                    capacity_bps: sample.uplink_capacity_bps,
+                    rsrp_dbm: sample.rsrp_dbm,
+                    sinr_db: sample.sinr_db,
+                    in_handover: sample.in_handover,
                 });
             }
-            self.extra_loss_prob = sample.extra_loss_prob;
-            self.metrics.radio.push(RadioTraceRow {
-                t: now,
-                altitude_m: pos.z,
-                capacity_bps: sample.uplink_capacity_bps,
-                rsrp_dbm: sample.rsrp_dbm,
-                sinr_db: sample.sinr_db,
-                in_handover: sample.in_handover,
-            });
+        }
+        // 1b. Sender-side health clocks and the switch decision.
+        if let Some(s) = &mut self.scheduler {
+            s.on_tick(now, &mut self.legs, &mut self.metrics);
         }
 
-        // 2. Encoder: produce frames while the flight lasts.
+        // 2. Encoder: produce frames while the flight lasts; a frame is
+        // packetized and staged with the CC once its encode latency ran.
         if now < flight_end {
             while let Some(frame) = self.encoder.poll(now) {
                 self.pending_frames.push_back(frame);
@@ -445,106 +495,182 @@ impl Simulation {
             let Some(frame) = self.pending_frames.pop_front() else {
                 break;
             };
-            let mut packets = std::mem::take(&mut self.pkt_scratch);
+            let packets = &mut self.pkt_scratch;
             self.packetizer
-                .packetize_into(frame.meta, frame.meta.encode_time, &mut packets);
-            self.cc.enqueue_drain(now, &mut packets);
-            self.pkt_scratch = packets;
+                .packetize_into(frame.meta, frame.meta.encode_time, packets);
+            match &mut self.scheduler {
+                Some(s) => s.admit(
+                    now,
+                    frame.meta.keyframe,
+                    packets,
+                    &mut self.cc,
+                    &mut self.legs,
+                    &mut self.metrics,
+                ),
+                None => self.cc.enqueue_leg_drain(0, now, packets),
+            }
         }
 
         // 3. Feedback-starvation watchdogs, then CC-gated transmission.
         // The watchdogs run on the driver tick: they are what lets the
         // sender react to a feedback blackout at all, so the encoder target
-        // must follow their cap, not just the feedback arrivals.
+        // must follow their cap, not just the feedback arrivals. With
+        // repair enabled a packet enters the RTX history ring *before* any
+        // loss draw — retransmission exists precisely for packets the
+        // network ate.
         let target = self.cc.on_tick(now);
         self.encoder.set_target_bitrate(target);
-        while let Some(p) = self.cc.poll_transmit(now) {
-            Self::send_media(
-                MediaTx {
-                    uplink: &mut self.uplink,
-                    netem_seq: &mut self.netem_seq,
-                    metrics: &mut self.metrics,
-                    extra_loss_rng: &mut self.extra_loss_rng,
-                    rtx: if self.config.repair {
-                        Some(&mut self.rtx)
-                    } else {
-                        None
-                    },
-                },
-                self.extra_loss_prob,
-                now,
-                p,
-            );
+        if let Some(s) = &mut self.scheduler {
+            s.flush_parity(now, &mut self.legs, &mut self.metrics);
+        }
+        for engine in 0..self.cc.n_legs() {
+            while let Some(rtp) = self.cc.poll_transmit_leg(engine, now) {
+                self.metrics.media_sent += 1;
+                if self.config.repair {
+                    self.rtx.record(&rtp);
+                }
+                match &mut self.scheduler {
+                    Some(s) => {
+                        let pinned = s.coupled().then_some(engine);
+                        s.send(now, pinned, &rtp, &mut self.legs, &mut self.metrics);
+                    }
+                    None => self.legs[0].send_media(now, &rtp),
+                }
+            }
         }
 
         // 3b. Sender-side repair budget: the RTX token bucket refills at a
         // fraction of whatever the CC currently targets, so repair can
-        // never starve fresh media.
+        // never starve fresh media. Then the keep-warm probes.
         if self.config.repair {
             self.rtx.refill(now, self.cc.target_bps());
+        }
+        if let Some(s) = &mut self.scheduler {
+            s.probe(now, &mut self.legs, &mut self.metrics);
         }
 
         // 4. Uplink arrivals at the server. Corrupted packets are not
         // silently dropped: the damaged bytes go to the hardened parsers,
         // which either reject them (counted as malformed) or survive the
         // flip — exactly what a real receiver without UDP checksums sees.
+        let monitored = self.scheduler.is_some();
         let mut arrivals = std::mem::take(&mut self.arrivals);
-        self.uplink.drain_due(now, &mut arrivals);
-        for pkt in arrivals.drain(..) {
-            if pkt.corrupted {
-                self.metrics.corrupted_arrivals += 1;
-            }
-            let rtp = match RtpPacket::parse(pkt.payload.clone()) {
-                Ok(rtp) => rtp,
-                Err(_) => {
+        for (li, leg) in self.legs.iter_mut().enumerate() {
+            leg.uplink.drain_due(now, &mut arrivals);
+            for pkt in arrivals.drain(..) {
+                if pkt.corrupted {
+                    self.metrics.corrupted_arrivals += 1;
+                }
+                if monitored {
+                    leg.on_arrival(now, &pkt);
+                    if pkt.kind == PacketKind::Probe {
+                        continue;
+                    }
+                }
+                let Ok(rtp) = RtpPacket::parse(pkt.payload) else {
                     self.metrics.malformed_packets += 1;
                     continue;
-                }
-            };
-            let owd_ms = now.saturating_since(pkt.sent_at).as_millis_f64();
-            // Classify against the gap tracker before any accounting: a
-            // duplicate delivery (network dup, or an RTX racing its
-            // reordered original) must not count as received media twice.
-            match self.nack_gen.on_packet(now, rtp.sequence) {
-                Arrival::Stale => {
-                    self.metrics.duplicate_packets += 1;
-                    continue;
-                }
-                Arrival::Late => self.metrics.late_packets += 1,
-                Arrival::InOrder | Arrival::Reordered | Arrival::Recovered => {}
-            }
-            self.nack_gen
-                .set_rtt_hint(SimDuration::from_micros((owd_ms * 2_000.0) as u64));
-            self.metrics.owd.push((now, owd_ms));
-            self.metrics.media_received += 1;
-            self.metrics.media_received_bytes += rtp.payload.len() as u64;
-            // Graceful degradation: delivery resuming after a long gap
-            // means an outage happened — inflate the jitter target so
-            // subsequent jitter from the recovering link is absorbed
-            // instead of causing skips.
-            if let Some(prev) = self.last_media_arrival {
-                if now.saturating_since(prev) >= OUTAGE_GAP {
-                    if self.jitter_level < JITTER_MAX_LEVEL {
-                        self.jitter_level += 1;
-                        self.metrics.jitter_inflations += 1;
-                        self.apply_jitter_target();
-                    }
-                    self.last_jitter_event = now;
-                }
-            }
-            self.last_media_arrival = Some(now);
-            match self.config.cc {
-                CcMode::Gcc => {
-                    if let Some(ts) = rtp.transport_seq {
-                        self.twcc_rec.on_packet(ts, now);
+                };
+                if let Some(reassembly) = &mut self.reassembly {
+                    if rtp.payload_type == RS_FEC_PAYLOAD_TYPE {
+                        // Parity stream: queued against the playout
+                        // deadline, never enters the media pipeline.
+                        match RsParityPacket::parse_payload(rtp.payload) {
+                            Ok(fp) => reassembly.push_parity(now + FEC_RECOVERY_DEADLINE, fp),
+                            Err(_) => self.metrics.malformed_packets += 1,
+                        }
+                        continue;
                     }
                 }
-                CcMode::Scream { .. } => {
-                    self.ccfb.on_packet(rtp.sequence, now);
+                if let Some(seen) = &mut self.first_copy {
+                    if !seen.insert(rtp.sequence, rtp.timestamp) {
+                        self.metrics.duplicate_packets += 1;
+                        continue;
+                    }
                 }
-                CcMode::Static { .. } => {}
+                let owd_ms = now.saturating_since(pkt.sent_at).as_millis_f64();
+                // Classify against the gap tracker before any accounting: a
+                // duplicate delivery (network dup, or an RTX racing its
+                // reordered original) must not count as received media twice.
+                match self.nack_gen.on_packet(now, rtp.sequence) {
+                    Arrival::Stale => {
+                        self.metrics.duplicate_packets += 1;
+                        continue;
+                    }
+                    Arrival::Late => self.metrics.late_packets += 1,
+                    Arrival::InOrder | Arrival::Reordered | Arrival::Recovered => {}
+                }
+                self.nack_gen
+                    .set_rtt_hint(SimDuration::from_micros((owd_ms * 2_000.0) as u64));
+                self.metrics.owd.push((now, owd_ms));
+                self.metrics.media_received += 1;
+                self.metrics.media_received_bytes += rtp.payload.len() as u64;
+                // Graceful degradation: delivery resuming after a long gap
+                // means an outage happened — inflate the jitter target so
+                // subsequent jitter from the recovering link is absorbed
+                // instead of causing skips. The NACK generator's playout
+                // budget tracks it: an inflated buffer buys retransmissions
+                // more time to make their deadline.
+                if let Some(prev) = self.last_media_arrival {
+                    if now.saturating_since(prev) >= OUTAGE_GAP {
+                        if self.jitter_level < JITTER_MAX_LEVEL {
+                            self.jitter_level += 1;
+                            self.metrics.jitter_inflations += 1;
+                            let target = jitter_target(self.jitter_base_target, self.jitter_level);
+                            self.jitter.set_target(target);
+                            self.nack_gen.set_playout_budget(target);
+                        }
+                        self.last_jitter_event = now;
+                    }
+                }
+                self.last_media_arrival = Some(now);
+                self.last_media_leg = li;
+                let (twcc, ccfb) = &mut self.recorders[li.min(self.cc.n_legs() - 1)];
+                match self.config.cc {
+                    CcMode::Gcc => {
+                        if let Some(ts) = rtp.transport_seq {
+                            twcc.on_packet(ts, now);
+                        }
+                    }
+                    CcMode::Scream { .. } => ccfb.on_packet(rtp.sequence, now),
+                    CcMode::Static { .. } => {}
+                }
+                if let Some(reassembly) = &mut self.reassembly {
+                    // Cross-leg reorder accounting on the unwrapped
+                    // sequence, then into the bounded reassembly window.
+                    match self.highest_useq.map(|h| (h, unwrap_seq(h, rtp.sequence))) {
+                        Some((h, u)) if u < h => self.metrics.reorder_buffered += 1,
+                        Some((_, u)) => self.highest_useq = Some(u),
+                        None => self.highest_useq = Some(u64::from(rtp.sequence)),
+                    }
+                    reassembly.push_media(&rtp);
+                }
+                self.jitter.push(now, rtp);
             }
-            self.jitter.push(now, rtp);
+        }
+        // 4a. FEC recovery, before the NACK/RTX path ever spends a round
+        // trip on the holes.
+        if let (Some(reassembly), Some(seen)) = (&mut self.reassembly, &mut self.first_copy) {
+            reassembly.recover(now, |rec, multi| {
+                if !seen.insert(rec.sequence, rec.timestamp) {
+                    // The original landed after all (late copy or an
+                    // RTX won the race): nothing left to repair.
+                    return false;
+                }
+                self.metrics.fec_recovered += 1;
+                if multi {
+                    // XOR could never have repaired this packet: its
+                    // group lost more than one member.
+                    self.metrics.fec_multi_recovered += 1;
+                }
+                self.metrics.media_received += 1;
+                self.metrics.media_received_bytes += rec.payload.len() as u64;
+                // Cancels any pending retransmission request for this
+                // sequence.
+                self.nack_gen.on_packet(now, rec.sequence);
+                self.jitter.push(now, rec.clone());
+                true
+            });
         }
         // Sustained clean delivery lets the inflated jitter target decay
         // back toward its base, one level at a time.
@@ -552,7 +678,9 @@ impl Simulation {
             && now.saturating_since(self.last_jitter_event) >= JITTER_DECAY_AFTER
         {
             self.jitter_level -= 1;
-            self.apply_jitter_target();
+            let target = jitter_target(self.jitter_base_target, self.jitter_level);
+            self.jitter.set_target(target);
+            self.nack_gen.set_playout_budget(target);
             self.last_jitter_event = now;
         }
         // 4b. Receiver-side repair: emit the next debounced NACK batch.
@@ -561,79 +689,85 @@ impl Simulation {
         // reference-break → PLI path below.
         if self.config.repair {
             if let Some(nack) = self.nack_gen.poll(now) {
-                self.netem_seq += 1;
-                self.downlink.enqueue(
-                    now,
-                    Packet::new(self.netem_seq, nack.serialize(), PacketKind::Feedback, now),
-                );
+                self.legs[self.last_media_leg].send_down(now, nack.serialize());
             }
         }
 
-        // 5. Receiver feedback timers.
+        // 5. Receiver feedback timers: each engine's CC feedback (on its
+        // own leg when coupled), then the per-leg path reports.
         if now >= self.next_feedback {
-            match self.config.cc {
-                CcMode::Static { .. } => {
-                    self.next_feedback = SimTime::MAX; // no feedback stream
-                }
-                CcMode::Gcc => {
-                    self.next_feedback = now + TWCC_INTERVAL;
-                    if self.twcc_rec.build_feedback_into(&mut self.twcc_fb) {
-                        let wire = self.twcc_fb.serialize();
-                        self.netem_seq += 1;
-                        self.downlink.enqueue(
-                            now,
-                            Packet::new(self.netem_seq, wire, PacketKind::Feedback, now),
-                        );
-                    }
-                }
-                CcMode::Scream { .. } => {
-                    self.next_feedback = now + CCFB_INTERVAL;
-                    if self.ccfb.build_into(now, &mut self.ccfb_pkt) {
-                        let wire = self.ccfb_pkt.serialize();
-                        self.netem_seq += 1;
-                        self.downlink.enqueue(
-                            now,
-                            Packet::new(self.netem_seq, wire, PacketKind::Feedback, now),
-                        );
-                    }
+            // Static has no feedback stream.
+            self.next_feedback = self
+                .cc
+                .feedback_interval()
+                .map_or(SimTime::MAX, |interval| now + interval);
+            let coupled = self.recorders.len() > 1;
+            for (engine, (twcc, ccfb)) in self.recorders.iter_mut().enumerate() {
+                let wire = match self.config.cc {
+                    CcMode::Gcc => twcc
+                        .build_feedback_into(&mut self.twcc_fb)
+                        .then(|| self.twcc_fb.serialize()),
+                    CcMode::Scream { .. } => ccfb
+                        .build_into(now, &mut self.ccfb_pkt)
+                        .then(|| self.ccfb_pkt.serialize()),
+                    CcMode::Static { .. } => None,
+                };
+                if let Some(wire) = wire {
+                    let li = if coupled { engine } else { self.last_media_leg };
+                    self.legs[li].send_down(now, wire);
                 }
             }
         }
+        if monitored {
+            for (li, leg) in self.legs.iter_mut().enumerate() {
+                leg.poll_report(now, li);
+            }
+        }
 
-        // 6. Feedback arrivals at the sender. PLIs ride the same RTCP
-        // stream as the transport feedback and are discriminated by their
-        // FMT/PT bytes; they work under every CC mode, including Static.
-        self.downlink.drain_due(now, &mut arrivals);
-        for pkt in arrivals.drain(..) {
-            if pkt.corrupted {
-                self.metrics.corrupted_arrivals += 1;
-            }
-            if Pli::parse(pkt.payload.clone()).is_ok() {
-                self.encoder.force_keyframe();
-                self.metrics.plis_received += 1;
-                continue;
-            }
-            if let Ok(nack) = Nack::parse(pkt.payload.clone()) {
-                // Retransmit verbatim from the history ring, within the
-                // repair budget. RTX rides the media direction but is not
-                // fresh media: it is neither re-counted as sent nor given
-                // a transport-wide sequence, so CC feedback ignores it.
-                if self.config.repair {
-                    for p in self.rtx.on_nack(&nack) {
-                        self.netem_seq += 1;
-                        let wire = p.serialize();
-                        self.uplink.enqueue(
-                            now,
-                            Packet::new(self.netem_seq, wire, PacketKind::Media, now),
-                        );
+        // 6. Feedback arrivals at the sender, from any leg. PLIs ride the
+        // same RTCP stream as the transport feedback and are discriminated
+        // by their FMT/PT bytes; they work under every CC mode, including
+        // Static. Path reports feed the leg's health.
+        for (li, leg) in self.legs.iter_mut().enumerate() {
+            leg.downlink.drain_due(now, &mut arrivals);
+            for pkt in arrivals.drain(..) {
+                if pkt.corrupted {
+                    self.metrics.corrupted_arrivals += 1;
+                }
+                if Pli::parse(pkt.payload.clone()).is_ok() {
+                    self.encoder.force_keyframe();
+                    self.metrics.plis_received += 1;
+                    continue;
+                }
+                if monitored {
+                    if let Ok(report) = PathReport::parse(pkt.payload.clone()) {
+                        self.metrics.path_reports_received += 1;
+                        leg.on_report(now, report, pkt.sent_at);
+                        continue;
                     }
                 }
-                continue;
-            }
-            if self.cc.on_feedback(pkt.payload.clone(), now) {
-                self.encoder.set_target_bitrate(self.cc.target_bps());
-            } else {
-                self.metrics.malformed_packets += 1;
+                if Nack::parse_into(pkt.payload.clone(), &mut self.nack_rx).is_ok() {
+                    // Retransmit verbatim from the history ring, within the
+                    // repair budget, on the leg whose feedback carried the
+                    // request — known to be delivering. RTX rides the media
+                    // direction but is not fresh media: it is neither
+                    // re-counted as sent nor given a transport-wide
+                    // sequence, so CC feedback ignores it.
+                    if self.config.repair {
+                        self.rtx.on_nack_into(&self.nack_rx, &mut self.pkt_scratch);
+                        for p in self.pkt_scratch.drain(..) {
+                            leg.send_up(now, p.serialize(), PacketKind::Media);
+                        }
+                    }
+                    continue;
+                }
+                // Each leg's feedback goes to its own shadow engine.
+                let engine = li.min(self.cc.n_legs() - 1);
+                if self.cc.on_feedback_leg(engine, pkt.payload, now) {
+                    self.encoder.set_target_bitrate(self.cc.target_bps());
+                } else {
+                    self.metrics.malformed_packets += 1;
+                }
             }
         }
 
@@ -703,11 +837,7 @@ impl Simulation {
                 sender_ssrc: RECEIVER_SSRC,
                 media_ssrc: MEDIA_SSRC,
             };
-            self.netem_seq += 1;
-            self.downlink.enqueue(
-                now,
-                Packet::new(self.netem_seq, pli.serialize(), PacketKind::Feedback, now),
-            );
+            self.legs[self.last_media_leg].send_down(now, pli.serialize());
             self.metrics.plis_sent += 1;
             self.last_pli = Some(now);
         }
@@ -715,41 +845,16 @@ impl Simulation {
         self.arrivals = arrivals;
     }
 
-    /// Re-derive the jitter target from the base and the inflation level.
-    /// The NACK generator's playout budget tracks it: an inflated buffer
-    /// buys retransmissions more time to make their deadline.
-    fn apply_jitter_target(&mut self) {
-        let factor = JITTER_INFLATE_FACTOR.powi(self.jitter_level as i32);
-        let us = self.jitter_base_target.as_millis_f64() * factor * 1_000.0;
-        let target = SimDuration::from_micros(us as u64);
-        self.jitter.set_target(target);
-        self.nack_gen.set_playout_budget(target);
-    }
-
-    /// Offer one media packet to the uplink, applying the altitude loss.
-    /// With repair enabled the packet enters the RTX history ring *before*
-    /// the loss draw — retransmission exists precisely for packets the
-    /// network ate.
-    fn send_media(tx: MediaTx<'_>, extra_loss_prob: f64, now: SimTime, rtp: RtpPacket) {
-        tx.metrics.media_sent += 1;
-        if let Some(rtx) = tx.rtx {
-            rtx.record(&rtp);
-        }
-        if tx.extra_loss_rng.chance(extra_loss_prob) {
-            return; // high-altitude loss event (§4.2.1)
-        }
-        *tx.netem_seq += 1;
-        let wire = rtp.serialize();
-        tx.uplink.enqueue(
-            now,
-            Packet::new(*tx.netem_seq, wire, PacketKind::Media, now),
-        );
-    }
-
     /// Access the configuration.
     pub fn config(&self) -> &ExperimentConfig {
         &self.config
     }
+}
+
+/// The jitter target at an inflation level.
+fn jitter_target(base: SimDuration, level: u32) -> SimDuration {
+    let factor = JITTER_INFLATE_FACTOR.powi(level as i32);
+    SimDuration::from_micros((base.as_millis_f64() * factor * 1_000.0) as u64)
 }
 
 #[cfg(test)]
@@ -842,6 +947,25 @@ mod tests {
         assert_eq!(a.media_received, b.media_received);
         assert_eq!(a.handovers.len(), b.handovers.len());
         assert_eq!(a.frames.len(), b.frames.len());
+    }
+
+    #[test]
+    fn leg_script_reorder_windows_reach_the_feedback_direction() {
+        let cfg = ExperimentConfig::builder()
+            .cc(CcMode::Gcc)
+            .seed(0xC0FFEE)
+            .hold_secs(1)
+            .build();
+        let script =
+            FaultScript::new().reorder_window(SimTime::ZERO, SimDuration::from_secs(60), 0.2, 4);
+        let mut sim =
+            Simulation::multipath(cfg, MultipathScheme::Failover, vec![None, Some(script)]);
+        sim.run_loop(false, &mut 0);
+        // The standby carries probes up and path reports down.
+        let held = |p: &rpav_netem::Path| p.reorder_stats().map(|s| s.held);
+        assert!(held(&sim.legs[1].uplink) > Some(0));
+        assert!(held(&sim.legs[1].downlink) > Some(0));
+        assert_eq!(held(&sim.legs[0].downlink), None);
     }
 
     #[test]

@@ -81,7 +81,24 @@ impl Nack {
 
     /// Parse from wire bytes. Total: returns a typed [`ParseError`] when
     /// the bytes are not a generic NACK, never panics.
-    pub fn parse(mut data: Bytes) -> Result<Nack, ParseError> {
+    pub fn parse(data: Bytes) -> Result<Nack, ParseError> {
+        let mut nack = Nack::empty();
+        Self::parse_into(data, &mut nack).map(|()| nack)
+    }
+
+    /// A NACK naming nothing — the value to reuse with
+    /// [`parse_into`](Self::parse_into).
+    pub fn empty() -> Nack {
+        Nack {
+            sender_ssrc: 0,
+            media_ssrc: 0,
+            lost: Vec::new(),
+        }
+    }
+
+    /// [`parse`](Self::parse) into a reusable value (the loss vector keeps
+    /// its capacity). `out` is only written once the header checks pass.
+    pub fn parse_into(mut data: Bytes, out: &mut Nack) -> Result<(), ParseError> {
         if data.len() < 12 {
             return Err(ParseError::Truncated {
                 needed: 12,
@@ -106,23 +123,23 @@ impl Nack {
                 reason: "FCI not a multiple of 4 bytes",
             });
         }
-        // One allocation: an entry names at most 17 sequence numbers.
-        let mut lost = Vec::with_capacity(data.len() / 4 * 17);
+        out.sender_ssrc = sender_ssrc;
+        out.media_ssrc = media_ssrc;
+        out.lost.clear();
+        // At most one allocation: an entry names at most 17 sequence
+        // numbers.
+        out.lost.reserve(data.len() / 4 * 17);
         while data.len() >= 4 {
             let pid = data.get_u16();
             let blp = data.get_u16();
-            lost.push(pid);
+            out.lost.push(pid);
             for bit in 0..16u16 {
                 if blp & (1 << bit) != 0 {
-                    lost.push(pid.wrapping_add(bit + 1));
+                    out.lost.push(pid.wrapping_add(bit + 1));
                 }
             }
         }
-        Ok(Nack {
-            sender_ssrc,
-            media_ssrc,
-            lost,
-        })
+        Ok(())
     }
 }
 

@@ -157,8 +157,14 @@ impl RtxSender {
     /// Handle one NACK: returns the packets to retransmit, with the
     /// transport-wide extension stripped so CC feedback ignores them.
     pub fn on_nack(&mut self, nack: &Nack) -> Vec<RtpPacket> {
-        self.stats.nacks_received += 1;
         let mut out = Vec::with_capacity(nack.lost.len());
+        self.on_nack_into(nack, &mut out);
+        out
+    }
+
+    /// [`on_nack`](Self::on_nack), appending to a caller-kept buffer.
+    pub fn on_nack_into(&mut self, nack: &Nack, out: &mut Vec<RtpPacket>) {
+        self.stats.nacks_received += 1;
         for &seq in &nack.lost {
             self.stats.seqs_requested += 1;
             let offset = seq.wrapping_sub(self.base_seq) as usize;
@@ -179,7 +185,6 @@ impl RtxSender {
             self.stats.bytes_retransmitted += rtx.wire_size() as u64;
             out.push(rtx);
         }
-        out
     }
 }
 

@@ -8,6 +8,7 @@
 //! recovery chain — feedback-starvation watchdog, PLI → forced IDR, and
 //! jitter-target inflation.
 
+use rpav_core::multipath::run_multipath_legs;
 use rpav_core::prelude::*;
 use rpav_netem::FaultScript;
 use rpav_sim::{SimDuration, SimTime};
@@ -74,4 +75,44 @@ fn scream_survives_five_second_blackout() {
     assert_recovered(&metrics, "SCReAM");
     assert!(metrics.watchdog_activations >= 1, "watchdog never armed in");
     assert!(metrics.plis_sent >= 1, "receiver never sent a PLI");
+}
+
+#[test]
+fn multipath_cells_inherit_the_recovery_chain_and_its_counters() {
+    // The same hostile link — a blackout, then a loss burst and a
+    // bit-corruption window — under the single-operator session and as
+    // leg 0's script of a multipath one: every mechanism and counter the
+    // first has, the second has too.
+    let cfg = ExperimentConfig::builder()
+        .environment(Environment::Urban)
+        .cc(CcMode::Gcc)
+        .seed(0x1AC_2022)
+        .hold_secs(1)
+        .repair(true)
+        .build();
+    let script = FaultScript::new()
+        .blackout(SimTime::from_secs(20), BLACKOUT_LEN)
+        .loss_window(
+            SimTime::from_secs(40),
+            SimDuration::from_secs(10),
+            0.2,
+            None,
+        )
+        .corrupt_window(
+            SimTime::from_secs(60),
+            SimDuration::from_secs(20),
+            0.05,
+            None,
+        );
+    let single = Simulation::new(cfg).with_link_script(script.clone()).run();
+    assert!(single.malformed_payloads > 0 && single.late_packets > 0);
+    for scheme in [MultipathScheme::SinglePath, MultipathScheme::Bonded] {
+        let m = run_multipath_legs(&cfg, scheme, vec![Some(script.clone()), None]);
+        let name = scheme.name();
+        assert_eq!(m.radio.len(), single.radio.len(), "{name}: radio trace");
+        assert!(m.malformed_payloads > 0, "{name}: malformed payloads");
+        assert!(m.late_packets > 0, "{name}: late packets");
+        assert!(m.plis_sent > 0, "{name}: receiver never sent a PLI");
+        assert!(m.forced_keyframes > 0, "{name}: sender never forced an IDR");
+    }
 }

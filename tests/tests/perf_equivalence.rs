@@ -4,13 +4,19 @@
 //! exactly — every OWD sample's f64 bit pattern, every handover record,
 //! every watchdog stat.
 //!
-//! The seeded matrix spans all three congestion controllers, both
-//! environments, both mobility profiles, and a hostile fault script
-//! (blackout + loss burst) — the states where deadline bookkeeping is
-//! hardest to get right. The multipath failover driver keeps its fixed
-//! tick, so its cell pins determinism under the scripted scheme instead.
+//! What each half proves. For **single-operator** sessions the two modes
+//! really differ — the adaptive run visits a strict subset of the grid
+//! (asserted below) — so the seeded matrix (all three congestion
+//! controllers, both environments, both mobility profiles, and a hostile
+//! blackout + loss-burst script, the states where deadline bookkeeping is
+//! hardest to get right) is an oracle for `next_deadline()`. A
+//! **multipath** session is the same loop with a monitoring plane, and
+//! the documented clamp makes it step every tick in both modes (also
+//! asserted): its cells prove that [`Cell::execute_with`] really hands
+//! its flag to every scheme and that nothing in the loop depends on
+//! which mode asked — not that ticks were skipped safely, because none
+//! are.
 
-use rpav_core::multipath::{run_multipath_legs, MultipathScheme};
 use rpav_core::prelude::*;
 use rpav_netem::FaultScript;
 use rpav_sim::{SimDuration, SimTime};
@@ -116,33 +122,30 @@ fn bonded_config(n_legs: usize, seed: u64) -> ExperimentConfig {
         .build()
 }
 
-/// The multipath driver keeps its fixed tick under both scheduler modes,
-/// so the cross-scheduler contract for a bonded cell is that
-/// [`Cell::execute_with`] produces the *same* canonical bytes whether the
-/// engine resolved the reference oracle or the adaptive scheduler — and
-/// that repeated runs reproduce exactly. These cells pin that for the
-/// configs the alloc work touched hardest: bonded N=2 and 4-leg striping
-/// with RTX repair and RS FEC both on.
+/// One cell, both scheduler modes, and a repeat: the same canonical
+/// bytes every time.
+fn assert_cell_bit_identical(cell: &Cell, label: &str) {
+    let adaptive = cell.execute_with(false).to_bytes();
+    let reference = cell.execute_with(true).to_bytes();
+    assert!(
+        adaptive == reference,
+        "{label}: diverged between the adaptive scheduler and the \
+         reference oracle ({} vs {} canonical bytes)",
+        adaptive.len(),
+        reference.len()
+    );
+    let again = cell.execute_with(false).to_bytes();
+    assert!(adaptive == again, "{label}: not reproducible byte-for-byte");
+}
+
+/// The configs the alloc work touched hardest: bonded N=2 and 4-leg
+/// striping with RTX repair and RS FEC both on.
 fn assert_bonded_bit_identical(n_legs: usize, seed: u64, label: &str) {
     let spec =
         MatrixSpec::new(bonded_config(n_legs, seed)).multipath_schemes([MultipathScheme::Bonded]);
     let cells = spec.expand();
     assert_eq!(cells.len(), 1, "{label}: expected a single expanded cell");
-    let cell = &cells[0];
-    let adaptive = cell.execute_with(false).to_bytes();
-    let reference = cell.execute_with(true).to_bytes();
-    assert!(
-        adaptive == reference,
-        "{label}: bonded cell diverged between the adaptive scheduler \
-         and the reference oracle ({} vs {} canonical bytes)",
-        adaptive.len(),
-        reference.len()
-    );
-    let again = cell.execute_with(false).to_bytes();
-    assert!(
-        adaptive == again,
-        "{label}: bonded cell is not reproducible byte-for-byte"
-    );
+    assert_cell_bit_identical(&cells[0], label);
 }
 
 #[test]
@@ -156,22 +159,29 @@ fn bonded_four_leg_repair_fec_is_bit_identical() {
 }
 
 #[test]
-fn failover_scheme_stays_deterministic_under_script() {
-    // The multipath driver is unchanged by the adaptive scheduler (it
-    // keeps the fixed tick); this cell pins that the scripted failover
-    // path still reproduces byte-for-byte, so the matrix the perf
-    // harness sweeps is deterministic end to end.
-    let cfg = config(CcMode::Gcc, Environment::Urban, Mobility::Air, 0xE0_0004);
-    let run = || {
-        run_multipath_legs(
-            &cfg,
-            MultipathScheme::Failover,
-            vec![Some(hostile_script()), None],
-        )
-        .to_bytes()
-    };
+fn every_multipath_scheme_is_bit_identical_under_a_hostile_leg_script() {
+    let cfg = config(CcMode::Gcc, Environment::Rural, Mobility::Air, 0xE0_0004);
+    let spec = MatrixSpec::new(cfg)
+        .multipath_schemes(MultipathScheme::all())
+        .faults([CellFault::legs("hostile", Some(hostile_script()), None)]);
+    let cells = spec.expand();
+    assert_eq!(cells.len(), MultipathScheme::all().len());
+    for cell in &cells {
+        assert_cell_bit_identical(cell, &cell.label());
+    }
+}
+
+#[test]
+fn single_path_skips_ticks_and_a_monitored_session_visits_every_one() {
+    let cfg = config(CcMode::Gcc, Environment::Rural, Mobility::Air, 0xE0_0007);
+    let (m, steps) = Simulation::new(cfg).run_instrumented();
+    let grid = (m.duration + SimDuration::from_secs(3))
+        .as_micros()
+        .div_ceil(1_000);
     assert!(
-        run() == run(),
-        "scripted failover run is not reproducible byte-for-byte"
+        steps < grid,
+        "single-operator run took {steps} steps on a {grid} ms grid"
     );
+    let monitored = Simulation::multipath(cfg, MultipathScheme::SinglePath, Vec::new());
+    assert_eq!(monitored.run_instrumented().1, grid);
 }
