@@ -34,7 +34,7 @@ use rpav_bench::{
 use rpav_core::multipath::{run_multipath_legs, MultipathScheme};
 use rpav_core::prelude::*;
 use rpav_netem::FaultScript;
-use rpav_rtp::fec::{rs_recover, FecGroup, RsGroup, RsParityPacket, MAX_RS_PARITY};
+use rpav_rtp::fec::{rs_recover, RsGroup, RsParityPacket, MAX_RS_PARITY};
 use rpav_rtp::RtpPacket;
 use rpav_sim::{SimDuration, SimTime};
 
@@ -60,10 +60,10 @@ fn print_row(section: &str, cc: &str, run: u64, label: &str, m: &RunMetrics) {
     print_bonding_row(section, cc, run, label, m, m.fec_multi_recovered);
 }
 
-/// Component-level proof that the RS layer out-repairs XOR: the same
-/// 8-packet group protected both ways, two members erased. The XOR
-/// parity (one shard) must refuse; two RS shards must return both.
-fn rs_beats_xor_component() {
+/// Component-level proof that a second shard buys burst repair: an
+/// 8-packet group with two RS shards, two members erased. One shard alone
+/// (all a single-parity code has) must refuse; both must return both.
+fn rs_burst_repair_component() {
     let media: Vec<RtpPacket> = (0..8u16)
         .map(|i| RtpPacket {
             marker: i == 7,
@@ -77,26 +77,23 @@ fn rs_beats_xor_component() {
         })
         .collect();
 
-    let mut xor = FecGroup::new();
     let mut rs = RsGroup::new();
     for p in &media {
-        assert!(xor.push(p));
         assert!(rs.push(p, 2));
     }
-    let xor_parity = xor.build().expect("xor group builds");
     let mut rs_parity: Vec<RsParityPacket> = Vec::with_capacity(MAX_RS_PARITY);
     rs.build_into(&mut rs_parity);
     assert_eq!(rs_parity.len(), 2);
 
     // Erase two consecutive members — the burst shape Gilbert–Elliott
-    // produces and the single XOR shard cannot span.
+    // produces and a single shard cannot span.
     let survivors: Vec<&RtpPacket> = media
         .iter()
         .filter(|p| p.sequence != 103 && p.sequence != 104)
         .collect();
     assert!(
-        xor_parity.recover(&survivors).is_none(),
-        "single-parity XOR repaired a two-loss burst — impossible"
+        rs_recover(&[&rs_parity[0]], survivors.iter().copied(), 0).is_none(),
+        "a single shard repaired a two-loss burst — impossible"
     );
     let refs: Vec<&RsParityPacket> = rs_parity.iter().collect();
     let recovered = rs_recover(&refs, survivors.iter().copied(), 0)
@@ -111,7 +108,7 @@ fn rs_beats_xor_component() {
         assert_eq!(rec.timestamp, orig.timestamp);
         assert_eq!(rec.marker, orig.marker);
     }
-    println!("    component: 2-erasure burst — XOR refuses, RS(2) repairs both\n");
+    println!("    component: 2-erasure burst — RS(1) refuses, RS(2) repairs both\n");
 }
 
 pub fn run(args: &crate::Args) {
@@ -126,7 +123,7 @@ pub fn run(args: &crate::Args) {
         CAP_SECONDARY / 1e6,
         runs
     );
-    rs_beats_xor_component();
+    rs_burst_repair_component();
     print_bonding_header("cell", "fecmr");
 
     // ---- (a) Proportional degradation as legs die 3 → 2 → 1 ----------

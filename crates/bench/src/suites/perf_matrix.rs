@@ -18,10 +18,14 @@
 //! (two-leg bonded sessions with FEC + repair armed, 1 s holds).
 //! `--smoke` skips only the full sweep. `--check <baseline.json>` then
 //! compares every section measured this run against the same section of
-//! the committed baseline and exits non-zero on a regression: cells/s
-//! dropping more than 25 % below baseline, or allocs/packet rising more
-//! than 25 % above it (plus a small absolute slack for sweeps that are
-//! already near zero). This is the CI perf gate.
+//! the committed baseline and exits non-zero on what cannot wobble:
+//! `ticks` or `packets` differing from the baseline at all (the sweeps
+//! are deterministic, so a behaviour change must arrive with a
+//! re-measured row), or allocs/packet rising more than 25 % above it
+//! (plus a small absolute slack for sweeps that are already near zero).
+//! The cells/s delta is printed, never gated: the baseline was taken on
+//! another machine and shared hosts swing by tens of per cent run to
+//! run. This is the CI perf gate.
 //!
 //! Output goes to stdout and to `BENCH_PIPELINE.json` in the current
 //! directory (`--out <file>` overrides the path).
@@ -32,8 +36,7 @@ use rpav_bench::{paper_ccs, paper_config};
 use rpav_core::prelude::*;
 use rpav_sim::alloc;
 
-/// The gate's relative band, in percent, on both cells/s and
-/// allocs/packet.
+/// The gate's relative band, in percent, on allocs/packet.
 const THRESHOLD: f64 = 25.0;
 
 /// Absolute slack on the allocs/packet gate: near-zero baselines would
@@ -203,6 +206,7 @@ pub fn run(args: &crate::Args) {
 
     if let Some(baseline) = baseline {
         let field = |section: &str, key: &str| baseline.get(section)?.get(key)?.as_f64();
+        let count = |section: &str, key: &str| baseline.get(section)?.get(key)?.as_u64();
         let mut failed = false;
         for m in &sections {
             let Some(base) = field(m.mode, "cells_per_s") else {
@@ -211,15 +215,22 @@ pub fn run(args: &crate::Args) {
             };
             let delta_pct = (m.cells_per_s - base) / base * 100.0;
             println!(
-                "{:<5} baseline {base:.2} cells/s → now {:.2} cells/s ({delta_pct:+.1} %)",
+                "{:<5} baseline {base:.2} cells/s → now {:.2} cells/s ({delta_pct:+.1} %, not gated)",
                 m.mode, m.cells_per_s
             );
-            if delta_pct < -THRESHOLD {
-                eprintln!(
-                    "PERF REGRESSION ({}): cells/s dropped more than {THRESHOLD}%",
-                    m.mode
-                );
-                failed = true;
+            // Work-counter gate: the sweeps are deterministic, so these
+            // are exact — any difference is a behaviour change, and must
+            // arrive with a re-measured baseline row.
+            for (key, now) in [("ticks", m.ticks), ("packets", m.packets)] {
+                let base = count(m.mode, key);
+                if base != Some(now) {
+                    eprintln!(
+                        "BEHAVIOUR CHANGE ({}): {key} {} → {now} — re-measure the baseline row",
+                        m.mode,
+                        base.map_or("absent".to_string(), |b| b.to_string())
+                    );
+                    failed = true;
+                }
             }
             // Allocation-churn gate: the sweeps are deterministic, so
             // allocs/packet is nearly noise-free — anything beyond the
@@ -243,6 +254,6 @@ pub fn run(args: &crate::Args) {
         if failed {
             std::process::exit(1);
         }
-        println!("within {THRESHOLD}% gate — ok");
+        println!("ticks and packets match the baseline, allocs/packet within {THRESHOLD}% — ok");
     }
 }

@@ -560,9 +560,9 @@ impl RunMetrics {
         w.into_bytes()
     }
 
-    /// [`to_bytes`](Self::to_bytes) into a caller-supplied writer, so a
-    /// per-worker scratch buffer (see `CellScratch`) absorbs the encode
-    /// allocation across a whole batch of cells.
+    /// [`to_bytes`](Self::to_bytes) into a caller-supplied writer, so the
+    /// engine's per-worker record buffer absorbs the encode allocation
+    /// across every cell the worker runs.
     pub fn write_into(&self, w: &mut ByteWriter) {
         w.buf.extend_from_slice(MAGIC);
         w.u32(FORMAT_VERSION);

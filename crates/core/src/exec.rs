@@ -13,10 +13,11 @@
 //! * [`CampaignEngine`] — a bounded `std::thread` pool (no external deps)
 //!   pulling cells off an atomic work queue and posting results back over
 //!   an `mpsc` channel into **submission-ordered** slots.
-//! * Per-cell result caching keyed by a [stable hash](Cell::key) of the
-//!   fully-expanded configuration: in-memory always, plus an opt-in
-//!   on-disk layer under `target/rpav-cache` (salted by the crate
-//!   version, so a rebuilt crate never replays stale metrics).
+//! * One opt-in result cache: a sealed on-disk record per cell under
+//!   `target/rpav-cache`, keyed by a [stable hash](Cell::key) of the
+//!   fully-expanded configuration (salted by the crate version, so a
+//!   rebuilt crate never replays stale metrics). The engine itself holds
+//!   no state between runs — the records are all there is.
 //!
 //! # Determinism contract
 //!
@@ -35,10 +36,10 @@
 //! keeps panicking becomes a typed [`CellOutcome::Failed`] poison record
 //! and the rest of the matrix completes. With the disk cache enabled,
 //! results are written atomically (tmp + fsync + rename) inside a CRC32
-//! envelope, completions are recorded in a per-campaign fsync'd journal,
-//! and a `kill -9` mid-campaign costs only the unfinished cells:
-//! re-running the identical spec resumes bit-identically. See
-//! [`CampaignEngine`] for the full contract.
+//! envelope, and a `kill -9` mid-campaign costs only the unfinished
+//! cells: re-running the identical spec hits every record that made it
+//! to disk and resumes bit-identically. See [`CampaignEngine`] for the
+//! full contract.
 //!
 //! # Environment knobs
 //!
@@ -46,14 +47,13 @@
 //!   parallelism; a set-but-invalid value warns and uses the default).
 //! * `RPAV_CACHE` — set to enable the durable on-disk cache (`1` → the
 //!   default `target/rpav-cache`, any other value → that directory).
-//!   The directory holds sealed `<key>.rpav` records, a
-//!   `journal-<spec>.rpavj` completion journal per campaign (the resume
-//!   manifest), and a `quarantine/` subdirectory of corrupt files that
-//!   were demoted to misses.
+//!   The directory holds sealed `<xx>/<key>.rpav` records and a
+//!   `quarantine/` subdirectory of corrupt files that were demoted to
+//!   misses.
 
 use std::collections::{BTreeMap, HashMap, HashSet};
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
@@ -61,7 +61,6 @@ use rpav_lte::{Environment, Operator};
 use rpav_netem::{FaultClause, FaultScript, PacketKind};
 
 use crate::codec::{fnv1a, ByteWriter};
-use crate::journal::CampaignJournal;
 use crate::metrics::RunMetrics;
 use crate::multipath::MultipathScheme;
 use crate::pipeline::Simulation;
@@ -453,7 +452,7 @@ pub struct Cell {
     /// The fault campaign.
     pub fault: CellFault,
     /// Memoised [`Cell::key`]: the canonical encoding is walked at most
-    /// once per cell, however many cache layers consult the key.
+    /// once per cell, however many callers consult the key.
     key_cache: OnceLock<u64>,
 }
 
@@ -711,8 +710,7 @@ pub enum CellOutcome {
     Done {
         /// The cell as expanded.
         cell: Cell,
-        /// Its metrics, shared with the engine's in-memory cache — a
-        /// cache hit hands out another reference instead of deep-copying
+        /// Its metrics, shared so an outcome clones without deep-copying
         /// the per-frame records.
         metrics: Arc<RunMetrics>,
         /// Whether the result was served from cache (no simulation ran).
@@ -804,19 +802,19 @@ pub struct CellFailure {
 /// invocation, plus the streaming [`CampaignAggregates`] every completed
 /// cell was folded into (in submission order, so the aggregate bytes are
 /// deterministic across job counts and kill/resume boundaries).
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct EngineReport {
     /// Cells in the matrix.
     pub cells: usize,
     /// Cells actually simulated.
     pub simulated: usize,
-    /// Cells served from cache (memory or disk).
+    /// Cells served from the durable cache — after a kill, the cells the
+    /// previous process had already completed.
     pub cached: usize,
     /// Cells poisoned after exhausting their retry budget.
     pub failed: usize,
-    /// Cells a previous (possibly killed) process had already completed
-    /// durably, per the campaign journal replayed at start.
-    pub resumed: usize,
+    /// Execution attempts repeated after a panic.
+    pub retries: usize,
     /// Corrupt/stale cache files quarantined during this invocation.
     pub quarantined: usize,
     /// Cells flagged by the stuck-cell watchdog (still counted once even
@@ -854,9 +852,6 @@ impl EngineReport {
         );
         if self.failed > 0 {
             s.push_str(&format!(" [{} poisoned]", self.failed));
-        }
-        if self.resumed > 0 {
-            s.push_str(&format!(" [resumed {}]", self.resumed));
         }
         if self.quarantined > 0 {
             s.push_str(&format!(" [{} quarantined]", self.quarantined));
@@ -939,14 +934,8 @@ impl MatrixResult {
 pub struct EngineOptions {
     /// Worker threads (`None` = the host's available parallelism).
     pub jobs: Option<usize>,
-    /// Cells claimed per worker dispatch (`None` = auto-size from the
-    /// matrix: big enough to amortise claim overhead and keep the
-    /// per-worker scratch warm, small enough that the tail stays
-    /// balanced). Purely a throughput knob — the submission-order result
-    /// frontier makes aggregates byte-identical for every batch size.
-    pub batch: Option<usize>,
-    /// Durable on-disk cache directory (`None` disables the disk layer,
-    /// the journal, and resume).
+    /// Durable on-disk cache directory (`None` disables the cache, and
+    /// with it resume).
     pub cache_dir: Option<PathBuf>,
     /// Execution attempts per cell before it is poisoned (≥ 1).
     pub max_attempts: u32,
@@ -962,7 +951,6 @@ impl Default for EngineOptions {
     fn default() -> Self {
         EngineOptions {
             jobs: None,
-            batch: None,
             cache_dir: None,
             max_attempts: 2,
             stuck_budget: Duration::from_secs(120),
@@ -978,8 +966,6 @@ impl EngineOptions {
     ///   value warns and auto-detects).
     /// * `RPAV_CACHE` — durable cache (`1` → `target/rpav-cache`, any
     ///   other non-empty value → that directory).
-    /// * `RPAV_BATCH` — cells claimed per worker dispatch (positive
-    ///   integer; invalid values warn and auto-size).
     /// * `RPAV_REFERENCE_TICK` — any value but `0` selects the 1 ms
     ///   reference scheduler.
     pub fn from_env() -> Self {
@@ -993,16 +979,6 @@ impl EngineOptions {
             },
             Err(_) => None,
         };
-        let batch = match std::env::var("RPAV_BATCH") {
-            Ok(v) => match v.parse::<usize>() {
-                Ok(n) if n > 0 => Some(n),
-                _ => {
-                    eprintln!("rpav: ignoring invalid RPAV_BATCH={v:?} — auto-sizing batches");
-                    None
-                }
-            },
-            Err(_) => None,
-        };
         let cache_dir = match std::env::var("RPAV_CACHE") {
             Ok(v) if v == "1" => Some(PathBuf::from("target/rpav-cache")),
             Ok(v) if !v.is_empty() => Some(PathBuf::from(v)),
@@ -1010,7 +986,6 @@ impl EngineOptions {
         };
         EngineOptions {
             jobs,
-            batch,
             cache_dir,
             reference_tick: Self::env_reference_tick(),
             ..EngineOptions::default()
@@ -1045,34 +1020,6 @@ impl EngineOptions {
 #[doc(hidden)]
 pub type FaultHook = Arc<dyn Fn(&Cell, u32) -> bool + Send + Sync>;
 
-/// Per-worker scratch that survives across the cells of a batch (and
-/// across batches — each worker thread owns one for its whole lifetime).
-/// Holds the buffers a cell completion needs that would otherwise be
-/// allocated per cell: today the durable-cache record buffer; the
-/// thread-local arena pool rides along for free because the worker thread
-/// itself persists. Reset after a panicked attempt so a poisoned cell
-/// can never leak partial state into the next one.
-#[derive(Default)]
-pub struct CellScratch {
-    /// Recycled buffer for one cache record (3–17 MB): the sealed file
-    /// being read on a hit, the payload being encoded on a store.
-    record: Vec<u8>,
-}
-
-impl CellScratch {
-    /// Fresh scratch (workers build one each at spawn).
-    pub fn new() -> Self {
-        CellScratch::default()
-    }
-
-    /// Drop any partially written state after a panicked attempt. Keeps
-    /// capacity: the point of the scratch is that steady-state batches
-    /// never touch the allocator.
-    fn reset(&mut self) {
-        self.record.clear();
-    }
-}
-
 /// Render a panic payload (the `&str`/`String` carried by virtually every
 /// `panic!`) for the poison record.
 fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
@@ -1085,48 +1032,33 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// What a worker posts back per cell.
-enum WorkerResult {
-    Done {
-        metrics: Arc<RunMetrics>,
-        cached: bool,
-        /// Whether the result is known to be durably on disk (a sealed
-        /// cache file survived or was just written+renamed) — only such
-        /// completions are journaled.
-        durable: bool,
-        attempts: u32,
-    },
-    Failed {
-        panic_msg: String,
-        attempts: u32,
-    },
+/// What a worker posts back per cell. The collector sums these into the
+/// run's [`EngineReport`]; nothing is counted anywhere else.
+struct WorkerResult {
+    /// The metrics, or the final attempt's panic message.
+    outcome: Result<Arc<RunMetrics>, String>,
+    /// Execution attempts consumed: 0 exactly when the cache served the
+    /// metrics.
+    attempts: u32,
+    /// Whether a corrupt cache record was quarantined on the way.
+    quarantined: bool,
 }
 
 /// Sharded on-disk location of one cache entry:
 /// `<dir>/<xx>/<key:016x>.rpav`, where `xx` is the key's top byte in hex —
 /// a 256-way fan-out so million-entry campaigns never pile every record
 /// into one directory.
-pub fn cache_entry_path(dir: &std::path::Path, key: u64) -> PathBuf {
+pub fn cache_entry_path(dir: &Path, key: u64) -> PathBuf {
     dir.join(format!("{:02x}", (key >> 56) as u8))
         .join(format!("{key:016x}.rpav"))
 }
 
-/// Stable campaign identity: FNV-1a over the cell count and every cell's
-/// [key](Cell::key), in submission order. Two processes expanding the
-/// same `MatrixSpec` agree on it; any axis edit changes it.
-fn spec_hash(cells: &[Cell]) -> u64 {
-    let mut w = ByteWriter::new();
-    w.u64(cells.len() as u64);
-    for cell in cells {
-        w.u64(cell.key());
-    }
-    fnv1a(&w.into_bytes())
-}
-
-/// The bounded-thread-pool matrix executor. Create one per binary and
-/// reuse it across [`run`](Self::run) calls — the in-memory cache
-/// persists on the engine, so re-running a matrix after editing one axis
-/// only simulates the changed cells.
+/// The bounded-thread-pool matrix executor: its [`EngineOptions`] and
+/// nothing else. It holds no state between [`run`](Self::run) calls —
+/// the sealed records under the cache directory are the only thing one
+/// run leaves for the next, every count lives in that run's
+/// [`EngineReport`], and concurrent runs on one engine cannot disturb
+/// each other.
 ///
 /// # Crash safety
 ///
@@ -1135,30 +1067,22 @@ fn spec_hash(cells: &[Cell]) -> u64 {
 /// so a deterministic panic fails identically and a transient one — e.g.
 /// injected — recovers), then recorded as a typed
 /// [`CellOutcome::Failed`] poison record; the rest of the matrix always
-/// completes. A wall-clock watchdog flags cells running past
-/// [`with_stuck_budget`](Self::with_stuck_budget) on stderr and in
-/// [`EngineReport::stuck_flagged`] without killing them.
+/// completes. Cells running past
+/// [`with_stuck_budget`](Self::with_stuck_budget) of wall-clock time are
+/// flagged on stderr and in [`EngineReport::stuck_flagged`], never
+/// killed.
 ///
 /// With a cache directory, results are durable: sealed (CRC32-framed)
-/// records written to a tmp file, fsync'd, and renamed into place, plus a
-/// per-campaign fsync'd completion journal. Re-running an identical
-/// `MatrixSpec` after `kill -9` resumes from the completed cells and is
-/// bit-identical to an uninterrupted run. Corrupt, truncated, or
-/// stale-version cache files are quarantined to `<cache>/quarantine/`
-/// and treated as misses — never served, never fatal.
+/// records written to a tmp file, fsync'd, and renamed into place.
+/// Resuming is hitting them: re-running an identical `MatrixSpec` after
+/// `kill -9` serves every record that reached its final name, simulates
+/// the rest, and is bit-identical to an uninterrupted run. Corrupt,
+/// truncated, or stale-version cache files are quarantined to
+/// `<cache>/quarantine/` and treated as misses — never served, never
+/// fatal.
 pub struct CampaignEngine {
-    jobs: usize,
-    batch: Option<usize>,
-    cache_dir: Option<PathBuf>,
-    max_attempts: u32,
-    stuck_budget: Duration,
-    reference_tick: bool,
-    memory: Mutex<HashMap<u64, Arc<RunMetrics>>>,
-    simulated: AtomicU64,
-    cache_hits: AtomicU64,
-    retries: AtomicU64,
-    quarantined: AtomicU64,
-    stuck_flags: AtomicU64,
+    /// `jobs` is resolved (always `Some`) and `max_attempts` ≥ 1.
+    options: EngineOptions,
     fault_hook: Option<FaultHook>,
 }
 
@@ -1178,55 +1102,38 @@ impl CampaignEngine {
     /// Engine executing under explicit, already-parsed [`EngineOptions`] —
     /// the construction path of the daemon and of every binary that takes
     /// its knobs from a spec document instead of the environment.
-    pub fn with_options(options: EngineOptions) -> Self {
+    pub fn with_options(mut options: EngineOptions) -> Self {
+        options.jobs = Some(options.resolved_jobs().max(1));
+        options.max_attempts = options.max_attempts.max(1);
         CampaignEngine {
-            jobs: options.resolved_jobs(),
-            batch: options.batch,
-            cache_dir: options.cache_dir,
-            max_attempts: options.max_attempts.max(1),
-            stuck_budget: options.stuck_budget,
-            reference_tick: options.reference_tick,
-            memory: Mutex::new(HashMap::new()),
-            simulated: AtomicU64::new(0),
-            cache_hits: AtomicU64::new(0),
-            retries: AtomicU64::new(0),
-            quarantined: AtomicU64::new(0),
-            stuck_flags: AtomicU64::new(0),
+            options,
             fault_hook: None,
         }
     }
 
     /// Override the worker count (`--jobs`).
     pub fn with_jobs(mut self, jobs: usize) -> Self {
-        self.jobs = jobs.max(1);
-        self
-    }
-
-    /// Override the per-dispatch cell batch size (`None` auto-sizes).
-    /// Aggregates are byte-identical for every value — batching only
-    /// changes how work is claimed, never the fold order.
-    pub fn with_batch(mut self, batch: Option<usize>) -> Self {
-        self.batch = batch.map(|b| b.max(1));
+        self.options.jobs = Some(jobs.max(1));
         self
     }
 
     /// Override the on-disk cache directory (`None` disables it).
     pub fn with_cache_dir(mut self, dir: Option<PathBuf>) -> Self {
-        self.cache_dir = dir;
+        self.options.cache_dir = dir;
         self
     }
 
     /// Execution attempts per cell before it is poisoned (≥ 1,
     /// default 2: one retry).
     pub fn with_max_attempts(mut self, attempts: u32) -> Self {
-        self.max_attempts = attempts.max(1);
+        self.options.max_attempts = attempts.max(1);
         self
     }
 
-    /// Wall-clock budget after which a still-running cell is flagged by
-    /// the watchdog (default 120 s). Flagging never kills the cell.
+    /// Wall-clock budget after which a still-running cell is flagged
+    /// (default 120 s). Flagging never kills the cell.
     pub fn with_stuck_budget(mut self, budget: Duration) -> Self {
-        self.stuck_budget = budget;
+        self.options.stuck_budget = budget;
         self
     }
 
@@ -1239,34 +1146,7 @@ impl CampaignEngine {
 
     /// The worker count in force.
     pub fn jobs(&self) -> usize {
-        self.jobs
-    }
-
-    /// Total simulations executed over the engine's lifetime (cache hits
-    /// excluded) — the counter the zero-resimulation test asserts on.
-    pub fn simulations(&self) -> u64 {
-        self.simulated.load(Ordering::Relaxed)
-    }
-
-    /// Total cache hits (memory or disk) over the engine's lifetime.
-    pub fn cache_hits(&self) -> u64 {
-        self.cache_hits.load(Ordering::Relaxed)
-    }
-
-    /// Total panic retries over the engine's lifetime.
-    pub fn retries(&self) -> u64 {
-        self.retries.load(Ordering::Relaxed)
-    }
-
-    /// Total cache files quarantined over the engine's lifetime.
-    pub fn quarantined(&self) -> u64 {
-        self.quarantined.load(Ordering::Relaxed)
-    }
-
-    /// Entries currently held by the in-memory result cache — the
-    /// flat-memory assertions of the streaming mode read this.
-    pub fn memory_entries(&self) -> usize {
-        self.memory.lock().unwrap().len()
+        self.options.resolved_jobs()
     }
 
     /// Execute every cell of `spec` and collect submission-ordered
@@ -1279,15 +1159,14 @@ impl CampaignEngine {
     /// as [`MatrixSpec::expand`] produces).
     pub fn run_cells(&self, cells: Vec<Cell>) -> MatrixResult {
         let mut outcomes = Vec::with_capacity(cells.len());
-        let report = self.drive(&cells, true, &mut |o| outcomes.push(o));
+        let report = self.drive(&cells, &mut |o| outcomes.push(o));
         MatrixResult { outcomes, report }
     }
 
     /// Execute every cell of `spec` without retaining any per-cell
     /// metrics: outcomes are folded into the report's streaming
-    /// [`CampaignAggregates`] and dropped, and the in-memory cache is not
-    /// populated — peak memory is flat in the cell count (the engine's
-    /// 1M-cell mode).
+    /// [`CampaignAggregates`] and dropped — peak memory is flat in the
+    /// cell count (the engine's 1M-cell mode).
     pub fn run_streaming(&self, spec: &MatrixSpec) -> StreamSummary {
         self.run_cells_streaming(spec.expand())
     }
@@ -1311,7 +1190,7 @@ impl CampaignEngine {
         observe: &mut dyn FnMut(&CellOutcome),
     ) -> StreamSummary {
         let mut failures = Vec::new();
-        let report = self.drive(&cells, false, &mut |o| {
+        let report = self.drive(&cells, &mut |o| {
             observe(&o);
             if let CellOutcome::Failed {
                 cell,
@@ -1331,52 +1210,19 @@ impl CampaignEngine {
 
     /// The engine core: run `cells` on the pool, deliver outcomes to
     /// `sink` in **submission order** (a frontier reorders the
-    /// completion-ordered channel), fold aggregates, journal durable
-    /// completions, and watch for stuck cells.
-    fn drive(
-        &self,
-        cells: &[Cell],
-        store_memory: bool,
-        sink: &mut dyn FnMut(CellOutcome),
-    ) -> EngineReport {
+    /// completion-ordered channel), fold aggregates, count, and flag
+    /// stuck cells. Returns when the last result is folded.
+    fn drive(&self, cells: &[Cell], sink: &mut dyn FnMut(CellOutcome)) -> EngineReport {
         let started = Instant::now();
-        let n = cells.len();
-        let workers = self.jobs.min(n.max(1));
-        let simulated_before = self.simulations();
-        let quarantined_before = self.quarantined.load(Ordering::Relaxed);
-        let stuck_before = self.stuck_flags.load(Ordering::Relaxed);
+        let workers = self.jobs().min(cells.len().max(1));
+        let mut report = EngineReport {
+            cells: cells.len(),
+            jobs: workers,
+            ..EngineReport::default()
+        };
 
-        let mut journal = self.cache_dir.as_ref().and_then(|dir| {
-            match CampaignJournal::open(dir, spec_hash(cells), n) {
-                Ok(j) => Some(j),
-                Err(e) => {
-                    // Resume is an optimisation: a read-only cache dir
-                    // degrades to journal-less execution, never failure.
-                    eprintln!("rpav: campaign journal unavailable ({e}); running without resume");
-                    None
-                }
-            }
-        });
-        let resumed = journal.as_ref().map_or(0, |j| j.completed_count());
-
-        let mut aggregates = CampaignAggregates::default();
-        let mut failed = 0usize;
-
-        // Cells are claimed in contiguous batches: one cursor bump hands a
-        // worker `batch` consecutive cells, which it runs back-to-back on
-        // one reusable `CellScratch` (and one warm thread-local arena
-        // pool). Auto-sizing keeps at least ~4 dispatches per worker so
-        // the tail stays balanced; results still arrive tagged with their
-        // submission index, and the frontier below re-sequences them, so
-        // aggregates are byte-identical for every batch size and job
-        // count.
-        let batch = self
-            .batch
-            .unwrap_or_else(|| (n / (workers * 4)).clamp(1, 8))
-            .max(1);
         let cursor = AtomicUsize::new(0);
         let inflight: Mutex<HashMap<usize, Instant>> = Mutex::new(HashMap::new());
-        let done = AtomicBool::new(false);
         // Bounded hand-off, one slot per worker: when the serial in-order
         // fold below is the slower side (warm replay on many workers),
         // workers block here instead of queueing decoded multi-megabyte
@@ -1385,48 +1231,90 @@ impl CampaignEngine {
         std::thread::scope(|s| {
             let cursor = &cursor;
             let inflight = &inflight;
-            let done = &done;
             for _ in 0..workers {
                 let tx = tx.clone();
                 s.spawn(move || {
-                    let mut scratch = CellScratch::new();
-                    'claim: loop {
-                        let start = cursor.fetch_add(batch, Ordering::Relaxed);
-                        if start >= n {
+                    // One cache-record buffer (3–17 MB) per worker for
+                    // its whole lifetime: the sealed file being read on a
+                    // hit, the payload being encoded on a store. Both
+                    // users clear it first, so nothing leaks from one
+                    // cell (or one panicked attempt) into the next.
+                    let mut record = Vec::new();
+                    loop {
+                        let i = cursor.fetch_add(1, Ordering::Relaxed);
+                        let Some(cell) = cells.get(i) else { break };
+                        inflight.lock().unwrap().insert(i, Instant::now());
+                        let result = self.run_cell_isolated(cell, &mut record);
+                        inflight.lock().unwrap().remove(&i);
+                        if tx.send((i, result)).is_err() {
                             break;
-                        }
-                        let end = (start + batch).min(n);
-                        for (i, cell) in cells.iter().enumerate().take(end).skip(start) {
-                            inflight.lock().unwrap().insert(i, Instant::now());
-                            let result = self.run_cell_isolated(cell, store_memory, &mut scratch);
-                            inflight.lock().unwrap().remove(&i);
-                            if tx.send((i, result)).is_err() {
-                                break 'claim;
-                            }
                         }
                     }
                 });
             }
-            // Stuck-cell watchdog: scans the in-flight table at a poll
-            // interval derived from the budget, flags each offender once,
-            // and shuts down in ≤ 10 ms once the matrix completes.
-            let budget = self.stuck_budget;
-            s.spawn(move || {
-                let poll =
-                    (budget / 8).clamp(Duration::from_millis(10), Duration::from_millis(500));
-                let mut flagged: HashSet<usize> = HashSet::new();
-                loop {
-                    let mut slept = Duration::ZERO;
-                    while slept < poll && !done.load(Ordering::Relaxed) {
-                        std::thread::sleep(Duration::from_millis(10));
-                        slept += Duration::from_millis(10);
+            drop(tx);
+            // Completion-ordered arrivals re-sequenced into submission
+            // order before folding/sinking: the pending map holds at most
+            // ~`workers` out-of-order results, and the in-order fold makes
+            // the aggregates' f64 sums (hence their canonical bytes)
+            // independent of job count and of where a previous run was
+            // killed.
+            let mut pending: BTreeMap<usize, WorkerResult> = BTreeMap::new();
+            let mut next = 0usize;
+            // The stuck-cell check rides on the same loop: the in-flight
+            // table is scanned whenever `poll` has passed since the last
+            // scan — after a receive as well as after a timeout, so a
+            // stream of fast completions cannot starve it — and each
+            // offender is flagged once.
+            let budget = self.options.stuck_budget;
+            let poll = (budget / 8).clamp(Duration::from_millis(10), Duration::from_millis(500));
+            let mut flagged: HashSet<usize> = HashSet::new();
+            let mut last_scan = Instant::now();
+            loop {
+                match rx.recv_timeout(poll) {
+                    Ok((i, result)) => {
+                        pending.insert(i, result);
                     }
-                    if done.load(Ordering::Relaxed) {
-                        break;
-                    }
+                    Err(mpsc::RecvTimeoutError::Timeout) => {}
+                    Err(mpsc::RecvTimeoutError::Disconnected) => break,
+                }
+                while let Some(result) = pending.remove(&next) {
+                    let cell = cells[next].clone();
+                    let attempts = result.attempts;
+                    report.retries += attempts.saturating_sub(1) as usize;
+                    report.quarantined += usize::from(result.quarantined);
+                    sink(match result.outcome {
+                        Ok(metrics) => {
+                            let cached = attempts == 0;
+                            if cached {
+                                report.cached += 1;
+                            } else {
+                                report.simulated += 1;
+                            }
+                            report.aggregates.fold(&metrics);
+                            CellOutcome::Done {
+                                cell,
+                                metrics,
+                                cached,
+                                attempts,
+                            }
+                        }
+                        Err(panic_msg) => {
+                            report.failed += 1;
+                            report.aggregates.fold_failure();
+                            CellOutcome::Failed {
+                                cell,
+                                panic_msg,
+                                attempts,
+                            }
+                        }
+                    });
+                    next += 1;
+                }
+                if last_scan.elapsed() >= poll {
+                    last_scan = Instant::now();
                     for (&i, start) in inflight.lock().unwrap().iter() {
                         if start.elapsed() > budget && flagged.insert(i) {
-                            self.stuck_flags.fetch_add(1, Ordering::Relaxed);
                             eprintln!(
                                 "rpav: cell {i} ({}) exceeded its {budget:?} wall-clock budget — still running",
                                 cells[i].label()
@@ -1434,151 +1322,58 @@ impl CampaignEngine {
                         }
                     }
                 }
-            });
-            drop(tx);
-            // Completion-ordered arrivals re-sequenced into submission
-            // order before folding/journaling/sinking: the pending map
-            // holds at most ~`workers` out-of-order results, and the
-            // in-order fold makes the aggregates' f64 sums (hence their
-            // canonical bytes) independent of job count and of where a
-            // previous run was killed.
-            let mut pending: BTreeMap<usize, WorkerResult> = BTreeMap::new();
-            let mut next = 0usize;
-            while let Ok((i, result)) = rx.recv() {
-                pending.insert(i, result);
-                while let Some(result) = pending.remove(&next) {
-                    match result {
-                        WorkerResult::Done {
-                            metrics,
-                            cached,
-                            durable,
-                            attempts,
-                        } => {
-                            if durable {
-                                if let Some(j) = journal.as_mut() {
-                                    // Journal I/O failure only costs
-                                    // resume coverage for this cell.
-                                    let _ = j.record(next);
-                                }
-                            }
-                            aggregates.fold(&metrics);
-                            sink(CellOutcome::Done {
-                                cell: cells[next].clone(),
-                                metrics,
-                                cached,
-                                attempts,
-                            });
-                        }
-                        WorkerResult::Failed {
-                            panic_msg,
-                            attempts,
-                        } => {
-                            failed += 1;
-                            aggregates.fold_failure();
-                            sink(CellOutcome::Failed {
-                                cell: cells[next].clone(),
-                                panic_msg,
-                                attempts,
-                            });
-                        }
-                    }
-                    next += 1;
-                }
             }
-            done.store(true, Ordering::Relaxed);
+            report.stuck_flagged = flagged.len();
         });
 
-        let simulated = (self.simulations() - simulated_before) as usize;
-        EngineReport {
-            cells: n,
-            simulated,
-            cached: n - simulated - failed,
-            failed,
-            resumed,
-            quarantined: (self.quarantined.load(Ordering::Relaxed) - quarantined_before) as usize,
-            stuck_flagged: (self.stuck_flags.load(Ordering::Relaxed) - stuck_before) as usize,
-            jobs: workers,
-            wall: started.elapsed(),
-            aggregates,
-        }
+        report.wall = started.elapsed();
+        report
     }
 
-    /// One cell through the cache layers (memory → durable disk) and, on
-    /// miss, `catch_unwind`-isolated execution with bounded retry.
-    fn run_cell_isolated(
-        &self,
-        cell: &Cell,
-        store_memory: bool,
-        scratch: &mut CellScratch,
-    ) -> WorkerResult {
+    /// One cell through the cache and, on a miss, `catch_unwind`-isolated
+    /// execution with bounded retry.
+    fn run_cell_isolated(&self, cell: &Cell, record: &mut Vec<u8>) -> WorkerResult {
         let key = cell.key();
-        if let Some(m) = self.memory.lock().unwrap().get(&key) {
-            self.cache_hits.fetch_add(1, Ordering::Relaxed);
-            return WorkerResult::Done {
-                metrics: Arc::clone(m),
-                cached: true,
-                // The first store already journaled it; don't claim
-                // durability we didn't verify here.
-                durable: false,
-                attempts: 0,
-            };
-        }
-        if let Some(dir) = &self.cache_dir {
-            if let Some(m) = self.load_disk(dir, key, scratch) {
-                self.cache_hits.fetch_add(1, Ordering::Relaxed);
-                let m = Arc::new(m);
-                if store_memory {
-                    self.memory.lock().unwrap().insert(key, Arc::clone(&m));
+        let cache_dir = self.options.cache_dir.as_deref();
+        let mut quarantined = false;
+        if let Some(dir) = cache_dir {
+            match load_disk(dir, key, record) {
+                Ok(Some(metrics)) => {
+                    return WorkerResult {
+                        outcome: Ok(Arc::new(metrics)),
+                        attempts: 0,
+                        quarantined: false,
+                    }
                 }
-                return WorkerResult::Done {
-                    metrics: m,
-                    cached: true,
-                    durable: true,
-                    attempts: 0,
-                };
+                Ok(None) => {}
+                Err(CorruptRecord) => quarantined = true,
             }
         }
+        let max_attempts = self.options.max_attempts;
         let mut attempts = 0u32;
-        loop {
+        let outcome = loop {
             attempts += 1;
-            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let attempt = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 if let Some(hook) = &self.fault_hook {
                     if hook(cell, attempts) {
                         panic!("injected fault (attempt {attempts})");
                     }
                 }
-                cell.execute_with(self.reference_tick)
+                cell.execute_with(self.options.reference_tick)
             }));
-            match outcome {
+            match attempt {
                 Ok(metrics) => {
-                    self.simulated.fetch_add(1, Ordering::Relaxed);
-                    let metrics = Arc::new(metrics);
-                    let durable = match &self.cache_dir {
-                        Some(dir) => self.store_disk(dir, key, &metrics, scratch),
-                        None => false,
-                    };
-                    if store_memory {
-                        self.memory
-                            .lock()
-                            .unwrap()
-                            .insert(key, Arc::clone(&metrics));
+                    if let Some(dir) = cache_dir {
+                        store_disk(dir, key, &metrics, record);
                     }
-                    return WorkerResult::Done {
-                        metrics,
-                        cached: false,
-                        durable,
-                        attempts,
-                    };
+                    break Ok(Arc::new(metrics));
                 }
                 Err(payload) => {
-                    scratch.reset();
                     let panic_msg = panic_message(payload);
-                    if attempts < self.max_attempts {
-                        self.retries.fetch_add(1, Ordering::Relaxed);
+                    if attempts < max_attempts {
                         eprintln!(
-                            "rpav: cell {} panicked on attempt {attempts}/{}: {panic_msg} — retrying",
-                            cell.label(),
-                            self.max_attempts
+                            "rpav: cell {} panicked on attempt {attempts}/{max_attempts}: {panic_msg} — retrying",
+                            cell.label()
                         );
                         continue;
                     }
@@ -1586,92 +1381,81 @@ impl CampaignEngine {
                         "rpav: cell {} poisoned after {attempts} attempt(s): {panic_msg}",
                         cell.label()
                     );
-                    return WorkerResult::Failed {
-                        panic_msg,
-                        attempts,
-                    };
+                    break Err(panic_msg);
                 }
             }
-        }
-    }
-
-    /// Read one sealed cache record into the worker's recycled buffer and
-    /// decode it. A miss is one failed `open`. A file that exists but
-    /// fails the envelope or the structural decode is *quarantined*:
-    /// moved to `<dir>/quarantine/` (deleted if the move fails) and
-    /// reported as a miss, so one corrupt file costs one re-simulation,
-    /// never the run.
-    fn load_disk(
-        &self,
-        dir: &std::path::Path,
-        key: u64,
-        scratch: &mut CellScratch,
-    ) -> Option<RunMetrics> {
-        use std::io::Read as _;
-        let path = cache_entry_path(dir, key);
-        scratch.record.clear();
-        std::fs::File::open(&path)
-            .ok()?
-            .read_to_end(&mut scratch.record)
-            .ok()?;
-        match RunMetrics::from_cache_bytes(&scratch.record) {
-            Some(m) => Some(m),
-            None => {
-                self.quarantined.fetch_add(1, Ordering::Relaxed);
-                let qdir = dir.join("quarantine");
-                let moved = std::fs::create_dir_all(&qdir).is_ok()
-                    && std::fs::rename(&path, qdir.join(format!("{key:016x}.rpav"))).is_ok();
-                if !moved {
-                    let _ = std::fs::remove_file(&path);
-                }
-                eprintln!(
-                    "rpav: quarantined corrupt cache file {} ({})",
-                    path.display(),
-                    if moved { "moved" } else { "deleted" }
-                );
-                None
-            }
-        }
-    }
-
-    /// Durably store one sealed cache record into its prefix shard: tmp
-    /// file (pid-suffixed, so concurrent processes never clobber each
-    /// other mid-write), write, fsync, rename. Returns whether the record
-    /// is durably in place — a kill at any point leaves either the old
-    /// state or the complete new file, never a half-written `.rpav`.
-    fn store_disk(
-        &self,
-        dir: &std::path::Path,
-        key: u64,
-        metrics: &RunMetrics,
-        scratch: &mut CellScratch,
-    ) -> bool {
-        let path = cache_entry_path(dir, key);
-        let Some(shard) = path.parent().map(std::path::Path::to_path_buf) else {
-            return false;
         };
-        if std::fs::create_dir_all(&shard).is_err() {
-            return false;
+        WorkerResult {
+            outcome,
+            attempts,
+            quarantined,
         }
-        let tmp = shard.join(format!("{key:016x}.{}.tmp", std::process::id()));
-        // Encode into the worker's recycled buffer and stream the sealed
-        // envelope straight to the file — no per-cell payload allocation.
-        let mut w = ByteWriter::with_buf(std::mem::take(&mut scratch.record));
-        metrics.write_into(&mut w);
-        let payload = w.into_bytes();
-        let written = (|| -> std::io::Result<()> {
-            let mut f = std::fs::File::create(&tmp)?;
-            crate::codec::seal_to(&payload, &mut f)?;
-            f.sync_all()?;
-            std::fs::rename(&tmp, &path)
-        })();
-        scratch.record = payload;
-        if written.is_err() {
-            // Best-effort: a read-only target dir must not fail the run.
-            let _ = std::fs::remove_file(&tmp);
-            return false;
-        }
-        true
+    }
+}
+
+/// A cache file that exists but fails the envelope or the structural
+/// decode; [`load_disk`] has already moved it out of the way.
+struct CorruptRecord;
+
+/// Read one sealed cache record into the worker's recycled buffer and
+/// decode it. A miss (`Ok(None)`) is one failed `open`. A corrupt file is
+/// *quarantined*: moved to `<dir>/quarantine/` (deleted if the move
+/// fails) and treated as a miss by the caller, so one corrupt file costs
+/// one re-simulation, never the run.
+fn load_disk(
+    dir: &Path,
+    key: u64,
+    record: &mut Vec<u8>,
+) -> Result<Option<RunMetrics>, CorruptRecord> {
+    use std::io::Read as _;
+    let path = cache_entry_path(dir, key);
+    record.clear();
+    let read = std::fs::File::open(&path).and_then(|mut f| f.read_to_end(record));
+    if read.is_err() {
+        return Ok(None);
+    }
+    if let Some(metrics) = RunMetrics::from_cache_bytes(record) {
+        return Ok(Some(metrics));
+    }
+    let qdir = dir.join("quarantine");
+    let moved = std::fs::create_dir_all(&qdir).is_ok()
+        && std::fs::rename(&path, qdir.join(format!("{key:016x}.rpav"))).is_ok();
+    if !moved {
+        let _ = std::fs::remove_file(&path);
+    }
+    eprintln!(
+        "rpav: quarantined corrupt cache file {} ({})",
+        path.display(),
+        if moved { "moved" } else { "deleted" }
+    );
+    Err(CorruptRecord)
+}
+
+/// Durably store one sealed cache record into its prefix shard: tmp file
+/// (pid-suffixed, so concurrent processes never clobber each other
+/// mid-write), write, fsync, rename — a kill at any point leaves either
+/// the old state or the complete new file, never a half-written `.rpav`.
+/// Best-effort: a read-only target dir costs the cache entry, not the run.
+fn store_disk(dir: &Path, key: u64, metrics: &RunMetrics, record: &mut Vec<u8>) {
+    let path = cache_entry_path(dir, key);
+    let shard = path.parent().expect("cache entries live in a shard dir");
+    if std::fs::create_dir_all(shard).is_err() {
+        return;
+    }
+    let tmp = shard.join(format!("{key:016x}.{}.tmp", std::process::id()));
+    // Encode into the worker's recycled buffer and stream the sealed
+    // envelope straight to the file — no per-cell payload allocation.
+    let mut w = ByteWriter::with_buf(std::mem::take(record));
+    metrics.write_into(&mut w);
+    *record = w.into_bytes();
+    let written = (|| -> std::io::Result<()> {
+        let mut f = std::fs::File::create(&tmp)?;
+        crate::codec::seal_to(record, &mut f)?;
+        f.sync_all()?;
+        std::fs::rename(&tmp, &path)
+    })();
+    if written.is_err() {
+        let _ = std::fs::remove_file(&tmp);
     }
 }
 
@@ -1801,17 +1585,15 @@ mod tests {
         // A 4-cell matrix (kept small: these are full simulations) run
         // with jobs=1 and jobs=8 must produce byte-identical metrics,
         // and a warm re-run must simulate nothing.
+        let dir = std::env::temp_dir().join(format!("rpav-exec-det-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
         let spec = MatrixSpec::new(short_base())
             .ccs([CcMode::Gcc, CcMode::paper_scream()])
             .runs(2);
-        let sequential = CampaignEngine::new()
-            .with_cache_dir(None)
-            .with_jobs(1)
-            .with_batch(Some(4));
+        let sequential = CampaignEngine::new().with_cache_dir(None).with_jobs(1);
         let parallel = CampaignEngine::new()
-            .with_cache_dir(None)
-            .with_jobs(8)
-            .with_batch(Some(1));
+            .with_cache_dir(Some(dir.clone()))
+            .with_jobs(8);
         let a = sequential.run(&spec);
         let b = parallel.run(&spec);
         assert_eq!(a.outcomes.len(), 4);
@@ -1831,11 +1613,10 @@ mod tests {
             b.report.aggregates.to_bytes(),
             "aggregates diverged across job counts"
         );
-        assert_eq!(parallel.simulations(), 4);
+        assert_eq!(b.report.simulated, 4);
         let warm = parallel.run(&spec);
-        assert_eq!(parallel.simulations(), 4, "warm re-run re-simulated");
         assert_eq!(warm.report.cached, 4);
-        assert_eq!(warm.report.simulated, 0);
+        assert_eq!(warm.report.simulated, 0, "warm re-run re-simulated");
         for (x, y) in a.outcomes.iter().zip(warm.outcomes.iter()) {
             assert_eq!(x.metrics().to_bytes(), y.metrics().to_bytes());
         }
@@ -1843,6 +1624,7 @@ mod tests {
             a.report.aggregates.to_bytes(),
             warm.report.aggregates.to_bytes()
         );
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -1900,7 +1682,7 @@ mod tests {
             .with_fault_hook(Arc::new(|_cell, attempt| attempt == 1));
         let result = engine.run(&spec);
         assert_eq!(result.report.failed, 0);
-        assert_eq!(engine.retries(), 1);
+        assert_eq!(result.report.retries, 1);
         let outcome = &result.outcomes[0];
         assert_eq!(outcome.attempts(), 2);
         // The retried execution is the same pure function of the config.
@@ -1928,19 +1710,15 @@ mod tests {
         let spec = MatrixSpec::new(short_base())
             .ccs([CcMode::Gcc, CcMode::paper_scream()])
             .runs(2);
-        let collect = CampaignEngine::new().with_cache_dir(None).with_jobs(4);
-        let full = collect.run(&spec);
-        assert_eq!(collect.memory_entries(), 4, "collect mode caches in memory");
-
-        let streaming = CampaignEngine::new().with_cache_dir(None).with_jobs(4);
-        let summary = streaming.run_streaming(&spec);
-        assert_eq!(
-            streaming.memory_entries(),
-            0,
-            "streaming mode must not grow the in-memory cache"
-        );
+        let engine = CampaignEngine::new().with_cache_dir(None).with_jobs(4);
+        let full = engine.run(&spec);
+        let summary = engine.run_streaming(&spec);
         assert!(summary.failures.is_empty());
         assert_eq!(summary.report.cells, 4);
+        assert_eq!(
+            summary.report.simulated, 4,
+            "the engine keeps nothing from the first run"
+        );
         assert_eq!(
             summary.report.aggregates.to_bytes(),
             full.report.aggregates.to_bytes(),
@@ -2101,17 +1879,25 @@ mod tests {
             .with_jobs(2);
         let cold = first.run(&spec);
         assert_eq!(cold.report.simulated, 3);
-        assert_eq!(cold.report.resumed, 0);
+        assert_eq!(cold.report.cached, 0);
+        // The sealed records are all a run leaves behind: the cache root
+        // holds shard directories and nothing else.
+        for entry in std::fs::read_dir(&dir).unwrap().filter_map(Result::ok) {
+            let name = entry.file_name().into_string().unwrap();
+            assert!(
+                entry.path().is_dir() && name.len() == 2 && u8::from_str_radix(&name, 16).is_ok(),
+                "unexpected {name} in the cache root"
+            );
+        }
 
-        // A second process (fresh engine, empty memory cache) resumes
-        // everything from the durable store, bit-identically.
+        // A second process (fresh engine) resumes everything from the
+        // durable store, bit-identically.
         let second = CampaignEngine::new()
             .with_cache_dir(Some(dir.clone()))
             .with_jobs(2);
         let warm = second.run(&spec);
         assert_eq!(warm.report.simulated, 0);
-        assert_eq!(warm.report.cached, 3);
-        assert_eq!(warm.report.resumed, 3, "journal must report completions");
+        assert_eq!(warm.report.cached, 3, "every sealed record must be hit");
         assert_eq!(
             warm.report.aggregates.to_bytes(),
             cold.report.aggregates.to_bytes()

@@ -14,12 +14,12 @@
 //! * [`stats`] — quantiles, boxplot summaries, CDFs.
 //! * [`exec`] — the parallel deterministic matrix engine
 //!   ([`MatrixSpec`] → thread pool → cached, submission-ordered results),
-//!   crash-safe: panic isolation with poison records, a durable
-//!   checksummed result cache, and kill/resume via a completion journal.
+//!   crash-safe: panic isolation with poison records and a durable
+//!   checksummed result cache whose hits are kill/resume.
 //! * [`codec`] — canonical byte encoding of [`RunMetrics`] (cache +
 //!   determinism assertions) plus the CRC32 durable-store envelope.
-//! * [`journal`] — the per-campaign fsync'd completion manifest behind
-//!   kill/resume.
+//! * [`journal`] — a per-campaign fsync'd completion manifest. Nothing
+//!   in the workspace writes one any more (the benchmark still times it).
 //! * [`json`] — the total-function JSON parser and canonical serializer
 //!   behind the daemon wire format.
 //! * [`spec`] — [`CampaignSpec`], the versioned canonical external
@@ -74,7 +74,7 @@ pub use metrics::RunMetrics;
 pub use pipeline::Simulation;
 pub use runner::CampaignResult;
 pub use scenario::{CcMode, ExperimentConfig, Mobility};
-pub use spec::{CampaignSpec, SpecError, MAX_CELLS, SPEC_VERSION};
+pub use spec::{CampaignSpec, SpecError, MAX_CELLS, MAX_GROUND_SWEEPS, MAX_HOLD, SPEC_VERSION};
 
 /// Convenient glob import for examples and benches: the experiment axes,
 /// the matrix engine, the campaign spec, and the per-run metrics every
@@ -92,7 +92,9 @@ pub mod prelude {
     pub use crate::scenario::{
         CcMode, ExperimentConfig, ExperimentConfigBuilder, Mobility, MAX_LEGS,
     };
-    pub use crate::spec::{CampaignSpec, SpecError, MAX_CELLS, SPEC_VERSION};
+    pub use crate::spec::{
+        CampaignSpec, SpecError, MAX_CELLS, MAX_GROUND_SWEEPS, MAX_HOLD, SPEC_VERSION,
+    };
     pub use crate::stats;
     pub use crate::stats::LogHistogram;
     pub use crate::summary::CampaignAggregates;

@@ -17,10 +17,15 @@
 //!   canonical bytes) is a stable campaign identity.
 //!
 //! The identity chain: canonical bytes are stable → the [`to_matrix`]
-//! expansion is a pure function of the spec → every [`Cell::key`] and the
-//! engine's journal `spec_hash` are pure functions of the expansion — so
-//! one `CampaignSpec` JSON document, wherever it is parsed, lands on the
-//! same cache entries and the same resume journal.
+//! expansion is a pure function of the spec → every [`Cell::key`] is a
+//! pure function of the expansion — so one `CampaignSpec` JSON document,
+//! wherever it is parsed, lands on the same cache entries, which is all
+//! resuming it takes.
+//!
+//! One retired key is still *accepted and ignored*: `options.batch`,
+//! which every document archived before cell batching was deleted
+//! carries. It is never emitted, so canonical bytes (and identities)
+//! differ from those older builds' by exactly that key.
 //!
 //! [`to_matrix`]: CampaignSpec::to_matrix
 //! [`Cell::key`]: crate::exec::Cell::key
@@ -47,6 +52,19 @@ pub const SPEC_VERSION: u64 = 1;
 /// can be persisted or expanded, so a hostile `{"runs": u64::MAX}` is a
 /// typed 400, not an allocation abort inside the daemon.
 pub const MAX_CELLS: u64 = 1 << 20;
+
+/// The longest `hold_us` one wire-submitted cell may ask for (the paper's
+/// flights hold 5 s in the air, 45 s on the ground). [`MAX_CELLS`] bounds
+/// how many cells a document expands to; this and [`MAX_GROUND_SWEEPS`]
+/// bound what one cell costs, so a hostile `hold_us` cannot park the
+/// daemon's executor on a multi-year simulation.
+pub const MAX_HOLD: SimDuration = SimDuration::from_secs(600);
+
+/// The most `ground_sweeps` one wire-submitted cell may ask for (the
+/// paper's ground runs sweep 3 times). The mobility profile allocates per
+/// sweep, so an unbounded count is an allocation abort — which no
+/// `catch_unwind` sees — replayed from the spec archive on every restart.
+pub const MAX_GROUND_SWEEPS: u64 = 64;
 
 /// Typed failures of [`CampaignSpec::from_json`]. Every variant names the
 /// JSON path of the offending field, so a daemon 400 response can point at
@@ -216,7 +234,7 @@ impl CampaignSpec {
 
     /// The [`MatrixSpec`] the engine executes. Two parses of the same
     /// canonical bytes hold identical matrices (and hence identical cache
-    /// keys and journal identity).
+    /// keys).
     pub fn to_matrix(&self) -> MatrixSpec {
         self.matrix.clone()
     }
@@ -668,9 +686,21 @@ fn config_from_json(v: &Json, path: &str) -> Result<ExperimentConfig, SpecError>
         b = b.run_index(r);
     }
     if let Some(us) = opt_field(v, path, "hold_us", u64_of)? {
+        if us > MAX_HOLD.as_micros() {
+            return Err(SpecError::BadValue {
+                path: format!("{path}.hold_us"),
+                want: "at most 600 s (MAX_HOLD)",
+            });
+        }
         b = b.hold(SimDuration::from_micros(us));
     }
     if let Some(n) = opt_field(v, path, "ground_sweeps", u64_of)? {
+        if n > MAX_GROUND_SWEEPS {
+            return Err(SpecError::BadValue {
+                path: format!("{path}.ground_sweeps"),
+                want: "at most 64 sweeps (MAX_GROUND_SWEEPS)",
+            });
+        }
         b = b.ground_sweeps(n as usize);
     }
     if let Some(on) = opt_field(v, path, "drop_on_latency", bool_of)? {
@@ -1044,10 +1074,6 @@ fn options_to_json(o: &EngineOptions) -> Json {
             o.jobs.map_or(Json::Null, |j| Json::UInt(j as u64)),
         ),
         (
-            "batch".into(),
-            o.batch.map_or(Json::Null, |b| Json::UInt(b as u64)),
-        ),
-        (
             "cache_dir".into(),
             o.cache_dir
                 .as_ref()
@@ -1069,6 +1095,7 @@ fn options_from_json(v: &Json, path: &str) -> Result<EngineOptions, SpecError> {
         path,
         &[
             "jobs",
+            // Retired with cell batching; archived documents carry it.
             "batch",
             "cache_dir",
             "max_attempts",
@@ -1079,9 +1106,6 @@ fn options_from_json(v: &Json, path: &str) -> Result<EngineOptions, SpecError> {
     let mut o = EngineOptions::default();
     if let Some(jobs) = opt_nullable(v, path, "jobs", u64_of)? {
         o.jobs = Some((jobs as usize).max(1));
-    }
-    if let Some(batch) = opt_nullable(v, path, "batch", u64_of)? {
-        o.batch = Some((batch as usize).max(1));
     }
     if let Some(dir) = opt_nullable(v, path, "cache_dir", str_owned)? {
         o.cache_dir = Some(PathBuf::from(dir));
@@ -1275,7 +1299,6 @@ mod tests {
         .runs(2)
         .with_options(EngineOptions {
             jobs: Some(4),
-            batch: Some(2),
             cache_dir: Some(PathBuf::from("target/rpav-cache")),
             max_attempts: 3,
             stuck_budget: Duration::from_secs(60),
@@ -1355,6 +1378,20 @@ mod tests {
                 path: "faults[0].uplink[0].prob".into()
             })
         );
+    }
+
+    #[test]
+    fn retired_batch_key_is_accepted_and_ignored() {
+        // Documents as the builds with cell batching emitted them:
+        // `recover()` must keep decoding every archived spec.
+        let spec = exercised_spec();
+        let doc = spec.to_json();
+        assert!(!doc.contains("batch"));
+        for old in ["\"batch\":null,", "\"batch\":4,"] {
+            let archived = doc.replace("\"cache_dir\"", &format!("{old}\"cache_dir\""));
+            assert_ne!(archived, doc);
+            assert_eq!(CampaignSpec::from_json(&archived), Ok(spec.clone()));
+        }
     }
 
     #[test]

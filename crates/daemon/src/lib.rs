@@ -31,14 +31,16 @@
 //! Accepted specs are persisted (atomic tmp+rename) to
 //! `<cache>/campaigns/<id>.json` *before* execution; on startup the
 //! daemon rescans that directory and re-enqueues everything found.
-//! Completed cells replay from the sealed cache + journal, so re-running
+//! Completed cells replay from their sealed cache records, so re-running
 //! a finished campaign is cheap and a killed one resumes where it died.
-//! Specs whose cross-product exceeds [`MAX_CELLS`] are rejected with a
+//! Specs whose cross-product exceeds [`MAX_CELLS`], or whose cells ask
+//! for more than [`MAX_HOLD`] / [`MAX_GROUND_SWEEPS`], are rejected with a
 //! `400` at parse time — before persistence — so a hostile document can
-//! neither abort the daemon nor poison the spec archive into re-aborting
-//! every restart. A campaign that panics mid-execution is marked done
-//! with an `error` report instead of killing the executor, so queued
-//! campaigns keep draining and blocked clients are released.
+//! neither abort the daemon, nor park its executor for years, nor poison
+//! the spec archive into doing either again on every restart. A campaign
+//! that panics mid-execution is marked done with an `error` report
+//! instead of killing the executor, so queued campaigns keep draining and
+//! blocked clients are released.
 //!
 //! # Trust model
 //!
@@ -124,8 +126,8 @@ impl From<std::io::Error> for SubmitError {
 /// Daemon-wide knobs, parsed once by `main` (or built by tests).
 #[derive(Clone, Debug)]
 pub struct DaemonConfig {
-    /// Durable cache root: sharded cell results, journals, quarantine,
-    /// and the `campaigns/` spec archive all live here.
+    /// Durable cache root: sharded cell results, quarantine, and the
+    /// `campaigns/` spec archive all live here.
     pub cache_dir: PathBuf,
     /// Worker override (`--jobs`); `None` defers to each spec's options
     /// or the host parallelism.
@@ -375,7 +377,6 @@ fn report_json(report: &EngineReport) -> Json {
         ("simulated", Json::UInt(report.simulated as u64)),
         ("cached", Json::UInt(report.cached as u64)),
         ("failed", Json::UInt(report.failed as u64)),
-        ("resumed", Json::UInt(report.resumed as u64)),
         ("quarantined", Json::UInt(report.quarantined as u64)),
         ("stuck_flagged", Json::UInt(report.stuck_flagged as u64)),
         ("jobs", Json::UInt(report.jobs as u64)),
@@ -480,7 +481,7 @@ fn execute_campaign(shared: &Shared, campaign: &Campaign) {
         .fetch_add(report.quarantined as u64, Ordering::Relaxed);
     shared
         .cells_retried
-        .fetch_add(engine.retries(), Ordering::Relaxed);
+        .fetch_add(report.retries as u64, Ordering::Relaxed);
 
     let mut st = lock(&campaign.state);
     st.aggregates = Some(report.aggregates.to_bytes());
@@ -500,7 +501,7 @@ pub struct Daemon {
 impl Daemon {
     /// Build the daemon, spawn its executor, and recover the spec
     /// archive (restart-after-SIGKILL path: completed campaigns replay
-    /// from cache; interrupted ones resume from the journal).
+    /// from cache; interrupted ones resume from the cells that reached it).
     pub fn new(config: DaemonConfig) -> std::io::Result<Daemon> {
         std::fs::create_dir_all(config.cache_dir.join("campaigns"))?;
         let (tx, rx) = mpsc::channel();
@@ -971,11 +972,27 @@ mod tests {
     fn oversized_specs_are_rejected_before_persistence() {
         let dir = fresh_dir("oversized");
         let (daemon, addr) = start_daemon(&dir);
-        // u64::MAX runs: must be a 400, not an allocation abort.
-        let body = format!("{{\"spec_version\":1,\"runs\":{}}}", u64::MAX);
-        let r = client::post_json(&addr, "/campaigns", &body, T).unwrap();
-        assert_eq!(r.status, 400, "{}", r.text());
-        assert!(r.text().contains("cells"), "{}", r.text());
+        // u64::MAX runs, a leg vector of 10¹² sweeps, a multi-year hold:
+        // each must be a 400, not an allocation abort or a parked executor.
+        for (body, culprit) in [
+            (
+                format!("{{\"spec_version\":1,\"runs\":{}}}", u64::MAX),
+                "cells",
+            ),
+            (
+                r#"{"spec_version":1,"base":{"mobility":"ground","ground_sweeps":1000000000000}}"#
+                    .to_string(),
+                "ground_sweeps",
+            ),
+            (
+                r#"{"spec_version":1,"base":{"hold_us":10000000000000}}"#.to_string(),
+                "hold_us",
+            ),
+        ] {
+            let r = client::post_json(&addr, "/campaigns", &body, T).unwrap();
+            assert_eq!(r.status, 400, "{}", r.text());
+            assert!(r.text().contains(culprit), "{}", r.text());
+        }
         // Nothing was persisted, so a restart cannot re-trigger it.
         assert_eq!(daemon.campaign_count(), 0);
         let archived = std::fs::read_dir(dir.join("campaigns"))

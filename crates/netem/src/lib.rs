@@ -11,9 +11,7 @@
 //! * [`BottleneckLink`] — serialisation at a (time-varying) bit-rate
 //!   followed by propagation delay. The LTE air interface drives the rate
 //!   from SINR; the WAN leg uses a fixed high rate.
-//! * [`DelayPipe`] — pure delay with optional jitter; FIFO-preserving by
-//!   default, with an explicit [`DeliveryOrder`] switch for routes that
-//!   deliver as scheduled.
+//! * [`DelayPipe`] — pure delay with optional jitter, FIFO-preserving.
 //! * [`FaultInjector`] — i.i.d. and Gilbert–Elliott burst loss, duplication
 //!   and payload bit-corruption, mirroring the fault-injection options the
 //!   smoltcp examples expose.
@@ -38,7 +36,7 @@ pub mod reorder;
 pub mod script;
 
 pub use fault::{corrupt_payload, FaultConfig, FaultInjector, GilbertElliott};
-pub use link::{BottleneckLink, DelayPipe, DeliveryOrder};
+pub use link::{BottleneckLink, DelayPipe};
 pub use packet::{Packet, PacketKind};
 pub use path::Path;
 pub use queue::{DropTailQueue, QueueStats};

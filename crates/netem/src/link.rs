@@ -2,7 +2,7 @@
 
 use std::collections::VecDeque;
 
-use rpav_sim::{EventQueue, SimDuration, SimRng, SimTime};
+use rpav_sim::{SimDuration, SimRng, SimTime};
 
 use crate::packet::Packet;
 use crate::queue::{DropTailQueue, QueueStats};
@@ -10,8 +10,8 @@ use crate::queue::{DropTailQueue, QueueStats};
 /// Delivery buffer for a FIFO delay stage. Both in-order stages clamp every
 /// delivery time to a monotonic floor before scheduling, so arrival order
 /// equals delivery order and a deque replaces the binary heap a general
-/// [`EventQueue`] needs — no comparisons, no sift, O(1) at both ends on the
-/// per-packet hot path.
+/// [`EventQueue`](rpav_sim::EventQueue) needs — no comparisons, no sift,
+/// O(1) at both ends on the per-packet hot path.
 #[derive(Debug, Default)]
 struct FifoOutbox {
     q: VecDeque<(SimTime, Packet)>,
@@ -47,27 +47,6 @@ impl FifoOutbox {
     }
 }
 
-/// Whether a delay stage preserves FIFO order or delivers packets at
-/// whatever instant its jitter draw schedules them.
-///
-/// The cellular radio leg is modelled in-order (`InOrder`): LTE RLC-AM
-/// reassembles and delivers in sequence, so radio-side jitter manifests as
-/// delay, never as reordering. The wired WAN leg defaults to `InOrder` too
-/// (the paper's single-path EPC→AWS route gave no evidence of reordering),
-/// but multi-homed or load-balanced routes do reorder — set `AsScheduled`
-/// to let jitter draws invert packet order, or use a
-/// [`ReorderStage`](crate::reorder::ReorderStage) for explicit bounded
-/// displacement.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum DeliveryOrder {
-    /// Delivery times are clamped to a monotonic floor: a packet never
-    /// overtakes one enqueued before it.
-    InOrder,
-    /// Delivery happens exactly when the jitter draw says; shrinking
-    /// delays let later packets overtake earlier ones.
-    AsScheduled,
-}
-
 /// A store-and-forward link: packets wait in a drop-tail queue, serialise at
 /// the link rate, then propagate for a fixed delay.
 ///
@@ -91,11 +70,10 @@ pub struct BottleneckLink {
     /// Extra per-packet propagation (e.g. HARQ retransmissions); settable.
     extra_prop: SimDuration,
     /// FIFO floor on delivery times. The bottleneck models the radio leg,
-    /// where RLC-AM delivers strictly in order, so this stage is
-    /// unconditionally [`DeliveryOrder::InOrder`]: a shrinking extra delay
+    /// where RLC-AM delivers strictly in order: a shrinking extra delay
     /// must not reorder packets. Reordering is modelled explicitly —
-    /// downstream — via [`DelayPipe::with_order`] or a
-    /// [`ReorderStage`](crate::reorder::ReorderStage), never here.
+    /// downstream — by a [`ReorderStage`](crate::reorder::ReorderStage),
+    /// never here.
     last_delivery: SimTime,
     /// Instant the serialiser last became idle; the next packet starts at
     /// `max(free_at, paused_until)` so the link is work-conserving in
@@ -297,94 +275,33 @@ impl BottleneckLink {
     }
 }
 
-/// A delay stage with optional jitter: models the wired WAN leg between
-/// the PGW and the AWS server (§3.1: ≈1 000 km, lowest RTT ≈35 ms
-/// including the radio leg). Whether jitter may reorder packets is an
-/// explicit [`DeliveryOrder`] choice; [`DelayPipe::new`] keeps the
-/// historical FIFO-preserving behaviour.
+/// A FIFO delay stage with optional jitter: models the wired WAN leg
+/// between the PGW and the AWS server (§3.1: ≈1 000 km, lowest RTT ≈35 ms
+/// including the radio leg). The paper's single-path EPC→AWS route gave
+/// no evidence of reordering, so jitter stretches delay and never inverts
+/// packets; routes that do reorder get an explicit
+/// [`ReorderStage`](crate::reorder::ReorderStage) downstream.
 #[derive(Debug)]
 pub struct DelayPipe {
     base_delay: SimDuration,
     jitter_sigma: SimDuration,
     rng: SimRng,
-    out: DelayOutbox,
-    /// FIFO floor on delivery times, applied only when `ordering` is
-    /// [`DeliveryOrder::InOrder`].
+    out: FifoOutbox,
+    /// FIFO floor on delivery times.
     last_delivery: SimTime,
-    ordering: DeliveryOrder,
-}
-
-/// In-order pipes schedule monotone delivery times (see the FIFO floor in
-/// [`DelayPipe::enqueue`]) and get the cheap deque; as-scheduled pipes can
-/// invert delivery order and need the real priority queue.
-#[derive(Debug)]
-enum DelayOutbox {
-    Fifo(FifoOutbox),
-    Heap(EventQueue<Packet>),
-}
-
-impl DelayOutbox {
-    fn schedule(&mut self, at: SimTime, packet: Packet) {
-        match self {
-            DelayOutbox::Fifo(q) => q.schedule(at, packet),
-            DelayOutbox::Heap(q) => q.schedule(at, packet),
-        }
-    }
-
-    fn peek_time(&self) -> Option<SimTime> {
-        match self {
-            DelayOutbox::Fifo(q) => q.peek_time(),
-            DelayOutbox::Heap(q) => q.peek_time(),
-        }
-    }
-
-    fn pop_due(&mut self, now: SimTime) -> Option<(SimTime, Packet)> {
-        match self {
-            DelayOutbox::Fifo(q) => q.pop_due(now),
-            DelayOutbox::Heap(q) => q.pop_due(now),
-        }
-    }
-
-    fn len(&self) -> usize {
-        match self {
-            DelayOutbox::Fifo(q) => q.len(),
-            DelayOutbox::Heap(q) => q.len(),
-        }
-    }
 }
 
 impl DelayPipe {
-    /// Create a FIFO-preserving pipe adding `base_delay` plus
-    /// `N(0, jitter_sigma)` of jitter (truncated below at half the base
-    /// delay) to every packet. Equivalent to
-    /// [`with_order`](Self::with_order) + [`DeliveryOrder::InOrder`].
+    /// Create a pipe adding `base_delay` plus `N(0, jitter_sigma)` of
+    /// jitter (truncated below at half the base delay) to every packet.
     pub fn new(base_delay: SimDuration, jitter_sigma: SimDuration, rng: SimRng) -> Self {
-        DelayPipe::with_order(base_delay, jitter_sigma, rng, DeliveryOrder::InOrder)
-    }
-
-    /// Create a pipe with an explicit delivery-order policy.
-    pub fn with_order(
-        base_delay: SimDuration,
-        jitter_sigma: SimDuration,
-        rng: SimRng,
-        ordering: DeliveryOrder,
-    ) -> Self {
         DelayPipe {
             base_delay,
             jitter_sigma,
             rng,
-            out: match ordering {
-                DeliveryOrder::InOrder => DelayOutbox::Fifo(FifoOutbox::new()),
-                DeliveryOrder::AsScheduled => DelayOutbox::Heap(EventQueue::new()),
-            },
+            out: FifoOutbox::new(),
             last_delivery: SimTime::ZERO,
-            ordering,
         }
-    }
-
-    /// The pipe's delivery-order policy.
-    pub fn ordering(&self) -> DeliveryOrder {
-        self.ordering
     }
 
     /// Push a packet into the pipe.
@@ -396,11 +313,8 @@ impl DelayPipe {
         };
         let delay_s =
             (self.base_delay.as_secs_f64() + jitter).max(self.base_delay.as_secs_f64() * 0.5);
-        let mut deliver = now + SimDuration::from_secs_f64(delay_s);
-        if self.ordering == DeliveryOrder::InOrder {
-            // FIFO: never deliver before a previously enqueued packet.
-            deliver = deliver.max(self.last_delivery);
-        }
+        // FIFO: never deliver before a previously enqueued packet.
+        let deliver = (now + SimDuration::from_secs_f64(delay_s)).max(self.last_delivery);
         self.last_delivery = deliver;
         self.out.schedule(deliver, packet);
     }
@@ -562,60 +476,6 @@ mod tests {
             got += 1;
         }
         assert_eq!(got, 200);
-    }
-
-    #[test]
-    fn delay_pipe_as_scheduled_can_reorder() {
-        // Same traffic through both policies: the FIFO pipe never inverts
-        // sequence numbers, the as-scheduled pipe (with σ comparable to
-        // the inter-arrival gap) must produce at least one inversion.
-        let mk = |order| {
-            DelayPipe::with_order(
-                SimDuration::from_millis(10),
-                SimDuration::from_millis(5),
-                RngSet::new(9).stream("pipe"),
-                order,
-            )
-        };
-        let mut inversions = [0usize; 2];
-        for (slot, order) in [DeliveryOrder::InOrder, DeliveryOrder::AsScheduled]
-            .into_iter()
-            .enumerate()
-        {
-            let mut pipe = mk(order);
-            for i in 0..200 {
-                pipe.enqueue(
-                    SimTime::ZERO + SimDuration::from_micros(i * 100),
-                    pkt(i, 100),
-                );
-            }
-            let mut last = 0u64;
-            let mut got = 0;
-            while let Some(p) = pipe.poll(SimTime::from_secs(10)) {
-                if p.seq < last {
-                    inversions[slot] += 1;
-                }
-                last = last.max(p.seq);
-                got += 1;
-            }
-            // Both policies conserve packets; only ordering differs.
-            assert_eq!(got, 200);
-        }
-        assert_eq!(inversions[0], 0, "InOrder pipe must stay FIFO");
-        assert!(
-            inversions[1] > 0,
-            "AsScheduled pipe with large jitter must reorder"
-        );
-    }
-
-    #[test]
-    fn delay_pipe_default_constructor_is_in_order() {
-        let pipe = DelayPipe::new(
-            SimDuration::from_millis(10),
-            SimDuration::from_millis(5),
-            RngSet::new(1).stream("p"),
-        );
-        assert_eq!(pipe.ordering(), DeliveryOrder::InOrder);
     }
 
     #[test]

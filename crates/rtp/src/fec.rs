@@ -1,36 +1,14 @@
-//! XOR-parity forward error correction across bonded legs.
+//! Reed–Solomon forward error correction across bonded legs.
 //!
 //! The bonded multipath scheme stripes a frame's packets over every Up
 //! leg; a single bursty leg then erases a *subset* of a frame instead of
-//! a contiguous run, which is exactly the shape XOR parity repairs well.
-//! One parity packet protects a group of up to [`MAX_FEC_GROUP`]
-//! consecutive media packets: if exactly one member is lost, the
-//! receiver rebuilds it from the parity and the surviving members —
-//! before the NACK/RTX path ever has to spend a round trip on it.
+//! a contiguous run. Parity shards protect a group of up to
+//! [`MAX_FEC_GROUP`] consecutive media packets: the receiver rebuilds
+//! lost members from the parity and the survivors — before the NACK/RTX
+//! path ever has to spend a round trip on them.
 //!
-//! Wire format (RFC 5109 in spirit, simplified to a single XOR level):
-//! the parity rides as a normal RTP packet whose payload type is
-//! [`FEC_PAYLOAD_TYPE`] and whose payload is a 10-byte header followed
-//! by the XOR of the protected payloads (zero-padded to the longest):
-//!
-//! ```text
-//!  0      1      2      3      4..7     8..9    10..
-//! +------+------+------+------+--------+-------+----------+
-//! | sn_base (be)| count| flags| ts_xor | len_x | payload  |
-//! +------+------+------+------+--------+-------+----------+
-//! ```
-//!
-//! `sn_base` is the first protected media sequence number, `count` the
-//! number of consecutive protected packets (1..=16), `flags` bit 0 the
-//! XOR of the protected marker bits (all other bits must be zero),
-//! `ts_xor`/`len_x` the XOR of timestamps and payload lengths. Like
-//! every parser in this crate, [`FecPacket::parse_payload`] is a total
-//! function over arbitrary bytes and returns a typed [`ParseError`].
-//!
-//! # Reed–Solomon parity (multi-loss groups)
-//!
-//! XOR repairs exactly one erasure per group; the Gilbert–Elliott bursts
-//! the fault scripts inject routinely erase several consecutive stripes.
+//! The Gilbert–Elliott bursts the fault scripts inject routinely erase
+//! several consecutive stripes, so one parity per group is not enough.
 //! The systematic GF(256) Reed–Solomon layer ([`RsGroup`] /
 //! [`RsParityPacket`] / [`rs_recover`]) emits up to [`MAX_RS_PARITY`]
 //! parity shards per group and recovers *any* combination of as many
@@ -43,8 +21,9 @@
 //! Each protected member is encoded as an independent shard
 //! `[payload_type, marker, timestamp(4, be), len(2, be), payload…]`
 //! zero-padded to the longest member, so a recovered shard rebuilds the
-//! complete packet without XOR-chaining metadata across the group. The
-//! parity rides as RTP payload type [`RS_FEC_PAYLOAD_TYPE`]:
+//! complete packet without chaining metadata across the group. The
+//! parity rides as a normal RTP packet of payload type
+//! [`RS_FEC_PAYLOAD_TYPE`], in a sequence space of its own:
 //!
 //! ```text
 //!  0      1      2      3      4      5      6..7      8..
@@ -52,233 +31,21 @@
 //! | sn_base (be)| count|  r   | idx  | rsvd | shard_l | shard   |
 //! +------+------+------+------+------+------+---------+---------+
 //! ```
+//!
+//! `sn_base` is the first protected media sequence number, `count` the
+//! number of consecutive protected packets (1..=16), `r` the group's
+//! parity-shard count and `idx` which of them this is. Like every parser
+//! in this crate, [`RsParityPacket::parse_payload`] is a total function
+//! over arbitrary bytes and returns a typed [`ParseError`].
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
 use crate::error::ParseError;
 use crate::packet::RtpPacket;
 
-/// Dynamic payload type carrying XOR parity (media uses 96).
-pub const FEC_PAYLOAD_TYPE: u8 = 127;
-/// Fixed parity header length inside the RTP payload.
-pub const FEC_HEADER_LEN: usize = 10;
-/// Largest protected group: beyond this, a second loss in the group is
-/// more likely than the parity is useful.
+/// Largest protected group: the range of the wire `count` field and the
+/// cap the bonded scheduler sizes its groups under.
 pub const MAX_FEC_GROUP: u8 = 16;
-
-/// A parsed (or freshly built) XOR parity packet.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct FecPacket {
-    /// First protected media sequence number.
-    pub sn_base: u16,
-    /// Number of consecutive protected packets (1..=[`MAX_FEC_GROUP`]).
-    pub count: u8,
-    /// XOR of the protected marker bits.
-    pub marker_xor: bool,
-    /// XOR of the protected media timestamps.
-    pub ts_xor: u32,
-    /// XOR of the protected payload lengths.
-    pub len_xor: u16,
-    /// XOR of the protected payloads, zero-padded to the longest.
-    pub payload_xor: Bytes,
-}
-
-impl FecPacket {
-    /// True when `seq` is one of the protected sequence numbers
-    /// (wrap-aware).
-    pub fn covers(&self, seq: u16) -> bool {
-        seq.wrapping_sub(self.sn_base) < u16::from(self.count)
-    }
-
-    /// Serialise the parity header + XOR blob — the RTP *payload* of the
-    /// parity packet.
-    pub fn serialize_payload(&self) -> Bytes {
-        let mut b = BytesMut::with_capacity(FEC_HEADER_LEN + self.payload_xor.len());
-        b.put_u16(self.sn_base);
-        b.put_u8(self.count);
-        b.put_u8(self.marker_xor as u8);
-        b.put_u32(self.ts_xor);
-        b.put_u16(self.len_xor);
-        b.extend_from_slice(&self.payload_xor);
-        b.freeze()
-    }
-
-    /// Wrap the parity into a sendable RTP packet. The parity stream has
-    /// its own sequence space (`parity_seq`) so it never collides with
-    /// media sequence numbers at the dedup layer.
-    pub fn into_rtp(self, ssrc: u32, parity_seq: u16) -> RtpPacket {
-        RtpPacket {
-            marker: false,
-            payload_type: FEC_PAYLOAD_TYPE,
-            sequence: parity_seq,
-            timestamp: self.ts_xor,
-            ssrc,
-            transport_seq: None,
-            payload: self.serialize_payload(),
-            wire: None,
-        }
-    }
-
-    /// Parse a parity header + XOR blob from an RTP payload. Total:
-    /// truncated, flag-polluted, or out-of-range bytes yield a typed
-    /// [`ParseError`], never a panic.
-    pub fn parse_payload(mut data: Bytes) -> Result<FecPacket, ParseError> {
-        if data.len() < FEC_HEADER_LEN {
-            return Err(ParseError::Truncated {
-                needed: FEC_HEADER_LEN,
-                have: data.len(),
-            });
-        }
-        let sn_base = data.get_u16();
-        let count = data.get_u8();
-        if count == 0 || count > MAX_FEC_GROUP {
-            return Err(ParseError::Malformed {
-                reason: "fec count out of range",
-            });
-        }
-        let flags = data.get_u8();
-        if flags & !1 != 0 {
-            return Err(ParseError::Malformed {
-                reason: "fec reserved flags set",
-            });
-        }
-        Ok(FecPacket {
-            sn_base,
-            count,
-            marker_xor: flags & 1 == 1,
-            ts_xor: data.get_u32(),
-            len_xor: data.get_u16(),
-            payload_xor: data,
-        })
-    }
-
-    /// Rebuild the single missing group member from this parity and the
-    /// surviving members. Returns `None` unless exactly one protected
-    /// sequence number is absent from `received` (duplicates and foreign
-    /// packets in the slice are ignored), or when the XOR'd length field
-    /// is inconsistent with the blob (damaged parity).
-    pub fn recover(&self, received: &[&RtpPacket]) -> Option<RtpPacket> {
-        let n = usize::from(self.count);
-        // Which offsets are present? (dedup: first copy wins)
-        let mut have: [Option<&RtpPacket>; MAX_FEC_GROUP as usize] = [None; MAX_FEC_GROUP as usize];
-        for p in received {
-            let off = usize::from(p.sequence.wrapping_sub(self.sn_base));
-            if off < n && have[off].is_none() {
-                have[off] = Some(p);
-            }
-        }
-        let present = have[..n].iter().filter(|h| h.is_some()).count();
-        if present != n.saturating_sub(1) {
-            return None;
-        }
-        let missing_off = have[..n].iter().position(|h| h.is_none())?;
-
-        let mut marker = self.marker_xor;
-        let mut timestamp = self.ts_xor;
-        let mut len = self.len_xor;
-        let mut payload = self.payload_xor.to_vec();
-        let mut payload_type = FEC_PAYLOAD_TYPE;
-        let mut ssrc = 0u32;
-        for p in have[..n].iter().flatten() {
-            marker ^= p.marker;
-            timestamp ^= p.timestamp;
-            len ^= p.payload.len() as u16;
-            for (dst, src) in payload.iter_mut().zip(p.payload.iter()) {
-                *dst ^= src;
-            }
-            payload_type = p.payload_type;
-            ssrc = p.ssrc;
-        }
-        if usize::from(len) > payload.len() {
-            return None; // damaged parity: claims more bytes than the blob holds
-        }
-        payload.truncate(usize::from(len));
-        Some(RtpPacket {
-            marker,
-            payload_type,
-            sequence: self.sn_base.wrapping_add(missing_off as u16),
-            timestamp,
-            ssrc,
-            transport_seq: None,
-            payload: Bytes::from(payload),
-            wire: None,
-        })
-    }
-}
-
-/// Incremental XOR accumulator the sender feeds each media packet into.
-#[derive(Clone, Debug, Default)]
-pub struct FecGroup {
-    sn_base: u16,
-    count: u8,
-    marker_xor: bool,
-    ts_xor: u32,
-    len_xor: u16,
-    payload_xor: Vec<u8>,
-}
-
-impl FecGroup {
-    /// Start an empty group.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Members accumulated so far.
-    pub fn len(&self) -> u8 {
-        self.count
-    }
-
-    /// True when no packet has been pushed yet.
-    pub fn is_empty(&self) -> bool {
-        self.count == 0
-    }
-
-    /// Fold one media packet into the group. The first push pins
-    /// `sn_base`; callers push consecutive sequence numbers. Returns
-    /// `false` (and ignores the packet) once the group is full.
-    pub fn push(&mut self, p: &RtpPacket) -> bool {
-        if self.count >= MAX_FEC_GROUP {
-            return false;
-        }
-        if self.count == 0 {
-            self.sn_base = p.sequence;
-        }
-        self.count = self.count.saturating_add(1);
-        self.marker_xor ^= p.marker;
-        self.ts_xor ^= p.timestamp;
-        self.len_xor ^= p.payload.len() as u16;
-        if self.payload_xor.len() < p.payload.len() {
-            self.payload_xor.resize(p.payload.len(), 0);
-        }
-        for (dst, src) in self.payload_xor.iter_mut().zip(p.payload.iter()) {
-            *dst ^= src;
-        }
-        true
-    }
-
-    /// Close the group and emit its parity; the accumulator resets to
-    /// empty. Returns `None` for an empty group.
-    pub fn build(&mut self) -> Option<FecPacket> {
-        if self.count == 0 {
-            return None;
-        }
-        let fec = FecPacket {
-            sn_base: self.sn_base,
-            count: self.count,
-            marker_xor: self.marker_xor,
-            ts_xor: self.ts_xor,
-            len_xor: self.len_xor,
-            payload_xor: Bytes::from(std::mem::take(&mut self.payload_xor)),
-        };
-        *self = FecGroup::new();
-        Some(fec)
-    }
-}
-
-// ---------------------------------------------------------------------
-// Reed–Solomon over GF(256)
-// ---------------------------------------------------------------------
-
 /// Dynamic payload type carrying Reed–Solomon parity shards.
 pub const RS_FEC_PAYLOAD_TYPE: u8 = 126;
 /// Fixed RS parity header length inside the RTP payload.
@@ -831,144 +598,6 @@ mod tests {
         }
     }
 
-    fn group_of(packets: &[RtpPacket]) -> FecPacket {
-        let mut g = FecGroup::new();
-        for p in packets {
-            assert!(g.push(p));
-        }
-        g.build().expect("non-empty group builds")
-    }
-
-    #[test]
-    fn payload_roundtrip() {
-        let packets = [
-            media(100, b"alpha", false),
-            media(101, b"bee", true),
-            media(102, b"gamma-ray", false),
-        ];
-        let fec = group_of(&packets);
-        let parsed = FecPacket::parse_payload(fec.serialize_payload()).expect("roundtrip parses");
-        assert_eq!(parsed, fec);
-        assert!(fec.covers(100) && fec.covers(102));
-        assert!(!fec.covers(99) && !fec.covers(103));
-    }
-
-    #[test]
-    fn recovers_any_single_missing_member() {
-        let packets = [
-            media(7, b"first-packet", true),
-            media(8, b"second", false),
-            media(9, b"third-member-longest", false),
-            media(10, b"x", true),
-        ];
-        let fec = group_of(&packets);
-        for missing in 0..packets.len() {
-            let survivors: Vec<&RtpPacket> = packets
-                .iter()
-                .enumerate()
-                .filter(|(i, _)| *i != missing)
-                .map(|(_, p)| p)
-                .collect();
-            let rec = fec.recover(&survivors).expect("recovery");
-            assert_eq!(rec, packets[missing], "missing index {missing}");
-            assert_eq!(rec.payload_type, 96);
-            assert_eq!(rec.ssrc, 0xABCD_EF01);
-        }
-    }
-
-    #[test]
-    fn no_recovery_with_two_missing_or_none_missing() {
-        let packets = [
-            media(1, b"aa", false),
-            media(2, b"bb", false),
-            media(3, b"cc", false),
-        ];
-        let fec = group_of(&packets);
-        assert!(fec.recover(&[&packets[0]]).is_none());
-        let all: Vec<&RtpPacket> = packets.iter().collect();
-        assert!(fec.recover(&all).is_none());
-    }
-
-    #[test]
-    fn duplicates_and_foreign_packets_ignored_in_recovery() {
-        let packets = [media(50, b"one", true), media(51, b"two", false)];
-        let fec = group_of(&packets);
-        let stranger = media(900, b"not-in-group", false);
-        let rec = fec
-            .recover(&[&packets[0], &packets[0], &stranger])
-            .expect("recovery despite noise");
-        assert_eq!(rec, packets[1]);
-    }
-
-    #[test]
-    fn recovers_across_sequence_wrap() {
-        let packets = [
-            media(65_534, b"pre-wrap", false),
-            media(65_535, b"at-wrap", true),
-            media(0, b"post-wrap", false),
-        ];
-        let fec = group_of(&packets);
-        assert!(fec.covers(65_534) && fec.covers(0));
-        let rec = fec
-            .recover(&[&packets[0], &packets[2]])
-            .expect("recovery across wrap");
-        assert_eq!(rec, packets[1]);
-    }
-
-    #[test]
-    fn truncated_and_hostile_payloads_rejected() {
-        let wire = group_of(&[media(5, b"payload", false)]).serialize_payload();
-        for cut in 0..FEC_HEADER_LEN {
-            let truncated = Bytes::from(wire[..cut].to_vec());
-            assert!(FecPacket::parse_payload(truncated).is_err(), "cut {cut}");
-        }
-        // count = 0 and count > MAX rejected.
-        for bad_count in [0u8, MAX_FEC_GROUP + 1, 255] {
-            let mut b = wire.to_vec();
-            b[2] = bad_count;
-            assert!(FecPacket::parse_payload(Bytes::from(b)).is_err());
-        }
-        // Reserved flag bits rejected.
-        let mut b = wire.to_vec();
-        b[3] = 0x82;
-        assert!(FecPacket::parse_payload(Bytes::from(b)).is_err());
-    }
-
-    #[test]
-    fn damaged_length_field_refuses_recovery() {
-        let packets = [media(20, b"aaaa", false), media(21, b"bb", false)];
-        let mut fec = group_of(&packets);
-        fec.len_xor = u16::MAX; // implies a member longer than the blob
-        assert!(fec.recover(&[&packets[0]]).is_none());
-    }
-
-    #[test]
-    fn group_caps_at_max_and_resets_after_build() {
-        let mut g = FecGroup::new();
-        for s in 0..u16::from(MAX_FEC_GROUP) {
-            assert!(g.push(&media(s, b"x", false)));
-        }
-        assert!(!g.push(&media(99, b"overflow", false)));
-        assert_eq!(g.len(), MAX_FEC_GROUP);
-        let fec = g.build().expect("full group builds");
-        assert_eq!(fec.count, MAX_FEC_GROUP);
-        assert!(g.is_empty());
-        assert!(g.build().is_none());
-    }
-
-    #[test]
-    fn parity_rtp_packet_is_discriminable_from_media() {
-        let fec = group_of(&[media(300, b"data", true)]);
-        let rtp = fec.clone().into_rtp(0xABCD_EF01, 41);
-        assert_eq!(rtp.payload_type, FEC_PAYLOAD_TYPE);
-        let parsed = RtpPacket::parse(rtp.serialize()).expect("parity RTP reparses");
-        assert_eq!(parsed.payload_type, FEC_PAYLOAD_TYPE);
-        let back = FecPacket::parse_payload(parsed.payload).expect("parity payload reparses");
-        assert_eq!(back, fec);
-    }
-
-    // ---- Reed–Solomon ------------------------------------------------
-
     fn rs_group_of(packets: &[RtpPacket], parity_count: usize) -> Vec<RsParityPacket> {
         let mut g = RsGroup::new();
         for p in packets {
@@ -1132,47 +761,62 @@ mod tests {
 
     #[test]
     fn rs_single_parity_matches_xor_recovery_set() {
-        // Regression vs the XOR path: one RS parity shard recovers
-        // exactly the erasure patterns one XOR parity does — any single
-        // loss, never a double — and rebuilds byte-identical packets.
+        // One parity shard recovers exactly what a single XOR parity
+        // would — any single loss, never a double — and rebuilds the
+        // original member byte for byte.
         let packets = rs_members(6);
-        let xor = group_of(&packets);
         let rs = rs_group_of(&packets, 1);
         let rs_refs: Vec<&RsParityPacket> = rs.iter().collect();
         for missing in 0..packets.len() {
-            let survivors: Vec<&RtpPacket> = packets
+            let survivors = packets
                 .iter()
                 .enumerate()
                 .filter(|(i, _)| *i != missing)
-                .map(|(_, p)| p)
-                .collect();
-            let via_xor = xor.recover(&survivors).expect("xor recovers single loss");
-            let via_rs = rs_recover(&rs_refs, survivors.iter().copied(), 0)
-                .expect("rs recovers single loss");
-            assert_eq!(via_rs.len(), 1);
-            assert_eq!(via_rs[0], via_xor, "missing {missing}");
-            assert_eq!(via_rs[0], packets[missing], "missing {missing}");
+                .map(|(_, p)| p);
+            let rec = rs_recover(&rs_refs, survivors, 0).expect("rs recovers single loss");
+            assert_eq!(rec, [packets[missing].clone()], "missing {missing}");
         }
-        // Two erasures defeat both single-parity codes.
-        let survivors: Vec<&RtpPacket> = packets[2..].iter().collect();
-        assert!(xor.recover(&survivors).is_none());
-        assert!(rs_recover(&rs_refs, survivors.iter().copied(), 0).is_none());
+        assert!(rs_recover(&rs_refs, packets[2..].iter(), 0).is_none());
     }
 
     #[test]
     fn rs_recovers_a_double_burst_xor_provably_cannot() {
         // The tentpole claim in miniature: a 2-packet burst erasure in
-        // one group defeats any single XOR parity but falls to r=2 RS.
+        // one group defeats any single parity but falls to r=2 RS.
         let packets = rs_members(8);
-        let xor = group_of(&packets);
         let rs = rs_group_of(&packets, 2);
-        let survivors: Vec<&RtpPacket> = packets[2..].iter().collect();
-        assert!(xor.recover(&survivors).is_none(), "XOR must fail here");
+        let survivors = packets[2..].iter();
+        assert!(
+            rs_recover(&[&rs[0]], survivors.clone(), 0).is_none(),
+            "one shard must fail here"
+        );
         let rs_refs: Vec<&RsParityPacket> = rs.iter().collect();
-        let rec = rs_recover(&rs_refs, survivors.iter().copied(), 0).expect("rs repairs burst");
-        assert_eq!(rec.len(), 2);
-        assert_eq!(rec[0], packets[0]);
-        assert_eq!(rec[1], packets[1]);
+        let rec = rs_recover(&rs_refs, survivors, 0).expect("rs repairs burst");
+        assert_eq!(rec, packets[..2]);
+    }
+
+    #[test]
+    fn duplicates_and_foreign_packets_ignored_in_recovery() {
+        let packets = [media(50, b"one", true), media(51, b"two", false)];
+        let rs = rs_group_of(&packets, 1);
+        let stranger = media(900, b"not-in-group", false);
+        let noisy = [&packets[0], &packets[0], &stranger];
+        let rec = rs_recover(&[&rs[0]], noisy.into_iter(), 0).expect("recovery despite noise");
+        assert_eq!(rec, [packets[1].clone()]);
+    }
+
+    #[test]
+    fn recovers_across_sequence_wrap() {
+        let packets = [
+            media(65_534, b"pre-wrap", false),
+            media(65_535, b"at-wrap", true),
+            media(0, b"post-wrap", false),
+        ];
+        let rs = rs_group_of(&packets, 1);
+        assert!(rs[0].covers(65_534) && rs[0].covers(0) && !rs[0].covers(1));
+        let rec = rs_recover(&[&rs[0]], [&packets[0], &packets[2]].into_iter(), 0)
+            .expect("recovery across wrap");
+        assert_eq!(rec, [packets[1].clone()]);
     }
 
     #[test]

@@ -31,9 +31,8 @@
 //! * [`jitter`] — the receiver jitter buffer (150 ms default, matching the
 //!   pipeline in §3.2), including the `drop-on-latency` mode discussed in
 //!   Appendix A.4.
-//! * [`fec`] — XOR-parity forward error correction groups (RFC 5109 in
-//!   spirit), the cross-leg redundancy layer of the bonded multipath
-//!   scheme.
+//! * [`fec`] — GF(256) Reed–Solomon forward error correction groups, the
+//!   cross-leg redundancy layer of the bonded multipath scheme.
 //! * [`error`] — the typed [`ParseError`] every wire parser returns; all
 //!   parsers are total functions over arbitrary bytes.
 
@@ -51,7 +50,7 @@ pub mod seqwindow;
 pub mod twcc;
 
 pub use error::ParseError;
-pub use fec::{FecGroup, FecPacket, FEC_PAYLOAD_TYPE, MAX_FEC_GROUP};
+pub use fec::MAX_FEC_GROUP;
 pub use jitter::{JitterBuffer, JitterConfig};
 pub use nack::{Nack, NackConfig, NackGenerator, NackStats};
 pub use packet::RtpPacket;

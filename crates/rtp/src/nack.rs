@@ -17,13 +17,12 @@
 //! Determinism: the generator is pure state-machine logic — no RNG — so a
 //! repair-enabled run replays bit-identically for a fixed seed.
 
-use std::collections::VecDeque;
-
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use rpav_sim::{SimDuration, SimTime};
 
 use crate::error::ParseError;
 use crate::packet::unwrap_seq;
+use crate::seqwindow::SeqWindow;
 
 /// RTCP payload type for transport-layer feedback.
 pub const RTCP_PT_RTPFB: u8 = 205;
@@ -220,134 +219,19 @@ struct MissingSeq {
     next_request: SimTime,
 }
 
-/// Dense window of chased gaps keyed from a moving base — the
-/// [`seqwindow`](crate::seqwindow) idiom applied to the NACK state. The
-/// bonded striper's cross-leg interleaving opens (and soon fills) a
-/// transient gap on near-every arrival, and a `BTreeMap` paid node churn
-/// for each one; deque slots are retained across that oscillation, so the
-/// steady-state hot path never touches the allocator. Iteration is
-/// sequence-ascending by construction — the same order the tree gave, so
-/// emitted NACK batches are bit-identical.
-#[derive(Debug, Default)]
-struct GapWindow {
-    /// Sequence stored in `slots[0]`. Meaningless while empty.
-    base: u64,
-    slots: VecDeque<Option<MissingSeq>>,
-    occupied: usize,
-}
-
-impl GapWindow {
-    fn insert(&mut self, seq: u64, m: MissingSeq) {
-        if self.slots.is_empty() {
-            self.base = seq;
-        } else if seq < self.base {
-            for _ in 0..(self.base - seq) {
-                self.slots.push_front(None);
-            }
-            self.base = seq;
-        }
-        let idx = (seq - self.base) as usize;
-        if idx >= self.slots.len() {
-            self.slots.resize(idx + 1, None);
-        }
-        if self.slots[idx].replace(m).is_none() {
-            self.occupied += 1;
-        }
-    }
-
-    fn remove(&mut self, seq: u64) -> Option<MissingSeq> {
-        if self.slots.is_empty() || seq < self.base {
-            return None;
-        }
-        let idx = (seq - self.base) as usize;
-        let m = self.slots.get_mut(idx)?.take();
-        if m.is_some() {
-            self.occupied -= 1;
-            self.trim();
-        }
-        m
-    }
-
-    /// Drop empty slots at both ends so the scan span stays the span of
-    /// live gaps (capacity is retained — trimming never deallocates).
-    fn trim(&mut self) {
-        while matches!(self.slots.front(), Some(None)) {
-            self.slots.pop_front();
-            self.base += 1;
-        }
-        while matches!(self.slots.back(), Some(None)) {
-            self.slots.pop_back();
-        }
-    }
-
-    fn evict_below(&mut self, floor: u64) {
-        while self.base < floor && !self.slots.is_empty() {
-            if let Some(Some(_)) = self.slots.pop_front() {
-                self.occupied -= 1;
-            }
-            self.base += 1;
-        }
-        self.trim();
-    }
-}
-
-/// Same moving-base window as [`GapWindow`], reduced to membership flags
-/// — the abandoned set is only ever probed, never iterated.
-#[derive(Debug, Default)]
-struct FlagWindow {
-    base: u64,
-    slots: VecDeque<bool>,
-}
-
-impl FlagWindow {
-    fn insert(&mut self, seq: u64) {
-        if self.slots.is_empty() {
-            self.base = seq;
-        } else if seq < self.base {
-            for _ in 0..(self.base - seq) {
-                self.slots.push_front(false);
-            }
-            self.base = seq;
-        }
-        let idx = (seq - self.base) as usize;
-        if idx >= self.slots.len() {
-            self.slots.resize(idx + 1, false);
-        }
-        self.slots[idx] = true;
-    }
-
-    fn remove(&mut self, seq: u64) -> bool {
-        if self.slots.is_empty() || seq < self.base {
-            return false;
-        }
-        match self.slots.get_mut((seq - self.base) as usize) {
-            Some(flag) => std::mem::replace(flag, false),
-            None => false,
-        }
-    }
-
-    fn evict_below(&mut self, floor: u64) {
-        while self.base < floor && !self.slots.is_empty() {
-            self.slots.pop_front();
-            self.base += 1;
-        }
-        while matches!(self.slots.front(), Some(false)) {
-            self.slots.pop_front();
-            self.base += 1;
-        }
-    }
-}
-
 /// Receiver-side gap detector and NACK scheduler.
 #[derive(Debug)]
 pub struct NackGenerator {
     config: NackConfig,
     /// Highest unwrapped sequence seen.
     highest: Option<u64>,
-    /// Gaps currently being chased, keyed by unwrapped sequence.
-    missing: GapWindow,
-    /// Gaps given up on (bounded; GC'd as the window advances).
-    abandoned: FlagWindow,
+    /// Gaps currently being chased, keyed by unwrapped sequence. The
+    /// window iterates sequence-ascending, which fixes the order of every
+    /// emitted NACK batch.
+    missing: SeqWindow<MissingSeq>,
+    /// Gaps given up on (bounded; GC'd as the window advances) — only
+    /// ever probed, never iterated.
+    abandoned: SeqWindow<()>,
     /// Earliest time the next NACK packet may be emitted.
     next_nack_at: SimTime,
     /// Smoothed RTT hint from the pipeline's OWD samples.
@@ -365,8 +249,8 @@ impl NackGenerator {
         NackGenerator {
             config,
             highest: None,
-            missing: GapWindow::default(),
-            abandoned: FlagWindow::default(),
+            missing: SeqWindow::new(),
+            abandoned: SeqWindow::new(),
             next_nack_at: SimTime::ZERO,
             rtt_hint: SimDuration::from_millis(40),
             stats: NackStats::default(),
@@ -390,7 +274,7 @@ impl NackGenerator {
 
     /// Gaps currently being chased.
     pub fn outstanding(&self) -> usize {
-        self.missing.occupied
+        self.missing.len()
     }
 
     /// Record an arriving media packet and classify it.
@@ -435,7 +319,7 @@ impl NackGenerator {
             self.stats.reordered += 1;
             return Arrival::Reordered;
         }
-        if self.abandoned.remove(unwrapped) {
+        if self.abandoned.remove(unwrapped).is_some() {
             self.stats.late_recovered += 1;
             return Arrival::Late;
         }
@@ -448,38 +332,28 @@ impl NackGenerator {
         // First pass: abandon everything that can no longer make it —
         // taken out of its slot in place, no scratch list.
         let rtt = self.rtt_hint + self.config.deadline_margin;
-        let base = self.missing.base;
-        let mut removed = 0usize;
-        for (idx, slot) in self.missing.slots.iter_mut().enumerate() {
-            let Some(m) = slot else { continue };
+        self.missing.retain(|seq, m| {
             let deadline = m.detected + self.config.playout_budget;
             let exhausted = m.retries >= self.config.max_retries;
             let unreachable = now + rtt >= deadline;
             if exhausted || unreachable {
-                *slot = None;
-                removed += 1;
-                self.abandoned.insert(base + idx as u64);
+                self.abandoned.insert(seq, ());
                 self.stats.abandoned += 1;
             }
-        }
-        if removed > 0 {
-            self.missing.occupied -= removed;
-            self.missing.trim();
-        }
+            !(exhausted || unreachable)
+        });
 
         if now < self.next_nack_at {
             return None;
         }
         let mut batch: Vec<u16> = Vec::new();
-        let base = self.missing.base;
-        let chased = self.missing.occupied;
-        for (idx, slot) in self.missing.slots.iter_mut().enumerate() {
-            let Some(m) = slot else { continue };
+        let chased = self.missing.len();
+        for (seq, m) in self.missing.iter_mut() {
             if now >= m.next_request {
                 if batch.is_empty() {
                     batch.reserve_exact(chased);
                 }
-                batch.push(((base + idx as u64) & 0xffff) as u16);
+                batch.push((seq & 0xffff) as u16);
                 m.retries += 1;
                 // Re-request only after a full round trip had its chance.
                 m.next_request = now + self.rtt_hint + self.config.deadline_margin;
@@ -505,13 +379,13 @@ impl NackGenerator {
     /// is detected. Edges may be conservative (at or before the true
     /// instant); early polls are no-ops.
     pub fn next_wake(&self) -> Option<SimTime> {
-        if self.missing.occupied == 0 {
+        if self.missing.is_empty() {
             return None;
         }
         let rtt = self.rtt_hint + self.config.deadline_margin;
         let mut abandon: Option<SimTime> = None;
         let mut request: Option<SimTime> = None;
-        for m in self.missing.slots.iter().flatten() {
+        for (_, m) in self.missing.iter() {
             let a = if m.retries >= self.config.max_retries {
                 SimTime::ZERO // exhausted: the very next poll abandons it
             } else {

@@ -179,7 +179,7 @@ impl Rfc8888Packet {
 /// received and never yet acknowledged.
 #[derive(Debug)]
 pub struct Rfc8888Builder {
-    arrivals: SeqWindow,
+    arrivals: SeqWindow<SimTime>,
     highest: Option<u64>,
     /// Span limit per feedback packet (64 stock, 256 in the paper's
     /// mitigation).
@@ -225,7 +225,7 @@ impl Rfc8888Builder {
         out.reports.clear();
         out.reports
             .extend((begin..=highest).map(|s| match self.arrivals.get(s) {
-                Some(t) => Rfc8888Report {
+                Some(&t) => Rfc8888Report {
                     seq: (s & 0xffff) as u16,
                     received: true,
                     ato: now.saturating_since(t),

@@ -1,37 +1,52 @@
-//! Dense windows keyed by sequence number: the feedback
-//! recorders' arrival-time map ([`SeqWindow`]) and the multipath
-//! receiver's [`FirstCopyFilter`].
+//! Dense windows keyed by sequence number: the moving-base map
+//! ([`SeqWindow`]) behind the feedback recorders and the NACK state, and
+//! the multipath receiver's [`FirstCopyFilter`].
 //!
 //! The feedback recorders ([`twcc`](crate::twcc), [`rfc8888`](crate::rfc8888))
 //! store one arrival time per received media packet and read them back as
-//! contiguous range scans when a report is built. Keys are dense and nearly
-//! monotone and eviction only ever trims old sequences, so a deque of slots
-//! indexed from a moving base does everything their former `BTreeMap` did —
-//! without a tree insert on the per-packet hot path.
+//! contiguous range scans when a report is built; the NACK generator
+//! ([`nack`](crate::nack)) tracks the gaps it is chasing and the ones it
+//! gave up on. Keys are dense and nearly monotone and eviction only ever
+//! trims old sequences, so a deque of slots indexed from a moving base
+//! does everything a `BTreeMap` would — without a tree insert, or node
+//! churn when a transient gap opens and fills, on the per-packet hot
+//! path. Slots are retained across that oscillation, so the steady state
+//! never touches the allocator.
 
 use std::collections::VecDeque;
 
-use rpav_sim::SimTime;
-
-/// Map from unwrapped sequence number to arrival time, specialised for
-/// dense, forward-moving key ranges.
-#[derive(Clone, Debug, Default)]
-pub struct SeqWindow {
+/// Map from unwrapped sequence number to `T`, specialised for dense,
+/// forward-moving key ranges. Iteration is sequence-ascending.
+#[derive(Clone, Debug)]
+pub struct SeqWindow<T> {
     /// Sequence number stored in `slots[0]`. Meaningless while empty.
     base: u64,
-    slots: VecDeque<Option<SimTime>>,
+    /// Never starts or ends with an empty slot, so the scan span is the
+    /// span of live entries.
+    slots: VecDeque<Option<T>>,
+    occupied: usize,
 }
 
-impl SeqWindow {
+impl<T> Default for SeqWindow<T> {
+    fn default() -> Self {
+        SeqWindow {
+            base: 0,
+            slots: VecDeque::new(),
+            occupied: 0,
+        }
+    }
+}
+
+impl<T> SeqWindow<T> {
     /// Create an empty window.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Record `seq → t`. A sequence below the current base grows the window
-    /// backwards (bounded by real network displacement), so a reordered
-    /// straggler is never lost before it could still be reported.
-    pub fn insert(&mut self, seq: u64, t: SimTime) {
+    /// Record `seq → value`. A sequence below the current base grows the
+    /// window backwards (bounded by real network displacement), so a
+    /// reordered straggler is never lost before it could still be read.
+    pub fn insert(&mut self, seq: u64, value: T) {
         if self.slots.is_empty() {
             self.base = seq;
         } else if seq < self.base {
@@ -42,39 +57,86 @@ impl SeqWindow {
         }
         let idx = (seq - self.base) as usize;
         if idx >= self.slots.len() {
-            self.slots.resize(idx + 1, None);
+            self.slots.resize_with(idx + 1, || None);
         }
-        self.slots[idx] = Some(t);
+        if self.slots[idx].replace(value).is_none() {
+            self.occupied += 1;
+        }
     }
 
-    /// Arrival time recorded for `seq`, if any.
-    pub fn get(&self, seq: u64) -> Option<SimTime> {
-        if self.slots.is_empty() || seq < self.base {
-            return None;
-        }
-        *self.slots.get((seq - self.base) as usize)?
+    /// The value recorded for `seq`, if any.
+    pub fn get(&self, seq: u64) -> Option<&T> {
+        let idx = seq.checked_sub(self.base)?;
+        self.slots.get(idx as usize)?.as_ref()
     }
 
-    /// Forget every sequence strictly below `from` (the report just
-    /// emitted covered them; they can never be read again).
-    pub fn evict_below(&mut self, from: u64) {
-        while self.base < from && !self.slots.is_empty() {
+    /// Take the value recorded for `seq` out of the window.
+    pub fn remove(&mut self, seq: u64) -> Option<T> {
+        let idx = seq.checked_sub(self.base)?;
+        let value = self.slots.get_mut(idx as usize)?.take()?;
+        self.occupied -= 1;
+        self.trim();
+        Some(value)
+    }
+
+    /// Forget every sequence strictly below `floor`.
+    pub fn evict_below(&mut self, floor: u64) {
+        while self.base < floor {
+            match self.slots.pop_front() {
+                Some(slot) => self.occupied -= usize::from(slot.is_some()),
+                None => break,
+            }
+            self.base += 1;
+        }
+        self.trim();
+    }
+
+    /// Keep only the entries `keep` approves, visiting them in ascending
+    /// sequence order — removal in place, no scratch list.
+    pub fn retain(&mut self, mut keep: impl FnMut(u64, &mut T) -> bool) {
+        for (seq, slot) in (self.base..).zip(self.slots.iter_mut()) {
+            if slot.as_mut().is_some_and(|value| !keep(seq, value)) {
+                *slot = None;
+                self.occupied -= 1;
+            }
+        }
+        self.trim();
+    }
+
+    /// The entries, in ascending sequence order.
+    pub fn iter(&self) -> impl Iterator<Item = (u64, &T)> {
+        (self.base..)
+            .zip(&self.slots)
+            .filter_map(|(seq, slot)| Some((seq, slot.as_ref()?)))
+    }
+
+    /// The entries, mutably, in ascending sequence order.
+    pub fn iter_mut(&mut self) -> impl Iterator<Item = (u64, &mut T)> {
+        (self.base..)
+            .zip(&mut self.slots)
+            .filter_map(|(seq, slot)| Some((seq, slot.as_mut()?)))
+    }
+
+    /// Number of entries held.
+    pub fn len(&self) -> usize {
+        self.occupied
+    }
+
+    /// True when nothing is recorded (or everything was evicted).
+    pub fn is_empty(&self) -> bool {
+        self.occupied == 0
+    }
+
+    /// Drop empty slots at both ends (capacity is retained — trimming
+    /// never deallocates).
+    fn trim(&mut self) {
+        while matches!(self.slots.front(), Some(None)) {
             self.slots.pop_front();
             self.base += 1;
         }
-        if self.slots.is_empty() {
-            self.base = from;
+        while matches!(self.slots.back(), Some(None)) {
+            self.slots.pop_back();
         }
-    }
-
-    /// Number of slots currently held (including gaps).
-    pub fn len(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// True when nothing has been recorded (or everything was evicted).
-    pub fn is_empty(&self) -> bool {
-        self.slots.is_empty()
     }
 }
 
@@ -127,7 +189,7 @@ impl FirstCopyFilter {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rpav_sim::SimRng;
+    use rpav_sim::{SimRng, SimTime};
     use std::collections::HashSet;
 
     /// Media timestamp of the frame a sequence number belongs to: 28
@@ -203,9 +265,9 @@ mod tests {
         let mut w = SeqWindow::new();
         w.insert(100, SimTime::from_millis(1));
         w.insert(102, SimTime::from_millis(3));
-        assert_eq!(w.get(100), Some(SimTime::from_millis(1)));
+        assert_eq!(w.get(100), Some(&SimTime::from_millis(1)));
         assert_eq!(w.get(101), None);
-        assert_eq!(w.get(102), Some(SimTime::from_millis(3)));
+        assert_eq!(w.get(102), Some(&SimTime::from_millis(3)));
         assert_eq!(w.get(99), None);
         assert_eq!(w.get(103), None);
     }
@@ -215,9 +277,9 @@ mod tests {
         let mut w = SeqWindow::new();
         w.insert(10, SimTime::from_millis(10));
         w.insert(7, SimTime::from_millis(12));
-        assert_eq!(w.get(7), Some(SimTime::from_millis(12)));
+        assert_eq!(w.get(7), Some(&SimTime::from_millis(12)));
         assert_eq!(w.get(8), None);
-        assert_eq!(w.get(10), Some(SimTime::from_millis(10)));
+        assert_eq!(w.get(10), Some(&SimTime::from_millis(10)));
     }
 
     #[test]
@@ -228,12 +290,12 @@ mod tests {
         }
         w.evict_below(6);
         assert_eq!(w.get(5), None);
-        assert_eq!(w.get(6), Some(SimTime::from_millis(6)));
+        assert_eq!(w.get(6), Some(&SimTime::from_millis(6)));
         assert_eq!(w.len(), 4);
         // Evicting everything leaves a consistent empty window.
         w.evict_below(100);
         assert!(w.is_empty());
         w.insert(100, SimTime::from_millis(1));
-        assert_eq!(w.get(100), Some(SimTime::from_millis(1)));
+        assert_eq!(w.get(100), Some(&SimTime::from_millis(1)));
     }
 }

@@ -356,7 +356,7 @@ impl TwccFeedback {
 /// everything since the previous report.
 #[derive(Debug, Default)]
 pub struct TwccRecorder {
-    arrivals: SeqWindow,
+    arrivals: SeqWindow<SimTime>,
     last_unwrapped: Option<u64>,
     /// First sequence the next feedback will cover.
     next_base: u64,
@@ -401,7 +401,7 @@ impl TwccRecorder {
         }
         let base = self.next_base;
         let count = (last - base + 1).min(u16::MAX as u64 - 1) as usize;
-        let Some(first_arrival) = (base..base + count as u64).find_map(|s| self.arrivals.get(s))
+        let Some(&first_arrival) = (base..base + count as u64).find_map(|s| self.arrivals.get(s))
         else {
             return false;
         };

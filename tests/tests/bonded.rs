@@ -16,8 +16,9 @@
 use rpav_core::multipath::{run_multipath_legs, MultipathScheme};
 use rpav_core::prelude::*;
 use rpav_netem::FaultScript;
+use rpav_rtp::fec::{rs_recover, RsGroup};
 use rpav_rtp::nack::Arrival;
-use rpav_rtp::{FecGroup, JitterBuffer, JitterConfig, NackConfig, NackGenerator, RtpPacket};
+use rpav_rtp::{JitterBuffer, JitterConfig, NackConfig, NackGenerator, RtpPacket};
 use rpav_sim::{SimDuration, SimTime};
 
 fn ms(n: u64) -> SimTime {
@@ -51,12 +52,12 @@ fn bonded_cfg(seed: u64) -> ExperimentConfigBuilder {
 #[test]
 fn rtx_copy_after_fec_recovery_reads_stale() {
     // Sender side: a 4-packet group, one member lost on the wire.
-    let mut group = FecGroup::new();
+    let mut group = RsGroup::new();
     let members: Vec<RtpPacket> = (0u16..4).map(|s| pkt(s, u32::from(s) * 3_000)).collect();
     for p in &members {
-        assert!(group.push(p));
+        assert!(group.push(p, 1));
     }
-    let parity = group.build().expect("non-empty group");
+    let parity = group.build().pop().expect("non-empty group");
 
     // Receiver side: 0, 2, 3 arrive; 1 is the hole. The gap is detected
     // and NACKed before the parity lands.
@@ -72,7 +73,9 @@ fn rtx_copy_after_fec_recovery_reads_stale() {
     // yields the original bytes, and the recovered arrival cancels the
     // chase as `Recovered` (it was requested).
     let survivors: Vec<&RtpPacket> = members.iter().filter(|p| p.sequence != 1).collect();
-    let rec = parity.recover(&survivors).expect("one hole is recoverable");
+    let rec = rs_recover(&[&parity], survivors.iter().copied(), 0)
+        .and_then(|mut r| r.pop())
+        .expect("one hole is recoverable");
     assert_eq!(rec.sequence, 1);
     assert_eq!(rec.payload, members[1].payload);
     assert_eq!(rec.timestamp, members[1].timestamp);
@@ -119,15 +122,16 @@ fn partial_group_parity_recovers_after_group_cut_short() {
     // A leg dies mid-group: the sender flushes the partial group (2 of a
     // planned 4 members). The short parity must still cover — and
     // recover — its actual members.
-    let mut group = FecGroup::new();
+    let mut group = RsGroup::new();
     let members: Vec<RtpPacket> = (10u16..12).map(|s| pkt(s, u32::from(s) * 3_000)).collect();
     for p in &members {
-        group.push(p);
+        group.push(p, 1);
     }
-    let parity = group.build().expect("partial group still builds");
+    let parity = group.build().pop().expect("partial group still builds");
     assert!(parity.covers(10) && parity.covers(11) && !parity.covers(12));
-    let survivors = vec![&members[0]];
-    let rec = parity.recover(&survivors).expect("one of two recoverable");
+    let rec = rs_recover(&[&parity], members[..1].iter(), 0)
+        .and_then(|mut r| r.pop())
+        .expect("one of two recoverable");
     assert_eq!(rec.sequence, 11);
     assert_eq!(rec.payload, members[1].payload);
     // The accumulator reset: the next group starts clean.

@@ -54,28 +54,51 @@ fn parallel_execution_is_bit_identical_to_sequential() {
 #[test]
 fn warm_cache_replays_without_simulating() {
     let spec = spec();
-    let engine = CampaignEngine::new().with_jobs(4);
+    let dir = std::env::temp_dir().join(format!("rpav-matrix-warm-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let engine = CampaignEngine::new()
+        .with_cache_dir(Some(dir.clone()))
+        .with_jobs(4);
 
     let cold = engine.run(&spec);
     assert_eq!(
-        engine.simulations(),
-        12,
+        cold.report.simulated, 12,
         "cold run must simulate every cell"
     );
     assert!(cold.outcomes.iter().all(|o| !o.cached()));
 
     let warm = engine.run(&spec);
     assert_eq!(
-        engine.simulations(),
-        12,
+        warm.report.simulated, 0,
         "warm run re-simulated cached cells"
     );
-    assert_eq!(engine.cache_hits(), 12);
+    assert_eq!(warm.report.cached, 12);
     assert!(warm.outcomes.iter().all(|o| o.cached()));
 
     for (c, w) in cold.outcomes.iter().zip(&warm.outcomes) {
         assert_eq!(c.metrics().to_bytes(), w.metrics().to_bytes());
     }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn overlapping_runs_on_one_engine_report_their_own_cells() {
+    // Two disjoint two-cell matrices, started together on one engine:
+    // every count lives in the run's own report, so neither can see (or
+    // underflow on) the other's cells.
+    let engine = CampaignEngine::new().with_cache_dir(None).with_jobs(2);
+    let barrier = std::sync::Barrier::new(2);
+    std::thread::scope(|s| {
+        for seed in [0xA1u64, 0xB2] {
+            let (engine, barrier) = (&engine, &barrier);
+            s.spawn(move || {
+                let base = ExperimentConfig::builder().seed(seed).hold_secs(1).build();
+                barrier.wait();
+                let report = engine.run(&MatrixSpec::new(base).runs(2)).report;
+                assert_eq!((report.simulated, report.cached), (2, 0));
+            });
+        }
+    });
 }
 
 /// The `LogHistogram` the aggregates shipped with before bucketing went

@@ -4,8 +4,8 @@
 //! *stable identity*: `from_json ∘ to_json` is the identity on specs,
 //! `to_json ∘ from_json` is the identity on canonical documents, and
 //! whitespace/key-order noise re-canonicalizes to the same bytes (so
-//! the same campaign always lands on the same cache entries, journal,
-//! and daemon id).
+//! the same campaign always lands on the same cache entries and daemon
+//! id).
 //!
 //! Same discipline as `cache_fuzz.rs`: generators draw from the
 //! deterministic `SimRng`, truncation is exercised at *every* byte
@@ -197,11 +197,6 @@ fn random_spec(rng: &mut SimRng) -> CampaignSpec {
             } else {
                 None
             },
-            batch: if rng.chance(0.5) {
-                Some(rng.uniform_u64(1, 8) as usize)
-            } else {
-                None
-            },
             cache_dir: if rng.chance(0.5) {
                 Some(std::path::PathBuf::from(format!(
                     "target/fuzz-cache-{}",
@@ -272,8 +267,8 @@ fn round_trip_is_lossless_and_canonical_bytes_are_the_identity() {
         assert_eq!(parsed.identity(), spec.identity());
 
         // Non-canonical presentation of the same document must
-        // re-canonicalize to *identical* bytes — the cache/journal/id
-        // identity rule.
+        // re-canonicalize to *identical* bytes — the cache/id identity
+        // rule.
         let noisy = add_whitespace(&mut rng, &doc);
         let reparsed = CampaignSpec::from_json(&noisy)
             .unwrap_or_else(|e| panic!("case {case}: whitespace variant rejected: {e}"));
@@ -390,6 +385,29 @@ fn oversized_cross_products_are_typed_errors_not_aborts() {
     let doc = format!("{{\"spec_version\":1,\"runs\":{MAX_CELLS}}}");
     let spec = CampaignSpec::from_json(&doc).expect("MAX_CELLS itself is accepted");
     assert_eq!(spec.to_matrix().cell_count(), Some(MAX_CELLS));
+}
+
+#[test]
+fn oversized_cells_are_typed_errors_not_aborts() {
+    // `MAX_CELLS` bounds how many cells a document expands to; these
+    // bound what one cell may cost. Both caps are inclusive.
+    let doc = |field: &str, value: u64| {
+        format!("{{\"spec_version\":1,\"base\":{{\"mobility\":\"ground\",\"{field}\":{value}}}}}")
+    };
+    for (field, max) in [
+        ("hold_us", MAX_HOLD.as_micros()),
+        ("ground_sweeps", MAX_GROUND_SWEEPS),
+    ] {
+        for hostile in [max + 1, u64::MAX] {
+            match CampaignSpec::from_json(&doc(field, hostile)) {
+                Err(SpecError::BadValue { path, .. }) => assert_eq!(path, format!("base.{field}")),
+                other => panic!("{field}={hostile}: expected BadValue, got {other:?}"),
+            }
+        }
+        let spec = CampaignSpec::from_json(&doc(field, max)).expect("the cap itself is accepted");
+        let base = spec.base();
+        assert!(base.hold == MAX_HOLD || base.ground_sweeps as u64 == MAX_GROUND_SWEEPS);
+    }
 }
 
 #[test]
