@@ -223,10 +223,9 @@ impl CcEngine {
                 }
                 wake
             }
-            CcEngine::Scream { sender } => [sender.next_wake(), sender.next_tick_wake()]
-                .into_iter()
-                .flatten()
-                .min(),
+            CcEngine::Scream { sender } => {
+                SimTime::earliest(sender.next_wake(), sender.next_tick_wake())
+            }
         }
     }
 

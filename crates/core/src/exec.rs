@@ -1469,6 +1469,21 @@ mod tests {
         ExperimentConfig::builder().seed(11).hold_secs(1).build()
     }
 
+    /// Wire buffers are thread-confined (`bytes::Bytes` is `!Send`), and a
+    /// cell's inputs and results cross from the worker that simulated it
+    /// to the thread that folds them. This is the compile-time proof that
+    /// they carry no buffer — a future field that smuggles one in stops
+    /// the build here, not in a worker-pool type error three layers up.
+    #[test]
+    fn engine_inputs_and_results_are_send() {
+        fn assert_send<T: Send>() {}
+        assert_send::<RunMetrics>();
+        assert_send::<Cell>();
+        assert_send::<CellOutcome>();
+        assert_send::<CampaignAggregates>();
+        assert_send::<EngineReport>();
+    }
+
     #[test]
     fn empty_axes_expand_to_the_base_cell() {
         let cells = MatrixSpec::new(short_base()).expand();

@@ -412,37 +412,36 @@ impl Simulation {
         if self.scheduler.is_some() {
             return now;
         }
+        // `next_radio` is always armed, so the fold starts from it and every
+        // other source can only pull the deadline earlier.
+        let mut deadline = self.next_radio;
+        let mut fold = |wake: Option<SimTime>| {
+            if let Some(w) = wake {
+                deadline = deadline.min(w);
+            }
+        };
         let capture = self.encoder.next_capture();
-        let deadlines = [
-            Some(self.next_radio),
-            (capture < flight_end).then_some(capture),
-            self.pending_frames.front().map(|f| f.ready_at),
-            self.cc.next_wake(now),
-            self.legs
-                .iter()
-                .filter_map(|l| l.uplink.next_wake_scripted(now))
-                .min(),
-            self.legs
-                .iter()
-                .filter_map(|l| l.downlink.next_wake_scripted(now))
-                .min(),
-            if self.config.repair {
-                self.nack_gen.next_wake()
-            } else {
-                None
-            },
-            (self.next_feedback != SimTime::MAX).then_some(self.next_feedback),
-            self.jitter.next_wake(),
-            self.player.next_wake(),
-            (self.jitter_level > 0).then_some(self.last_jitter_event + JITTER_DECAY_AFTER),
-            (!self.ref_intact).then(|| self.last_pli.map_or(now, |t| t + PLI_MIN_INTERVAL)),
-        ];
-        // `next_radio` is always present, so the min always exists.
-        deadlines
-            .into_iter()
-            .flatten()
-            .min()
-            .unwrap_or(self.next_radio)
+        fold((capture < flight_end).then_some(capture));
+        fold(self.pending_frames.front().map(|f| f.ready_at));
+        fold(self.cc.next_wake(now));
+        for leg in &self.legs {
+            fold(leg.uplink.next_wake_scripted(now));
+            fold(leg.downlink.next_wake_scripted(now));
+        }
+        if self.config.repair {
+            fold(self.nack_gen.next_wake());
+        }
+        // An unarmed feedback timer is `SimTime::MAX` and folds away.
+        fold(Some(self.next_feedback));
+        fold(self.jitter.next_wake());
+        fold(self.player.next_wake());
+        if self.jitter_level > 0 {
+            fold(Some(self.last_jitter_event + JITTER_DECAY_AFTER));
+        }
+        if !self.ref_intact {
+            fold(Some(self.last_pli.map_or(now, |t| t + PLI_MIN_INTERVAL)));
+        }
+        deadline
     }
 
     fn step(&mut self, now: SimTime, flight_end: SimTime) {

@@ -15,7 +15,7 @@
 use std::fmt;
 use std::io::{self, Read, Write};
 
-/// Request line + headers must fit in this many bytes.
+/// Request line + headers + the blank line must fit in this many bytes.
 pub const MAX_HEAD_BYTES: usize = 16 * 1024;
 /// Declared request bodies above this are rejected before reading them.
 pub const MAX_BODY_BYTES: usize = 4 * 1024 * 1024;
@@ -81,11 +81,14 @@ pub fn read_request<S: Read>(stream: &mut S) -> Result<Request, HttpError> {
     let mut raw = Vec::new();
     let mut buf = [0u8; 4096];
     let split = loop {
-        if let Some(pos) = head_end(&raw) {
-            break pos;
-        }
-        if raw.len() > MAX_HEAD_BYTES {
-            return Err(HttpError::HeadTooLarge);
+        // The verdict depends on the bytes, not on how the transport cut
+        // them into reads: a terminator that arrives in the same read as
+        // the byte that crossed the cap is still past the cap.
+        match head_end(&raw) {
+            Some(pos) if pos + 4 <= MAX_HEAD_BYTES => break pos,
+            Some(_) => return Err(HttpError::HeadTooLarge),
+            None if raw.len() > MAX_HEAD_BYTES => return Err(HttpError::HeadTooLarge),
+            None => {}
         }
         let n = stream.read(&mut buf)?;
         if n == 0 {
@@ -142,6 +145,7 @@ fn reason(status: u16) -> &'static str {
         404 => "Not Found",
         405 => "Method Not Allowed",
         413 => "Payload Too Large",
+        503 => "Service Unavailable",
         _ => "Internal Server Error",
     }
 }

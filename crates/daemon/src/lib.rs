@@ -24,7 +24,12 @@
 //!   blocks until done. This is the byte-compare surface of the
 //!   acceptance test.
 //! * `GET /metrics` — live counters: campaigns by state, cell totals,
-//!   queue depth, heap telemetry from [`rpav_sim::alloc`].
+//!   queue depth, live and refused connections, heap telemetry from
+//!   [`rpav_sim::alloc`].
+//!
+//! Every connection gets its own thread, at most [`MAX_CONNECTIONS`] of
+//! them at a time; the accept loop itself answers the overflow with a
+//! `503` and `{"error":"too many connections"}`.
 //!
 //! # Durability
 //!
@@ -56,11 +61,12 @@ pub mod client;
 pub mod http;
 
 use std::collections::BTreeMap;
-use std::io::Write as _;
-use std::net::{TcpListener, TcpStream};
+use std::io::{Read, Write as _};
+use std::net::{Shutdown, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
+use std::time::{Duration, Instant};
 
 use rpav_core::json::{self, Json};
 use rpav_core::prelude::*;
@@ -76,6 +82,17 @@ const READ_TIMEOUT: std::time::Duration = std::time::Duration::from_secs(5);
 /// Longest one response write may block on a peer that has stopped
 /// reading (an `/events` follower whose receive window stays full).
 const WRITE_TIMEOUT: std::time::Duration = std::time::Duration::from_secs(30);
+/// Most connections served at once, one `rpavd-conn` thread each. A
+/// campaign's followers block for as long as it runs, so without a cap a
+/// client that keeps opening sockets grows the thread count without bound;
+/// the connection over the cap is answered `503` by the accept loop.
+pub const MAX_CONNECTIONS: usize = 128;
+/// Whole budget for reading the request of a connection that is being
+/// turned away (it is read so that closing does not reset the connection
+/// under the `503`). It is spent on the accept loop, so it is short and
+/// covers the whole request, not each read: a peer that dribbles bytes
+/// cannot stretch it.
+const REFUSE_BUDGET: Duration = Duration::from_millis(200);
 
 /// Lock a mutex, recovering from poisoning: campaign state is plain
 /// counters and event lines, always left consistent between lock holds,
@@ -219,6 +236,12 @@ struct Shared {
     campaigns: Mutex<BTreeMap<u64, Arc<Campaign>>>,
     queue: mpsc::Sender<Arc<Campaign>>,
     queue_depth: AtomicU64,
+    /// Live `rpavd-conn` threads, and connections turned away at
+    /// [`MAX_CONNECTIONS`]. Both are plain tallies that publish no other
+    /// data (`Relaxed`, like every counter here); only the accept loop
+    /// raises `connections`, so its check-then-claim cannot overshoot.
+    connections: AtomicU64,
+    connections_refused: AtomicU64,
     cells_done: AtomicU64,
     cells_failed: AtomicU64,
     cells_cached: AtomicU64,
@@ -337,6 +360,14 @@ impl Shared {
             (
                 "queue_depth",
                 Json::UInt(self.queue_depth.load(Ordering::Relaxed)),
+            ),
+            (
+                "connections",
+                Json::UInt(self.connections.load(Ordering::Relaxed)),
+            ),
+            (
+                "connections_refused",
+                Json::UInt(self.connections_refused.load(Ordering::Relaxed)),
             ),
             (
                 "alloc",
@@ -510,6 +541,8 @@ impl Daemon {
             campaigns: Mutex::new(BTreeMap::new()),
             queue: tx,
             queue_depth: AtomicU64::new(0),
+            connections: AtomicU64::new(0),
+            connections_refused: AtomicU64::new(0),
             cells_done: AtomicU64::new(0),
             cells_failed: AtomicU64::new(0),
             cells_cached: AtomicU64::new(0),
@@ -565,18 +598,83 @@ impl Daemon {
         lock(&self.shared.campaigns).len()
     }
 
-    /// Accept loop: one thread per connection, one request per
-    /// connection. Runs until the listener errors (i.e. forever).
+    /// Accept loop: one thread per connection (at most
+    /// [`MAX_CONNECTIONS`] live, the overflow is refused here), one
+    /// request per connection. Runs until the listener errors (i.e.
+    /// forever).
     pub fn serve(&self, listener: TcpListener) -> std::io::Result<()> {
         for stream in listener.incoming() {
             let stream = stream?;
-            let shared = self.shared.clone();
+            if self.shared.connections.load(Ordering::Relaxed) >= MAX_CONNECTIONS as u64 {
+                self.shared
+                    .connections_refused
+                    .fetch_add(1, Ordering::Relaxed);
+                refuse_connection(stream);
+                continue;
+            }
+            // Claimed here, released when the thread ends (or fails to
+            // start): the slot travels with the closure.
+            let slot = ConnectionSlot::claim(self.shared.clone());
             std::thread::Builder::new()
                 .name("rpavd-conn".into())
-                .spawn(move || handle_connection(shared, stream))?;
+                .spawn(move || handle_connection(&slot.0, stream))?;
         }
         Ok(())
     }
+}
+
+/// One unit of [`Shared::connections`], given back on drop — so a handler
+/// that panics still frees its slot.
+struct ConnectionSlot(Arc<Shared>);
+
+impl ConnectionSlot {
+    fn claim(shared: Arc<Shared>) -> Self {
+        shared.connections.fetch_add(1, Ordering::Relaxed);
+        ConnectionSlot(shared)
+    }
+}
+
+impl Drop for ConnectionSlot {
+    fn drop(&mut self) {
+        self.0.connections.fetch_sub(1, Ordering::Relaxed);
+    }
+}
+
+/// A socket whose reads share one deadline instead of each getting a
+/// fresh timeout.
+struct Deadline<'a> {
+    stream: &'a TcpStream,
+    at: Instant,
+}
+
+impl Read for Deadline<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let left = match self.at.checked_duration_since(Instant::now()) {
+            Some(left) if !left.is_zero() => left,
+            _ => return Err(std::io::ErrorKind::TimedOut.into()),
+        };
+        self.stream.set_read_timeout(Some(left))?;
+        self.stream.read(buf)
+    }
+}
+
+/// Turn away the connection over the cap, on the accept loop's own
+/// thread: take in the request (whatever it is — a request left unread
+/// would make the close a reset, and the client would lose the answer
+/// with it) within [`REFUSE_BUDGET`], answer `503` — a hundred-odd bytes
+/// into an empty send buffer, which cannot block — and half-close.
+fn refuse_connection(stream: TcpStream) {
+    let _ = read_request(&mut Deadline {
+        stream: &stream,
+        at: Instant::now() + REFUSE_BUDGET,
+    });
+    let _ = respond(
+        &mut &stream,
+        503,
+        "application/json",
+        &error_body("too many connections"),
+    );
+    let _ = stream.shutdown(Shutdown::Write);
 }
 
 fn error_body(message: &str) -> Vec<u8> {
@@ -585,7 +683,7 @@ fn error_body(message: &str) -> Vec<u8> {
         .into_bytes()
 }
 
-fn handle_connection(shared: Arc<Shared>, mut stream: TcpStream) {
+fn handle_connection(shared: &Shared, mut stream: TcpStream) {
     // Without these a client that stalls mid-request, or a follower that
     // stops reading, would pin this thread forever. A timed-out read
     // surfaces as `HttpError::Io` and closes the connection below.
@@ -608,7 +706,7 @@ fn handle_connection(shared: Arc<Shared>, mut stream: TcpStream) {
             return;
         }
     };
-    if let Err(e) = route(&shared, &request, &mut stream) {
+    if let Err(e) = route(shared, &request, &mut stream) {
         // The client hung up mid-response; nothing to clean up.
         let _ = e;
     }
@@ -965,6 +1063,47 @@ mod tests {
             .expect("server closes the stalled connection");
         assert_eq!(n, 0, "expected EOF, got a response to half a request");
         assert!(started.elapsed() < READ_TIMEOUT * 2);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn connections_over_the_cap_get_a_503_until_a_slot_frees() {
+        let dir = fresh_dir("conncap");
+        let (_daemon, addr) = start_daemon(&dir);
+        // Fill every slot: each holder stops mid-request-line, so its
+        // thread sits in `read_request` (for up to READ_TIMEOUT).
+        let mut holders: Vec<TcpStream> = (0..MAX_CONNECTIONS)
+            .map(|_| {
+                let mut s = TcpStream::connect(&addr).unwrap();
+                s.write_all(b"GET /metr").unwrap();
+                s
+            })
+            .collect();
+        // Connections are accepted in the order they were made, so every
+        // holder is counted by the time the accept loop sees this one.
+        let r = client::get(&addr, "/metrics", T).unwrap();
+        assert_eq!(r.status, 503, "{}", r.text());
+        assert_eq!(r.text(), r#"{"error":"too many connections"}"#);
+        // One holder hangs up; its thread reads EOF and gives the slot
+        // back. That happens on the server's schedule, so ask until the
+        // answer changes — long before the other holders time out.
+        drop(holders.pop());
+        let started = std::time::Instant::now();
+        let metrics = loop {
+            let r = client::get(&addr, "/metrics", T).unwrap();
+            if r.status == 200 {
+                break Json::parse(&r.text()).unwrap();
+            }
+            assert_eq!(r.status, 503, "{}", r.text());
+            assert!(started.elapsed() < READ_TIMEOUT / 2, "slot never freed");
+            std::thread::yield_now();
+        };
+        // The remaining holders plus the request that asked.
+        assert_eq!(
+            metrics.get("connections").unwrap().as_u64(),
+            Some(MAX_CONNECTIONS as u64)
+        );
+        assert!(metrics.get("connections_refused").unwrap().as_u64() >= Some(1));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -220,22 +220,11 @@ impl BottleneckLink {
     /// The next instant at which `poll` could make progress.
     pub fn next_wake(&self) -> Option<SimTime> {
         let service = self.in_service.as_ref().map(|(_, f)| *f);
-        let delivery = self.out.peek_time();
-        match (service, delivery) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (Some(a), None) => Some(a),
-            (None, Some(b)) => Some(b),
-            (None, None) => {
-                if self.queue.is_empty() {
-                    None
-                } else {
-                    // Queue is non-empty but the serialiser could not start
-                    // (zero rate): wake when the pause lifts, or never if
-                    // the rate is zero without a pause (caller re-rates).
-                    Some(self.paused_until)
-                }
-            }
-        }
+        // With neither armed, a non-empty queue means the serialiser could
+        // not start (zero rate): wake when the pause lifts, or never if
+        // the rate is zero without a pause (caller re-rates).
+        SimTime::earliest(service, self.out.peek_time())
+            .or_else(|| (!self.queue.is_empty()).then_some(self.paused_until))
     }
 
     /// Bytes sitting in the queue (excludes the packet in service).

@@ -248,11 +248,11 @@ impl Path {
 
     /// The earliest instant `poll` could make progress.
     pub fn next_wake(&self) -> Option<SimTime> {
-        let held = self.reorder.as_ref().and_then(|r| r.next_release());
-        [self.bottleneck.next_wake(), self.wan.next_wake(), held]
-            .into_iter()
-            .flatten()
-            .min()
+        let wake = SimTime::earliest(self.bottleneck.next_wake(), self.wan.next_wake());
+        match &self.reorder {
+            Some(r) => SimTime::earliest(wake, r.next_release()),
+            None => wake,
+        }
     }
 
     /// Like [`next_wake`](Self::next_wake), additionally folding in the
@@ -260,11 +260,10 @@ impl Path {
     /// must visit that instant so the serialiser stall is applied exactly
     /// when a per-tick driver would apply it.
     pub fn next_wake_scripted(&self, now: SimTime) -> Option<SimTime> {
-        let edge = self
-            .script
-            .as_ref()
-            .and_then(|s| s.next_blackout_start(now));
-        [self.next_wake(), edge].into_iter().flatten().min()
+        match &self.script {
+            Some(s) => SimTime::earliest(self.next_wake(), s.next_blackout_start(now)),
+            None => self.next_wake(),
+        }
     }
 
     /// Re-rate the bottleneck (radio capacity changed).

@@ -9,9 +9,21 @@
 //! the stock configuration a late packet is still delivered (playback
 //! latency grows); with `drop-on-latency` enabled packets older than the
 //! target are discarded so the pilot always sees the freshest frame.
+//!
+//! # Data structure
+//!
+//! Buffered packets sit in one `VecDeque` kept sorted on the release
+//! order `(playout, unwrapped seq)`. A stream that arrives in order — every
+//! packet of a single-path session — produces nondecreasing keys, so
+//! [`JitterBuffer::push`] is a `push_back` and [`JitterBuffer::pop_due`] a
+//! `pop_front`: no comparisons beyond the one against the back. An arrival
+//! that belongs earlier (cross-leg reorder, a retransmission, a packet
+//! scheduled after the target was deflated) is placed by binary search.
+//! The binary heap this replaced released in the same total order; it
+//! survives as the `#[cfg(test)]` oracle `reference::HeapJitterBuffer`,
+//! which a property test drives in lock-step with this one.
 
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashSet};
+use std::collections::{HashSet, VecDeque};
 use std::hash::{BuildHasherDefault, Hasher};
 
 use rpav_sim::{SimDuration, SimTime};
@@ -40,18 +52,21 @@ impl Hasher for SeqHasher {
 
 type SeqSet = HashSet<u64, BuildHasherDefault<SeqHasher>>;
 
-/// Heap key for one buffered packet, ordered by (playout time, unwrapped
-/// seq) — the same lexicographic order the original `BTreeMap` keying
-/// released in. Unwrapped seqs are unique in the queue (duplicates are
-/// rejected on push), so the order is total before the slot index is ever
-/// compared and pops are deterministic. The packet itself lives in a side
-/// slab (`slot` indexes it): heap sifts move a 24-byte key instead of a
-/// whole `RtpPacket`.
-#[derive(Debug, PartialEq, Eq, PartialOrd, Ord)]
-struct QueuedKey {
+/// One buffered packet with its release key. The queue is ordered by
+/// (playout time, unwrapped seq); unwrapped seqs are unique in the queue
+/// (duplicates are rejected on push), so the order is total and releases
+/// are deterministic.
+#[derive(Debug)]
+struct Queued {
     playout: SimTime,
     unwrapped: u64,
-    slot: u32,
+    packet: RtpPacket,
+}
+
+impl Queued {
+    fn key(&self) -> (SimTime, u64) {
+        (self.playout, self.unwrapped)
+    }
 }
 
 /// Jitter buffer configuration.
@@ -94,15 +109,10 @@ pub struct JitterBuffer {
     config: JitterConfig,
     /// Media timestamp ↔ wall-clock anchor from the first packet.
     base: Option<(u32, SimTime)>,
-    /// Buffered packet keys, min-first on (playout time, unwrapped seq).
-    /// The heap's backing storage is reused across pops, so steady-state
-    /// buffering allocates nothing.
-    queue: BinaryHeap<Reverse<QueuedKey>>,
-    /// Packet storage indexed by `QueuedKey::slot`; `free` lists vacated
-    /// slots for reuse so the slab stops growing once the buffer reaches
-    /// its steady-state depth.
-    slab: Vec<Option<RtpPacket>>,
-    free: Vec<u32>,
+    /// Buffered packets, sorted ascending on [`Queued::key`]: the front
+    /// is the next release. The ring's storage is reused across pops, so
+    /// steady-state buffering allocates nothing.
+    queue: VecDeque<Queued>,
     /// Unwrapped seqs currently buffered — O(1) duplicate detection
     /// (previously an O(n) scan of the queue keys per arriving packet).
     buffered: SeqSet,
@@ -118,9 +128,7 @@ impl JitterBuffer {
         JitterBuffer {
             config,
             base: None,
-            queue: BinaryHeap::new(),
-            slab: Vec::new(),
-            free: Vec::new(),
+            queue: VecDeque::new(),
             buffered: SeqSet::default(),
             last_unwrapped: None,
             delivered_max: None,
@@ -203,29 +211,26 @@ impl JitterBuffer {
             playout
         };
         self.buffered.insert(unwrapped);
-        let slot = match self.free.pop() {
-            Some(i) => {
-                self.slab[i as usize] = Some(packet);
-                i
-            }
-            None => {
-                self.slab.push(Some(packet));
-                (self.slab.len() - 1) as u32
-            }
-        };
-        self.queue.push(Reverse(QueuedKey {
+        let key = (playout, unwrapped);
+        let queued = Queued {
             playout,
             unwrapped,
-            slot,
-        }));
+            packet,
+        };
+        if self.queue.back().is_none_or(|b| b.key() < key) {
+            self.queue.push_back(queued);
+        } else {
+            let at = self.queue.partition_point(|q| q.key() < key);
+            self.queue.insert(at, queued);
+        }
     }
 
     /// Pop the next packet whose playout time has arrived.
     pub fn pop_due(&mut self, now: SimTime) -> Option<(SimTime, RtpPacket)> {
-        if self.queue.peek()?.0.playout > now {
+        if self.queue.front()?.playout > now {
             return None;
         }
-        let Reverse(q) = self.queue.pop()?;
+        let q = self.queue.pop_front()?;
         self.buffered.remove(&q.unwrapped);
         self.stats.delivered += 1;
         self.delivered_max = Some(
@@ -233,33 +238,166 @@ impl JitterBuffer {
                 .map(|d| d.max(q.unwrapped))
                 .unwrap_or(q.unwrapped),
         );
-        let packet = self.slab[q.slot as usize]
-            .take()
-            .expect("queued slot holds a packet");
-        self.free.push(q.slot);
-        Some((q.playout, packet))
+        Some((q.playout, q.packet))
     }
 
     /// Earliest pending playout instant.
     pub fn next_wake(&self) -> Option<SimTime> {
-        self.queue.peek().map(|q| q.0.playout)
+        self.queue.front().map(|q| q.playout)
     }
 
     /// Discard everything buffered (e.g. on stream reset). Returns count.
     pub fn clear(&mut self) -> usize {
         let n = self.queue.len();
         self.queue.clear();
-        self.slab.clear();
-        self.free.clear();
         self.buffered.clear();
         n
     }
 }
 
 #[cfg(test)]
+/// The binary-heap buffer the ordered deque replaced, kept verbatim as the
+/// release-order oracle (the `crc32_bytewise` pattern): same anchor, same
+/// duplicate / late rules, same `(playout, unwrapped)` total order, with
+/// the keys sifted through a `BinaryHeap` and the packets in a side slab.
+mod reference {
+    use std::cmp::Reverse;
+    use std::collections::BinaryHeap;
+
+    use super::*;
+
+    #[derive(Debug, PartialEq, Eq, PartialOrd, Ord)]
+    struct QueuedKey {
+        playout: SimTime,
+        unwrapped: u64,
+        slot: u32,
+    }
+
+    #[derive(Debug)]
+    pub(super) struct HeapJitterBuffer {
+        config: JitterConfig,
+        base: Option<(u32, SimTime)>,
+        queue: BinaryHeap<Reverse<QueuedKey>>,
+        slab: Vec<Option<RtpPacket>>,
+        free: Vec<u32>,
+        buffered: SeqSet,
+        last_unwrapped: Option<u64>,
+        delivered_max: Option<u64>,
+        stats: JitterStats,
+    }
+
+    impl HeapJitterBuffer {
+        pub(super) fn new(config: JitterConfig) -> Self {
+            HeapJitterBuffer {
+                config,
+                base: None,
+                queue: BinaryHeap::new(),
+                slab: Vec::new(),
+                free: Vec::new(),
+                buffered: SeqSet::default(),
+                last_unwrapped: None,
+                delivered_max: None,
+                stats: JitterStats::default(),
+            }
+        }
+
+        pub(super) fn set_target(&mut self, target: SimDuration) {
+            self.config.target = target;
+        }
+
+        pub(super) fn stats(&self) -> JitterStats {
+            self.stats
+        }
+
+        pub(super) fn len(&self) -> usize {
+            self.queue.len()
+        }
+
+        fn playout_time(&mut self, packet: &RtpPacket, now: SimTime) -> SimTime {
+            let (ts0, t0) = *self.base.get_or_insert((packet.timestamp, now));
+            let dt_ticks = packet.timestamp.wrapping_sub(ts0) as i32 as i64;
+            let dt_us = dt_ticks * 1_000_000 / VIDEO_CLOCK_HZ as i64;
+            let media_time = if dt_us >= 0 {
+                t0 + SimDuration::from_micros(dt_us as u64)
+            } else {
+                t0 - SimDuration::from_micros((-dt_us) as u64)
+            };
+            media_time + self.config.target
+        }
+
+        pub(super) fn push(&mut self, now: SimTime, packet: RtpPacket) {
+            let unwrapped = match self.last_unwrapped {
+                None => packet.sequence as u64,
+                Some(prev) => unwrap_seq(prev, packet.sequence),
+            };
+            self.last_unwrapped = Some(self.last_unwrapped.unwrap_or(unwrapped).max(unwrapped));
+            if self.buffered.contains(&unwrapped)
+                || self.delivered_max.map(|d| unwrapped <= d).unwrap_or(false)
+            {
+                self.stats.duplicates += 1;
+                return;
+            }
+            self.stats.pushed += 1;
+            let playout = self.playout_time(&packet, now);
+            let playout = if playout <= now {
+                self.stats.late += 1;
+                if self.config.drop_on_latency {
+                    self.stats.dropped_late += 1;
+                    return;
+                }
+                now
+            } else {
+                playout
+            };
+            self.buffered.insert(unwrapped);
+            let slot = match self.free.pop() {
+                Some(i) => {
+                    self.slab[i as usize] = Some(packet);
+                    i
+                }
+                None => {
+                    self.slab.push(Some(packet));
+                    (self.slab.len() - 1) as u32
+                }
+            };
+            self.queue.push(Reverse(QueuedKey {
+                playout,
+                unwrapped,
+                slot,
+            }));
+        }
+
+        pub(super) fn pop_due(&mut self, now: SimTime) -> Option<(SimTime, RtpPacket)> {
+            if self.queue.peek()?.0.playout > now {
+                return None;
+            }
+            let Reverse(q) = self.queue.pop()?;
+            self.buffered.remove(&q.unwrapped);
+            self.stats.delivered += 1;
+            self.delivered_max = Some(
+                self.delivered_max
+                    .map(|d| d.max(q.unwrapped))
+                    .unwrap_or(q.unwrapped),
+            );
+            let packet = self.slab[q.slot as usize]
+                .take()
+                .expect("queued slot holds a packet");
+            self.free.push(q.slot);
+            Some((q.playout, packet))
+        }
+
+        pub(super) fn next_wake(&self) -> Option<SimTime> {
+            self.queue.peek().map(|q| q.0.playout)
+        }
+    }
+}
+
+#[cfg(test)]
 mod tests {
+    use super::reference::HeapJitterBuffer;
     use super::*;
     use bytes::Bytes;
+    use proptest::prelude::*;
 
     fn pkt(seq: u16, ts_ms: u64) -> RtpPacket {
         RtpPacket {
@@ -413,5 +551,127 @@ mod tests {
         }
         assert_eq!(jb.clear(), 4);
         assert!(jb.is_empty());
+    }
+
+    /// One step of the oracle's random schedule.
+    #[derive(Clone, Copy, Debug)]
+    enum Op {
+        /// Advance the clock by `advance_us`, then offer the packet
+        /// `offset` positions away from the stream cursor (0 = the next
+        /// in-order packet, negative = a straggler or duplicate, positive
+        /// = a packet that overtook its predecessors). `bump` moves the
+        /// cursor past it, so in-order runs are the common case.
+        Push {
+            advance_us: u64,
+            offset: i64,
+            bump: bool,
+        },
+        /// Advance the clock and release everything due.
+        Pop { advance_us: u64 },
+        /// Re-target the hold time (raised or lowered mid-stream).
+        Retarget { target_ms: u64 },
+    }
+
+    fn op() -> impl Strategy<Value = Op> {
+        struct OpStrategy;
+        impl Strategy for OpStrategy {
+            type Value = Op;
+            fn generate(&self, rng: &mut proptest::TestRng) -> Op {
+                match rng.below(16) {
+                    // Mostly in-order arrivals, a packet every 0–8 ms.
+                    0..=7 => Op::Push {
+                        advance_us: rng.below(8_000),
+                        offset: 0,
+                        bump: true,
+                    },
+                    // Reorder up to ±64, duplicates included (offset < 0
+                    // revisits a sequence that was already offered).
+                    8..=10 => Op::Push {
+                        advance_us: rng.below(4_000),
+                        offset: rng.below(129) as i64 - 64,
+                        bump: rng.below(2) == 0,
+                    },
+                    // A long silence before the next arrival: it is late.
+                    11 => Op::Push {
+                        advance_us: 100_000 + rng.below(500_000),
+                        offset: -(rng.below(8) as i64),
+                        bump: false,
+                    },
+                    12..=14 => Op::Pop {
+                        advance_us: rng.below(60_000),
+                    },
+                    // Inflate to 500 ms or deflate to 20 ms: after a
+                    // deflation playout is not monotone in sequence.
+                    _ => Op::Retarget {
+                        target_ms: 20 + rng.below(481),
+                    },
+                }
+            }
+        }
+        OpStrategy
+    }
+
+    /// Release everything due at `now` from both buffers, one packet at a
+    /// time, holding each release to the oracle's.
+    fn release_in_step(deque: &mut JitterBuffer, heap: &mut HeapJitterBuffer, now: SimTime) {
+        loop {
+            let got = deque.pop_due(now).map(|(t, p)| (t, p.sequence));
+            let want = heap.pop_due(now).map(|(t, p)| (t, p.sequence));
+            assert_eq!(got, want);
+            if got.is_none() {
+                break;
+            }
+        }
+    }
+
+    proptest! {
+        /// The ordered deque releases exactly what the heap it replaced
+        /// released: same `(playout, sequence)` sequence, same counters and
+        /// the same `next_wake()` after every operation — across in-order
+        /// runs, ±64 reorder, duplicates, late packets, target inflation
+        /// and deflation, and a 16-bit sequence wrap (the stream starts a
+        /// few hundred packets short of 65 536).
+        #[test]
+        fn prop_deque_matches_heap_reference(
+            ops in proptest::collection::vec(op(), 1..600),
+            first_seq in 65_300u64..65_536,
+            drop_on_latency in any::<bool>(),
+        ) {
+            let config = JitterConfig { drop_on_latency, ..Default::default() };
+            let mut deque = JitterBuffer::new(config);
+            let mut heap = HeapJitterBuffer::new(config);
+            let mut now = SimTime::from_secs(1);
+            // Stream position relative to `first_seq`: 3 packets per 33 ms frame.
+            let mut cursor = 64i64;
+            for op in ops {
+                match op {
+                    Op::Push { advance_us, offset, bump } => {
+                        now += SimDuration::from_micros(advance_us);
+                        let index = (cursor + offset).max(0) as u64;
+                        let packet = pkt((first_seq + index) as u16, index / 3 * 33);
+                        deque.push(now, packet.clone());
+                        heap.push(now, packet);
+                        if bump {
+                            cursor = cursor.max(index as i64) + 1;
+                        }
+                    }
+                    Op::Pop { advance_us } => {
+                        now += SimDuration::from_micros(advance_us);
+                        release_in_step(&mut deque, &mut heap, now);
+                    }
+                    Op::Retarget { target_ms } => {
+                        let target = SimDuration::from_millis(target_ms);
+                        deque.set_target(target);
+                        heap.set_target(target);
+                    }
+                }
+                prop_assert_eq!(deque.next_wake(), heap.next_wake());
+                prop_assert_eq!(deque.stats(), heap.stats());
+                prop_assert_eq!(deque.len(), heap.len());
+            }
+            // Flush: everything still buffered leaves in the same order.
+            release_in_step(&mut deque, &mut heap, now + SimDuration::from_secs(10));
+            prop_assert_eq!(deque.stats(), heap.stats());
+        }
     }
 }

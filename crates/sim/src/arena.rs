@@ -2,21 +2,24 @@
 //!
 //! Every packet path in the workspace ultimately builds wire images in
 //! heap-backed byte buffers (`bytes::BytesMut` → `bytes::Bytes`). Before
-//! this module, each buffer was a fresh `Vec<u8>` plus a fresh `Arc` —
-//! two allocator round-trips per serialized packet, report, FEC shard and
-//! NDJSON event. The arena turns those into recycling: a per-thread slab
-//! of uniquely-owned `Arc<Vec<u8>>` storage blocks that are handed out by
-//! [`acquire`], and returned whole (refcount box *and* vector capacity)
-//! by [`recycle`] when their last owner drops.
+//! this module, each buffer was a fresh `Vec<u8>` plus a fresh refcount
+//! box — two allocator round-trips per serialized packet, report, FEC
+//! shard and NDJSON event. The arena turns those into recycling: a
+//! per-thread slab of uniquely-owned `Rc<Vec<u8>>` storage blocks that are
+//! handed out by [`acquire`], and returned whole (refcount box *and*
+//! vector capacity) by [`recycle`] when their last owner drops.
 //!
 //! # Lifetime rules (see DESIGN.md §15)
 //!
 //! * A block is recycled only when uniquely owned, so holding a `Bytes`
 //!   clone across ticks (jitter buffers, RTX history, reassembly windows)
 //!   is always safe: the block simply returns to the slab later.
-//! * The slab is thread-local. Blocks may migrate between threads (a
-//!   buffer acquired on one thread and dropped on another lands in the
-//!   dropping thread's slab); that is correct, merely less warm.
+//! * Blocks are thread-confined. The pointer is an `Rc`, so a block (and
+//!   every `bytes::Bytes` over it) is `!Send` / `!Sync`: the compiler
+//!   guarantees it is recycled into the slab of the thread that acquired
+//!   it, and cloning or dropping an owner is a plain increment, not a
+//!   locked one. A simulation runs on one thread from construction to its
+//!   `RunMetrics`, which carry no buffers, so nothing needs to cross.
 //! * The slab is bounded ([`MAX_POOLED_BUFFERS`] blocks of at most
 //!   [`MAX_POOLED_CAPACITY`] bytes), so pathological buffers are given
 //!   back to the system allocator instead of pinning memory.
@@ -27,7 +30,7 @@
 //! suite and the engine's jobs=N bit-identity tests hold this to account.
 
 use std::cell::RefCell;
-use std::sync::Arc;
+use std::rc::Rc;
 
 /// Maximum number of storage blocks kept per thread.
 pub const MAX_POOLED_BUFFERS: usize = 256;
@@ -36,49 +39,48 @@ pub const MAX_POOLED_BUFFERS: usize = 256;
 pub const MAX_POOLED_CAPACITY: usize = 1 << 20;
 
 thread_local! {
-    static POOL: RefCell<Vec<Arc<Vec<u8>>>> = const { RefCell::new(Vec::new()) };
+    static POOL: RefCell<Vec<Rc<Vec<u8>>>> = const { RefCell::new(Vec::new()) };
     /// Per-thread shared empty block: a refcount-only placeholder for
-    /// "no storage" (e.g. a frozen-out `BytesMut`). Thread-local so the
-    /// refcount traffic never bounces between cores.
-    static EMPTY: Arc<Vec<u8>> = Arc::new(Vec::new());
+    /// "no storage" (e.g. a frozen-out `BytesMut`).
+    static EMPTY: Rc<Vec<u8>> = Rc::new(Vec::new());
 }
 
 /// A refcount-only empty storage block. Never recycled (capacity 0) and
 /// never uniquely owned (the thread keeps one reference), so it is safe
 /// to use as a placeholder anywhere a real block is not needed.
-pub fn empty() -> Arc<Vec<u8>> {
-    EMPTY.with(Arc::clone)
+pub fn empty() -> Rc<Vec<u8>> {
+    EMPTY.with(Rc::clone)
 }
 
 /// Take a cleared, uniquely-owned storage block with at least
 /// `min_capacity` bytes of capacity, reusing a pooled block when one is
 /// available.
-pub fn acquire(min_capacity: usize) -> Arc<Vec<u8>> {
-    let mut arc = POOL
+pub fn acquire(min_capacity: usize) -> Rc<Vec<u8>> {
+    let mut rc = POOL
         .with(|p| p.borrow_mut().pop())
-        .unwrap_or_else(|| Arc::new(Vec::new()));
-    let v = Arc::get_mut(&mut arc).expect("pooled blocks are uniquely owned");
+        .unwrap_or_else(|| Rc::new(Vec::new()));
+    let v = Rc::get_mut(&mut rc).expect("pooled blocks are uniquely owned");
     v.clear();
     if v.capacity() < min_capacity {
         v.reserve(min_capacity);
     }
-    arc
+    rc
 }
 
 /// Return a storage block to the slab. No-ops (plain drop) when the block
 /// is still shared, empty, oversized, or the slab is full.
-pub fn recycle(mut arc: Arc<Vec<u8>>) {
-    if Arc::get_mut(&mut arc).is_none() {
+pub fn recycle(mut rc: Rc<Vec<u8>>) {
+    if Rc::get_mut(&mut rc).is_none() {
         return;
     }
-    let cap = arc.capacity();
+    let cap = rc.capacity();
     if cap == 0 || cap > MAX_POOLED_CAPACITY {
         return;
     }
     POOL.with(|p| {
         let mut p = p.borrow_mut();
         if p.len() < MAX_POOLED_BUFFERS {
-            p.push(arc);
+            p.push(rc);
         }
     });
 }
@@ -111,7 +113,7 @@ mod tests {
     fn shared_blocks_are_not_recycled() {
         while POOL.with(|p| p.borrow_mut().pop()).is_some() {}
         let a = acquire(16);
-        let b = Arc::clone(&a);
+        let b = Rc::clone(&a);
         recycle(a); // still shared via `b`
         assert_eq!(pooled_blocks(), 0);
         drop(b);
@@ -120,8 +122,8 @@ mod tests {
     #[test]
     fn oversized_and_empty_blocks_are_dropped() {
         while POOL.with(|p| p.borrow_mut().pop()).is_some() {}
-        recycle(Arc::new(Vec::new()));
-        recycle(Arc::new(Vec::with_capacity(MAX_POOLED_CAPACITY + 1)));
+        recycle(Rc::new(Vec::new()));
+        recycle(Rc::new(Vec::with_capacity(MAX_POOLED_CAPACITY + 1)));
         assert_eq!(pooled_blocks(), 0);
     }
 
@@ -129,7 +131,7 @@ mod tests {
     fn slab_is_bounded() {
         while POOL.with(|p| p.borrow_mut().pop()).is_some() {}
         for _ in 0..(MAX_POOLED_BUFFERS + 8) {
-            recycle(Arc::new(Vec::with_capacity(64)));
+            recycle(Rc::new(Vec::with_capacity(64)));
         }
         assert_eq!(pooled_blocks(), MAX_POOLED_BUFFERS);
     }
@@ -138,6 +140,6 @@ mod tests {
     fn empty_placeholder_is_never_unique() {
         let e = empty();
         assert_eq!(e.capacity(), 0);
-        assert!(Arc::strong_count(&e) >= 2);
+        assert!(Rc::strong_count(&e) >= 2);
     }
 }

@@ -80,6 +80,16 @@ impl SimTime {
     pub fn max(self, other: SimTime) -> SimTime {
         SimTime(self.0.max(other.0))
     }
+
+    /// The earlier of two optional wake-ups, `None` meaning "never".
+    #[inline]
+    pub fn earliest(a: Option<SimTime>, b: Option<SimTime>) -> Option<SimTime> {
+        match (a, b) {
+            (Some(a), Some(b)) => Some(a.min(b)),
+            (a, None) => a,
+            (None, b) => b,
+        }
+    }
 }
 
 impl SimDuration {
