@@ -12,7 +12,7 @@ use std::path::PathBuf;
 
 use suites::{Suite, SUITES};
 
-// allocs/packet (`perf_matrix`) is read from the counting allocator, as
+// `perf_matrix` reads its `allocs` from the counting allocator, as
 // in `rpavd` and the benchmark.
 #[global_allocator]
 static GLOBAL: rpav_sim::alloc::CountingAlloc = rpav_sim::alloc::CountingAlloc;

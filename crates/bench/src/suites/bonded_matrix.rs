@@ -31,11 +31,10 @@
 //! `--smoke` shrinks the sweep to one run per cell for CI.
 
 use rpav_bench::{
-    assert_jobs_invariant, banner, burst_fade, matrix_config, print_bonding_header,
-    print_bonding_row, primary_blackout, runs_per_config, CAP_PRIMARY, CAP_SECONDARY, FAULT_AT,
+    assert_jobs_invariant, banner, burst_fade, matrix_config, primary_blackout,
+    print_bonding_header, print_bonding_row, runs_per_config, CAP_PRIMARY, CAP_SECONDARY, FAULT_AT,
     FAULT_FOR, FEC_CAP,
 };
-use rpav_core::multipath::{run_multipath_legs, MultipathScheme};
 use rpav_core::prelude::*;
 
 fn config(cc: CcMode, run: u64) -> ExperimentConfigBuilder {
@@ -67,23 +66,26 @@ pub fn run(args: &crate::Args) {
     for cc in ccs {
         for run in 0..runs {
             // ---- (a) Aggregation under asymmetric caps ---------------
-            let bonded = run_multipath_legs(
-                &config(cc, run).leg_caps(CAP_PRIMARY, CAP_SECONDARY).build(),
+            let bonded = Simulation::multipath(
+                config(cc, run).leg_caps(CAP_PRIMARY, CAP_SECONDARY).build(),
                 MultipathScheme::Bonded,
                 vec![None, None],
-            );
+            )
+            .run();
             // Single-path always rides leg 0: swapping the caps runs the
             // baseline on the other operator's capacity.
-            let single_a = run_multipath_legs(
-                &config(cc, run).leg_caps(CAP_PRIMARY, CAP_SECONDARY).build(),
+            let single_a = Simulation::multipath(
+                config(cc, run).leg_caps(CAP_PRIMARY, CAP_SECONDARY).build(),
                 MultipathScheme::SinglePath,
                 vec![None, None],
-            );
-            let single_b = run_multipath_legs(
-                &config(cc, run).leg_caps(CAP_SECONDARY, CAP_PRIMARY).build(),
+            )
+            .run();
+            let single_b = Simulation::multipath(
+                config(cc, run).leg_caps(CAP_SECONDARY, CAP_PRIMARY).build(),
                 MultipathScheme::SinglePath,
                 vec![None, None],
-            );
+            )
+            .run();
             let tag = format!("{}/run{run}", cc.name());
             print_row("caps", cc.name(), run, "bonded", &bonded);
             print_row("caps", cc.name(), run, "single-a", &single_a);
@@ -121,21 +123,24 @@ pub fn run(args: &crate::Args) {
             }
 
             // ---- (b) Graceful degradation under a leg blackout -------
-            let b_bonded = run_multipath_legs(
-                &config(cc, run).build(),
+            let b_bonded = Simulation::multipath(
+                config(cc, run).build(),
                 MultipathScheme::Bonded,
                 vec![Some(primary_blackout()), None],
-            );
-            let b_failover = run_multipath_legs(
-                &config(cc, run).build(),
+            )
+            .run();
+            let b_failover = Simulation::multipath(
+                config(cc, run).build(),
                 MultipathScheme::Failover,
                 vec![Some(primary_blackout()), None],
-            );
-            let b_single = run_multipath_legs(
-                &config(cc, run).build(),
+            )
+            .run();
+            let b_single = Simulation::multipath(
+                config(cc, run).build(),
                 MultipathScheme::SinglePath,
                 vec![Some(primary_blackout()), None],
-            );
+            )
+            .run();
             print_row("black", cc.name(), run, "bonded", &b_bonded);
             print_row("black", cc.name(), run, "failover", &b_failover);
             print_row("black", cc.name(), run, "single", &b_single);
@@ -153,16 +158,18 @@ pub fn run(args: &crate::Args) {
             );
 
             // ---- (c) FEC recovery strictly reduces NACK/RTX ----------
-            let fec_on = run_multipath_legs(
-                &config(cc, run).fec_cap(FEC_CAP).repair(true).build(),
+            let fec_on = Simulation::multipath(
+                config(cc, run).fec_cap(FEC_CAP).repair(true).build(),
                 MultipathScheme::Bonded,
                 vec![Some(burst_fade()), Some(burst_fade())],
-            );
-            let fec_off = run_multipath_legs(
-                &config(cc, run).repair(true).build(),
+            )
+            .run();
+            let fec_off = Simulation::multipath(
+                config(cc, run).repair(true).build(),
                 MultipathScheme::Bonded,
                 vec![Some(burst_fade()), Some(burst_fade())],
-            );
+            )
+            .run();
             print_row("fec", cc.name(), run, "fec-on", &fec_on);
             print_row("fec", cc.name(), run, "fec-off", &fec_off);
             assert!(

@@ -38,7 +38,7 @@ suites! {
     fig13_rtt_altitude: "RTT by altitude bin",
     nleg_matrix: "N-leg bonding / RS burst-repair acceptance",
     paper_stats: "the in-text headline numbers",
-    perf_matrix: "engine throughput; writes BENCH_PIPELINE.json",
+    perf_matrix: "deterministic work counts; writes BENCH_PIPELINE.json",
     repair_matrix: "NACK/RTX loss-repair acceptance",
     resilience_matrix: "crash-safe campaign engine + rpavd acceptance",
 }

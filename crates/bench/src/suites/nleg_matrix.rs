@@ -31,7 +31,6 @@ use rpav_bench::{
     assert_jobs_invariant, banner, burst_fade, matrix_config, print_bonding_header,
     print_bonding_row, runs_per_config, CAP_PRIMARY, CAP_SECONDARY, FEC_CAP,
 };
-use rpav_core::multipath::{run_multipath_legs, MultipathScheme};
 use rpav_core::prelude::*;
 use rpav_netem::FaultScript;
 use rpav_rtp::fec::{rs_recover, RsGroup, RsParityPacket, MAX_RS_PARITY};
@@ -137,13 +136,14 @@ pub fn run(args: &crate::Args) {
     let cap_probe = CcMode::paper_static(Environment::Rural);
     for run in 0..runs {
         let cell = |dead: &[usize]| {
-            run_multipath_legs(
-                &config(cap_probe, run)
+            Simulation::multipath(
+                config(cap_probe, run)
                     .leg_caps(CAP_DEGRADE, CAP_DEGRADE)
                     .build(),
                 MultipathScheme::Bonded,
                 leg_killer().correlated(3, dead),
             )
+            .run()
         };
         let alive3 = cell(&[]);
         let alive2 = cell(&[2]);
@@ -180,21 +180,24 @@ pub fn run(args: &crate::Args) {
     for cc in ccs {
         for run in 0..runs {
             let fade = || burst_fade().correlated(3, &[0, 1]);
-            let bonded = run_multipath_legs(
-                &config(cc, run).fec_cap(FEC_CAP).repair(true).build(),
+            let bonded = Simulation::multipath(
+                config(cc, run).fec_cap(FEC_CAP).repair(true).build(),
                 MultipathScheme::Bonded,
                 fade(),
-            );
-            let failover = run_multipath_legs(
-                &config(cc, run).repair(true).build(),
+            )
+            .run();
+            let failover = Simulation::multipath(
+                config(cc, run).repair(true).build(),
                 MultipathScheme::Failover,
                 fade(),
-            );
-            let single = run_multipath_legs(
-                &config(cc, run).repair(true).build(),
+            )
+            .run();
+            let single = Simulation::multipath(
+                config(cc, run).repair(true).build(),
                 MultipathScheme::SinglePath,
                 fade(),
-            );
+            )
+            .run();
             let tag = format!("{}/run{run}", cc.name());
             print_row("burst", cc.name(), run, "bonded", &bonded);
             print_row("burst", cc.name(), run, "failover", &failover);
@@ -237,11 +240,12 @@ pub fn run(args: &crate::Args) {
         .expect("paper ccs include SCReAM");
     for run in 0..runs {
         let cell = |cc: CcMode, coupled: bool| {
-            run_multipath_legs(
-                &config(cc, run).n_legs(2).coupled_cc(coupled).build(),
+            Simulation::multipath(
+                config(cc, run).n_legs(2).coupled_cc(coupled).build(),
                 MultipathScheme::Bonded,
                 Vec::new(),
             )
+            .run()
         };
         let aggregate = cell(CcMode::paper_static(Environment::Rural), false);
         let uncoupled = cell(scream, false);

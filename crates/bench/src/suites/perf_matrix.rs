@@ -1,111 +1,84 @@
-//! Engine-throughput tracker — emits `BENCH_PIPELINE.json`.
+//! Work-count gate — emits `BENCH_PIPELINE.json`.
 //!
 //! Runs a deterministic single-threaded matrix of cold cells through the
-//! adaptive scheduler and records the three numbers every perf PR is
-//! judged on:
+//! adaptive scheduler and records, per section, how much work that was:
 //!
-//! * **cells/s** — whole-matrix throughput (the chaos-matrix currency);
-//! * **ns/tick** — wall time per driver step actually taken;
-//! * **allocs/packet** — heap allocations per media packet sent, counted
-//!   by the `rpav_sim::alloc` counting allocator `rpav-bench` runs on
-//!   (`alloc`, `alloc_zeroed` and `realloc` all count as events — a
-//!   reallocation is exactly the churn the pooled buffers are supposed
-//!   to avoid).
+//! * **ticks** — driver steps actually taken;
+//! * **packets** — media, retransmission and parity packets sent;
+//! * **allocs** — heap allocation events, counted by the
+//!   `rpav_sim::alloc` counting allocator `rpav-bench` runs on (`alloc`,
+//!   `alloc_zeroed` and `realloc` all count — a reallocation is exactly
+//!   the churn the pooled buffers are supposed to avoid).
 //!
-//! The default invocation measures the sweeps and writes one JSON object
-//! with a `full` section (paper-length flights, the tracked trajectory),
-//! a `quick` section (1 s holds, the CI smoke), and a `bonded` section
-//! (two-leg bonded sessions with FEC + repair armed, 1 s holds).
-//! `--smoke` skips only the full sweep. `--check <baseline.json>` then
-//! compares every section measured this run against the same section of
-//! the committed baseline and exits non-zero on what cannot wobble:
-//! `ticks` or `packets` differing from the baseline at all (the sweeps
-//! are deterministic, so a behaviour change must arrive with a
-//! re-measured row), or allocs/packet rising more than 25 % above it
-//! (plus a small absolute slack for sweeps that are already near zero).
-//! The cells/s delta is printed, never gated: the baseline was taken on
-//! another machine and shared hosts swing by tens of per cent run to
-//! run. This is the CI perf gate.
+//! No clock is read here: wall time, throughput and per-layer cost are
+//! the `benchmark/` crate's (`benchmark/run.sh`), measured on parent and
+//! change alike. What this suite owns is the numbers that reproduce bit
+//! for bit on any machine.
+//!
+//! The default invocation counts three sweeps and writes one JSON object
+//! with a `full` section (paper-length flights), a `quick` section (1 s
+//! holds, the CI smoke), and a `bonded` section (two-leg bonded sessions
+//! with FEC + repair armed, 1 s holds). `--smoke` skips only the full
+//! sweep. `--check <baseline.json>` then compares every section counted
+//! this run against the same section of the committed baseline and exits
+//! non-zero when `ticks` or `packets` differ from it at all (a behaviour
+//! change must arrive with a re-measured row), or when `allocs` rises
+//! more than 25 % above it plus 0.02 per packet (the slack keeps sweeps
+//! that are already near zero from failing on a handful of allocations).
+//! This is the CI gate.
 //!
 //! Output goes to stdout and to `BENCH_PIPELINE.json` in the current
 //! directory (`--out <file>` overrides the path).
-
-use std::time::Instant;
 
 use rpav_bench::{paper_ccs, paper_config};
 use rpav_core::prelude::*;
 use rpav_sim::alloc;
 
-/// The gate's relative band, in percent, on allocs/packet.
-const THRESHOLD: f64 = 25.0;
+/// The layout `to_json` writes and `gate` reads.
+const SCHEMA: u64 = 2;
 
-/// Absolute slack on the allocs/packet gate: near-zero baselines would
-/// otherwise turn harmless jitter of a handful of allocations into a
-/// relative-threshold failure.
-const ALLOC_GATE_SLACK: f64 = 0.02;
-
-struct Measurement {
+/// One sweep's work counts.
+struct Section {
     mode: &'static str,
-    cells: usize,
-    wall_s: f64,
-    cells_per_s: f64,
-    ns_per_tick: f64,
-    allocs_per_packet: f64,
+    cells: u64,
     ticks: u64,
     packets: u64,
     allocs: u64,
 }
 
-impl Measurement {
+impl Section {
     fn to_json(&self) -> String {
         format!(
-            "  \"{}\": {{\n    \"cells\": {},\n    \"wall_s\": {:.3},\n    \
-             \"cells_per_s\": {:.3},\n    \"ns_per_tick\": {:.1},\n    \
-             \"allocs_per_packet\": {:.2},\n    \"ticks\": {},\n    \
+            "  \"{}\": {{\n    \"cells\": {},\n    \"ticks\": {},\n    \
              \"packets\": {},\n    \"allocs\": {}\n  }}",
-            self.mode,
-            self.cells,
-            self.wall_s,
-            self.cells_per_s,
-            self.ns_per_tick,
-            self.allocs_per_packet,
-            self.ticks,
-            self.packets,
-            self.allocs
+            self.mode, self.cells, self.ticks, self.packets, self.allocs
         )
     }
 }
 
-/// Time one cold sweep. `sweep` executes a cell each time it is pulled
-/// and yields that cell's `(ticks, packets)`; wall time and allocation
-/// events are taken around the whole iteration.
-fn measure(mode: &'static str, sweep: impl Iterator<Item = (u64, u64)>) -> Measurement {
+/// Count one cold sweep. `sweep` executes a cell each time it is pulled
+/// and yields that cell's `(ticks, packets)`; allocation events are taken
+/// around the whole iteration.
+fn count(mode: &'static str, sweep: impl Iterator<Item = (u64, u64)>) -> Section {
     let alloc_start = alloc::events();
-    let wall_start = Instant::now();
-    let (mut cells, mut ticks, mut packets) = (0usize, 0u64, 0u64);
+    let (mut cells, mut ticks, mut packets) = (0, 0, 0);
     for (cell_ticks, cell_packets) in sweep {
         cells += 1;
         ticks += cell_ticks;
         packets += cell_packets;
     }
-    let wall_s = wall_start.elapsed().as_secs_f64();
-    let allocs = alloc::events() - alloc_start;
-    Measurement {
+    Section {
         mode,
         cells,
-        wall_s,
-        cells_per_s: cells as f64 / wall_s,
-        ns_per_tick: wall_s * 1e9 / ticks as f64,
-        allocs_per_packet: allocs as f64 / packets as f64,
         ticks,
         packets,
-        allocs,
+        allocs: alloc::events() - alloc_start,
     }
 }
 
 /// One cold sweep of the 6 paper workloads (3 CCs × 2 environments),
 /// single-threaded, engine-free.
-fn run_sweep(quick: bool) -> Measurement {
+fn run_sweep(quick: bool) -> Section {
     let workloads = [Environment::Urban, Environment::Rural]
         .into_iter()
         .flat_map(|env| paper_ccs(env).map(|cc| (env, cc)));
@@ -123,15 +96,15 @@ fn run_sweep(quick: bool) -> Measurement {
         let (metrics, steps) = Simulation::new(cfg).run_instrumented();
         (steps, metrics.media_sent + metrics.rtx_sent)
     });
-    measure(if quick { "quick" } else { "full" }, sweep)
+    count(if quick { "quick" } else { "full" }, sweep)
 }
 
 /// One cold sweep of two-leg bonded sessions: the three rural CCs with
 /// FEC armed and repair on (1 s holds) — the heaviest receive path in
 /// the tree (striping + parity recovery + reassembly window). A session
 /// that monitors its legs steps every tick, so its step count is its
-/// flight + drain milliseconds. `cells_per_s` is the gated number.
-fn run_bonded_sweep() -> Measurement {
+/// flight + drain milliseconds.
+fn run_bonded_sweep() -> Section {
     let sweep = paper_ccs(Environment::Rural).into_iter().map(|cc| {
         let cfg = ExperimentConfig::builder()
             .cc(cc)
@@ -144,14 +117,79 @@ fn run_bonded_sweep() -> Measurement {
             Simulation::multipath(cfg, MultipathScheme::Bonded, Vec::new()).run_instrumented();
         (steps, m.media_sent + m.rtx_sent + m.fec_tx)
     });
-    measure("bonded", sweep)
+    count("bonded", sweep)
+}
+
+/// What comparing a run against a baseline found.
+#[derive(Default)]
+struct Verdict {
+    /// What was compared, or why it was not — printed, never fatal.
+    notes: Vec<String>,
+    /// Every reason the gate fails; empty means pass.
+    failures: Vec<String>,
+}
+
+/// Compare each counted section against the same section of `baseline`.
+fn gate(baseline: &Json, sections: &[Section]) -> Verdict {
+    let mut v = Verdict::default();
+    let show = |count: Option<u64>| count.map_or("absent".to_string(), |c| c.to_string());
+    // An older layout's sections are not this one's: reading the fields
+    // that happen to share a name would gate against half a baseline.
+    let schema = baseline.get("schema").and_then(Json::as_u64);
+    if schema != Some(SCHEMA) {
+        v.failures.push(format!(
+            "baseline is schema {}, this gate reads schema {SCHEMA} — re-measure it",
+            show(schema)
+        ));
+        return v;
+    }
+    for s in sections {
+        let Some(base) = baseline.get(s.mode) else {
+            v.notes.push(format!(
+                "baseline has no `{}` section — skipping gate",
+                s.mode
+            ));
+            continue;
+        };
+        let base_count = |key: &str| base.get(key).and_then(Json::as_u64);
+        // The sweeps are deterministic, so these are exact — any
+        // difference is a behaviour change.
+        for (key, now) in [("ticks", s.ticks), ("packets", s.packets)] {
+            let base = base_count(key);
+            if base != Some(now) {
+                v.failures.push(format!(
+                    "BEHAVIOUR CHANGE ({}): {key} {} → {now} — re-measure the baseline row",
+                    s.mode,
+                    show(base)
+                ));
+            }
+        }
+        // Allocation churn: nearly noise-free, so anything beyond a
+        // quarter over the baseline plus 0.02 per packet means a hot path
+        // started allocating again. Integer form of
+        // `allocs ≤ 1.25 × baseline + 0.02 × packets`.
+        if let Some(base_allocs) = base_count("allocs") {
+            let limit = (125 * base_allocs + 2 * s.packets) / 100;
+            v.notes.push(format!(
+                "{:<6} baseline {base_allocs} allocs → now {} (limit {limit})",
+                s.mode, s.allocs
+            ));
+            if s.allocs > limit {
+                v.failures.push(format!(
+                    "ALLOC REGRESSION ({}): {} allocs exceeds limit {limit}",
+                    s.mode, s.allocs
+                ));
+            }
+        }
+    }
+    v
 }
 
 pub fn run(args: &crate::Args) {
     let quick_only = args.smoke;
 
     println!(
-        "=== perf_matrix — engine throughput ({}, single-threaded)",
+        "=== perf_matrix — work counts ({}, single-threaded)",
         if quick_only {
             "quick sweep"
         } else {
@@ -159,7 +197,7 @@ pub fn run(args: &crate::Args) {
         }
     );
 
-    // Read the baseline *before* measuring: the output file may be the
+    // Read the baseline *before* counting: the output file may be the
     // baseline path itself, and a self-comparison would gate nothing.
     let baseline = args.check.as_ref().map(|p| {
         let text = std::fs::read_to_string(p)
@@ -167,35 +205,24 @@ pub fn run(args: &crate::Args) {
         Json::parse(&text).unwrap_or_else(|e| panic!("parse baseline {}: {e}", p.display()))
     });
 
-    // Warm-up: touch every code path once so lazy init (thread-locals,
-    // cold text pages) doesn't bill the first measured cell.
-    {
-        let cfg = ExperimentConfig::builder()
-            .cc(CcMode::Gcc)
-            .seed(0xD0)
-            .hold_secs(1)
-            .build();
-        let _ = Simulation::new(cfg).run();
-    }
-
     let mut sections = Vec::new();
     if !quick_only {
         sections.push(run_sweep(false));
     }
     sections.push(run_sweep(true));
     sections.push(run_bonded_sweep());
-    for m in &sections {
+    for s in &sections {
         println!(
-            "{:<5} {} cells in {:.2} s — {:.2} cells/s, {:.0} ns/tick, {:.2} allocs/packet",
-            m.mode, m.cells, m.wall_s, m.cells_per_s, m.ns_per_tick, m.allocs_per_packet
+            "{:<6} {} cells — {} ticks, {} packets, {} allocs",
+            s.mode, s.cells, s.ticks, s.packets, s.allocs
         );
     }
 
     let json = format!(
-        "{{\n  \"schema\": 1,\n{}\n}}\n",
+        "{{\n  \"schema\": {SCHEMA},\n{}\n}}\n",
         sections
             .iter()
-            .map(Measurement::to_json)
+            .map(Section::to_json)
             .collect::<Vec<_>>()
             .join(",\n")
     );
@@ -205,55 +232,95 @@ pub fn run(args: &crate::Args) {
     println!("wrote {}", out.display());
 
     if let Some(baseline) = baseline {
-        let field = |section: &str, key: &str| baseline.get(section)?.get(key)?.as_f64();
-        let count = |section: &str, key: &str| baseline.get(section)?.get(key)?.as_u64();
-        let mut failed = false;
-        for m in &sections {
-            let Some(base) = field(m.mode, "cells_per_s") else {
-                println!("baseline has no `{}` section — skipping gate", m.mode);
-                continue;
-            };
-            let delta_pct = (m.cells_per_s - base) / base * 100.0;
-            println!(
-                "{:<5} baseline {base:.2} cells/s → now {:.2} cells/s ({delta_pct:+.1} %, not gated)",
-                m.mode, m.cells_per_s
-            );
-            // Work-counter gate: the sweeps are deterministic, so these
-            // are exact — any difference is a behaviour change, and must
-            // arrive with a re-measured baseline row.
-            for (key, now) in [("ticks", m.ticks), ("packets", m.packets)] {
-                let base = count(m.mode, key);
-                if base != Some(now) {
-                    eprintln!(
-                        "BEHAVIOUR CHANGE ({}): {key} {} → {now} — re-measure the baseline row",
-                        m.mode,
-                        base.map_or("absent".to_string(), |b| b.to_string())
-                    );
-                    failed = true;
-                }
-            }
-            // Allocation-churn gate: the sweeps are deterministic, so
-            // allocs/packet is nearly noise-free — anything beyond the
-            // relative threshold plus a small absolute slack means a hot
-            // path started allocating again.
-            if let Some(base_ap) = field(m.mode, "allocs_per_packet") {
-                let limit = base_ap * (1.0 + THRESHOLD / 100.0) + ALLOC_GATE_SLACK;
-                println!(
-                    "{:<5} baseline {base_ap:.2} allocs/packet → now {:.2} (limit {limit:.2})",
-                    m.mode, m.allocs_per_packet
-                );
-                if m.allocs_per_packet > limit {
-                    eprintln!(
-                        "ALLOC REGRESSION ({}): allocs/packet {:.2} exceeds limit {:.2}",
-                        m.mode, m.allocs_per_packet, limit
-                    );
-                    failed = true;
-                }
-            }
+        let verdict = gate(&baseline, &sections);
+        for note in &verdict.notes {
+            println!("{note}");
         }
-        if failed {
+        for failure in &verdict.failures {
+            eprintln!("{failure}");
+        }
+        if !verdict.failures.is_empty() {
             std::process::exit(1);
         }
-        println!("ticks and packets match the baseline, allocs/packet within {THRESHOLD}% — ok");
+        println!("ticks and packets match the baseline, allocs within its limit — ok");
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn baseline(schema: u64) -> Json {
+        let text = format!(
+            r#"{{"schema": {schema},
+                "quick": {{"cells": 6, "ticks": 1000, "packets": 10000, "allocs": 400}}}}"#
+        );
+        Json::parse(&text).unwrap()
+    }
+
+    /// The baseline's `quick` section, as counted by a run.
+    fn quick() -> Section {
+        Section {
+            mode: "quick",
+            cells: 6,
+            ticks: 1000,
+            packets: 10_000,
+            allocs: 400,
+        }
+    }
+
+    #[test]
+    fn an_identical_run_passes() {
+        assert!(gate(&baseline(SCHEMA), &[quick()]).failures.is_empty());
+    }
+
+    #[test]
+    fn ticks_off_by_one_fails_and_names_the_section() {
+        for (ticks, packets) in [(1001, 10_000), (999, 10_000), (1000, 10_001)] {
+            let now = Section {
+                ticks,
+                packets,
+                ..quick()
+            };
+            let failures = gate(&baseline(SCHEMA), &[now]).failures;
+            assert_eq!(failures.len(), 1, "{failures:?}");
+            assert!(failures[0].contains("(quick)"), "{failures:?}");
+        }
+    }
+
+    #[test]
+    fn allocs_pass_at_the_limit_and_fail_one_above() {
+        // 1.25 × 400 + 0.02 × 10 000 = 700.
+        let with_allocs = |allocs| Section { allocs, ..quick() };
+        assert!(gate(&baseline(SCHEMA), &[with_allocs(700)])
+            .failures
+            .is_empty());
+        let failures = gate(&baseline(SCHEMA), &[with_allocs(701)]).failures;
+        assert_eq!(failures.len(), 1, "{failures:?}");
+        assert!(failures[0].contains("ALLOC REGRESSION (quick)"));
+    }
+
+    #[test]
+    fn a_section_the_baseline_lacks_is_skipped_with_a_note() {
+        let bonded = Section {
+            mode: "bonded",
+            ..quick()
+        };
+        let verdict = gate(&baseline(SCHEMA), &[bonded]);
+        assert!(verdict.failures.is_empty());
+        assert_eq!(
+            verdict.notes,
+            ["baseline has no `bonded` section — skipping gate"]
+        );
+    }
+
+    #[test]
+    fn an_older_schema_is_refused_not_half_read() {
+        // Schema 1 sections carry `ticks` / `packets` / `allocs` too; the
+        // gate must not compare against them.
+        let verdict = gate(&baseline(1), &[quick()]);
+        assert_eq!(verdict.failures.len(), 1);
+        assert!(verdict.failures[0].contains("re-measure"));
+        assert!(verdict.notes.is_empty());
     }
 }

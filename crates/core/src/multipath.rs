@@ -38,6 +38,8 @@
 //! keeping exactly one arrival process inside the congestion controller;
 //! across a switch the CC state is carried, with the feedback-starvation
 //! watchdog providing the rate cut during the break (DESIGN.md §8).
+//!
+//! [`Simulation`]: crate::pipeline::Simulation
 
 use std::collections::{HashSet, VecDeque};
 
@@ -55,7 +57,6 @@ use crate::failover::{FailoverConfig, FailoverController};
 use crate::health::{HealthClass, HealthConfig, PathHealth};
 use crate::metrics::{PathHealthSummary, RunMetrics, SwitchRecord};
 use crate::paths;
-use crate::pipeline::Simulation;
 use crate::scenario::{ExperimentConfig, MAX_LEGS};
 
 /// Per-leg receiver-report cadence.
@@ -200,7 +201,7 @@ pub(crate) struct Leg {
     /// the stream its per-packet draws come from.
     extra_loss_prob: f64,
     extra_loss_rng: SimRng,
-    /// RNG stream prefix: `pipe` for [`Simulation::new`]'s leg,
+    /// RNG stream prefix: `pipe` for `Simulation::new`'s leg,
     /// [`paths::leg_stream_prefix`] for a multipath rig's.
     stream_prefix: String,
     /// Sender-side wire sequence on this leg's uplink.
@@ -809,7 +810,7 @@ impl Reassembly {
 /// packet the congestion controller releases rides, what redundancy
 /// travels beside it, and the monitoring plane that informs both —
 /// health clocks, the failover controller, keep-warm probes. A plain
-/// single-operator session ([`Simulation::new`]) has none.
+/// single-operator session (`Simulation::new`) has none.
 pub(crate) struct LegScheduler {
     scheme: MultipathScheme,
     fec_cap: f64,
@@ -1128,31 +1129,11 @@ impl LegScheduler {
     }
 }
 
-/// Run the multipath experiment over the flight of `base`, under
-/// `base.cc`, with the chosen scheme. `base.n_legs` modems participate:
-/// even legs ride `base.operator`, odd legs the other one.
-pub fn run_multipath(base: &ExperimentConfig, scheme: MultipathScheme) -> RunMetrics {
-    run_multipath_legs(base, scheme, Vec::new())
-}
-
-/// [`run_multipath`] with a per-leg scripted fault campaign: entry `i`
-/// of `leg_scripts` (missing entries mean unscripted) hits both
-/// directions of leg `i` — a true link blackout. Correlated cross-leg
-/// failures are expressed by giving several legs scripts with
-/// overlapping windows. Leg 0's blackout windows become per-outage
-/// recovery records; scripts beyond `base.n_legs` are ignored.
-pub fn run_multipath_legs(
-    base: &ExperimentConfig,
-    scheme: MultipathScheme,
-    leg_scripts: Vec<Option<FaultScript>>,
-) -> RunMetrics {
-    Simulation::multipath(*base, scheme, leg_scripts).run()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    use crate::pipeline::Simulation;
     use crate::scenario::CcMode;
     use crate::stats;
     use rpav_lte::Environment;
@@ -1403,8 +1384,8 @@ mod tests {
     #[test]
     fn duplicate_path_improves_latency_tail() {
         let cfg = base();
-        let single = run_multipath(&cfg, MultipathScheme::SinglePath);
-        let dual = run_multipath(&cfg, MultipathScheme::Duplicate);
+        let single = Simulation::multipath(cfg, MultipathScheme::SinglePath, Vec::new()).run();
+        let dual = Simulation::multipath(cfg, MultipathScheme::Duplicate, Vec::new()).run();
         // Same offered load either way (duplicates are accounted apart),
         // up to the IDRs each receiver's PLIs forced.
         assert!(single.media_sent.abs_diff(dual.media_sent) * 200 < single.media_sent);
@@ -1450,7 +1431,7 @@ mod tests {
 
     #[test]
     fn quiet_run_never_switches() {
-        let m = run_multipath(&base(), MultipathScheme::Failover);
+        let m = Simulation::multipath(base(), MultipathScheme::Failover, Vec::new()).run();
         assert!(
             m.switches.is_empty(),
             "spurious switches on a healthy run: {:?}",
@@ -1468,12 +1449,11 @@ mod tests {
         let fault_at = SimTime::ZERO + SimDuration::from_secs(5);
         let fault_for = SimDuration::from_secs(10);
         let script = || FaultScript::new().blackout(fault_at, fault_for);
-        let single = run_multipath_legs(
-            &cfg,
-            MultipathScheme::SinglePath,
-            vec![Some(script()), None],
-        );
-        let fo = run_multipath_legs(&cfg, MultipathScheme::Failover, vec![Some(script()), None]);
+        let single =
+            Simulation::multipath(cfg, MultipathScheme::SinglePath, vec![Some(script()), None])
+                .run();
+        let fo =
+            Simulation::multipath(cfg, MultipathScheme::Failover, vec![Some(script()), None]).run();
         // Exactly one switch inside the fault window (later radio events
         // elsewhere in the flight may legitimately switch again).
         let in_window: Vec<_> = fo
@@ -1498,7 +1478,7 @@ mod tests {
     fn selective_duplicate_copies_only_a_fraction() {
         let mut cfg = base();
         cfg.hold = SimDuration::from_secs(4);
-        let sel = run_multipath(&cfg, MultipathScheme::SelectiveDuplicate);
+        let sel = Simulation::multipath(cfg, MultipathScheme::SelectiveDuplicate, Vec::new()).run();
         assert!(sel.dup_tx_packets > 0, "keyframes must be duplicated");
         assert!(
             (sel.dup_tx_packets as f64) < 0.5 * sel.media_sent as f64,
@@ -1547,7 +1527,7 @@ mod tests {
     fn bonded_splits_media_across_both_legs() {
         let mut cfg = base();
         cfg.hold = SimDuration::from_secs(4);
-        let m = run_multipath(&cfg, MultipathScheme::Bonded);
+        let m = Simulation::multipath(cfg, MultipathScheme::Bonded, Vec::new()).run();
         assert!(m.media_sent > 0);
         let share0 = m.leg_tx_share(0);
         let share1 = m.leg_tx_share(1);
@@ -1571,12 +1551,12 @@ mod tests {
             .hold_secs(4)
             .leg_caps(3.0e6, 2.5e6)
             .build();
-        let bonded = run_multipath(&cfg, MultipathScheme::Bonded);
-        let single_a = run_multipath(&cfg, MultipathScheme::SinglePath);
+        let bonded = Simulation::multipath(cfg, MultipathScheme::Bonded, Vec::new()).run();
+        let single_a = Simulation::multipath(cfg, MultipathScheme::SinglePath, Vec::new()).run();
         // Best single leg: run single-path on the other leg by swapping
         // the caps (single-path always rides leg 0).
         cfg.leg_cap_bps = Some((2.5e6, 3.0e6));
-        let single_b = run_multipath(&cfg, MultipathScheme::SinglePath);
+        let single_b = Simulation::multipath(cfg, MultipathScheme::SinglePath, Vec::new()).run();
         let best_single = single_a
             .media_received_bytes
             .max(single_b.media_received_bytes);
@@ -1608,11 +1588,12 @@ mod tests {
                 Some(PacketKind::Media),
             )
         };
-        let m = run_multipath_legs(
-            &cfg,
+        let m = Simulation::multipath(
+            cfg,
             MultipathScheme::Bonded,
             vec![Some(script()), Some(script())],
-        );
+        )
+        .run();
         assert!(m.script_dropped > 0, "burst script never dropped anything");
         assert!(m.fec_tx > 0, "adaptive ratio never turned FEC on");
         assert!(
@@ -1638,7 +1619,8 @@ mod tests {
             SimTime::ZERO + SimDuration::from_secs(1),
             SimDuration::from_secs(120),
         );
-        let m = run_multipath_legs(&cfg, MultipathScheme::Bonded, vec![None, Some(blackout)]);
+        let m =
+            Simulation::multipath(cfg, MultipathScheme::Bonded, vec![None, Some(blackout)]).run();
         assert!(m.dup_tx_packets > 0, "no keyframe repeats on the lone leg");
         assert!(
             (m.dup_tx_packets as f64) < 0.5 * m.media_sent as f64,
@@ -1672,11 +1654,12 @@ mod tests {
             )
         };
         let run = || {
-            run_multipath_legs(
-                &cfg,
+            Simulation::multipath(
+                cfg,
                 MultipathScheme::Bonded,
                 vec![Some(script()), Some(script())],
             )
+            .run()
         };
         assert_eq!(run().to_bytes(), run().to_bytes());
     }
@@ -1685,8 +1668,8 @@ mod tests {
     fn deterministic_replay_per_seed() {
         let cfg = base();
         let run = || {
-            run_multipath_legs(
-                &cfg,
+            Simulation::multipath(
+                cfg,
                 MultipathScheme::Failover,
                 vec![
                     Some(FaultScript::new().blackout(
@@ -1696,6 +1679,7 @@ mod tests {
                     None,
                 ],
             )
+            .run()
         };
         let a = run();
         let b = run();
@@ -1719,8 +1703,8 @@ mod tests {
         let mut cfg = base();
         cfg.n_legs = 1;
         cfg.hold = SimDuration::from_secs(4);
-        let bonded = run_multipath(&cfg, MultipathScheme::Bonded);
-        let single = run_multipath(&cfg, MultipathScheme::SinglePath);
+        let bonded = Simulation::multipath(cfg, MultipathScheme::Bonded, Vec::new()).run();
+        let single = Simulation::multipath(cfg, MultipathScheme::SinglePath, Vec::new()).run();
         assert_eq!(bonded.path_health.len(), 1);
         assert_eq!(bonded.fec_tx, 0, "cross-leg parity with one leg");
         assert_eq!(bonded.media_sent, single.media_sent);
@@ -1734,7 +1718,7 @@ mod tests {
         let mut cfg = base();
         cfg.n_legs = 3;
         cfg.hold = SimDuration::from_secs(4);
-        let m = run_multipath(&cfg, MultipathScheme::Bonded);
+        let m = Simulation::multipath(cfg, MultipathScheme::Bonded, Vec::new()).run();
         assert_eq!(m.path_health.len(), 3);
         let shares: Vec<f64> = (0..3).map(|li| m.leg_tx_share(li)).collect();
         assert!((shares.iter().sum::<f64>() - 1.0).abs() < 1e-9);
@@ -1781,11 +1765,12 @@ mod tests {
                 Some(PacketKind::Media),
             )
         };
-        let m = run_multipath_legs(
-            &cfg3,
+        let m = Simulation::multipath(
+            cfg3,
             MultipathScheme::Bonded,
             vec![Some(burst()), Some(burst()), None],
-        );
+        )
+        .run();
         assert!(m.script_dropped > 0, "correlated burst never dropped");
         assert!(m.fec_tx > 0, "adaptive ratio never turned FEC on");
         assert!(m.fec_recovered > 0, "no packet recovered");

@@ -2,8 +2,8 @@
 //! parameters, so every leg of every session is parameterised
 //! identically.
 //!
-//! Every access path in the study is the same chain: fault injector
-//! (bursty baseline PER) → bottleneck link (radio propagation + eNodeB
+//! Every access path in the study is the same chain: baseline loss
+//! (bursty PER) → bottleneck link (radio propagation + eNodeB
 //! queue) → WAN delay pipe. The numbers live here once:
 //!
 //! * baseline loss: Gilbert–Elliott tuned to the measured 0.06–0.07 % PER
@@ -12,7 +12,7 @@
 //! * eNodeB uplink buffer deep enough that congestion becomes delay, not
 //!   loss (bufferbloat, §4.1).
 
-use rpav_netem::{FaultConfig, GilbertElliott, Path};
+use rpav_netem::{GilbertElliott, Path};
 use rpav_sim::{RngSet, SimDuration};
 
 /// eNodeB uplink buffer: deep enough that congestion becomes delay, not
@@ -57,10 +57,7 @@ pub fn leg_stream_prefix(operator_name: &str, leg_index: usize) -> String {
 /// in one run draw from distinct deterministic streams.
 pub fn uplink_path(rngs: &RngSet, stream_prefix: &str, run_index: u64) -> Path {
     Path::new(
-        FaultConfig {
-            burst: baseline_loss(),
-            ..Default::default()
-        },
+        baseline_loss(),
         rngs.stream_indexed(&format!("{stream_prefix}.fault"), run_index),
         UPLINK_INITIAL_BPS,
         BOTTLENECK_DELAY,
@@ -74,10 +71,7 @@ pub fn uplink_path(rngs: &RngSet, stream_prefix: &str, run_index: u64) -> Path {
 /// Build a downlink (feedback-direction) path: same chain, downlink rate.
 pub fn downlink_path(rngs: &RngSet, stream_prefix: &str, run_index: u64) -> Path {
     Path::new(
-        FaultConfig {
-            burst: baseline_loss(),
-            ..Default::default()
-        },
+        baseline_loss(),
         rngs.stream_indexed(&format!("{stream_prefix}.fault"), run_index),
         DOWNLINK_BPS,
         BOTTLENECK_DELAY,

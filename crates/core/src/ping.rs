@@ -8,7 +8,7 @@
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use rpav_lte::{NetworkProfile, RadioModel};
-use rpav_netem::{FaultConfig, Packet, PacketKind, Path};
+use rpav_netem::{GilbertElliott, Packet, PacketKind, Path};
 use rpav_sim::{RngSet, SimDuration, SimTime};
 use rpav_uav::{profiles as uav_profiles, Position};
 
@@ -37,7 +37,7 @@ pub fn run_ping(config: &ExperimentConfig) -> Vec<RttSample> {
     let plan = uav_profiles::paper_flight(Position::ground(0.0, 0.0), config.hold);
 
     let mut uplink = Path::new(
-        FaultConfig::default(),
+        GilbertElliott::off(),
         rngs.stream_indexed("ping.ul.fault", config.run_index),
         10e6,
         SimDuration::from_millis(5),
@@ -47,7 +47,7 @@ pub fn run_ping(config: &ExperimentConfig) -> Vec<RttSample> {
         rngs.stream_indexed("ping.ul.wan", config.run_index),
     );
     let mut downlink = Path::new(
-        FaultConfig::default(),
+        GilbertElliott::off(),
         rngs.stream_indexed("ping.dl.fault", config.run_index),
         150e6,
         SimDuration::from_millis(5),

@@ -312,8 +312,9 @@ impl Simulation {
     }
 
     /// Execute with the adaptive scheduler and also report how many driver
-    /// steps the run took — the denominator for the perf harness's ns/tick
-    /// figure. Metrics are identical to [`Simulation::run`].
+    /// steps the run took — the `ticks` `perf_matrix` gates exactly and the
+    /// denominator of the benchmark's ns/tick. Metrics are identical to
+    /// [`Simulation::run`].
     pub fn run_instrumented(mut self) -> (RunMetrics, u64) {
         let mut steps = 0u64;
         let metrics = self.run_loop(false, &mut steps);

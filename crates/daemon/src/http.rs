@@ -71,8 +71,11 @@ pub struct Request {
     pub body: Vec<u8>,
 }
 
-fn head_end(buf: &[u8]) -> Option<usize> {
-    buf.windows(4).position(|w| w == b"\r\n\r\n")
+/// Offset of the head terminator in `buf`, given that none starts before
+/// `from`.
+fn head_end(buf: &[u8], from: usize) -> Option<usize> {
+    let pos = buf[from..].windows(4).position(|w| w == b"\r\n\r\n")?;
+    Some(from + pos)
 }
 
 /// Read one request. Total over arbitrary wire input: every malformed,
@@ -80,16 +83,21 @@ fn head_end(buf: &[u8]) -> Option<usize> {
 pub fn read_request<S: Read>(stream: &mut S) -> Result<Request, HttpError> {
     let mut raw = Vec::new();
     let mut buf = [0u8; 4096];
+    let mut scanned = 0;
     let split = loop {
         // The verdict depends on the bytes, not on how the transport cut
         // them into reads: a terminator that arrives in the same read as
         // the byte that crossed the cap is still past the cap.
-        match head_end(&raw) {
+        match head_end(&raw, scanned) {
             Some(pos) if pos + 4 <= MAX_HEAD_BYTES => break pos,
             Some(_) => return Err(HttpError::HeadTooLarge),
             None if raw.len() > MAX_HEAD_BYTES => return Err(HttpError::HeadTooLarge),
             None => {}
         }
+        // A terminator straddling the next read starts at most three
+        // bytes back; a head dribbled in byte by byte is scanned once,
+        // not once per read.
+        scanned = raw.len().saturating_sub(3);
         let n = stream.read(&mut buf)?;
         if n == 0 {
             return Err(HttpError::Truncated);

@@ -1,10 +1,11 @@
-//! Fault injection: loss (i.i.d. and bursty), duplication, corruption.
+//! Baseline impairment: the Gilbert–Elliott loss process every [`Path`]
+//! starts with, for the paper's observation that "most of the observed
+//! packet drops occurred consecutively" (§4.1) at an overall PER of
+//! 0.06–0.07 %. Everything else that can happen to a packet — timed loss,
+//! duplication, corruption, blackouts — is a [`FaultScript`] clause.
 //!
-//! Mirrors the fault-injection switches the smoltcp examples expose
-//! (`--drop-chance`, `--corrupt-chance`, …) so scenarios can degrade a path
-//! in controlled ways. The LTE simulator uses the Gilbert–Elliott component
-//! for the paper's observation that "most of the observed packet drops
-//! occurred consecutively" (§4.1) at an overall PER of 0.06–0.07 %.
+//! [`Path`]: crate::Path
+//! [`FaultScript`]: crate::FaultScript
 
 use bytes::Bytes;
 use rpav_sim::SimRng;
@@ -13,9 +14,9 @@ use crate::packet::Packet;
 
 /// Flip 1–3 random bits of the payload and mark the packet corrupted.
 ///
-/// Used by the [`FaultInjector`] and by scripted corruption windows; the
-/// RNG is consumed **only** when a corruption fault actually fires, so
-/// configs with `corrupt_chance == 0` leave the random stream untouched.
+/// Used by scripted corruption windows; what happens to the damaged
+/// packet next is the receiver's choice — model a UDP checksum (drop) or
+/// feed the bytes to the hardened wire parsers and count the fallout.
 pub fn corrupt_payload(packet: &mut Packet, rng: &mut SimRng) {
     packet.corrupted = true;
     if packet.payload.is_empty() {
@@ -94,110 +95,6 @@ impl GilbertElliott {
     }
 }
 
-/// Configuration of a [`FaultInjector`].
-#[derive(Clone, Debug)]
-pub struct FaultConfig {
-    /// Independent per-packet drop probability.
-    pub drop_chance: f64,
-    /// Per-packet duplication probability.
-    pub duplicate_chance: f64,
-    /// Per-packet payload-corruption probability. A firing corruption
-    /// fault flips real payload bits (see [`corrupt_payload`]) and sets
-    /// the packet's `corrupted` flag; what happens next is the receiver's
-    /// choice — model a UDP checksum (drop) or feed the damaged bytes to
-    /// the hardened wire parsers and count the fallout.
-    pub corrupt_chance: f64,
-    /// Burst-loss process layered on top of `drop_chance`.
-    pub burst: GilbertElliott,
-}
-
-impl Default for FaultConfig {
-    fn default() -> Self {
-        FaultConfig {
-            drop_chance: 0.0,
-            duplicate_chance: 0.0,
-            corrupt_chance: 0.0,
-            burst: GilbertElliott::off(),
-        }
-    }
-}
-
-/// Outcome of offering one packet to the injector.
-#[derive(Debug)]
-pub enum FaultOutcome {
-    /// Deliver the packet (possibly marked corrupted).
-    Pass(Packet),
-    /// Deliver the packet twice.
-    Duplicate(Packet, Packet),
-    /// The packet is gone.
-    Drop,
-}
-
-/// Applies a [`FaultConfig`] to a packet stream.
-#[derive(Debug)]
-pub struct FaultInjector {
-    config: FaultConfig,
-    rng: SimRng,
-    dropped: u64,
-    duplicated: u64,
-    corrupted: u64,
-    passed: u64,
-}
-
-impl FaultInjector {
-    /// Create an injector with its own random stream.
-    pub fn new(config: FaultConfig, rng: SimRng) -> Self {
-        FaultInjector {
-            config,
-            rng,
-            dropped: 0,
-            duplicated: 0,
-            corrupted: 0,
-            passed: 0,
-        }
-    }
-
-    /// A no-op injector.
-    pub fn transparent(rng: SimRng) -> Self {
-        FaultInjector::new(FaultConfig::default(), rng)
-    }
-
-    /// Offer one packet.
-    pub fn offer(&mut self, mut packet: Packet) -> FaultOutcome {
-        if self.rng.chance(self.config.drop_chance) || self.config.burst.step(&mut self.rng) {
-            self.dropped += 1;
-            return FaultOutcome::Drop;
-        }
-        if self.rng.chance(self.config.corrupt_chance) {
-            corrupt_payload(&mut packet, &mut self.rng);
-            self.corrupted += 1;
-        }
-        if self.rng.chance(self.config.duplicate_chance) {
-            self.duplicated += 1;
-            let copy = packet.clone();
-            self.passed += 2;
-            return FaultOutcome::Duplicate(packet, copy);
-        }
-        self.passed += 1;
-        FaultOutcome::Pass(packet)
-    }
-
-    /// (passed, dropped, duplicated, corrupted) counters.
-    pub fn counters(&self) -> (u64, u64, u64, u64) {
-        (self.dropped, self.duplicated, self.corrupted, self.passed)
-    }
-
-    /// Observed drop fraction so far.
-    pub fn drop_rate(&self) -> f64 {
-        let total = self.dropped + self.passed;
-        if total == 0 {
-            0.0
-        } else {
-            self.dropped as f64 / total as f64
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -217,28 +114,24 @@ mod tests {
 
     #[test]
     fn transparent_passes_everything() {
-        let mut inj = FaultInjector::transparent(RngSet::new(1).stream("f"));
-        for i in 0..1000 {
-            match inj.offer(pkt(i)) {
-                FaultOutcome::Pass(p) => assert!(!p.corrupted),
-                _ => panic!("transparent injector must pass"),
-            }
-        }
-        assert_eq!(inj.drop_rate(), 0.0);
+        let mut ge = GilbertElliott::off();
+        let mut rng = RngSet::new(1).stream("f");
+        let mut untouched = rng.clone();
+        assert!((0..1000).all(|_| !ge.step(&mut rng)));
+        // A disabled process draws nothing: attaching it to a path cannot
+        // shift any other consumer of the stream.
+        assert_eq!(rng.uniform(), untouched.uniform());
     }
 
     #[test]
     fn iid_drop_rate_matches_config() {
-        let cfg = FaultConfig {
-            drop_chance: 0.2,
-            ..Default::default()
-        };
-        let mut inj = FaultInjector::new(cfg, RngSet::new(2).stream("f"));
+        // A process that never leaves Good is i.i.d. loss at `p_loss_good`.
+        let mut ge = GilbertElliott::new(0.0, 1.0, 0.2, 0.0);
+        let mut rng = RngSet::new(2).stream("f");
         let n = 50_000;
-        for i in 0..n {
-            let _ = inj.offer(pkt(i));
-        }
-        assert!((inj.drop_rate() - 0.2).abs() < 0.01, "{}", inj.drop_rate());
+        let lost = (0..n).filter(|_| ge.step(&mut rng)).count();
+        let rate = lost as f64 / n as f64;
+        assert!((rate - 0.2).abs() < 0.01, "{rate}");
     }
 
     #[test]
@@ -268,32 +161,13 @@ mod tests {
     }
 
     #[test]
-    fn duplication_emits_two() {
-        let cfg = FaultConfig {
-            duplicate_chance: 1.0,
-            ..Default::default()
-        };
-        let mut inj = FaultInjector::new(cfg, RngSet::new(4).stream("f"));
-        match inj.offer(pkt(7)) {
-            FaultOutcome::Duplicate(a, b) => {
-                assert_eq!(a.seq, 7);
-                assert_eq!(b.seq, 7);
-            }
-            _ => panic!("expected duplicate"),
-        }
-    }
-
-    #[test]
     fn corruption_marks_packet() {
-        let cfg = FaultConfig {
-            corrupt_chance: 1.0,
-            ..Default::default()
-        };
-        let mut inj = FaultInjector::new(cfg, RngSet::new(5).stream("f"));
-        match inj.offer(pkt(1)) {
-            FaultOutcome::Pass(p) => assert!(p.corrupted),
-            _ => panic!("expected pass"),
-        }
+        let clean = pkt(1);
+        let mut damaged = clean.clone();
+        corrupt_payload(&mut damaged, &mut RngSet::new(5).stream("f"));
+        assert!(damaged.corrupted);
+        assert_eq!(damaged.payload.len(), clean.payload.len());
+        assert_ne!(damaged.payload, clean.payload, "1–3 bits must flip");
     }
 
     #[test]

@@ -12,9 +12,8 @@
 //!   followed by propagation delay. The LTE air interface drives the rate
 //!   from SINR; the WAN leg uses a fixed high rate.
 //! * [`DelayPipe`] — pure delay with optional jitter, FIFO-preserving.
-//! * [`FaultInjector`] — i.i.d. and Gilbert–Elliott burst loss, duplication
-//!   and payload bit-corruption, mirroring the fault-injection options the
-//!   smoltcp examples expose.
+//! * [`GilbertElliott`] — the bursty baseline loss process at every path
+//!   entry.
 //! * [`ReorderStage`] — bounded-displacement packet reordering, composable
 //!   onto a path exit and scriptable via reorder windows.
 //! * [`Path`] — a composition of stages with a single `poll` interface.
@@ -35,7 +34,7 @@ pub mod queue;
 pub mod reorder;
 pub mod script;
 
-pub use fault::{corrupt_payload, FaultConfig, FaultInjector, GilbertElliott};
+pub use fault::{corrupt_payload, GilbertElliott};
 pub use link::{BottleneckLink, DelayPipe};
 pub use packet::{Packet, PacketKind};
 pub use path::Path;

@@ -1,11 +1,11 @@
 //! A multi-stage unidirectional path.
 //!
-//! [`Path`] composes a fault injector, a bottleneck link and a delay pipe
-//! into the canonical "access link + WAN" shape used for both directions of
-//! the measurement pipeline:
+//! [`Path`] composes a baseline loss process, a bottleneck link and a delay
+//! pipe into the canonical "access link + WAN" shape used for both
+//! directions of the measurement pipeline:
 //!
 //! ```text
-//! sender ──► FaultInjector ──► BottleneckLink (radio) ──► DelayPipe (WAN) ──► receiver
+//! sender ──► GilbertElliott ──► BottleneckLink (radio) ──► DelayPipe (WAN) ──► receiver
 //! ```
 //!
 //! The owner drives the composition: `enqueue` at the entry, then `poll` in
@@ -20,18 +20,21 @@ use std::collections::VecDeque;
 
 use rpav_sim::{SimDuration, SimRng, SimTime};
 
-use crate::fault::{FaultConfig, FaultInjector, FaultOutcome};
+use crate::fault::GilbertElliott;
 use crate::link::{BottleneckLink, DelayPipe};
 use crate::packet::Packet;
 use crate::queue::QueueStats;
 use crate::reorder::{ReorderConfig, ReorderStage, ReorderStats};
 use crate::script::{FaultScript, OutageScheduler, ScriptStats};
 
-/// Fault injector + bottleneck + WAN pipe (+ optional reorder stage), in
+/// Baseline loss + bottleneck + WAN pipe (+ optional reorder stage), in
 /// series.
 #[derive(Debug)]
 pub struct Path {
-    faults: FaultInjector,
+    loss: GilbertElliott,
+    loss_rng: SimRng,
+    /// Packets the baseline loss process took.
+    loss_dropped: u64,
     pub(crate) bottleneck: BottleneckLink,
     wan: DelayPipe,
     script: Option<OutageScheduler>,
@@ -48,14 +51,14 @@ pub struct Path {
 impl Path {
     /// Assemble a path.
     ///
-    /// * `faults` — impairment applied before the bottleneck.
+    /// * `loss`, `loss_rng` — baseline loss applied before the bottleneck.
     /// * `bottleneck_rate_bps`, `bottleneck_delay`, `queue_bytes` — the
     ///   rate-limited access stage.
     /// * `wan_delay`, `wan_jitter` — the wired leg.
     #[allow(clippy::too_many_arguments)]
     pub fn new(
-        fault_config: FaultConfig,
-        fault_rng: SimRng,
+        loss: GilbertElliott,
+        loss_rng: SimRng,
         bottleneck_rate_bps: f64,
         bottleneck_delay: SimDuration,
         queue_bytes: usize,
@@ -64,7 +67,9 @@ impl Path {
         wan_rng: SimRng,
     ) -> Self {
         Path {
-            faults: FaultInjector::new(fault_config, fault_rng),
+            loss,
+            loss_rng,
+            loss_dropped: 0,
             bottleneck: BottleneckLink::new(
                 bottleneck_rate_bps,
                 bottleneck_delay,
@@ -130,7 +135,7 @@ impl Path {
     }
 
     /// Offer a packet at the path entry. Returns `false` if it was dropped
-    /// immediately (script, fault or full queue).
+    /// immediately (script, baseline loss or full queue).
     pub fn enqueue(&mut self, now: SimTime, mut packet: Packet) -> bool {
         self.apply_script_pause(now);
         let mut scripted_copy = None;
@@ -139,29 +144,25 @@ impl Path {
                 return false;
             }
             // Scripted duplication/corruption windows bite after
-            // admission; a duplicate traverses the fault injector as its
-            // own packet, exactly like an injector-produced one.
+            // admission; a duplicate faces the baseline loss process as
+            // its own packet.
             if s.impair(now, &mut packet) {
                 scripted_copy = Some(packet.clone());
             }
         }
-        let delivered = self.offer_to_faults(now, packet);
+        let delivered = self.offer_to_link(now, packet);
         match scripted_copy {
-            Some(copy) => self.offer_to_faults(now, copy) || delivered,
+            Some(copy) => self.offer_to_link(now, copy) || delivered,
             None => delivered,
         }
     }
 
-    fn offer_to_faults(&mut self, now: SimTime, packet: Packet) -> bool {
-        match self.faults.offer(packet) {
-            FaultOutcome::Drop => false,
-            FaultOutcome::Pass(p) => self.bottleneck.enqueue(now, p),
-            FaultOutcome::Duplicate(a, b) => {
-                let ra = self.bottleneck.enqueue(now, a);
-                let rb = self.bottleneck.enqueue(now, b);
-                ra || rb
-            }
+    fn offer_to_link(&mut self, now: SimTime, packet: Packet) -> bool {
+        if self.loss.step(&mut self.loss_rng) {
+            self.loss_dropped += 1;
+            return false;
         }
+        self.bottleneck.enqueue(now, packet)
     }
 
     /// Drain one packet that has fully traversed the path, if due.
@@ -291,9 +292,9 @@ impl Path {
         self.bottleneck.queue_stats()
     }
 
-    /// Injector counters: (dropped, duplicated, corrupted, passed).
-    pub fn fault_counters(&self) -> (u64, u64, u64, u64) {
-        self.faults.counters()
+    /// Packets dropped by the baseline loss process.
+    pub fn baseline_drops(&self) -> u64 {
+        self.loss_dropped
     }
 }
 
@@ -316,7 +317,7 @@ mod tests {
     fn quiet_path() -> Path {
         let rngs = RngSet::new(11);
         Path::new(
-            FaultConfig::default(),
+            GilbertElliott::off(),
             rngs.stream("fault"),
             8_000_000.0,
             SimDuration::from_millis(5),
@@ -365,10 +366,7 @@ mod tests {
     fn full_drop_path_delivers_nothing() {
         let rngs = RngSet::new(13);
         let mut path = Path::new(
-            FaultConfig {
-                drop_chance: 1.0,
-                ..Default::default()
-            },
+            GilbertElliott::new(0.0, 1.0, 1.0, 0.0),
             rngs.stream("fault"),
             8_000_000.0,
             SimDuration::ZERO,
@@ -382,7 +380,7 @@ mod tests {
             assert!(!path.enqueue(t0, pkt(i, t0)));
         }
         assert!(path.poll(SimTime::from_secs(60)).is_none());
-        assert_eq!(path.fault_counters().0, 10);
+        assert_eq!(path.baseline_drops(), 10);
     }
 
     #[test]

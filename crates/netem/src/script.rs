@@ -322,7 +322,7 @@ impl FaultScript {
     /// of several modems camping on one congested cell rather than one
     /// wire feeding them all. Out-of-range indices in `affected` are
     /// ignored. The result slots straight into
-    /// `run_multipath_legs` / `CellFault::per_leg`.
+    /// `Simulation::multipath` / `CellFault::per_leg`.
     pub fn correlated(self, n_legs: usize, affected: &[usize]) -> Vec<Option<FaultScript>> {
         (0..n_legs)
             .map(|li| affected.contains(&li).then(|| self.clone()))

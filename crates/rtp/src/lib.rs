@@ -19,6 +19,8 @@
 //! * [`rfc8888`] — RFC 8888 congestion control feedback blocks with a
 //!   configurable per-packet report span.
 //! * [`packetize`] — frame → RTP packets and back, with loss detection.
+//! * [`rtcp`] — the 12-byte feedback header and the `(FMT, PT)` table
+//!   that tells the five receiver→sender dialects apart.
 //! * [`pli`] — picture loss indication (RFC 4585), the receiver→sender
 //!   keyframe-recovery trigger after decode-breaking loss.
 //! * [`nack`] — RFC 4585 generic NACK wire format and the receiver-side
@@ -45,6 +47,7 @@ pub mod packetize;
 pub mod pli;
 pub mod report;
 pub mod rfc8888;
+pub mod rtcp;
 pub mod rtx;
 pub mod seqwindow;
 pub mod twcc;

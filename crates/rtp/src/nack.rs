@@ -4,9 +4,8 @@
 //!
 //! * [`Nack`] — the transport-layer feedback wire format (`PT 205 /
 //!   FMT 1`), carrying `(PID, BLP)` FCI entries that name up to 17 lost
-//!   media sequence numbers each. Cheaply discriminable from the other
-//!   dialects on the shared RTCP stream (TWCC is `205/15`, RFC 8888 CCFB
-//!   is `205/11`, PLI is `206/1`).
+//!   media sequence numbers each, behind the shared feedback header
+//!   ([`crate::rtcp`]).
 //! * [`NackGenerator`] — gap detection over **unwrapped** sequence
 //!   numbers, debounced NACK batching, bounded retries, and
 //!   playout-deadline awareness: a missing packet is only requested while
@@ -22,12 +21,8 @@ use rpav_sim::{SimDuration, SimTime};
 
 use crate::error::ParseError;
 use crate::packet::unwrap_seq;
+use crate::rtcp::{self, FeedbackHeader};
 use crate::seqwindow::SeqWindow;
-
-/// RTCP payload type for transport-layer feedback.
-pub const RTCP_PT_RTPFB: u8 = 205;
-/// Feedback message type for the generic NACK.
-pub const FMT_NACK: u8 = 1;
 
 /// A generic NACK feedback message: a batch of lost media sequence
 /// numbers.
@@ -46,11 +41,7 @@ impl Nack {
     /// 32-bit `(PID, BLP)` FCI entry per run of ≤17 nearby losses.
     pub fn serialize(&self) -> Bytes {
         let mut b = BytesMut::with_capacity(12 + 4 * self.lost.len());
-        b.put_u8((2 << 6) | FMT_NACK);
-        b.put_u8(RTCP_PT_RTPFB);
-        b.put_u16(0); // length, patched below once the entries are counted
-        b.put_u32(self.sender_ssrc);
-        b.put_u32(self.media_ssrc);
+        FeedbackHeader::write(&mut b, &rtcp::NACK, self.sender_ssrc, self.media_ssrc);
         // Pack losses into (PID, BLP) entries, written as each one
         // closes: an entry covers PID and the 16 following sequence
         // numbers.
@@ -73,8 +64,7 @@ impl Nack {
             b.put_u16(pid);
             b.put_u16(blp);
         }
-        let words = (b.len() / 4 - 1) as u16; // length in words minus one
-        b[2..4].copy_from_slice(&words.to_be_bytes());
+        FeedbackHeader::set_length(&mut b);
         b.freeze()
     }
 
@@ -98,32 +88,14 @@ impl Nack {
     /// [`parse`](Self::parse) into a reusable value (the loss vector keeps
     /// its capacity). `out` is only written once the header checks pass.
     pub fn parse_into(mut data: Bytes, out: &mut Nack) -> Result<(), ParseError> {
-        if data.len() < 12 {
-            return Err(ParseError::Truncated {
-                needed: 12,
-                have: data.len(),
-            });
-        }
-        let b0 = data.get_u8();
-        if b0 >> 6 != 2 {
-            return Err(ParseError::BadVersion { version: b0 >> 6 });
-        }
-        if (b0 & 0x1f) != FMT_NACK {
-            return Err(ParseError::WrongPacketType { expected: "NACK" });
-        }
-        if data.get_u8() != RTCP_PT_RTPFB {
-            return Err(ParseError::WrongPacketType { expected: "NACK" });
-        }
-        let _len = data.get_u16();
-        let sender_ssrc = data.get_u32();
-        let media_ssrc = data.get_u32();
+        let header = FeedbackHeader::parse(&mut data, &rtcp::NACK)?;
         if data.len() % 4 != 0 {
             return Err(ParseError::Malformed {
                 reason: "FCI not a multiple of 4 bytes",
             });
         }
-        out.sender_ssrc = sender_ssrc;
-        out.media_ssrc = media_ssrc;
+        out.sender_ssrc = header.sender_ssrc;
+        out.media_ssrc = header.media_ssrc;
         out.lost.clear();
         // At most one allocation: an entry names at most 17 sequence
         // numbers.
@@ -452,11 +424,7 @@ mod tests {
         assert!(Nack::parse(Bytes::from_static(b"nope")).is_err());
         // Ragged FCI (not a multiple of 4).
         let mut b = BytesMut::new();
-        b.put_u8((2 << 6) | FMT_NACK);
-        b.put_u8(RTCP_PT_RTPFB);
-        b.put_u16(3);
-        b.put_u32(1);
-        b.put_u32(2);
+        FeedbackHeader::write(&mut b, &rtcp::NACK, 1, 2);
         b.put_u16(77);
         assert_eq!(
             Nack::parse(b.freeze()),

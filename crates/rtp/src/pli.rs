@@ -4,20 +4,13 @@
 //! When decode-breaking loss severs the decoder's reference chain, the
 //! receiver sends a PLI upstream; the sender answers by forcing an IDR
 //! frame so the next GOP does not have to be waited out with a corrupted
-//! picture. The wire format is the fixed 12-byte payload-specific feedback
-//! header: `V=2 | FMT=1`, `PT=206`, length, sender SSRC, media SSRC. The
-//! first two bytes make a PLI cheaply discriminable from the transport
-//! feedback dialects sharing the RTCP stream (TWCC is `PT 205 / FMT 15`,
-//! RFC 8888 CCFB is `PT 205 / FMT 11`).
+//! picture. The wire format is the bare 12-byte feedback header
+//! ([`crate::rtcp`]) under `PT 206 / FMT 1`: a PLI has no body.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{Bytes, BytesMut};
 
 use crate::error::ParseError;
-
-/// RTCP payload type for payload-specific feedback.
-pub const RTCP_PT_PSFB: u8 = 206;
-/// Feedback message type for picture loss indication.
-pub const FMT_PLI: u8 = 1;
+use crate::rtcp::{self, FeedbackHeader};
 
 /// A picture loss indication.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -32,11 +25,8 @@ impl Pli {
     /// Serialise to RTCP wire format (always 12 bytes).
     pub fn serialize(&self) -> Bytes {
         let mut b = BytesMut::with_capacity(12);
-        b.put_u8((2 << 6) | FMT_PLI);
-        b.put_u8(RTCP_PT_PSFB);
-        b.put_u16(2); // length in 32-bit words minus one
-        b.put_u32(self.sender_ssrc);
-        b.put_u32(self.media_ssrc);
+        FeedbackHeader::write(&mut b, &rtcp::PLI, self.sender_ssrc, self.media_ssrc);
+        FeedbackHeader::set_length(&mut b);
         b.freeze()
     }
 
@@ -44,26 +34,10 @@ impl Pli {
     /// the bytes are not a PLI (truncated, wrong version, or another RTCP
     /// dialect), never panics.
     pub fn parse(mut data: Bytes) -> Result<Pli, ParseError> {
-        if data.len() < 12 {
-            return Err(ParseError::Truncated {
-                needed: 12,
-                have: data.len(),
-            });
-        }
-        let b0 = data.get_u8();
-        if b0 >> 6 != 2 {
-            return Err(ParseError::BadVersion { version: b0 >> 6 });
-        }
-        if (b0 & 0x1f) != FMT_PLI {
-            return Err(ParseError::WrongPacketType { expected: "PLI" });
-        }
-        if data.get_u8() != RTCP_PT_PSFB {
-            return Err(ParseError::WrongPacketType { expected: "PLI" });
-        }
-        let _len = data.get_u16();
+        let header = FeedbackHeader::parse(&mut data, &rtcp::PLI)?;
         Ok(Pli {
-            sender_ssrc: data.get_u32(),
-            media_ssrc: data.get_u32(),
+            sender_ssrc: header.sender_ssrc,
+            media_ssrc: header.media_ssrc,
         })
     }
 }
@@ -95,19 +69,13 @@ mod tests {
         assert!(crate::rfc8888::Rfc8888Packet::parse(pli.clone()).is_err());
         assert!(crate::nack::Nack::parse(pli.clone()).is_err());
 
-        // And transport feedback bytes must not parse as a PLI. Craft the
-        // shared prefix of each dialect (header + SSRCs) long enough to
-        // pass the length check: TWCC (15/205), CCFB (11/205), generic
-        // NACK (1/205 — same FMT as PLI, different PT).
-        for fmt_pt in [(15u8, 205u8), (11, 205), (1, 205)] {
+        // And the transport feedback dialects' headers must not parse as
+        // a PLI — generic NACK shares its FMT and differs only in PT.
+        for other in [rtcp::TWCC, rtcp::CCFB, rtcp::NACK] {
             let mut b = BytesMut::new();
-            b.put_u8((2 << 6) | fmt_pt.0);
-            b.put_u8(fmt_pt.1);
-            b.put_u16(4);
-            b.put_u32(0);
-            b.put_u32(0);
-            b.put_u32(0);
-            assert!(Pli::parse(b.freeze()).is_err(), "fmt/pt {fmt_pt:?}");
+            FeedbackHeader::write(&mut b, &other, 0, 0);
+            b.resize(16, 0);
+            assert!(Pli::parse(b.freeze()).is_err(), "{}", other.name);
         }
     }
 

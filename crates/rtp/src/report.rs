@@ -14,19 +14,15 @@
 //! the report's own downlink delay into an RTT sample.
 //!
 //! Wire format: an RTCP transport-feedback packet (`PT 205`) with its own
-//! FMT (`14`), discriminable by its first two bytes from the other
-//! dialects sharing the stream (TWCC is `15/205`, CCFB `11/205`, generic
-//! NACK `1/205`, PLI `1/206`). Like every parser in this crate it is a
-//! total function over arbitrary bytes, returning a typed [`ParseError`].
+//! FMT (`14`) behind the shared feedback header ([`crate::rtcp`]). Like
+//! every parser in this crate it is a total function over arbitrary
+//! bytes, returning a typed [`ParseError`].
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 
 use crate::error::ParseError;
+use crate::rtcp::{self, FeedbackHeader};
 
-/// RTCP payload type for transport-layer feedback.
-pub const RTCP_PT_RTPFB: u8 = 205;
-/// Feedback message type for the per-path receiver report.
-pub const FMT_PATH_REPORT: u8 = 14;
 /// Serialised size: 12-byte feedback header + 4 (leg + pad) + 4 (OWD) +
 /// 3×8 (counters).
 pub const PATH_REPORT_LEN: usize = 44;
@@ -56,11 +52,7 @@ impl PathReport {
     /// Serialise to RTCP wire format (always [`PATH_REPORT_LEN`] bytes).
     pub fn serialize(&self) -> Bytes {
         let mut b = BytesMut::with_capacity(PATH_REPORT_LEN);
-        b.put_u8((2 << 6) | FMT_PATH_REPORT);
-        b.put_u8(RTCP_PT_RTPFB);
-        b.put_u16((PATH_REPORT_LEN / 4 - 1) as u16);
-        b.put_u32(0); // sender SSRC (the receiver)
-        b.put_u32(0); // media SSRC
+        FeedbackHeader::write(&mut b, &rtcp::PATH_REPORT, 0, 0);
         b.put_u8(self.leg);
         b.put_u8(0);
         b.put_u16(0);
@@ -68,6 +60,7 @@ impl PathReport {
         b.put_u64(self.highest_seq);
         b.put_u64(self.received);
         b.put_u64(self.received_bytes);
+        FeedbackHeader::set_length(&mut b);
         b.freeze()
     }
 
@@ -75,34 +68,12 @@ impl PathReport {
     /// the bytes are not a path report (truncated, wrong version, or
     /// another RTCP dialect), never panics.
     pub fn parse(mut data: Bytes) -> Result<PathReport, ParseError> {
-        if data.len() < PATH_REPORT_LEN {
-            return Err(ParseError::Truncated {
-                needed: PATH_REPORT_LEN,
-                have: data.len(),
-            });
-        }
-        let b0 = data.get_u8();
-        if b0 >> 6 != 2 {
-            return Err(ParseError::BadVersion { version: b0 >> 6 });
-        }
-        if (b0 & 0x1f) != FMT_PATH_REPORT {
-            return Err(ParseError::WrongPacketType {
-                expected: "path report",
-            });
-        }
-        if data.get_u8() != RTCP_PT_RTPFB {
-            return Err(ParseError::WrongPacketType {
-                expected: "path report",
-            });
-        }
-        let len_words = data.get_u16();
-        if len_words as usize != PATH_REPORT_LEN / 4 - 1 {
+        let header = FeedbackHeader::parse(&mut data, &rtcp::PATH_REPORT)?;
+        if header.length_words as usize != PATH_REPORT_LEN / 4 - 1 {
             return Err(ParseError::Malformed {
                 reason: "path report length field mismatch",
             });
         }
-        let _sender_ssrc = data.get_u32();
-        let _media_ssrc = data.get_u32();
         let leg = data.get_u8();
         if leg > MAX_REPORT_LEG {
             return Err(ParseError::Malformed {

@@ -21,11 +21,7 @@ use rpav_sim::{SimDuration, SimTime};
 
 use crate::error::ParseError;
 use crate::packet::unwrap_seq;
-
-/// RTCP payload type for transport-layer feedback.
-pub const RTCP_PT_RTPFB: u8 = 205;
-/// Feedback message type for RFC 8888 congestion control feedback.
-pub const FMT_CCFB: u8 = 11;
+use crate::rtcp::{self, FeedbackHeader};
 
 /// Default span limit of the Ericsson SCReAM library (§4.2.1).
 pub const DEFAULT_MAX_REPORTS: usize = 64;
@@ -85,11 +81,7 @@ impl Rfc8888Packet {
     pub fn serialize(&self) -> Bytes {
         let n = self.reports.len();
         let mut b = BytesMut::with_capacity(24 + 2 * n);
-        b.put_u8((2 << 6) | FMT_CCFB);
-        b.put_u8(RTCP_PT_RTPFB);
-        b.put_u16(0); // length placeholder
-        b.put_u32(0x1); // sender SSRC
-        b.put_u32(0x2); // media source SSRC
+        FeedbackHeader::write(&mut b, &rtcp::CCFB, 0x1, 0x2);
         let begin = self.reports.first().map(|r| r.seq).unwrap_or(0);
         b.put_u16(begin);
         b.put_u16(n as u16);
@@ -102,8 +94,7 @@ impl Rfc8888Packet {
             b.put_u16(0); // pad metric blocks to a 32-bit boundary
         }
         b.put_u32(encode_ts(self.report_ts));
-        let words = (b.len() / 4 - 1) as u16;
-        b[2..4].copy_from_slice(&words.to_be_bytes());
+        FeedbackHeader::set_length(&mut b);
         b.freeze()
     }
 
@@ -119,25 +110,7 @@ impl Rfc8888Packet {
     /// report vector keeps its capacity across feedback rounds. On error
     /// `out` is unspecified (the caller re-parses or discards).
     pub fn parse_into(mut data: Bytes, out: &mut Rfc8888Packet) -> Result<(), ParseError> {
-        if data.len() < 20 {
-            return Err(ParseError::Truncated {
-                needed: 20,
-                have: data.len(),
-            });
-        }
-        let b0 = data.get_u8();
-        if b0 >> 6 != 2 {
-            return Err(ParseError::BadVersion { version: b0 >> 6 });
-        }
-        if (b0 & 0x1f) != FMT_CCFB {
-            return Err(ParseError::WrongPacketType { expected: "CCFB" });
-        }
-        if data.get_u8() != RTCP_PT_RTPFB {
-            return Err(ParseError::WrongPacketType { expected: "CCFB" });
-        }
-        let _len = data.get_u16();
-        let _sender = data.get_u32();
-        let _media = data.get_u32();
+        FeedbackHeader::parse(&mut data, &rtcp::CCFB)?;
         let begin = data.get_u16();
         let n = data.get_u16() as usize;
         let needed = 2 * n + if n % 2 == 1 { 2 } else { 0 } + 4;

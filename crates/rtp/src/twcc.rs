@@ -15,11 +15,7 @@ use rpav_sim::{SimDuration, SimTime};
 
 use crate::error::ParseError;
 use crate::packet::unwrap_seq;
-
-/// RTCP payload type for transport-layer feedback.
-pub const RTCP_PT_RTPFB: u8 = 205;
-/// Feedback message type for transport-wide CC.
-pub const FMT_TWCC: u8 = 15;
+use crate::rtcp::{self, FeedbackHeader};
 
 /// Receive status of one packet in a feedback span.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -116,12 +112,8 @@ impl TwccFeedback {
         }
 
         let mut b = BytesMut::with_capacity(32 + statuses.len());
-        // RTCP header: filled in at the end (length).
-        b.put_u8((2 << 6) | FMT_TWCC);
-        b.put_u8(RTCP_PT_RTPFB);
-        b.put_u16(0); // length placeholder
-        b.put_u32(0x1); // sender SSRC (single-session pipeline)
-        b.put_u32(0x2); // media SSRC
+        // Sender SSRC 1, media SSRC 2: a single-session pipeline.
+        FeedbackHeader::write(&mut b, &rtcp::TWCC, 0x1, 0x2);
         b.put_u16(self.base_seq);
         b.put_u16(self.arrivals.len() as u16);
         b.put_u32((self.reference_time_64ms << 8) | self.fb_count as u32);
@@ -180,8 +172,7 @@ impl TwccFeedback {
         while b.len() % 4 != 0 {
             b.put_u8(0);
         }
-        let words = (b.len() / 4 - 1) as u16;
-        b[2..4].copy_from_slice(&words.to_be_bytes());
+        FeedbackHeader::set_length(&mut b);
         b.freeze()
     }
 
@@ -197,26 +188,7 @@ impl TwccFeedback {
     /// arrival vector keeps its capacity across feedback rounds. On error
     /// `out` is unspecified (the caller re-parses or discards).
     pub fn parse_into(mut data: Bytes, out: &mut TwccFeedback) -> Result<(), ParseError> {
-        if data.len() < 20 {
-            return Err(ParseError::Truncated {
-                needed: 20,
-                have: data.len(),
-            });
-        }
-        let b0 = data.get_u8();
-        if b0 >> 6 != 2 {
-            return Err(ParseError::BadVersion { version: b0 >> 6 });
-        }
-        if (b0 & 0x1f) != FMT_TWCC {
-            return Err(ParseError::WrongPacketType { expected: "TWCC" });
-        }
-        let pt = data.get_u8();
-        if pt != RTCP_PT_RTPFB {
-            return Err(ParseError::WrongPacketType { expected: "TWCC" });
-        }
-        let _len = data.get_u16();
-        let _sender_ssrc = data.get_u32();
-        let _media_ssrc = data.get_u32();
+        FeedbackHeader::parse(&mut data, &rtcp::TWCC)?;
         let base_seq = data.get_u16();
         let count = data.get_u16() as usize;
         let word = data.get_u32();

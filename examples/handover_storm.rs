@@ -28,12 +28,15 @@ fn main() {
     let mut cap_min: f64 = f64::MAX;
     let mut cap_max: f64 = 0.0;
     let mut interrupted = SimDuration::ZERO;
+    let mut sinrs = Vec::new();
+    let mut site_dist = Vec::new();
     println!("time   alt    serving  SINR    uplink   event");
     while t < end {
         let pos = plan.position_at(t);
         let s = radio.step(t, &pos);
         cap_min = cap_min.min(s.uplink_capacity_bps.max(1.0));
         cap_max = cap_max.max(s.uplink_capacity_bps);
+        sinrs.push(s.sinr_db);
         if s.in_handover {
             interrupted += radio.tick();
         }
@@ -49,6 +52,14 @@ fn main() {
                 ho.to.0,
                 ho.het().as_millis_f64(),
                 ho.kind
+            );
+            let to_site = |c: &rpav_lte::Cell| c.position.horizontal_distance(&pos);
+            site_dist.push(
+                radio
+                    .deployment()
+                    .iter()
+                    .map(to_site)
+                    .fold(f64::MAX, f64::min),
             );
             hos.push(ho);
         }
@@ -69,6 +80,19 @@ fn main() {
         cap_max / 1e6
     );
     println!("served by {} distinct cells", radio.distinct_cells());
+    // The geometry of those handovers: straight back to the cell just
+    // left, sector changes on one site (three sectors a site), and how
+    // close a site was overhead when the A3 event fired.
+    let ping_pongs = hos.windows(2).filter(|w| w[1].to == w[0].from).count();
+    let intra_site = hos.iter().filter(|h| h.from.0 / 3 == h.to.0 / 3).count();
+    sinrs.sort_by(f64::total_cmp);
+    site_dist.sort_by(f64::total_cmp);
+    println!(
+        "{ping_pongs} ping-pongs, {intra_site} intra-site; median nearest site at HO {:.0} m; SINR p10 {:.1} / p50 {:.1} dB",
+        site_dist.get(site_dist.len() / 2).copied().unwrap_or(f64::NAN),
+        sinrs[sinrs.len() / 10],
+        sinrs[sinrs.len() / 2]
+    );
     let worst = hos
         .iter()
         .map(|h| h.het())

@@ -13,7 +13,6 @@
 //!   than the other, and with a leg blacking out mid-flight while the
 //!   adaptive FEC layer is armed.
 
-use rpav_core::multipath::{run_multipath_legs, MultipathScheme};
 use rpav_core::prelude::*;
 use rpav_netem::FaultScript;
 use rpav_rtp::fec::{rs_recover, RsGroup};
@@ -156,11 +155,8 @@ fn skew_250ms() -> FaultScript {
 #[test]
 fn bonded_reassembly_survives_250ms_slower_leg() {
     let cfg = bonded_cfg(0xB0DE).build();
-    let m = run_multipath_legs(
-        &cfg,
-        MultipathScheme::Bonded,
-        vec![None, Some(skew_250ms())],
-    );
+    let m =
+        Simulation::multipath(cfg, MultipathScheme::Bonded, vec![None, Some(skew_250ms())]).run();
 
     // Both legs carried traffic despite the skew...
     let share0 = m.leg_tx_share(0);
@@ -184,11 +180,8 @@ fn bonded_reassembly_survives_250ms_slower_leg() {
     assert!(m.media_received > 0);
 
     // Byte-identical replay: the reorder machinery holds determinism.
-    let replay = run_multipath_legs(
-        &cfg,
-        MultipathScheme::Bonded,
-        vec![None, Some(skew_250ms())],
-    );
+    let replay =
+        Simulation::multipath(cfg, MultipathScheme::Bonded, vec![None, Some(skew_250ms())]).run();
     assert_eq!(replay.to_bytes(), m.to_bytes(), "skewed run not replayable");
 }
 
@@ -200,7 +193,7 @@ fn fec_survives_leg_death_mid_group() {
     // survivor, nothing may panic, and the run must stay deterministic.
     let blackout = || FaultScript::new().blackout(ms(8_000), SimDuration::from_secs(60));
     let cfg = bonded_cfg(0xFEC).fec_cap(0.25).repair(true).build();
-    let m = run_multipath_legs(&cfg, MultipathScheme::Bonded, vec![None, Some(blackout())]);
+    let m = Simulation::multipath(cfg, MultipathScheme::Bonded, vec![None, Some(blackout())]).run();
 
     assert!(m.fec_tx > 0, "parity never emitted before/after leg death");
     // After the death the scheduler concentrated on the surviving leg.
@@ -212,7 +205,8 @@ fn fec_survives_leg_death_mid_group() {
     let displayed = m.frames.iter().filter(|f| f.displayed).count();
     assert!(displayed > 0, "playback died with the leg");
 
-    let replay = run_multipath_legs(&cfg, MultipathScheme::Bonded, vec![None, Some(blackout())]);
+    let replay =
+        Simulation::multipath(cfg, MultipathScheme::Bonded, vec![None, Some(blackout())]).run();
     assert_eq!(
         replay.to_bytes(),
         m.to_bytes(),

@@ -12,7 +12,6 @@
 //!   packet's second copy is discarded exactly once and goodput counts
 //!   each sequence number at most once.
 
-use rpav_core::multipath::{run_multipath, MultipathScheme};
 use rpav_core::prelude::*;
 use rpav_rtp::nack::Arrival;
 use rpav_rtp::{JitterBuffer, JitterConfig, NackConfig, NackGenerator, RtpPacket};
@@ -112,7 +111,7 @@ fn mp_run(scheme: MultipathScheme) -> RunMetrics {
         .seed(0xFA11)
         .hold_secs(1)
         .build();
-    run_multipath(&cfg, scheme)
+    Simulation::multipath(cfg, scheme, Vec::new()).run()
 }
 
 #[test]
@@ -182,7 +181,7 @@ fn ground_failover_cell_flies_the_ground_plan() {
     let ground = rpav_uav::profiles::ground_run(origin, cfg.ground_sweeps, cfg.hold);
     let air = rpav_uav::profiles::paper_flight(origin, cfg.hold);
     assert_ne!(ground.duration(), air.duration());
-    let m = run_multipath(&cfg, MultipathScheme::Failover);
+    let m = Simulation::multipath(cfg, MultipathScheme::Failover, Vec::new()).run();
     assert_eq!(m.duration, ground.duration());
 }
 
@@ -207,7 +206,7 @@ fn primary_leg_radio_matches_the_single_operator_session() {
     ];
     for (name, cfg) in cells {
         let single = Simulation::new(cfg).run();
-        let multi = run_multipath(&cfg, MultipathScheme::SinglePath);
+        let multi = Simulation::multipath(cfg, MultipathScheme::SinglePath, Vec::new()).run();
         assert!(!single.radio.is_empty(), "{name}: no radio trace");
         assert_eq!(
             format!("{:?}", multi.handovers),

@@ -8,7 +8,6 @@
 //! recovery chain — feedback-starvation watchdog, PLI → forced IDR, and
 //! jitter-target inflation.
 
-use rpav_core::multipath::run_multipath_legs;
 use rpav_core::prelude::*;
 use rpav_netem::FaultScript;
 use rpav_sim::{SimDuration, SimTime};
@@ -107,7 +106,7 @@ fn multipath_cells_inherit_the_recovery_chain_and_its_counters() {
     let single = Simulation::new(cfg).with_link_script(script.clone()).run();
     assert!(single.malformed_payloads > 0 && single.late_packets > 0);
     for scheme in [MultipathScheme::SinglePath, MultipathScheme::Bonded] {
-        let m = run_multipath_legs(&cfg, scheme, vec![Some(script.clone()), None]);
+        let m = Simulation::multipath(cfg, scheme, vec![Some(script.clone()), None]).run();
         let name = scheme.name();
         assert_eq!(m.radio.len(), single.radio.len(), "{name}: radio trace");
         assert!(m.malformed_payloads > 0, "{name}: malformed payloads");

@@ -19,6 +19,7 @@ use rpav_rtp::nack::Nack;
 use rpav_rtp::packet::RtpPacket;
 use rpav_rtp::packetize::{decode_meta, FrameMeta, META_LEN};
 use rpav_rtp::pli::Pli;
+use rpav_rtp::report::{PathReport, MAX_REPORT_LEG};
 use rpav_rtp::rfc8888::{Rfc8888Builder, Rfc8888Packet};
 use rpav_rtp::twcc::{TwccFeedback, TwccRecorder};
 use rpav_sim::{SimRng, SimTime};
@@ -42,12 +43,7 @@ fn hammer(
 
     // 1) Pure noise: random bytes, random length.
     for _ in 0..CASES / 3 {
-        let len = rng.uniform_u64(0, 96) as usize;
-        let mut b = BytesMut::with_capacity(len);
-        for _ in 0..len {
-            b.put_u8(rng.uniform_u64(0, 256) as u8);
-        }
-        tally(parse(b.freeze()));
+        tally(parse(random_payload(&mut rng, 96)));
     }
 
     // 2) Every truncation of a valid packet, cycling fresh packets until
@@ -127,96 +123,156 @@ fn rtp_roundtrip_is_lossless() {
     }
 }
 
+fn valid_twcc(rng: &mut SimRng) -> Bytes {
+    let mut rec = TwccRecorder::new();
+    let base = rng.uniform_u64(0, 65_536) as u16;
+    let n = rng.uniform_u64(1, 40) as u16;
+    // Keep the base inside TWCC's 24-bit × 64 ms reference-time
+    // range (~12 days) so the serialised packet is wire-valid.
+    let mut at = SimTime::from_micros(rng.uniform_u64(0, 1 << 39));
+    for i in 0..n {
+        if rng.chance(0.8) {
+            rec.on_packet(base.wrapping_add(i), at);
+        }
+        at += rpav_sim::SimDuration::from_micros(rng.uniform_u64(0, 5_000));
+    }
+    rec.on_packet(base.wrapping_add(n), at);
+    rec.build_feedback()
+        .expect("non-empty recorder")
+        .serialize()
+}
+
+fn valid_ccfb(rng: &mut SimRng) -> Bytes {
+    let mut builder = Rfc8888Builder::new(rng.uniform_u64(1, 64) as usize);
+    let base = rng.uniform_u64(0, 65_536) as u16;
+    let n = rng.uniform_u64(1, 80) as u16;
+    for i in 0..n {
+        if rng.chance(0.8) {
+            builder.on_packet(base.wrapping_add(i), SimTime::from_micros(i as u64 * 300));
+        }
+    }
+    builder.on_packet(base.wrapping_add(n), SimTime::from_micros(n as u64 * 300));
+    builder
+        .build(SimTime::from_micros(n as u64 * 300 + 1_000))
+        .expect("non-empty builder")
+        .serialize()
+}
+
+fn valid_pli(rng: &mut SimRng) -> Bytes {
+    Pli {
+        sender_ssrc: rng.uniform_u64(0, u32::MAX as u64 + 1) as u32,
+        media_ssrc: rng.uniform_u64(0, u32::MAX as u64 + 1) as u32,
+    }
+    .serialize()
+}
+
+fn valid_nack(rng: &mut SimRng) -> Bytes {
+    let base = rng.uniform_u64(0, 65_536) as u16;
+    let n = rng.uniform_u64(1, 20);
+    let mut lost: Vec<u16> = Vec::new();
+    let mut seq = base;
+    for _ in 0..n {
+        seq = seq.wrapping_add(rng.uniform_u64(1, 30) as u16);
+        lost.push(seq);
+    }
+    Nack {
+        sender_ssrc: rng.uniform_u64(0, u32::MAX as u64 + 1) as u32,
+        media_ssrc: rng.uniform_u64(0, u32::MAX as u64 + 1) as u32,
+        lost,
+    }
+    .serialize()
+}
+
+fn valid_path_report(rng: &mut SimRng) -> Bytes {
+    PathReport {
+        leg: rng.uniform_u64(0, MAX_REPORT_LEG as u64 + 1) as u8,
+        highest_seq: rng.uniform_u64(0, u64::MAX),
+        received: rng.uniform_u64(0, u64::MAX),
+        received_bytes: rng.uniform_u64(0, u64::MAX),
+        newest_owd_us: rng.uniform_u64(0, u32::MAX as u64 + 1) as u32,
+    }
+    .serialize()
+}
+
 #[test]
 fn twcc_parse_is_total() {
-    hammer(
-        "TwccFeedback",
-        0xF0003,
-        |rng| {
-            let mut rec = TwccRecorder::new();
-            let base = rng.uniform_u64(0, 65_536) as u16;
-            let n = rng.uniform_u64(1, 40) as u16;
-            // Keep the base inside TWCC's 24-bit × 64 ms reference-time
-            // range (~12 days) so the serialised packet is wire-valid.
-            let mut at = SimTime::from_micros(rng.uniform_u64(0, 1 << 39));
-            for i in 0..n {
-                if rng.chance(0.8) {
-                    rec.on_packet(base.wrapping_add(i), at);
-                }
-                at += rpav_sim::SimDuration::from_micros(rng.uniform_u64(0, 5_000));
-            }
-            rec.on_packet(base.wrapping_add(n), at);
-            rec.build_feedback()
-                .expect("non-empty recorder")
-                .serialize()
-        },
-        |b| TwccFeedback::parse(b).is_ok(),
-    );
+    let parse = |b| TwccFeedback::parse(b).is_ok();
+    hammer("TwccFeedback", 0xF0003, valid_twcc, parse);
 }
 
 #[test]
 fn rfc8888_parse_is_total() {
-    hammer(
-        "Rfc8888Packet",
-        0xF0004,
-        |rng| {
-            let mut builder = Rfc8888Builder::new(rng.uniform_u64(1, 64) as usize);
-            let base = rng.uniform_u64(0, 65_536) as u16;
-            let n = rng.uniform_u64(1, 80) as u16;
-            for i in 0..n {
-                if rng.chance(0.8) {
-                    builder.on_packet(base.wrapping_add(i), SimTime::from_micros(i as u64 * 300));
-                }
-            }
-            builder.on_packet(base.wrapping_add(n), SimTime::from_micros(n as u64 * 300));
-            builder
-                .build(SimTime::from_micros(n as u64 * 300 + 1_000))
-                .expect("non-empty builder")
-                .serialize()
-        },
-        |b| Rfc8888Packet::parse(b).is_ok(),
-    );
+    let parse = |b| Rfc8888Packet::parse(b).is_ok();
+    hammer("Rfc8888Packet", 0xF0004, valid_ccfb, parse);
 }
 
 #[test]
 fn pli_parse_is_total() {
-    hammer(
-        "Pli",
-        0xF0005,
-        |rng| {
-            Pli {
-                sender_ssrc: rng.uniform_u64(0, u32::MAX as u64 + 1) as u32,
-                media_ssrc: rng.uniform_u64(0, u32::MAX as u64 + 1) as u32,
-            }
-            .serialize()
-        },
-        |b| Pli::parse(b).is_ok(),
-    );
+    hammer("Pli", 0xF0005, valid_pli, |b| Pli::parse(b).is_ok());
 }
 
 #[test]
 fn nack_parse_is_total() {
-    hammer(
-        "Nack",
-        0xF0006,
-        |rng| {
-            let base = rng.uniform_u64(0, 65_536) as u16;
-            let n = rng.uniform_u64(1, 20);
-            let mut lost: Vec<u16> = Vec::new();
-            let mut seq = base;
-            for _ in 0..n {
-                seq = seq.wrapping_add(rng.uniform_u64(1, 30) as u16);
-                lost.push(seq);
+    hammer("Nack", 0xF0006, valid_nack, |b| Nack::parse(b).is_ok());
+}
+
+#[test]
+fn path_report_parse_is_total() {
+    let parse = |b| PathReport::parse(b).is_ok();
+    hammer("PathReport", 0xF0008, valid_path_report, parse);
+}
+
+/// The five feedback dialects share one RTCP stream and the receiver
+/// simply tries their parsers; that is order-free only because no byte
+/// string is accepted by two of them. Each valid packet must be its own
+/// dialect's alone, and no damage — a flipped bit, another dialect's
+/// first two bytes grafted on, noise — may produce a packet two parsers
+/// take.
+#[test]
+fn no_byte_string_is_accepted_by_two_feedback_parsers() {
+    type Dialect = (&'static str, fn(&mut SimRng) -> Bytes, fn(Bytes) -> bool);
+    let dialects: [Dialect; 5] = [
+        ("TWCC", valid_twcc, |b| TwccFeedback::parse(b).is_ok()),
+        ("CCFB", valid_ccfb, |b| Rfc8888Packet::parse(b).is_ok()),
+        ("PLI", valid_pli, |b| Pli::parse(b).is_ok()),
+        ("NACK", valid_nack, |b| Nack::parse(b).is_ok()),
+        ("report", valid_path_report, |b| {
+            PathReport::parse(b).is_ok()
+        }),
+    ];
+    let accepted_by = |b: &[u8]| -> Vec<&str> {
+        let takes = |d: &&Dialect| d.2(Bytes::from(b));
+        dialects.iter().filter(takes).map(|d| d.0).collect()
+    };
+    let mut rng = SimRng::seed_from_u64(0xF0009);
+    for case in 0..CASES {
+        let (name, valid, _) = dialects[case % 5];
+        let mut wire = valid(&mut rng).to_vec();
+        assert_eq!(accepted_by(&wire), [name]);
+        match case % 3 {
+            // A single-bit flip, half of them inside the 12-byte header.
+            0 => {
+                let span = if rng.chance(0.5) { 12 } else { wire.len() };
+                let bit = rng.uniform_u64(0, span as u64 * 8);
+                wire[(bit / 8) as usize] ^= 1 << (bit % 8);
             }
-            Nack {
-                sender_ssrc: rng.uniform_u64(0, u32::MAX as u64 + 1) as u32,
-                media_ssrc: rng.uniform_u64(0, u32::MAX as u64 + 1) as u32,
-                lost,
+            // Another dialect's FMT and PT over this one's body.
+            1 => {
+                let donor = dialects[rng.uniform_u64(0, 5) as usize].1(&mut rng);
+                wire[..2].copy_from_slice(&donor[..2]);
             }
-            .serialize()
-        },
-        |b| Nack::parse(b).is_ok(),
-    );
+            // Noise behind a plausible version / FMT / PT.
+            _ => {
+                wire = random_payload(&mut rng, 96).to_vec();
+                if wire.len() >= 2 {
+                    wire[0] = (2 << 6) | rng.uniform_u64(0, 32) as u8;
+                    wire[1] = 205 + rng.uniform_u64(0, 2) as u8;
+                }
+            }
+        }
+        let takers = accepted_by(&wire);
+        assert!(takers.len() <= 1, "{takers:?} all accept {wire:02x?}");
+    }
 }
 
 #[test]

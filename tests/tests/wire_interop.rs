@@ -2,7 +2,7 @@
 //! receiver-side crates only meet through serialised bytes crossing the
 //! emulated network — these tests exercise those seams directly.
 
-use rpav_netem::{FaultConfig, Packet, PacketKind, Path};
+use rpav_netem::{GilbertElliott, Packet, PacketKind, Path};
 use rpav_rtp::jitter::{JitterBuffer, JitterConfig};
 use rpav_rtp::packet::RtpPacket;
 use rpav_rtp::packetize::{Depacketizer, FrameMeta, Packetizer};
@@ -13,10 +13,7 @@ use rpav_sim::{RngSet, SimDuration, SimTime};
 fn path(rate_bps: f64, loss: f64, seed: u64) -> Path {
     let rngs = RngSet::new(seed);
     Path::new(
-        FaultConfig {
-            drop_chance: loss,
-            ..Default::default()
-        },
+        GilbertElliott::new(0.0, 1.0, loss, 0.0),
         rngs.stream("fault"),
         rate_bps,
         SimDuration::from_millis(5),
@@ -76,8 +73,8 @@ fn video_over_lossy_path_roundtrip() {
         "only {complete}/90 frames complete at 2% loss"
     );
     assert!(complete < 90, "2% loss should damage some frames");
-    // Conservation: received + injector drops == sent.
-    let (dropped, _, _, _) = path.fault_counters();
+    // Conservation: received + baseline drops == sent.
+    let dropped = path.baseline_drops();
     assert_eq!(received + dropped, sent_packets);
     // Depacketizer's gap-based loss count matches the real loss.
     assert_eq!(depack.lost_packets(), dropped);
