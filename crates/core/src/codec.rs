@@ -79,12 +79,34 @@ static CRC32_TABLES: [[u32; 256]; 16] = {
 /// CRC-32/ISO-HDLC of `bytes` — detects any single-burst corruption up to
 /// 32 bits, so every 1-byte flip in a sealed record is caught.
 ///
-/// Slice-by-16: sixteen bytes per step through [`CRC32_TABLES`], then a
-/// byte-wise tail. Same polynomial and same values as the byte-at-a-time
-/// loop (which survives as the test oracle) on every input.
+/// Where the compile target has PCLMULQDQ and SSE4.1 (this workspace
+/// builds with `target-cpu=native`), inputs of 128 bytes or more fold
+/// through the carry-less-multiply kernel and only the last `len % 16`
+/// bytes go through [`crc32_slice16`]; everywhere else
+/// slice-by-16 is the whole CRC. Same polynomial and same values as the
+/// byte-at-a-time loop (which survives as the test oracle) on every
+/// input, whichever path runs.
 pub fn crc32(bytes: &[u8]) -> u32 {
+    #[cfg(all(
+        target_arch = "x86_64",
+        target_feature = "pclmulqdq",
+        target_feature = "sse4.1"
+    ))]
+    if bytes.len() >= clmul::MIN_LEN {
+        let (body, tail) = bytes.split_at(bytes.len() & !15);
+        // SAFETY: `clmul::fold` needs PCLMULQDQ and SSE4.1, and this
+        // block is compiled only for targets that guarantee both (the
+        // `cfg` above), so every CPU that runs this binary has them.
+        let c = unsafe { clmul::fold(0xFFFF_FFFF, body) };
+        return crc32_slice16(c, tail) ^ 0xFFFF_FFFF;
+    }
+    crc32_slice16(0xFFFF_FFFF, bytes) ^ 0xFFFF_FFFF
+}
+
+/// Slice-by-16 over the running (pre-inverted) CRC register `c`: sixteen
+/// bytes per step through [`CRC32_TABLES`], then a byte-wise tail.
+fn crc32_slice16(mut c: u32, bytes: &[u8]) -> u32 {
     let t = &CRC32_TABLES;
-    let mut c = 0xFFFF_FFFFu32;
     let mut blocks = bytes.chunks_exact(16);
     for b in &mut blocks {
         // The twelve lookups that do not wait for the running CRC first,
@@ -107,7 +129,105 @@ pub fn crc32(bytes: &[u8]) -> u32 {
     for &b in blocks.remainder() {
         c = t[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
     }
-    c ^ 0xFFFF_FFFF
+    c
+}
+
+/// CRC-32 by carry-less multiplication: the folding scheme of Gopal et
+/// al., "Fast CRC Computation for Generic Polynomials Using PCLMULQDQ
+/// Instruction" (Intel, 2009), for the bit-reflected polynomial. Four
+/// 128-bit lanes each fold 64 bytes ahead per step, the lanes fold into
+/// one, single 16-byte blocks fold after that, and a Barrett reduction
+/// takes the 64-bit remainder to the 32-bit CRC register.
+///
+/// The functions are safe `#[target_feature]` functions: the intrinsics
+/// need no `unsafe` inside them, and the loads go through
+/// `u64::from_le_bytes`, so the one `unsafe` is [`crc32`]'s call.
+#[cfg(all(
+    target_arch = "x86_64",
+    target_feature = "pclmulqdq",
+    target_feature = "sse4.1"
+))]
+mod clmul {
+    use std::arch::x86_64::{
+        __m128i, _mm_and_si128, _mm_clmulepi64_si128, _mm_extract_epi32, _mm_set_epi64x,
+        _mm_srli_si128, _mm_xor_si128,
+    };
+
+    /// Shortest input [`fold`] takes: below two lane-widths the setup and
+    /// the reduction cost more than slice-by-16 does.
+    pub(super) const MIN_LEN: usize = 128;
+
+    /// `x^(512±32) mod P` and `x^(128±32) mod P`, bit-reflected: the
+    /// multipliers that move a 128-bit lane 64 bytes and 16 bytes ahead.
+    const K1: i64 = 0x1_5444_2bd4;
+    const K2: i64 = 0x1_c6e4_1596;
+    const K3: i64 = 0x1_7519_97d0;
+    const K4: i64 = 0x0_ccaa_009e;
+    /// `x^64 mod P`, bit-reflected: the 64 → 32-bit fold.
+    const K5: i64 = 0x1_63cd_6124;
+    /// The polynomial `P'` and the Barrett constant `μ = x^64 / P`,
+    /// bit-reflected.
+    const P: i64 = 0x1_db71_0641;
+    const MU: i64 = 0x1_f701_1641;
+
+    /// Sixteen bytes as one little-endian lane.
+    #[target_feature(enable = "pclmulqdq,sse4.1")]
+    fn load(b: &[u8]) -> __m128i {
+        let lo = u64::from_le_bytes(b[..8].try_into().unwrap());
+        let hi = u64::from_le_bytes(b[8..16].try_into().unwrap());
+        _mm_set_epi64x(hi as i64, lo as i64)
+    }
+
+    /// `x` moved ahead by the distance `k` encodes, xor `next`.
+    #[target_feature(enable = "pclmulqdq,sse4.1")]
+    fn fold_into(x: __m128i, k: __m128i, next: __m128i) -> __m128i {
+        let lo = _mm_clmulepi64_si128(x, k, 0x00);
+        let hi = _mm_clmulepi64_si128(x, k, 0x11);
+        _mm_xor_si128(_mm_xor_si128(lo, hi), next)
+    }
+
+    /// The CRC register after `body` (a multiple of 16 bytes, at least
+    /// 64) has been folded into the running register `crc`.
+    #[target_feature(enable = "pclmulqdq,sse4.1")]
+    pub(super) fn fold(crc: u32, body: &[u8]) -> u32 {
+        assert!(body.len() >= 64 && body.len() % 16 == 0);
+        let mut blocks = body.chunks_exact(64);
+        let first = blocks.next().expect("at least one 64-byte block");
+        let mut lanes = [
+            _mm_xor_si128(load(&first[..16]), _mm_set_epi64x(0, i64::from(crc))),
+            load(&first[16..32]),
+            load(&first[32..48]),
+            load(&first[48..]),
+        ];
+        let k = _mm_set_epi64x(K2, K1);
+        for block in &mut blocks {
+            for (lane, next) in lanes.iter_mut().zip(block.chunks_exact(16)) {
+                *lane = fold_into(*lane, k, load(next));
+            }
+        }
+        let k = _mm_set_epi64x(K4, K3);
+        let mut x = lanes[0];
+        for &lane in &lanes[1..] {
+            x = fold_into(x, k, lane);
+        }
+        for next in blocks.remainder().chunks_exact(16) {
+            x = fold_into(x, k, load(next));
+        }
+
+        // 128 → 64 bits, then 64 → 32 bits, each by one multiply.
+        let low32 = _mm_set_epi64x(0xFFFF_FFFF, 0xFFFF_FFFF);
+        let x = _mm_xor_si128(_mm_srli_si128(x, 8), _mm_clmulepi64_si128(x, k, 0x10));
+        let x = _mm_xor_si128(
+            _mm_clmulepi64_si128(_mm_and_si128(x, low32), _mm_set_epi64x(0, K5), 0x00),
+            _mm_srli_si128(x, 4),
+        );
+
+        // Barrett reduction: q = ⌊x · μ⌋ on the low 32 bits, x − q · P.
+        let pmu = _mm_set_epi64x(MU, P);
+        let q = _mm_clmulepi64_si128(_mm_and_si128(x, low32), pmu, 0x10);
+        let qp = _mm_clmulepi64_si128(_mm_and_si128(q, low32), pmu, 0x00);
+        _mm_extract_epi32(_mm_xor_si128(x, qp), 1) as u32
+    }
 }
 
 /// The byte-at-a-time CRC-32 [`crc32`] replaced: the oracle its tests
@@ -384,9 +504,10 @@ impl<'a> ByteReader<'a> {
 
 /// Encoded element sizes of the `RunMetrics` sequences, for the
 /// [`ByteWriter::seq`] reservation and the decoders' length bound: exact
-/// for the fixed-layout elements (`OWD`, `HANDOVER`, `RADIO`, `SWITCH` —
-/// read with [`ByteReader::seq_fixed`]), the all-`None` minimum for the
-/// rest (read with [`ByteReader::seq`]).
+/// for the fixed-layout elements (`OWD` — [`write_owd`] / [`read_owd`] —
+/// and `HANDOVER`, `RADIO`, `SWITCH`, read with
+/// [`ByteReader::seq_fixed`]), the all-`None` minimum for the rest (read
+/// with [`ByteReader::seq`]).
 mod stride {
     pub const OWD: usize = 8 + 8;
     pub const HANDOVER: usize = 8 + 8 + 1 + 4 + 4;
@@ -429,6 +550,37 @@ fn switch_cause_from(tag: u8) -> Option<SwitchCause> {
         3 => Some(SwitchCause::Degraded),
         _ => None,
     }
+}
+
+/// The `owd` sequence — one sample per received packet, > 90 % of a
+/// record's bytes — in one fixed-stride pass: the length prefix, then the
+/// buffer grown once and each sample written into its own 16-byte chunk.
+fn write_owd(w: &mut ByteWriter, owd: &[(SimTime, f64)]) {
+    w.u64(owd.len() as u64);
+    let start = w.buf.len();
+    w.buf.resize(start + owd.len() * stride::OWD, 0);
+    for (chunk, &(t, ms)) in w.buf[start..].chunks_exact_mut(stride::OWD).zip(owd) {
+        let (at, value) = chunk.split_at_mut(8);
+        at.copy_from_slice(&t.as_micros().to_le_bytes());
+        value.copy_from_slice(&ms.to_bits().to_le_bytes());
+    }
+}
+
+/// [`write_owd`]'s inverse: one length check claims the whole body (so a
+/// hostile count is rejected before anything is reserved), then every
+/// 16-byte chunk is one `(SimTime, f64)` sample — no cursor, no
+/// per-element bounds or exhaustion check.
+fn read_owd(r: &mut ByteReader) -> Option<Vec<(SimTime, f64)>> {
+    let n = usize::try_from(r.u64()?).ok()?;
+    let body = r.take(n.checked_mul(stride::OWD)?)?;
+    let word = |b: &[u8]| u64::from_le_bytes(b.try_into().unwrap());
+    let sample = |c: &[u8]| {
+        (
+            SimTime::from_micros(word(&c[..8])),
+            f64::from_bits(word(&c[8..])),
+        )
+    };
+    Some(body.chunks_exact(stride::OWD).map(sample).collect())
 }
 
 fn write_handover(w: &mut ByteWriter, h: &HandoverRecord) {
@@ -571,10 +723,7 @@ impl RunMetrics {
         w.u64(self.media_sent);
         w.u64(self.media_received);
         w.u64(self.media_received_bytes);
-        w.seq(&self.owd, stride::OWD, |w, (t, ms)| {
-            w.time(*t);
-            w.f64(*ms);
-        });
+        write_owd(w, &self.owd);
         w.seq(&self.handovers, stride::HANDOVER, write_handover);
         w.seq(&self.radio, stride::RADIO, write_radio);
         w.seq(&self.frames, stride::FRAME, write_frame);
@@ -640,7 +789,7 @@ impl RunMetrics {
             media_sent: r.u64()?,
             media_received: r.u64()?,
             media_received_bytes: r.u64()?,
-            owd: r.seq_fixed::<{ stride::OWD }, _>(|r| Some((r.time()?, r.f64()?)))?,
+            owd: read_owd(&mut r)?,
             handovers: r.seq_fixed::<{ stride::HANDOVER }, _>(read_handover)?,
             radio: r.seq_fixed::<{ stride::RADIO }, _>(read_radio)?,
             frames: r.seq(stride::FRAME, read_frame)?,
@@ -830,11 +979,13 @@ mod tests {
         let mut rng = rpav_sim::SimRng::seed_from_u64(0xC4C3_2016);
         let mut random =
             |len: usize| -> Vec<u8> { (0..len).map(|_| rng.uniform_u64(0, 256) as u8).collect() };
-        // Every (start offset, length) around the 16-byte block size: the
-        // block loop, the tail loop, and the hand-over between them.
-        let buf = random(16 + 80);
+        // Every length 0..=1 024 at every start offset mod 16: below the
+        // kernel's 128-byte floor (slice-by-16 alone), the 64-byte fold
+        // loop, the 16-byte fold tail after it, the byte tail, and every
+        // hand-over between them.
+        let buf = random(16 + 1_024);
         for start in 0..16 {
-            for len in 0..=80 {
+            for len in 0..=1_024 {
                 let s = &buf[start..start + len];
                 assert_eq!(crc32(s), crc32_bytewise(s), "start {start} len {len}");
             }
@@ -844,6 +995,42 @@ mod tests {
             let buf = random(lengths.uniform_u64(0, 64 * 1024 + 1) as usize);
             assert_eq!(crc32(&buf), crc32_bytewise(&buf), "case {case}");
         }
+        for case in 0..16 {
+            let buf = random(lengths.uniform_u64(0, 1024 * 1024 + 1) as usize);
+            assert_eq!(crc32(&buf), crc32_bytewise(&buf), "large case {case}");
+        }
+    }
+
+    #[test]
+    fn owd_bulk_codec_matches_the_per_field_layout() {
+        // The bulk pass writes exactly what a `seq` of `time` + `f64`
+        // fields writes (the layout every sealed record already has), and
+        // reads it back bit for bit, NaN payloads included.
+        let owd = [
+            (SimTime::from_micros(1), 17.25),
+            (
+                SimTime::from_micros(u64::MAX),
+                f64::from_bits(0x7FF8_0000_0000_0001),
+            ),
+            (SimTime::ZERO, -0.0),
+        ];
+        let mut bulk = ByteWriter::new();
+        write_owd(&mut bulk, &owd);
+        let mut fields = ByteWriter::new();
+        fields.seq(&owd, stride::OWD, |w, &(t, ms)| {
+            w.time(t);
+            w.f64(ms);
+        });
+        let bytes = bulk.into_bytes();
+        assert_eq!(bytes, fields.into_bytes());
+        assert_eq!(bytes.len(), 8 + owd.len() * stride::OWD);
+        let mut r = ByteReader::new(&bytes);
+        let back = read_owd(&mut r).expect("decode");
+        assert!(r.exhausted());
+        let bits = |v: &[(SimTime, f64)]| -> Vec<(SimTime, u64)> {
+            v.iter().map(|&(t, ms)| (t, ms.to_bits())).collect()
+        };
+        assert_eq!(bits(&back), bits(&owd));
     }
 
     #[test]
@@ -899,12 +1086,14 @@ mod tests {
         assert!(ByteReader::new(&blob)
             .seq_fixed::<{ stride::RADIO }, _>(read_radio)
             .is_none());
+        assert!(read_owd(&mut ByteReader::new(&blob)).is_none());
         // One more element than the bytes hold is already too many…
         let mut w = ByteWriter::new();
         w.u64(2);
         w.u64(7);
         let blob = w.into_bytes();
         assert!(ByteReader::new(&blob).seq(8, |r| r.u64()).is_none());
+        assert!(read_owd(&mut ByteReader::new(&blob)).is_none());
         assert!(ByteReader::new(&blob)
             .seq_fixed::<8, _>(|r| r.u64())
             .is_none());

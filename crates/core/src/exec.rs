@@ -11,8 +11,8 @@
 //!   repair × run index) that [expands](MatrixSpec::expand) into
 //!   independent [`Cell`]s in a fixed, documented order.
 //! * [`CampaignEngine`] — a bounded `std::thread` pool (no external deps)
-//!   pulling cells off an atomic work queue and posting results back over
-//!   an `mpsc` channel into **submission-ordered** slots.
+//!   pulling cells off an atomic work queue and handing results over a
+//!   rendezvous `mpsc` channel into **submission-ordered** slots.
 //! * One opt-in result cache: a sealed on-disk record per cell under
 //!   `target/rpav-cache`, keyed by a [stable hash](Cell::key) of the
 //!   fully-expanded configuration (salted by the crate version, so a
@@ -817,6 +817,10 @@ pub struct EngineReport {
     pub retries: usize,
     /// Corrupt/stale cache files quarantined during this invocation.
     pub quarantined: usize,
+    /// Simulated cells whose cache record could not be written (full
+    /// disk, unwritable cache directory). Their results were delivered;
+    /// the next run simulates them again.
+    pub store_failed: usize,
     /// Cells flagged by the stuck-cell watchdog (still counted once even
     /// if they eventually completed).
     pub stuck_flagged: usize,
@@ -855,6 +859,9 @@ impl EngineReport {
         }
         if self.quarantined > 0 {
             s.push_str(&format!(" [{} quarantined]", self.quarantined));
+        }
+        if self.store_failed > 0 {
+            s.push_str(&format!(" [{} cache writes failed]", self.store_failed));
         }
         if self.stuck_flagged > 0 {
             s.push_str(&format!(" [{} flagged stuck]", self.stuck_flagged));
@@ -1042,6 +1049,8 @@ struct WorkerResult {
     attempts: u32,
     /// Whether a corrupt cache record was quarantined on the way.
     quarantined: bool,
+    /// Whether writing the freshly simulated result's cache record failed.
+    store_failed: bool,
 }
 
 /// Sharded on-disk location of one cache entry:
@@ -1079,7 +1088,9 @@ pub fn cache_entry_path(dir: &Path, key: u64) -> PathBuf {
 /// the rest, and is bit-identical to an uninterrupted run. Corrupt,
 /// truncated, or stale-version cache files are quarantined to
 /// `<cache>/quarantine/` and treated as misses — never served, never
-/// fatal.
+/// fatal. A record that cannot be written (full disk, unwritable
+/// directory) is reported on stderr and counted in
+/// [`EngineReport::store_failed`]; the cell's result is still delivered.
 pub struct CampaignEngine {
     /// `jobs` is resolved (always `Some`) and `max_attempts` ≥ 1.
     options: EngineOptions,
@@ -1223,11 +1234,14 @@ impl CampaignEngine {
 
         let cursor = AtomicUsize::new(0);
         let inflight: Mutex<HashMap<usize, Instant>> = Mutex::new(HashMap::new());
-        // Bounded hand-off, one slot per worker: when the serial in-order
-        // fold below is the slower side (warm replay on many workers),
-        // workers block here instead of queueing decoded multi-megabyte
-        // `RunMetrics` without limit ahead of it.
-        let (tx, rx) = mpsc::sync_channel::<(usize, WorkerResult)>(workers);
+        // Rendezvous hand-off: a worker's `send` returns only once the
+        // collector has taken the result. On warm replay the serial
+        // in-order fold below is the slower side, and any buffer here
+        // would fill with decoded multi-megabyte `RunMetrics` ahead of it;
+        // without one, at most `workers` decoded results wait (one per
+        // blocked worker) beside the one being folded and the reorder
+        // frontier's out-of-order entries.
+        let (tx, rx) = mpsc::sync_channel::<(usize, WorkerResult)>(0);
         std::thread::scope(|s| {
             let cursor = &cursor;
             let inflight = &inflight;
@@ -1254,8 +1268,10 @@ impl CampaignEngine {
             }
             drop(tx);
             // Completion-ordered arrivals re-sequenced into submission
-            // order before folding/sinking: the pending map holds at most
-            // ~`workers` out-of-order results, and the in-order fold makes
+            // order before folding/sinking: the pending map holds the
+            // results that finished ahead of the cell it waits for (none
+            // or one when cells cost alike; more while that cell is
+            // slower than its successors), and the in-order fold makes
             // the aggregates' f64 sums (hence their canonical bytes)
             // independent of job count and of where a previous run was
             // killed.
@@ -1283,6 +1299,7 @@ impl CampaignEngine {
                     let attempts = result.attempts;
                     report.retries += attempts.saturating_sub(1) as usize;
                     report.quarantined += usize::from(result.quarantined);
+                    report.store_failed += usize::from(result.store_failed);
                     sink(match result.outcome {
                         Ok(metrics) => {
                             let cached = attempts == 0;
@@ -1343,6 +1360,7 @@ impl CampaignEngine {
                         outcome: Ok(Arc::new(metrics)),
                         attempts: 0,
                         quarantined: false,
+                        store_failed: false,
                     }
                 }
                 Ok(None) => {}
@@ -1351,6 +1369,7 @@ impl CampaignEngine {
         }
         let max_attempts = self.options.max_attempts;
         let mut attempts = 0u32;
+        let mut store_failed = false;
         let outcome = loop {
             attempts += 1;
             let attempt = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
@@ -1364,7 +1383,16 @@ impl CampaignEngine {
             match attempt {
                 Ok(metrics) => {
                     if let Some(dir) = cache_dir {
-                        store_disk(dir, key, &metrics, record);
+                        if let Err(e) = store_disk(dir, key, &metrics, record) {
+                            // The result is still delivered; only the next
+                            // run's hit is lost, and the report counts it.
+                            eprintln!(
+                                "rpav: cell {}: cache write under {} failed: {e}",
+                                cell.label(),
+                                dir.display()
+                            );
+                            store_failed = true;
+                        }
                     }
                     break Ok(Arc::new(metrics));
                 }
@@ -1389,6 +1417,7 @@ impl CampaignEngine {
             outcome,
             attempts,
             quarantined,
+            store_failed,
         }
     }
 }
@@ -1410,7 +1439,17 @@ fn load_disk(
     use std::io::Read as _;
     let path = cache_entry_path(dir, key);
     record.clear();
-    let read = std::fs::File::open(&path).and_then(|mut f| f.read_to_end(record));
+    let read = std::fs::File::open(&path).and_then(|mut f| {
+        // Grow the recycled buffer to this record's size exactly:
+        // `read_to_end` alone doubles it whenever a record outgrows it, so
+        // it would settle at twice the largest record seen. A size no
+        // allocation can hold is a failed read (a miss), not an abort.
+        let len = usize::try_from(f.metadata()?.len()).map_err(std::io::Error::other)?;
+        record
+            .try_reserve_exact(len)
+            .map_err(std::io::Error::other)?;
+        f.read_to_end(record)
+    });
     if read.is_err() {
         return Ok(None);
     }
@@ -1435,13 +1474,17 @@ fn load_disk(
 /// (pid-suffixed, so concurrent processes never clobber each other
 /// mid-write), write, fsync, rename — a kill at any point leaves either
 /// the old state or the complete new file, never a half-written `.rpav`.
-/// Best-effort: a read-only target dir costs the cache entry, not the run.
-fn store_disk(dir: &Path, key: u64, metrics: &RunMetrics, record: &mut Vec<u8>) {
+/// A failure (full disk, unwritable directory) costs the cache entry, not
+/// the run: the caller counts it in [`EngineReport::store_failed`].
+fn store_disk(
+    dir: &Path,
+    key: u64,
+    metrics: &RunMetrics,
+    record: &mut Vec<u8>,
+) -> std::io::Result<()> {
     let path = cache_entry_path(dir, key);
     let shard = path.parent().expect("cache entries live in a shard dir");
-    if std::fs::create_dir_all(shard).is_err() {
-        return;
-    }
+    std::fs::create_dir_all(shard)?;
     let tmp = shard.join(format!("{key:016x}.{}.tmp", std::process::id()));
     // Encode into the worker's recycled buffer and stream the sealed
     // envelope straight to the file — no per-cell payload allocation.
@@ -1457,6 +1500,7 @@ fn store_disk(dir: &Path, key: u64, metrics: &RunMetrics, record: &mut Vec<u8>) 
     if written.is_err() {
         let _ = std::fs::remove_file(&tmp);
     }
+    written
 }
 
 #[cfg(test)]
@@ -1883,6 +1927,34 @@ mod tests {
     }
 
     #[test]
+    fn failed_cache_writes_are_counted_and_results_still_delivered() {
+        // A cache "directory" that is a regular file: every shard
+        // `create_dir_all` fails (ENOTDIR), as root too, where permission
+        // bits would not stop the write.
+        let file = std::env::temp_dir().join(format!("rpav-exec-nodir-{}", std::process::id()));
+        std::fs::write(&file, b"not a directory").unwrap();
+        let spec = MatrixSpec::new(short_base()).runs(2);
+        let reference = CampaignEngine::new()
+            .with_cache_dir(None)
+            .with_jobs(2)
+            .run(&spec);
+        let result = CampaignEngine::new()
+            .with_cache_dir(Some(file.clone()))
+            .with_jobs(2)
+            .run(&spec);
+        assert_eq!(result.report.simulated, 2);
+        assert_eq!(result.report.store_failed, 2);
+        assert_eq!(result.report.failed, 0);
+        assert!(result.report.summary().contains("[2 cache writes failed]"));
+        for (x, y) in result.outcomes.iter().zip(&reference.outcomes) {
+            assert_eq!(x.metrics().to_bytes(), y.metrics().to_bytes());
+        }
+        assert_eq!(reference.report.store_failed, 0);
+        assert_eq!(std::fs::read(&file).unwrap(), b"not a directory");
+        let _ = std::fs::remove_file(&file);
+    }
+
+    #[test]
     fn disk_cache_resumes_quarantines_and_stays_bit_identical() {
         use std::io::Write as _;
         let dir = std::env::temp_dir().join(format!("rpav-exec-cache-{}", std::process::id()));
@@ -1911,6 +1983,7 @@ mod tests {
             .with_cache_dir(Some(dir.clone()))
             .with_jobs(2);
         let warm = second.run(&spec);
+        assert_eq!(cold.report.store_failed, 0);
         assert_eq!(warm.report.simulated, 0);
         assert_eq!(warm.report.cached, 3, "every sealed record must be hit");
         assert_eq!(

@@ -23,9 +23,10 @@
 //!   [`CampaignAggregates`] canonical bytes (`application/octet-stream`);
 //!   blocks until done. This is the byte-compare surface of the
 //!   acceptance test.
-//! * `GET /metrics` — live counters: campaigns by state, cell totals,
-//!   queue depth, live and refused connections, heap telemetry from
-//!   [`rpav_sim::alloc`].
+//! * `GET /metrics` — live counters: campaigns by state, cell totals
+//!   (done / failed / cached / retried / quarantined / `store_failed`
+//!   cache writes), queue depth, live and refused connections, heap
+//!   telemetry from [`rpav_sim::alloc`].
 //!
 //! Every connection gets its own thread, at most [`MAX_CONNECTIONS`] of
 //! them at a time; the accept loop itself answers the overflow with a
@@ -247,6 +248,8 @@ struct Shared {
     cells_cached: AtomicU64,
     cells_retried: AtomicU64,
     quarantined: AtomicU64,
+    /// Simulated cells whose cache record could not be written.
+    cells_store_failed: AtomicU64,
 }
 
 impl Shared {
@@ -355,6 +358,10 @@ impl Shared {
                         "quarantined",
                         Json::UInt(self.quarantined.load(Ordering::Relaxed)),
                     ),
+                    (
+                        "store_failed",
+                        Json::UInt(self.cells_store_failed.load(Ordering::Relaxed)),
+                    ),
                 ]),
             ),
             (
@@ -409,6 +416,7 @@ fn report_json(report: &EngineReport) -> Json {
         ("cached", Json::UInt(report.cached as u64)),
         ("failed", Json::UInt(report.failed as u64)),
         ("quarantined", Json::UInt(report.quarantined as u64)),
+        ("store_failed", Json::UInt(report.store_failed as u64)),
         ("stuck_flagged", Json::UInt(report.stuck_flagged as u64)),
         ("jobs", Json::UInt(report.jobs as u64)),
         ("wall_us", Json::UInt(report.wall.as_micros() as u64)),
@@ -513,6 +521,9 @@ fn execute_campaign(shared: &Shared, campaign: &Campaign) {
     shared
         .cells_retried
         .fetch_add(report.retries as u64, Ordering::Relaxed);
+    shared
+        .cells_store_failed
+        .fetch_add(report.store_failed as u64, Ordering::Relaxed);
 
     let mut st = lock(&campaign.state);
     st.aggregates = Some(report.aggregates.to_bytes());
@@ -548,6 +559,7 @@ impl Daemon {
             cells_cached: AtomicU64::new(0),
             cells_retried: AtomicU64::new(0),
             quarantined: AtomicU64::new(0),
+            cells_store_failed: AtomicU64::new(0),
         });
         {
             let exec_shared = shared.clone();
@@ -973,6 +985,37 @@ mod tests {
                 .as_u64(),
             Some(1)
         );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn failed_cache_writes_surface_in_the_report_and_metrics() {
+        let dir = fresh_dir("storefail");
+        let spec = tiny_spec();
+        // A regular file where each cell's shard directory would go: the
+        // record write fails (as root too), the cells still complete.
+        let cells = spec.to_matrix().expand();
+        std::fs::create_dir_all(&dir).unwrap();
+        for cell in &cells {
+            let path = rpav_core::exec::cache_entry_path(&dir, cell.key());
+            std::fs::write(path.parent().unwrap(), b"not a directory").unwrap();
+        }
+        let (_daemon, addr) = start_daemon(&dir);
+        let r = client::post_json(&addr, "/campaigns", &spec.to_json(), T).unwrap();
+        assert_eq!(r.status, 201, "{}", r.text());
+        let id = format!("{:016x}", spec.identity());
+        let agg = client::get(&addr, &format!("/campaigns/{id}/aggregates"), T).unwrap();
+        assert!(!agg.body.is_empty(), "results are delivered regardless");
+        let status = client::get(&addr, &format!("/campaigns/{id}"), T).unwrap();
+        let status = Json::parse(&status.text()).unwrap();
+        let report = status.get("report").unwrap();
+        let expected = Some(cells.len() as u64);
+        assert_eq!(report.get("store_failed").unwrap().as_u64(), expected);
+        assert_eq!(report.get("simulated").unwrap().as_u64(), expected);
+        let metrics = client::get(&addr, "/metrics", T).unwrap();
+        let metrics = Json::parse(&metrics.text()).unwrap();
+        let store_failed = metrics.get("cells").unwrap().get("store_failed").unwrap();
+        assert_eq!(store_failed.as_u64(), expected);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -16,7 +16,7 @@
 //! CRC. All randomness comes from the deterministic `SimRng`, so a
 //! failure reproduces exactly.
 
-use rpav_core::codec::{seal, FORMAT_VERSION};
+use rpav_core::codec::{seal, unseal, FORMAT_VERSION};
 use rpav_core::prelude::*;
 use rpav_sim::{SimDuration, SimRng, SimTime};
 
@@ -145,12 +145,22 @@ fn from_cache_bytes_is_total_and_crc_rejects_every_flip() {
     );
 }
 
+/// Payloads at least this long are checksummed by the carry-less-multiply
+/// CRC kernel where the build has one (shorter ones by slice-by-16 alone).
+const CRC_KERNEL_MIN_LEN: usize = 128;
+
 /// Exhaustive single-bit sweep over one sealed record: all
-/// `len × 8` flips are rejected, and restoring the bit re-parses.
+/// `len × 8` flips are rejected, and restoring the bit re-parses. The
+/// payload is long enough for the CRC kernel, so a flip anywhere in it —
+/// in the 64-byte fold, the 16-byte fold tail or the byte tail — is
+/// caught by the kernel, not by the slice-by-16 fallback.
 #[test]
 fn sealed_record_rejects_all_bit_flips_exhaustively() {
     let mut rng = SimRng::seed_from_u64(0xCAFE_0003);
     let mut wire = valid_metrics(&mut rng).to_cache_bytes();
+    let payload = unseal(&wire).expect("valid record").len();
+    assert!(payload >= CRC_KERNEL_MIN_LEN, "payload of {payload} B");
+    assert_ne!(payload % 16, 0, "the sweep must reach the byte tail");
     for bit in 0..wire.len() * 8 {
         wire[bit / 8] ^= 1 << (bit % 8);
         assert!(
