@@ -252,6 +252,19 @@ pub fn assert_same_results(what: &str, a: &MatrixResult, b: &MatrixResult) {
     );
 }
 
+/// Print a matrix's aggregates: two of their means and a digest of their
+/// canonical bytes. Each engine worker folds the cells it ran into its own
+/// share, and the aggregates are order-free, so this line must not move
+/// with the job count (`RPAV_JOBS`).
+pub fn print_aggregates(aggregates: &CampaignAggregates) {
+    println!(
+        "aggregates: owd mean {:.6} ms, playback mean {:.6} ms, bytes fnv1a {:016x}",
+        aggregates.owd_ms.mean().unwrap_or(f64::NAN),
+        aggregates.playback_ms.mean().unwrap_or(f64::NAN),
+        rpav_core::codec::fnv1a(&aggregates.to_bytes())
+    );
+}
+
 /// Run `spec` uncached at `jobs = 1` and at `jobs = 8`, assert the two
 /// are byte-identical and that the first cell replays directly, and
 /// return the parallel result.

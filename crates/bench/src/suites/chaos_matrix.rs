@@ -24,7 +24,7 @@
 //!
 //! `--smoke` shrinks the sweep to one urban outage length per CC for CI.
 
-use rpav_bench::{assert_replays_directly, banner, paper_config};
+use rpav_bench::{assert_replays_directly, banner, paper_config, print_aggregates};
 use rpav_core::prelude::*;
 use rpav_netem::FaultScript;
 use rpav_sim::{SimDuration, SimTime};
@@ -218,6 +218,7 @@ pub fn run(args: &crate::Args) {
     // result must equal the sequential reference.
     assert_replays_directly(&result.outcomes[0]);
 
+    print_aggregates(&result.report.aggregates);
     println!("\nAll survival invariants hold ({} cells).", cells.len());
     println!("{}", result.report.summary());
 }

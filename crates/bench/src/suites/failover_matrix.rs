@@ -24,8 +24,8 @@
 //! `--smoke` shrinks the sweep to one run per cell for CI.
 
 use rpav_bench::{
-    assert_replays_directly, banner, matrix_config, primary_blackout, runs_per_config, FAULT_AT,
-    FAULT_FOR,
+    assert_replays_directly, banner, matrix_config, primary_blackout, print_aggregates,
+    runs_per_config, FAULT_AT, FAULT_FOR,
 };
 use rpav_core::prelude::*;
 
@@ -233,6 +233,7 @@ pub fn run(args: &crate::Args) {
         .expect("no failover cell");
     assert_replays_directly(cell_at(0, failover_i, 0));
 
+    print_aggregates(&result.report.aggregates);
     println!(
         "All failover invariants hold ({} seed-matched cells).",
         cells.len()

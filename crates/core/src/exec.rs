@@ -11,8 +11,10 @@
 //!   repair × run index) that [expands](MatrixSpec::expand) into
 //!   independent [`Cell`]s in a fixed, documented order.
 //! * [`CampaignEngine`] — a bounded `std::thread` pool (no external deps)
-//!   pulling cells off an atomic work queue and handing results over a
-//!   rendezvous `mpsc` channel into **submission-ordered** slots.
+//!   pulling cells off an atomic work queue, each worker folding its own
+//!   results into its share of the order-free [`CampaignAggregates`] and
+//!   handing them over a rendezvous `mpsc` channel into
+//!   **submission-ordered** delivery.
 //! * One opt-in result cache: a sealed on-disk record per cell under
 //!   `target/rpav-cache`, keyed by a [stable hash](Cell::key) of the
 //!   fully-expanded configuration (salted by the crate version, so a
@@ -800,8 +802,9 @@ pub struct CellFailure {
 
 /// Wall-clock, throughput, and resilience accounting for one engine
 /// invocation, plus the streaming [`CampaignAggregates`] every completed
-/// cell was folded into (in submission order, so the aggregate bytes are
-/// deterministic across job counts and kill/resume boundaries).
+/// cell was folded into — by the worker that ran it, the workers' partials
+/// merged at the end. Aggregates are order-free, so their bytes are
+/// deterministic across job counts and kill/resume boundaries.
 #[derive(Clone, Debug, Default)]
 pub struct EngineReport {
     /// Cells in the matrix.
@@ -821,8 +824,9 @@ pub struct EngineReport {
     /// disk, unwritable cache directory). Their results were delivered;
     /// the next run simulates them again.
     pub store_failed: usize,
-    /// Cells flagged by the stuck-cell watchdog (still counted once even
-    /// if they eventually completed).
+    /// Cells that ran past the stuck budget, flagged by the collector's
+    /// in-flight scan (still counted once even if they eventually
+    /// completed).
     pub stuck_flagged: usize,
     /// Worker threads used.
     pub jobs: usize,
@@ -1039,8 +1043,9 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// What a worker posts back per cell. The collector sums these into the
-/// run's [`EngineReport`]; nothing is counted anywhere else.
+/// What a worker posts back per cell (after folding the metrics into its
+/// share of the aggregates). The collector sums these into the run's
+/// [`EngineReport`] counts; nothing is counted anywhere else.
 struct WorkerResult {
     /// The metrics, or the final attempt's panic message.
     outcome: Result<Arc<RunMetrics>, String>,
@@ -1190,9 +1195,9 @@ impl CampaignEngine {
 
     /// Streaming execution that additionally hands every outcome — in
     /// **submission order**, straight off the reorder frontier — to
-    /// `observe` before dropping it. This is the daemon's event feed:
-    /// the observer sees exactly the sequence the aggregates folded, so a
-    /// subscriber can mirror the fold bit-for-bit. Memory stays flat; the
+    /// `observe` before dropping it. This is the daemon's event feed. The
+    /// aggregates are order-free, so a subscriber that folds the outcomes
+    /// it sees reproduces them bit-for-bit. Memory stays flat; the
     /// observer must not retain the outcomes' metrics if it wants to keep
     /// it that way.
     pub fn run_cells_streaming_observed(
@@ -1219,10 +1224,12 @@ impl CampaignEngine {
         StreamSummary { report, failures }
     }
 
-    /// The engine core: run `cells` on the pool, deliver outcomes to
+    /// The engine core: run `cells` on the pool, each worker folding its
+    /// own results into its share of the aggregates; deliver outcomes to
     /// `sink` in **submission order** (a frontier reorders the
-    /// completion-ordered channel), fold aggregates, count, and flag
-    /// stuck cells. Returns when the last result is folded.
+    /// completion-ordered channel), count, and flag stuck cells. Returns
+    /// once the last outcome is delivered and the workers' partial
+    /// aggregates are merged.
     fn drive(&self, cells: &[Cell], sink: &mut dyn FnMut(CellOutcome)) -> EngineReport {
         let started = Instant::now();
         let workers = self.jobs().min(cells.len().max(1));
@@ -1235,46 +1242,55 @@ impl CampaignEngine {
         let cursor = AtomicUsize::new(0);
         let inflight: Mutex<HashMap<usize, Instant>> = Mutex::new(HashMap::new());
         // Rendezvous hand-off: a worker's `send` returns only once the
-        // collector has taken the result. On warm replay the serial
-        // in-order fold below is the slower side, and any buffer here
-        // would fill with decoded multi-megabyte `RunMetrics` ahead of it;
-        // without one, at most `workers` decoded results wait (one per
-        // blocked worker) beside the one being folded and the reorder
+        // collector has taken the result, so no buffer here can fill with
+        // decoded multi-megabyte `RunMetrics` while the collector's sink
+        // is slow; at most `workers` decoded results wait (one per blocked
+        // worker) beside the one being delivered and the reorder
         // frontier's out-of-order entries.
         let (tx, rx) = mpsc::sync_channel::<(usize, WorkerResult)>(0);
         std::thread::scope(|s| {
             let cursor = &cursor;
             let inflight = &inflight;
+            let mut handles = Vec::with_capacity(workers);
             for _ in 0..workers {
                 let tx = tx.clone();
-                s.spawn(move || {
+                handles.push(s.spawn(move || {
                     // One cache-record buffer (3–17 MB) per worker for
                     // its whole lifetime: the sealed file being read on a
                     // hit, the payload being encoded on a store. Both
                     // users clear it first, so nothing leaks from one
                     // cell (or one panicked attempt) into the next.
                     let mut record = Vec::new();
+                    // The worker's share of the aggregates, folded while
+                    // the result is still its own: aggregates are
+                    // order-free, so which worker folds a cell, and when,
+                    // cannot reach their bytes.
+                    let mut aggregates = CampaignAggregates::default();
                     loop {
                         let i = cursor.fetch_add(1, Ordering::Relaxed);
                         let Some(cell) = cells.get(i) else { break };
                         inflight.lock().unwrap().insert(i, Instant::now());
                         let result = self.run_cell_isolated(cell, &mut record);
                         inflight.lock().unwrap().remove(&i);
+                        match &result.outcome {
+                            Ok(metrics) => aggregates.fold(metrics),
+                            Err(_) => aggregates.fold_failure(),
+                        }
                         if tx.send((i, result)).is_err() {
                             break;
                         }
                     }
-                });
+                    aggregates
+                }));
             }
             drop(tx);
             // Completion-ordered arrivals re-sequenced into submission
-            // order before folding/sinking: the pending map holds the
-            // results that finished ahead of the cell it waits for (none
-            // or one when cells cost alike; more while that cell is
-            // slower than its successors), and the in-order fold makes
-            // the aggregates' f64 sums (hence their canonical bytes)
-            // independent of job count and of where a previous run was
-            // killed.
+            // order before sinking — what observers see: `rpavd`'s event
+            // `seq`, the order of `run_cells`' outcomes. The pending map
+            // holds the results that finished ahead of the cell it waits
+            // for (none or one when cells cost alike; more while that
+            // cell is slower than its successors). It orders delivery
+            // only; no arithmetic depends on it.
             let mut pending: BTreeMap<usize, WorkerResult> = BTreeMap::new();
             let mut next = 0usize;
             // The stuck-cell check rides on the same loop: the in-flight
@@ -1308,7 +1324,6 @@ impl CampaignEngine {
                             } else {
                                 report.simulated += 1;
                             }
-                            report.aggregates.fold(&metrics);
                             CellOutcome::Done {
                                 cell,
                                 metrics,
@@ -1318,7 +1333,6 @@ impl CampaignEngine {
                         }
                         Err(panic_msg) => {
                             report.failed += 1;
-                            report.aggregates.fold_failure();
                             CellOutcome::Failed {
                                 cell,
                                 panic_msg,
@@ -1341,6 +1355,12 @@ impl CampaignEngine {
                 }
             }
             report.stuck_flagged = flagged.len();
+            for handle in handles {
+                let partial = handle
+                    .join()
+                    .unwrap_or_else(|p| std::panic::resume_unwind(p));
+                report.aggregates.merge(&partial);
+            }
         });
 
         report.wall = started.elapsed();
@@ -1665,8 +1685,8 @@ mod tests {
                 x.cell().label()
             );
         }
-        // The streaming aggregates fold in submission order, so they are
-        // bit-identical across job counts too.
+        // The aggregates are order-free, so they are bit-identical across
+        // job counts too.
         assert_eq!(
             a.report.aggregates.to_bytes(),
             b.report.aggregates.to_bytes(),
@@ -1684,6 +1704,42 @@ mod tests {
             warm.report.aggregates.to_bytes()
         );
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn aggregates_do_not_depend_on_submission_order() {
+        // Reversed and shuffled cell lists (re-indexed, as `run_cells`
+        // requires) fold the same multiset of cells, so the aggregate
+        // bytes cannot move, at any job count — while the outcomes still
+        // arrive in the order submitted.
+        let cells = MatrixSpec::new(short_base()).runs(3).expand();
+        let engine = |jobs| CampaignEngine::new().with_cache_dir(None).with_jobs(jobs);
+        let want = engine(1)
+            .run_cells(cells.clone())
+            .report
+            .aggregates
+            .to_bytes();
+        for order in [[2, 1, 0], [1, 2, 0]] {
+            let reordered: Vec<Cell> = order
+                .iter()
+                .enumerate()
+                .map(|(i, &k)| Cell {
+                    index: i,
+                    ..cells[k].clone()
+                })
+                .collect();
+            for jobs in [1, 2] {
+                let got = engine(jobs).run_cells(reordered.clone());
+                assert_eq!(
+                    got.report.aggregates.to_bytes(),
+                    want,
+                    "order {order:?} at jobs={jobs}"
+                );
+                let labels: Vec<String> = got.outcomes.iter().map(|o| o.cell().label()).collect();
+                let submitted: Vec<String> = reordered.iter().map(Cell::label).collect();
+                assert_eq!(labels, submitted);
+            }
+        }
     }
 
     #[test]

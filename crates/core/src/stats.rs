@@ -120,6 +120,9 @@ pub fn lin_grid(lo: f64, hi: f64, n: usize) -> Vec<f64> {
 /// Decades spanned by a [`LogHistogram`]: `[1e-6, 1e12)`.
 const HIST_MIN_EXP: i32 = -6;
 const HIST_MAX_EXP: i32 = 12;
+/// The in-range samples of a [`LogHistogram`], exactly: `[HIST_LO, HIST_HI)`.
+const HIST_LO: f64 = 1e-6;
+const HIST_HI: f64 = 1e12;
 /// Buckets per decade — 32 gives ≤ ~7.5 % relative quantile error.
 const HIST_BUCKETS_PER_DECADE: usize = 32;
 const HIST_BUCKETS: usize = (HIST_MAX_EXP - HIST_MIN_EXP) as usize * HIST_BUCKETS_PER_DECADE;
@@ -204,40 +207,154 @@ impl BucketTable {
 
     fn bucket_of(&self, v: f64) -> Option<usize> {
         if v >= self.edges[0] {
-            let slot = ((v.to_bits() >> COARSE_SHIFT) - self.coarse_base) as usize;
-            let i = self.coarse[slot.min(self.coarse.len() - 1)] as usize;
-            // Branch-free: which side of a slot's one edge a sample falls
-            // on is a coin toss the predictor loses.
-            Some(i + (v >= self.edges[i + 1]) as usize)
+            Some(self.bucket_from_first_edge(v))
         } else {
             // Below range (zero and negatives included). NaN never gets
             // here through `record`; the formula's answer for it is 0.
             v.is_nan().then_some(0)
         }
     }
+
+    /// The bucket of a `v` known to be at or above the first edge.
+    fn bucket_from_first_edge(&self, v: f64) -> usize {
+        let slot = ((v.to_bits() >> COARSE_SHIFT) - self.coarse_base) as usize;
+        let i = self.coarse[slot.min(self.coarse.len() - 1)] as usize;
+        // Branch-free: which side of a slot's one edge a sample falls
+        // on is a coin toss the predictor loses.
+        i + (v >= self.edges[i + 1]) as usize
+    }
+}
+
+/// The unit of an [`ExactSum`] is `2^EXACT_UNIT_EXP`. An f64 at or above
+/// 2⁻²⁰ has an ulp of at least 2⁻⁷², so it — and every in-range
+/// [`LogHistogram`] sample (`1e-6 > 2⁻²⁰`), and every f64 sum of them — is
+/// a whole number of units.
+const EXACT_UNIT_EXP: i32 = -72;
+
+/// An exact, order-free sum of f64s from `[2⁻²⁰, 2¹⁰⁴)`: a 192-bit
+/// fixed-point integer of 2⁻⁷² units, `hi · 2¹²⁸ + lo` (Kulisch-style).
+///
+/// Adding is integer addition, so any order and any grouping of the same
+/// additions leaves the same bits; only reading rounds, once. One addend
+/// is below 2¹⁷⁶ units. A [`LogHistogram`] adds one per
+/// [`record_all`](LogHistogram::record_all) call, each at most its sample
+/// count × 1e12 (plus rounding), so the total stays below
+/// `count · 1e12 < 2¹⁰⁴` — 2¹⁷⁶ units, with the top word's 16 spare bits
+/// as headroom.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub(crate) struct ExactSum {
+    hi: u64,
+    lo: u128,
+}
+
+impl ExactSum {
+    /// Add `x` exactly. `x` must be zero or in `[2⁻²⁰, 2¹⁰⁴)`.
+    pub fn add(&mut self, x: f64) {
+        if x == 0.0 {
+            return;
+        }
+        assert!(
+            (2f64.powi(-20)..2f64.powi(104)).contains(&x),
+            "ExactSum::add({x:e}): outside [2^-20, 2^104)"
+        );
+        // x = mantissa · 2^(biased exponent − 1075) = mantissa << shift
+        // units, with shift in 0..=123.
+        let bits = x.to_bits();
+        let mantissa = u128::from((bits & ((1 << 52) - 1)) | (1 << 52));
+        let shift = (bits >> 52) as u32 - (1075 + EXACT_UNIT_EXP) as u32;
+        self.merge(&ExactSum {
+            hi: mantissa.checked_shr(128 - shift).unwrap_or(0) as u64,
+            lo: mantissa << shift,
+        });
+    }
+
+    /// Add another sum exactly.
+    pub fn merge(&mut self, other: &ExactSum) {
+        let (lo, carry) = self.lo.overflowing_add(other.lo);
+        self.lo = lo;
+        self.hi += other.hi + u64::from(carry);
+    }
+
+    /// The accumulator as three big-endian 64-bit words, in units of 2⁻⁷²
+    /// — the canonical encoding.
+    pub fn words(&self) -> [u64; 3] {
+        [self.hi, (self.lo >> 64) as u64, self.lo as u64]
+    }
+
+    /// The sum, rounded once to the nearest f64 (ties to even).
+    pub fn to_f64(self) -> f64 {
+        round_digits(&self.words(), EXACT_UNIT_EXP, false)
+    }
+
+    /// `self / n` (`n > 0`), rounded once to the nearest f64 (ties to
+    /// even): schoolbook division one 64-bit digit at a time, carried one
+    /// digit past the units so an in-range mean (≥ 2⁻²⁰) keeps more than
+    /// 54 quotient bits, and the remainder becomes the sticky bit.
+    pub fn div_to_f64(&self, n: u64) -> f64 {
+        let n = u128::from(n);
+        let mut rem = 0u128;
+        let mut quotient = [0u64; 4];
+        for (q, d) in quotient.iter_mut().zip(self.words().into_iter().chain([0])) {
+            let cur = rem << 64 | u128::from(d);
+            *q = (cur / n) as u64;
+            rem = cur % n;
+        }
+        round_digits(&quotient, EXACT_UNIT_EXP - 64, rem != 0)
+    }
+}
+
+/// Round the big-endian 64-bit-digit integer `digits`, in units of
+/// `2^unit_exp`, to the nearest f64, ties to even. `sticky` says a non-zero
+/// remainder lies below the last digit; it is exact only when the integer
+/// keeps more than 53 significant bits, which every caller's does.
+fn round_digits(digits: &[u64], mut unit_exp: i32, mut sticky: bool) -> f64 {
+    let lead = digits.iter().position(|d| *d != 0).unwrap_or(digits.len());
+    let (head, tail) = digits[lead..].split_at((digits.len() - lead).min(2));
+    let mut x = head.iter().fold(0u128, |x, d| x << 64 | u128::from(*d));
+    unit_exp += 64 * tail.len() as i32;
+    sticky |= tail.iter().any(|d| *d != 0);
+    let drop = (128 - x.leading_zeros()).saturating_sub(53);
+    if drop > 0 {
+        let half = 1u128 << (drop - 1);
+        let rest = x & ((half << 1) - 1);
+        x >>= drop;
+        unit_exp += drop as i32;
+        if rest > half || (rest == half && (sticky || x & 1 == 1)) {
+            x += 1;
+        }
+    }
+    // `x` ≤ 2⁵³ converts exactly, and scaling by a power of two is exact.
+    x as f64 * f64::from_bits(((unit_exp + 1023) as u64) << 52)
 }
 
 /// A mergeable HDR-style log-bucketed histogram for streaming campaign
 /// aggregation: fixed memory (576 buckets) regardless of sample count,
-/// deterministic merge (bucket counts add), and quantiles with bounded
-/// *relative* error over `[1e-6, 1e12)` — wide enough for milliseconds,
-/// Mbit/s, and per-frame latencies alike.
+/// and quantiles with bounded *relative* error over `[1e-6, 1e12)` — wide
+/// enough for milliseconds, Mbit/s, and per-frame latencies alike.
 ///
-/// Values below the range land in `below`, non-finite samples in
-/// `non_finite`; both are counted, never dropped silently. Exact
-/// `min`/`max`/`sum` ride alongside so means are exact and quantile
-/// endpoints clamp to observed extremes.
+/// Samples below the range land in `below`, samples at or above it in
+/// `above`, non-finite samples in `non_finite`; all three are counted,
+/// never dropped silently. Exact `min`/`max` and an exact sum of the
+/// in-range samples ride alongside, so quantile endpoints clamp to
+/// observed extremes and the mean is rounded once.
+///
+/// Every field is an integer sum, a min or a max, so [`merge`](Self::merge)
+/// is exact, associative and commutative: a histogram depends only on
+/// which [`record_all`](Self::record_all) batches went into it, never on
+/// their order or grouping.
 #[derive(Clone, Debug, PartialEq)]
 pub struct LogHistogram {
     counts: Vec<u64>,
     /// Samples `< 1e-6` (incl. zero and negatives).
     pub below: u64,
+    /// Finite samples `>= 1e12`.
+    pub above: u64,
     /// NaN / infinite samples.
     pub non_finite: u64,
-    /// In-range sample count (excludes `below` and `non_finite`).
+    /// In-range sample count (excludes `below`, `above` and `non_finite`).
     pub count: u64,
-    /// Sum of in-range samples (exact, folded in submission order).
-    pub sum: f64,
+    /// Sum of in-range samples.
+    sum: ExactSum,
     /// Smallest in-range sample.
     pub min: f64,
     /// Largest in-range sample.
@@ -256,9 +373,10 @@ impl LogHistogram {
         LogHistogram {
             counts: vec![0; HIST_BUCKETS],
             below: 0,
+            above: 0,
             non_finite: 0,
             count: 0,
-            sum: 0.0,
+            sum: ExactSum::default(),
             min: f64::INFINITY,
             max: f64::NEG_INFINITY,
         }
@@ -277,55 +395,67 @@ impl LogHistogram {
         10f64.powf(exp)
     }
 
-    /// Record one sample.
+    /// Record one sample (a batch of one).
     pub fn record(&mut self, v: f64) {
         self.record_all([v]);
     }
 
-    /// Record every sample of `values`, in order: the bucket table is
-    /// fetched once and the running sum / min / max stay in registers,
-    /// updated sample by sample exactly as repeated [`record`](Self::record)
-    /// calls would — the exact `sum` depends on that order.
+    /// Record every sample of `values` as one batch. The bucket table is
+    /// fetched once, and min / max and an f64 partial sum of the in-range
+    /// samples stay in registers; the partial — at most the batch's
+    /// in-range count × 1e12 — is then added to an exact 192-bit sum.
+    /// So the batch's contribution is a function of the batch alone,
+    /// whatever was recorded before or merged in after.
     pub fn record_all(&mut self, values: impl IntoIterator<Item = f64>) {
         let table = BucketTable::get();
-        let (mut sum, mut min, mut max) = (self.sum, self.min, self.max);
+        let (mut partial, mut min, mut max) = (0.0, self.min, self.max);
         for v in values {
-            if !v.is_finite() {
+            if (HIST_LO..HIST_HI).contains(&v) {
+                self.counts[table.bucket_from_first_edge(v)] += 1;
+                self.count += 1;
+                partial += v;
+                min = min.min(v);
+                max = max.max(v);
+            } else if !v.is_finite() {
                 self.non_finite += 1;
-                continue;
-            }
-            match table.bucket_of(v) {
-                None => self.below += 1,
-                Some(i) => {
-                    self.counts[i] += 1;
-                    self.count += 1;
-                    sum += v;
-                    min = min.min(v);
-                    max = max.max(v);
-                }
+            } else if v < HIST_LO {
+                self.below += 1;
+            } else {
+                self.above += 1;
             }
         }
-        (self.sum, self.min, self.max) = (sum, min, max);
+        self.sum.add(partial);
+        (self.min, self.max) = (min, max);
     }
 
-    /// Fold `other` into `self`. Merging is exact for counts and
-    /// associative for bucket contents: `merge(a, b)` then quantile equals
-    /// quantile over the concatenated streams up to bucket resolution.
+    /// Fold `other` into `self`, exactly: the result equals recording both
+    /// histograms' batches into one, in any order.
     pub fn merge(&mut self, other: &LogHistogram) {
         for (a, b) in self.counts.iter_mut().zip(&other.counts) {
             *a += b;
         }
         self.below += other.below;
+        self.above += other.above;
         self.non_finite += other.non_finite;
         self.count += other.count;
-        self.sum += other.sum;
+        self.sum.merge(&other.sum);
         self.min = self.min.min(other.min);
         self.max = self.max.max(other.max);
     }
 
     /// Total recorded samples including out-of-range ones.
     pub fn total(&self) -> u64 {
-        self.count + self.below + self.non_finite
+        self.count + self.below + self.above + self.non_finite
+    }
+
+    /// The exact sum of in-range samples.
+    pub(crate) fn exact_sum(&self) -> &ExactSum {
+        &self.sum
+    }
+
+    /// Sum of in-range samples, rounded once.
+    pub fn sum(&self) -> f64 {
+        self.sum.to_f64()
     }
 
     /// Approximate quantile (`q` in [0, 1]) over in-range samples, clamped
@@ -346,9 +476,10 @@ impl LogHistogram {
         Some(self.max)
     }
 
-    /// Exact mean of in-range samples (`None` when empty).
+    /// Mean of in-range samples, rounded once from the exact sum (`None`
+    /// when empty).
     pub fn mean(&self) -> Option<f64> {
-        (self.count > 0).then(|| self.sum / self.count as f64)
+        (self.count > 0).then(|| self.sum.div_to_f64(self.count))
     }
 
     /// Fraction of in-range samples `<= x` — the streaming analogue of
@@ -478,14 +609,197 @@ mod tests {
         h.record(-3.0);
         h.record(f64::NAN);
         h.record(f64::INFINITY);
+        h.record(f64::NEG_INFINITY);
         assert_eq!(h.below, 2);
-        assert_eq!(h.non_finite, 2);
+        assert_eq!(h.non_finite, 3);
         assert_eq!(h.count, 0);
-        assert_eq!(h.total(), 4);
-        // Beyond-range values clamp into the last bucket, never panic.
-        h.record(1e50);
-        assert_eq!(h.count, 1);
-        assert_eq!(h.quantile(0.5), Some(1e50)); // clamped to observed max
+        assert_eq!(h.total(), 5);
+        // The range is exactly [1e-6, 1e12): beyond it is `above`, never
+        // a bucket, and the f64 just below 1e-6 is `below`, though the
+        // bucket formula would put it in bucket 0.
+        h.record_all([1e50, 1e12, f64::MAX, 1e-6f64.next_down()]);
+        assert_eq!((h.below, h.above, h.count), (3, 3, 0));
+        assert_eq!(h.total(), 9);
+        assert!(h.quantile(0.5).is_none() && h.mean().is_none());
+        h.record_all([1e-6, 1e12f64.next_down()]);
+        assert_eq!((h.count, h.min, h.max), (2, 1e-6, 1e12f64.next_down()));
+        assert_eq!(h.nonzero_buckets().collect::<Vec<_>>(), [(0, 1), (575, 1)]);
+    }
+
+    #[test]
+    fn beyond_range_samples_never_reach_the_sum() {
+        // Two `f64::MAX` samples used to sum to +inf, and the mean with
+        // them.
+        let mut h = LogHistogram::new();
+        h.record_all([f64::MAX, 5.0, f64::MAX]);
+        h.record(f64::MAX);
+        assert_eq!((h.above, h.count, h.total()), (3, 1, 4));
+        assert_eq!((h.sum(), h.mean(), h.max), (5.0, Some(5.0), 5.0));
+    }
+
+    /// Shewchuk's exactly rounded sum, the algorithm of Python's
+    /// `math.fsum`: error-free two-sums into non-overlapping partials,
+    /// then a top-down sum with a half-way correction. An oracle for
+    /// [`ExactSum::to_f64`] that shares none of its integer arithmetic.
+    fn fsum(values: &[f64]) -> f64 {
+        let mut partials: Vec<f64> = Vec::new();
+        for &v in values {
+            let mut x = v;
+            let mut i = 0;
+            for j in 0..partials.len() {
+                let mut y = partials[j];
+                if x.abs() < y.abs() {
+                    std::mem::swap(&mut x, &mut y);
+                }
+                let hi = x + y;
+                let lo = y - (hi - x);
+                if lo != 0.0 {
+                    partials[i] = lo;
+                    i += 1;
+                }
+                x = hi;
+            }
+            partials.truncate(i);
+            partials.push(x);
+        }
+        let Some(mut n) = partials.len().checked_sub(1) else {
+            return 0.0;
+        };
+        let (mut hi, mut lo) = (partials[n], 0.0);
+        while n > 0 {
+            let x = hi;
+            n -= 1;
+            hi = x + partials[n];
+            lo = partials[n] - (hi - x);
+            if lo != 0.0 {
+                break;
+            }
+        }
+        if n > 0 && ((lo < 0.0 && partials[n - 1] < 0.0) || (lo > 0.0 && partials[n - 1] > 0.0)) {
+            let y = lo * 2.0;
+            let x = hi + y;
+            if y == x - hi {
+                hi = x;
+            }
+        }
+        hi
+    }
+
+    fn exact_sum(values: &[f64]) -> ExactSum {
+        let mut s = ExactSum::default();
+        values.iter().for_each(|v| s.add(*v));
+        s
+    }
+
+    /// Addend sets in `[2⁻²⁰, 2¹⁰⁴)` for the rounding tests. Three in four
+    /// draw up to 40 values spread over 60 binades below a random top, so
+    /// sums reach every word of the accumulator and carry between them;
+    /// the fourth plants a tie — `a` plus one or three half-ulps of `a`,
+    /// which must round to even — or that tie nudged up by 2⁻²⁰.
+    fn addend_sets(seed: u64, sets: usize) -> Vec<Vec<f64>> {
+        let mut rng = rpav_sim::SimRng::seed_from_u64(seed);
+        let value = |rng: &mut rpav_sim::SimRng, e: i32| {
+            rng.uniform_u64(1 << 52, 1 << 53) as f64 * 2f64.powi(e.max(-20) - 52)
+        };
+        let mut out = Vec::with_capacity(sets);
+        for k in 0..sets {
+            let set = if k % 4 == 3 {
+                let e = rng.uniform_u64(33, 104) as i32;
+                let a = value(&mut rng, e);
+                let half_ulp = (a.next_up() - a) / 2.0;
+                let mut set = vec![a, half_ulp * [1.0, 3.0][k / 4 % 2]];
+                if k / 8 % 2 == 1 {
+                    set.push(2f64.powi(-20));
+                }
+                set
+            } else {
+                let top = rng.uniform_u64(0, 124) as i32 - 20;
+                (0..rng.uniform_u64(1, 41))
+                    .map(|_| {
+                        let e = top - rng.uniform_u64(0, 61) as i32;
+                        value(&mut rng, e)
+                    })
+                    .collect()
+            };
+            out.push(set);
+        }
+        out
+    }
+
+    #[test]
+    fn exact_sum_rounds_like_the_fsum_oracle() {
+        // Fixed cases first: carries out of the low word, a tie at the top
+        // of the range, sums from all-equal addends.
+        let below_2_56 = 2f64.powi(56) - 16.0;
+        let mut cases = vec![
+            vec![below_2_56, below_2_56],
+            vec![below_2_56, below_2_56, 2f64.powi(-20)],
+            vec![2f64.powi(103).next_down(); 5],
+            vec![1.0, 2f64.powi(-20)],
+            vec![2f64.powi(103), 2f64.powi(103 - 53)],
+            vec![1e-6; 1000],
+        ];
+        cases.extend(addend_sets(0xE8AC_7504, 20_000));
+        for set in &cases {
+            let sum = exact_sum(set);
+            let want = fsum(set);
+            assert_eq!(
+                sum.to_f64().to_bits(),
+                want.to_bits(),
+                "{set:?}: exact {:?} rounds to {:e}, fsum says {want:e}",
+                sum.words(),
+                sum.to_f64()
+            );
+            // Addition order and grouping leave the same bits.
+            let mut reversed = ExactSum::default();
+            set.iter().rev().for_each(|v| reversed.add(*v));
+            let (head, tail) = set.split_at(set.len() / 2);
+            let mut halves = exact_sum(tail);
+            halves.merge(&exact_sum(head));
+            assert_eq!(reversed, sum);
+            assert_eq!(halves, sum);
+        }
+    }
+
+    #[test]
+    fn exact_sum_divides_to_the_nearest_f64() {
+        // `q = sum / n` is correctly rounded iff `2·sum` lies between
+        // `n·(q⁻ + q)` and `n·(q + q⁺)` — the midpoints to q's neighbours,
+        // scaled by 2n — with a tie only when q is even. Both sides are
+        // exact sums, so the check is exact.
+        let times = |x: f64, n: u64| exact_sum(&vec![x; n as usize]);
+        let plus = |mut a: ExactSum, b: ExactSum| {
+            a.merge(&b);
+            a.words()
+        };
+        let one_ulp = 2f64.powi(-52);
+        let mut cases: Vec<(Vec<f64>, u64)> = vec![
+            (vec![1.0, 1.0 + one_ulp], 2),                 // tie → 1.0 (even)
+            (vec![1.0 + one_ulp, 1.0 + 2.0 * one_ulp], 2), // tie → 1 + 2 ulp
+            (vec![1e-6; 3], 3),
+            (vec![2f64.powi(103); 7], 7),
+        ];
+        for (k, set) in addend_sets(0xD1_5EC7, 3_000).into_iter().enumerate() {
+            // At most one divisor per addend keeps the mean — and with
+            // it every addend of the check — at or above 2⁻²⁰.
+            let n = [1, 2, 3, 7, 10, 39][k % 6].min(set.len() as u64);
+            cases.push((set, n));
+        }
+        for (set, n) in cases {
+            let sum = exact_sum(&set);
+            let q = sum.div_to_f64(n);
+            let even = q.to_bits() & 1 == 0;
+            let twice = plus(sum, sum);
+            let upper = plus(times(q, n), times(q.next_up(), n));
+            let lower = plus(times(q.next_down(), n), times(q, n));
+            assert!(
+                (twice < upper || (twice == upper && even))
+                    && (twice > lower || (twice == lower && even)),
+                "{set:?} / {n} rounded to {q:e}"
+            );
+        }
+        // Where both are exact, the quotient is the plain f64 division.
+        assert_eq!(exact_sum(&[3.0, 5.0]).div_to_f64(4), 2.0);
     }
 
     #[test]

@@ -201,6 +201,11 @@ impl HeadlineStats {
     }
 }
 
+/// Leading word of [`CampaignAggregates::to_bytes`]; bumped whenever the
+/// layout changes. Version 2 replaced each histogram's f64 sum with its
+/// `above` count and exact-sum words.
+pub const AGGREGATES_VERSION: u64 = 2;
+
 /// Streaming campaign aggregates: everything [`EngineReport`]
 /// (`crate::exec::EngineReport`) accumulates about a matrix without
 /// retaining per-run [`RunMetrics`]. Counters are exact; distributions live
@@ -208,9 +213,16 @@ impl HeadlineStats {
 /// count — the structure behind the ROADMAP's "1M-cell matrix with flat
 /// memory" target.
 ///
-/// Folding happens in **submission order** (the engine guarantees this),
-/// so the f64 sums — and therefore [`to_bytes`](Self::to_bytes) — are
-/// bit-identical across job counts and across kill/resume boundaries.
+/// A commutative monoid over cells: [`fold`](Self::fold) makes one
+/// [`LogHistogram::record_all`] batch per histogram per cell, and every
+/// field is an integer sum, a min or a max, so [`to_bytes`](Self::to_bytes)
+/// is a function of the *multiset* of folded cells. Any fold order and any
+/// split into [`merge`](Self::merge)d partials give the same bytes — which
+/// is what makes them bit-identical across job counts and kill/resume
+/// boundaries.
+///
+/// [`LogHistogram`]: stats::LogHistogram
+/// [`LogHistogram::record_all`]: stats::LogHistogram::record_all
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct CampaignAggregates {
     /// Cells folded in (completed, whether simulated or cache-served).
@@ -259,15 +271,10 @@ impl CampaignAggregates {
         self.fec_recovered += m.fec_recovered;
         self.goodput_mbps.record(m.goodput_bps() / 1e6);
         self.owd_ms.record_all(m.owd.iter().map(|(_, ms)| *ms));
-        for f in &m.frames {
-            self.ssim_samples += 1;
-            if f.ssim < 0.5 {
-                self.ssim_below_half += 1;
-            }
-            if let Some(lat) = f.latency_ms {
-                self.playback_ms.record(lat);
-            }
-        }
+        self.playback_ms
+            .record_all(m.frames.iter().filter_map(|f| f.latency_ms));
+        self.ssim_samples += m.frames.len() as u64;
+        self.ssim_below_half += m.frames.iter().filter(|f| f.ssim < 0.5).count() as u64;
     }
 
     /// Record a poisoned cell (no metrics to fold).
@@ -302,12 +309,13 @@ impl CampaignAggregates {
             + self.playback_ms.retained_bytes()
     }
 
-    /// Canonical byte encoding. Two aggregates encode identically iff every
-    /// counter, every histogram bucket, and every f64 sum's bit pattern
-    /// agree — the resilience harness compares resumed vs. uninterrupted
-    /// campaigns over exactly these bytes.
+    /// Canonical byte encoding, led by [`AGGREGATES_VERSION`]. Two
+    /// aggregates encode identically iff every counter, every histogram
+    /// bucket and every exact sum agree — the resilience harness compares
+    /// resumed vs. uninterrupted campaigns over exactly these bytes.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut w = crate::codec::ByteWriter::new();
+        w.u64(AGGREGATES_VERSION);
         w.u64(self.cells);
         w.u64(self.failed);
         w.u64(self.media_sent);
@@ -330,7 +338,10 @@ impl CampaignAggregates {
             w.u64(h.below);
             w.u64(h.non_finite);
             w.u64(h.count);
-            w.f64(h.sum);
+            w.u64(h.above);
+            for word in h.exact_sum().words() {
+                w.u64(word);
+            }
             w.f64(h.min);
             w.f64(h.max);
         }
@@ -579,6 +590,113 @@ mod tests {
         assert_eq!(whole.failed, 1);
         assert_ne!(whole.to_bytes(), bytes);
         assert!(!whole.summary().is_empty());
+    }
+
+    /// A synthetic run whose delays and frame latencies mix in-range
+    /// values with everything a histogram routes elsewhere — zero,
+    /// negatives, NaN, ±inf, the f64s either side of 1e-6 and 1e12 — in
+    /// runs from empty to ten thousand samples.
+    fn hostile_run(seed: u64) -> RunMetrics {
+        let mut rng = rpav_sim::SimRng::seed_from_u64(seed);
+        let specials = [
+            0.0,
+            -0.0,
+            -3.5,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::MAX,
+            1e-6,
+            1e-6f64.next_down(),
+            1e-6f64.next_up(),
+            1e12,
+            1e12f64.next_down(),
+            1e12f64.next_up(),
+        ];
+        let sample = |rng: &mut rpav_sim::SimRng| match rng.uniform_u64(0, 8) {
+            0 => specials[rng.uniform_u64(0, specials.len() as u64) as usize],
+            // Every bit pattern from a decade below the range to one above.
+            1 => f64::from_bits(rng.uniform_u64(1e-7f64.to_bits(), 1e13f64.to_bits())),
+            _ => rng.uniform_range(1.0, 400.0),
+        };
+        let len =
+            |rng: &mut rpav_sim::SimRng| [0, 1, 7, 300, 10_000][rng.uniform_u64(0, 5) as usize];
+        let mut m = RunMetrics {
+            duration: SimDuration::from_secs(60),
+            media_sent: rng.uniform_u64(0, 10_000),
+            media_received: rng.uniform_u64(0, 10_000),
+            media_received_bytes: rng.uniform_u64(0, 20_000_000),
+            stalls: rng.uniform_u64(0, 5),
+            nacks_sent: rng.uniform_u64(0, 50),
+            ..Default::default()
+        };
+        m.owd = (0..len(&mut rng))
+            .map(|i| (rpav_sim::SimTime::from_millis(i), sample(&mut rng)))
+            .collect();
+        m.frames = (0..len(&mut rng))
+            .map(|i| crate::metrics::FrameRecord {
+                number: i,
+                display_at: rpav_sim::SimTime::from_millis(i * 33),
+                latency_ms: rng.chance(0.9).then(|| sample(&mut rng)),
+                ssim: rng.uniform(),
+                displayed: true,
+            })
+            .collect();
+        m
+    }
+
+    /// Fisher–Yates over `0..n`.
+    fn shuffled(n: usize, rng: &mut rpav_sim::SimRng) -> Vec<usize> {
+        let mut order: Vec<usize> = (0..n).collect();
+        for i in (1..n).rev() {
+            order.swap(i, rng.uniform_u64(0, i as u64 + 1) as usize);
+        }
+        order
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn prop_aggregates_are_a_commutative_monoid_over_cells(
+            seed in proptest::prelude::any::<u64>(),
+            cells in 1usize..7,
+            parts in 1u64..4,
+        ) {
+            let runs: Vec<RunMetrics> = (0..cells as u64).map(|i| hostile_run(seed ^ (i << 56))).collect();
+            let failed = seed % 3 == 0; // a poisoned cell rides along
+            let fold = |order: &[usize]| {
+                let mut a = CampaignAggregates::default();
+                order.iter().for_each(|&i| a.fold(&runs[i]));
+                a
+            };
+            let mut want = fold(&(0..cells).collect::<Vec<_>>());
+            if failed {
+                want.fold_failure();
+            }
+            let want = want.to_bytes();
+            let mut rng = rpav_sim::SimRng::seed_from_u64(!seed);
+
+            // Any fold order.
+            let mut permuted = fold(&shuffled(cells, &mut rng));
+            if failed {
+                permuted.fold_failure();
+            }
+            proptest::prop_assert_eq!(permuted.to_bytes(), want.clone());
+
+            // Any split into partials, each folded in its own order,
+            // merged in any order.
+            let mut split = vec![CampaignAggregates::default(); parts as usize];
+            for i in shuffled(cells, &mut rng) {
+                split[rng.uniform_u64(0, parts) as usize].fold(&runs[i]);
+            }
+            if failed {
+                split[0].fold_failure();
+            }
+            let mut merged = CampaignAggregates::default();
+            for p in shuffled(split.len(), &mut rng) {
+                merged.merge(&split[p]);
+            }
+            proptest::prop_assert_eq!(merged.to_bytes(), want);
+        }
     }
 
     #[test]

@@ -1,9 +1,11 @@
 //! Memory bound of the campaign engine's worker → collector hand-off.
 //!
 //! On warm replay a worker turns a sealed record into a decoded
-//! `RunMetrics` in a few milliseconds, while the collector folds (and the
-//! daemon's observer streams) results one at a time in submission order.
-//! The hand-off is a rendezvous, so once the replay is under way what it
+//! `RunMetrics` and folds it into its own share of the aggregates in a
+//! few milliseconds, while the collector delivers results (the daemon's
+//! observer streams them) one at a time in submission order. The
+//! collector folds nothing, but its sink can still be the slow side, and
+//! the hand-off is a rendezvous, so once the replay is under way what it
 //! holds at once is bounded by the worker count, not by how far the
 //! workers could run ahead:
 //!

@@ -42,8 +42,8 @@ fn parallel_execution_is_bit_identical_to_sequential() {
             s.cell().label()
         );
     }
-    // The streaming aggregates fold in submission order, so they share
-    // the bit-identity guarantee.
+    // The aggregates are order-free, so they share the bit-identity
+    // guarantee whichever worker folded which cell.
     assert_eq!(
         sequential.report.aggregates.to_bytes(),
         parallel.report.aggregates.to_bytes(),
@@ -101,16 +101,19 @@ fn overlapping_runs_on_one_engine_report_their_own_cells() {
     });
 }
 
-/// The `LogHistogram` the aggregates shipped with before bucketing went
-/// table-driven: `floor((log10(v) + 6) * 32)` per sample, 576 buckets
-/// over `[1e-6, 1e12)`, written out in `CampaignAggregates::to_bytes`'s
+/// The aggregates' histogram re-derived from its definition: the bucket
+/// formula `floor((log10(v) + 6) * 32)` per sample, 576 buckets over
+/// exactly `[1e-6, 1e12)`, one f64 partial sum per batch added into an
+/// exact sum of its own, written out in `CampaignAggregates::to_bytes`'s
 /// layout.
 struct FormulaHistogram {
     counts: Vec<u64>,
     below: u64,
+    above: u64,
     non_finite: u64,
     count: u64,
-    sum: f64,
+    /// The exact sum in 2⁻⁷² units, as six little-endian 32-bit limbs.
+    limbs: [u64; 6],
     min: f64,
     max: f64,
 }
@@ -120,29 +123,55 @@ impl FormulaHistogram {
         FormulaHistogram {
             counts: vec![0; 576],
             below: 0,
+            above: 0,
             non_finite: 0,
             count: 0,
-            sum: 0.0,
+            limbs: [0; 6],
             min: f64::INFINITY,
             max: f64::NEG_INFINITY,
         }
     }
 
-    fn record(&mut self, v: f64) {
-        if !v.is_finite() {
-            self.non_finite += 1;
+    fn record_batch(&mut self, values: impl Iterator<Item = f64>) {
+        let mut partial = 0.0;
+        for v in values {
+            if !v.is_finite() {
+                self.non_finite += 1;
+            } else if v < 1e-6 {
+                self.below += 1;
+            } else if v >= 1e12 {
+                self.above += 1;
+            } else {
+                let idx = ((v.log10() + 6.0) * 32.0).floor();
+                self.counts[(idx as usize).min(575)] += 1;
+                self.count += 1;
+                partial += v;
+                self.min = self.min.min(v);
+                self.max = self.max.max(v);
+            }
+        }
+        self.add_exact(partial);
+    }
+
+    /// Add `x` (0 or ≥ 2⁻²⁰, so a whole number of 2⁻⁷² units) limb by
+    /// limb with carries.
+    fn add_exact(&mut self, x: f64) {
+        if x == 0.0 {
             return;
         }
-        let idx = ((v.log10() + 6.0) * 32.0).floor();
-        if v <= 0.0 || idx < 0.0 {
-            self.below += 1;
-            return;
+        let bits = x.to_bits();
+        let mantissa = (bits & ((1 << 52) - 1)) | (1 << 52);
+        let shift = (bits >> 52) as usize - 1003;
+        let first = shift / 32;
+        let wide = u128::from(mantissa) << (shift % 32);
+        let mut carry = 0u64;
+        for (k, limb) in self.limbs.iter_mut().enumerate().skip(first) {
+            let part = wide.checked_shr(32 * (k - first) as u32).unwrap_or(0) as u32;
+            let s = *limb + u64::from(part) + carry;
+            *limb = s & 0xFFFF_FFFF;
+            carry = s >> 32;
         }
-        self.counts[(idx as usize).min(575)] += 1;
-        self.count += 1;
-        self.sum += v;
-        self.min = self.min.min(v);
-        self.max = self.max.max(v);
+        assert_eq!(carry, 0, "exact sum overflowed 192 bits");
     }
 
     fn write(&self, out: &mut Vec<u8>) {
@@ -155,7 +184,10 @@ impl FormulaHistogram {
         u64le(self.below);
         u64le(self.non_finite);
         u64le(self.count);
-        u64le(self.sum.to_bits());
+        u64le(self.above);
+        for k in [4, 2, 0] {
+            u64le(self.limbs[k + 1] << 32 | self.limbs[k]);
+        }
         u64le(self.min.to_bits());
         u64le(self.max.to_bits());
     }
@@ -170,18 +202,16 @@ fn formula_fold_bytes(runs: &[RunMetrics]) -> Vec<u8> {
     );
     let (mut ssim_samples, mut ssim_below_half) = (0u64, 0u64);
     for m in runs {
-        goodput.record(m.goodput_bps() / 1e6);
-        m.owd.iter().for_each(|(_, ms)| owd.record(*ms));
+        goodput.record_batch([m.goodput_bps() / 1e6].into_iter());
+        owd.record_batch(m.owd.iter().map(|(_, ms)| *ms));
+        playback.record_batch(m.frames.iter().filter_map(|f| f.latency_ms));
         for f in &m.frames {
             ssim_samples += 1;
             ssim_below_half += (f.ssim < 0.5) as u64;
-            if let Some(latency) = f.latency_ms {
-                playback.record(latency);
-            }
         }
     }
     let sum = |field: fn(&RunMetrics) -> u64| runs.iter().map(field).sum::<u64>();
-    let mut out = Vec::new();
+    let mut out = 2u64.to_le_bytes().to_vec(); // the aggregates version
     for counter in [
         runs.len() as u64,
         0, // failed
@@ -204,14 +234,22 @@ fn formula_fold_bytes(runs: &[RunMetrics]) -> Vec<u8> {
     out
 }
 
+/// Real cells with different delay distributions: a saturating urban
+/// Static flight and two adaptive rural ones — simulated once per binary.
+fn real_runs() -> &'static [RunMetrics] {
+    static RUNS: std::sync::OnceLock<Vec<RunMetrics>> = std::sync::OnceLock::new();
+    RUNS.get_or_init(|| {
+        let runs: Vec<RunMetrics> = [0usize, 7, 10].map(|i| spec().expand()[i].execute()).into();
+        assert!(runs
+            .iter()
+            .all(|m| m.owd.len() > 1_000 && !m.frames.is_empty()));
+        runs
+    })
+}
+
 #[test]
 fn table_driven_fold_is_byte_identical_to_the_formula_fold() {
-    // Real cells with different delay distributions: a saturating urban
-    // Static flight and two adaptive rural ones.
-    let runs: Vec<RunMetrics> = [0usize, 7, 10].map(|i| spec().expand()[i].execute()).into();
-    assert!(runs
-        .iter()
-        .all(|m| m.owd.len() > 1_000 && !m.frames.is_empty()));
+    let runs = real_runs();
     let mut shipped = CampaignAggregates::default();
     for (n, m) in runs.iter().enumerate() {
         shipped.fold(m);
@@ -219,6 +257,54 @@ fn table_driven_fold_is_byte_identical_to_the_formula_fold() {
             shipped.to_bytes(),
             formula_fold_bytes(&runs[..=n]),
             "aggregates diverged from the formula fold after cell {n}"
+        );
+    }
+}
+
+#[test]
+fn exact_means_stay_within_the_old_sequential_sums_rounding_bound() {
+    // The aggregates used to sum every in-range sample into one f64, in
+    // submission order. That sum and the exact sum of per-cell partials
+    // are each within (n − 1)·2⁻⁵³·Σ|x| of the true sum, so the two sums
+    // differ by at most 2n·2⁻⁵³·Σ|x|, and the means by that over n plus
+    // one rounding each for the division.
+    let runs = real_runs();
+    let mut aggregates = CampaignAggregates::default();
+    runs.iter().for_each(|m| aggregates.fold(m));
+    let in_range = |v: &f64| (1e-6..1e12).contains(v);
+    let series: [(&str, &LogHistogram, Vec<f64>); 3] = [
+        (
+            "goodput",
+            &aggregates.goodput_mbps,
+            runs.iter().map(|m| m.goodput_bps() / 1e6).collect(),
+        ),
+        (
+            "owd",
+            &aggregates.owd_ms,
+            runs.iter()
+                .flat_map(|m| m.owd.iter().map(|(_, ms)| *ms))
+                .collect(),
+        ),
+        (
+            "playback",
+            &aggregates.playback_ms,
+            runs.iter()
+                .flat_map(|m| m.frames.iter().filter_map(|f| f.latency_ms))
+                .collect(),
+        ),
+    ];
+    for (name, histogram, samples) in series {
+        let samples: Vec<f64> = samples.into_iter().filter(in_range).collect();
+        let n = samples.len() as f64;
+        assert_eq!(histogram.count, samples.len() as u64, "{name}");
+        let old_mean = samples.iter().fold(0.0, |sum, v| sum + v) / n;
+        let abs_sum: f64 = samples.iter().map(|v| v.abs()).sum();
+        let sum_bound = 2.0 * n * 2f64.powi(-53) * abs_sum;
+        let bound = sum_bound / n + 2f64.powi(-52) * old_mean;
+        let new_mean = histogram.mean().unwrap();
+        assert!(
+            (new_mean - old_mean).abs() <= bound,
+            "{name}: mean {old_mean:e} → {new_mean:e} moved more than {bound:e}"
         );
     }
 }
