@@ -59,7 +59,7 @@ pub fn resilience_kill_spec(smoke: bool) -> CampaignSpec {
 }
 
 /// Asymmetric per-leg capacity caps (bps) of the bonding harnesses
-/// (`bonded_matrix`, `nleg_matrix`; the DESIGN §11.5 cell values): leg 0
+/// (`bonded_matrix`, `nleg_matrix`; the DESIGN §10.7 cell values): leg 0
 /// rides the primary operator's cap, every further leg the secondary's.
 /// Neither alone carries the rural Static workload, two together do.
 pub const CAP_PRIMARY: f64 = 3.0e6;
@@ -224,10 +224,12 @@ pub fn print_cdf_quantiles(label: &str, values: &[f64]) {
 
 /// Determinism spot-check shared by the matrix suites: the engine's
 /// (parallel, possibly cached) result for a cell must equal the cell
-/// executed *directly* — no engine, no cache.
+/// executed *directly* — no engine, no cache — on the adaptive scheduler.
+/// Under `RPAV_REFERENCE_TICK=1` the engine ran the 1 ms reference loop,
+/// so the check then also compares the two schedulers.
 pub fn assert_replays_directly(outcome: &CellOutcome) {
     assert_eq!(
-        outcome.cell().execute().to_bytes(),
+        outcome.cell().execute_with(false).to_bytes(),
         outcome.metrics().to_bytes(),
         "engine result diverged from direct execution"
     );

@@ -11,7 +11,7 @@
 //!   each leg by swapping the caps): striping across both modems must
 //!   buy bandwidth no single operator offers, or carrying the second
 //!   modem was pointless. The delay-based controllers are the
-//!   documented exception (DESIGN.md §11): cross-leg delay variance
+//!   documented exception (DESIGN.md §10.6): cross-leg delay variance
 //!   reads as congestion, so SCReAM and GCC are held to a delivery floor
 //!   (0.4× the best single leg) instead;
 //! * **graceful degradation** — under a scripted primary-leg blackout,
@@ -93,11 +93,11 @@ pub fn run(args: &crate::Args) {
             let best_single = single_a
                 .media_received_bytes
                 .max(single_b.media_received_bytes);
-            // Documented caveat (DESIGN.md §11): a delay-based controller
+            // Documented caveat (DESIGN.md §10.6): a delay-based controller
             // reacts to the *slowest* leg's queueing delay, so striping
             // across legs with different service rates depresses its rate
-            // estimate — the same delay-variance sensitivity §8 records
-            // for selective duplication. SCReAM's window collapses on
+            // estimate — the same delay-variance sensitivity `failover_matrix`
+            // records for selective duplication. SCReAM's window collapses on
             // every seed (≈ 0.5×); GCC's estimate lands anywhere from
             // 0.54× to 1.14× of the best single leg from one seed to the
             // next (EXPERIMENTS.md lists the runs). Both must still

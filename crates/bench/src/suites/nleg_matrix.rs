@@ -15,7 +15,7 @@
 //!   failover run's, and the RS layer repairs erasure groups that lost
 //!   more than one member — repairs a single-parity XOR code provably
 //!   cannot make (demonstrated on the exact component API below);
-//! * **coupled CC** — in the DESIGN §11.5 delay-variance cell (SCReAM,
+//! * **coupled CC** — in the DESIGN §10.6 delay-variance cell (SCReAM,
 //!   asymmetric 3.0/2.5 Mbps caps) the per-leg shadow controllers
 //!   recover the aggregation the uncoupled controller forfeits: bonded
 //!   delivery reaches ≥ 0.8× the measured aggregate capacity (the
@@ -229,7 +229,7 @@ pub fn run(args: &crate::Args) {
         "no multi-loss group repaired across the whole burst sweep"
     );
 
-    // ---- (c) Coupled CC recovers the §11.5 SCReAM aggregation --------
+    // ---- (c) Coupled CC recovers the DESIGN §10.6 SCReAM aggregation
     // Static bonded fills both caps and measures the cell's achievable
     // aggregate; uncoupled SCReAM held ≈ 0.4× of it (the documented
     // delay-variance collapse); coupled shadow CCs must reach ≥ 0.8×.

@@ -162,7 +162,7 @@ pub fn run(args: &crate::Args) {
         .expect("no retried cell");
     assert_eq!(
         recovered.metrics().to_bytes(),
-        recovered.cell().execute().to_bytes(),
+        recovered.cell().execute_with(false).to_bytes(),
         "retried result diverged from direct execution"
     );
     println!(
@@ -285,9 +285,9 @@ pub fn run(args: &crate::Args) {
     // ---- (e) flat memory in streaming mode --------------------------
     let big = spec.clone().operators([Operator::P1, Operator::P2]).runs(4); // 4× the cells
     let engine = CampaignEngine::new().with_cache_dir(None).with_jobs(4);
-    let s_small = engine.run_streaming(&spec);
-    let s_big = engine.run_streaming(&big);
-    assert!(s_small.failures.is_empty() && s_big.failures.is_empty());
+    let s_small = engine.run_cells_streaming(spec.expand());
+    let s_big = engine.run_cells_streaming(big.expand());
+    assert!(s_small.report.failed == 0 && s_big.report.failed == 0);
     assert_eq!(
         s_small.report.aggregates.retained_bytes(),
         s_big.report.aggregates.retained_bytes(),
@@ -340,7 +340,7 @@ fn daemon_kill_resume(smoke: bool) {
     let batch = CampaignEngine::new()
         .with_cache_dir(None)
         .with_jobs(4)
-        .run_streaming(&spec.to_matrix())
+        .run_cells_streaming(spec.to_matrix().expand())
         .report
         .aggregates
         .to_bytes();

@@ -14,7 +14,7 @@
 //! *carryable* across a failover switch: the engine is path-agnostic, the
 //! starvation watchdog provides the rate cut while the old path is dark,
 //! and the metered ramp re-probes the new path once feedback resumes
-//! (see DESIGN.md §8 for the switch policy).
+//! (see DESIGN.md §10.6 for the switch policy).
 
 use std::collections::VecDeque;
 
@@ -236,7 +236,7 @@ impl CcEngine {
     pub fn on_feedback(&mut self, payload: Bytes, now: SimTime) -> bool {
         // Feedback arrives every 10–50 ms per leg; parsing into per-thread
         // scratch values keeps the decode vectors warm instead of
-        // allocating one per round (DESIGN.md §15.3).
+        // allocating one per round (DESIGN.md §14.1).
         thread_local! {
             static TWCC_FB: std::cell::RefCell<TwccFeedback> =
                 std::cell::RefCell::new(TwccFeedback::empty());
@@ -287,7 +287,7 @@ impl CcEngine {
 }
 
 /// Per-leg shadow congestion controllers behind one aggregate target —
-/// the MPTCP-coupled answer to the DESIGN §11.5 collapse, where a single
+/// the MPTCP-coupled answer to the DESIGN §10.6 collapse, where a single
 /// delay-based CC fed by interleaved cross-leg arrivals reads the slower
 /// leg's extra delay as congestion on *both*.
 ///

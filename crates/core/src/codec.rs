@@ -82,7 +82,7 @@ static CRC32_TABLES: [[u32; 256]; 16] = {
 /// Where the compile target has PCLMULQDQ and SSE4.1 (this workspace
 /// builds with `target-cpu=native`), inputs of 128 bytes or more fold
 /// through the carry-less-multiply kernel and only the last `len % 16`
-/// bytes go through [`crc32_slice16`]; everywhere else
+/// bytes go through slice-by-16; everywhere else
 /// slice-by-16 is the whole CRC. Same polynomial and same values as the
 /// byte-at-a-time loop (which survives as the test oracle) on every
 /// input, whichever path runs.

@@ -191,7 +191,7 @@ pub fn export(dir: &Path, runs: &[DatasetRun<'_>]) -> io::Result<()> {
 }
 
 /// Render a one-row `aggregates.csv` from the engine's streaming
-/// [`CampaignAggregates`] — the dataset artifact of a campaign too large
+/// [`CampaignAggregates`](crate::summary::CampaignAggregates) — the dataset artifact of a campaign too large
 /// to hold per-run metrics for (the engine's streaming mode retains
 /// nothing else).
 pub fn aggregates_csv(a: &crate::summary::CampaignAggregates) -> String {

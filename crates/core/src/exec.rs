@@ -37,13 +37,16 @@
 //! Cells execute inside `catch_unwind` with bounded retry; a cell that
 //! keeps panicking becomes a typed [`CellOutcome::Failed`] poison record
 //! and the rest of the matrix completes. With the disk cache enabled,
-//! results are written atomically (tmp + fsync + rename) inside a CRC32
+//! results are written atomically ([`write_atomic`]) inside a CRC32
 //! envelope, and a `kill -9` mid-campaign costs only the unfinished
 //! cells: re-running the identical spec hits every record that made it
 //! to disk and resumes bit-identically. See [`CampaignEngine`] for the
 //! full contract.
 //!
 //! # Environment knobs
+//!
+//! Parsed in one place, [`EngineOptions::from_env`]; nothing else in this
+//! module reads the environment.
 //!
 //! * `RPAV_JOBS` — worker count override (default: available
 //!   parallelism; a set-but-invalid value warns and uses the default).
@@ -52,6 +55,8 @@
 //!   The directory holds sealed `<xx>/<key>.rpav` records and a
 //!   `quarantine/` subdirectory of corrupt files that were demoted to
 //!   misses.
+//! * `RPAV_REFERENCE_TICK` — any value but `0` runs engine cells on the
+//!   1 ms reference scheduler instead of the adaptive one.
 
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::path::{Path, PathBuf};
@@ -558,18 +563,11 @@ impl Cell {
         fnv1a(&w.into_bytes())
     }
 
-    /// Execute the cell directly (no caching) — also the reference the
-    /// bench determinism spot-checks compare engine output against.
-    /// Scheduler choice follows `RPAV_REFERENCE_TICK`; the engine resolves
-    /// that knob once via [`EngineOptions`] and calls
-    /// [`execute_with`](Self::execute_with) instead.
-    pub fn execute(&self) -> RunMetrics {
-        self.execute_with(EngineOptions::env_reference_tick())
-    }
-
-    /// Execute with an explicit scheduler choice: `reference_tick = true`
-    /// runs the unconditional 1 ms oracle loop, `false` the adaptive
-    /// deadline scheduler (byte-identical by the perf-equivalence tests).
+    /// Execute the cell directly (no engine, no cache) — also the
+    /// reference the replay spot-checks compare engine output against.
+    /// `reference_tick = true` runs the unconditional 1 ms oracle loop,
+    /// `false` the adaptive deadline scheduler (byte-identical by the
+    /// perf-equivalence tests).
     pub fn execute_with(&self, reference_tick: bool) -> RunMetrics {
         let sim = match self.scheme {
             RunScheme::Pipeline => {
@@ -788,18 +786,6 @@ impl CellOutcome {
     }
 }
 
-/// A poisoned cell, as surfaced by the streaming API (which retains no
-/// [`Cell`] or metrics — just enough to report the failure).
-#[derive(Clone, Debug)]
-pub struct CellFailure {
-    /// The failed cell's label.
-    pub label: String,
-    /// The final attempt's panic payload, rendered.
-    pub panic_msg: String,
-    /// Attempts consumed.
-    pub attempts: u32,
-}
-
 /// Wall-clock, throughput, and resilience accounting for one engine
 /// invocation, plus the streaming [`CampaignAggregates`] every completed
 /// cell was folded into — by the worker that ran it, the workers' partials
@@ -883,14 +869,13 @@ pub struct MatrixResult {
     pub report: EngineReport,
 }
 
-/// What a streaming execution retains: the report (with its flat-memory
-/// aggregates) and the poison records — never the per-cell metrics.
+/// What a streaming execution retains: the report, with its flat-memory
+/// aggregates — never the per-cell metrics. Poisoned cells are counted in
+/// [`EngineReport::failed`]; the observer saw each one as it went by.
 #[derive(Debug)]
 pub struct StreamSummary {
     /// Wall-clock/throughput accounting plus streaming aggregates.
     pub report: EngineReport,
-    /// Poisoned cells, in submission order.
-    pub failures: Vec<CellFailure>,
 }
 
 impl MatrixResult {
@@ -998,15 +983,9 @@ impl EngineOptions {
         EngineOptions {
             jobs,
             cache_dir,
-            reference_tick: Self::env_reference_tick(),
+            reference_tick: std::env::var_os("RPAV_REFERENCE_TICK").is_some_and(|v| v != "0"),
             ..EngineOptions::default()
         }
-    }
-
-    /// Just the `RPAV_REFERENCE_TICK` knob (no warnings, no other vars) —
-    /// the edge parse for direct [`Cell::execute`] callers.
-    pub fn env_reference_tick() -> bool {
-        std::env::var_os("RPAV_REFERENCE_TICK").is_some_and(|v| v != "0")
     }
 
     /// The worker count these options resolve to.
@@ -1032,14 +1011,14 @@ impl EngineOptions {
 pub type FaultHook = Arc<dyn Fn(&Cell, u32) -> bool + Send + Sync>;
 
 /// Render a panic payload (the `&str`/`String` carried by virtually every
-/// `panic!`) for the poison record.
-fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
-    match payload.downcast::<String>() {
-        Ok(s) => *s,
-        Err(payload) => match payload.downcast::<&'static str>() {
-            Ok(s) => (*s).to_string(),
-            Err(_) => "non-string panic payload".to_string(),
-        },
+/// `panic!`) for a poison record or an error report.
+pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        (*s).to_string()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "non-string panic payload".to_string()
     }
 }
 
@@ -1168,27 +1147,17 @@ impl CampaignEngine {
     /// Execute every cell of `spec` and collect submission-ordered
     /// results.
     pub fn run(&self, spec: &MatrixSpec) -> MatrixResult {
-        self.run_cells(spec.expand())
-    }
-
-    /// Execute an explicit cell list (`cells[i].index` must equal `i`,
-    /// as [`MatrixSpec::expand`] produces).
-    pub fn run_cells(&self, cells: Vec<Cell>) -> MatrixResult {
+        let cells = spec.expand();
         let mut outcomes = Vec::with_capacity(cells.len());
         let report = self.drive(&cells, &mut |o| outcomes.push(o));
         MatrixResult { outcomes, report }
     }
 
-    /// Execute every cell of `spec` without retaining any per-cell
+    /// Execute an explicit cell list (`cells[i].index` must equal `i`, as
+    /// [`MatrixSpec::expand`] produces) without retaining any per-cell
     /// metrics: outcomes are folded into the report's streaming
     /// [`CampaignAggregates`] and dropped — peak memory is flat in the
-    /// cell count (the engine's 1M-cell mode).
-    pub fn run_streaming(&self, spec: &MatrixSpec) -> StreamSummary {
-        self.run_cells_streaming(spec.expand())
-    }
-
-    /// Streaming execution of an explicit cell list (see
-    /// [`run_streaming`](Self::run_streaming)).
+    /// cell count.
     pub fn run_cells_streaming(&self, cells: Vec<Cell>) -> StreamSummary {
         self.run_cells_streaming_observed(cells, &mut |_| {})
     }
@@ -1205,23 +1174,8 @@ impl CampaignEngine {
         cells: Vec<Cell>,
         observe: &mut dyn FnMut(&CellOutcome),
     ) -> StreamSummary {
-        let mut failures = Vec::new();
-        let report = self.drive(&cells, &mut |o| {
-            observe(&o);
-            if let CellOutcome::Failed {
-                cell,
-                panic_msg,
-                attempts,
-            } = o
-            {
-                failures.push(CellFailure {
-                    label: cell.label(),
-                    panic_msg,
-                    attempts,
-                });
-            }
-        });
-        StreamSummary { report, failures }
+        let report = self.drive(&cells, &mut |o| observe(&o));
+        StreamSummary { report }
     }
 
     /// The engine core: run `cells` on the pool, each worker folding its
@@ -1286,7 +1240,7 @@ impl CampaignEngine {
             drop(tx);
             // Completion-ordered arrivals re-sequenced into submission
             // order before sinking — what observers see: `rpavd`'s event
-            // `seq`, the order of `run_cells`' outcomes. The pending map
+            // `seq`, the order of `run`'s outcomes. The pending map
             // holds the results that finished ahead of the cell it waits
             // for (none or one when cells cost alike; more while that
             // cell is slower than its successors). It orders delivery
@@ -1417,7 +1371,7 @@ impl CampaignEngine {
                     break Ok(Arc::new(metrics));
                 }
                 Err(payload) => {
-                    let panic_msg = panic_message(payload);
+                    let panic_msg = panic_message(payload.as_ref());
                     if attempts < max_attempts {
                         eprintln!(
                             "rpav: cell {} panicked on attempt {attempts}/{max_attempts}: {panic_msg} — retrying",
@@ -1490,12 +1444,37 @@ fn load_disk(
     Err(CorruptRecord)
 }
 
-/// Durably store one sealed cache record into its prefix shard: tmp file
-/// (pid-suffixed, so concurrent processes never clobber each other
-/// mid-write), write, fsync, rename — a kill at any point leaves either
-/// the old state or the complete new file, never a half-written `.rpav`.
-/// A failure (full disk, unwritable directory) costs the cache entry, not
-/// the run: the caller counts it in [`EngineReport::store_failed`].
+/// Durably replace `path` with what `write` puts into a fresh file: the
+/// bytes go to a pid-suffixed `.tmp` sibling (concurrent processes never
+/// clobber each other mid-write), are `fsync`'d, and the tmp file is
+/// renamed over `path` — a kill at any instant leaves the old file or the
+/// complete new one, never a hybrid. On any failure the tmp file is
+/// removed and the error returned; `path` is untouched.
+pub fn write_atomic(
+    path: &Path,
+    write: impl FnOnce(&mut std::fs::File) -> std::io::Result<()>,
+) -> std::io::Result<()> {
+    use std::fmt::Write as _;
+    let mut tmp = std::ffi::OsString::with_capacity(path.as_os_str().len() + 16);
+    tmp.push(path);
+    write!(tmp, ".{}.tmp", std::process::id()).expect("OsString writes cannot fail");
+    let tmp = PathBuf::from(tmp);
+    let written = std::fs::File::create(&tmp).and_then(|mut f| {
+        write(&mut f)?;
+        f.sync_all()?;
+        drop(f);
+        std::fs::rename(&tmp, path)
+    });
+    if written.is_err() {
+        let _ = std::fs::remove_file(&tmp);
+    }
+    written
+}
+
+/// Durably store one sealed cache record into its prefix shard
+/// ([`write_atomic`]). A failure (full disk, unwritable directory) costs
+/// the cache entry, not the run: the caller counts it in
+/// [`EngineReport::store_failed`].
 fn store_disk(
     dir: &Path,
     key: u64,
@@ -1503,24 +1482,13 @@ fn store_disk(
     record: &mut Vec<u8>,
 ) -> std::io::Result<()> {
     let path = cache_entry_path(dir, key);
-    let shard = path.parent().expect("cache entries live in a shard dir");
-    std::fs::create_dir_all(shard)?;
-    let tmp = shard.join(format!("{key:016x}.{}.tmp", std::process::id()));
+    std::fs::create_dir_all(path.parent().expect("cache entries live in a shard dir"))?;
     // Encode into the worker's recycled buffer and stream the sealed
     // envelope straight to the file — no per-cell payload allocation.
     let mut w = ByteWriter::with_buf(std::mem::take(record));
     metrics.write_into(&mut w);
     *record = w.into_bytes();
-    let written = (|| -> std::io::Result<()> {
-        let mut f = std::fs::File::create(&tmp)?;
-        crate::codec::seal_to(record, &mut f)?;
-        f.sync_all()?;
-        std::fs::rename(&tmp, &path)
-    })();
-    if written.is_err() {
-        let _ = std::fs::remove_file(&tmp);
-    }
-    written
+    write_atomic(&path, |f| crate::codec::seal_to(record, f))
 }
 
 #[cfg(test)]
@@ -1531,6 +1499,14 @@ mod tests {
 
     fn short_base() -> ExperimentConfig {
         ExperimentConfig::builder().seed(11).hold_secs(1).build()
+    }
+
+    /// [`CampaignEngine::run`] over an explicit cell list, through the
+    /// engine core.
+    fn drive_all(engine: &CampaignEngine, cells: &[Cell]) -> MatrixResult {
+        let mut outcomes = Vec::with_capacity(cells.len());
+        let report = engine.drive(cells, &mut |o| outcomes.push(o));
+        MatrixResult { outcomes, report }
     }
 
     /// Wire buffers are thread-confined (`bytes::Bytes` is `!Send`), and a
@@ -1708,17 +1684,13 @@ mod tests {
 
     #[test]
     fn aggregates_do_not_depend_on_submission_order() {
-        // Reversed and shuffled cell lists (re-indexed, as `run_cells`
+        // Reversed and shuffled cell lists (re-indexed, as `drive`
         // requires) fold the same multiset of cells, so the aggregate
         // bytes cannot move, at any job count — while the outcomes still
         // arrive in the order submitted.
         let cells = MatrixSpec::new(short_base()).runs(3).expand();
         let engine = |jobs| CampaignEngine::new().with_cache_dir(None).with_jobs(jobs);
-        let want = engine(1)
-            .run_cells(cells.clone())
-            .report
-            .aggregates
-            .to_bytes();
+        let want = drive_all(&engine(1), &cells).report.aggregates.to_bytes();
         for order in [[2, 1, 0], [1, 2, 0]] {
             let reordered: Vec<Cell> = order
                 .iter()
@@ -1729,7 +1701,7 @@ mod tests {
                 })
                 .collect();
             for jobs in [1, 2] {
-                let got = engine(jobs).run_cells(reordered.clone());
+                let got = drive_all(&engine(jobs), &reordered);
                 assert_eq!(
                     got.report.aggregates.to_bytes(),
                     want,
@@ -1803,7 +1775,7 @@ mod tests {
         // The retried execution is the same pure function of the config.
         assert_eq!(
             outcome.metrics().to_bytes(),
-            outcome.cell().execute().to_bytes()
+            outcome.cell().execute_with(false).to_bytes()
         );
     }
 
@@ -1827,8 +1799,8 @@ mod tests {
             .runs(2);
         let engine = CampaignEngine::new().with_cache_dir(None).with_jobs(4);
         let full = engine.run(&spec);
-        let summary = engine.run_streaming(&spec);
-        assert!(summary.failures.is_empty());
+        let summary = engine.run_cells_streaming(spec.expand());
+        assert_eq!(summary.report.failed, 0);
         assert_eq!(summary.report.cells, 4);
         assert_eq!(
             summary.report.simulated, 4,
@@ -1950,16 +1922,18 @@ mod tests {
         // Parent → change: a cache directory of records sealed with the
         // byte-wise CRC is served whole — nothing simulated, nothing
         // quarantined.
-        let metrics: Vec<RunMetrics> = cells.iter().map(Cell::execute).collect();
+        let metrics: Vec<RunMetrics> = cells.iter().map(|c| c.execute_with(false)).collect();
         for (cell, m) in cells.iter().zip(&metrics) {
             let path = cache_entry_path(&dir, cell.key());
             std::fs::create_dir_all(path.parent().unwrap()).unwrap();
             std::fs::write(&path, seal_bytewise(&m.to_bytes())).unwrap();
         }
-        let served = CampaignEngine::new()
-            .with_cache_dir(Some(dir.clone()))
-            .with_jobs(2)
-            .run_cells(cells.clone());
+        let served = drive_all(
+            &CampaignEngine::new()
+                .with_cache_dir(Some(dir.clone()))
+                .with_jobs(2),
+            &cells,
+        );
         assert_eq!(served.report.simulated, 0);
         assert_eq!(served.report.cached, 2);
         assert_eq!(served.report.quarantined, 0);
@@ -1970,10 +1944,12 @@ mod tests {
 
         // Change → parent: the records this engine writes are, byte for
         // byte, what the byte-wise writer would have produced.
-        let cold = CampaignEngine::new()
-            .with_cache_dir(Some(dir.clone()))
-            .with_jobs(2)
-            .run_cells(cells.clone());
+        let cold = drive_all(
+            &CampaignEngine::new()
+                .with_cache_dir(Some(dir.clone()))
+                .with_jobs(2),
+            &cells,
+        );
         assert_eq!(cold.report.simulated, 2);
         for (cell, m) in cells.iter().zip(&metrics) {
             let stored = std::fs::read(cache_entry_path(&dir, cell.key())).unwrap();
@@ -2008,6 +1984,47 @@ mod tests {
         assert_eq!(reference.report.store_failed, 0);
         assert_eq!(std::fs::read(&file).unwrap(), b"not a directory");
         let _ = std::fs::remove_file(&file);
+    }
+
+    #[test]
+    fn write_atomic_replaces_the_target_or_leaves_everything_as_it_was() {
+        use std::io::Write as _;
+        let dir = std::env::temp_dir().join(format!("rpav-exec-atomic-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let leftover_tmps = || {
+            std::fs::read_dir(&dir)
+                .unwrap()
+                .filter_map(Result::ok)
+                .filter(|e| e.path().extension().is_some_and(|x| x == "tmp"))
+                .count()
+        };
+        let file = dir.join("record.json");
+        write_atomic(&file, |f| f.write_all(b"old")).unwrap();
+        write_atomic(&file, |f| f.write_all(b"new")).unwrap();
+        assert_eq!(std::fs::read(&file).unwrap(), b"new");
+        assert_eq!(leftover_tmps(), 0);
+
+        // A failing writer: the target keeps its old bytes.
+        let failed = write_atomic(&file, |f| {
+            f.write_all(b"partial")?;
+            Err(std::io::Error::other("disk full"))
+        });
+        assert!(failed.is_err());
+        assert_eq!(std::fs::read(&file).unwrap(), b"new");
+        assert_eq!(leftover_tmps(), 0);
+
+        // A destination that is an existing directory: the rename fails,
+        // the directory and its contents stay, no tmp file survives.
+        let target = dir.join("occupied");
+        std::fs::create_dir(&target).unwrap();
+        std::fs::write(target.join("inside"), b"kept").unwrap();
+        assert!(write_atomic(&target, |f| f.write_all(b"bytes")).is_err());
+        assert!(target.is_dir());
+        assert_eq!(std::fs::read(target.join("inside")).unwrap(), b"kept");
+        assert_eq!(std::fs::read_dir(&target).unwrap().count(), 1);
+        assert_eq!(leftover_tmps(), 0);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! Active/standby switching over N health-monitored legs.
 //!
 //! The controller is deliberately small: all the estimation intelligence
-//! lives in [`PathHealth`](crate::health::PathHealth); this module only
+//! lives in [`crate::health::PathHealth`]; this module only
 //! decides *when the evidence justifies moving the media flow*. Two rules
-//! (DESIGN.md §8):
+//! (DESIGN.md §10.6):
 //!
 //! * **Break fast path** — the active leg is `Dead` (report starvation or
 //!   radio-link failure) and the standby is not: switch after a short

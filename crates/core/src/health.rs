@@ -19,7 +19,7 @@
 //! The classification is deliberately coarse — `Healthy`, `Degraded`,
 //! `Dead` — because the failover controller only needs an ordering, plus
 //! a scalar [`PathHealth::score`] to compare two non-dead legs with
-//! hysteresis (see DESIGN.md §8).
+//! hysteresis (see DESIGN.md §10.6).
 
 use rpav_lte::LinkHealthSignal;
 use rpav_sim::{FeedbackWatchdog, SimDuration, SimTime, WatchdogConfig, WatchdogState};

@@ -81,8 +81,8 @@ pub use spec::{CampaignSpec, SpecError, MAX_CELLS, MAX_GROUND_SWEEPS, MAX_HOLD, 
 /// binary touches.
 pub mod prelude {
     pub use crate::exec::{
-        CampaignEngine, CcAxis, Cell, CellFailure, CellFault, CellOutcome, EngineOptions,
-        EngineReport, MatrixResult, MatrixSpec, RunScheme, StreamSummary,
+        CampaignEngine, CcAxis, Cell, CellFault, CellOutcome, EngineOptions, EngineReport,
+        MatrixResult, MatrixSpec, RunScheme, StreamSummary,
     };
     pub use crate::json::{Json, JsonError};
     pub use crate::metrics::RunMetrics;

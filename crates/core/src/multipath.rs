@@ -37,7 +37,7 @@
 //! and PLIs instead follow the most recent accepted media arrival,
 //! keeping exactly one arrival process inside the congestion controller;
 //! across a switch the CC state is carried, with the feedback-starvation
-//! watchdog providing the rate cut during the break (DESIGN.md §8).
+//! watchdog providing the rate cut during the break (DESIGN.md §10.6).
 //!
 //! [`Simulation`]: crate::pipeline::Simulation
 

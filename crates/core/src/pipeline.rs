@@ -19,7 +19,7 @@
 //! the crate: the multipath schemes add legs, a `LegScheduler` between
 //! the congestion controller and the uplinks, and cross-leg dedup /
 //! reassembly ahead of the receiver — never a second sender or receiver
-//! (DESIGN.md §8.5).
+//! (DESIGN.md §10).
 
 use std::collections::VecDeque;
 

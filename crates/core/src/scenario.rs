@@ -147,7 +147,7 @@ pub struct ExperimentConfig {
     /// Couple the bonded scheme's congestion control across legs: one
     /// shadow CC per leg fed by that leg's own feedback stream, with the
     /// encoder driven by the aggregate of the per-leg targets — the
-    /// MPTCP-style answer to the DESIGN §11.5 delay-variance collapse.
+    /// MPTCP-style answer to the DESIGN §10.6 delay-variance collapse.
     /// Default off, which preserves the PR 6 single-CC behaviour
     /// bit-for-bit.
     pub coupled_cc: bool,

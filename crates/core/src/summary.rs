@@ -206,12 +206,11 @@ impl HeadlineStats {
 /// `above` count and exact-sum words.
 pub const AGGREGATES_VERSION: u64 = 2;
 
-/// Streaming campaign aggregates: everything [`EngineReport`]
-/// (`crate::exec::EngineReport`) accumulates about a matrix without
-/// retaining per-run [`RunMetrics`]. Counters are exact; distributions live
-/// in mergeable [`LogHistogram`] sketches whose memory is flat in the cell
-/// count — the structure behind the ROADMAP's "1M-cell matrix with flat
-/// memory" target.
+/// Streaming campaign aggregates: everything
+/// [`EngineReport`](crate::exec::EngineReport) accumulates about a matrix
+/// without retaining per-run [`RunMetrics`](crate::metrics::RunMetrics).
+/// Counters are exact; distributions live in mergeable [`LogHistogram`]
+/// sketches whose memory is flat in the cell count.
 ///
 /// A commutative monoid over cells: [`fold`](Self::fold) makes one
 /// [`LogHistogram::record_all`] batch per histogram per cell, and every

@@ -69,6 +69,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
+use rpav_core::exec::{panic_message, write_atomic};
 use rpav_core::json::{self, Json};
 use rpav_core::prelude::*;
 use rpav_sim::alloc;
@@ -108,7 +109,7 @@ fn wait<'a, T>(cv: &Condvar, guard: std::sync::MutexGuard<'a, T>) -> std::sync::
         .unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
-/// Why [`Shared::submit`] refused a spec.
+/// Why `POST /campaigns` (or recovery on start) refused a spec.
 #[derive(Debug)]
 pub enum SubmitError {
     /// Persisting the spec document failed (disk full, permissions…).
@@ -264,16 +265,7 @@ impl Shared {
         let dir = self.campaigns_dir();
         std::fs::create_dir_all(&dir)?;
         let path = dir.join(format!("{:016x}.json", spec.identity()));
-        let tmp = dir.join(format!(
-            "{:016x}.{}.tmp",
-            spec.identity(),
-            std::process::id()
-        ));
-        let mut f = std::fs::File::create(&tmp)?;
-        f.write_all(spec.to_json().as_bytes())?;
-        f.sync_all()?;
-        drop(f);
-        std::fs::rename(&tmp, &path)
+        write_atomic(&path, |f| f.write_all(spec.to_json().as_bytes()))
     }
 
     /// Register + enqueue. Returns `(campaign, created)`; identity makes
@@ -450,16 +442,6 @@ fn executor(shared: Arc<Shared>, rx: mpsc::Receiver<Arc<Campaign>>) {
             drop(st);
             campaign.wake.notify_all();
         }
-    }
-}
-
-fn panic_message(panic: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = panic.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = panic.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
     }
 }
 
@@ -926,7 +908,7 @@ mod tests {
         // Batch-mode reference for the byte-compare.
         let reference = EngineOptions::default()
             .engine()
-            .run_streaming(&spec.to_matrix())
+            .run_cells_streaming(spec.to_matrix().expand())
             .report
             .aggregates
             .to_bytes();
@@ -1049,7 +1031,7 @@ mod tests {
         .unwrap();
         let reference = EngineOptions::default()
             .engine()
-            .run_streaming(&spec.to_matrix())
+            .run_cells_streaming(spec.to_matrix().expand())
             .report
             .aggregates
             .to_bytes();

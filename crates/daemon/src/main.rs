@@ -13,6 +13,7 @@ use std::io::Write as _;
 use std::net::TcpListener;
 use std::path::PathBuf;
 
+use rpav_core::exec::write_atomic;
 use rpav_daemon::{Daemon, DaemonConfig};
 use rpav_sim::alloc::CountingAlloc;
 
@@ -63,14 +64,7 @@ fn main() {
     if let Some(path) = &port_file {
         // Atomic write: harnesses poll for this file and must never read
         // a partial address.
-        let tmp = path.with_extension("tmp");
-        let write = std::fs::File::create(&tmp)
-            .and_then(|mut f| {
-                writeln!(f, "{bound}")?;
-                f.sync_all()
-            })
-            .and_then(|()| std::fs::rename(&tmp, path));
-        if let Err(e) = write {
+        if let Err(e) = write_atomic(path, |f| writeln!(f, "{bound}")) {
             fail(&format!("cannot write port file {}: {e}", path.display()));
         }
     }

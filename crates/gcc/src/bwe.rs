@@ -338,19 +338,9 @@ impl SendSideBwe {
         self.watchdog.stats()
     }
 
-    /// Delay-arm target (diagnostics).
-    pub fn delay_based_bps(&self) -> f64 {
-        self.aimd.target_bps()
-    }
-
     /// Loss-arm target (diagnostics).
     pub fn loss_based_bps(&self) -> f64 {
         self.loss.rate_bps()
-    }
-
-    /// Measured delivery rate over the acked window.
-    pub fn acked_bitrate_bps(&self) -> f64 {
-        self.acked.bitrate_bps()
     }
 
     /// Smoothed loss fraction seen in feedback.

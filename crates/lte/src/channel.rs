@@ -5,7 +5,7 @@
 //! geometry tables ([`GeometrySoa`]) are laid out as dense structure-of-
 //! arrays indexed by cell slot (`CellId.0`, plus one trailing slot for the
 //! cross-site common shadowing process): the radio tick walks contiguous
-//! `f64` arrays instead of chasing `HashMap` entries. See DESIGN.md §15.
+//! `f64` arrays instead of chasing `HashMap` entries. See DESIGN.md §5.
 
 use rpav_sim::{SimDuration, SimRng, SimTime};
 use rpav_uav::Position;

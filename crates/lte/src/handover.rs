@@ -162,14 +162,6 @@ impl HandoverEngine {
         self.serving
     }
 
-    /// L3-filtered RSRP of the serving cell, if measured yet.
-    pub fn serving_rsrp_dbm(&self) -> Option<f64> {
-        self.filtered
-            .get(self.serving.0 as usize)
-            .copied()
-            .filter(|v| !v.is_nan())
-    }
-
     /// True while a handover is executing (the radio link is interrupted).
     pub fn in_execution(&self, now: SimTime) -> bool {
         self.executing

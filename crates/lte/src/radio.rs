@@ -6,7 +6,7 @@ use rpav_sim::{RngSet, SimDuration, SimTime};
 use rpav_uav::Position;
 
 use crate::cell::{CellId, Deployment};
-use crate::channel::{self, ChannelParams, GeometrySoa, HarqMemo, ShadowingField, TemporalFading};
+use crate::channel::{self, GeometrySoa, HarqMemo, ShadowingField, TemporalFading};
 use crate::handover::{HandoverEngine, HandoverEvent, HandoverKind};
 use crate::profiles::{Environment, NetworkProfile};
 
@@ -175,11 +175,6 @@ impl RadioModel {
     /// Distinct cells the UE has been served by so far.
     pub fn distinct_cells(&self) -> usize {
         self.distinct_cells.len()
-    }
-
-    /// Channel parameters in force.
-    pub fn channel_params(&self) -> &ChannelParams {
-        &self.profile.channel
     }
 
     /// Advance one tick at position `pos`.

@@ -144,11 +144,6 @@ impl BottleneckLink {
         }
     }
 
-    /// True while the serialiser is stalled.
-    pub fn is_paused(&self, now: SimTime) -> bool {
-        now < self.paused_until
-    }
-
     /// Offer a packet to the link. Returns `false` if the queue rejected it.
     pub fn enqueue(&mut self, now: SimTime, packet: Packet) -> bool {
         self.advance(now);
@@ -232,19 +227,9 @@ impl BottleneckLink {
         self.queue.bytes()
     }
 
-    /// Packets sitting in the queue (excludes the packet in service).
-    pub fn queued_packets(&self) -> usize {
-        self.queue.len()
-    }
-
     /// Queue counters.
     pub fn queue_stats(&self) -> QueueStats {
         self.queue.stats()
-    }
-
-    /// Drop everything queued (not the packet in service). Returns count.
-    pub fn flush_queue(&mut self) -> usize {
-        self.queue.flush()
     }
 
     /// Estimated delay a new arrival would face right now: queue drain plus

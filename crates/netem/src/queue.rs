@@ -92,19 +92,6 @@ impl DropTailQueue {
         self.bytes
     }
 
-    /// Drop every queued packet (used when an RLC buffer is flushed on
-    /// handover failure). Returns the number of packets discarded; they are
-    /// counted as drops.
-    pub fn flush(&mut self) -> usize {
-        let n = self.items.len();
-        for p in self.items.drain(..) {
-            self.stats.dropped += 1;
-            self.stats.bytes_dropped += p.size as u64;
-        }
-        self.bytes = 0;
-        n
-    }
-
     /// Accumulated counters.
     pub fn stats(&self) -> QueueStats {
         self.stats
@@ -182,18 +169,6 @@ mod tests {
         assert_eq!(q.bytes(), 200 + IP_UDP_OVERHEAD);
         q.pop();
         assert_eq!(q.bytes(), 0);
-    }
-
-    #[test]
-    fn flush_counts_drops() {
-        let mut q = DropTailQueue::new(usize::MAX, usize::MAX);
-        for i in 0..4 {
-            q.push(pkt(i, 50));
-        }
-        assert_eq!(q.flush(), 4);
-        assert!(q.is_empty());
-        assert_eq!(q.bytes(), 0);
-        assert_eq!(q.stats().dropped, 4);
     }
 
     #[test]

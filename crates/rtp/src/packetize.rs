@@ -4,7 +4,7 @@
 //! of the paper's in-picture QR code (frame number) and barcode (encode
 //! time), every packet carries a small metadata header in its payload —
 //! the same information content, machine-readable without computer vision
-//! (see DESIGN.md substitutions).
+//! (see DESIGN.md §1).
 
 use bytes::{BufMut, Bytes, BytesMut};
 use rpav_sim::SimTime;

@@ -2,7 +2,7 @@
 //! subsystem.
 //!
 //! The sender keeps every outgoing media packet in a bounded history ring.
-//! When a [`Nack`](crate::nack::Nack) arrives, each requested sequence
+//! When a [`crate::nack::Nack`] arrives, each requested sequence
 //! number still present in the ring is retransmitted **verbatim** (same
 //! media sequence number, so the receiver's jitter buffer de-duplicates if
 //! the original was merely reordered), minus the transport-wide sequence

@@ -43,7 +43,7 @@ thread_local! {
     /// Per-thread status/delta scratch shared by [`TwccFeedback::serialize`]
     /// and [`TwccFeedback::parse_into`]: the symbol and tick vectors are
     /// pure intermediates, so one warm pair per thread serves every
-    /// feedback round without touching the allocator (DESIGN.md §15.3).
+    /// feedback round without touching the allocator (DESIGN.md §14.1).
     static TWCC_SCRATCH: std::cell::RefCell<(Vec<Status>, Vec<i32>)> =
         const { std::cell::RefCell::new((Vec::new(), Vec::new())) };
 }

@@ -9,7 +9,7 @@
 //! handed out by [`acquire`], and returned whole (refcount box *and*
 //! vector capacity) by [`recycle`] when their last owner drops.
 //!
-//! # Lifetime rules (see DESIGN.md §15)
+//! # Lifetime rules (see DESIGN.md §14.1)
 //!
 //! * A block is recycled only when uniquely owned, so holding a `Bytes`
 //!   clone across ticks (jitter buffers, RTX history, reassembly windows)

@@ -1,5 +1,5 @@
 //! End-to-end determinism contract of the parallel campaign engine
-//! (DESIGN.md §9): for any job count, a matrix produces bit-identical
+//! (DESIGN.md §11): for any job count, a matrix produces bit-identical
 //! results in submission order, and a cache-warm re-run replays from the
 //! cache without simulating anything.
 
@@ -239,7 +239,9 @@ fn formula_fold_bytes(runs: &[RunMetrics]) -> Vec<u8> {
 fn real_runs() -> &'static [RunMetrics] {
     static RUNS: std::sync::OnceLock<Vec<RunMetrics>> = std::sync::OnceLock::new();
     RUNS.get_or_init(|| {
-        let runs: Vec<RunMetrics> = [0usize, 7, 10].map(|i| spec().expand()[i].execute()).into();
+        let runs: Vec<RunMetrics> = [0usize, 7, 10]
+            .map(|i| spec().expand()[i].execute_with(false))
+            .into();
         assert!(runs
             .iter()
             .all(|m| m.owd.len() > 1_000 && !m.frames.is_empty()));
