@@ -12,18 +12,22 @@
 //! * [`metrics`] — per-run records and derived series (goodput, OWD, HET,
 //!   FPS, playback latency, SSIM, stalls, HO-latency ratios).
 //! * [`stats`] — quantiles, boxplot summaries, CDFs.
-//! * [`exec`] — the parallel deterministic matrix engine
-//!   ([`MatrixSpec`] → thread pool → cached, submission-ordered results),
-//!   crash-safe: panic isolation with poison records and a durable
-//!   checksummed result cache whose hits are kill/resume.
+//! * [`matrix`] — what a campaign is: [`MatrixSpec`], a cross-product of
+//!   scenario axes, expanded into independent, keyed cells.
+//! * [`spec`] — how a campaign is written down: [`CampaignSpec`], the
+//!   versioned canonical JSON document (axes + base config), beside the
+//!   byte encoding behind every cell's cache key.
+//! * [`cache`] — where results live: sealed per-cell records, quarantine,
+//!   and the one atomic durable write.
+//! * [`exec`] — how cells run: the parallel deterministic engine (thread
+//!   pool → cached, submission-ordered results), crash-safe with panic
+//!   isolation and poison records.
 //! * [`codec`] — canonical byte encoding of [`RunMetrics`] (cache +
 //!   determinism assertions) plus the CRC32 durable-store envelope.
 //! * [`journal`] — a per-campaign fsync'd completion manifest. Nothing
 //!   in the workspace writes one any more (the benchmark still times it).
 //! * [`json`] — the total-function JSON parser and canonical serializer
 //!   behind the daemon wire format.
-//! * [`spec`] — [`CampaignSpec`], the versioned canonical external
-//!   representation of a campaign (axes + base config + engine options).
 //! * [`runner`] — campaign execution across repeated runs.
 //! * [`ping`] — the cross-traffic-free RTT workload of Fig. 13.
 //! * [`dataset`] — CSV export in the shape of the paper's released dataset.
@@ -49,6 +53,7 @@
 //! assert!(metrics.per() < 0.05);
 //! ```
 
+pub mod cache;
 pub mod cc;
 pub mod codec;
 pub mod dataset;
@@ -57,6 +62,7 @@ pub mod failover;
 pub mod health;
 pub mod journal;
 pub mod json;
+pub mod matrix;
 pub mod metrics;
 pub mod multipath;
 pub mod paths;
@@ -69,7 +75,8 @@ pub mod stats;
 pub mod summary;
 pub mod trace;
 
-pub use exec::{CampaignEngine, EngineOptions, MatrixResult, MatrixSpec};
+pub use exec::{CampaignEngine, EngineOptions, MatrixResult};
+pub use matrix::MatrixSpec;
 pub use metrics::RunMetrics;
 pub use pipeline::Simulation;
 pub use runner::CampaignResult;
@@ -81,10 +88,10 @@ pub use spec::{CampaignSpec, SpecError, MAX_CELLS, MAX_GROUND_SWEEPS, MAX_HOLD, 
 /// binary touches.
 pub mod prelude {
     pub use crate::exec::{
-        CampaignEngine, CcAxis, Cell, CellFault, CellOutcome, EngineOptions, EngineReport,
-        MatrixResult, MatrixSpec, RunScheme, StreamSummary,
+        CampaignEngine, CellOutcome, EngineOptions, EngineReport, MatrixResult, StreamSummary,
     };
     pub use crate::json::{Json, JsonError};
+    pub use crate::matrix::{CcAxis, Cell, CellFault, MatrixSpec, RunScheme};
     pub use crate::metrics::RunMetrics;
     pub use crate::multipath::MultipathScheme;
     pub use crate::pipeline::Simulation;

@@ -106,7 +106,8 @@ impl CampaignResult {
 
 #[cfg(test)]
 mod tests {
-    use crate::exec::{CampaignEngine, MatrixSpec};
+    use crate::exec::CampaignEngine;
+    use crate::matrix::MatrixSpec;
     use crate::scenario::{CcMode, ExperimentConfig};
     use rpav_lte::Environment;
 

@@ -191,7 +191,7 @@ impl ExperimentConfig {
     /// drop-on-latency player, a jitter/mobility override, a disabled
     /// watchdog — is appended as a discriminant so two different
     /// experiment cells can never share a label (see
-    /// [`Cell::label`](crate::exec::Cell::label) for the scheme/script/run
+    /// [`Cell::label`](crate::matrix::Cell::label) for the scheme/script/run
     /// dimensions the matrix engine adds on top).
     pub fn label(&self) -> String {
         let mut label = format!(

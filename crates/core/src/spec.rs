@@ -1,11 +1,17 @@
-//! `CampaignSpec` — the versioned, canonical external representation of a
-//! campaign.
+//! How a campaign is *written down*: [`CampaignSpec`], the versioned
+//! canonical JSON document, and the byte encoding behind [`Cell::key`],
+//! side by side.
 //!
-//! A campaign used to exist only as Rust constructor calls inside each
-//! bench binary: a [`MatrixSpec`] built in code, an [`ExperimentConfig`]
-//! base, and engine knobs smeared across ad-hoc `RPAV_*` env vars. The
-//! daemon needs all of that *on the wire*, so this module defines the one
-//! cross-process shape:
+//! Both encodings walk the same inputs — an [`ExperimentConfig`], the
+//! matrix axes, fault scripts — and share one vocabulary: one table per
+//! enum, where a variant's index is its key tag and its string its JSON
+//! name, and one per-variant field list for CC modes and fault clauses
+//! (`cc_fields`, `clause_fields`), so a new clause or parameter is
+//! written down once. Both config encoders destructure `ExperimentConfig`
+//! and `WatchdogConfig` without `..`: a new config field does not compile
+//! until both write it.
+//!
+//! The document is the one cross-process shape of a campaign:
 //!
 //! * a `spec_version` field (documents reject unknown versions),
 //! * **unknown-field rejection** at every object level (a typo'd knob is a
@@ -22,25 +28,25 @@
 //! wherever it is parsed, lands on the same cache entries, which is all
 //! resuming it takes.
 //!
-//! One retired key is still *accepted and ignored*: `options.batch`,
-//! which every document archived before cell batching was deleted
-//! carries. It is never emitted, so canonical bytes (and identities)
-//! differ from those older builds' by exactly that key.
+//! One retired member is still *accepted and ignored*: `options`, the
+//! engine knobs (workers, cache directory, retries, stuck budget,
+//! scheduler) that every document archived before they left the spec
+//! carries — with `batch` inside in the oldest. How a campaign runs is its
+//! runner's choice (`rpavd --jobs`), not part of what the campaign is. It
+//! is never emitted, so canonical bytes (and identities) differ from those
+//! older builds' by exactly that member.
 //!
 //! [`to_matrix`]: CampaignSpec::to_matrix
-//! [`Cell::key`]: crate::exec::Cell::key
 
 use std::fmt;
-use std::path::PathBuf;
-use std::time::Duration;
 
 use rpav_lte::{Environment, Operator};
 use rpav_netem::{FaultClause, FaultScript, PacketKind};
 use rpav_sim::{SimDuration, SimTime, WatchdogConfig};
 
-use crate::codec::fnv1a;
-use crate::exec::{CcAxis, CellFault, EngineOptions, MatrixSpec, RunScheme};
+use crate::codec::{fnv1a, ByteWriter};
 use crate::json::{Json, JsonError};
+use crate::matrix::{CcAxis, Cell, CellFault, MatrixSpec, RunScheme};
 use crate::multipath::MultipathScheme;
 use crate::scenario::{CcMode, ExperimentConfig, Mobility};
 
@@ -139,8 +145,7 @@ impl From<JsonError> for SpecError {
 }
 
 /// A complete, self-contained campaign: a [`MatrixSpec`] (the axes over a
-/// base [`ExperimentConfig`]) and the [`EngineOptions`] to execute it
-/// under.
+/// base [`ExperimentConfig`]).
 ///
 /// In-process, build one with the fluent methods, which forward to
 /// [`MatrixSpec`]'s. Across processes, [`to_json`](Self::to_json) /
@@ -149,15 +154,13 @@ impl From<JsonError> for SpecError {
 #[derive(Clone, Debug, PartialEq)]
 pub struct CampaignSpec {
     matrix: MatrixSpec,
-    options: EngineOptions,
 }
 
 impl CampaignSpec {
-    /// A single-cell campaign of `base` under default engine options.
+    /// A single-cell campaign of `base`.
     pub fn new(base: ExperimentConfig) -> Self {
         CampaignSpec {
             matrix: MatrixSpec::new(base),
-            options: EngineOptions::default(),
         }
     }
 
@@ -216,20 +219,9 @@ impl CampaignSpec {
         self.axis(|m| m.runs(runs))
     }
 
-    /// Replace the engine options.
-    pub fn with_options(mut self, options: EngineOptions) -> Self {
-        self.options = options;
-        self
-    }
-
     /// The base configuration.
     pub fn base(&self) -> &ExperimentConfig {
         &self.matrix.base
-    }
-
-    /// The engine options the campaign asks for.
-    pub fn options(&self) -> &EngineOptions {
-        &self.options
     }
 
     /// The [`MatrixSpec`] the engine executes. Two parses of the same
@@ -255,38 +247,17 @@ impl CampaignSpec {
         let ccs = match &m.ccs {
             CcAxis::Base => Json::Str("base".into()),
             CcAxis::PaperWorkloads => Json::Str("paper_workloads".into()),
-            CcAxis::List(list) => Json::Array(list.iter().map(cc_to_json).collect()),
+            CcAxis::List(list) => Json::Array(list.iter().map(|&cc| cc_to_json(cc)).collect()),
         };
         let doc = Json::Object(vec![
             ("spec_version".into(), Json::UInt(SPEC_VERSION)),
             ("base".into(), config_to_json(&m.base)),
             (
                 "environments".into(),
-                Json::Array(
-                    m.environments
-                        .iter()
-                        .map(|e| Json::Str(env_name(*e).into()))
-                        .collect(),
-                ),
+                ENVIRONMENTS.json_list(&m.environments),
             ),
-            (
-                "operators".into(),
-                Json::Array(
-                    m.operators
-                        .iter()
-                        .map(|o| Json::Str(op_name(*o).into()))
-                        .collect(),
-                ),
-            ),
-            (
-                "mobilities".into(),
-                Json::Array(
-                    m.mobilities
-                        .iter()
-                        .map(|mob| Json::Str(mob_name(*mob).into()))
-                        .collect(),
-                ),
-            ),
+            ("operators".into(), OPERATORS.json_list(&m.operators)),
+            ("mobilities".into(), MOBILITIES.json_list(&m.mobilities)),
             ("ccs".into(), ccs),
             (
                 "schemes".into(),
@@ -306,19 +277,18 @@ impl CampaignSpec {
                 Json::Array(m.repairs.iter().map(|&r| Json::Bool(r)).collect()),
             ),
             ("runs".into(), Json::UInt(m.runs)),
-            ("options".into(), options_to_json(&self.options)),
         ]);
         doc.canonical()
     }
 
     /// Parse a `CampaignSpec` document. `spec_version` is required and
     /// must equal [`SPEC_VERSION`]; every other field defaults when
-    /// absent; fields outside the schema are rejected.
+    /// absent; fields outside the schema are rejected, except the retired
+    /// `options` member, which is ignored.
     pub fn from_json(input: &str) -> Result<CampaignSpec, SpecError> {
         let doc = Json::parse(input)?;
-        let fields = expect_obj(&doc, "")?;
         check_fields(
-            fields,
+            &doc,
             "",
             &[
                 "spec_version",
@@ -331,6 +301,7 @@ impl CampaignSpec {
                 "faults",
                 "repairs",
                 "runs",
+                // Retired engine knobs; every archived document has them.
                 "options",
             ],
         )?;
@@ -353,15 +324,9 @@ impl CampaignSpec {
             Some(v) => config_from_json(v, "base")?,
             None => ExperimentConfig::builder().build(),
         };
-        let environments = list_of(&doc, "environments", |v, p| {
-            str_of(v, p).and_then(|s| env_from_name(s, p))
-        })?;
-        let operators = list_of(&doc, "operators", |v, p| {
-            str_of(v, p).and_then(|s| op_from_name(s, p))
-        })?;
-        let mobilities = list_of(&doc, "mobilities", |v, p| {
-            str_of(v, p).and_then(|s| mob_from_name(s, p))
-        })?;
+        let environments = list_of(&doc, "environments", |v, p| ENVIRONMENTS.decode(v, p))?;
+        let operators = list_of(&doc, "operators", |v, p| OPERATORS.decode(v, p))?;
+        let mobilities = list_of(&doc, "mobilities", |v, p| MOBILITIES.decode(v, p))?;
         let ccs = match doc.get("ccs") {
             None => CcAxis::Base,
             Some(Json::Str(s)) if s == "base" => CcAxis::Base,
@@ -380,16 +345,10 @@ impl CampaignSpec {
                 })
             }
         };
-        let schemes = list_of(&doc, "schemes", |v, p| {
-            str_of(v, p).and_then(|s| scheme_from_name(s, p))
-        })?;
+        let schemes = list_of(&doc, "schemes", scheme_from_json)?;
         let faults = list_of(&doc, "faults", fault_from_json)?;
         let repairs = list_of(&doc, "repairs", bool_of)?;
         let runs = opt_u64(&doc, "runs")?.unwrap_or(1);
-        let options = match doc.get("options") {
-            Some(v) => options_from_json(v, "options")?,
-            None => EngineOptions::default(),
-        };
 
         let matrix = MatrixSpec {
             base,
@@ -403,7 +362,7 @@ impl CampaignSpec {
             runs,
         };
         match matrix.cell_count() {
-            Some(cells) if cells <= MAX_CELLS => Ok(CampaignSpec { matrix, options }),
+            Some(cells) if cells <= MAX_CELLS => Ok(CampaignSpec { matrix }),
             cells => Err(SpecError::TooManyCells {
                 cells,
                 max: MAX_CELLS,
@@ -412,162 +371,641 @@ impl CampaignSpec {
     }
 }
 
-// ---- leaf name tables -----------------------------------------------------
+// ---- one table per enum ---------------------------------------------------
 
-fn env_name(e: Environment) -> &'static str {
-    match e {
-        Environment::Urban => "urban",
-        Environment::Rural => "rural",
-    }
+/// The vocabulary of a fieldless enum: a variant's index in `table` is
+/// its key tag, its string its JSON name.
+struct Names<T: 'static> {
+    table: &'static [(T, &'static str)],
+    /// What a name outside the table is told was wanted.
+    want: &'static str,
 }
 
-fn env_from_name(s: &str, path: &str) -> Result<Environment, SpecError> {
-    match s {
-        "urban" => Ok(Environment::Urban),
-        "rural" => Ok(Environment::Rural),
-        _ => Err(SpecError::BadValue {
-            path: path.into(),
-            want: "\"urban\" or \"rural\"",
-        }),
+impl<T: Copy + PartialEq> Names<T> {
+    fn index(&self, value: T) -> usize {
+        self.table
+            .iter()
+            .position(|&(v, _)| v == value)
+            .expect("every variant has a row in its table")
     }
-}
 
-fn op_name(o: Operator) -> &'static str {
-    match o {
-        Operator::P1 => "p1",
-        Operator::P2 => "p2",
+    fn tag(&self, value: T) -> u8 {
+        self.index(value) as u8
     }
-}
 
-fn op_from_name(s: &str, path: &str) -> Result<Operator, SpecError> {
-    match s {
-        "p1" => Ok(Operator::P1),
-        "p2" => Ok(Operator::P2),
-        _ => Err(SpecError::BadValue {
-            path: path.into(),
-            want: "\"p1\" or \"p2\"",
-        }),
+    fn json(&self, value: T) -> Json {
+        Json::Str(self.table[self.index(value)].1.into())
     }
-}
 
-fn mob_name(m: Mobility) -> &'static str {
-    match m {
-        Mobility::Air => "air",
-        Mobility::Ground => "ground",
+    fn json_list(&self, values: &[T]) -> Json {
+        Json::Array(values.iter().map(|&v| self.json(v)).collect())
     }
-}
 
-fn mob_from_name(s: &str, path: &str) -> Result<Mobility, SpecError> {
-    match s {
-        "air" => Ok(Mobility::Air),
-        "ground" => Ok(Mobility::Ground),
-        _ => Err(SpecError::BadValue {
-            path: path.into(),
-            want: "\"air\" or \"ground\"",
-        }),
-    }
-}
-
-fn scheme_from_name(s: &str, path: &str) -> Result<RunScheme, SpecError> {
-    // Names match `RunScheme::name` exactly, so spec ↔ label vocabulary
-    // never diverges.
-    Ok(match s {
-        "pipeline" => RunScheme::Pipeline,
-        "single-path" => RunScheme::Multipath(MultipathScheme::SinglePath),
-        "duplicate" => RunScheme::Multipath(MultipathScheme::Duplicate),
-        "failover" => RunScheme::Multipath(MultipathScheme::Failover),
-        "sel-duplicate" => RunScheme::Multipath(MultipathScheme::SelectiveDuplicate),
-        "bonded" => RunScheme::Multipath(MultipathScheme::Bonded),
-        _ => {
-            return Err(SpecError::BadValue {
+    fn parse(&self, name: &str, path: &str) -> Result<T, SpecError> {
+        self.table
+            .iter()
+            .find(|&&(_, n)| n == name)
+            .map(|&(v, _)| v)
+            .ok_or_else(|| SpecError::BadValue {
                 path: path.into(),
-                want: "a run-scheme name (\"pipeline\", \"single-path\", \"duplicate\", \"failover\", \"sel-duplicate\", \"bonded\")",
+                want: self.want,
             })
+    }
+
+    fn decode(&self, v: &Json, path: &str) -> Result<T, SpecError> {
+        str_of(v, path).and_then(|s| self.parse(s, path))
+    }
+}
+
+const ENVIRONMENTS: Names<Environment> = Names {
+    table: &[(Environment::Urban, "urban"), (Environment::Rural, "rural")],
+    want: "\"urban\" or \"rural\"",
+};
+
+const OPERATORS: Names<Operator> = Names {
+    table: &[(Operator::P1, "p1"), (Operator::P2, "p2")],
+    want: "\"p1\" or \"p2\"",
+};
+
+const MOBILITIES: Names<Mobility> = Names {
+    table: &[(Mobility::Air, "air"), (Mobility::Ground, "ground")],
+    want: "\"air\" or \"ground\"",
+};
+
+const PACKET_KINDS: Names<PacketKind> = Names {
+    table: &[
+        (PacketKind::Media, "media"),
+        (PacketKind::Feedback, "feedback"),
+        (PacketKind::Probe, "probe"),
+    ],
+    want: "\"media\", \"feedback\", or \"probe\"",
+};
+
+/// A variant's JSON decoder (the document object, its path).
+type Decode<T> = fn(&Json, &str) -> Result<T, SpecError>;
+
+/// CC modes: a mode's index is its key tag, its string the JSON `mode`.
+/// [`cc_fields`] encodes; the decoder sits beside the name.
+const CC_MODES: [(&str, Decode<CcMode>); 3] = [
+    ("static", |v, p| {
+        check_fields(v, p, &["mode", "bitrate_bps"])?;
+        Ok(CcMode::Static {
+            bitrate_bps: req_f64(v, p, "bitrate_bps")?,
+        })
+    }),
+    ("gcc", |v, p| {
+        check_fields(v, p, &["mode"])?;
+        Ok(CcMode::Gcc)
+    }),
+    ("scream", |v, p| {
+        check_fields(v, p, &["mode", "ack_span"])?;
+        Ok(CcMode::Scream {
+            ack_span: req_u64(v, p, "ack_span")? as usize,
+        })
+    }),
+];
+
+/// Fault-clause kinds: a kind's index is its key tag, its string the
+/// JSON `kind`. [`clause_fields`] encodes; the decoder sits beside the
+/// name.
+const CLAUSE_KINDS: [(&str, Decode<FaultClause>); 9] = [
+    ("blackout", |v, p| {
+        check_fields(v, p, &["kind", "from_us", "until_us"])?;
+        Ok(FaultClause::Blackout {
+            from: req_time(v, p, "from_us")?,
+            until: req_time(v, p, "until_us")?,
+        })
+    }),
+    ("kind_blackout", |v, p| {
+        check_fields(v, p, &["kind", "from_us", "until_us", "packet"])?;
+        Ok(FaultClause::KindBlackout {
+            from: req_time(v, p, "from_us")?,
+            until: req_time(v, p, "until_us")?,
+            kind: PACKET_KINDS.parse(req_str(v, p, "packet")?, &format!("{p}.packet"))?,
+        })
+    }),
+    ("loss", |v, p| {
+        check_fields(v, p, &["kind", "from_us", "until_us", "prob", "packet"])?;
+        Ok(FaultClause::Loss {
+            from: req_time(v, p, "from_us")?,
+            until: req_time(v, p, "until_us")?,
+            prob: req_f64(v, p, "prob")?,
+            kind: opt_packet(v, p)?,
+        })
+    }),
+    ("delay_spike", |v, p| {
+        check_fields(v, p, &["kind", "from_us", "until_us", "extra_us"])?;
+        Ok(FaultClause::DelaySpike {
+            from: req_time(v, p, "from_us")?,
+            until: req_time(v, p, "until_us")?,
+            extra: SimDuration::from_micros(req_u64(v, p, "extra_us")?),
+        })
+    }),
+    ("duplicate", |v, p| {
+        check_fields(v, p, &["kind", "from_us", "until_us", "prob", "packet"])?;
+        Ok(FaultClause::Duplicate {
+            from: req_time(v, p, "from_us")?,
+            until: req_time(v, p, "until_us")?,
+            prob: req_f64(v, p, "prob")?,
+            kind: opt_packet(v, p)?,
+        })
+    }),
+    ("corrupt", |v, p| {
+        check_fields(v, p, &["kind", "from_us", "until_us", "prob", "packet"])?;
+        Ok(FaultClause::Corrupt {
+            from: req_time(v, p, "from_us")?,
+            until: req_time(v, p, "until_us")?,
+            prob: req_f64(v, p, "prob")?,
+            kind: opt_packet(v, p)?,
+        })
+    }),
+    ("reorder", |v, p| {
+        check_fields(
+            v,
+            p,
+            &["kind", "from_us", "until_us", "prob", "max_displacement"],
+        )?;
+        Ok(FaultClause::Reorder {
+            from: req_time(v, p, "from_us")?,
+            until: req_time(v, p, "until_us")?,
+            prob: req_f64(v, p, "prob")?,
+            max_displacement: req_u64(v, p, "max_displacement")?,
+        })
+    }),
+    ("coverage_hole", |v, p| {
+        check_fields(v, p, &["kind", "x", "y", "radius_m", "min_alt_m"])?;
+        Ok(FaultClause::CoverageHole {
+            x: req_f64(v, p, "x")?,
+            y: req_f64(v, p, "y")?,
+            radius_m: req_f64(v, p, "radius_m")?,
+            min_alt_m: req_f64(v, p, "min_alt_m")?,
+        })
+    }),
+    ("burst_loss", |v, p| {
+        check_fields(
+            v,
+            p,
+            &[
+                "kind", "from_us", "until_us", "p_enter", "p_exit", "loss_bad", "packet",
+            ],
+        )?;
+        Ok(FaultClause::BurstLoss {
+            from: req_time(v, p, "from_us")?,
+            until: req_time(v, p, "until_us")?,
+            p_enter: req_f64(v, p, "p_enter")?,
+            p_exit: req_f64(v, p, "p_exit")?,
+            loss_bad: req_f64(v, p, "loss_bad")?,
+            kind: opt_packet(v, p)?,
+        })
+    }),
+];
+
+impl RunScheme {
+    /// The scheme's byte in the cache key. 1–5 were the multipath schemes
+    /// under the second session driver; their results changed when the
+    /// drivers were unified, so a durable cache written back then must
+    /// miss — the numbers are retired, not reused.
+    fn tag(self) -> u8 {
+        match self {
+            RunScheme::Pipeline => 0,
+            RunScheme::Multipath(MultipathScheme::SinglePath) => 6,
+            RunScheme::Multipath(MultipathScheme::Duplicate) => 7,
+            RunScheme::Multipath(MultipathScheme::Failover) => 8,
+            RunScheme::Multipath(MultipathScheme::SelectiveDuplicate) => 9,
+            RunScheme::Multipath(MultipathScheme::Bonded) => 10,
         }
+    }
+}
+
+/// A run scheme by its [`RunScheme::name`], so spec and label vocabulary
+/// cannot diverge.
+fn scheme_from_json(v: &Json, path: &str) -> Result<RunScheme, SpecError> {
+    let name = str_of(v, path)?;
+    std::iter::once(RunScheme::Pipeline)
+        .chain(MultipathScheme::all().map(RunScheme::Multipath))
+        .find(|s| s.name() == name)
+        .ok_or_else(|| SpecError::BadValue {
+            path: path.into(),
+            want: "a run-scheme name (\"pipeline\", \"single-path\", \"duplicate\", \"failover\", \"sel-duplicate\", \"bonded\")",
+        })
+}
+
+// ---- one field list per variant -------------------------------------------
+
+/// One parameter of a CC mode or fault clause, as both encoders see it.
+#[derive(Clone, Copy)]
+enum Field {
+    /// An instant: key `time`, JSON microseconds.
+    Time(SimTime),
+    /// A span: key `duration`, JSON microseconds.
+    Span(SimDuration),
+    Num(f64),
+    Count(u64),
+    Packet(PacketKind),
+    /// A packet-kind filter: `None` is every kind (JSON `null`).
+    AnyPacket(Option<PacketKind>),
+}
+
+/// The parameters of one variant, in key order, named as in JSON.
+type Fields<'a> = &'a [(&'static str, Field)];
+
+/// A CC mode as its index in [`CC_MODES`] and its parameters.
+fn cc_fields<R>(cc: CcMode, encode: impl FnOnce(usize, Fields) -> R) -> R {
+    match cc {
+        CcMode::Static { bitrate_bps } => encode(0, &[("bitrate_bps", Field::Num(bitrate_bps))]),
+        CcMode::Gcc => encode(1, &[]),
+        CcMode::Scream { ack_span } => encode(2, &[("ack_span", Field::Count(ack_span as u64))]),
+    }
+}
+
+/// A fault clause as its index in [`CLAUSE_KINDS`] and its parameters.
+fn clause_fields<R>(clause: &FaultClause, encode: impl FnOnce(usize, Fields) -> R) -> R {
+    use Field::{AnyPacket, Count, Num, Packet, Span, Time};
+    match *clause {
+        FaultClause::Blackout { from, until } => {
+            encode(0, &[("from_us", Time(from)), ("until_us", Time(until))])
+        }
+        FaultClause::KindBlackout { from, until, kind } => encode(
+            1,
+            &[
+                ("from_us", Time(from)),
+                ("until_us", Time(until)),
+                ("packet", Packet(kind)),
+            ],
+        ),
+        FaultClause::Loss {
+            from,
+            until,
+            prob,
+            kind,
+        } => encode(
+            2,
+            &[
+                ("from_us", Time(from)),
+                ("until_us", Time(until)),
+                ("prob", Num(prob)),
+                ("packet", AnyPacket(kind)),
+            ],
+        ),
+        FaultClause::DelaySpike { from, until, extra } => encode(
+            3,
+            &[
+                ("from_us", Time(from)),
+                ("until_us", Time(until)),
+                ("extra_us", Span(extra)),
+            ],
+        ),
+        FaultClause::Duplicate {
+            from,
+            until,
+            prob,
+            kind,
+        } => encode(
+            4,
+            &[
+                ("from_us", Time(from)),
+                ("until_us", Time(until)),
+                ("prob", Num(prob)),
+                ("packet", AnyPacket(kind)),
+            ],
+        ),
+        FaultClause::Corrupt {
+            from,
+            until,
+            prob,
+            kind,
+        } => encode(
+            5,
+            &[
+                ("from_us", Time(from)),
+                ("until_us", Time(until)),
+                ("prob", Num(prob)),
+                ("packet", AnyPacket(kind)),
+            ],
+        ),
+        FaultClause::Reorder {
+            from,
+            until,
+            prob,
+            max_displacement,
+        } => encode(
+            6,
+            &[
+                ("from_us", Time(from)),
+                ("until_us", Time(until)),
+                ("prob", Num(prob)),
+                ("max_displacement", Count(max_displacement)),
+            ],
+        ),
+        FaultClause::CoverageHole {
+            x,
+            y,
+            radius_m,
+            min_alt_m,
+        } => encode(
+            7,
+            &[
+                ("x", Num(x)),
+                ("y", Num(y)),
+                ("radius_m", Num(radius_m)),
+                ("min_alt_m", Num(min_alt_m)),
+            ],
+        ),
+        FaultClause::BurstLoss {
+            from,
+            until,
+            p_enter,
+            p_exit,
+            loss_bad,
+            kind,
+        } => encode(
+            8,
+            &[
+                ("from_us", Time(from)),
+                ("until_us", Time(until)),
+                ("p_enter", Num(p_enter)),
+                ("p_exit", Num(p_exit)),
+                ("loss_bad", Num(loss_bad)),
+                ("packet", AnyPacket(kind)),
+            ],
+        ),
+    }
+}
+
+// ---- the cache key --------------------------------------------------------
+
+/// The bytes behind [`Cell::key`], hashed: crate version and codec
+/// format (so a rebuilt crate misses), the config, the scheme's tag and
+/// every fault script. The cell's index and fault name are not inputs.
+pub(crate) fn cell_key(cell: &Cell) -> u64 {
+    let mut w = ByteWriter::new();
+    w.bytes(env!("CARGO_PKG_VERSION").as_bytes());
+    w.u32(crate::codec::FORMAT_VERSION);
+    write_config(&mut w, &cell.config);
+    w.u8(cell.scheme.tag());
+    let CellFault {
+        name: _,
+        uplink,
+        downlink,
+        secondary,
+        extra,
+    } = &cell.fault;
+    for script in [uplink, downlink, secondary] {
+        w.opt(script.as_ref(), write_script);
+    }
+    w.u64(extra.len() as u64);
+    for script in extra {
+        w.opt(script.as_ref(), write_script);
+    }
+    fnv1a(&w.into_bytes())
+}
+
+fn write_config(w: &mut ByteWriter, c: &ExperimentConfig) {
+    let ExperimentConfig {
+        environment,
+        operator,
+        mobility,
+        cc,
+        seed,
+        run_index,
+        hold,
+        ground_sweeps,
+        drop_on_latency,
+        hysteresis_override_db,
+        ttt_override_ms,
+        jitter_target_override_ms,
+        watchdog,
+        repair,
+        leg_cap_bps,
+        fec_cap,
+        n_legs,
+        coupled_cc,
+    } = *c;
+    let WatchdogConfig {
+        enabled,
+        timeout,
+        backoff_interval,
+        backoff_factor,
+        floor_bps,
+        ramp_factor,
+    } = watchdog;
+    w.u8(ENVIRONMENTS.tag(environment));
+    w.u8(OPERATORS.tag(operator));
+    w.u8(MOBILITIES.tag(mobility));
+    cc_fields(cc, |tag, fields| write_variant(w, tag, fields));
+    w.u64(seed);
+    w.u64(run_index);
+    w.duration(hold);
+    w.u64(ground_sweeps as u64);
+    w.bool(drop_on_latency);
+    w.opt(hysteresis_override_db, |w, v| w.f64(v));
+    w.opt(ttt_override_ms, |w, v| w.u64(v));
+    w.opt(jitter_target_override_ms, |w, v| w.u64(v));
+    w.bool(enabled);
+    w.duration(timeout);
+    w.duration(backoff_interval);
+    w.f64(backoff_factor);
+    w.f64(floor_bps);
+    w.f64(ramp_factor);
+    w.bool(repair);
+    w.opt(leg_cap_bps, |w, (a, b)| {
+        w.f64(a);
+        w.f64(b);
+    });
+    w.f64(fec_cap);
+    w.u64(n_legs as u64);
+    w.bool(coupled_cc);
+}
+
+fn write_script(w: &mut ByteWriter, script: &FaultScript) {
+    w.u64(script.clauses().len() as u64);
+    for clause in script.clauses() {
+        clause_fields(clause, |tag, fields| write_variant(w, tag, fields));
+    }
+}
+
+/// A variant as key bytes: its tag, then its parameters in order.
+fn write_variant(w: &mut ByteWriter, tag: usize, fields: Fields) {
+    w.u8(tag as u8);
+    for &(_, field) in fields {
+        match field {
+            Field::Time(t) => w.time(t),
+            Field::Span(d) => w.duration(d),
+            Field::Num(x) => w.f64(x),
+            Field::Count(n) => w.u64(n),
+            Field::Packet(k) => w.u8(PACKET_KINDS.tag(k)),
+            Field::AnyPacket(k) => w.opt(k, |w, k| w.u8(PACKET_KINDS.tag(k))),
+        }
+    }
+}
+
+// ---- JSON writer ----------------------------------------------------------
+
+/// A variant as a JSON object: `{<tag_key>: name, parameter: value, …}`.
+fn variant_json(tag_key: &str, name: &str, fields: Fields) -> Json {
+    let mut members = Vec::with_capacity(1 + fields.len());
+    members.push((tag_key.to_string(), Json::Str(name.into())));
+    members.extend(fields.iter().map(|&(key, field)| {
+        let value = match field {
+            Field::Time(t) => Json::UInt(t.as_micros()),
+            Field::Span(d) => Json::UInt(d.as_micros()),
+            Field::Num(x) => Json::Float(x),
+            Field::Count(n) => Json::UInt(n),
+            Field::Packet(k) => PACKET_KINDS.json(k),
+            Field::AnyPacket(k) => k.map_or(Json::Null, |k| PACKET_KINDS.json(k)),
+        };
+        (key.to_string(), value)
+    }));
+    Json::Object(members)
+}
+
+fn cc_to_json(cc: CcMode) -> Json {
+    cc_fields(cc, |tag, fields| {
+        variant_json("mode", CC_MODES[tag].0, fields)
     })
 }
 
-fn kind_name(k: PacketKind) -> &'static str {
-    match k {
-        PacketKind::Media => "media",
-        PacketKind::Feedback => "feedback",
-        PacketKind::Probe => "probe",
-    }
+fn config_to_json(c: &ExperimentConfig) -> Json {
+    let ExperimentConfig {
+        environment,
+        operator,
+        mobility,
+        cc,
+        seed,
+        run_index,
+        hold,
+        ground_sweeps,
+        drop_on_latency,
+        hysteresis_override_db,
+        ttt_override_ms,
+        jitter_target_override_ms,
+        watchdog,
+        repair,
+        leg_cap_bps,
+        fec_cap,
+        n_legs,
+        coupled_cc,
+    } = *c;
+    let WatchdogConfig {
+        enabled,
+        timeout,
+        backoff_interval,
+        backoff_factor,
+        floor_bps,
+        ramp_factor,
+    } = watchdog;
+    let watchdog = Json::Object(vec![
+        ("enabled".into(), Json::Bool(enabled)),
+        ("timeout_us".into(), Json::UInt(timeout.as_micros())),
+        (
+            "backoff_interval_us".into(),
+            Json::UInt(backoff_interval.as_micros()),
+        ),
+        ("backoff_factor".into(), Json::Float(backoff_factor)),
+        ("floor_bps".into(), Json::Float(floor_bps)),
+        ("ramp_factor".into(), Json::Float(ramp_factor)),
+    ]);
+    Json::Object(vec![
+        ("environment".into(), ENVIRONMENTS.json(environment)),
+        ("operator".into(), OPERATORS.json(operator)),
+        ("mobility".into(), MOBILITIES.json(mobility)),
+        ("cc".into(), cc_to_json(cc)),
+        ("seed".into(), Json::UInt(seed)),
+        ("run_index".into(), Json::UInt(run_index)),
+        ("hold_us".into(), Json::UInt(hold.as_micros())),
+        ("ground_sweeps".into(), Json::UInt(ground_sweeps as u64)),
+        ("drop_on_latency".into(), Json::Bool(drop_on_latency)),
+        (
+            "hysteresis_db".into(),
+            hysteresis_override_db.map_or(Json::Null, Json::Float),
+        ),
+        (
+            "ttt_ms".into(),
+            ttt_override_ms.map_or(Json::Null, Json::UInt),
+        ),
+        (
+            "jitter_target_ms".into(),
+            jitter_target_override_ms.map_or(Json::Null, Json::UInt),
+        ),
+        ("watchdog".into(), watchdog),
+        ("repair".into(), Json::Bool(repair)),
+        (
+            "leg_cap_bps".into(),
+            leg_cap_bps.map_or(Json::Null, |(a, b)| {
+                Json::Array(vec![Json::Float(a), Json::Float(b)])
+            }),
+        ),
+        ("fec_cap".into(), Json::Float(fec_cap)),
+        ("n_legs".into(), Json::UInt(n_legs as u64)),
+        ("coupled_cc".into(), Json::Bool(coupled_cc)),
+    ])
 }
 
-fn kind_from_name(s: &str, path: &str) -> Result<PacketKind, SpecError> {
-    match s {
-        "media" => Ok(PacketKind::Media),
-        "feedback" => Ok(PacketKind::Feedback),
-        "probe" => Ok(PacketKind::Probe),
-        _ => Err(SpecError::BadValue {
-            path: path.into(),
-            want: "\"media\", \"feedback\", or \"probe\"",
+fn script_to_json(script: &FaultScript) -> Json {
+    Json::Array(
+        script
+            .clauses()
+            .iter()
+            .map(|clause| {
+                clause_fields(clause, |tag, fields| {
+                    variant_json("kind", CLAUSE_KINDS[tag].0, fields)
+                })
+            })
+            .collect(),
+    )
+}
+
+fn opt_script_to_json(script: &Option<FaultScript>) -> Json {
+    script.as_ref().map_or(Json::Null, script_to_json)
+}
+
+fn fault_to_json(fault: &CellFault) -> Json {
+    Json::Object(vec![
+        ("name".into(), Json::Str(fault.name.clone())),
+        ("uplink".into(), opt_script_to_json(&fault.uplink)),
+        ("downlink".into(), opt_script_to_json(&fault.downlink)),
+        ("secondary".into(), opt_script_to_json(&fault.secondary)),
+        (
+            "extra".into(),
+            Json::Array(fault.extra.iter().map(opt_script_to_json).collect()),
+        ),
+    ])
+}
+
+// ---- JSON reader ----------------------------------------------------------
+
+/// The decoder of the variant a `<tag_key>` member names in `table`.
+fn variant_from_json<T>(
+    v: &Json,
+    path: &str,
+    tag_key: &str,
+    table: &[(&str, Decode<T>)],
+    want: &'static str,
+) -> Result<T, SpecError> {
+    expect_obj(v, path)?;
+    let name = req_str(v, path, tag_key)?;
+    match table.iter().find(|(n, _)| *n == name) {
+        Some((_, decode)) => decode(v, path),
+        None => Err(SpecError::BadValue {
+            path: format!("{path}.{tag_key}"),
+            want,
         }),
-    }
-}
-
-// ---- ExperimentConfig -----------------------------------------------------
-
-fn cc_to_json(cc: &CcMode) -> Json {
-    match cc {
-        CcMode::Static { bitrate_bps } => Json::Object(vec![
-            ("mode".into(), Json::Str("static".into())),
-            ("bitrate_bps".into(), Json::Float(*bitrate_bps)),
-        ]),
-        CcMode::Gcc => Json::Object(vec![("mode".into(), Json::Str("gcc".into()))]),
-        CcMode::Scream { ack_span } => Json::Object(vec![
-            ("mode".into(), Json::Str("scream".into())),
-            ("ack_span".into(), Json::UInt(*ack_span as u64)),
-        ]),
     }
 }
 
 fn cc_from_json(v: &Json, path: &str) -> Result<CcMode, SpecError> {
-    let fields = expect_obj(v, path)?;
-    let mode = req_str(v, path, "mode")?;
-    match mode {
-        "static" => {
-            check_fields(fields, path, &["mode", "bitrate_bps"])?;
-            Ok(CcMode::Static {
-                bitrate_bps: req_f64(v, path, "bitrate_bps")?,
-            })
-        }
-        "gcc" => {
-            check_fields(fields, path, &["mode"])?;
-            Ok(CcMode::Gcc)
-        }
-        "scream" => {
-            check_fields(fields, path, &["mode", "ack_span"])?;
-            Ok(CcMode::Scream {
-                ack_span: req_u64(v, path, "ack_span")? as usize,
-            })
-        }
-        _ => Err(SpecError::BadValue {
-            path: format!("{path}.mode"),
-            want: "\"static\", \"gcc\", or \"scream\"",
-        }),
-    }
-}
-
-fn watchdog_to_json(w: &WatchdogConfig) -> Json {
-    Json::Object(vec![
-        ("enabled".into(), Json::Bool(w.enabled)),
-        ("timeout_us".into(), Json::UInt(w.timeout.as_micros())),
-        (
-            "backoff_interval_us".into(),
-            Json::UInt(w.backoff_interval.as_micros()),
-        ),
-        ("backoff_factor".into(), Json::Float(w.backoff_factor)),
-        ("floor_bps".into(), Json::Float(w.floor_bps)),
-        ("ramp_factor".into(), Json::Float(w.ramp_factor)),
-    ])
+    variant_from_json(
+        v,
+        path,
+        "mode",
+        &CC_MODES,
+        "\"static\", \"gcc\", or \"scream\"",
+    )
 }
 
 fn watchdog_from_json(v: &Json, path: &str) -> Result<WatchdogConfig, SpecError> {
-    let fields = expect_obj(v, path)?;
     check_fields(
-        fields,
+        v,
         path,
         &[
             "enabled",
@@ -600,50 +1038,9 @@ fn watchdog_from_json(v: &Json, path: &str) -> Result<WatchdogConfig, SpecError>
     Ok(w)
 }
 
-fn config_to_json(c: &ExperimentConfig) -> Json {
-    Json::Object(vec![
-        (
-            "environment".into(),
-            Json::Str(env_name(c.environment).into()),
-        ),
-        ("operator".into(), Json::Str(op_name(c.operator).into())),
-        ("mobility".into(), Json::Str(mob_name(c.mobility).into())),
-        ("cc".into(), cc_to_json(&c.cc)),
-        ("seed".into(), Json::UInt(c.seed)),
-        ("run_index".into(), Json::UInt(c.run_index)),
-        ("hold_us".into(), Json::UInt(c.hold.as_micros())),
-        ("ground_sweeps".into(), Json::UInt(c.ground_sweeps as u64)),
-        ("drop_on_latency".into(), Json::Bool(c.drop_on_latency)),
-        (
-            "hysteresis_db".into(),
-            c.hysteresis_override_db.map_or(Json::Null, Json::Float),
-        ),
-        (
-            "ttt_ms".into(),
-            c.ttt_override_ms.map_or(Json::Null, Json::UInt),
-        ),
-        (
-            "jitter_target_ms".into(),
-            c.jitter_target_override_ms.map_or(Json::Null, Json::UInt),
-        ),
-        ("watchdog".into(), watchdog_to_json(&c.watchdog)),
-        ("repair".into(), Json::Bool(c.repair)),
-        (
-            "leg_cap_bps".into(),
-            c.leg_cap_bps.map_or(Json::Null, |(a, b)| {
-                Json::Array(vec![Json::Float(a), Json::Float(b)])
-            }),
-        ),
-        ("fec_cap".into(), Json::Float(c.fec_cap)),
-        ("n_legs".into(), Json::UInt(c.n_legs as u64)),
-        ("coupled_cc".into(), Json::Bool(c.coupled_cc)),
-    ])
-}
-
 fn config_from_json(v: &Json, path: &str) -> Result<ExperimentConfig, SpecError> {
-    let fields = expect_obj(v, path)?;
     check_fields(
-        fields,
+        v,
         path,
         &[
             "environment",
@@ -667,14 +1064,14 @@ fn config_from_json(v: &Json, path: &str) -> Result<ExperimentConfig, SpecError>
         ],
     )?;
     let mut b = ExperimentConfig::builder();
-    if let Some(s) = opt_field(v, path, "environment", str_owned)? {
-        b = b.environment(env_from_name(&s, &format!("{path}.environment"))?);
+    if let Some(e) = opt_field(v, path, "environment", |v, p| ENVIRONMENTS.decode(v, p))? {
+        b = b.environment(e);
     }
-    if let Some(s) = opt_field(v, path, "operator", str_owned)? {
-        b = b.operator(op_from_name(&s, &format!("{path}.operator"))?);
+    if let Some(o) = opt_field(v, path, "operator", |v, p| OPERATORS.decode(v, p))? {
+        b = b.operator(o);
     }
-    if let Some(s) = opt_field(v, path, "mobility", str_owned)? {
-        b = b.mobility(mob_from_name(&s, &format!("{path}.mobility"))?);
+    if let Some(m) = opt_field(v, path, "mobility", |v, p| MOBILITIES.decode(v, p))? {
+        b = b.mobility(m);
     }
     if let Some(cc) = v.get("cc") {
         b = b.cc(cc_from_json(cc, &format!("{path}.cc"))?);
@@ -751,250 +1148,6 @@ fn config_from_json(v: &Json, path: &str) -> Result<ExperimentConfig, SpecError>
     Ok(b.build())
 }
 
-// ---- fault scripts --------------------------------------------------------
-
-fn clause_to_json(clause: &FaultClause) -> Json {
-    let mut fields: Vec<(String, Json)> = Vec::new();
-    let kind_field = |name: &'static str| (String::from("kind"), Json::Str(name.into()));
-    match clause {
-        FaultClause::Blackout { from, until } => {
-            fields.push(kind_field("blackout"));
-            fields.push(("from_us".into(), Json::UInt(from.as_micros())));
-            fields.push(("until_us".into(), Json::UInt(until.as_micros())));
-        }
-        FaultClause::KindBlackout { from, until, kind } => {
-            fields.push(kind_field("kind_blackout"));
-            fields.push(("from_us".into(), Json::UInt(from.as_micros())));
-            fields.push(("until_us".into(), Json::UInt(until.as_micros())));
-            fields.push(("packet".into(), Json::Str(kind_name(*kind).into())));
-        }
-        FaultClause::Loss {
-            from,
-            until,
-            prob,
-            kind,
-        } => {
-            fields.push(kind_field("loss"));
-            fields.push(("from_us".into(), Json::UInt(from.as_micros())));
-            fields.push(("until_us".into(), Json::UInt(until.as_micros())));
-            fields.push(("prob".into(), Json::Float(*prob)));
-            fields.push((
-                "packet".into(),
-                kind.map_or(Json::Null, |k| Json::Str(kind_name(k).into())),
-            ));
-        }
-        FaultClause::BurstLoss {
-            from,
-            until,
-            p_enter,
-            p_exit,
-            loss_bad,
-            kind,
-        } => {
-            fields.push(kind_field("burst_loss"));
-            fields.push(("from_us".into(), Json::UInt(from.as_micros())));
-            fields.push(("until_us".into(), Json::UInt(until.as_micros())));
-            fields.push(("p_enter".into(), Json::Float(*p_enter)));
-            fields.push(("p_exit".into(), Json::Float(*p_exit)));
-            fields.push(("loss_bad".into(), Json::Float(*loss_bad)));
-            fields.push((
-                "packet".into(),
-                kind.map_or(Json::Null, |k| Json::Str(kind_name(k).into())),
-            ));
-        }
-        FaultClause::DelaySpike { from, until, extra } => {
-            fields.push(kind_field("delay_spike"));
-            fields.push(("from_us".into(), Json::UInt(from.as_micros())));
-            fields.push(("until_us".into(), Json::UInt(until.as_micros())));
-            fields.push(("extra_us".into(), Json::UInt(extra.as_micros())));
-        }
-        FaultClause::Duplicate {
-            from,
-            until,
-            prob,
-            kind,
-        } => {
-            fields.push(kind_field("duplicate"));
-            fields.push(("from_us".into(), Json::UInt(from.as_micros())));
-            fields.push(("until_us".into(), Json::UInt(until.as_micros())));
-            fields.push(("prob".into(), Json::Float(*prob)));
-            fields.push((
-                "packet".into(),
-                kind.map_or(Json::Null, |k| Json::Str(kind_name(k).into())),
-            ));
-        }
-        FaultClause::Corrupt {
-            from,
-            until,
-            prob,
-            kind,
-        } => {
-            fields.push(kind_field("corrupt"));
-            fields.push(("from_us".into(), Json::UInt(from.as_micros())));
-            fields.push(("until_us".into(), Json::UInt(until.as_micros())));
-            fields.push(("prob".into(), Json::Float(*prob)));
-            fields.push((
-                "packet".into(),
-                kind.map_or(Json::Null, |k| Json::Str(kind_name(k).into())),
-            ));
-        }
-        FaultClause::Reorder {
-            from,
-            until,
-            prob,
-            max_displacement,
-        } => {
-            fields.push(kind_field("reorder"));
-            fields.push(("from_us".into(), Json::UInt(from.as_micros())));
-            fields.push(("until_us".into(), Json::UInt(until.as_micros())));
-            fields.push(("prob".into(), Json::Float(*prob)));
-            fields.push(("max_displacement".into(), Json::UInt(*max_displacement)));
-        }
-        FaultClause::CoverageHole {
-            x,
-            y,
-            radius_m,
-            min_alt_m,
-        } => {
-            fields.push(kind_field("coverage_hole"));
-            fields.push(("x".into(), Json::Float(*x)));
-            fields.push(("y".into(), Json::Float(*y)));
-            fields.push(("radius_m".into(), Json::Float(*radius_m)));
-            fields.push(("min_alt_m".into(), Json::Float(*min_alt_m)));
-        }
-    }
-    Json::Object(fields)
-}
-
-fn clause_from_json(v: &Json, path: &str) -> Result<FaultClause, SpecError> {
-    let fields = expect_obj(v, path)?;
-    let kind = req_str(v, path, "kind")?;
-    let from =
-        || -> Result<SimTime, SpecError> { Ok(SimTime::from_micros(req_u64(v, path, "from_us")?)) };
-    let until = || -> Result<SimTime, SpecError> {
-        Ok(SimTime::from_micros(req_u64(v, path, "until_us")?))
-    };
-    let packet = |fieldless: bool| -> Result<Option<PacketKind>, SpecError> {
-        if fieldless {
-            return Ok(None);
-        }
-        opt_nullable(v, path, "packet", |v, p| {
-            str_of(v, p).and_then(|s| kind_from_name(s, p))
-        })
-    };
-    match kind {
-        "blackout" => {
-            check_fields(fields, path, &["kind", "from_us", "until_us"])?;
-            Ok(FaultClause::Blackout {
-                from: from()?,
-                until: until()?,
-            })
-        }
-        "kind_blackout" => {
-            check_fields(fields, path, &["kind", "from_us", "until_us", "packet"])?;
-            Ok(FaultClause::KindBlackout {
-                from: from()?,
-                until: until()?,
-                kind: kind_from_name(req_str(v, path, "packet")?, &format!("{path}.packet"))?,
-            })
-        }
-        "loss" => {
-            check_fields(
-                fields,
-                path,
-                &["kind", "from_us", "until_us", "prob", "packet"],
-            )?;
-            Ok(FaultClause::Loss {
-                from: from()?,
-                until: until()?,
-                prob: req_f64(v, path, "prob")?,
-                kind: packet(false)?,
-            })
-        }
-        "burst_loss" => {
-            check_fields(
-                fields,
-                path,
-                &[
-                    "kind", "from_us", "until_us", "p_enter", "p_exit", "loss_bad", "packet",
-                ],
-            )?;
-            Ok(FaultClause::BurstLoss {
-                from: from()?,
-                until: until()?,
-                p_enter: req_f64(v, path, "p_enter")?,
-                p_exit: req_f64(v, path, "p_exit")?,
-                loss_bad: req_f64(v, path, "loss_bad")?,
-                kind: packet(false)?,
-            })
-        }
-        "delay_spike" => {
-            check_fields(fields, path, &["kind", "from_us", "until_us", "extra_us"])?;
-            Ok(FaultClause::DelaySpike {
-                from: from()?,
-                until: until()?,
-                extra: SimDuration::from_micros(req_u64(v, path, "extra_us")?),
-            })
-        }
-        "duplicate" => {
-            check_fields(
-                fields,
-                path,
-                &["kind", "from_us", "until_us", "prob", "packet"],
-            )?;
-            Ok(FaultClause::Duplicate {
-                from: from()?,
-                until: until()?,
-                prob: req_f64(v, path, "prob")?,
-                kind: packet(false)?,
-            })
-        }
-        "corrupt" => {
-            check_fields(
-                fields,
-                path,
-                &["kind", "from_us", "until_us", "prob", "packet"],
-            )?;
-            Ok(FaultClause::Corrupt {
-                from: from()?,
-                until: until()?,
-                prob: req_f64(v, path, "prob")?,
-                kind: packet(false)?,
-            })
-        }
-        "reorder" => {
-            check_fields(
-                fields,
-                path,
-                &["kind", "from_us", "until_us", "prob", "max_displacement"],
-            )?;
-            Ok(FaultClause::Reorder {
-                from: from()?,
-                until: until()?,
-                prob: req_f64(v, path, "prob")?,
-                max_displacement: req_u64(v, path, "max_displacement")?,
-            })
-        }
-        "coverage_hole" => {
-            check_fields(fields, path, &["kind", "x", "y", "radius_m", "min_alt_m"])?;
-            Ok(FaultClause::CoverageHole {
-                x: req_f64(v, path, "x")?,
-                y: req_f64(v, path, "y")?,
-                radius_m: req_f64(v, path, "radius_m")?,
-                min_alt_m: req_f64(v, path, "min_alt_m")?,
-            })
-        }
-        _ => Err(SpecError::BadValue {
-            path: format!("{path}.kind"),
-            want: "a fault-clause kind",
-        }),
-    }
-}
-
-fn script_to_json(script: &FaultScript) -> Json {
-    Json::Array(script.clauses().iter().map(clause_to_json).collect())
-}
-
 fn script_from_json(v: &Json, path: &str) -> Result<FaultScript, SpecError> {
     let items = v.as_array().ok_or(SpecError::BadValue {
         path: path.into(),
@@ -1002,32 +1155,21 @@ fn script_from_json(v: &Json, path: &str) -> Result<FaultScript, SpecError> {
     })?;
     let mut script = FaultScript::default();
     for (i, item) in items.iter().enumerate() {
-        script = script.with_clause(clause_from_json(item, &format!("{path}[{i}]"))?);
+        let clause = variant_from_json(
+            item,
+            &format!("{path}[{i}]"),
+            "kind",
+            &CLAUSE_KINDS,
+            "a fault-clause kind",
+        )?;
+        script = script.with_clause(clause);
     }
     Ok(script)
 }
 
-fn opt_script_to_json(script: &Option<FaultScript>) -> Json {
-    script.as_ref().map_or(Json::Null, script_to_json)
-}
-
-fn fault_to_json(fault: &CellFault) -> Json {
-    Json::Object(vec![
-        ("name".into(), Json::Str(fault.name.clone())),
-        ("uplink".into(), opt_script_to_json(&fault.uplink)),
-        ("downlink".into(), opt_script_to_json(&fault.downlink)),
-        ("secondary".into(), opt_script_to_json(&fault.secondary)),
-        (
-            "extra".into(),
-            Json::Array(fault.extra.iter().map(opt_script_to_json).collect()),
-        ),
-    ])
-}
-
 fn fault_from_json(v: &Json, path: &str) -> Result<CellFault, SpecError> {
-    let fields = expect_obj(v, path)?;
     check_fields(
-        fields,
+        v,
         path,
         &["name", "uplink", "downlink", "secondary", "extra"],
     )?;
@@ -1065,63 +1207,6 @@ fn fault_from_json(v: &Json, path: &str) -> Result<CellFault, SpecError> {
     })
 }
 
-// ---- EngineOptions --------------------------------------------------------
-
-fn options_to_json(o: &EngineOptions) -> Json {
-    Json::Object(vec![
-        (
-            "jobs".into(),
-            o.jobs.map_or(Json::Null, |j| Json::UInt(j as u64)),
-        ),
-        (
-            "cache_dir".into(),
-            o.cache_dir
-                .as_ref()
-                .map_or(Json::Null, |p| Json::Str(p.display().to_string())),
-        ),
-        ("max_attempts".into(), Json::UInt(o.max_attempts as u64)),
-        (
-            "stuck_budget_us".into(),
-            Json::UInt(o.stuck_budget.as_micros() as u64),
-        ),
-        ("reference_tick".into(), Json::Bool(o.reference_tick)),
-    ])
-}
-
-fn options_from_json(v: &Json, path: &str) -> Result<EngineOptions, SpecError> {
-    let fields = expect_obj(v, path)?;
-    check_fields(
-        fields,
-        path,
-        &[
-            "jobs",
-            // Retired with cell batching; archived documents carry it.
-            "batch",
-            "cache_dir",
-            "max_attempts",
-            "stuck_budget_us",
-            "reference_tick",
-        ],
-    )?;
-    let mut o = EngineOptions::default();
-    if let Some(jobs) = opt_nullable(v, path, "jobs", u64_of)? {
-        o.jobs = Some((jobs as usize).max(1));
-    }
-    if let Some(dir) = opt_nullable(v, path, "cache_dir", str_owned)? {
-        o.cache_dir = Some(PathBuf::from(dir));
-    }
-    if let Some(a) = opt_field(v, path, "max_attempts", u64_of)? {
-        o.max_attempts = (a as u32).max(1);
-    }
-    if let Some(us) = opt_field(v, path, "stuck_budget_us", u64_of)? {
-        o.stuck_budget = Duration::from_micros(us);
-    }
-    if let Some(on) = opt_field(v, path, "reference_tick", bool_of)? {
-        o.reference_tick = on;
-    }
-    Ok(o)
-}
-
 // ---- parse helpers --------------------------------------------------------
 
 fn expect_obj<'a>(v: &'a Json, path: &str) -> Result<&'a [(String, Json)], SpecError> {
@@ -1135,8 +1220,9 @@ fn expect_obj<'a>(v: &'a Json, path: &str) -> Result<&'a [(String, Json)], SpecE
     })
 }
 
-fn check_fields(fields: &[(String, Json)], path: &str, allowed: &[&str]) -> Result<(), SpecError> {
-    for (key, _) in fields {
+/// `v` must be an object whose members are all in `allowed`.
+fn check_fields(v: &Json, path: &str, allowed: &[&str]) -> Result<(), SpecError> {
+    for (key, _) in expect_obj(v, path)? {
         if !allowed.contains(&key.as_str()) {
             return Err(SpecError::UnknownField {
                 path: if path.is_empty() {
@@ -1234,6 +1320,11 @@ fn opt_u64(v: &Json, key: &str) -> Result<Option<u64>, SpecError> {
     opt_field(v, "", key, |x, _| u64_of(x, key))
 }
 
+/// A clause's optional `packet` filter.
+fn opt_packet(v: &Json, path: &str) -> Result<Option<PacketKind>, SpecError> {
+    opt_nullable(v, path, "packet", |v, p| PACKET_KINDS.decode(v, p))
+}
+
 fn req<'a>(v: &'a Json, path: &str, key: &str) -> Result<&'a Json, SpecError> {
     v.get(key).ok_or(SpecError::MissingField {
         path: format!("{path}.{key}"),
@@ -1242,6 +1333,10 @@ fn req<'a>(v: &'a Json, path: &str, key: &str) -> Result<&'a Json, SpecError> {
 
 fn req_u64(v: &Json, path: &str, key: &str) -> Result<u64, SpecError> {
     req(v, path, key).and_then(|x| u64_of(x, &format!("{path}.{key}")))
+}
+
+fn req_time(v: &Json, path: &str, key: &str) -> Result<SimTime, SpecError> {
+    req_u64(v, path, key).map(SimTime::from_micros)
 }
 
 fn req_f64(v: &Json, path: &str, key: &str) -> Result<f64, SpecError> {
@@ -1297,13 +1392,6 @@ mod tests {
         ])
         .repairs([false, true])
         .runs(2)
-        .with_options(EngineOptions {
-            jobs: Some(4),
-            cache_dir: Some(PathBuf::from("target/rpav-cache")),
-            max_attempts: 3,
-            stuck_budget: Duration::from_secs(60),
-            reference_tick: false,
-        })
     }
 
     #[test]
@@ -1382,15 +1470,24 @@ mod tests {
 
     #[test]
     fn retired_batch_key_is_accepted_and_ignored() {
-        // Documents as the builds with cell batching emitted them:
-        // `recover()` must keep decoding every archived spec.
+        // Documents as earlier builds archived them: an `options` member
+        // of engine knobs, holding `batch` in the builds that batched
+        // cells. `recover()` must keep decoding every archived spec — to
+        // the spec without them, whose bytes carry neither.
         let spec = exercised_spec();
         let doc = spec.to_json();
-        assert!(!doc.contains("batch"));
-        for old in ["\"batch\":null,", "\"batch\":4,"] {
-            let archived = doc.replace("\"cache_dir\"", &format!("{old}\"cache_dir\""));
+        assert!(!doc.contains("options") && !doc.contains("batch"));
+        for options in [
+            r#"{"cache_dir":"target/rpav-cache","jobs":4,"max_attempts":3,"reference_tick":false,"stuck_budget_us":60000000}"#,
+            r#"{"batch":null,"cache_dir":null,"jobs":null,"max_attempts":2,"reference_tick":false,"stuck_budget_us":120000000}"#,
+            r#"{"batch":4}"#,
+        ] {
+            let archived =
+                doc.replace("\"repairs\"", &format!("\"options\":{options},\"repairs\""));
             assert_ne!(archived, doc);
-            assert_eq!(CampaignSpec::from_json(&archived), Ok(spec.clone()));
+            let parsed = CampaignSpec::from_json(&archived);
+            assert_eq!(parsed, Ok(spec.clone()));
+            assert_eq!(parsed.unwrap().identity(), spec.identity());
         }
     }
 

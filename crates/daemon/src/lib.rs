@@ -69,7 +69,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use rpav_core::exec::{panic_message, write_atomic};
+use rpav_core::cache::write_atomic;
+use rpav_core::exec::panic_message;
 use rpav_core::json::{self, Json};
 use rpav_core::prelude::*;
 use rpav_sim::alloc;
@@ -148,8 +149,8 @@ pub struct DaemonConfig {
     /// Durable cache root: sharded cell results, quarantine, and the
     /// `campaigns/` spec archive all live here.
     pub cache_dir: PathBuf,
-    /// Worker override (`--jobs`); `None` defers to each spec's options
-    /// or the host parallelism.
+    /// Worker threads (`--jobs`); `None` = the host's available
+    /// parallelism.
     pub jobs: Option<usize>,
 }
 
@@ -235,6 +236,9 @@ impl Campaign {
 
 struct Shared {
     config: DaemonConfig,
+    /// The one engine every campaign runs on: `config`'s workers over
+    /// `config`'s cache. It holds no state between runs.
+    engine: CampaignEngine,
     campaigns: Mutex<BTreeMap<u64, Arc<Campaign>>>,
     queue: mpsc::Sender<Arc<Campaign>>,
     queue_depth: AtomicU64,
@@ -415,14 +419,13 @@ fn report_json(report: &EngineReport) -> Json {
     ])
 }
 
-/// The single FIFO executor: campaigns run one at a time, each on a
-/// fresh engine built from its own spec options — with the cache
-/// directory pinned to the daemon's (the spec's `cache_dir` knob is a
-/// batch-mode concern) and the CLI `--jobs` override applied if given.
+/// The single FIFO executor: campaigns run one at a time on the daemon's
+/// engine, which the command line configures (`--jobs`, `--cache`); a
+/// spec says what a campaign is, never how to run it.
 ///
 /// Each campaign runs under its own `catch_unwind`: the engine already
-/// isolates per-cell panics, but expansion, engine construction, and
-/// aggregate finalization panicking must fail *that campaign* — never
+/// isolates per-cell panics, but expansion and aggregate finalization
+/// panicking must fail *that campaign* — never
 /// the executor thread. On a panic the campaign is marked done with an
 /// `error` report and waiters are woken, so `/aggregates` and `/events`
 /// clients blocked on the Condvar are released instead of hanging
@@ -464,28 +467,23 @@ fn execute_campaign(shared: &Shared, campaign: &Campaign) {
     }
     campaign.wake.notify_all();
 
-    let mut options = campaign.spec.options().clone();
-    options.cache_dir = Some(shared.config.cache_dir.clone());
-    if shared.config.jobs.is_some() {
-        options.jobs = shared.config.jobs;
-    }
-    let engine = options.engine();
-
     let cells = campaign.spec.to_matrix().expand();
     let mut seq = 0usize;
-    let summary = engine.run_cells_streaming_observed(cells, &mut |outcome| {
-        let line = event_line(seq, outcome);
-        seq += 1;
-        let mut st = lock(&campaign.state);
-        st.events.push(line);
-        if outcome.is_failed() {
-            st.failed += 1;
-        } else {
-            st.done += 1;
-        }
-        drop(st);
-        campaign.wake.notify_all();
-    });
+    let summary = shared
+        .engine
+        .run_cells_streaming_observed(cells, &mut |outcome| {
+            let line = event_line(seq, outcome);
+            seq += 1;
+            let mut st = lock(&campaign.state);
+            st.events.push(line);
+            if outcome.is_failed() {
+                st.failed += 1;
+            } else {
+                st.done += 1;
+            }
+            drop(st);
+            campaign.wake.notify_all();
+        });
 
     let report = summary.report;
     shared
@@ -529,8 +527,15 @@ impl Daemon {
     pub fn new(config: DaemonConfig) -> std::io::Result<Daemon> {
         std::fs::create_dir_all(config.cache_dir.join("campaigns"))?;
         let (tx, rx) = mpsc::channel();
+        let engine = EngineOptions {
+            jobs: config.jobs,
+            cache_dir: Some(config.cache_dir.clone()),
+            ..EngineOptions::default()
+        }
+        .engine();
         let shared = Arc::new(Shared {
             config,
+            engine,
             campaigns: Mutex::new(BTreeMap::new()),
             queue: tx,
             queue_depth: AtomicU64::new(0),
@@ -922,9 +927,14 @@ mod tests {
         assert_eq!(id, format!("{:016x}", spec.identity()));
         assert_eq!(body.get("cells").unwrap().as_u64(), Some(2));
 
-        // Resubmission is idempotent.
-        let again = client::post_json(&addr, "/campaigns", &spec.to_json(), T).unwrap();
-        assert_eq!(again.status, 200);
+        // Resubmission is idempotent — also of a document as earlier
+        // builds archived it, with the retired engine `options` member.
+        let archived = spec.to_json().replace(
+            "\"repairs\"",
+            r#""options":{"cache_dir":null,"jobs":8,"max_attempts":2,"reference_tick":false,"stuck_budget_us":120000000},"repairs""#,
+        );
+        let again = client::post_json(&addr, "/campaigns", &archived, T).unwrap();
+        assert_eq!(again.status, 200, "{}", again.text());
         assert_eq!(
             Json::parse(&again.text()).unwrap().get("created").unwrap(),
             &Json::Bool(false)
@@ -979,7 +989,7 @@ mod tests {
         let cells = spec.to_matrix().expand();
         std::fs::create_dir_all(&dir).unwrap();
         for cell in &cells {
-            let path = rpav_core::exec::cache_entry_path(&dir, cell.key());
+            let path = rpav_core::cache::cache_entry_path(&dir, cell.key());
             std::fs::write(path.parent().unwrap(), b"not a directory").unwrap();
         }
         let (_daemon, addr) = start_daemon(&dir);

@@ -7,13 +7,14 @@
 //!
 //! `--addr host:0` binds an ephemeral port; `--port-file <path>` writes
 //! the bound address (atomically) for harnesses that need to discover
-//! it. `--jobs N` overrides every spec's worker count.
+//! it. `--jobs N` sets the engine's worker count (default: the host's
+//! available parallelism); specs carry no engine settings.
 
 use std::io::Write as _;
 use std::net::TcpListener;
 use std::path::PathBuf;
 
-use rpav_core::exec::write_atomic;
+use rpav_core::cache::write_atomic;
 use rpav_daemon::{Daemon, DaemonConfig};
 use rpav_sim::alloc::CountingAlloc;
 

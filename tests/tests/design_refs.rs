@@ -10,9 +10,14 @@
 //!   `crates/`) names a module that exists: a `src/<module>.rs` file or an
 //!   inline `mod` (such as `rpav_core::prelude`); an item the crate root
 //!   declares or re-exports also resolves. A third segment must be
-//!   declared in that module's file.
+//!   declared in that module's file;
+//! * every backticked `<stem>::…` path in DESIGN.md (`exec::tests::x`,
+//!   `cache::write_atomic`, `matrix_engine::some_test`), where `<stem>`
+//!   names a file under `crates/*/src/` or `tests/tests/`, has its last
+//!   segment declared in a file of that name. A trailing `*` matches any
+//!   name with that prefix.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
 
 fn repo_root() -> PathBuf {
@@ -189,8 +194,13 @@ const ITEM_KINDS: [&str; 8] = [
     "mod", "fn", "struct", "enum", "trait", "type", "const", "static",
 ];
 
-/// Whether `source` declares `name` as an item (or re-exports it).
+/// Whether `source` declares `name` as an item (or re-exports it); a
+/// `name` ending in `*` matches any name with that prefix.
 fn declares(source: &str, name: &str) -> bool {
+    let named = |word: &&str| match name.strip_suffix('*') {
+        Some(prefix) => word.starts_with(prefix),
+        None => *word == name,
+    };
     source.lines().any(|line| {
         let words: Vec<&str> = line
             .split(|c| !is_ident(c))
@@ -198,9 +208,93 @@ fn declares(source: &str, name: &str) -> bool {
             .collect();
         words
             .windows(2)
-            .any(|w| ITEM_KINDS.contains(&w[0]) && w[1] == name)
-            || (line.trim_start().starts_with("pub use") && words.contains(&name))
+            .any(|w| ITEM_KINDS.contains(&w[0]) && named(&w[1]))
+            || (line.trim_start().starts_with("pub use") && words.iter().any(named))
     })
+}
+
+/// Every `*.rs` file under `crates/*/src/` (any depth) and `tests/tests/`,
+/// by file stem.
+fn file_stems(root: &Path) -> BTreeMap<String, Vec<PathBuf>> {
+    let mut dirs: Vec<PathBuf> = std::fs::read_dir(root.join("crates"))
+        .unwrap()
+        .filter_map(Result::ok)
+        .map(|e| e.path().join("src"))
+        .chain([root.join("tests").join("tests")])
+        .collect();
+    let mut stems: BTreeMap<String, Vec<PathBuf>> = BTreeMap::new();
+    while let Some(dir) = dirs.pop() {
+        let Ok(entries) = std::fs::read_dir(&dir) else {
+            continue;
+        };
+        for path in entries.filter_map(Result::ok).map(|e| e.path()) {
+            if path.is_dir() {
+                dirs.push(path);
+            } else if path.extension().is_some_and(|x| x == "rs") {
+                let stem = path.file_stem().unwrap().to_string_lossy().into_owned();
+                stems.entry(stem).or_default().push(path);
+            }
+        }
+    }
+    stems
+}
+
+/// Every path of two or more segments inside a backticked span of `text`
+/// (fenced code blocks skipped) whose first segment is a key of `stems`,
+/// as (line, segments); a trailing `*` stays on the last segment.
+fn stem_paths(text: &str, stems: &BTreeMap<String, Vec<PathBuf>>) -> Vec<(usize, Vec<String>)> {
+    let mut found = Vec::new();
+    let mut in_fence = false;
+    let mut in_code = false;
+    for (n, line) in text.lines().enumerate() {
+        if line.trim_start().starts_with("```") {
+            in_fence = !in_fence;
+            continue;
+        }
+        if in_fence {
+            continue;
+        }
+        for (i, part) in line.split('`').enumerate() {
+            if i > 0 {
+                in_code = !in_code;
+            }
+            if !in_code {
+                continue;
+            }
+            let mut rest = part;
+            while let Some(start) = rest.find(|c: char| is_ident(c)) {
+                let preceded = rest[..start].ends_with(':');
+                let mut segs: Vec<String> = Vec::new();
+                let mut at = &rest[start..];
+                loop {
+                    let seg: String = at.chars().take_while(|&c| is_ident(c)).collect();
+                    at = &at[seg.len()..];
+                    let glob = at.starts_with('*');
+                    if glob {
+                        at = &at[1..];
+                    }
+                    segs.push(if glob { format!("{seg}*") } else { seg });
+                    match at.strip_prefix("::") {
+                        Some(next) if !glob && next.starts_with(is_ident) => at = next,
+                        _ => break,
+                    }
+                }
+                rest = at;
+                if !preceded && segs.len() >= 2 && stems.contains_key(&segs[0]) {
+                    found.push((n + 1, segs));
+                }
+            }
+        }
+    }
+    found
+}
+
+/// Whether a file named `segs[0]` declares the last segment.
+fn stem_path_resolves(stems: &BTreeMap<String, Vec<PathBuf>>, segs: &[String]) -> bool {
+    let last = segs.last().expect("two or more segments");
+    stems[&segs[0]]
+        .iter()
+        .any(|file| declares(&std::fs::read_to_string(file).unwrap_or_default(), last))
 }
 
 /// Whether `<crate>::<segs…>` resolves in the tree (first two segments
@@ -218,7 +312,7 @@ fn path_exists(root: &Path, krate: &str, segs: &[String]) -> bool {
     .find(|p| p.is_file());
     match (file, segs.get(1)) {
         (Some(_), None) => true,
-        (Some(file), Some(item)) => item == "*" || declares(&read(file), item),
+        (Some(file), Some(item)) => declares(&read(file), item),
         (None, _) => declares(&lib, module),
     }
 }
@@ -256,6 +350,16 @@ fn problems(root: &Path) -> Vec<String> {
             ));
         }
     }
+    let stems = file_stems(root);
+    for (line, segs) in stem_paths(&design, &stems) {
+        if !stem_path_resolves(&stems, &segs) {
+            out.push(format!(
+                "DESIGN.md:{line}: `{}` is declared in no `{}.rs`",
+                segs.join("::"),
+                segs[0]
+            ));
+        }
+    }
     out
 }
 
@@ -281,7 +385,7 @@ fn the_gate_catches_planted_bad_references() {
     let root = repo_root();
     let paths = crate_paths(
         "`rpav-uav::trajectory`, `core::metrics::{latency, fps}`, \
-         `rpav_core::prelude`, `rpav_video::quality`, `rpav_core::exec::write_atomic`",
+         `rpav_core::prelude`, `rpav_video::quality`, `rpav_core::cache::write_atomic`",
         &crates,
     );
     let verdicts: Vec<(String, bool)> = paths
@@ -296,7 +400,35 @@ fn the_gate_catches_planted_bad_references() {
             ("core::metrics::fps".to_string(), false),
             ("core::prelude".to_string(), true),
             ("video::quality".to_string(), true),
-            ("core::exec::write_atomic".to_string(), true),
+            ("core::cache::write_atomic".to_string(), true),
+        ]
+    );
+
+    // Backticked `<file stem>::…` paths: only code spans count, a
+    // crate-prefixed path is the check above's, and a trailing `*` is a
+    // prefix.
+    let stems = file_stems(&root);
+    let text =
+        "`exec::tests::no_such_test` and `exec::tests::stuck_watchdog_flags_but_never_kills`, \
+                `matrix_engine::no_such_test` (`rpav_core::exec::nothing`), \
+                `profiles::tests::paper_flight_*`, outside code exec::tests::nope\n\
+                ```\nexec::tests::fenced\n```\n`cache::write_atomic(path, |file| …)`";
+    let verdicts: Vec<(usize, String, bool)> = stem_paths(text, &stems)
+        .iter()
+        .map(|(line, s)| (*line, s.join("::"), stem_path_resolves(&stems, s)))
+        .collect();
+    assert_eq!(
+        verdicts,
+        [
+            (1, "exec::tests::no_such_test".to_string(), false),
+            (
+                1,
+                "exec::tests::stuck_watchdog_flags_but_never_kills".to_string(),
+                true
+            ),
+            (1, "matrix_engine::no_such_test".to_string(), false),
+            (1, "profiles::tests::paper_flight_*".to_string(), true),
+            (5, "cache::write_atomic".to_string(), true),
         ]
     );
 }

@@ -24,7 +24,7 @@
 
 use std::time::Duration;
 
-use rpav_core::exec::cache_entry_path;
+use rpav_core::cache::cache_entry_path;
 use rpav_core::prelude::*;
 use rpav_sim::alloc::{self, CountingAlloc};
 

@@ -15,7 +15,6 @@ use rpav_core::json::{Json, JsonError};
 use rpav_core::prelude::*;
 use rpav_netem::{FaultScript, PacketKind};
 use rpav_sim::{SimDuration, SimRng, SimTime};
-use std::time::Duration;
 
 fn random_kind(rng: &mut SimRng) -> Option<PacketKind> {
     match rng.uniform_u64(0, 4) {
@@ -189,26 +188,6 @@ fn random_spec(rng: &mut SimRng) -> CampaignSpec {
     }
     if rng.chance(0.3) {
         spec = spec.repairs([false, true]);
-    }
-    if rng.chance(0.5) {
-        spec = spec.with_options(EngineOptions {
-            jobs: if rng.chance(0.5) {
-                Some(rng.uniform_u64(1, 16) as usize)
-            } else {
-                None
-            },
-            cache_dir: if rng.chance(0.5) {
-                Some(std::path::PathBuf::from(format!(
-                    "target/fuzz-cache-{}",
-                    rng.uniform_u64(0, 1000)
-                )))
-            } else {
-                None
-            },
-            max_attempts: rng.uniform_u64(1, 5) as u32,
-            stuck_budget: Duration::from_micros(rng.uniform_u64(1, 600_000_000)),
-            reference_tick: rng.chance(0.5),
-        });
     }
     spec
 }
