@@ -1,17 +1,23 @@
 //! Where results *live*: the durable on-disk cell cache and the one
 //! atomic write every durable file in the workspace goes through.
 //!
-//! A cell's result is a sealed (CRC32-framed) [`RunMetrics`] record at
-//! [`cache_entry_path`], keyed by [`Cell::key`](crate::matrix::Cell::key).
-//! `load` serves a hit or quarantines a corrupt record; `store` writes
-//! one through [`write_atomic`]. The records are all the state a
+//! A cell's result is a record at [`cache_entry_path`], keyed by
+//! [`Cell::key`](crate::matrix::Cell::key): a CRC'd summary section
+//! holding the cell's one-cell [`CampaignAggregates`] partial, then the
+//! CRC-sealed [`RunMetrics`] body (the frame is `core::codec`'s,
+//! [`seal_record`](crate::codec::seal_record)). `load` serves a hit
+//! from the summary alone, or from both sections when the caller keeps
+//! the metrics; `load_body` reads a body later; `store` writes a
+//! record through [`write_atomic`]. The records are all the state a
 //! campaign leaves behind: resuming a killed campaign is hitting them.
 
+use std::io::Read as _;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use crate::codec::ByteWriter;
+use crate::codec::{self, ByteWriter, RecordHead, ENVELOPE_HEADER};
 use crate::metrics::RunMetrics;
+use crate::summary::{CampaignAggregates, AGGREGATES_VERSION};
 
 /// Sharded on-disk location of one cache entry:
 /// `<dir>/<xx>/<key:016x>.rpav`, where `xx` is the key's top byte in hex —
@@ -22,72 +28,153 @@ pub fn cache_entry_path(dir: &Path, key: u64) -> PathBuf {
         .join(format!("{key:016x}.rpav"))
 }
 
-/// A cache file that exists but fails the envelope or the structural
-/// decode; [`load`] has already moved it out of the way.
+/// A cache file that exists but fails a section's frame or CRC, or the
+/// structural decode; [`load`] has already moved it out of the way.
 pub(crate) struct CorruptRecord;
 
-/// Read one sealed cache record into the worker's recycled buffer and
-/// decode it. A miss (`Ok(None)`) is one failed `open`. A corrupt file is
-/// *quarantined*: moved to `<dir>/quarantine/` (deleted if the move
-/// fails) and treated as a miss by the caller, so one corrupt file costs
-/// one re-simulation, never the run.
+/// A served record: the cell's stored one-cell aggregate partial, and its
+/// decoded metrics when [`load`] was asked for the body.
+pub(crate) struct Hit {
+    pub summary: CampaignAggregates,
+    pub metrics: Option<RunMetrics>,
+}
+
+/// Serve one cache record through the worker's recycled buffer.
+///
+/// The record's summary section is always read, its CRC verified and its
+/// partial decoded. With `with_body` the whole file is read, and the body
+/// verified and decoded too; without, only the body's header is, and the
+/// file's length must equal what both headers announce — truncation is
+/// caught, a flipped bit in the unread body is not.
+///
+/// A miss (`Ok(None)`) is one failed `open`, or a record with no current
+/// summary — a body-only record written before records carried one, or a
+/// summary led by another [`AGGREGATES_VERSION`]: the caller simulates
+/// the cell again and overwrites it. A corrupt file is *quarantined*:
+/// moved to `<dir>/quarantine/` (deleted if the move fails) and treated
+/// as a miss by the caller, so one corrupt file costs one re-simulation,
+/// never the run.
 pub(crate) fn load(
     dir: &Path,
     key: u64,
+    with_body: bool,
     record: &mut Vec<u8>,
-) -> Result<Option<RunMetrics>, CorruptRecord> {
-    use std::io::Read as _;
+) -> Result<Option<Hit>, CorruptRecord> {
     let path = cache_entry_path(dir, key);
-    record.clear();
-    let read = std::fs::File::open(&path).and_then(|mut f| {
-        // Grow the recycled buffer to this record's size exactly:
-        // `read_to_end` alone doubles it whenever a record outgrows it, so
-        // it would settle at twice the largest record seen. A size no
-        // allocation can hold is a failed read (a miss), not an abort.
-        let len = usize::try_from(f.metadata()?.len()).map_err(std::io::Error::other)?;
-        record
-            .try_reserve_exact(len)
-            .map_err(std::io::Error::other)?;
-        f.read_to_end(record)
-    });
+    let read = read(&path, with_body, record);
     if read.is_err() {
+        quarantine(dir, key, &path);
+    }
+    read
+}
+
+/// [`load`] short of the quarantine.
+fn read(path: &Path, with_body: bool, record: &mut Vec<u8>) -> Result<Option<Hit>, CorruptRecord> {
+    record.clear();
+    let Ok(mut file) = std::fs::File::open(path) else {
+        return Ok(None);
+    };
+    let Ok(len) = file.metadata().map(|m| m.len()) else {
+        return Ok(None);
+    };
+    if len < ENVELOPE_HEADER as u64 {
+        return Err(CorruptRecord);
+    }
+    let mut head = [0; ENVELOPE_HEADER];
+    if file.read_exact(&mut head).is_err() {
         return Ok(None);
     }
-    if let Some(metrics) = RunMetrics::from_cache_bytes(record) {
-        return Ok(Some(metrics));
+    let prefix = match codec::record_head(&head) {
+        None => return Err(CorruptRecord),
+        Some(RecordHead::BodyOnly) => return Ok(None),
+        Some(RecordHead::Summary { prefix }) if prefix > len => return Err(CorruptRecord),
+        Some(RecordHead::Summary { prefix }) => prefix,
+    };
+    // Grow the recycled buffer to exactly what is read: `read_to_end`
+    // alone doubles it whenever a record outgrows it, so it would settle
+    // at twice the largest record seen. A size no allocation can hold is
+    // a failed read (a miss), not an abort.
+    let want = if with_body { len } else { prefix };
+    let filled = usize::try_from(want)
+        .map_err(std::io::Error::other)
+        .and_then(|want| {
+            record
+                .try_reserve_exact(want)
+                .map_err(std::io::Error::other)?;
+            record.extend_from_slice(&head);
+            file.take((want - head.len()) as u64).read_to_end(record)?;
+            Ok(record.len() == want)
+        });
+    if !matches!(filled, Ok(true)) {
+        return Ok(None);
     }
+    let summary = codec::unseal_summary(&record[..prefix as usize], len).ok_or(CorruptRecord)?;
+    if summary.get(..8) != Some(&AGGREGATES_VERSION.to_le_bytes()) {
+        return Ok(None);
+    }
+    let summary = CampaignAggregates::from_bytes(summary)
+        .filter(|partial| partial.cells == 1 && partial.failed == 0)
+        .ok_or(CorruptRecord)?;
+    let metrics = if with_body {
+        Some(RunMetrics::from_cache_bytes(record).ok_or(CorruptRecord)?)
+    } else {
+        None
+    };
+    Ok(Some(Hit { summary, metrics }))
+}
+
+/// Read, verify and decode the body of the record at `key` — a hit whose
+/// [`load`] skipped it. A record that fails is quarantined; `None` means
+/// the caller must recompute the metrics.
+pub(crate) fn load_body(dir: &Path, key: u64) -> Option<RunMetrics> {
+    let path = cache_entry_path(dir, key);
+    let bytes = std::fs::read(&path).ok()?;
+    let metrics = RunMetrics::from_cache_bytes(&bytes);
+    if metrics.is_none() {
+        quarantine(dir, key, &path);
+    }
+    metrics
+}
+
+/// Move a corrupt record to `<dir>/quarantine/`, or delete it if that
+/// fails, and say so on stderr.
+fn quarantine(dir: &Path, key: u64, path: &Path) {
     let qdir = dir.join("quarantine");
     let moved = std::fs::create_dir_all(&qdir).is_ok()
-        && std::fs::rename(&path, qdir.join(format!("{key:016x}.rpav"))).is_ok();
+        && std::fs::rename(path, qdir.join(format!("{key:016x}.rpav"))).is_ok();
     if !moved {
-        let _ = std::fs::remove_file(&path);
+        let _ = std::fs::remove_file(path);
     }
     eprintln!(
         "rpav: quarantined corrupt cache file {} ({})",
         path.display(),
         if moved { "moved" } else { "deleted" }
     );
-    Err(CorruptRecord)
 }
 
-/// Durably store one sealed cache record into its prefix shard
-/// ([`write_atomic`]). A failure (full disk, unwritable directory) costs
-/// the cache entry, not the run: the caller counts it in
+/// Durably store one cache record — `summary`, the cell's one-cell
+/// partial, then `metrics` — into its prefix shard ([`write_atomic`]). A
+/// failure (full disk, unwritable directory) costs the cache entry, not
+/// the run: the caller counts it in
 /// [`EngineReport::store_failed`](crate::exec::EngineReport::store_failed).
 pub(crate) fn store(
     dir: &Path,
     key: u64,
+    summary: &CampaignAggregates,
     metrics: &RunMetrics,
     record: &mut Vec<u8>,
 ) -> std::io::Result<()> {
     let path = cache_entry_path(dir, key);
     std::fs::create_dir_all(path.parent().expect("cache entries live in a shard dir"))?;
-    // Encode into the worker's recycled buffer and stream the sealed
-    // envelope straight to the file — no per-cell payload allocation.
+    // Encode both sections into the worker's recycled buffer and stream
+    // the framed record straight to the file — no per-cell allocation.
     let mut w = ByteWriter::with_buf(std::mem::take(record));
+    summary.write_into(&mut w);
+    let split = w.len();
     metrics.write_into(&mut w);
     *record = w.into_bytes();
-    write_atomic(&path, |f| crate::codec::seal_to(record, f))
+    let (summary, body) = record.split_at(split);
+    write_atomic(&path, |f| codec::seal_record_to(summary, body, f))
 }
 
 /// Durably replace `path` with what `write` puts into a fresh file: the
@@ -95,8 +182,11 @@ pub(crate) fn store(
 /// (concurrent writers — threads or processes — never share one), are
 /// `fsync`'d, and the tmp file is renamed over `path` — a kill at any
 /// instant leaves the old file or the complete new one, never a hybrid.
-/// On any failure the tmp file is removed and the error returned; `path`
-/// is untouched.
+/// The parent directory is then `fsync`'d too, so the rename itself
+/// survives a power cut: once this returns `Ok`, the new file is durable.
+/// On any failure before the rename the tmp file is removed and the error
+/// returned; `path` is untouched. A failed directory sync is the call's
+/// error too, with `path` already replaced.
 pub fn write_atomic(
     path: &Path,
     write: impl FnOnce(&mut std::fs::File) -> std::io::Result<()>,
@@ -116,8 +206,13 @@ pub fn write_atomic(
     });
     if written.is_err() {
         let _ = std::fs::remove_file(&tmp);
+        return written;
     }
-    written
+    let parent = match path.parent() {
+        Some(p) if !p.as_os_str().is_empty() => p,
+        _ => Path::new("."),
+    };
+    std::fs::File::open(parent)?.sync_all()
 }
 
 #[cfg(test)]

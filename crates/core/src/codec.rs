@@ -15,8 +15,18 @@
 //! ([`seal`]/[`unseal`]): a magic + payload length + CRC32 frame so a
 //! torn write, a flipped bit, or an unrelated file degrades to a cache
 //! miss at the envelope layer — before the structural decoder even runs.
-//! [`RunMetrics::to_cache_bytes`]/[`RunMetrics::from_cache_bytes`] are
-//! the durable-store entry points the engine uses.
+//!
+//! A cache record leads with a second section of the same shape
+//! ([`seal_record`]): `"RPVS" ‖ slen ‖ crc32 ‖ summary`, the cell's
+//! one-cell [`CampaignAggregates`] in its canonical bytes (a few KB),
+//! then the body envelope unchanged. The frame is versioned by its
+//! leading magic, not by [`FORMAT_VERSION`], which salts every cache key.
+//! [`record_head`] and [`unseal_summary`] let a reader verify the summary
+//! and the record's length from the bytes up to the body payload alone;
+//! [`unseal`] accepts either frame, verifies every CRC present and
+//! returns the body payload.
+//! [`RunMetrics::to_cache_bytes`]/[`RunMetrics::from_cache_bytes`] write
+//! and read whole records.
 
 use rpav_lte::HandoverKind;
 use rpav_sim::{SimDuration, SimTime};
@@ -26,6 +36,7 @@ use crate::metrics::{
     FrameRecord, HandoverRecord, OutageRecord, PathHealthSummary, RadioTraceRow, RunMetrics,
     SwitchRecord,
 };
+use crate::summary::CampaignAggregates;
 
 /// Bump on any change to the byte layout below.
 /// (v4: on-disk records gained the CRC32 `seal` envelope.)
@@ -37,8 +48,12 @@ const MAGIC: &[u8; 4] = b"RPAV";
 /// Magic prefix of the on-disk cache envelope.
 const ENVELOPE_MAGIC: &[u8; 4] = b"RPVE";
 
-/// Envelope header size: magic + u64 payload length + u32 CRC32.
-const ENVELOPE_HEADER: usize = 4 + 8 + 4;
+/// Magic prefix of a cache record's leading summary section.
+const SUMMARY_MAGIC: &[u8; 4] = b"RPVS";
+
+/// Size of one section header (the envelope's, or the summary's): magic +
+/// u64 payload length + u32 CRC32.
+pub const ENVELOPE_HEADER: usize = 4 + 8 + 4;
 
 /// CRC-32/ISO-HDLC (the ubiquitous IEEE 802.3 polynomial) slice-by-16
 /// lookup tables, generated at compile time — dependency-free like the
@@ -254,13 +269,20 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
     h
 }
 
+/// The [`ENVELOPE_HEADER`] bytes framing `payload` behind `magic`.
+fn section_header(magic: &[u8; 4], payload: &[u8]) -> [u8; ENVELOPE_HEADER] {
+    let mut head = [0; ENVELOPE_HEADER];
+    head[..4].copy_from_slice(magic);
+    head[4..12].copy_from_slice(&(payload.len() as u64).to_le_bytes());
+    head[12..].copy_from_slice(&crc32(payload).to_le_bytes());
+    head
+}
+
 /// Frame `payload` in the durable-store envelope:
 /// `"RPVE" ‖ len: u64 ‖ crc32(payload): u32 ‖ payload`.
 pub fn seal(payload: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(ENVELOPE_HEADER + payload.len());
-    out.extend_from_slice(ENVELOPE_MAGIC);
-    out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    out.extend_from_slice(&crc32(payload).to_le_bytes());
+    out.extend_from_slice(&section_header(ENVELOPE_MAGIC, payload));
     out.extend_from_slice(payload);
     out
 }
@@ -268,26 +290,104 @@ pub fn seal(payload: &[u8]) -> Vec<u8> {
 /// Streaming variant of [`seal`]: writes the same envelope followed by
 /// the payload to `w` without materialising the sealed buffer.
 pub fn seal_to<W: std::io::Write>(payload: &[u8], w: &mut W) -> std::io::Result<()> {
-    w.write_all(ENVELOPE_MAGIC)?;
-    w.write_all(&(payload.len() as u64).to_le_bytes())?;
-    w.write_all(&crc32(payload).to_le_bytes())?;
+    w.write_all(&section_header(ENVELOPE_MAGIC, payload))?;
     w.write_all(payload)
 }
 
-/// Strip and verify a [`seal`] envelope. Returns `None` — never panics —
-/// on a short buffer, wrong magic, a length that disagrees with the bytes
-/// actually present (truncation *or* trailing garbage), or a CRC mismatch.
+/// Parse one section header wearing `magic`: the section's payload length
+/// and CRC, or `None` for a short buffer or another magic.
+fn section(head: &[u8], magic: &[u8; 4]) -> Option<(u64, u32)> {
+    if head.len() < ENVELOPE_HEADER || &head[..4] != magic {
+        return None;
+    }
+    let len = u64::from_le_bytes(head[4..12].try_into().unwrap());
+    let crc = u32::from_le_bytes(head[12..16].try_into().unwrap());
+    Some((len, crc))
+}
+
+/// Strip and verify a [`seal`] envelope — or a cache record's, which
+/// [`seal_record`] leads with a summary section. Returns the body payload,
+/// `None` — never panics — on a short buffer, wrong magic, a length that
+/// disagrees with the bytes actually present (truncation *or* trailing
+/// garbage), or a CRC mismatch in any section present.
 pub fn unseal(buf: &[u8]) -> Option<&[u8]> {
-    if buf.len() < ENVELOPE_HEADER || &buf[..4] != ENVELOPE_MAGIC {
-        return None;
+    unseal_record(buf).map(|(_, body)| body)
+}
+
+/// Frame a cache record: a summary section, then the body envelope —
+/// `"RPVS" ‖ slen: u64 ‖ crc32(summary): u32 ‖ summary ‖ seal(body)`.
+pub fn seal_record(summary: &[u8], body: &[u8]) -> Vec<u8> {
+    let mut out = Vec::with_capacity(2 * ENVELOPE_HEADER + summary.len() + body.len());
+    seal_record_to(summary, body, &mut out).expect("writes into a Vec cannot fail");
+    out
+}
+
+/// Streaming variant of [`seal_record`].
+pub fn seal_record_to<W: std::io::Write>(
+    summary: &[u8],
+    body: &[u8],
+    w: &mut W,
+) -> std::io::Result<()> {
+    w.write_all(&section_header(SUMMARY_MAGIC, summary))?;
+    w.write_all(summary)?;
+    seal_to(body, w)
+}
+
+/// What a cache record's first [`ENVELOPE_HEADER`] bytes announce.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum RecordHead {
+    /// A summary section leads; the record's first `prefix` bytes run
+    /// through the body envelope's header, up to the body payload.
+    Summary {
+        /// Bytes from the start of the record to the body payload.
+        prefix: u64,
+    },
+    /// A body envelope alone, as [`seal`] writes it.
+    BodyOnly,
+}
+
+/// Classify a record by its leading header; `None` for anything that is
+/// neither frame (or shorter than one header).
+pub fn record_head(head: &[u8]) -> Option<RecordHead> {
+    if let Some((len, _)) = section(head, SUMMARY_MAGIC) {
+        let prefix = len.checked_add(2 * ENVELOPE_HEADER as u64)?;
+        return Some(RecordHead::Summary { prefix });
     }
-    let len = u64::from_le_bytes(buf[4..12].try_into().unwrap());
-    let crc = u32::from_le_bytes(buf[12..16].try_into().unwrap());
-    let payload = &buf[ENVELOPE_HEADER..];
-    if payload.len() as u64 != len || crc32(payload) != crc {
-        return None;
-    }
-    Some(payload)
+    section(head, ENVELOPE_MAGIC).map(|_| RecordHead::BodyOnly)
+}
+
+/// Verify a record's summary section from its `prefix` bytes alone (see
+/// [`RecordHead::Summary`]) and the record's total length: both headers'
+/// magic, section lengths that add up to exactly `record_len`, and the
+/// summary CRC. The body payload is neither read nor checked. Returns the
+/// summary payload.
+pub fn unseal_summary(prefix: &[u8], record_len: u64) -> Option<&[u8]> {
+    let (slen, crc) = section(prefix, SUMMARY_MAGIC)?;
+    let summary = prefix
+        .get(ENVELOPE_HEADER..)?
+        .get(..usize::try_from(slen).ok()?)?;
+    let body_head = &prefix[ENVELOPE_HEADER + summary.len()..];
+    let (blen, _) = section(body_head, ENVELOPE_MAGIC)?;
+    let whole = (prefix.len() as u64).checked_add(blen)?;
+    (body_head.len() == ENVELOPE_HEADER && whole == record_len && crc32(summary) == crc)
+        .then_some(summary)
+}
+
+/// Split and verify a whole record of either frame: every section's
+/// magic, length and CRC. Returns the summary payload (`None` for a
+/// body-only frame) and the body payload.
+pub fn unseal_record(buf: &[u8]) -> Option<(Option<&[u8]>, &[u8])> {
+    let (summary, body) = match record_head(buf)? {
+        RecordHead::BodyOnly => (None, buf),
+        RecordHead::Summary { prefix } => {
+            let prefix = usize::try_from(prefix).ok().filter(|p| *p <= buf.len())?;
+            let summary = unseal_summary(&buf[..prefix], buf.len() as u64)?;
+            (Some(summary), &buf[prefix - ENVELOPE_HEADER..])
+        }
+    };
+    let (len, crc) = section(body, ENVELOPE_MAGIC)?;
+    let payload = &body[ENVELOPE_HEADER..];
+    (payload.len() as u64 == len && crc32(payload) == crc).then_some((summary, payload))
 }
 
 /// Append-only little-endian byte sink.
@@ -312,6 +412,21 @@ impl ByteWriter {
     /// Finish and take the bytes.
     pub fn into_bytes(self) -> Vec<u8> {
         self.buf
+    }
+
+    /// Bytes written so far.
+    pub fn len(&self) -> usize {
+        self.buf.len()
+    }
+
+    /// Whether nothing has been written.
+    pub fn is_empty(&self) -> bool {
+        self.buf.is_empty()
+    }
+
+    /// Make room for `additional` more bytes in one allocation.
+    pub fn reserve(&mut self, additional: usize) {
+        self.buf.reserve(additional);
     }
 
     /// Write one byte.
@@ -839,15 +954,20 @@ impl RunMetrics {
         Some(m)
     }
 
-    /// [`to_bytes`](Self::to_bytes) wrapped in the durable-store
-    /// [`seal`] envelope — the form the engine writes to `RPAV_CACHE`.
+    /// The cache record the engine writes to `RPAV_CACHE`: the one-cell
+    /// [`CampaignAggregates`] fold as the summary section, then
+    /// [`to_bytes`](Self::to_bytes) in the [`seal`] envelope
+    /// ([`seal_record`]).
     pub fn to_cache_bytes(&self) -> Vec<u8> {
-        seal(&self.to_bytes())
+        let mut summary = CampaignAggregates::default();
+        summary.fold(self);
+        seal_record(&summary.to_bytes(), &self.to_bytes())
     }
 
-    /// Decode an on-disk cache record. Any corruption — a torn write, a
-    /// flipped bit anywhere in the file, truncation, or a stale format —
-    /// returns `None` so the engine treats the file as a miss.
+    /// Decode an on-disk cache record's body, of either frame. Any
+    /// corruption — a torn write, a flipped bit anywhere in the file,
+    /// truncation, or a stale format — returns `None` so the engine
+    /// treats the file as a miss.
     pub fn from_cache_bytes(buf: &[u8]) -> Option<RunMetrics> {
         RunMetrics::from_bytes(unseal(buf)?)
     }

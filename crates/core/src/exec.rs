@@ -4,13 +4,17 @@
 //! runs them all:
 //!
 //! * [`CampaignEngine`] — a bounded `std::thread` pool (no external deps)
-//!   pulling cells off an atomic work queue, each worker folding its own
-//!   results into its share of the order-free [`CampaignAggregates`] and
+//!   pulling cells off an atomic work queue, each worker adding its own
+//!   results to its share of the order-free [`CampaignAggregates`] and
 //!   handing them over a rendezvous `mpsc` channel into
 //!   **submission-ordered** delivery.
 //! * One opt-in result cache ([`crate::cache`]): a sealed on-disk record
-//!   per cell, keyed by [`Cell::key`]. The engine itself holds no state
-//!   between runs — the records are all there is.
+//!   per cell, keyed by [`Cell::key`], that leads with the cell's one-cell
+//!   aggregate partial. A hit merges that partial instead of folding the
+//!   metrics. [`CampaignEngine::run`] also reads, verifies and decodes
+//!   each hit's body; the streaming entry points leave it on disk until
+//!   an observer asks for the metrics ([`CellMetrics`]). The engine
+//!   itself holds no state between runs — the records are all there is.
 //!
 //! # Determinism contract
 //!
@@ -21,7 +25,8 @@
 //! result lands in `results[cell.index]` regardless of completion order.
 //! Therefore `jobs = N` is bit-identical to `jobs = 1` — asserted over
 //! the canonical [`RunMetrics::to_bytes`] encoding by the engine tests —
-//! and cached results are byte-equal to fresh ones.
+//! and cached results are byte-equal to fresh ones: a stored summary is
+//! the same one-cell fold a fresh run merges, so the aggregates are too.
 //!
 //! # Crash safety
 //!
@@ -51,9 +56,9 @@
 //!   1 ms reference scheduler instead of the adaptive one.
 
 use std::collections::{BTreeMap, HashMap, HashSet};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{mpsc, Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 use crate::cache::{self, CorruptRecord};
@@ -74,9 +79,9 @@ pub enum CellOutcome {
     Done {
         /// The cell as expanded.
         cell: Cell,
-        /// Its metrics, shared so an outcome clones without deep-copying
-        /// the per-frame records.
-        metrics: Arc<RunMetrics>,
+        /// Its metrics — in hand, or, for a cache hit a streaming entry
+        /// point delivered, still on disk until first asked for.
+        metrics: CellMetrics,
         /// Whether the result was served from cache (no simulation ran).
         cached: bool,
         /// Execution attempts consumed (0 for a cache hit, ≥ 2 when a
@@ -102,24 +107,26 @@ impl CellOutcome {
         }
     }
 
-    /// The metrics of a completed cell.
+    /// The metrics of a completed cell, loaded on the first call if they
+    /// are still on disk ([`CellMetrics`]).
     ///
     /// # Panics
     /// On a poisoned cell, with its recorded panic message — callers that
     /// tolerate failures use [`try_metrics`](Self::try_metrics).
     pub fn metrics(&self) -> &Arc<RunMetrics> {
         match self {
-            CellOutcome::Done { metrics, .. } => metrics,
+            CellOutcome::Done { cell, metrics, .. } => metrics.get(cell),
             CellOutcome::Failed {
                 cell, panic_msg, ..
             } => panic!("cell {} was poisoned: {panic_msg}", cell.label()),
         }
     }
 
-    /// The metrics, or `None` for a poisoned cell.
+    /// The metrics, or `None` for a poisoned cell; loaded like
+    /// [`metrics`](Self::metrics).
     pub fn try_metrics(&self) -> Option<&Arc<RunMetrics>> {
         match self {
-            CellOutcome::Done { metrics, .. } => Some(metrics),
+            CellOutcome::Done { cell, metrics, .. } => Some(metrics.get(cell)),
             CellOutcome::Failed { .. } => None,
         }
     }
@@ -147,6 +154,55 @@ impl CellOutcome {
             CellOutcome::Failed { panic_msg, .. } => Some(panic_msg),
             CellOutcome::Done { .. } => None,
         }
+    }
+}
+
+/// A completed cell's metrics: in hand (simulated cells, and every hit
+/// [`CampaignEngine::run`] serves), or — for a cache hit a streaming entry
+/// point delivers — still in the record's body on disk. The first
+/// [`CellOutcome::metrics`] / [`try_metrics`](CellOutcome::try_metrics)
+/// call reads, verifies and decodes that body; a body that fails (a bad
+/// CRC, a vanished file) is quarantined and the cell executed again —
+/// cells are pure, so the bytes are the same. The loaded metrics live as
+/// long as the outcome.
+#[derive(Clone, Debug)]
+pub struct CellMetrics {
+    loaded: OnceLock<Arc<RunMetrics>>,
+    /// Where unloaded metrics live — the cache directory — and whether a
+    /// re-execution runs on the reference scheduler; `None` when the
+    /// metrics were in hand from the start.
+    on_disk: Option<(Arc<Path>, bool)>,
+}
+
+impl CellMetrics {
+    fn loaded(metrics: RunMetrics) -> Self {
+        CellMetrics {
+            loaded: OnceLock::from(Arc::new(metrics)),
+            on_disk: None,
+        }
+    }
+
+    fn on_disk(dir: Arc<Path>, reference_tick: bool) -> Self {
+        CellMetrics {
+            loaded: OnceLock::new(),
+            on_disk: Some((dir, reference_tick)),
+        }
+    }
+
+    fn get(&self, cell: &Cell) -> &Arc<RunMetrics> {
+        self.loaded.get_or_init(|| {
+            let (dir, reference_tick) = self
+                .on_disk
+                .as_ref()
+                .expect("metrics not in hand are on disk");
+            Arc::new(cache::load_body(dir, cell.key()).unwrap_or_else(|| {
+                eprintln!(
+                    "rpav: cell {}: cache record body unreadable — executing the cell again",
+                    cell.label()
+                );
+                cell.execute_with(*reference_tick)
+            }))
+        })
     }
 }
 
@@ -387,12 +443,12 @@ pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// What a worker posts back per cell (after folding the metrics into its
-/// share of the aggregates). The collector sums these into the run's
+/// What a worker posts back per cell (after adding the cell to its share
+/// of the aggregates). The collector sums these into the run's
 /// [`EngineReport`] counts; nothing is counted anywhere else.
 struct WorkerResult {
     /// The metrics, or the final attempt's panic message.
-    outcome: Result<Arc<RunMetrics>, String>,
+    outcome: Result<CellMetrics, String>,
     /// Execution attempts consumed: 0 exactly when the cache served the
     /// metrics.
     attempts: u32,
@@ -400,6 +456,25 @@ struct WorkerResult {
     quarantined: bool,
     /// Whether writing the freshly simulated result's cache record failed.
     store_failed: bool,
+}
+
+/// What a worker keeps from one cell to the next.
+#[derive(Default)]
+struct Worker {
+    /// One record buffer for the worker's lifetime: the bytes read on a
+    /// hit (the summary section, or the whole record when bodies are
+    /// read), the record being encoded on a store. Both users clear it
+    /// first, so nothing leaks from one cell (or one panicked attempt)
+    /// into the next.
+    record: Vec<u8>,
+    /// The one-cell fold of the cell just simulated — its record's
+    /// summary — reset per cell, never reallocated.
+    partial: CampaignAggregates,
+    /// The worker's share of the run's aggregates: every cell it
+    /// completed, as a stored summary merged in or a fresh partial.
+    /// Aggregates are order-free, so which worker adds a cell, and when,
+    /// cannot reach their bytes.
+    share: CampaignAggregates,
 }
 
 /// The bounded-thread-pool matrix executor: its [`EngineOptions`] and
@@ -422,7 +497,8 @@ struct WorkerResult {
 /// killed.
 ///
 /// With a cache directory, results are durable: sealed (CRC32-framed)
-/// records written to a tmp file, fsync'd, and renamed into place.
+/// records written to a tmp file, fsync'd, and renamed into place, and
+/// the directory fsync'd after the rename.
 /// Resuming is hitting them: re-running an identical `MatrixSpec` after
 /// `kill -9` serves every record that reached its final name, simulates
 /// the rest, and is bit-identical to an uninterrupted run. Corrupt,
@@ -505,7 +581,7 @@ impl CampaignEngine {
     pub fn run(&self, spec: &MatrixSpec) -> MatrixResult {
         let cells = spec.expand();
         let mut outcomes = Vec::with_capacity(cells.len());
-        let report = self.drive(&cells, &mut |o| outcomes.push(o));
+        let report = self.drive(&cells, true, &mut |o| outcomes.push(o));
         MatrixResult { outcomes, report }
     }
 
@@ -525,22 +601,35 @@ impl CampaignEngine {
     /// it sees reproduces them bit-for-bit. Memory stays flat; the
     /// observer must not retain the outcomes' metrics if it wants to keep
     /// it that way.
+    ///
+    /// A cache hit delivered here carries its metrics unread: the engine
+    /// merged the record's stored summary into the aggregates and left its
+    /// body on disk, so an observer that never asks for the metrics costs
+    /// no decode, and one that asks loads them then ([`CellMetrics`]).
     pub fn run_cells_streaming_observed(
         &self,
         cells: Vec<Cell>,
         observe: &mut dyn FnMut(&CellOutcome),
     ) -> StreamSummary {
-        let report = self.drive(&cells, &mut |o| observe(&o));
+        let report = self.drive(&cells, false, &mut |o| observe(&o));
         StreamSummary { report }
     }
 
-    /// The engine core: run `cells` on the pool, each worker folding its
-    /// own results into its share of the aggregates; deliver outcomes to
+    /// The engine core: run `cells` on the pool, each worker adding its
+    /// own results to its share of the aggregates; deliver outcomes to
     /// `sink` in **submission order** (a frontier reorders the
     /// completion-ordered channel), count, and flag stuck cells. Returns
-    /// once the last outcome is delivered and the workers' partial
-    /// aggregates are merged.
-    fn drive(&self, cells: &[Cell], sink: &mut dyn FnMut(CellOutcome)) -> EngineReport {
+    /// once the last outcome is delivered and the workers' shares are
+    /// merged. `with_bodies` is the entry point's choice: `run` keeps
+    /// every outcome for a caller who reads them, so its workers read,
+    /// verify and decode each hit's body in parallel; the streaming entry
+    /// points leave bodies on disk.
+    fn drive(
+        &self,
+        cells: &[Cell],
+        with_bodies: bool,
+        sink: &mut dyn FnMut(CellOutcome),
+    ) -> EngineReport {
         let started = Instant::now();
         let workers = self.jobs().min(cells.len().max(1));
         let mut report = EngineReport {
@@ -551,46 +640,39 @@ impl CampaignEngine {
 
         let cursor = AtomicUsize::new(0);
         let inflight: Mutex<HashMap<usize, Instant>> = Mutex::new(HashMap::new());
+        // Where a hit's unread body lives, shared by every outcome that
+        // leaves one there.
+        let body_dir: Option<Arc<Path>> = match &self.options.cache_dir {
+            Some(dir) if !with_bodies => Some(Arc::from(dir.as_path())),
+            _ => None,
+        };
         // Rendezvous hand-off: a worker's `send` returns only once the
         // collector has taken the result, so no buffer here can fill with
         // decoded multi-megabyte `RunMetrics` while the collector's sink
-        // is slow; at most `workers` decoded results wait (one per blocked
+        // is slow; at most `workers` results wait (one per blocked
         // worker) beside the one being delivered and the reorder
         // frontier's out-of-order entries.
         let (tx, rx) = mpsc::sync_channel::<(usize, WorkerResult)>(0);
         std::thread::scope(|s| {
             let cursor = &cursor;
             let inflight = &inflight;
+            let body_dir = &body_dir;
             let mut handles = Vec::with_capacity(workers);
             for _ in 0..workers {
                 let tx = tx.clone();
                 handles.push(s.spawn(move || {
-                    // One cache-record buffer (3–17 MB) per worker for
-                    // its whole lifetime: the sealed file being read on a
-                    // hit, the payload being encoded on a store. Both
-                    // users clear it first, so nothing leaks from one
-                    // cell (or one panicked attempt) into the next.
-                    let mut record = Vec::new();
-                    // The worker's share of the aggregates, folded while
-                    // the result is still its own: aggregates are
-                    // order-free, so which worker folds a cell, and when,
-                    // cannot reach their bytes.
-                    let mut aggregates = CampaignAggregates::default();
+                    let mut worker = Worker::default();
                     loop {
                         let i = cursor.fetch_add(1, Ordering::Relaxed);
                         let Some(cell) = cells.get(i) else { break };
                         inflight.lock().unwrap().insert(i, Instant::now());
-                        let result = self.run_cell_isolated(cell, &mut record);
+                        let result = self.run_cell_isolated(cell, body_dir, &mut worker);
                         inflight.lock().unwrap().remove(&i);
-                        match &result.outcome {
-                            Ok(metrics) => aggregates.fold(metrics),
-                            Err(_) => aggregates.fold_failure(),
-                        }
                         if tx.send((i, result)).is_err() {
                             break;
                         }
                     }
-                    aggregates
+                    worker.share
                 }));
             }
             drop(tx);
@@ -678,20 +760,35 @@ impl CampaignEngine {
     }
 
     /// One cell through the cache and, on a miss, `catch_unwind`-isolated
-    /// execution with bounded retry.
-    fn run_cell_isolated(&self, cell: &Cell, record: &mut Vec<u8>) -> WorkerResult {
+    /// execution with bounded retry; the result is added to the worker's
+    /// share of the aggregates. A hit's body is read only when `body_dir`
+    /// (where it would otherwise stay) is `None`.
+    fn run_cell_isolated(
+        &self,
+        cell: &Cell,
+        body_dir: &Option<Arc<Path>>,
+        worker: &mut Worker,
+    ) -> WorkerResult {
         let key = cell.key();
         let cache_dir = self.options.cache_dir.as_deref();
         let mut quarantined = false;
         if let Some(dir) = cache_dir {
-            match cache::load(dir, key, record) {
-                Ok(Some(metrics)) => {
+            match cache::load(dir, key, body_dir.is_none(), &mut worker.record) {
+                Ok(Some(hit)) => {
+                    worker.share.merge(&hit.summary);
+                    let metrics = match (hit.metrics, body_dir) {
+                        (Some(metrics), _) => CellMetrics::loaded(metrics),
+                        (None, Some(dir)) => {
+                            CellMetrics::on_disk(Arc::clone(dir), self.options.reference_tick)
+                        }
+                        (None, None) => unreachable!("a hit without its body leaves it on disk"),
+                    };
                     return WorkerResult {
-                        outcome: Ok(Arc::new(metrics)),
+                        outcome: Ok(metrics),
                         attempts: 0,
                         quarantined: false,
                         store_failed: false,
-                    }
+                    };
                 }
                 Ok(None) => {}
                 Err(CorruptRecord) => quarantined = true,
@@ -712,8 +809,13 @@ impl CampaignEngine {
             }));
             match attempt {
                 Ok(metrics) => {
+                    worker.partial.clear();
+                    worker.partial.fold(&metrics);
+                    worker.share.merge(&worker.partial);
                     if let Some(dir) = cache_dir {
-                        if let Err(e) = cache::store(dir, key, &metrics, record) {
+                        if let Err(e) =
+                            cache::store(dir, key, &worker.partial, &metrics, &mut worker.record)
+                        {
                             // The result is still delivered; only the next
                             // run's hit is lost, and the report counts it.
                             eprintln!(
@@ -724,7 +826,7 @@ impl CampaignEngine {
                             store_failed = true;
                         }
                     }
-                    break Ok(Arc::new(metrics));
+                    break Ok(CellMetrics::loaded(metrics));
                 }
                 Err(payload) => {
                     let panic_msg = panic_message(payload.as_ref());
@@ -739,6 +841,7 @@ impl CampaignEngine {
                         "rpav: cell {} poisoned after {attempts} attempt(s): {panic_msg}",
                         cell.label()
                     );
+                    worker.share.fold_failure();
                     break Err(panic_msg);
                 }
             }
@@ -770,7 +873,7 @@ mod tests {
     /// engine core.
     fn drive_all(engine: &CampaignEngine, cells: &[Cell]) -> MatrixResult {
         let mut outcomes = Vec::with_capacity(cells.len());
-        let report = engine.drive(cells, &mut |o| outcomes.push(o));
+        let report = engine.drive(cells, true, &mut |o| outcomes.push(o));
         MatrixResult { outcomes, report }
     }
 
@@ -1122,59 +1225,188 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// The envelope as the parent commit wrote it: the same frame, its
-    /// CRC computed by the byte-at-a-time loop.
-    fn seal_bytewise(payload: &[u8]) -> Vec<u8> {
-        let mut out = b"RPVE".to_vec();
+    /// One section as a byte-at-a-time writer frames it: `magic ‖ len ‖
+    /// crc ‖ payload`, the CRC from the byte-wise loop.
+    fn section_bytewise(magic: &[u8; 4], payload: &[u8]) -> Vec<u8> {
+        let mut out = magic.to_vec();
         out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
         out.extend_from_slice(&crate::codec::crc32_bytewise(payload).to_le_bytes());
         out.extend_from_slice(payload);
         out
     }
 
+    /// The body envelope as records were written before they carried a
+    /// summary.
+    fn seal_bytewise(payload: &[u8]) -> Vec<u8> {
+        section_bytewise(b"RPVE", payload)
+    }
+
+    /// The one-cell partial a record's summary section holds.
+    fn one_cell(m: &RunMetrics) -> CampaignAggregates {
+        let mut a = CampaignAggregates::default();
+        a.fold(m);
+        a
+    }
+
+    /// Run `cells` on a fresh two-worker engine over `dir`, keeping every
+    /// outcome (`run`'s mode: bodies read).
+    fn collect(dir: &std::path::Path, cells: &[Cell]) -> MatrixResult {
+        let engine = CampaignEngine::new()
+            .with_cache_dir(Some(dir.to_path_buf()))
+            .with_jobs(2);
+        drive_all(&engine, cells)
+    }
+
+    /// Run `cells` on a fresh two-worker engine over `dir` through the
+    /// streaming entry point, handing each outcome to `observe`.
+    fn stream(
+        dir: &std::path::Path,
+        cells: &[Cell],
+        observe: &mut dyn FnMut(&CellOutcome),
+    ) -> EngineReport {
+        CampaignEngine::new()
+            .with_cache_dir(Some(dir.to_path_buf()))
+            .with_jobs(2)
+            .run_cells_streaming_observed(cells.to_vec(), observe)
+            .report
+    }
+
+    fn fresh_cache(tag: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("rpav-exec-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    }
+
+    /// Flip the last byte of every record: inside the body payload, with
+    /// the summary section and both headers intact.
+    fn flip_every_body(dir: &std::path::Path) -> usize {
+        let files = sharded_rpav_files(dir);
+        for path in &files {
+            let mut bytes = std::fs::read(path).unwrap();
+            *bytes.last_mut().unwrap() ^= 0x01;
+            std::fs::write(path, &bytes).unwrap();
+        }
+        files.len()
+    }
+
     #[test]
     fn cache_records_interchange_with_the_bytewise_crc_writer() {
-        let dir = std::env::temp_dir().join(format!("rpav-exec-xver-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
+        let dir = fresh_cache("xver");
         let cells = MatrixSpec::new(short_base()).runs(2).expand();
 
-        // Parent → change: a cache directory of records sealed with the
-        // byte-wise CRC is served whole — nothing simulated, nothing
-        // quarantined.
+        // Records as the byte-wise writer framed them before records
+        // carried a summary are misses: simulated again, nothing
+        // quarantined, and rewritten in the current frame.
         let metrics: Vec<RunMetrics> = cells.iter().map(|c| c.execute_with(false)).collect();
         for (cell, m) in cells.iter().zip(&metrics) {
             let path = cache_entry_path(&dir, cell.key());
             std::fs::create_dir_all(path.parent().unwrap()).unwrap();
             std::fs::write(&path, seal_bytewise(&m.to_bytes())).unwrap();
         }
-        let served = drive_all(
-            &CampaignEngine::new()
-                .with_cache_dir(Some(dir.clone()))
-                .with_jobs(2),
-            &cells,
-        );
-        assert_eq!(served.report.simulated, 0);
-        assert_eq!(served.report.cached, 2);
-        assert_eq!(served.report.quarantined, 0);
+        let rewritten = collect(&dir, &cells);
+        assert_eq!(rewritten.report.simulated, 2);
+        assert_eq!(rewritten.report.cached, 0);
+        assert_eq!(rewritten.report.quarantined, 0);
+
+        // The records this engine writes are, byte for byte, the summary
+        // section followed by the body envelope, each CRC the byte-wise
+        // loop's.
+        for (cell, m) in cells.iter().zip(&metrics) {
+            let stored = std::fs::read(cache_entry_path(&dir, cell.key())).unwrap();
+            let mut want = section_bytewise(b"RPVS", &one_cell(m).to_bytes());
+            want.extend_from_slice(&seal_bytewise(&m.to_bytes()));
+            assert_eq!(stored, want, "{}", cell.label());
+            assert_eq!(stored, m.to_cache_bytes());
+        }
+        let served = collect(&dir, &cells);
+        assert_eq!((served.report.simulated, served.report.cached), (0, 2));
         for (o, m) in served.outcomes.iter().zip(&metrics) {
             assert_eq!(o.metrics().to_bytes(), m.to_bytes());
         }
-        std::fs::remove_dir_all(&dir).unwrap();
-
-        // Change → parent: the records this engine writes are, byte for
-        // byte, what the byte-wise writer would have produced.
-        let cold = drive_all(
-            &CampaignEngine::new()
-                .with_cache_dir(Some(dir.clone()))
-                .with_jobs(2),
-            &cells,
-        );
-        assert_eq!(cold.report.simulated, 2);
-        for (cell, m) in cells.iter().zip(&metrics) {
-            let stored = std::fs::read(cache_entry_path(&dir, cell.key())).unwrap();
-            assert_eq!(stored, seal_bytewise(&m.to_bytes()), "{}", cell.label());
-        }
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn streaming_hits_read_no_body() {
+        let dir = fresh_cache("nobody");
+        let cells = MatrixSpec::new(short_base()).runs(3).expand();
+        let n = cells.len();
+        let cold = stream(&dir, &cells, &mut |_| {});
+        assert_eq!(cold.simulated, n);
+        assert_eq!(flip_every_body(&dir), n);
+
+        // The streaming replay reads each summary and the body's header
+        // only, so the flipped bodies go unnoticed, and the stored
+        // partials merge to the cold run's bytes.
+        let warm = stream(&dir, &cells, &mut |_| {});
+        assert_eq!((warm.cached, warm.simulated, warm.quarantined), (n, 0, 0));
+        assert_eq!(warm.aggregates.to_bytes(), cold.aggregates.to_bytes());
+
+        // `run` keeps the metrics, so it reads every body and catches
+        // every flip.
+        let healed = collect(&dir, &cells);
+        assert_eq!(healed.report.quarantined, n);
+        assert_eq!(healed.report.simulated, n);
+        assert_eq!(
+            healed.report.aggregates.to_bytes(),
+            cold.aggregates.to_bytes()
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn lazy_metrics_recover_from_a_bad_body() {
+        let dir = fresh_cache("lazy");
+        let cells = MatrixSpec::new(short_base()).expand();
+        stream(&dir, &cells, &mut |_| {});
+        flip_every_body(&dir);
+
+        let mut loaded = Vec::new();
+        let warm = stream(&dir, &cells, &mut |outcome| {
+            assert!(outcome.cached());
+            loaded.push(outcome.try_metrics().unwrap().to_bytes());
+        });
+        assert_eq!((warm.cached, warm.quarantined), (1, 0));
+        assert_eq!(loaded, [cells[0].execute_with(false).to_bytes()]);
+        let quarantined = dir
+            .join("quarantine")
+            .join(format!("{:016x}.rpav", cells[0].key()));
+        assert!(quarantined.is_file(), "the bad record is kept as evidence");
+        assert!(!cache_entry_path(&dir, cells[0].key()).exists());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn stale_and_body_only_records_are_misses() {
+        let cells = MatrixSpec::new(short_base()).expand();
+        let m = cells[0].execute_with(false);
+        let path = |dir: &std::path::Path| cache_entry_path(dir, cells[0].key());
+
+        // A summary led by the next AGGREGATES_VERSION, resealed with a
+        // valid CRC, and a body-only record.
+        let mut next_version = one_cell(&m).to_bytes();
+        next_version[..8].copy_from_slice(&(crate::summary::AGGREGATES_VERSION + 1).to_le_bytes());
+        let stale = crate::codec::seal_record(&next_version, &m.to_bytes());
+        let body_only = crate::codec::seal(&m.to_bytes());
+        for (tag, record) in [("stale", stale), ("body-only", body_only)] {
+            for streaming in [false, true] {
+                let dir = fresh_cache(&format!("{tag}-{streaming}"));
+                std::fs::create_dir_all(path(&dir).parent().unwrap()).unwrap();
+                std::fs::write(path(&dir), &record).unwrap();
+                let report = if streaming {
+                    stream(&dir, &cells, &mut |_| {})
+                } else {
+                    collect(&dir, &cells).report
+                };
+                assert_eq!(
+                    (report.simulated, report.quarantined),
+                    (1, 0),
+                    "{tag}, streaming {streaming}"
+                );
+                assert_eq!(std::fs::read(path(&dir)).unwrap(), m.to_cache_bytes());
+                let _ = std::fs::remove_dir_all(&dir);
+            }
+        }
     }
 
     #[test]

@@ -281,6 +281,14 @@ impl ExactSum {
         [self.hi, (self.lo >> 64) as u64, self.lo as u64]
     }
 
+    /// The inverse of [`words`](Self::words): every word triple is a sum.
+    pub fn from_words([hi, mid, lo]: [u64; 3]) -> Self {
+        ExactSum {
+            hi,
+            lo: u128::from(mid) << 64 | u128::from(lo),
+        }
+    }
+
     /// The sum, rounded once to the nearest f64 (ties to even).
     pub fn to_f64(self) -> f64 {
         round_digits(&self.words(), EXACT_UNIT_EXP, false)
@@ -381,6 +389,28 @@ impl LogHistogram {
             max: f64::NEG_INFINITY,
         }
     }
+
+    /// Back to empty, keeping the bucket vector's allocation.
+    pub fn clear(&mut self) {
+        self.counts.fill(0);
+        (self.below, self.above, self.non_finite, self.count) = (0, 0, 0, 0);
+        self.sum = ExactSum::default();
+        (self.min, self.max) = (f64::INFINITY, f64::NEG_INFINITY);
+    }
+
+    /// Set bucket `i`'s count; `i` must be below [`HIST_BUCKETS`] — the
+    /// canonical decoder's one way in.
+    pub(crate) fn set_bucket(&mut self, i: usize, count: u64) {
+        self.counts[i] = count;
+    }
+
+    /// Set the exact sum — the canonical decoder's other way in.
+    pub(crate) fn set_exact_sum(&mut self, sum: ExactSum) {
+        self.sum = sum;
+    }
+
+    /// Number of buckets, the bound on a decoded bucket index.
+    pub(crate) const BUCKETS: usize = HIST_BUCKETS;
 
     /// The bucket of `v`, or `None` below `1e-6`: one [`BucketTable`]
     /// lookup and one edge compare — no `log10` per sample.

@@ -1,5 +1,6 @@
 //! Headline statistics — the numbers quoted in the paper's running text.
 
+use crate::codec::{ByteReader, ByteWriter};
 use crate::runner::CampaignResult;
 use crate::stats;
 
@@ -308,29 +309,47 @@ impl CampaignAggregates {
             + self.playback_ms.retained_bytes()
     }
 
+    /// Back to the empty aggregate without reallocating: the engine's
+    /// workers reuse one partial for every cell they simulate.
+    pub fn clear(&mut self) {
+        for counter in self.counters_mut() {
+            *counter = 0;
+        }
+        for h in [
+            &mut self.goodput_mbps,
+            &mut self.owd_ms,
+            &mut self.playback_ms,
+        ] {
+            h.clear();
+        }
+    }
+
     /// Canonical byte encoding, led by [`AGGREGATES_VERSION`]. Two
     /// aggregates encode identically iff every counter, every histogram
     /// bucket and every exact sum agree — the resilience harness compares
     /// resumed vs. uninterrupted campaigns over exactly these bytes.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut w = crate::codec::ByteWriter::new();
+        let mut w = ByteWriter::new();
+        self.write_into(&mut w);
+        w.into_bytes()
+    }
+
+    /// [`to_bytes`](Self::to_bytes) appended to a caller's writer — how a
+    /// cache record's summary section is written into the worker's record
+    /// buffer without a buffer of its own.
+    pub fn write_into(&self, w: &mut ByteWriter) {
+        let histograms = [&self.goodput_mbps, &self.owd_ms, &self.playback_ms];
+        let buckets = histograms.map(|h| h.nonzero_buckets().count());
+        // The exact length, reserved once: the version and the counters,
+        // then per histogram ten words and sixteen bytes per bucket.
+        w.reserve(8 * 13 + buckets.iter().map(|n| 8 * 10 + 16 * n).sum::<usize>());
         w.u64(AGGREGATES_VERSION);
-        w.u64(self.cells);
-        w.u64(self.failed);
-        w.u64(self.media_sent);
-        w.u64(self.media_received);
-        w.u64(self.media_received_bytes);
-        w.u64(self.stalls);
-        w.u64(self.stalled_time_us);
-        w.u64(self.nacks_sent);
-        w.u64(self.rtx_recovered);
-        w.u64(self.fec_recovered);
-        w.u64(self.ssim_samples);
-        w.u64(self.ssim_below_half);
-        for h in [&self.goodput_mbps, &self.owd_ms, &self.playback_ms] {
-            let buckets: Vec<(usize, u64)> = h.nonzero_buckets().collect();
-            w.u64(buckets.len() as u64);
-            for (i, c) in buckets {
+        for counter in self.counters() {
+            w.u64(counter);
+        }
+        for (h, n) in histograms.into_iter().zip(buckets) {
+            w.u64(n as u64);
+            for (i, c) in h.nonzero_buckets() {
                 w.u64(i as u64);
                 w.u64(c);
             }
@@ -344,7 +363,82 @@ impl CampaignAggregates {
             w.f64(h.min);
             w.f64(h.max);
         }
-        w.into_bytes()
+    }
+
+    /// Decode [`to_bytes`](Self::to_bytes) output. Total, and accepts only
+    /// canonical encodings: the version leads, every histogram's bucket
+    /// indexes strictly increase below 576 with non-zero counts summing to
+    /// its `count`, and no byte trails — so
+    /// `to_bytes(from_bytes(b)?) == b` for every `b` it accepts.
+    pub fn from_bytes(buf: &[u8]) -> Option<CampaignAggregates> {
+        let mut r = ByteReader::new(buf);
+        if r.u64()? != AGGREGATES_VERSION {
+            return None;
+        }
+        let mut a = CampaignAggregates::default();
+        for counter in a.counters_mut() {
+            *counter = r.u64()?;
+        }
+        for h in [&mut a.goodput_mbps, &mut a.owd_ms, &mut a.playback_ms] {
+            let buckets = r.u64()?;
+            let (mut next, mut total) = (0u64, 0u64);
+            for _ in 0..buckets {
+                let (i, c) = (r.u64()?, r.u64()?);
+                if i < next || i >= stats::LogHistogram::BUCKETS as u64 || c == 0 {
+                    return None;
+                }
+                h.set_bucket(i as usize, c);
+                total = total.checked_add(c)?;
+                next = i + 1;
+            }
+            h.below = r.u64()?;
+            h.non_finite = r.u64()?;
+            h.count = r.u64()?;
+            h.above = r.u64()?;
+            h.set_exact_sum(stats::ExactSum::from_words([r.u64()?, r.u64()?, r.u64()?]));
+            h.min = r.f64()?;
+            h.max = r.f64()?;
+            if total != h.count {
+                return None;
+            }
+        }
+        r.exhausted().then_some(a)
+    }
+
+    /// The twelve counters, in encoding order.
+    fn counters(&self) -> [u64; 12] {
+        [
+            self.cells,
+            self.failed,
+            self.media_sent,
+            self.media_received,
+            self.media_received_bytes,
+            self.stalls,
+            self.stalled_time_us,
+            self.nacks_sent,
+            self.rtx_recovered,
+            self.fec_recovered,
+            self.ssim_samples,
+            self.ssim_below_half,
+        ]
+    }
+
+    /// [`counters`](Self::counters), to write through.
+    fn counters_mut(&mut self) -> [&mut u64; 12] {
+        [
+            &mut self.cells,
+            &mut self.failed,
+            &mut self.media_sent,
+            &mut self.media_received,
+            &mut self.media_received_bytes,
+            &mut self.stalls,
+            &mut self.stalled_time_us,
+            &mut self.nacks_sent,
+            &mut self.rtx_recovered,
+            &mut self.fec_recovered,
+            &mut self.ssim_samples,
+            &mut self.ssim_below_half,
+        ]
     }
 
     /// Human summary lines for bench/engine reports.
@@ -696,6 +790,86 @@ mod tests {
             }
             proptest::prop_assert_eq!(merged.to_bytes(), want);
         }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn prop_canonical_bytes_round_trip(
+            seed in proptest::prelude::any::<u64>(),
+            cells in 0usize..5,
+            failed in 0u64..3,
+        ) {
+            let mut a = CampaignAggregates::default();
+            for i in 0..cells as u64 {
+                let mut one = CampaignAggregates::default();
+                one.fold(&hostile_run(seed ^ (i << 56)));
+                a.merge(&one);
+            }
+            (0..failed).for_each(|_| a.fold_failure());
+            let bytes = a.to_bytes();
+            proptest::prop_assert_eq!(bytes.capacity(), bytes.len(), "reserved exactly");
+            let back = CampaignAggregates::from_bytes(&bytes);
+            proptest::prop_assert_eq!(back.as_ref(), Some(&a));
+            proptest::prop_assert_eq!(back.unwrap().to_bytes(), bytes);
+        }
+    }
+
+    #[test]
+    fn from_bytes_accepts_only_canonical_encodings() {
+        let mut a = CampaignAggregates {
+            cells: 1,
+            ..CampaignAggregates::default()
+        };
+        a.goodput_mbps.record(3.0);
+        a.owd_ms.record_all([1.0, 50.0, 50.0, -1.0, f64::NAN]);
+        let good = a.to_bytes();
+        assert_eq!(
+            CampaignAggregates::from_bytes(&good).unwrap().to_bytes(),
+            good
+        );
+        // The goodput histogram's one bucket starts after the version and
+        // the twelve counters; the owd histogram's bucket list after it.
+        let goodput = 8 * 13;
+        assert_eq!(good[goodput..goodput + 8], 1u64.to_le_bytes());
+        let owd = goodput + 8 + 16 + 4 * 8 + 3 * 8 + 2 * 8;
+        let patched = |at: usize, v: u64| {
+            let mut b = good.clone();
+            b[at..at + 8].copy_from_slice(&v.to_le_bytes());
+            b
+        };
+        assert_eq!(good[owd..owd + 8], 2u64.to_le_bytes());
+        let first = owd + 8;
+        let first_index = u64::from_le_bytes(good[first..first + 8].try_into().unwrap());
+        let second_index = u64::from_le_bytes(good[first + 16..first + 24].try_into().unwrap());
+        for (what, bad) in [
+            ("stale version", patched(0, AGGREGATES_VERSION + 1)),
+            ("bucket index out of range", patched(goodput + 8, 576)),
+            ("zero bucket count", patched(goodput + 16, 0)),
+            ("bucket counts off their sum", patched(goodput + 16, 2)),
+            ("repeated bucket index", patched(first + 16, first_index)),
+            ("decreasing bucket index", patched(first, second_index)),
+            ("bucket list overruns", patched(goodput, u64::MAX)),
+        ] {
+            assert!(CampaignAggregates::from_bytes(&bad).is_none(), "{what}");
+        }
+        let mut trailing = good.clone();
+        trailing.push(0);
+        assert!(CampaignAggregates::from_bytes(&trailing).is_none());
+        for cut in 0..good.len() {
+            assert!(
+                CampaignAggregates::from_bytes(&good[..cut]).is_none(),
+                "cut {cut}"
+            );
+        }
+    }
+
+    #[test]
+    fn clear_returns_to_the_empty_aggregate() {
+        let mut a = CampaignAggregates::default();
+        a.fold(&hostile_run(3));
+        a.fold_failure();
+        a.clear();
+        assert_eq!(a, CampaignAggregates::default());
     }
 
     #[test]

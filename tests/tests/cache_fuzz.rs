@@ -2,12 +2,19 @@
 //! function — any byte string maps to `Some(RunMetrics)` or `None`
 //! (a cache miss), never a panic and never a silent partial decode.
 //!
-//! Extends the wire-parser pattern from `parser_fuzz.rs` to the two
-//! cache entry points:
+//! Extends the wire-parser pattern from `parser_fuzz.rs` to the cache
+//! entry points:
 //!
 //! * [`RunMetrics::from_bytes`] — the raw canonical encoding;
-//! * [`RunMetrics::from_cache_bytes`] — the CRC-framed envelope the
-//!   engine writes to `RPAV_CACHE` (`"RPVE" ‖ len ‖ crc32 ‖ payload`).
+//! * [`RunMetrics::from_cache_bytes`] and [`unseal`] — the record the
+//!   engine writes to `RPAV_CACHE`: a summary section
+//!   (`"RPVS" ‖ slen ‖ crc32 ‖ summary`, the cell's one-cell
+//!   `CampaignAggregates`) ahead of the body envelope
+//!   (`"RPVE" ‖ len ‖ crc32 ‖ payload`);
+//! * [`unseal_summary`] — the summary-only read a streaming hit makes.
+//!
+//! Every record the suite writes also carries a summary equal to the
+//! one-cell fold of its own decoded body.
 //!
 //! The generators are the same three as PR 2's suite (pure noise,
 //! truncation at every byte boundary, single-bit flips) plus the
@@ -16,7 +23,9 @@
 //! CRC. All randomness comes from the deterministic `SimRng`, so a
 //! failure reproduces exactly.
 
-use rpav_core::codec::{seal, unseal, FORMAT_VERSION};
+use rpav_core::codec::{
+    record_head, seal, unseal, unseal_record, unseal_summary, RecordHead, FORMAT_VERSION,
+};
 use rpav_core::prelude::*;
 use rpav_sim::{SimDuration, SimRng, SimTime};
 
@@ -79,7 +88,7 @@ fn hammer(
     for _ in 0..CASES / 3 {
         let mut b = random_bytes(&mut rng, 96);
         if rng.chance(0.5) && b.len() >= 4 {
-            let magic = if rng.chance(0.5) { b"RPAV" } else { b"RPVE" };
+            let magic = [b"RPAV", b"RPVE", b"RPVS"][rng.uniform_u64(0, 3) as usize];
             b[..4].copy_from_slice(magic);
         }
         tally(parse(&b));
@@ -131,12 +140,26 @@ fn from_bytes_is_total() {
     );
 }
 
+/// A record as the engine writes it, checked on the way out: its summary
+/// section decodes to exactly the one-cell fold of its decoded body.
+fn cache_record(m: &RunMetrics) -> Vec<u8> {
+    let wire = m.to_cache_bytes();
+    let (summary, body) = unseal_record(&wire).expect("a fresh record unseals");
+    let summary = CampaignAggregates::from_bytes(summary.expect("a summary section leads"))
+        .expect("the summary decodes");
+    let mut fold = CampaignAggregates::default();
+    fold.fold(&RunMetrics::from_bytes(body).expect("the body decodes"));
+    assert_eq!(summary, fold, "the stored summary is not the body's fold");
+    assert_eq!(summary.to_bytes(), fold.to_bytes());
+    wire
+}
+
 #[test]
 fn from_cache_bytes_is_total_and_crc_rejects_every_flip() {
     hammer(
         "RunMetrics::from_cache_bytes",
         0xCAFE_0002,
-        |m| m.to_cache_bytes(),
+        cache_record,
         |b| RunMetrics::from_cache_bytes(b).is_some(),
         // CRC-32 detects any single-bit error, and flips in the
         // envelope header break the magic / length / stored CRC — so
@@ -145,19 +168,97 @@ fn from_cache_bytes_is_total_and_crc_rejects_every_flip() {
     );
 }
 
+#[test]
+fn unseal_is_total_and_crc_rejects_every_flip() {
+    hammer(
+        "unseal",
+        0xCAFE_0006,
+        cache_record,
+        |b| unseal(b).is_some(),
+        true,
+    );
+}
+
+/// The summary section and the body of a record, as byte ranges.
+fn sections(wire: &[u8]) -> (std::ops::Range<usize>, std::ops::Range<usize>) {
+    let Some(RecordHead::Summary { prefix }) = record_head(wire) else {
+        panic!("no summary section");
+    };
+    let prefix = prefix as usize;
+    (0..prefix - 16, prefix - 16..wire.len())
+}
+
+/// Single-bit flips aimed at each section in turn, through both whole-record
+/// entry points: every one is rejected. Through the summary-only read a
+/// flip in the summary section or in the body header's magic or length is
+/// rejected too; the body's CRC and payload are the body read's to check.
+#[test]
+fn flips_in_either_section_are_rejected() {
+    let mut rng = SimRng::seed_from_u64(0xCAFE_0007);
+    let mut flips = [0usize; 2];
+    while flips.iter().any(|&n| n < CASES) {
+        let mut wire = cache_record(&valid_metrics(&mut rng));
+        let (summary, body) = sections(&wire);
+        let prefix = body.start + 16;
+        for (section, range) in [summary, body].into_iter().enumerate() {
+            let bit = rng.uniform_u64((range.start * 8) as u64, (range.end * 8) as u64) as usize;
+            wire[bit / 8] ^= 1 << (bit % 8);
+            assert!(unseal(&wire).is_none(), "flip at bit {bit} unsealed");
+            assert!(
+                RunMetrics::from_cache_bytes(&wire).is_none(),
+                "flip at bit {bit} decoded"
+            );
+            let head_only = unseal_summary(&wire[..prefix.min(wire.len())], wire.len() as u64);
+            if bit / 8 < prefix - 4 {
+                assert!(
+                    head_only.is_none(),
+                    "flip at bit {bit} passed the summary read"
+                );
+            }
+            wire[bit / 8] ^= 1 << (bit % 8);
+            flips[section] += 1;
+        }
+        assert!(unseal(&wire).is_some());
+        assert!(unseal_summary(&wire[..prefix], wire.len() as u64).is_some());
+    }
+}
+
+/// Every truncation of a record, and every truncation of its prefix, is
+/// refused by the summary-only read: it checks the record's length
+/// against both headers without reading the body.
+#[test]
+fn summary_read_rejects_every_truncation() {
+    let mut rng = SimRng::seed_from_u64(0xCAFE_0008);
+    let mut spent = 0;
+    while spent < CASES {
+        let wire = cache_record(&valid_metrics(&mut rng));
+        let prefix = sections(&wire).1.start + 16;
+        for cut in 0..wire.len() {
+            let seen = &wire[..prefix.min(cut)];
+            assert!(
+                unseal_summary(seen, cut as u64).is_none(),
+                "a record cut at {cut} passed the summary read"
+            );
+            spent += 1;
+        }
+        assert!(unseal_summary(&wire[..prefix], wire.len() as u64 + 1).is_none());
+        assert!(unseal_summary(&wire[..prefix], wire.len() as u64).is_some());
+    }
+}
+
 /// Payloads at least this long are checksummed by the carry-less-multiply
 /// CRC kernel where the build has one (shorter ones by slice-by-16 alone).
 const CRC_KERNEL_MIN_LEN: usize = 128;
 
-/// Exhaustive single-bit sweep over one sealed record: all
-/// `len × 8` flips are rejected, and restoring the bit re-parses. The
+/// Exhaustive single-bit sweep over one cache record, both sections: all
+/// `len × 8` flips are rejected, and restoring the bit re-parses. Each
 /// payload is long enough for the CRC kernel, so a flip anywhere in it —
 /// in the 64-byte fold, the 16-byte fold tail or the byte tail — is
 /// caught by the kernel, not by the slice-by-16 fallback.
 #[test]
 fn sealed_record_rejects_all_bit_flips_exhaustively() {
     let mut rng = SimRng::seed_from_u64(0xCAFE_0003);
-    let mut wire = valid_metrics(&mut rng).to_cache_bytes();
+    let mut wire = cache_record(&valid_metrics(&mut rng));
     let payload = unseal(&wire).expect("valid record").len();
     assert!(payload >= CRC_KERNEL_MIN_LEN, "payload of {payload} B");
     assert_ne!(payload % 16, 0, "the sweep must reach the byte tail");
@@ -205,7 +306,7 @@ fn cache_roundtrip_is_byte_exact() {
     let mut rng = SimRng::seed_from_u64(0xCAFE_0005);
     for _ in 0..200 {
         let m = valid_metrics(&mut rng);
-        let back = RunMetrics::from_cache_bytes(&m.to_cache_bytes()).expect("roundtrip");
+        let back = RunMetrics::from_cache_bytes(&cache_record(&m)).expect("roundtrip");
         assert_eq!(back.to_bytes(), m.to_bytes());
     }
 }

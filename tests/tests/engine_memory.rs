@@ -1,23 +1,31 @@
-//! Memory bound of the campaign engine's worker → collector hand-off.
+//! Memory bound of a streaming warm replay.
 //!
-//! On warm replay a worker turns a sealed record into a decoded
-//! `RunMetrics` and folds it into its own share of the aggregates in a
-//! few milliseconds, while the collector delivers results (the daemon's
-//! observer streams them) one at a time in submission order. The
-//! collector folds nothing, but its sink can still be the slow side, and
-//! the hand-off is a rendezvous, so once the replay is under way what it
-//! holds at once is bounded by the worker count, not by how far the
-//! workers could run ahead:
+//! A cache record leads with a few-KB summary section, the cell's one-cell
+//! `CampaignAggregates` partial, ahead of its multi-megabyte `RunMetrics`
+//! body. On a hit through a streaming entry point a worker reads the
+//! summary and the body's header into its recycled buffer, decodes the
+//! partial, merges it into its share of the aggregates and hands the
+//! collector an outcome whose metrics are still on disk. The collector
+//! delivers outcomes (the daemon's observer streams them) one at a time in
+//! submission order, and the hand-off is a rendezvous, so what the replay
+//! holds at once, from its first outcome on, is:
 //!
-//! * one recycled record buffer per worker,
-//! * one decoded record per worker blocked in its hand-off, plus the one
-//!   the collector is delivering,
-//! * one out-of-order entry in the reorder frontier.
+//! * one head buffer (summary section + both headers) per worker,
+//! * one decoded partial per worker between decode and merge, plus two,
+//! * the engine's own aggregates: the report's, and each worker's share
+//!   and reusable partial,
+//! * the reorder frontier's unloaded outcomes — a few hundred bytes each,
+//!   however many finished ahead of the cell it waits for.
 //!
+//! That is far below one record: no body is read, no `RunMetrics` decoded.
 //! The observer below sleeps on every outcome, which makes the collector
-//! the slow side and lets the workers fill everything the hand-off allows
-//! them to; a channel with one slot per worker holds `jobs` decoded
-//! records more and fails the assertion.
+//! the slow side and lets the workers fill everything the hand-off allows.
+//!
+//! A second replay's observer asks every outcome for its metrics. Each
+//! lazy load holds one record buffer and one decoded record at most, and
+//! the outcome (with its metrics) is dropped once the observer returns, so
+//! that replay stays within one record buffer and one decoded record above
+//! the first bound.
 //!
 //! This binary holds a single test: the counters are process-wide, and a
 //! test running beside it would move them.
@@ -25,6 +33,7 @@
 use std::time::Duration;
 
 use rpav_core::cache::cache_entry_path;
+use rpav_core::codec::{record_head, unseal_summary, RecordHead};
 use rpav_core::prelude::*;
 use rpav_sim::alloc::{self, CountingAlloc};
 
@@ -33,6 +42,18 @@ static ALLOC: CountingAlloc = CountingAlloc;
 
 const CELLS: u64 = 12;
 const JOBS: usize = 2;
+/// Room for one unloaded outcome — the cell, an empty `OnceLock`, the
+/// cache directory's `Arc` — in the reorder frontier or in delivery.
+const OUTCOME: usize = 1024;
+
+/// Peak live bytes above `before` over the observer's samples.
+fn peak_above(samples: &[usize], before: usize) -> usize {
+    samples
+        .iter()
+        .map(|live| live.saturating_sub(before))
+        .max()
+        .unwrap()
+}
 
 #[test]
 fn warm_replay_holds_no_more_than_the_rendezvous_bound() {
@@ -60,18 +81,29 @@ fn warm_replay_holds_no_more_than_the_rendezvous_bound() {
     assert_eq!(cold.report.simulated, CELLS as usize);
     assert_eq!(cold.report.store_failed, 0);
 
-    // The two units the bound is made of, each at its largest over the
-    // campaign: a record buffer holds one sealed file, a decoded record
-    // is what `RunMetrics::from_cache_bytes` allocates for one.
-    let mut record = 0usize;
-    let mut decoded = 0usize;
+    // The units the bounds are made of, each at its largest over the
+    // campaign: a head buffer holds a record up to its body payload, a
+    // decoded partial is what `CampaignAggregates::from_bytes` allocates
+    // for one summary, a record buffer holds one whole file and a decoded
+    // record is what `RunMetrics::from_cache_bytes` allocates for one.
+    let (mut head, mut partial, mut record, mut decoded) = (0usize, 0usize, 0usize, 0usize);
     let mut total = 0usize;
     for cell in &cells {
         let bytes = std::fs::read(cache_entry_path(&dir, cell.key())).expect("record written");
+        let Some(RecordHead::Summary { prefix }) = record_head(&bytes) else {
+            panic!("record leads with no summary section");
+        };
+        let prefix = &bytes[..prefix as usize];
+        let summary = unseal_summary(prefix, bytes.len() as u64).expect("summary verifies");
+        let before = alloc::current_bytes();
+        let aggregates = CampaignAggregates::from_bytes(summary).expect("summary decodes");
+        partial = partial.max(alloc::current_bytes() - before);
+        drop(aggregates);
         let before = alloc::current_bytes();
         let metrics = RunMetrics::from_cache_bytes(&bytes).expect("record decodes");
         decoded = decoded.max(alloc::current_bytes() - before);
         drop(metrics);
+        head = head.max(prefix.len());
         record = record.max(bytes.len());
         total += bytes.len();
     }
@@ -81,42 +113,59 @@ fn warm_replay_holds_no_more_than_the_rendezvous_bound() {
         "the cells differ in shape: largest record {record} B, mean {mean:.0} B"
     );
 
-    // Live bytes on entry to and on exit from every observer call. Until
-    // the first cell lands, the frontier keeps whatever the other worker
-    // finished ahead of it — a start-up transient set by thread timing,
-    // which drains as the first outcomes are delivered — so the bound is
-    // asserted from outcome `JOBS + 1` on.
-    let before = alloc::current_bytes();
-    let mut samples = Vec::new();
-    let warm = engine.run_cells_streaming_observed(cells, &mut |outcome| {
-        let index = outcome.cell().index;
-        samples.push((index, alloc::current_bytes()));
-        std::thread::sleep(Duration::from_millis(30));
-        samples.push((index, alloc::current_bytes()));
-    });
-    assert_eq!(warm.report.cached, CELLS as usize);
-    let peak = samples
-        .iter()
-        .filter(|&&(index, _)| index > JOBS)
-        .map(|&(_, live)| live.saturating_sub(before))
-        .max()
-        .unwrap();
+    // Live bytes on entry to and on exit from every observer call, from
+    // the first outcome on.
+    let replay = |observe: &mut dyn FnMut(&CellOutcome)| {
+        let before = alloc::current_bytes();
+        let mut samples = Vec::with_capacity(2 * CELLS as usize);
+        let warm = engine.run_cells_streaming_observed(cells.clone(), &mut |outcome| {
+            samples.push(alloc::current_bytes());
+            observe(outcome);
+            std::thread::sleep(Duration::from_millis(30));
+            samples.push(alloc::current_bytes());
+        });
+        assert_eq!(warm.report.cached, CELLS as usize);
+        assert_eq!(warm.report.quarantined, 0);
+        peak_above(&samples, before)
+    };
 
-    // `JOBS` record buffers, `JOBS + 1` decoded records and one reorder
-    // entry, plus half a record for the small per-outcome allocations
-    // (cell clones, `Arc` headers, frontier nodes).
-    let bound = JOBS * record + (JOBS + 2) * decoded + decoded / 2;
+    let summaries = replay(&mut |_| {});
+    // `JOBS` head buffers, `JOBS + 2` decoded partials, the report's
+    // aggregates plus each worker's share and partial, and every cell's
+    // outcome in the frontier or in delivery.
+    let bound =
+        JOBS * head + (JOBS + 2) * partial + (1 + 2 * JOBS) * partial + CELLS as usize * OUTCOME;
     let records = |bytes: usize| bytes as f64 / mean;
     eprintln!(
-        "peak live bytes above the pre-run level: {:.2} mean records (bound {:.2})",
-        records(peak),
-        records(bound)
+        "summary replay: peak {summaries} B above the pre-run level ({:.4} mean records; bound {bound} B)",
+        records(summaries)
     );
     assert!(
-        peak <= bound,
-        "the replay held {:.2} mean records' worth of bytes; the rendezvous bound is {:.2}",
-        records(peak),
-        records(bound)
+        summaries <= bound,
+        "the summary replay held {summaries} B; the bound is {bound} B"
+    );
+    assert!(
+        (bound as f64) < 0.25 * mean,
+        "the bound ({bound} B) is not well under one mean record ({mean:.0} B)"
+    );
+
+    // The same replay with every outcome's metrics loaded by its observer.
+    let mut loaded = 0usize;
+    let lazy = replay(&mut |outcome| {
+        loaded += outcome.try_metrics().map_or(0, |m| m.owd.len().min(1));
+    });
+    assert_eq!(loaded, CELLS as usize, "every outcome's metrics loaded");
+    let lazy_bound = bound + record + decoded;
+    eprintln!(
+        "lazy-load replay: peak {:.2} mean records (bound {:.2})",
+        records(lazy),
+        records(lazy_bound)
+    );
+    assert!(
+        lazy <= lazy_bound,
+        "the lazy-load replay held {:.2} mean records' worth of bytes; the bound is {:.2}",
+        records(lazy),
+        records(lazy_bound)
     );
     let _ = std::fs::remove_dir_all(&dir);
 }
