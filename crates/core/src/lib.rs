@@ -81,7 +81,10 @@ pub use metrics::RunMetrics;
 pub use pipeline::Simulation;
 pub use runner::CampaignResult;
 pub use scenario::{CcMode, ExperimentConfig, Mobility};
-pub use spec::{CampaignSpec, SpecError, MAX_CELLS, MAX_GROUND_SWEEPS, MAX_HOLD, SPEC_VERSION};
+pub use spec::{
+    CampaignSpec, SpecError, MAX_CELLS, MAX_GROUND_SWEEPS, MAX_HOLD, MAX_STATIC_BITRATE_BPS,
+    SPEC_VERSION,
+};
 
 /// Convenient glob import for examples and benches: the experiment axes,
 /// the matrix engine, the campaign spec, and the per-run metrics every
@@ -100,7 +103,8 @@ pub mod prelude {
         CcMode, ExperimentConfig, ExperimentConfigBuilder, Mobility, MAX_LEGS,
     };
     pub use crate::spec::{
-        CampaignSpec, SpecError, MAX_CELLS, MAX_GROUND_SWEEPS, MAX_HOLD, SPEC_VERSION,
+        CampaignSpec, SpecError, MAX_CELLS, MAX_GROUND_SWEEPS, MAX_HOLD, MAX_STATIC_BITRATE_BPS,
+        SPEC_VERSION,
     };
     pub use crate::stats;
     pub use crate::stats::LogHistogram;

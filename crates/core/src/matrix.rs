@@ -465,6 +465,11 @@ mod tests {
     use crate::codec::fnv1a;
     use rpav_netem::PacketKind;
     use rpav_sim::{SimDuration, SimTime, WatchdogConfig};
+    use std::collections::HashSet;
+
+    fn short_base() -> ExperimentConfig {
+        ExperimentConfig::builder().seed(11).hold_secs(1).build()
+    }
 
     #[test]
     fn dense_expansion_keys_stay_put() {
@@ -551,5 +556,116 @@ mod tests {
             keys.extend_from_slice(&cell.key().to_le_bytes());
         }
         assert_eq!(fnv1a(&keys), 0x4df6_bca6_021d_8c94);
+    }
+
+    #[test]
+    fn empty_axes_expand_to_the_base_cell() {
+        let cells = MatrixSpec::new(short_base()).expand();
+        assert_eq!(cells.len(), 1);
+        assert_eq!(cells[0].index, 0);
+        assert_eq!(cells[0].scheme, RunScheme::Pipeline);
+        assert!(cells[0].fault.is_none());
+        assert_eq!(cells[0].label(), "GCC-Rural-P1-Air#r0");
+    }
+
+    #[test]
+    fn expansion_order_is_run_innermost() {
+        let cells = MatrixSpec::new(short_base())
+            .ccs([CcMode::Gcc, CcMode::paper_scream()])
+            .runs(2)
+            .expand();
+        assert_eq!(cells.len(), 4);
+        let labels: Vec<String> = cells.iter().map(Cell::label).collect();
+        assert_eq!(
+            labels,
+            [
+                "GCC-Rural-P1-Air#r0",
+                "GCC-Rural-P1-Air#r1",
+                "SCReAM-Rural-P1-Air#r0",
+                "SCReAM-Rural-P1-Air#r1",
+            ]
+        );
+        assert!(cells.iter().enumerate().all(|(i, c)| c.index == i));
+    }
+
+    #[test]
+    fn paper_workloads_follow_the_environment() {
+        let cells = MatrixSpec::new(short_base())
+            .environments([Environment::Urban, Environment::Rural])
+            .paper_workloads()
+            .expand();
+        assert_eq!(cells.len(), 6);
+        assert_eq!(cells[0].config.cc, CcMode::Static { bitrate_bps: 25e6 });
+        assert_eq!(cells[3].config.cc, CcMode::Static { bitrate_bps: 8e6 });
+    }
+
+    #[test]
+    fn hold_follows_the_mobility_axis_unless_overridden() {
+        let paper_base = ExperimentConfig::builder().build();
+        let cells = MatrixSpec::new(paper_base)
+            .mobilities([Mobility::Air, Mobility::Ground])
+            .expand();
+        assert_eq!(cells[0].config.hold, SimDuration::from_secs(5));
+        assert_eq!(cells[1].config.hold, SimDuration::from_secs(45));
+        // An explicit hold override is preserved across the axis.
+        let cells = MatrixSpec::new(short_base())
+            .mobilities([Mobility::Air, Mobility::Ground])
+            .expand();
+        assert_eq!(cells[0].config.hold, SimDuration::from_secs(1));
+        assert_eq!(cells[1].config.hold, SimDuration::from_secs(1));
+    }
+
+    #[test]
+    fn labels_and_keys_are_unique_over_a_full_expansion() {
+        // Every axis at once — the densest matrix any bench assembles:
+        // labels (the old silent-collision bug) and cache keys must both
+        // discriminate every cell.
+        let blackout =
+            FaultScript::new().blackout(SimTime::from_secs(10), SimDuration::from_secs(2));
+        let cells = MatrixSpec::new(short_base())
+            .environments([Environment::Urban, Environment::Rural])
+            .operators([Operator::P1, Operator::P2])
+            .mobilities([Mobility::Air, Mobility::Ground])
+            .paper_workloads()
+            .schemes([
+                RunScheme::Pipeline,
+                RunScheme::Multipath(MultipathScheme::Failover),
+            ])
+            .faults([
+                CellFault::none(),
+                CellFault::link("blackout", blackout.clone()),
+                CellFault::uplink("ul-blackout", blackout),
+            ])
+            .repairs([false, true])
+            .runs(2)
+            .expand();
+        assert_eq!(cells.len(), 2 * 2 * 2 * 3 * 2 * 3 * 2 * 2);
+        let labels: HashSet<String> = cells.iter().map(Cell::label).collect();
+        assert_eq!(labels.len(), cells.len(), "label collision");
+        let keys: HashSet<u64> = cells.iter().map(Cell::key).collect();
+        assert_eq!(keys.len(), cells.len(), "cache-key collision");
+    }
+
+    #[test]
+    fn cache_key_is_insensitive_to_cell_index_but_not_to_config() {
+        let cells = MatrixSpec::new(short_base()).runs(2).expand();
+        let mut moved = cells[0].clone();
+        moved.index = 99;
+        assert_eq!(moved.key(), cells[0].key());
+        assert_ne!(cells[0].key(), cells[1].key());
+    }
+
+    #[test]
+    fn pipeline_keys_stay_put_and_multipath_keys_moved() {
+        // Literals computed before the session drivers were unified (FNV
+        // over config bytes: platform-independent). A durable cache from
+        // back then keeps serving pipeline cells and must miss on every
+        // multipath cell, whose results changed.
+        let pipeline = MatrixSpec::new(short_base()).expand();
+        assert_eq!(pipeline[0].key(), 0x5b6c_6bff_9688_12ce);
+        let failover = MatrixSpec::new(short_base())
+            .multipath_schemes([MultipathScheme::Failover])
+            .expand();
+        assert_ne!(failover[0].key(), 0x6628_e85f_3bb9_da1d);
     }
 }

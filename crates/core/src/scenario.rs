@@ -249,47 +249,36 @@ impl ExperimentConfig {
 /// ```
 #[derive(Clone, Copy, Debug)]
 pub struct ExperimentConfigBuilder {
-    environment: Environment,
-    operator: Operator,
-    mobility: Mobility,
-    cc: CcMode,
-    seed: u64,
-    run_index: u64,
+    config: ExperimentConfig,
+    /// An explicit hold; `None` follows the mobility's paper hold.
     hold: Option<SimDuration>,
-    ground_sweeps: usize,
-    drop_on_latency: bool,
-    hysteresis_override_db: Option<f64>,
-    ttt_override_ms: Option<u64>,
-    jitter_target_override_ms: Option<u64>,
-    watchdog: WatchdogConfig,
-    repair: bool,
-    leg_cap_bps: Option<(f64, f64)>,
-    fec_cap: f64,
-    n_legs: usize,
-    coupled_cc: bool,
 }
 
 impl Default for ExperimentConfigBuilder {
     fn default() -> Self {
         ExperimentConfigBuilder {
-            environment: Environment::Rural,
-            operator: Operator::P1,
-            mobility: Mobility::Air,
-            cc: CcMode::Gcc,
-            seed: 0,
-            run_index: 0,
+            config: ExperimentConfig {
+                environment: Environment::Rural,
+                operator: Operator::P1,
+                mobility: Mobility::Air,
+                cc: CcMode::Gcc,
+                seed: 0,
+                run_index: 0,
+                // `build()` replaces it: `hold` or the mobility's.
+                hold: SimDuration::ZERO,
+                ground_sweeps: 3,
+                drop_on_latency: false,
+                hysteresis_override_db: None,
+                ttt_override_ms: None,
+                jitter_target_override_ms: None,
+                watchdog: WatchdogConfig::default(),
+                repair: false,
+                leg_cap_bps: None,
+                fec_cap: 0.0,
+                n_legs: 2,
+                coupled_cc: false,
+            },
             hold: None,
-            ground_sweeps: 3,
-            drop_on_latency: false,
-            hysteresis_override_db: None,
-            ttt_override_ms: None,
-            jitter_target_override_ms: None,
-            watchdog: WatchdogConfig::default(),
-            repair: false,
-            leg_cap_bps: None,
-            fec_cap: 0.0,
-            n_legs: 2,
-            coupled_cc: false,
         }
     }
 }
@@ -297,38 +286,38 @@ impl Default for ExperimentConfigBuilder {
 impl ExperimentConfigBuilder {
     /// Flight area (default rural).
     pub fn environment(mut self, environment: Environment) -> Self {
-        self.environment = environment;
+        self.config.environment = environment;
         self
     }
 
     /// Cellular operator (default P1).
     pub fn operator(mut self, operator: Operator) -> Self {
-        self.operator = operator;
+        self.config.operator = operator;
         self
     }
 
     /// Air or ground (default air). The hover hold follows the mobility's
     /// paper default unless [`hold`](Self::hold) overrides it.
     pub fn mobility(mut self, mobility: Mobility) -> Self {
-        self.mobility = mobility;
+        self.config.mobility = mobility;
         self
     }
 
     /// Video workload (default GCC).
     pub fn cc(mut self, cc: CcMode) -> Self {
-        self.cc = cc;
+        self.config.cc = cc;
         self
     }
 
     /// Master seed — the campaign identity (default 0).
     pub fn seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
+        self.config.seed = seed;
         self
     }
 
     /// Run index within the campaign (default 0).
     pub fn run_index(mut self, run_index: u64) -> Self {
-        self.run_index = run_index;
+        self.config.run_index = run_index;
         self
     }
 
@@ -345,78 +334,78 @@ impl ExperimentConfigBuilder {
 
     /// Ground-run sweep count (default 3).
     pub fn ground_sweeps(mut self, sweeps: usize) -> Self {
-        self.ground_sweeps = sweeps;
+        self.config.ground_sweeps = sweeps;
         self
     }
 
     /// Jitter-buffer drop-on-latency mode (App. A.4 ablation).
     pub fn drop_on_latency(mut self, on: bool) -> Self {
-        self.drop_on_latency = on;
+        self.config.drop_on_latency = on;
         self
     }
 
     /// Override the A3 hysteresis (dB) — the §5 mobility-parameter sweep.
     pub fn hysteresis_db(mut self, db: f64) -> Self {
-        self.hysteresis_override_db = Some(db);
+        self.config.hysteresis_override_db = Some(db);
         self
     }
 
     /// Override the A3 time-to-trigger (ms) — same sweep.
     pub fn ttt_ms(mut self, ms: u64) -> Self {
-        self.ttt_override_ms = Some(ms);
+        self.config.ttt_override_ms = Some(ms);
         self
     }
 
     /// Override the receiver jitter-buffer target (ms).
     pub fn jitter_target_ms(mut self, ms: u64) -> Self {
-        self.jitter_target_override_ms = Some(ms);
+        self.config.jitter_target_override_ms = Some(ms);
         self
     }
 
     /// Replace the feedback-starvation watchdog configuration.
     pub fn watchdog(mut self, watchdog: WatchdogConfig) -> Self {
-        self.watchdog = watchdog;
+        self.config.watchdog = watchdog;
         self
     }
 
     /// Flip only the watchdog master switch (`false` reproduces the stock
     /// frozen-rate outage behaviour).
     pub fn watchdog_enabled(mut self, enabled: bool) -> Self {
-        self.watchdog.enabled = enabled;
+        self.config.watchdog.enabled = enabled;
         self
     }
 
     /// NACK/RTX loss repair (default off, like the paper's stack).
     pub fn repair(mut self, on: bool) -> Self {
-        self.repair = on;
+        self.config.repair = on;
         self
     }
 
     /// Cap the per-leg uplink capacities (primary, secondary) in bps —
     /// the bonded scheme's asymmetric-leg ablation.
     pub fn leg_caps(mut self, primary_bps: f64, secondary_bps: f64) -> Self {
-        self.leg_cap_bps = Some((primary_bps, secondary_bps));
+        self.config.leg_cap_bps = Some((primary_bps, secondary_bps));
         self
     }
 
     /// Ceiling on the bonded scheme's adaptive FEC overhead ratio
     /// (default 0.0 = FEC off).
     pub fn fec_cap(mut self, cap: f64) -> Self {
-        self.fec_cap = cap;
+        self.config.fec_cap = cap;
         self
     }
 
     /// Number of cellular legs for the multipath drivers, clamped to
     /// 1..=[`MAX_LEGS`] (default 2).
     pub fn n_legs(mut self, n: usize) -> Self {
-        self.n_legs = n.clamp(1, MAX_LEGS);
+        self.config.n_legs = n.clamp(1, MAX_LEGS);
         self
     }
 
     /// Per-leg shadow congestion control with an aggregate allocator
     /// (default off; Bonded scheme only).
     pub fn coupled_cc(mut self, on: bool) -> Self {
-        self.coupled_cc = on;
+        self.config.coupled_cc = on;
         self
     }
 
@@ -424,26 +413,10 @@ impl ExperimentConfigBuilder {
     /// explicitly set.
     pub fn build(self) -> ExperimentConfig {
         ExperimentConfig {
-            environment: self.environment,
-            operator: self.operator,
-            mobility: self.mobility,
-            cc: self.cc,
-            seed: self.seed,
-            run_index: self.run_index,
             hold: self
                 .hold
-                .unwrap_or_else(|| ExperimentConfig::paper_hold(self.mobility)),
-            ground_sweeps: self.ground_sweeps,
-            drop_on_latency: self.drop_on_latency,
-            hysteresis_override_db: self.hysteresis_override_db,
-            ttt_override_ms: self.ttt_override_ms,
-            jitter_target_override_ms: self.jitter_target_override_ms,
-            watchdog: self.watchdog,
-            repair: self.repair,
-            leg_cap_bps: self.leg_cap_bps,
-            fec_cap: self.fec_cap,
-            n_legs: self.n_legs,
-            coupled_cc: self.coupled_cc,
+                .unwrap_or_else(|| ExperimentConfig::paper_hold(self.config.mobility)),
+            ..self.config
         }
     }
 }

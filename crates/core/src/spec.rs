@@ -3,24 +3,35 @@
 //! side by side.
 //!
 //! Both encodings walk the same inputs — an [`ExperimentConfig`], the
-//! matrix axes, fault scripts — and share one vocabulary: one table per
-//! enum, where a variant's index is its key tag and its string its JSON
-//! name, and one per-variant field list for CC modes and fault clauses
-//! (`cc_fields`, `clause_fields`), so a new clause or parameter is
-//! written down once. Both config encoders destructure `ExperimentConfig`
-//! and `WatchdogConfig` without `..`: a new config field does not compile
-//! until both write it.
+//! matrix axes, fault scripts — through one vocabulary: one table per
+//! enum (a variant's row is its key tag, its string its JSON name) and one
+//! *slot list* per type the spec writes down (`config_slots`,
+//! `watchdog_slots`, `cc_slots`, `clause_slots`), which visits each member
+//! as a JSON name and a `Slot` borrowed from the value, in key order. The
+//! key writer, the JSON writer and the JSON reader all walk it; the reader
+//! fills a template and rejects members the list does not name. The lists
+//! destructure without `..` and match every variant, so a new field or
+//! clause parameter does not compile until its slot line exists. CC modes
+//! and clause kinds are `(name, template)` rows; a value's row is the one
+//! whose template has its `std::mem::discriminant`.
 //!
 //! The document is the one cross-process shape of a campaign:
 //!
 //! * a `spec_version` field (documents reject unknown versions),
 //! * **unknown-field rejection** at every object level (a typo'd knob is a
 //!   typed [`SpecError`], never a silently-ignored default),
+//! * **bounded cost per cell**: [`MAX_HOLD`], [`MAX_GROUND_SWEEPS`],
+//!   [`MAX_STATIC_BITRATE_BPS`], and positive watchdog back-off intervals
+//!   and SCReAM ack spans, each a typed `BadValue` at its member's path
+//!   (`spec_json_fuzz::oversized_cells_are_typed_errors_not_aborts`), so
+//!   no accepted document can abort, hang or panic the cell it becomes,
 //! * **byte-stable canonical serialization** — [`CampaignSpec::to_json`]
 //!   emits every field (defaults included) through the canonical
 //!   [`Json`] serializer, so `from_json(to_json(s)).to_json() ==
 //!   to_json(s)` bytewise and [`CampaignSpec::identity`] (FNV-1a over the
-//!   canonical bytes) is a stable campaign identity.
+//!   canonical bytes) is a stable campaign identity
+//!   (`spec_json_fuzz::wire_bytes_and_keys_stay_put` pins the bytes and
+//!   keys across commits).
 //!
 //! The identity chain: canonical bytes are stable → the [`to_matrix`]
 //! expansion is a pure function of the spec → every [`Cell::key`] is a
@@ -39,6 +50,7 @@
 //! [`to_matrix`]: CampaignSpec::to_matrix
 
 use std::fmt;
+use std::mem::discriminant;
 
 use rpav_lte::{Environment, Operator};
 use rpav_netem::{FaultClause, FaultScript, PacketKind};
@@ -48,7 +60,7 @@ use crate::codec::{fnv1a, ByteWriter};
 use crate::json::{Json, JsonError};
 use crate::matrix::{CcAxis, Cell, CellFault, MatrixSpec, RunScheme};
 use crate::multipath::MultipathScheme;
-use crate::scenario::{CcMode, ExperimentConfig, Mobility};
+use crate::scenario::{CcMode, ExperimentConfig, Mobility, MAX_LEGS};
 
 /// The wire-format version this build emits and accepts.
 pub const SPEC_VERSION: u64 = 1;
@@ -72,6 +84,12 @@ pub const MAX_HOLD: SimDuration = SimDuration::from_secs(600);
 /// `catch_unwind` sees — replayed from the spec archive on every restart.
 pub const MAX_GROUND_SWEEPS: u64 = 64;
 
+/// The highest Static `bitrate_bps` one wire-submitted cell may ask for:
+/// 4× the paper's highest Static rate (25 Mbps urban) and the CCs' own
+/// ceiling. Encoder and path buffers grow with the rate, so an unbounded
+/// one is an allocation abort, like an unbounded [`MAX_GROUND_SWEEPS`].
+pub const MAX_STATIC_BITRATE_BPS: f64 = 100e6;
+
 /// Typed failures of [`CampaignSpec::from_json`]. Every variant names the
 /// JSON path of the offending field, so a daemon 400 response can point at
 /// the culprit.
@@ -84,7 +102,8 @@ pub enum SpecError {
         /// The version the document claimed.
         found: u64,
     },
-    /// A required field is absent (`spec_version` is the only one).
+    /// A required field is absent: `spec_version`, a CC `mode`, a clause
+    /// `kind`, or a non-nullable parameter of either.
     MissingField {
         /// JSON path of the absent field.
         path: String,
@@ -244,20 +263,25 @@ impl CampaignSpec {
     /// re-parsing and re-serializing reproduces the identical bytes.
     pub fn to_json(&self) -> String {
         let m = &self.matrix;
+        let mut base = m.base;
         let ccs = match &m.ccs {
             CcAxis::Base => Json::Str("base".into()),
             CcAxis::PaperWorkloads => Json::Str("paper_workloads".into()),
-            CcAxis::List(list) => Json::Array(list.iter().map(|&cc| cc_to_json(cc)).collect()),
+            CcAxis::List(list) => Json::Array(
+                list.iter()
+                    .map(|&cc| variant_json(cc, "mode", &CC_MODES, cc_slots))
+                    .collect(),
+            ),
         };
         let doc = Json::Object(vec![
             ("spec_version".into(), Json::UInt(SPEC_VERSION)),
-            ("base".into(), config_to_json(&m.base)),
             (
-                "environments".into(),
-                ENVIRONMENTS.json_list(&m.environments),
+                "base".into(),
+                object_json(None, &mut |visit| config_slots(&mut base, visit)),
             ),
-            ("operators".into(), OPERATORS.json_list(&m.operators)),
-            ("mobilities".into(), MOBILITIES.json_list(&m.mobilities)),
+            ("environments".into(), names_json(&m.environments)),
+            ("operators".into(), names_json(&m.operators)),
+            ("mobilities".into(), names_json(&m.mobilities)),
             ("ccs".into(), ccs),
             (
                 "schemes".into(),
@@ -311,22 +335,23 @@ impl CampaignSpec {
                     path: "spec_version".into(),
                 })
             }
-            Some(v) => v.as_u64().ok_or(SpecError::BadValue {
-                path: "spec_version".into(),
-                want: "an unsigned integer",
-            })?,
+            Some(v) => v
+                .as_u64()
+                .ok_or_else(|| bad("spec_version", "an unsigned integer"))?,
         };
         if version != SPEC_VERSION {
             return Err(SpecError::UnsupportedVersion { found: version });
         }
 
-        let base = match doc.get("base") {
-            Some(v) => config_from_json(v, "base")?,
-            None => ExperimentConfig::builder().build(),
-        };
-        let environments = list_of(&doc, "environments", |v, p| ENVIRONMENTS.decode(v, p))?;
-        let operators = list_of(&doc, "operators", |v, p| OPERATORS.decode(v, p))?;
-        let mobilities = list_of(&doc, "mobilities", |v, p| MOBILITIES.decode(v, p))?;
+        let mut base = ExperimentConfig::builder().build();
+        if let Some(v) = doc.get("base") {
+            read_object(v, "base", None, false, &mut |visit| {
+                config_slots(&mut base, visit)
+            })?;
+        }
+        let environments = list_of(&doc, "environments", Environment::decode)?;
+        let operators = list_of(&doc, "operators", Operator::decode)?;
+        let mobilities = list_of(&doc, "mobilities", Mobility::decode)?;
         let ccs = match doc.get("ccs") {
             None => CcAxis::Base,
             Some(Json::Str(s)) if s == "base" => CcAxis::Base,
@@ -338,12 +363,7 @@ impl CampaignSpec {
                     .map(|(i, v)| cc_from_json(v, &format!("ccs[{i}]")))
                     .collect::<Result<_, _>>()?,
             ),
-            Some(_) => {
-                return Err(SpecError::BadValue {
-                    path: "ccs".into(),
-                    want: "\"base\", \"paper_workloads\", or a CC list",
-                })
-            }
+            Some(_) => return Err(bad("ccs", "\"base\", \"paper_workloads\", or a CC list")),
         };
         let schemes = list_of(&doc, "schemes", scheme_from_json)?;
         let faults = list_of(&doc, "faults", fault_from_json)?;
@@ -373,192 +393,179 @@ impl CampaignSpec {
 
 // ---- one table per enum ---------------------------------------------------
 
-/// The vocabulary of a fieldless enum: a variant's index in `table` is
-/// its key tag, its string its JSON name.
-struct Names<T: 'static> {
-    table: &'static [(T, &'static str)],
-    /// What a name outside the table is told was wanted.
-    want: &'static str,
-}
+/// A fieldless enum's vocabulary: a variant's row in `NAMES` is its key
+/// tag, its string its JSON name.
+trait Vocabulary: Copy + PartialEq + 'static {
+    const NAMES: &'static [(Self, &'static str)];
+    /// What a name outside `NAMES` is told was wanted.
+    const WANT: &'static str;
 
-impl<T: Copy + PartialEq> Names<T> {
-    fn index(&self, value: T) -> usize {
-        self.table
+    fn row(self) -> usize {
+        Self::NAMES
             .iter()
-            .position(|&(v, _)| v == value)
+            .position(|&(v, _)| v == self)
             .expect("every variant has a row in its table")
     }
 
-    fn tag(&self, value: T) -> u8 {
-        self.index(value) as u8
-    }
-
-    fn json(&self, value: T) -> Json {
-        Json::Str(self.table[self.index(value)].1.into())
-    }
-
-    fn json_list(&self, values: &[T]) -> Json {
-        Json::Array(values.iter().map(|&v| self.json(v)).collect())
-    }
-
-    fn parse(&self, name: &str, path: &str) -> Result<T, SpecError> {
-        self.table
+    fn decode(v: &Json, path: &str) -> Result<Self, SpecError> {
+        let name = str_of(v, path)?;
+        Self::NAMES
             .iter()
             .find(|&&(_, n)| n == name)
             .map(|&(v, _)| v)
-            .ok_or_else(|| SpecError::BadValue {
-                path: path.into(),
-                want: self.want,
-            })
-    }
-
-    fn decode(&self, v: &Json, path: &str) -> Result<T, SpecError> {
-        str_of(v, path).and_then(|s| self.parse(s, path))
+            .ok_or_else(|| bad(path, Self::WANT))
     }
 }
 
-const ENVIRONMENTS: Names<Environment> = Names {
-    table: &[(Environment::Urban, "urban"), (Environment::Rural, "rural")],
-    want: "\"urban\" or \"rural\"",
-};
+impl Vocabulary for Environment {
+    const NAMES: &'static [(Self, &'static str)] =
+        &[(Environment::Urban, "urban"), (Environment::Rural, "rural")];
+    const WANT: &'static str = "\"urban\" or \"rural\"";
+}
 
-const OPERATORS: Names<Operator> = Names {
-    table: &[(Operator::P1, "p1"), (Operator::P2, "p2")],
-    want: "\"p1\" or \"p2\"",
-};
+impl Vocabulary for Operator {
+    const NAMES: &'static [(Self, &'static str)] = &[(Operator::P1, "p1"), (Operator::P2, "p2")];
+    const WANT: &'static str = "\"p1\" or \"p2\"";
+}
 
-const MOBILITIES: Names<Mobility> = Names {
-    table: &[(Mobility::Air, "air"), (Mobility::Ground, "ground")],
-    want: "\"air\" or \"ground\"",
-};
+impl Vocabulary for Mobility {
+    const NAMES: &'static [(Self, &'static str)] =
+        &[(Mobility::Air, "air"), (Mobility::Ground, "ground")];
+    const WANT: &'static str = "\"air\" or \"ground\"";
+}
 
-const PACKET_KINDS: Names<PacketKind> = Names {
-    table: &[
+impl Vocabulary for PacketKind {
+    const NAMES: &'static [(Self, &'static str)] = &[
         (PacketKind::Media, "media"),
         (PacketKind::Feedback, "feedback"),
         (PacketKind::Probe, "probe"),
-    ],
-    want: "\"media\", \"feedback\", or \"probe\"",
+    ];
+    const WANT: &'static str = "\"media\", \"feedback\", or \"probe\"";
+}
+
+/// A [`Vocabulary`] value as a [`Slot::Name`] holds it.
+trait Named {
+    fn tag(&self) -> u8;
+    fn json(&self) -> Json;
+    fn read(&mut self, v: &Json, path: &str) -> Result<(), SpecError>;
+}
+
+impl<T: Vocabulary> Named for T {
+    fn tag(&self) -> u8 {
+        self.row() as u8
+    }
+
+    fn json(&self) -> Json {
+        Json::Str(T::NAMES[self.row()].1.into())
+    }
+
+    fn read(&mut self, v: &Json, path: &str) -> Result<(), SpecError> {
+        *self = T::decode(v, path)?;
+        Ok(())
+    }
+}
+
+/// A list of [`Vocabulary`] values as a JSON array of names.
+fn names_json<T: Vocabulary>(values: &[T]) -> Json {
+    Json::Array(values.iter().map(Named::json).collect())
+}
+
+/// CC modes: a mode's row is its key tag, its string the JSON `mode`, its
+/// template what the reader fills.
+const CC_MODES: [(&str, CcMode); 3] = [
+    ("static", CcMode::Static { bitrate_bps: 0.0 }),
+    ("gcc", CcMode::Gcc),
+    ("scream", CcMode::Scream { ack_span: 0 }),
+];
+
+/// Fault-clause kinds: a kind's row is its key tag, its string the JSON
+/// `kind`, its template what the reader fills.
+const CLAUSE_KINDS: [(&str, FaultClause); 9] = {
+    use FaultClause::*;
+    const T: SimTime = SimTime::ZERO;
+    [
+        ("blackout", Blackout { from: T, until: T }),
+        (
+            "kind_blackout",
+            KindBlackout {
+                from: T,
+                until: T,
+                kind: PacketKind::Media,
+            },
+        ),
+        (
+            "loss",
+            Loss {
+                from: T,
+                until: T,
+                prob: 0.0,
+                kind: None,
+            },
+        ),
+        (
+            "delay_spike",
+            DelaySpike {
+                from: T,
+                until: T,
+                extra: SimDuration::ZERO,
+            },
+        ),
+        (
+            "duplicate",
+            Duplicate {
+                from: T,
+                until: T,
+                prob: 0.0,
+                kind: None,
+            },
+        ),
+        (
+            "corrupt",
+            Corrupt {
+                from: T,
+                until: T,
+                prob: 0.0,
+                kind: None,
+            },
+        ),
+        (
+            "reorder",
+            Reorder {
+                from: T,
+                until: T,
+                prob: 0.0,
+                max_displacement: 0,
+            },
+        ),
+        (
+            "coverage_hole",
+            CoverageHole {
+                x: 0.0,
+                y: 0.0,
+                radius_m: 0.0,
+                min_alt_m: 0.0,
+            },
+        ),
+        (
+            "burst_loss",
+            BurstLoss {
+                from: T,
+                until: T,
+                p_enter: 0.0,
+                p_exit: 0.0,
+                loss_bad: 0.0,
+                kind: None,
+            },
+        ),
+    ]
 };
 
-/// A variant's JSON decoder (the document object, its path).
-type Decode<T> = fn(&Json, &str) -> Result<T, SpecError>;
-
-/// CC modes: a mode's index is its key tag, its string the JSON `mode`.
-/// [`cc_fields`] encodes; the decoder sits beside the name.
-const CC_MODES: [(&str, Decode<CcMode>); 3] = [
-    ("static", |v, p| {
-        check_fields(v, p, &["mode", "bitrate_bps"])?;
-        Ok(CcMode::Static {
-            bitrate_bps: req_f64(v, p, "bitrate_bps")?,
-        })
-    }),
-    ("gcc", |v, p| {
-        check_fields(v, p, &["mode"])?;
-        Ok(CcMode::Gcc)
-    }),
-    ("scream", |v, p| {
-        check_fields(v, p, &["mode", "ack_span"])?;
-        Ok(CcMode::Scream {
-            ack_span: req_u64(v, p, "ack_span")? as usize,
-        })
-    }),
-];
-
-/// Fault-clause kinds: a kind's index is its key tag, its string the
-/// JSON `kind`. [`clause_fields`] encodes; the decoder sits beside the
-/// name.
-const CLAUSE_KINDS: [(&str, Decode<FaultClause>); 9] = [
-    ("blackout", |v, p| {
-        check_fields(v, p, &["kind", "from_us", "until_us"])?;
-        Ok(FaultClause::Blackout {
-            from: req_time(v, p, "from_us")?,
-            until: req_time(v, p, "until_us")?,
-        })
-    }),
-    ("kind_blackout", |v, p| {
-        check_fields(v, p, &["kind", "from_us", "until_us", "packet"])?;
-        Ok(FaultClause::KindBlackout {
-            from: req_time(v, p, "from_us")?,
-            until: req_time(v, p, "until_us")?,
-            kind: PACKET_KINDS.parse(req_str(v, p, "packet")?, &format!("{p}.packet"))?,
-        })
-    }),
-    ("loss", |v, p| {
-        check_fields(v, p, &["kind", "from_us", "until_us", "prob", "packet"])?;
-        Ok(FaultClause::Loss {
-            from: req_time(v, p, "from_us")?,
-            until: req_time(v, p, "until_us")?,
-            prob: req_f64(v, p, "prob")?,
-            kind: opt_packet(v, p)?,
-        })
-    }),
-    ("delay_spike", |v, p| {
-        check_fields(v, p, &["kind", "from_us", "until_us", "extra_us"])?;
-        Ok(FaultClause::DelaySpike {
-            from: req_time(v, p, "from_us")?,
-            until: req_time(v, p, "until_us")?,
-            extra: SimDuration::from_micros(req_u64(v, p, "extra_us")?),
-        })
-    }),
-    ("duplicate", |v, p| {
-        check_fields(v, p, &["kind", "from_us", "until_us", "prob", "packet"])?;
-        Ok(FaultClause::Duplicate {
-            from: req_time(v, p, "from_us")?,
-            until: req_time(v, p, "until_us")?,
-            prob: req_f64(v, p, "prob")?,
-            kind: opt_packet(v, p)?,
-        })
-    }),
-    ("corrupt", |v, p| {
-        check_fields(v, p, &["kind", "from_us", "until_us", "prob", "packet"])?;
-        Ok(FaultClause::Corrupt {
-            from: req_time(v, p, "from_us")?,
-            until: req_time(v, p, "until_us")?,
-            prob: req_f64(v, p, "prob")?,
-            kind: opt_packet(v, p)?,
-        })
-    }),
-    ("reorder", |v, p| {
-        check_fields(
-            v,
-            p,
-            &["kind", "from_us", "until_us", "prob", "max_displacement"],
-        )?;
-        Ok(FaultClause::Reorder {
-            from: req_time(v, p, "from_us")?,
-            until: req_time(v, p, "until_us")?,
-            prob: req_f64(v, p, "prob")?,
-            max_displacement: req_u64(v, p, "max_displacement")?,
-        })
-    }),
-    ("coverage_hole", |v, p| {
-        check_fields(v, p, &["kind", "x", "y", "radius_m", "min_alt_m"])?;
-        Ok(FaultClause::CoverageHole {
-            x: req_f64(v, p, "x")?,
-            y: req_f64(v, p, "y")?,
-            radius_m: req_f64(v, p, "radius_m")?,
-            min_alt_m: req_f64(v, p, "min_alt_m")?,
-        })
-    }),
-    ("burst_loss", |v, p| {
-        check_fields(
-            v,
-            p,
-            &[
-                "kind", "from_us", "until_us", "p_enter", "p_exit", "loss_bad", "packet",
-            ],
-        )?;
-        Ok(FaultClause::BurstLoss {
-            from: req_time(v, p, "from_us")?,
-            until: req_time(v, p, "until_us")?,
-            p_enter: req_f64(v, p, "p_enter")?,
-            p_exit: req_f64(v, p, "p_exit")?,
-            loss_bad: req_f64(v, p, "loss_bad")?,
-            kind: opt_packet(v, p)?,
-        })
-    }),
-];
+/// The row of `rows` whose template is `value`'s variant.
+fn row_of<T>(rows: &[(&'static str, T)], value: &T) -> usize {
+    rows.iter()
+        .position(|(_, template)| discriminant(template) == discriminant(value))
+        .expect("every variant has a row in its table")
+}
 
 impl RunScheme {
     /// The scheme's byte in the cache key. 1–5 were the multipath schemes
@@ -584,133 +591,230 @@ fn scheme_from_json(v: &Json, path: &str) -> Result<RunScheme, SpecError> {
     std::iter::once(RunScheme::Pipeline)
         .chain(MultipathScheme::all().map(RunScheme::Multipath))
         .find(|s| s.name() == name)
-        .ok_or_else(|| SpecError::BadValue {
-            path: path.into(),
-            want: "a run-scheme name (\"pipeline\", \"single-path\", \"duplicate\", \"failover\", \"sel-duplicate\", \"bonded\")",
-        })
+        .ok_or_else(|| bad(path, "a run-scheme name (\"pipeline\", \"single-path\", \"duplicate\", \"failover\", \"sel-duplicate\", \"bonded\")"))
 }
 
-// ---- one field list per variant -------------------------------------------
+// ---- one slot list per type -----------------------------------------------
 
-/// One parameter of a CC mode or fault clause, as both encoders see it.
-#[derive(Clone, Copy)]
-enum Field {
+/// One member of a spec object, borrowed from the value it belongs to.
+enum Slot<'a> {
+    Flag(&'a mut bool),
+    Count(&'a mut u64),
+    /// A `usize`: key and JSON as an unsigned integer.
+    Size(&'a mut usize, Limit),
     /// An instant: key `time`, JSON microseconds.
-    Time(SimTime),
+    Time(&'a mut SimTime),
     /// A span: key `duration`, JSON microseconds.
-    Span(SimDuration),
-    Num(f64),
-    Count(u64),
-    Packet(PacketKind),
-    /// A packet-kind filter: `None` is every kind (JSON `null`).
-    AnyPacket(Option<PacketKind>),
+    Span(&'a mut SimDuration, Limit),
+    /// The hover hold: a span of at most [`MAX_HOLD`]. Absent, it is the
+    /// paper hold of the mobility read before it, as the builder's is.
+    Hold(&'a mut SimDuration, Mobility),
+    Num(&'a mut f64, Limit),
+    /// `None` is JSON `null`, as for every `Opt*` slot.
+    OptNum(&'a mut Option<f64>),
+    OptCount(&'a mut Option<u64>),
+    /// Per-leg caps: JSON `[primary, secondary]`.
+    OptPair(&'a mut Option<(f64, f64)>),
+    /// A fieldless enum, by its table.
+    Name(&'a mut dyn Named),
+    /// A packet-kind filter: `None` is every kind.
+    OptPacket(&'a mut Option<PacketKind>),
+    Cc(&'a mut CcMode),
+    Watchdog(&'a mut WatchdogConfig),
 }
 
-/// The parameters of one variant, in key order, named as in JSON.
-type Fields<'a> = &'a [(&'static str, Field)];
-
-/// A CC mode as its index in [`CC_MODES`] and its parameters.
-fn cc_fields<R>(cc: CcMode, encode: impl FnOnce(usize, Fields) -> R) -> R {
-    match cc {
-        CcMode::Static { bitrate_bps } => encode(0, &[("bitrate_bps", Field::Num(bitrate_bps))]),
-        CcMode::Gcc => encode(1, &[]),
-        CcMode::Scream { ack_span } => encode(2, &[("ack_span", Field::Count(ack_span as u64))]),
+impl Slot<'_> {
+    /// May be absent even where members are required: `null` says the same.
+    fn nullable(&self) -> bool {
+        matches!(
+            self,
+            Slot::OptNum(_) | Slot::OptCount(_) | Slot::OptPair(_) | Slot::OptPacket(_)
+        )
     }
 }
 
-/// A fault clause as its index in [`CLAUSE_KINDS`] and its parameters.
-fn clause_fields<R>(clause: &FaultClause, encode: impl FnOnce(usize, Fields) -> R) -> R {
-    use Field::{AnyPacket, Count, Num, Packet, Span, Time};
-    match *clause {
-        FaultClause::Blackout { from, until } => {
-            encode(0, &[("from_us", Time(from)), ("until_us", Time(until))])
+/// What a numeric slot accepts on read (JSON units). The writers ignore it.
+#[derive(Clone, Copy)]
+enum Limit {
+    Any,
+    /// Values below are a `BadValue` wanting the message.
+    AtLeast(f64, &'static str),
+    /// Values above are a `BadValue` wanting the message.
+    AtMost(f64, &'static str),
+    /// Out-of-range values are clamped, as the builder's setter does.
+    Clamp(u64, u64),
+}
+
+impl Limit {
+    fn num(self, x: f64, path: &str) -> Result<f64, SpecError> {
+        match self {
+            Limit::AtLeast(min, want) if x < min => Err(bad(path, want)),
+            Limit::AtMost(max, want) if x > max => Err(bad(path, want)),
+            _ => Ok(x),
         }
-        FaultClause::KindBlackout { from, until, kind } => encode(
-            1,
-            &[
-                ("from_us", Time(from)),
-                ("until_us", Time(until)),
-                ("packet", Packet(kind)),
-            ],
-        ),
+    }
+
+    fn int(self, v: &Json, path: &str) -> Result<u64, SpecError> {
+        let n = u64_of(v, path)?;
+        match self {
+            Limit::Clamp(lo, hi) => Ok(n.clamp(lo, hi)),
+            _ => self.num(n as f64, path).map(|_| n),
+        }
+    }
+}
+
+/// A back-off interval or ack span of 0 never advances: it hangs or
+/// panics the cell.
+const POSITIVE: Limit = Limit::AtLeast(1.0, "a positive integer");
+
+/// The visitor a slot list calls once per member, in key order.
+type Visit<'v> = &'v mut dyn FnMut(&'static str, Slot<'_>);
+
+fn config_slots(c: &mut ExperimentConfig, visit: Visit) {
+    let ExperimentConfig {
+        environment,
+        operator,
+        mobility,
+        cc,
+        seed,
+        run_index,
+        hold,
+        ground_sweeps,
+        drop_on_latency,
+        hysteresis_override_db,
+        ttt_override_ms,
+        jitter_target_override_ms,
+        watchdog,
+        repair,
+        leg_cap_bps,
+        fec_cap,
+        n_legs,
+        coupled_cc,
+    } = c;
+    let sweeps = Limit::AtMost(
+        MAX_GROUND_SWEEPS as f64,
+        "at most 64 sweeps (MAX_GROUND_SWEEPS)",
+    );
+    visit("environment", Slot::Name(environment));
+    visit("operator", Slot::Name(operator));
+    visit("mobility", Slot::Name(&mut *mobility));
+    visit("cc", Slot::Cc(cc));
+    visit("seed", Slot::Count(seed));
+    visit("run_index", Slot::Count(run_index));
+    visit("hold_us", Slot::Hold(hold, *mobility));
+    visit("ground_sweeps", Slot::Size(ground_sweeps, sweeps));
+    visit("drop_on_latency", Slot::Flag(drop_on_latency));
+    visit("hysteresis_db", Slot::OptNum(hysteresis_override_db));
+    visit("ttt_ms", Slot::OptCount(ttt_override_ms));
+    visit(
+        "jitter_target_ms",
+        Slot::OptCount(jitter_target_override_ms),
+    );
+    visit("watchdog", Slot::Watchdog(watchdog));
+    visit("repair", Slot::Flag(repair));
+    visit("leg_cap_bps", Slot::OptPair(leg_cap_bps));
+    visit("fec_cap", Slot::Num(fec_cap, Limit::Any));
+    visit(
+        "n_legs",
+        Slot::Size(n_legs, Limit::Clamp(1, MAX_LEGS as u64)),
+    );
+    visit("coupled_cc", Slot::Flag(coupled_cc));
+}
+
+fn watchdog_slots(w: &mut WatchdogConfig, visit: Visit) {
+    let WatchdogConfig {
+        enabled,
+        timeout,
+        backoff_interval,
+        backoff_factor,
+        floor_bps,
+        ramp_factor,
+    } = w;
+    visit("enabled", Slot::Flag(enabled));
+    visit("timeout_us", Slot::Span(timeout, Limit::Any));
+    visit(
+        "backoff_interval_us",
+        Slot::Span(backoff_interval, POSITIVE),
+    );
+    visit("backoff_factor", Slot::Num(backoff_factor, Limit::Any));
+    visit("floor_bps", Slot::Num(floor_bps, Limit::Any));
+    visit("ramp_factor", Slot::Num(ramp_factor, Limit::Any));
+}
+
+fn cc_slots(cc: &mut CcMode, visit: Visit) {
+    match cc {
+        CcMode::Static { bitrate_bps } => {
+            let ceiling = Limit::AtMost(
+                MAX_STATIC_BITRATE_BPS,
+                "at most 100 Mbps (MAX_STATIC_BITRATE_BPS)",
+            );
+            visit("bitrate_bps", Slot::Num(bitrate_bps, ceiling))
+        }
+        CcMode::Gcc => {}
+        CcMode::Scream { ack_span } => visit("ack_span", Slot::Size(ack_span, POSITIVE)),
+    }
+}
+
+fn clause_slots(clause: &mut FaultClause, visit: Visit) {
+    use Limit::Any;
+    use Slot::{Count, Name, Num, OptPacket, Span, Time};
+    fn window(visit: Visit, from: &mut SimTime, until: &mut SimTime) {
+        visit("from_us", Time(from));
+        visit("until_us", Time(until));
+    }
+    match clause {
+        FaultClause::Blackout { from, until } => window(visit, from, until),
+        FaultClause::KindBlackout { from, until, kind } => {
+            window(visit, from, until);
+            visit("packet", Name(kind));
+        }
         FaultClause::Loss {
             from,
             until,
             prob,
             kind,
-        } => encode(
-            2,
-            &[
-                ("from_us", Time(from)),
-                ("until_us", Time(until)),
-                ("prob", Num(prob)),
-                ("packet", AnyPacket(kind)),
-            ],
-        ),
-        FaultClause::DelaySpike { from, until, extra } => encode(
-            3,
-            &[
-                ("from_us", Time(from)),
-                ("until_us", Time(until)),
-                ("extra_us", Span(extra)),
-            ],
-        ),
-        FaultClause::Duplicate {
+        }
+        | FaultClause::Duplicate {
             from,
             until,
             prob,
             kind,
-        } => encode(
-            4,
-            &[
-                ("from_us", Time(from)),
-                ("until_us", Time(until)),
-                ("prob", Num(prob)),
-                ("packet", AnyPacket(kind)),
-            ],
-        ),
-        FaultClause::Corrupt {
+        }
+        | FaultClause::Corrupt {
             from,
             until,
             prob,
             kind,
-        } => encode(
-            5,
-            &[
-                ("from_us", Time(from)),
-                ("until_us", Time(until)),
-                ("prob", Num(prob)),
-                ("packet", AnyPacket(kind)),
-            ],
-        ),
+        } => {
+            window(visit, from, until);
+            visit("prob", Num(prob, Any));
+            visit("packet", OptPacket(kind));
+        }
+        FaultClause::DelaySpike { from, until, extra } => {
+            window(visit, from, until);
+            visit("extra_us", Span(extra, Any));
+        }
         FaultClause::Reorder {
             from,
             until,
             prob,
             max_displacement,
-        } => encode(
-            6,
-            &[
-                ("from_us", Time(from)),
-                ("until_us", Time(until)),
-                ("prob", Num(prob)),
-                ("max_displacement", Count(max_displacement)),
-            ],
-        ),
+        } => {
+            window(visit, from, until);
+            visit("prob", Num(prob, Any));
+            visit("max_displacement", Count(max_displacement));
+        }
         FaultClause::CoverageHole {
             x,
             y,
             radius_m,
             min_alt_m,
-        } => encode(
-            7,
-            &[
-                ("x", Num(x)),
-                ("y", Num(y)),
-                ("radius_m", Num(radius_m)),
-                ("min_alt_m", Num(min_alt_m)),
-            ],
-        ),
+        } => {
+            visit("x", Num(x, Any));
+            visit("y", Num(y, Any));
+            visit("radius_m", Num(radius_m, Any));
+            visit("min_alt_m", Num(min_alt_m, Any));
+        }
         FaultClause::BurstLoss {
             from,
             until,
@@ -718,17 +822,13 @@ fn clause_fields<R>(clause: &FaultClause, encode: impl FnOnce(usize, Fields) -> 
             p_exit,
             loss_bad,
             kind,
-        } => encode(
-            8,
-            &[
-                ("from_us", Time(from)),
-                ("until_us", Time(until)),
-                ("p_enter", Num(p_enter)),
-                ("p_exit", Num(p_exit)),
-                ("loss_bad", Num(loss_bad)),
-                ("packet", AnyPacket(kind)),
-            ],
-        ),
+        } => {
+            window(visit, from, until);
+            visit("p_enter", Num(p_enter, Any));
+            visit("p_exit", Num(p_exit, Any));
+            visit("loss_bad", Num(loss_bad, Any));
+            visit("packet", OptPacket(kind));
+        }
     }
 }
 
@@ -741,7 +841,8 @@ pub(crate) fn cell_key(cell: &Cell) -> u64 {
     let mut w = ByteWriter::new();
     w.bytes(env!("CARGO_PKG_VERSION").as_bytes());
     w.u32(crate::codec::FORMAT_VERSION);
-    write_config(&mut w, &cell.config);
+    let mut config = cell.config;
+    config_slots(&mut config, &mut |_, slot| write_slot(&mut w, slot));
     w.u8(cell.scheme.tag());
     let CellFault {
         name: _,
@@ -760,185 +861,88 @@ pub(crate) fn cell_key(cell: &Cell) -> u64 {
     fnv1a(&w.into_bytes())
 }
 
-fn write_config(w: &mut ByteWriter, c: &ExperimentConfig) {
-    let ExperimentConfig {
-        environment,
-        operator,
-        mobility,
-        cc,
-        seed,
-        run_index,
-        hold,
-        ground_sweeps,
-        drop_on_latency,
-        hysteresis_override_db,
-        ttt_override_ms,
-        jitter_target_override_ms,
-        watchdog,
-        repair,
-        leg_cap_bps,
-        fec_cap,
-        n_legs,
-        coupled_cc,
-    } = *c;
-    let WatchdogConfig {
-        enabled,
-        timeout,
-        backoff_interval,
-        backoff_factor,
-        floor_bps,
-        ramp_factor,
-    } = watchdog;
-    w.u8(ENVIRONMENTS.tag(environment));
-    w.u8(OPERATORS.tag(operator));
-    w.u8(MOBILITIES.tag(mobility));
-    cc_fields(cc, |tag, fields| write_variant(w, tag, fields));
-    w.u64(seed);
-    w.u64(run_index);
-    w.duration(hold);
-    w.u64(ground_sweeps as u64);
-    w.bool(drop_on_latency);
-    w.opt(hysteresis_override_db, |w, v| w.f64(v));
-    w.opt(ttt_override_ms, |w, v| w.u64(v));
-    w.opt(jitter_target_override_ms, |w, v| w.u64(v));
-    w.bool(enabled);
-    w.duration(timeout);
-    w.duration(backoff_interval);
-    w.f64(backoff_factor);
-    w.f64(floor_bps);
-    w.f64(ramp_factor);
-    w.bool(repair);
-    w.opt(leg_cap_bps, |w, (a, b)| {
-        w.f64(a);
-        w.f64(b);
-    });
-    w.f64(fec_cap);
-    w.u64(n_legs as u64);
-    w.bool(coupled_cc);
-}
-
 fn write_script(w: &mut ByteWriter, script: &FaultScript) {
     w.u64(script.clauses().len() as u64);
     for clause in script.clauses() {
-        clause_fields(clause, |tag, fields| write_variant(w, tag, fields));
+        write_variant(w, clause.clone(), &CLAUSE_KINDS, clause_slots);
     }
 }
 
-/// A variant as key bytes: its tag, then its parameters in order.
-fn write_variant(w: &mut ByteWriter, tag: usize, fields: Fields) {
-    w.u8(tag as u8);
-    for &(_, field) in fields {
-        match field {
-            Field::Time(t) => w.time(t),
-            Field::Span(d) => w.duration(d),
-            Field::Num(x) => w.f64(x),
-            Field::Count(n) => w.u64(n),
-            Field::Packet(k) => w.u8(PACKET_KINDS.tag(k)),
-            Field::AnyPacket(k) => w.opt(k, |w, k| w.u8(PACKET_KINDS.tag(k))),
-        }
+/// A variant as key bytes: its row, then its slots in order.
+fn write_variant<T>(
+    w: &mut ByteWriter,
+    mut value: T,
+    rows: &[(&'static str, T)],
+    slots: fn(&mut T, Visit),
+) {
+    w.u8(row_of(rows, &value) as u8);
+    slots(&mut value, &mut |_, slot| write_slot(w, slot));
+}
+
+fn write_slot(w: &mut ByteWriter, slot: Slot) {
+    match slot {
+        Slot::Flag(b) => w.bool(*b),
+        Slot::Count(n) => w.u64(*n),
+        Slot::Size(n, _) => w.u64(*n as u64),
+        Slot::Time(t) => w.time(*t),
+        Slot::Span(d, _) | Slot::Hold(d, _) => w.duration(*d),
+        Slot::Num(x, _) => w.f64(*x),
+        Slot::OptNum(x) => w.opt(*x, |w, x| w.f64(x)),
+        Slot::OptCount(n) => w.opt(*n, |w, n| w.u64(n)),
+        Slot::OptPair(pair) => w.opt(*pair, |w, (a, b)| {
+            w.f64(a);
+            w.f64(b);
+        }),
+        Slot::Name(name) => w.u8(name.tag()),
+        Slot::OptPacket(kind) => w.opt(*kind, |w, k| w.u8(k.tag())),
+        Slot::Cc(cc) => write_variant(w, *cc, &CC_MODES, cc_slots),
+        Slot::Watchdog(wd) => watchdog_slots(wd, &mut |_, slot| write_slot(w, slot)),
     }
 }
 
 // ---- JSON writer ----------------------------------------------------------
 
-/// A variant as a JSON object: `{<tag_key>: name, parameter: value, …}`.
-fn variant_json(tag_key: &str, name: &str, fields: Fields) -> Json {
-    let mut members = Vec::with_capacity(1 + fields.len());
-    members.push((tag_key.to_string(), Json::Str(name.into())));
-    members.extend(fields.iter().map(|&(key, field)| {
-        let value = match field {
-            Field::Time(t) => Json::UInt(t.as_micros()),
-            Field::Span(d) => Json::UInt(d.as_micros()),
-            Field::Num(x) => Json::Float(x),
-            Field::Count(n) => Json::UInt(n),
-            Field::Packet(k) => PACKET_KINDS.json(k),
-            Field::AnyPacket(k) => k.map_or(Json::Null, |k| PACKET_KINDS.json(k)),
-        };
-        (key.to_string(), value)
-    }));
+/// An object of the members a slot list visits, led by `tag` if given.
+fn object_json(tag: Option<(&str, &str)>, slots: &mut dyn FnMut(Visit)) -> Json {
+    let mut len = usize::from(tag.is_some());
+    slots(&mut |_, _| len += 1);
+    let mut members = Vec::with_capacity(len);
+    if let Some((key, name)) = tag {
+        members.push((key.to_string(), Json::Str(name.into())));
+    }
+    slots(&mut |name, slot| members.push((name.to_string(), slot_json(slot))));
     Json::Object(members)
 }
 
-fn cc_to_json(cc: CcMode) -> Json {
-    cc_fields(cc, |tag, fields| {
-        variant_json("mode", CC_MODES[tag].0, fields)
-    })
+/// A variant as `{<tag_key>: row name, slot: value, …}`.
+fn variant_json<T>(
+    mut value: T,
+    tag_key: &str,
+    rows: &[(&'static str, T)],
+    slots: fn(&mut T, Visit),
+) -> Json {
+    let name = rows[row_of(rows, &value)].0;
+    object_json(Some((tag_key, name)), &mut |visit| slots(&mut value, visit))
 }
 
-fn config_to_json(c: &ExperimentConfig) -> Json {
-    let ExperimentConfig {
-        environment,
-        operator,
-        mobility,
-        cc,
-        seed,
-        run_index,
-        hold,
-        ground_sweeps,
-        drop_on_latency,
-        hysteresis_override_db,
-        ttt_override_ms,
-        jitter_target_override_ms,
-        watchdog,
-        repair,
-        leg_cap_bps,
-        fec_cap,
-        n_legs,
-        coupled_cc,
-    } = *c;
-    let WatchdogConfig {
-        enabled,
-        timeout,
-        backoff_interval,
-        backoff_factor,
-        floor_bps,
-        ramp_factor,
-    } = watchdog;
-    let watchdog = Json::Object(vec![
-        ("enabled".into(), Json::Bool(enabled)),
-        ("timeout_us".into(), Json::UInt(timeout.as_micros())),
-        (
-            "backoff_interval_us".into(),
-            Json::UInt(backoff_interval.as_micros()),
-        ),
-        ("backoff_factor".into(), Json::Float(backoff_factor)),
-        ("floor_bps".into(), Json::Float(floor_bps)),
-        ("ramp_factor".into(), Json::Float(ramp_factor)),
-    ]);
-    Json::Object(vec![
-        ("environment".into(), ENVIRONMENTS.json(environment)),
-        ("operator".into(), OPERATORS.json(operator)),
-        ("mobility".into(), MOBILITIES.json(mobility)),
-        ("cc".into(), cc_to_json(cc)),
-        ("seed".into(), Json::UInt(seed)),
-        ("run_index".into(), Json::UInt(run_index)),
-        ("hold_us".into(), Json::UInt(hold.as_micros())),
-        ("ground_sweeps".into(), Json::UInt(ground_sweeps as u64)),
-        ("drop_on_latency".into(), Json::Bool(drop_on_latency)),
-        (
-            "hysteresis_db".into(),
-            hysteresis_override_db.map_or(Json::Null, Json::Float),
-        ),
-        (
-            "ttt_ms".into(),
-            ttt_override_ms.map_or(Json::Null, Json::UInt),
-        ),
-        (
-            "jitter_target_ms".into(),
-            jitter_target_override_ms.map_or(Json::Null, Json::UInt),
-        ),
-        ("watchdog".into(), watchdog),
-        ("repair".into(), Json::Bool(repair)),
-        (
-            "leg_cap_bps".into(),
-            leg_cap_bps.map_or(Json::Null, |(a, b)| {
-                Json::Array(vec![Json::Float(a), Json::Float(b)])
-            }),
-        ),
-        ("fec_cap".into(), Json::Float(fec_cap)),
-        ("n_legs".into(), Json::UInt(n_legs as u64)),
-        ("coupled_cc".into(), Json::Bool(coupled_cc)),
-    ])
+fn slot_json(slot: Slot) -> Json {
+    match slot {
+        Slot::Flag(b) => Json::Bool(*b),
+        Slot::Count(n) => Json::UInt(*n),
+        Slot::Size(n, _) => Json::UInt(*n as u64),
+        Slot::Time(t) => Json::UInt(t.as_micros()),
+        Slot::Span(d, _) | Slot::Hold(d, _) => Json::UInt(d.as_micros()),
+        Slot::Num(x, _) => Json::Float(*x),
+        Slot::OptNum(x) => x.map_or(Json::Null, Json::Float),
+        Slot::OptCount(n) => n.map_or(Json::Null, Json::UInt),
+        Slot::OptPair(pair) => pair.map_or(Json::Null, |(a, b)| {
+            Json::Array(vec![Json::Float(a), Json::Float(b)])
+        }),
+        Slot::Name(name) => name.json(),
+        Slot::OptPacket(kind) => kind.map_or(Json::Null, |k| k.json()),
+        Slot::Cc(cc) => variant_json(*cc, "mode", &CC_MODES, cc_slots),
+        Slot::Watchdog(w) => object_json(None, &mut |visit| watchdog_slots(w, visit)),
+    }
 }
 
 fn script_to_json(script: &FaultScript) -> Json {
@@ -946,11 +950,7 @@ fn script_to_json(script: &FaultScript) -> Json {
         script
             .clauses()
             .iter()
-            .map(|clause| {
-                clause_fields(clause, |tag, fields| {
-                    variant_json("kind", CLAUSE_KINDS[tag].0, fields)
-                })
-            })
+            .map(|clause| variant_json(clause.clone(), "kind", &CLAUSE_KINDS, clause_slots))
             .collect(),
     )
 }
@@ -974,23 +974,104 @@ fn fault_to_json(fault: &CellFault) -> Json {
 
 // ---- JSON reader ----------------------------------------------------------
 
-/// The decoder of the variant a `<tag_key>` member names in `table`.
-fn variant_from_json<T>(
+/// Read object `v` into the slots a slot list visits. A member no slot
+/// names (other than `tag_key`) is an `UnknownField`; then each slot, in
+/// order, reads its member. An absent member keeps the slot's value — or,
+/// when `required` and the slot is not nullable, is a `MissingField`.
+fn read_object(
+    v: &Json,
+    path: &str,
+    tag_key: Option<&str>,
+    required: bool,
+    slots: &mut dyn FnMut(Visit),
+) -> Result<(), SpecError> {
+    for (key, _) in expect_obj(v, path)? {
+        let mut known = Some(key.as_str()) == tag_key;
+        slots(&mut |name, _| known |= name == key);
+        if !known {
+            return Err(SpecError::UnknownField {
+                path: format!("{path}.{key}"),
+            });
+        }
+    }
+    let mut result = Ok(());
+    slots(&mut |name, slot| {
+        if result.is_ok() {
+            let path = || format!("{path}.{name}");
+            result = match v.get(name) {
+                Some(member) => read_slot(slot, member, &path()),
+                None if required && !slot.nullable() => {
+                    Err(SpecError::MissingField { path: path() })
+                }
+                None => {
+                    if let Slot::Hold(hold, mobility) = slot {
+                        *hold = ExperimentConfig::paper_hold(mobility);
+                    }
+                    Ok(())
+                }
+            };
+        }
+    });
+    result
+}
+
+fn read_slot(slot: Slot, v: &Json, path: &str) -> Result<(), SpecError> {
+    match slot {
+        Slot::Flag(b) => *b = bool_of(v, path)?,
+        Slot::Count(n) => *n = u64_of(v, path)?,
+        Slot::Size(n, limit) => *n = limit.int(v, path)? as usize,
+        Slot::Time(t) => *t = SimTime::from_micros(u64_of(v, path)?),
+        Slot::Span(d, limit) => *d = SimDuration::from_micros(limit.int(v, path)?),
+        Slot::Hold(d, _) => {
+            let limit = Limit::AtMost(MAX_HOLD.as_micros() as f64, "at most 600 s (MAX_HOLD)");
+            *d = SimDuration::from_micros(limit.int(v, path)?)
+        }
+        Slot::Num(x, limit) => *x = limit.num(f64_of(v, path)?, path)?,
+        Slot::OptNum(x) => *x = nullable(v, path, f64_of)?,
+        Slot::OptCount(n) => *n = nullable(v, path, u64_of)?,
+        Slot::OptPair(pair) => {
+            *pair = nullable(v, path, |v, p| match v.as_array() {
+                Some([a, b]) => Ok((
+                    f64_of(a, &format!("{p}[0]"))?,
+                    f64_of(b, &format!("{p}[1]"))?,
+                )),
+                _ => Err(bad(p, "null or [primary_bps, secondary_bps]")),
+            })?
+        }
+        Slot::Name(name) => name.read(v, path)?,
+        Slot::OptPacket(kind) => *kind = nullable(v, path, PacketKind::decode)?,
+        Slot::Cc(cc) => *cc = cc_from_json(v, path)?,
+        Slot::Watchdog(w) => {
+            read_object(v, path, None, false, &mut |visit| watchdog_slots(w, visit))?
+        }
+    }
+    Ok(())
+}
+
+/// The variant a `<tag_key>` member names in `rows`: its template, with
+/// every slot read (each required unless nullable).
+fn variant_from_json<T: Clone>(
     v: &Json,
     path: &str,
     tag_key: &str,
-    table: &[(&str, Decode<T>)],
+    rows: &[(&'static str, T)],
     want: &'static str,
+    slots: fn(&mut T, Visit),
 ) -> Result<T, SpecError> {
     expect_obj(v, path)?;
-    let name = req_str(v, path, tag_key)?;
-    match table.iter().find(|(n, _)| *n == name) {
-        Some((_, decode)) => decode(v, path),
-        None => Err(SpecError::BadValue {
-            path: format!("{path}.{tag_key}"),
-            want,
-        }),
-    }
+    let tag_path = format!("{path}.{tag_key}");
+    let name = match v.get(tag_key) {
+        None => return Err(SpecError::MissingField { path: tag_path }),
+        Some(tag) => str_of(tag, &tag_path)?,
+    };
+    let Some((_, template)) = rows.iter().find(|(n, _)| *n == name) else {
+        return Err(bad(&tag_path, want));
+    };
+    let mut value = template.clone();
+    read_object(v, path, Some(tag_key), true, &mut |visit| {
+        slots(&mut value, visit)
+    })?;
+    Ok(value)
 }
 
 fn cc_from_json(v: &Json, path: &str) -> Result<CcMode, SpecError> {
@@ -1000,159 +1081,14 @@ fn cc_from_json(v: &Json, path: &str) -> Result<CcMode, SpecError> {
         "mode",
         &CC_MODES,
         "\"static\", \"gcc\", or \"scream\"",
+        cc_slots,
     )
 }
 
-fn watchdog_from_json(v: &Json, path: &str) -> Result<WatchdogConfig, SpecError> {
-    check_fields(
-        v,
-        path,
-        &[
-            "enabled",
-            "timeout_us",
-            "backoff_interval_us",
-            "backoff_factor",
-            "floor_bps",
-            "ramp_factor",
-        ],
-    )?;
-    let mut w = WatchdogConfig::default();
-    if let Some(b) = opt_field(v, path, "enabled", bool_of)? {
-        w.enabled = b;
-    }
-    if let Some(us) = opt_field(v, path, "timeout_us", u64_of)? {
-        w.timeout = SimDuration::from_micros(us);
-    }
-    if let Some(us) = opt_field(v, path, "backoff_interval_us", u64_of)? {
-        w.backoff_interval = SimDuration::from_micros(us);
-    }
-    if let Some(x) = opt_field(v, path, "backoff_factor", f64_of)? {
-        w.backoff_factor = x;
-    }
-    if let Some(x) = opt_field(v, path, "floor_bps", f64_of)? {
-        w.floor_bps = x;
-    }
-    if let Some(x) = opt_field(v, path, "ramp_factor", f64_of)? {
-        w.ramp_factor = x;
-    }
-    Ok(w)
-}
-
-fn config_from_json(v: &Json, path: &str) -> Result<ExperimentConfig, SpecError> {
-    check_fields(
-        v,
-        path,
-        &[
-            "environment",
-            "operator",
-            "mobility",
-            "cc",
-            "seed",
-            "run_index",
-            "hold_us",
-            "ground_sweeps",
-            "drop_on_latency",
-            "hysteresis_db",
-            "ttt_ms",
-            "jitter_target_ms",
-            "watchdog",
-            "repair",
-            "leg_cap_bps",
-            "fec_cap",
-            "n_legs",
-            "coupled_cc",
-        ],
-    )?;
-    let mut b = ExperimentConfig::builder();
-    if let Some(e) = opt_field(v, path, "environment", |v, p| ENVIRONMENTS.decode(v, p))? {
-        b = b.environment(e);
-    }
-    if let Some(o) = opt_field(v, path, "operator", |v, p| OPERATORS.decode(v, p))? {
-        b = b.operator(o);
-    }
-    if let Some(m) = opt_field(v, path, "mobility", |v, p| MOBILITIES.decode(v, p))? {
-        b = b.mobility(m);
-    }
-    if let Some(cc) = v.get("cc") {
-        b = b.cc(cc_from_json(cc, &format!("{path}.cc"))?);
-    }
-    if let Some(seed) = opt_field(v, path, "seed", u64_of)? {
-        b = b.seed(seed);
-    }
-    if let Some(r) = opt_field(v, path, "run_index", u64_of)? {
-        b = b.run_index(r);
-    }
-    if let Some(us) = opt_field(v, path, "hold_us", u64_of)? {
-        if us > MAX_HOLD.as_micros() {
-            return Err(SpecError::BadValue {
-                path: format!("{path}.hold_us"),
-                want: "at most 600 s (MAX_HOLD)",
-            });
-        }
-        b = b.hold(SimDuration::from_micros(us));
-    }
-    if let Some(n) = opt_field(v, path, "ground_sweeps", u64_of)? {
-        if n > MAX_GROUND_SWEEPS {
-            return Err(SpecError::BadValue {
-                path: format!("{path}.ground_sweeps"),
-                want: "at most 64 sweeps (MAX_GROUND_SWEEPS)",
-            });
-        }
-        b = b.ground_sweeps(n as usize);
-    }
-    if let Some(on) = opt_field(v, path, "drop_on_latency", bool_of)? {
-        b = b.drop_on_latency(on);
-    }
-    if let Some(db) = opt_nullable(v, path, "hysteresis_db", f64_of)? {
-        b = b.hysteresis_db(db);
-    }
-    if let Some(ms) = opt_nullable(v, path, "ttt_ms", u64_of)? {
-        b = b.ttt_ms(ms);
-    }
-    if let Some(ms) = opt_nullable(v, path, "jitter_target_ms", u64_of)? {
-        b = b.jitter_target_ms(ms);
-    }
-    if let Some(w) = v.get("watchdog") {
-        b = b.watchdog(watchdog_from_json(w, &format!("{path}.watchdog"))?);
-    }
-    if let Some(on) = opt_field(v, path, "repair", bool_of)? {
-        b = b.repair(on);
-    }
-    if let Some(caps) = opt_nullable(v, path, "leg_cap_bps", |v, p| {
-        let items = v.as_array().ok_or(SpecError::BadValue {
-            path: p.into(),
-            want: "null or [primary_bps, secondary_bps]",
-        })?;
-        if items.len() != 2 {
-            return Err(SpecError::BadValue {
-                path: p.into(),
-                want: "null or [primary_bps, secondary_bps]",
-            });
-        }
-        Ok((
-            f64_of(&items[0], &format!("{p}[0]"))?,
-            f64_of(&items[1], &format!("{p}[1]"))?,
-        ))
-    })? {
-        b = b.leg_caps(caps.0, caps.1);
-    }
-    if let Some(cap) = opt_field(v, path, "fec_cap", f64_of)? {
-        b = b.fec_cap(cap);
-    }
-    if let Some(n) = opt_field(v, path, "n_legs", u64_of)? {
-        b = b.n_legs(n as usize);
-    }
-    if let Some(on) = opt_field(v, path, "coupled_cc", bool_of)? {
-        b = b.coupled_cc(on);
-    }
-    Ok(b.build())
-}
-
 fn script_from_json(v: &Json, path: &str) -> Result<FaultScript, SpecError> {
-    let items = v.as_array().ok_or(SpecError::BadValue {
-        path: path.into(),
-        want: "an array of fault clauses",
-    })?;
+    let items = v
+        .as_array()
+        .ok_or_else(|| bad(path, "an array of fault clauses"))?;
     let mut script = FaultScript::default();
     for (i, item) in items.iter().enumerate() {
         let clause = variant_from_json(
@@ -1161,6 +1097,7 @@ fn script_from_json(v: &Json, path: &str) -> Result<FaultScript, SpecError> {
             "kind",
             &CLAUSE_KINDS,
             "a fault-clause kind",
+            clause_slots,
         )?;
         script = script.with_clause(clause);
     }
@@ -1182,20 +1119,13 @@ fn fault_from_json(v: &Json, path: &str) -> Result<CellFault, SpecError> {
         Some(Json::Array(items)) => items
             .iter()
             .enumerate()
-            .map(|(i, item)| {
-                let p = format!("{path}.extra[{i}]");
-                if item.is_null() {
-                    Ok(None)
-                } else {
-                    script_from_json(item, &p).map(Some)
-                }
-            })
+            .map(|(i, item)| nullable(item, &format!("{path}.extra[{i}]"), script_from_json))
             .collect::<Result<_, _>>()?,
         Some(_) => {
-            return Err(SpecError::BadValue {
-                path: format!("{path}.extra"),
-                want: "an array of per-leg scripts (null entries allowed)",
-            })
+            return Err(bad(
+                &format!("{path}.extra"),
+                "an array of per-leg scripts (null entries allowed)",
+            ))
         }
     };
     Ok(CellFault {
@@ -1210,14 +1140,16 @@ fn fault_from_json(v: &Json, path: &str) -> Result<CellFault, SpecError> {
 // ---- parse helpers --------------------------------------------------------
 
 fn expect_obj<'a>(v: &'a Json, path: &str) -> Result<&'a [(String, Json)], SpecError> {
-    v.as_object().ok_or(SpecError::BadValue {
-        path: if path.is_empty() {
-            "(document)".into()
-        } else {
-            path.into()
-        },
-        want: "an object",
-    })
+    let path = if path.is_empty() { "(document)" } else { path };
+    v.as_object().ok_or_else(|| bad(path, "an object"))
+}
+
+/// The `BadValue` at `path`.
+fn bad(path: &str, want: &'static str) -> SpecError {
+    SpecError::BadValue {
+        path: path.into(),
+        want,
+    }
 }
 
 /// `v` must be an object whose members are all in `allowed`.
@@ -1237,35 +1169,36 @@ fn check_fields(v: &Json, path: &str, allowed: &[&str]) -> Result<(), SpecError>
 }
 
 fn u64_of(v: &Json, path: &str) -> Result<u64, SpecError> {
-    v.as_u64().ok_or(SpecError::BadValue {
-        path: path.into(),
-        want: "an unsigned integer",
-    })
+    v.as_u64().ok_or_else(|| bad(path, "an unsigned integer"))
 }
 
 fn f64_of(v: &Json, path: &str) -> Result<f64, SpecError> {
-    v.as_f64().ok_or(SpecError::BadValue {
-        path: path.into(),
-        want: "a number",
-    })
+    v.as_f64().ok_or_else(|| bad(path, "a number"))
 }
 
 fn bool_of(v: &Json, path: &str) -> Result<bool, SpecError> {
-    v.as_bool().ok_or(SpecError::BadValue {
-        path: path.into(),
-        want: "a boolean",
-    })
+    v.as_bool().ok_or_else(|| bad(path, "a boolean"))
 }
 
 fn str_of<'a>(v: &'a Json, path: &str) -> Result<&'a str, SpecError> {
-    v.as_str().ok_or(SpecError::BadValue {
-        path: path.into(),
-        want: "a string",
-    })
+    v.as_str().ok_or_else(|| bad(path, "a string"))
 }
 
 fn str_owned(v: &Json, path: &str) -> Result<String, SpecError> {
     str_of(v, path).map(str::to_string)
+}
+
+/// A nullable value: `null` → `None`, anything else parsed.
+fn nullable<T>(
+    v: &Json,
+    path: &str,
+    parse: impl FnOnce(&Json, &str) -> Result<T, SpecError>,
+) -> Result<Option<T>, SpecError> {
+    if v.is_null() {
+        Ok(None)
+    } else {
+        parse(v, path).map(Some)
+    }
 }
 
 /// Optional top-level array field: absent → empty, present → each item
@@ -1282,10 +1215,7 @@ fn list_of<T>(
             .enumerate()
             .map(|(i, v)| parse(v, &format!("{key}[{i}]")))
             .collect(),
-        Some(_) => Err(SpecError::BadValue {
-            path: key.into(),
-            want: "an array",
-        }),
+        Some(_) => Err(bad(key, "an array")),
     }
 }
 
@@ -1309,50 +1239,11 @@ fn opt_nullable<T>(
     key: &str,
     parse: impl FnOnce(&Json, &str) -> Result<T, SpecError>,
 ) -> Result<Option<T>, SpecError> {
-    match v.get(key) {
-        None => Ok(None),
-        Some(Json::Null) => Ok(None),
-        Some(x) => parse(x, &format!("{path}.{key}")).map(Some),
-    }
+    opt_field(v, path, key, |x, p| nullable(x, p, parse)).map(Option::flatten)
 }
 
 fn opt_u64(v: &Json, key: &str) -> Result<Option<u64>, SpecError> {
     opt_field(v, "", key, |x, _| u64_of(x, key))
-}
-
-/// A clause's optional `packet` filter.
-fn opt_packet(v: &Json, path: &str) -> Result<Option<PacketKind>, SpecError> {
-    opt_nullable(v, path, "packet", |v, p| PACKET_KINDS.decode(v, p))
-}
-
-fn req<'a>(v: &'a Json, path: &str, key: &str) -> Result<&'a Json, SpecError> {
-    v.get(key).ok_or(SpecError::MissingField {
-        path: format!("{path}.{key}"),
-    })
-}
-
-fn req_u64(v: &Json, path: &str, key: &str) -> Result<u64, SpecError> {
-    req(v, path, key).and_then(|x| u64_of(x, &format!("{path}.{key}")))
-}
-
-fn req_time(v: &Json, path: &str, key: &str) -> Result<SimTime, SpecError> {
-    req_u64(v, path, key).map(SimTime::from_micros)
-}
-
-fn req_f64(v: &Json, path: &str, key: &str) -> Result<f64, SpecError> {
-    req(v, path, key).and_then(|x| f64_of(x, &format!("{path}.{key}")))
-}
-
-fn req_str<'a>(v: &'a Json, path: &str, key: &str) -> Result<&'a str, SpecError> {
-    match v.get(key) {
-        None => Err(SpecError::MissingField {
-            path: format!("{path}.{key}"),
-        }),
-        Some(x) => x.as_str().ok_or(SpecError::BadValue {
-            path: format!("{path}.{key}"),
-            want: "a string",
-        }),
-    }
 }
 
 #[cfg(test)]
@@ -1489,6 +1380,22 @@ mod tests {
             assert_eq!(parsed, Ok(spec.clone()));
             assert_eq!(parsed.unwrap().identity(), spec.identity());
         }
+    }
+
+    #[test]
+    fn bounds_are_checked_as_each_member_is_read() {
+        // With several faults in one object, the first in key order is
+        // reported: `hold_us` precedes `repair` whatever the document's
+        // member order, and a bound is no later than a type error.
+        assert_eq!(
+            CampaignSpec::from_json(
+                r#"{"spec_version":1,"base":{"repair":1,"hold_us":700000000}}"#
+            ),
+            Err(SpecError::BadValue {
+                path: "base.hold_us".into(),
+                want: "at most 600 s (MAX_HOLD)",
+            })
+        );
     }
 
     #[test]

@@ -1162,6 +1162,21 @@ mod tests {
                 r#"{"spec_version":1,"base":{"hold_us":10000000000000}}"#.to_string(),
                 "hold_us",
             ),
+            // A cell that never finishes, aborts the process, or panics
+            // on every attempt: each must die here, not in the executor.
+            (
+                r#"{"spec_version":1,"base":{"watchdog":{"backoff_interval_us":0}}}"#.to_string(),
+                "base.watchdog.backoff_interval_us",
+            ),
+            (
+                r#"{"spec_version":1,"base":{"cc":{"mode":"static","bitrate_bps":10000000000}}}"#
+                    .to_string(),
+                "base.cc.bitrate_bps",
+            ),
+            (
+                r#"{"spec_version":1,"base":{"cc":{"mode":"scream","ack_span":0}}}"#.to_string(),
+                "base.cc.ack_span",
+            ),
         ] {
             let r = client::post_json(&addr, "/campaigns", &body, T).unwrap();
             assert_eq!(r.status, 400, "{}", r.text());

@@ -114,7 +114,16 @@ pub struct FeedbackWatchdog {
 
 impl FeedbackWatchdog {
     /// Create a watchdog (initially [`WatchdogState::Armed`]).
+    ///
+    /// # Panics
+    ///
+    /// If `config.backoff_interval` is zero: the back-off loop in
+    /// [`on_tick`](Self::on_tick) would never advance once starved.
     pub fn new(config: WatchdogConfig) -> Self {
+        assert!(
+            config.backoff_interval > SimDuration::ZERO,
+            "watchdog backoff_interval must be positive"
+        );
         FeedbackWatchdog {
             config,
             state: WatchdogState::Armed,
@@ -261,6 +270,15 @@ mod tests {
             wd.on_feedback(SimTime::from_millis(t), target);
             t += 50;
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "backoff_interval must be positive")]
+    fn zero_backoff_interval_is_refused_at_construction() {
+        FeedbackWatchdog::new(WatchdogConfig {
+            backoff_interval: SimDuration::ZERO,
+            ..cfg()
+        });
     }
 
     #[test]

@@ -268,6 +268,26 @@ fn round_trip_is_lossless_and_canonical_bytes_are_the_identity() {
 }
 
 #[test]
+fn wire_bytes_and_keys_stay_put() {
+    // The round trip above compares a build with itself; this pins the
+    // wire format from one commit to the next. The literal is FNV-1a over
+    // the canonical bytes and the first four cell keys of each spec, as
+    // the codec wrote them before the spec types moved to slot lists. A
+    // renamed JSON member or a reordered key field moves it — and with it
+    // every campaign id and every cache entry.
+    let mut rng = SimRng::seed_from_u64(0x5EC_0008);
+    let mut wire = Vec::new();
+    for _ in 0..2_000 {
+        let spec = random_spec(&mut rng);
+        wire.extend_from_slice(spec.to_json().as_bytes());
+        for cell in spec.to_matrix().expand().iter().take(4) {
+            wire.extend_from_slice(&cell.key().to_le_bytes());
+        }
+    }
+    assert_eq!(rpav_core::codec::fnv1a(&wire), 0x65bf_f7ba_f99d_6c66);
+}
+
+#[test]
 fn truncation_at_every_boundary_is_a_typed_error() {
     let mut rng = SimRng::seed_from_u64(0x5EC_0002);
     let mut spent = 0usize;
@@ -387,6 +407,42 @@ fn oversized_cells_are_typed_errors_not_aborts() {
         let base = spec.base();
         assert!(base.hold == MAX_HOLD || base.ground_sweeps as u64 == MAX_GROUND_SWEEPS);
     }
+    // Values a cell cannot survive: a zero back-off interval spins the
+    // starved watchdog forever, a 10 Gbps Static rate aborts on
+    // allocation, a zero ack span panics the RFC 8888 builder. Each is a
+    // 400 at its member's path, and the bound next to it parses.
+    let base = |member: &str| format!("{{\"spec_version\":1,\"base\":{{{member}}}}}");
+    for (hostile, path, edge) in [
+        (
+            r#""watchdog":{"backoff_interval_us":0}"#,
+            "base.watchdog.backoff_interval_us",
+            r#""watchdog":{"backoff_interval_us":1}"#,
+        ),
+        (
+            r#""cc":{"mode":"static","bitrate_bps":10000000000}"#,
+            "base.cc.bitrate_bps",
+            r#""cc":{"mode":"static","bitrate_bps":100000000.0}"#,
+        ),
+        (
+            r#""cc":{"mode":"scream","ack_span":0}"#,
+            "base.cc.ack_span",
+            r#""cc":{"mode":"scream","ack_span":1}"#,
+        ),
+    ] {
+        match CampaignSpec::from_json(&base(hostile)) {
+            Err(SpecError::BadValue { path: at, .. }) => assert_eq!(at, path),
+            other => panic!("{hostile}: expected BadValue, got {other:?}"),
+        }
+        CampaignSpec::from_json(&base(edge)).expect("the bound itself is accepted");
+    }
+    assert_eq!(
+        CampaignSpec::from_json(r#"{"spec_version":1,"ccs":[{"mode":"scream","ack_span":0}]}"#),
+        Err(SpecError::BadValue {
+            path: "ccs[0].ack_span".into(),
+            want: "a positive integer",
+        })
+    );
+    assert_eq!(MAX_STATIC_BITRATE_BPS, 100e6);
 }
 
 #[test]
