@@ -1569,6 +1569,47 @@ mod tests {
     }
 
     #[test]
+    fn coupled_engines_with_repair_resend_from_history() {
+        // One CC engine per leg, drained in turn: the RTX history sees the
+        // sends of both engines interleaved, and must still find the NACKed
+        // packets it recorded.
+        let mut cfg = base();
+        cfg.coupled_cc = true;
+        cfg.repair = true;
+        let script = || {
+            FaultScript::new().burst_loss_window(
+                SimTime::ZERO,
+                SimDuration::from_secs(30),
+                0.02,
+                0.3,
+                0.5,
+                Some(PacketKind::Media),
+            )
+        };
+        let m = Simulation::multipath(
+            cfg,
+            MultipathScheme::Bonded,
+            vec![Some(script()), Some(script())],
+        )
+        .run();
+        assert!(
+            m.nack_seqs_requested > 10_000,
+            "the loss script drew few NACKs"
+        );
+        assert!(
+            m.rtx_sent > m.nack_seqs_requested / 10,
+            "{} resent",
+            m.rtx_sent
+        );
+        assert!(
+            m.rtx_not_in_history * 100 < m.nack_seqs_requested,
+            "{} of {} requests missed the history",
+            m.rtx_not_in_history,
+            m.nack_seqs_requested
+        );
+    }
+
+    #[test]
     fn bonded_fec_recovers_losses_before_nack() {
         let cfg = ExperimentConfig::builder()
             .cc(CcMode::paper_static(Environment::Rural))

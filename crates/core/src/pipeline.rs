@@ -27,13 +27,13 @@ use rpav_netem::{FaultScript, Packet, PacketKind};
 use rpav_rtp::fec::{RsParityPacket, RS_FEC_PAYLOAD_TYPE};
 use rpav_rtp::jitter::{JitterBuffer, JitterConfig};
 use rpav_rtp::nack::{Arrival, Nack, NackConfig, NackGenerator};
-use rpav_rtp::packet::{unwrap_seq, RtpPacket};
+use rpav_rtp::packet::RtpPacket;
 use rpav_rtp::packetize::{Depacketizer, Packetizer, ReassembledFrame};
 use rpav_rtp::pli::Pli;
 use rpav_rtp::report::PathReport;
 use rpav_rtp::rfc8888::{Rfc8888Builder, Rfc8888Packet};
 use rpav_rtp::rtx::{RtxConfig, RtxSender};
-use rpav_rtp::seqwindow::FirstCopyFilter;
+use rpav_rtp::seqwindow::{FirstCopyFilter, SeqUnwrapper};
 use rpav_rtp::twcc::{TwccFeedback, TwccRecorder};
 use rpav_sim::{RngSet, SimDuration, SimTime};
 use rpav_uav::{profiles as uav_profiles, FlightPlan, Position};
@@ -94,10 +94,10 @@ pub struct Simulation {
     /// First-copy-wins across legs (cross-leg copies and the
     /// FEC-vs-original race); only rigs with more than one leg need it.
     first_copy: Option<FirstCopyFilter>,
-    /// Bonded cross-leg reassembly, and the unwrapped-highest sequence
-    /// for its reorder accounting.
+    /// Bonded cross-leg reassembly, and the reader of media sequences for
+    /// its reorder accounting.
     reassembly: Option<Reassembly>,
-    highest_useq: Option<u64>,
+    media_seqs: SeqUnwrapper,
     jitter: JitterBuffer,
     depack: Depacketizer,
     nack_gen: NackGenerator,
@@ -227,7 +227,7 @@ impl Simulation {
             plan,
             first_copy: (legs.len() > 1).then(FirstCopyFilter::new),
             reassembly: (reassembles && legs.len() > 1).then(Reassembly::new),
-            highest_useq: None,
+            media_seqs: SeqUnwrapper::new(),
             source,
             encoder,
             packetizer: Packetizer::new(MEDIA_SSRC, cc.with_twcc()),
@@ -515,7 +515,7 @@ impl Simulation {
         // The watchdogs run on the driver tick: they are what lets the
         // sender react to a feedback blackout at all, so the encoder target
         // must follow their cap, not just the feedback arrivals. With
-        // repair enabled a packet enters the RTX history ring *before* any
+        // repair enabled a packet enters the RTX history *before* any
         // loss draw — retransmission exists precisely for packets the
         // network ate.
         let target = self.cc.on_tick(now);
@@ -638,10 +638,10 @@ impl Simulation {
                 if let Some(reassembly) = &mut self.reassembly {
                     // Cross-leg reorder accounting on the unwrapped
                     // sequence, then into the bounded reassembly window.
-                    match self.highest_useq.map(|h| (h, unwrap_seq(h, rtp.sequence))) {
-                        Some((h, u)) if u < h => self.metrics.reorder_buffered += 1,
-                        Some((_, u)) => self.highest_useq = Some(u),
-                        None => self.highest_useq = Some(u64::from(rtp.sequence)),
+                    let highest = self.media_seqs.highest();
+                    let seq = self.media_seqs.observe(rtp.sequence);
+                    if highest.is_some_and(|h| seq < h) {
+                        self.metrics.reorder_buffered += 1;
                     }
                     reassembly.push_media(&rtp);
                 }
@@ -747,7 +747,7 @@ impl Simulation {
                     }
                 }
                 if Nack::parse_into(pkt.payload.clone(), &mut self.nack_rx).is_ok() {
-                    // Retransmit verbatim from the history ring, within the
+                    // Retransmit verbatim from the RTX history, within the
                     // repair budget, on the leg whose feedback carried the
                     // request — known to be delivering. RTX rides the media
                     // direction but is not fresh media: it is neither

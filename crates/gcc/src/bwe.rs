@@ -2,7 +2,7 @@
 
 use std::collections::VecDeque;
 
-use rpav_rtp::packet::unwrap_seq;
+use rpav_rtp::seqwindow::{SeqUnwrapper, SeqWindow};
 use rpav_rtp::twcc::TwccFeedback;
 use rpav_sim::{
     FeedbackWatchdog, SimDuration, SimTime, WatchdogConfig, WatchdogState, WatchdogStats,
@@ -86,84 +86,16 @@ impl AckedBitrate {
     }
 }
 
-/// Outstanding sent packets, keyed by unwrapped transport sequence.
-///
-/// Transport sequences are handed out consecutively, so a deque indexed by
-/// `seq - base` replaces the old `BTreeMap`: insert is a push at the back,
-/// lookup is an offset, and removal tombstones the slot (the front pops
-/// forward over tombstones). All operations on the per-packet send path
-/// are O(1) with no tree nodes to allocate.
-#[derive(Debug, Default)]
-struct SentHistory {
-    base: u64,
-    slots: VecDeque<Option<(SimTime, usize)>>,
-}
-
-impl SentHistory {
-    fn insert(&mut self, seq: u64, value: (SimTime, usize)) {
-        if self.slots.is_empty() {
-            self.base = seq;
-            self.slots.push_back(Some(value));
-            return;
-        }
-        if seq < self.base {
-            // Older than everything retained (already GC'd): drop, exactly
-            // as a map insert followed by the age-based GC would.
-            return;
-        }
-        let idx = (seq - self.base) as usize;
-        while self.slots.len() <= idx {
-            self.slots.push_back(None);
-        }
-        self.slots[idx] = Some(value);
-    }
-
-    fn get(&self, seq: u64) -> Option<(SimTime, usize)> {
-        let idx = seq.checked_sub(self.base)? as usize;
-        self.slots.get(idx).copied().flatten()
-    }
-
-    fn remove(&mut self, seq: u64) {
-        if let Some(idx) = seq.checked_sub(self.base) {
-            if let Some(slot) = self.slots.get_mut(idx as usize) {
-                *slot = None;
-            }
-        }
-        self.pop_tombstones();
-    }
-
-    /// The oldest live entry, if any.
-    fn front(&self) -> Option<(u64, SimTime)> {
-        debug_assert!(self.slots.front().is_none_or(Option::is_some));
-        self.slots
-            .front()
-            .copied()
-            .flatten()
-            .map(|(t, _)| (self.base, t))
-    }
-
-    fn pop_front(&mut self) {
-        self.slots.pop_front();
-        self.base += 1;
-        self.pop_tombstones();
-    }
-
-    fn pop_tombstones(&mut self) {
-        while matches!(self.slots.front(), Some(None)) {
-            self.slots.pop_front();
-            self.base += 1;
-        }
-    }
-}
-
 /// Send-side GCC bandwidth estimator.
 #[derive(Debug)]
 pub struct SendSideBwe {
     config: GccConfig,
-    /// Outstanding sent packets keyed by unwrapped transport sequence.
-    sent: SentHistory,
-    last_sent_unwrapped: Option<u64>,
-    last_fb_unwrapped: Option<u64>,
+    /// Outstanding sent packets, (send time, size) keyed by unwrapped
+    /// transport sequence.
+    sent: SeqWindow<(SimTime, usize)>,
+    /// Reads the transport sequences this side sent, and the feedback
+    /// naming them.
+    sent_seqs: SeqUnwrapper,
     inter_arrival: InterArrival,
     trendline: TrendlineEstimator,
     detector: OveruseDetector,
@@ -191,9 +123,8 @@ impl SendSideBwe {
     pub fn new(config: GccConfig) -> Self {
         SendSideBwe {
             config,
-            sent: SentHistory::default(),
-            last_sent_unwrapped: None,
-            last_fb_unwrapped: None,
+            sent: SeqWindow::new(),
+            sent_seqs: SeqUnwrapper::new(),
             inter_arrival: InterArrival::new(),
             trendline: TrendlineEstimator::new(),
             detector: OveruseDetector::new(),
@@ -215,21 +146,15 @@ impl SendSideBwe {
 
     /// Record a media packet put on the wire.
     pub fn on_packet_sent(&mut self, transport_seq: u16, now: SimTime, size: usize) {
-        let unwrapped = match self.last_sent_unwrapped {
-            None => transport_seq as u64,
-            Some(prev) => unwrap_seq(prev, transport_seq),
-        };
-        self.last_sent_unwrapped =
-            Some(self.last_sent_unwrapped.unwrap_or(unwrapped).max(unwrapped));
-        self.sent.insert(unwrapped, (now, size));
+        let seq = self.sent_seqs.observe_sent(transport_seq);
+        self.sent.insert(seq, (now, size));
         // GC: drop history older than 10 s (feedback will never come).
         let cutoff = now - SimDuration::from_secs(10);
-        while let Some((_, t)) = self.sent.front() {
-            if t < cutoff {
-                self.sent.pop_front();
-            } else {
+        while let Some((oldest, &(t, _))) = self.sent.first() {
+            if t >= cutoff {
                 break;
             }
+            self.sent.remove(oldest);
         }
     }
 
@@ -243,22 +168,14 @@ impl SendSideBwe {
             self.recovery_guard_until = now + STARVATION_RECOVERY_GUARD;
         }
         let guarded = now < self.recovery_guard_until;
-        let base_unwrapped = match self.last_fb_unwrapped {
-            None => feedback.base_seq as u64,
-            Some(prev) => unwrap_seq(prev, feedback.base_seq),
-        };
-        self.last_fb_unwrapped = Some(
-            self.last_fb_unwrapped
-                .unwrap_or(base_unwrapped)
-                .max(base_unwrapped + feedback.arrivals.len() as u64),
-        );
+        let base_unwrapped = self.sent_seqs.unwrap(feedback.base_seq);
 
         let mut lost = 0usize;
         let mut total = 0usize;
         let mut last_state = self.detector.state();
         for (i, arrival) in feedback.arrivals.iter().enumerate() {
             let seq = base_unwrapped + i as u64;
-            let Some((send_time, size)) = self.sent.get(seq) else {
+            let Some(&(send_time, size)) = self.sent.get(seq) else {
                 continue;
             };
             total += 1;
@@ -562,6 +479,28 @@ mod tests {
             post > 0.7 * pre,
             "post-recovery target {post:.2e} vs pre-outage {pre:.2e}"
         );
+    }
+
+    #[test]
+    fn sends_after_a_sequence_jump_past_half_the_space_stay_distinct() {
+        // Sends leave in transport-sequence order however far the sequence
+        // jumped; each keeps its own history entry until feedback names it.
+        let mut bwe = SendSideBwe::new(GccConfig::default());
+        let t = SimTime::from_secs(1);
+        for batch in [0..2u16, 40_000..40_004] {
+            for seq in batch.clone() {
+                bwe.on_packet_sent(seq, t, 1_200);
+            }
+            assert_eq!(bwe.sent.len(), batch.len());
+            let fb = TwccFeedback {
+                base_seq: batch.start,
+                fb_count: 0,
+                reference_time_64ms: 0,
+                arrivals: batch.map(|_| Some(SimDuration::from_secs(1))).collect(),
+            };
+            bwe.on_feedback(&fb, t + SimDuration::from_millis(40));
+            assert!(bwe.sent.is_empty());
+        }
     }
 
     #[test]

@@ -23,34 +23,12 @@
 //! survives as the `#[cfg(test)]` oracle `reference::HeapJitterBuffer`,
 //! which a property test drives in lock-step with this one.
 
-use std::collections::{HashSet, VecDeque};
-use std::hash::{BuildHasherDefault, Hasher};
+use std::collections::VecDeque;
 
 use rpav_sim::{SimDuration, SimTime};
 
-use crate::packet::{unwrap_seq, RtpPacket, VIDEO_CLOCK_HZ};
-
-/// Fibonacci-multiplicative hasher for the dedup set: keys are dense
-/// unwrapped sequence numbers probed once per media packet, where SipHash
-/// is measurable overhead and HashDoS resistance buys nothing.
-#[derive(Clone, Copy, Default)]
-struct SeqHasher(u64);
-
-impl Hasher for SeqHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        }
-    }
-    fn write_u64(&mut self, n: u64) {
-        self.0 = n.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    }
-}
-
-type SeqSet = HashSet<u64, BuildHasherDefault<SeqHasher>>;
+use crate::packet::{RtpPacket, VIDEO_CLOCK_HZ};
+use crate::seqwindow::{SeqUnwrapper, SeqWindow};
 
 /// One buffered packet with its release key. The queue is ordered by
 /// (playout time, unwrapped seq); unwrapped seqs are unique in the queue
@@ -113,10 +91,10 @@ pub struct JitterBuffer {
     /// is the next release. The ring's storage is reused across pops, so
     /// steady-state buffering allocates nothing.
     queue: VecDeque<Queued>,
-    /// Unwrapped seqs currently buffered — O(1) duplicate detection
-    /// (previously an O(n) scan of the queue keys per arriving packet).
-    buffered: SeqSet,
-    last_unwrapped: Option<u64>,
+    /// Unwrapped seqs currently buffered — O(1) duplicate detection.
+    buffered: SeqWindow<()>,
+    /// Reads arriving sequence numbers.
+    seqs: SeqUnwrapper,
     /// Highest unwrapped seq delivered (duplicate detection watermark).
     delivered_max: Option<u64>,
     stats: JitterStats,
@@ -129,8 +107,8 @@ impl JitterBuffer {
             config,
             base: None,
             queue: VecDeque::new(),
-            buffered: SeqSet::default(),
-            last_unwrapped: None,
+            buffered: SeqWindow::new(),
+            seqs: SeqUnwrapper::new(),
             delivered_max: None,
             stats: JitterStats::default(),
         }
@@ -182,16 +160,12 @@ impl JitterBuffer {
 
     /// Offer an arriving packet.
     pub fn push(&mut self, now: SimTime, packet: RtpPacket) {
-        let unwrapped = match self.last_unwrapped {
-            None => packet.sequence as u64,
-            Some(prev) => unwrap_seq(prev, packet.sequence),
-        };
-        self.last_unwrapped = Some(self.last_unwrapped.unwrap_or(unwrapped).max(unwrapped));
+        let unwrapped = self.seqs.observe(packet.sequence);
 
         // Duplicate detection: already buffered, or at-or-below the
         // delivery watermark.
-        if self.buffered.contains(&unwrapped)
-            || self.delivered_max.map(|d| unwrapped <= d).unwrap_or(false)
+        if self.buffered.get(unwrapped).is_some()
+            || self.delivered_max.is_some_and(|d| unwrapped <= d)
         {
             self.stats.duplicates += 1;
             return;
@@ -210,7 +184,7 @@ impl JitterBuffer {
         } else {
             playout
         };
-        self.buffered.insert(unwrapped);
+        self.buffered.insert(unwrapped, ());
         let key = (playout, unwrapped);
         let queued = Queued {
             playout,
@@ -231,12 +205,11 @@ impl JitterBuffer {
             return None;
         }
         let q = self.queue.pop_front()?;
-        self.buffered.remove(&q.unwrapped);
+        self.buffered.remove(q.unwrapped);
         self.stats.delivered += 1;
         self.delivered_max = Some(
             self.delivered_max
-                .map(|d| d.max(q.unwrapped))
-                .unwrap_or(q.unwrapped),
+                .map_or(q.unwrapped, |d| d.max(q.unwrapped)),
         );
         Some((q.playout, q.packet))
     }
@@ -259,10 +232,11 @@ impl JitterBuffer {
 /// The binary-heap buffer the ordered deque replaced, kept verbatim as the
 /// release-order oracle (the `crc32_bytewise` pattern): same anchor, same
 /// duplicate / late rules, same `(playout, unwrapped)` total order, with
-/// the keys sifted through a `BinaryHeap` and the packets in a side slab.
+/// the keys sifted through a `BinaryHeap`, the packets in a side slab and
+/// the buffered set a plain `HashSet`.
 mod reference {
     use std::cmp::Reverse;
-    use std::collections::BinaryHeap;
+    use std::collections::{BinaryHeap, HashSet};
 
     use super::*;
 
@@ -280,8 +254,8 @@ mod reference {
         queue: BinaryHeap<Reverse<QueuedKey>>,
         slab: Vec<Option<RtpPacket>>,
         free: Vec<u32>,
-        buffered: SeqSet,
-        last_unwrapped: Option<u64>,
+        buffered: HashSet<u64>,
+        seqs: SeqUnwrapper,
         delivered_max: Option<u64>,
         stats: JitterStats,
     }
@@ -294,8 +268,8 @@ mod reference {
                 queue: BinaryHeap::new(),
                 slab: Vec::new(),
                 free: Vec::new(),
-                buffered: SeqSet::default(),
-                last_unwrapped: None,
+                buffered: HashSet::new(),
+                seqs: SeqUnwrapper::new(),
                 delivered_max: None,
                 stats: JitterStats::default(),
             }
@@ -326,11 +300,7 @@ mod reference {
         }
 
         pub(super) fn push(&mut self, now: SimTime, packet: RtpPacket) {
-            let unwrapped = match self.last_unwrapped {
-                None => packet.sequence as u64,
-                Some(prev) => unwrap_seq(prev, packet.sequence),
-            };
-            self.last_unwrapped = Some(self.last_unwrapped.unwrap_or(unwrapped).max(unwrapped));
+            let unwrapped = self.seqs.observe(packet.sequence);
             if self.buffered.contains(&unwrapped)
                 || self.delivered_max.map(|d| unwrapped <= d).unwrap_or(false)
             {

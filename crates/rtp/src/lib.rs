@@ -18,7 +18,7 @@
 //!   receive deltas) and the receiver-side recorder that builds them.
 //! * [`rfc8888`] — RFC 8888 congestion control feedback blocks with a
 //!   configurable per-packet report span.
-//! * [`packetize`] — frame → RTP packets and back, with loss detection.
+//! * [`packetize`] — frame → RTP packets and back.
 //! * [`rtcp`] — the 12-byte feedback header and the `(FMT, PT)` table
 //!   that tells the five receiver→sender dialects apart.
 //! * [`pli`] — picture loss indication (RFC 4585), the receiver→sender
@@ -28,11 +28,13 @@
 //! * [`report`] — per-path receiver report (cumulative counters + newest
 //!   one-way delay), the health-feedback stream of the multi-operator
 //!   failover subsystem.
-//! * [`rtx`] — RFC 4588-style retransmission: sender history ring plus a
-//!   token-bucket repair budget charged against the CC target rate.
+//! * [`rtx`] — RFC 4588-style retransmission: sender history window plus
+//!   a token-bucket repair budget charged against the CC target rate.
 //! * [`jitter`] — the receiver jitter buffer (150 ms default, matching the
 //!   pipeline in §3.2), including the `drop-on-latency` mode discussed in
 //!   Appendix A.4.
+//! * [`seqwindow`] — the sequence space: the one 16-bit → `u64`
+//!   unwrapper and the dense per-sequence window every table above uses.
 //! * [`fec`] — GF(256) Reed–Solomon forward error correction groups, the
 //!   cross-leg redundancy layer of the bonded multipath scheme.
 //! * [`error`] — the typed [`ParseError`] every wire parser returns; all

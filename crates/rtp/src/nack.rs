@@ -20,9 +20,8 @@ use bytes::{Buf, BufMut, Bytes, BytesMut};
 use rpav_sim::{SimDuration, SimTime};
 
 use crate::error::ParseError;
-use crate::packet::unwrap_seq;
 use crate::rtcp::{self, FeedbackHeader};
-use crate::seqwindow::SeqWindow;
+use crate::seqwindow::{SeqUnwrapper, SeqWindow};
 
 /// A generic NACK feedback message: a batch of lost media sequence
 /// numbers.
@@ -195,8 +194,8 @@ struct MissingSeq {
 #[derive(Debug)]
 pub struct NackGenerator {
     config: NackConfig,
-    /// Highest unwrapped sequence seen.
-    highest: Option<u64>,
+    /// Reads arrivals; its highest is the head of line.
+    seqs: SeqUnwrapper,
     /// Gaps currently being chased, keyed by unwrapped sequence. The
     /// window iterates sequence-ascending, which fixes the order of every
     /// emitted NACK batch.
@@ -220,7 +219,7 @@ impl NackGenerator {
     pub fn new(config: NackConfig) -> Self {
         NackGenerator {
             config,
-            highest: None,
+            seqs: SeqUnwrapper::new(),
             missing: SeqWindow::new(),
             abandoned: SeqWindow::new(),
             next_nack_at: SimTime::ZERO,
@@ -251,14 +250,11 @@ impl NackGenerator {
 
     /// Record an arriving media packet and classify it.
     pub fn on_packet(&mut self, now: SimTime, seq: u16) -> Arrival {
-        let prev = match self.highest {
-            None => {
-                self.highest = Some(seq as u64);
-                return Arrival::InOrder;
-            }
-            Some(prev) => prev,
+        let Some(prev) = self.seqs.highest() else {
+            self.seqs.observe(seq);
+            return Arrival::InOrder;
         };
-        let unwrapped = unwrap_seq(prev, seq);
+        let unwrapped = self.seqs.observe(seq);
         if unwrapped > prev {
             // Advancing the head of line: everything strictly between is
             // now a detected gap. Gaps below the tracking floor would be
@@ -275,7 +271,6 @@ impl NackGenerator {
                     },
                 );
             }
-            self.highest = Some(unwrapped);
             self.gc(unwrapped);
             return Arrival::InOrder;
         }

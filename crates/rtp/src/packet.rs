@@ -199,25 +199,6 @@ impl RtpPacket {
     }
 }
 
-/// Compare two u16 sequence numbers with wrap-around (RFC 3550 §A.1):
-/// returns `true` if `a` is newer than `b`.
-pub fn seq_newer(a: u16, b: u16) -> bool {
-    a != b && a.wrapping_sub(b) < 0x8000
-}
-
-/// Unwrap a u16 sequence number into a monotonically growing u64 given the
-/// previous unwrapped value.
-pub fn unwrap_seq(prev_unwrapped: u64, seq: u16) -> u64 {
-    let prev_low = (prev_unwrapped & 0xffff) as u16;
-    let delta = seq.wrapping_sub(prev_low);
-    if delta < 0x8000 {
-        prev_unwrapped + delta as u64
-    } else {
-        // Backwards (reordered) packet.
-        prev_unwrapped.saturating_sub(prev_low.wrapping_sub(seq) as u64)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -272,29 +253,6 @@ mod tests {
         );
     }
 
-    #[test]
-    fn seq_comparison_wraps() {
-        assert!(seq_newer(1, 0));
-        assert!(seq_newer(0, 65_535)); // wrap
-        assert!(!seq_newer(65_535, 0));
-        assert!(!seq_newer(5, 5));
-    }
-
-    #[test]
-    fn unwrap_seq_monotone_across_wrap() {
-        let mut u = 65_530u64;
-        for seq in [65_531u16, 65_535, 3, 10] {
-            u = unwrap_seq(u, seq);
-        }
-        assert_eq!(u, 65_546);
-    }
-
-    #[test]
-    fn unwrap_seq_handles_reorder() {
-        let u = unwrap_seq(100, 98);
-        assert_eq!(u, 98);
-    }
-
     proptest! {
         #[test]
         fn prop_roundtrip(
@@ -318,17 +276,6 @@ mod tests {
             };
             let parsed = RtpPacket::parse(p.serialize()).unwrap();
             prop_assert_eq!(parsed, p);
-        }
-
-        #[test]
-        fn prop_unwrap_tracks_true_counter(start in 0u64..1_000_000, steps in proptest::collection::vec(0u16..100, 1..200)) {
-            let mut truth = start;
-            let mut unwrapped = start;
-            for d in steps {
-                truth += d as u64;
-                unwrapped = unwrap_seq(unwrapped, (truth & 0xffff) as u16);
-                prop_assert_eq!(unwrapped, truth);
-            }
         }
     }
 }

@@ -11,7 +11,7 @@ use rpav_sim::SimTime;
 use std::collections::BTreeMap;
 
 use crate::error::ParseError;
-use crate::packet::{header_len, unwrap_seq, write_header, RtpPacket, VIDEO_CLOCK_HZ};
+use crate::packet::{header_len, write_header, RtpPacket, VIDEO_CLOCK_HZ};
 
 /// Ground-truth metadata embedded in every packet of a frame.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -238,9 +238,6 @@ impl ReassembledFrame {
 #[derive(Debug, Default)]
 pub struct Depacketizer {
     pending: BTreeMap<u64, ReassembledFrame>,
-    last_seq_unwrapped: Option<u64>,
-    /// Count of media-level sequence gaps observed (lost packets).
-    lost_packets: u64,
     /// Packets whose payload failed to decode as frame metadata
     /// (bit-corruption survivors, truncation).
     malformed_payloads: u64,
@@ -254,11 +251,6 @@ impl Depacketizer {
         Self::default()
     }
 
-    /// Total media packets observed as lost (sequence gaps).
-    pub fn lost_packets(&self) -> u64 {
-        self.lost_packets
-    }
-
     /// Packets dropped because their payload metadata failed to decode.
     pub fn malformed_payloads(&self) -> u64 {
         self.malformed_payloads
@@ -267,18 +259,6 @@ impl Depacketizer {
     /// Feed one packet from the jitter buffer; `arrival` is its delivery
     /// time.
     pub fn push(&mut self, packet: &RtpPacket, arrival: SimTime) {
-        // Track media-level loss via sequence gaps.
-        let unwrapped = match self.last_seq_unwrapped {
-            None => packet.sequence as u64,
-            Some(prev) => unwrap_seq(prev, packet.sequence),
-        };
-        if let Some(prev) = self.last_seq_unwrapped {
-            if unwrapped > prev + 1 {
-                self.lost_packets += unwrapped - prev - 1;
-            }
-        }
-        self.last_seq_unwrapped = Some(self.last_seq_unwrapped.unwrap_or(unwrapped).max(unwrapped));
-
         let Ok((meta, _idx, count)) = decode_meta_slice(&packet.payload) else {
             self.malformed_payloads += 1;
             return;
@@ -472,7 +452,6 @@ mod tests {
             assert!(f.is_complete());
             assert_eq!(f.received_fraction(), 1.0);
         }
-        assert_eq!(d.lost_packets(), 0);
     }
 
     #[test]
@@ -486,7 +465,6 @@ mod tests {
                 d.push(pkt, SimTime::from_millis(50));
             }
         }
-        assert_eq!(d.lost_packets(), 1);
         // Not complete: drain with no flush returns nothing.
         assert!(d.drain(0).is_empty());
         // Flushing past the frame releases it as incomplete.

@@ -15,12 +15,11 @@
 //! lowers its bitrate. The paper raised the span to 256 to soften this;
 //! both values are reproduced in the `ablation_ackspan` experiment.
 
-use crate::seqwindow::SeqWindow;
+use crate::seqwindow::{SeqUnwrapper, SeqWindow};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use rpav_sim::{SimDuration, SimTime};
 
 use crate::error::ParseError;
-use crate::packet::unwrap_seq;
 use crate::rtcp::{self, FeedbackHeader};
 
 /// Default span limit of the Ericsson SCReAM library (§4.2.1).
@@ -153,7 +152,7 @@ impl Rfc8888Packet {
 #[derive(Debug)]
 pub struct Rfc8888Builder {
     arrivals: SeqWindow<SimTime>,
-    highest: Option<u64>,
+    seqs: SeqUnwrapper,
     /// Span limit per feedback packet (64 stock, 256 in the paper's
     /// mitigation).
     pub max_reports: usize,
@@ -165,18 +164,14 @@ impl Rfc8888Builder {
         assert!(max_reports > 0);
         Rfc8888Builder {
             arrivals: SeqWindow::new(),
-            highest: None,
+            seqs: SeqUnwrapper::new(),
             max_reports,
         }
     }
 
     /// Record a media packet arrival.
     pub fn on_packet(&mut self, seq: u16, arrival: SimTime) {
-        let unwrapped = match self.highest {
-            None => seq as u64,
-            Some(prev) => unwrap_seq(prev, seq),
-        };
-        self.highest = Some(self.highest.unwrap_or(unwrapped).max(unwrapped));
+        let unwrapped = self.seqs.observe(seq);
         self.arrivals.insert(unwrapped, arrival);
     }
 
@@ -191,7 +186,7 @@ impl Rfc8888Builder {
     /// vector keeps its capacity). Returns `false` — leaving `out`
     /// untouched — when nothing has been received yet.
     pub fn build_into(&mut self, now: SimTime, out: &mut Rfc8888Packet) -> bool {
-        let Some(highest) = self.highest else {
+        let Some(highest) = self.seqs.highest() else {
             return false;
         };
         let begin = highest.saturating_sub(self.max_reports as u64 - 1);

@@ -1,9 +1,9 @@
 //! RFC 4588-style retransmission — the sender half of the loss-repair
 //! subsystem.
 //!
-//! The sender keeps every outgoing media packet in a bounded history ring.
-//! When a [`crate::nack::Nack`] arrives, each requested sequence
-//! number still present in the ring is retransmitted **verbatim** (same
+//! The sender keeps every outgoing media packet in a bounded history
+//! window. When a [`crate::nack::Nack`] arrives, each requested sequence
+//! number still present in the window is retransmitted **verbatim** (same
 //! media sequence number, so the receiver's jitter buffer de-duplicates if
 //! the original was merely reordered), minus the transport-wide sequence
 //! extension: an RTX carries no new transport sequence, so GCC's TWCC
@@ -16,12 +16,11 @@
 //! loss storm cannot starve fresh media (the same idiom as the GCC pacer's
 //! `1.5×`-target bucket, pointed the other way).
 
-use std::collections::VecDeque;
-
 use rpav_sim::SimTime;
 
 use crate::nack::Nack;
 use crate::packet::RtpPacket;
+use crate::seqwindow::{SeqUnwrapper, SeqWindow};
 
 /// Sender-side retransmission counters, exposed to the run metrics.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -32,7 +31,7 @@ pub struct RtxStats {
     pub seqs_requested: u64,
     /// Packets actually retransmitted.
     pub retransmitted: u64,
-    /// Requests for packets that had already left the history ring.
+    /// Requests for packets that had already left the history.
     pub not_in_history: u64,
     /// Requests refused because the repair token bucket was empty.
     pub budget_exhausted: u64,
@@ -43,7 +42,7 @@ pub struct RtxStats {
 /// Tunables for the retransmission sender.
 #[derive(Clone, Copy, Debug)]
 pub struct RtxConfig {
-    /// Packets kept in the history ring (≈2 s of full-rate video).
+    /// Sequences the history spans (≈2 s of full-rate video).
     pub history: usize,
     /// Fraction of the CC target rate the repair bucket refills at.
     pub budget_fraction: f64,
@@ -61,19 +60,15 @@ impl Default for RtxConfig {
     }
 }
 
-/// History ring + token-bucket repair budget.
+/// Send history + token-bucket repair budget.
 #[derive(Debug)]
 pub struct RtxSender {
     config: RtxConfig,
-    /// Sent packets as a dense ring: slot `i` holds sequence
-    /// `base_seq + i`. Media sequences are handed out consecutively, so
-    /// the ring replaces the former `BTreeMap` (whose node churn cost an
-    /// allocation every few recorded packets) with index arithmetic; the
-    /// deque storage is grown once and reused for the whole run.
-    history: VecDeque<Option<RtpPacket>>,
-    base_seq: u16,
-    /// Live (non-hole) entries in `history`.
-    live: usize,
+    /// Sent packets by unwrapped media sequence, spanning the newest
+    /// `config.history` sequences.
+    history: SeqWindow<RtpPacket>,
+    /// Reads the media sequences this side sent, and the NACKs naming them.
+    seqs: SeqUnwrapper,
     /// Spendable repair bytes.
     budget_bytes: f64,
     last_refill: SimTime,
@@ -85,9 +80,8 @@ impl RtxSender {
     pub fn new(config: RtxConfig) -> Self {
         RtxSender {
             config,
-            history: VecDeque::with_capacity(config.history),
-            base_seq: 0,
-            live: 0,
+            history: SeqWindow::new(),
+            seqs: SeqUnwrapper::new(),
             // Start with a full bucket so early losses are repairable.
             budget_bytes: config.budget_cap_bytes,
             last_refill: SimTime::ZERO,
@@ -100,9 +94,9 @@ impl RtxSender {
         self.stats
     }
 
-    /// Packets currently held in the history ring.
+    /// Packets currently held in the history.
     pub fn history_len(&self) -> usize {
-        self.live
+        self.history.len()
     }
 
     /// Remember an outgoing media packet for possible retransmission.
@@ -110,37 +104,17 @@ impl RtxSender {
         if self.config.history == 0 {
             return;
         }
-        if self.history.is_empty() {
-            self.base_seq = packet.sequence;
-        }
-        let offset = packet.sequence.wrapping_sub(self.base_seq) as usize;
-        if let Some(slot) = self.history.get_mut(offset) {
-            if slot.replace(packet.clone()).is_none() {
-                self.live += 1;
-            }
-        } else if offset <= usize::from(u16::MAX) / 2 {
-            // At (the common case) or ahead of the ring end: pad any gap
-            // with holes, then append.
-            while self.history.len() < offset {
-                self.history.push_back(None);
-            }
-            self.history.push_back(Some(packet.clone()));
-            self.live += 1;
-        } else {
-            // Behind the ring start: re-anchor by padding the front.
-            let behind = self.base_seq.wrapping_sub(packet.sequence) as usize;
-            for _ in 0..behind {
-                self.history.push_front(None);
-            }
-            self.base_seq = packet.sequence;
-            self.history[0] = Some(packet.clone());
-            self.live += 1;
-        }
-        while self.history.len() > self.config.history {
-            if self.history.pop_front().flatten().is_some() {
-                self.live -= 1;
-            }
-            self.base_seq = self.base_seq.wrapping_add(1);
+        // Bonded multipath with one CC engine per path drains the engines
+        // in turn, each from its own queue, so sends arrive here out of
+        // order by as much as one engine's backlog: read them as arrivals.
+        let seq = self.seqs.observe(packet.sequence);
+        let newest = self.seqs.highest().unwrap_or(seq);
+        // Evict first: after a forward jump the emptied window re-bases
+        // on the insert instead of padding the gap.
+        let floor = (newest + 1).saturating_sub(self.config.history as u64);
+        self.history.evict_below(floor);
+        if seq >= floor {
+            self.history.insert(seq, packet.clone());
         }
     }
 
@@ -167,8 +141,7 @@ impl RtxSender {
         self.stats.nacks_received += 1;
         for &seq in &nack.lost {
             self.stats.seqs_requested += 1;
-            let offset = seq.wrapping_sub(self.base_seq) as usize;
-            let Some(pkt) = self.history.get(offset).and_then(|s| s.as_ref()) else {
+            let Some(pkt) = self.history.get(self.seqs.unwrap(seq)) else {
                 self.stats.not_in_history += 1;
                 continue;
             };
@@ -280,6 +253,66 @@ mod tests {
         }
         let out = s.on_nack(&nack(vec![0, 1, 2]));
         assert_eq!(out.len(), 3);
+    }
+
+    #[test]
+    fn interleaved_records_stay_resendable() {
+        // Two engines drained in turn hand over one frame's sends as
+        // 0, 2, 4, then 1, 3.
+        let mut s = RtxSender::new(RtxConfig::default());
+        for seq in [0, 2, 4, 1, 3] {
+            s.record(&pkt(seq, 100));
+        }
+        assert_eq!(s.history_len(), 5);
+        let out = s.on_nack(&nack(vec![1, 2]));
+        let resent: Vec<u16> = out.iter().map(|p| p.sequence).collect();
+        assert_eq!(resent, [1, 2]);
+        assert_eq!(s.stats().not_in_history, 0);
+    }
+
+    #[test]
+    fn interleaved_records_across_the_wrap_stay_resendable() {
+        let mut s = RtxSender::new(RtxConfig::default());
+        for seq in [65_533, 65_535, 1, 65_534, 0, 2] {
+            s.record(&pkt(seq, 100));
+        }
+        assert_eq!(s.history_len(), 6);
+        let out = s.on_nack(&nack(vec![65_534, 0, 2]));
+        assert_eq!(out.len(), 3);
+    }
+
+    #[test]
+    fn records_after_a_forward_jump_stay_resendable() {
+        // A sender that discards its queue burns the numbers it held: the
+        // next send is 29 990 ahead. The history re-bases on it.
+        let mut s = RtxSender::new(RtxConfig::default());
+        for seq in 0..10 {
+            s.record(&pkt(seq, 100));
+        }
+        for seq in 30_000..30_010 {
+            s.record(&pkt(seq, 100));
+        }
+        assert_eq!(s.history_len(), 10);
+        let out = s.on_nack(&nack(vec![30_003, 5]));
+        assert_eq!(out.len(), 1);
+        assert_eq!(out[0].sequence, 30_003);
+        assert_eq!(s.stats().not_in_history, 1);
+    }
+
+    #[test]
+    fn a_straggler_older_than_the_history_is_dropped() {
+        // A backlogged engine's send, 25 000 behind the newest: older
+        // than the history, and no reason to move it.
+        let mut s = RtxSender::new(RtxConfig::default());
+        for seq in 30_000..30_010 {
+            s.record(&pkt(seq, 100));
+        }
+        s.record(&pkt(5_000, 100));
+        s.record(&pkt(30_010, 100));
+        assert_eq!(s.history_len(), 11);
+        let out = s.on_nack(&nack(vec![5_000, 30_000, 30_010]));
+        assert_eq!(out.len(), 2);
+        assert_eq!(s.stats().not_in_history, 1);
     }
 
     #[test]

@@ -1,19 +1,89 @@
-//! Dense windows keyed by sequence number: the moving-base map
-//! ([`SeqWindow`]) behind the feedback recorders and the NACK state, and
-//! the multipath receiver's [`FirstCopyFilter`].
+//! The sequence space: the one owner of the 16-bit → `u64` rule
+//! ([`SeqUnwrapper`]), the dense moving-base map every per-sequence table
+//! is built on ([`SeqWindow`]), and the multipath receiver's
+//! [`FirstCopyFilter`].
 //!
-//! The feedback recorders ([`twcc`](crate::twcc), [`rfc8888`](crate::rfc8888))
-//! store one arrival time per received media packet and read them back as
-//! contiguous range scans when a report is built; the NACK generator
-//! ([`nack`](crate::nack)) tracks the gaps it is chasing and the ones it
-//! gave up on. Keys are dense and nearly monotone and eviction only ever
-//! trims old sequences, so a deque of slots indexed from a moving base
-//! does everything a `BTreeMap` would — without a tree insert, or node
-//! churn when a transient gap opens and fills, on the per-packet hot
-//! path. Slots are retained across that oscillation, so the steady state
-//! never touches the allocator.
+//! Every per-sequence table in the stack is a `SeqWindow` keyed by a
+//! `SeqUnwrapper`'s reading: the feedback recorders
+//! ([`twcc`](crate::twcc), [`rfc8888`](crate::rfc8888)) keep one arrival
+//! time per received media packet and read them back as contiguous range
+//! scans; the NACK generator ([`nack`](crate::nack)) tracks the gaps it is
+//! chasing and the ones it gave up on; the RTX history
+//! ([`rtx`](crate::rtx)) holds the packets it may resend; the jitter
+//! buffer ([`jitter`](crate::jitter)) remembers what it holds; and the
+//! congestion controllers keep their in-flight sends. Keys are dense and
+//! nearly monotone and eviction only ever trims old sequences, so a deque
+//! of slots indexed from a moving base does everything a `BTreeMap` would
+//! — without a tree insert, or node churn when a transient gap opens and
+//! fills, on the per-packet hot path. Slots are retained across that
+//! oscillation, so the steady state never touches the allocator.
 
 use std::collections::VecDeque;
+
+/// Reads 16-bit RTP sequence numbers as an unwrapped `u64` count, relative
+/// to the highest one recorded (RFC 3550 §A.1).
+///
+/// A receiver records arrivals with [`observe`](Self::observe): a number
+/// less than 2¹⁵ ahead of the highest reads forward, anything else reads
+/// as a straggler behind it. A sender records the sends of one in-order
+/// queue with [`observe_sent`](Self::observe_sent): every number reads at
+/// or after the highest, however far it jumped (a sender that discards its
+/// queue burns tens of thousands of numbers at once). Feedback can only
+/// name sequences the sender sent, so the sender reads it with
+/// [`unwrap`](Self::unwrap) against that same unwrapper. Sends merged from
+/// several queues are out of order, by as much as one queue's backlog:
+/// they read as arrivals (the RTX history, [`rtx`](crate::rtx)).
+#[derive(Clone, Copy, Debug, Default)]
+pub struct SeqUnwrapper {
+    highest: Option<u64>,
+}
+
+impl SeqUnwrapper {
+    /// Create an unwrapper that has recorded nothing.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// The highest unwrapped sequence recorded so far.
+    pub fn highest(&self) -> Option<u64> {
+        self.highest
+    }
+
+    /// The reading of `seq` nearest the highest recorded sequence, without
+    /// recording it; `seq` itself before anything is recorded.
+    pub fn unwrap(&self, seq: u16) -> u64 {
+        self.highest.map_or(u64::from(seq), |h| unwrap_seq(h, seq))
+    }
+
+    /// Read and record an arriving sequence number.
+    pub fn observe(&mut self, seq: u16) -> u64 {
+        let u = self.unwrap(seq);
+        self.highest = Some(self.highest.map_or(u, |h| h.max(u)));
+        u
+    }
+
+    /// Read and record a sequence number this side sent from one queue,
+    /// in order: at or after the highest, never behind it.
+    pub fn observe_sent(&mut self, seq: u16) -> u64 {
+        let u = self.highest.map_or(u64::from(seq), |h| {
+            h + u64::from(seq.wrapping_sub(h as u16))
+        });
+        self.highest = Some(u);
+        u
+    }
+}
+
+/// The nearest unwrapped reading of `seq` given the highest unwrapped
+/// sequence `prev`: forward when less than 2¹⁵ ahead, else behind.
+fn unwrap_seq(prev: u64, seq: u16) -> u64 {
+    let prev_low = prev as u16;
+    let delta = seq.wrapping_sub(prev_low);
+    if delta < 0x8000 {
+        prev + u64::from(delta)
+    } else {
+        prev.saturating_sub(u64::from(prev_low.wrapping_sub(seq)))
+    }
+}
 
 /// Map from unwrapped sequence number to `T`, specialised for dense,
 /// forward-moving key ranges. Iteration is sequence-ascending.
@@ -79,16 +149,31 @@ impl<T> SeqWindow<T> {
         Some(value)
     }
 
-    /// Forget every sequence strictly below `floor`.
-    pub fn evict_below(&mut self, floor: u64) {
+    /// Take every entry strictly below `floor` out of the window, handing
+    /// each to `f` in ascending sequence order.
+    pub fn drain_below(&mut self, floor: u64, mut f: impl FnMut(u64, T)) {
         while self.base < floor {
-            match self.slots.pop_front() {
-                Some(slot) => self.occupied -= usize::from(slot.is_some()),
-                None => break,
+            let Some(slot) = self.slots.pop_front() else {
+                break;
+            };
+            if let Some(value) = slot {
+                self.occupied -= 1;
+                f(self.base, value);
             }
             self.base += 1;
         }
         self.trim();
+    }
+
+    /// Forget every sequence strictly below `floor`.
+    pub fn evict_below(&mut self, floor: u64) {
+        self.drain_below(floor, |_, _| {});
+    }
+
+    /// Forget every entry (slot storage is kept for reuse).
+    pub fn clear(&mut self) {
+        self.slots.clear();
+        self.occupied = 0;
     }
 
     /// Keep only the entries `keep` approves, visiting them in ascending
@@ -101,6 +186,12 @@ impl<T> SeqWindow<T> {
             }
         }
         self.trim();
+    }
+
+    /// The lowest entry.
+    pub fn first(&self) -> Option<(u64, &T)> {
+        // `trim` keeps the front slot occupied whenever any slot is.
+        Some((self.base, self.slots.front()?.as_ref()?))
     }
 
     /// The entries, in ascending sequence order.
@@ -189,8 +280,9 @@ impl FirstCopyFilter {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use rpav_sim::{SimRng, SimTime};
-    use std::collections::HashSet;
+    use std::collections::{BTreeMap, HashSet};
 
     /// Media timestamp of the frame a sequence number belongs to: 28
     /// packets a frame, 3 000 ticks (30 fps at 90 kHz) a frame.
@@ -297,5 +389,143 @@ mod tests {
         assert!(w.is_empty());
         w.insert(100, SimTime::from_millis(1));
         assert_eq!(w.get(100), Some(&SimTime::from_millis(1)));
+    }
+
+    #[test]
+    fn unwrap_seq_monotone_across_wrap() {
+        let mut u = 65_530u64;
+        for seq in [65_531u16, 65_535, 3, 10] {
+            u = unwrap_seq(u, seq);
+        }
+        assert_eq!(u, 65_546);
+    }
+
+    #[test]
+    fn unwrap_seq_handles_reorder() {
+        let u = unwrap_seq(100, 98);
+        assert_eq!(u, 98);
+    }
+
+    /// One step of the `SeqWindow` lock-step schedule, keyed relative to a
+    /// moving cursor so the window slides, grows backwards, empties and
+    /// refills.
+    fn window_op() -> impl Strategy<Value = (u64, i64, u64)> {
+        (0u64..16, -48i64..48, 0u64..1_000)
+    }
+
+    proptest! {
+        /// `SeqWindow` is a `BTreeMap<u64, T>` with a moving base: every
+        /// operation, and every read after it, agrees with the map.
+        #[test]
+        fn prop_window_matches_btreemap(ops in proptest::collection::vec(window_op(), 1..400)) {
+            let mut window = SeqWindow::new();
+            let mut model = BTreeMap::new();
+            let mut cursor = 1_000_000u64;
+            for (step, (kind, offset, arg)) in ops.into_iter().enumerate() {
+                let seq = cursor.saturating_add_signed(offset);
+                match kind {
+                    // Mostly arrivals around the cursor, which creeps
+                    // forward; stragglers below the base grow it backwards.
+                    0..=6 => {
+                        prop_assert_eq!(window.get(seq), model.get(&seq));
+                        window.insert(seq, step);
+                        model.insert(seq, step);
+                        cursor += arg % 3;
+                    }
+                    7 | 8 => prop_assert_eq!(window.remove(seq), model.remove(&seq)),
+                    9 => {
+                        let floor = seq.saturating_sub(arg % 64);
+                        let mut got = Vec::new();
+                        window.drain_below(floor, |s, v| got.push((s, v)));
+                        let keep = model.split_off(&floor);
+                        let want: Vec<_> = std::mem::replace(&mut model, keep).into_iter().collect();
+                        prop_assert_eq!(got, want);
+                    }
+                    10 => {
+                        window.evict_below(seq);
+                        model = model.split_off(&seq);
+                    }
+                    11 => {
+                        let modulus = 2 + arg % 5;
+                        let mut got = Vec::new();
+                        window.retain(|s, v| {
+                            got.push(s);
+                            *v += 1;
+                            s % modulus != 0
+                        });
+                        let want: Vec<u64> = model.keys().copied().collect();
+                        prop_assert_eq!(got, want);
+                        model.retain(|s, v| {
+                            *v += 1;
+                            *s % modulus != 0
+                        });
+                    }
+                    // Empty the window and refill it far away.
+                    12 => {
+                        window.clear();
+                        model.clear();
+                        cursor += 500 + arg;
+                    }
+                    _ => {
+                        for (_, v) in window.iter_mut() {
+                            *v += 1;
+                        }
+                        for v in model.values_mut() {
+                            *v += 1;
+                        }
+                    }
+                }
+                prop_assert_eq!(window.len(), model.len());
+                prop_assert_eq!(window.is_empty(), model.is_empty());
+                prop_assert_eq!(window.first(), model.first_key_value().map(|(s, v)| (*s, v)));
+                prop_assert!(window.iter().eq(model.iter().map(|(s, v)| (*s, v))));
+            }
+        }
+
+        /// Arrivals reordered by less than 2¹⁵ read as the true counter,
+        /// across at least two 16-bit wraps.
+        #[test]
+        fn prop_observe_tracks_true_counter(
+            start in 0u64..65_536,
+            steps in proptest::collection::vec((0u64..2_000, 0u64..8, 0u64..0x8000), 300..301),
+        ) {
+            let mut seqs = SeqUnwrapper::new();
+            let (mut head, mut highest) = (start, start);
+            prop_assert_eq!(seqs.observe(start as u16), start);
+            for (advance, kind, back) in steps {
+                head += advance;
+                let back = match kind {
+                    0..=4 => 0,
+                    5 | 6 => back % 64,
+                    _ => back,
+                };
+                let truth = head.saturating_sub(back).max(start);
+                if truth > highest + 0x7fff || truth + 0x8000 < highest {
+                    continue; // outside the ±2¹⁵ reorder the rule supports
+                }
+                prop_assert_eq!(seqs.unwrap(truth as u16), truth);
+                prop_assert_eq!(seqs.observe(truth as u16), truth);
+                highest = highest.max(truth);
+                prop_assert_eq!(seqs.highest(), Some(highest));
+            }
+            prop_assert!(highest >= start + 2 * 65_536, "only reached {}", highest);
+        }
+
+        /// A sender's own sends read as the true counter whatever the jump,
+        /// up to 2¹⁶ − 1 at once.
+        #[test]
+        fn prop_observe_sent_tracks_monotone_sends(
+            start in 0u64..65_536,
+            jumps in proptest::collection::vec((0u64..4, 0u64..65_536), 1..300),
+        ) {
+            let mut seqs = SeqUnwrapper::new();
+            let mut truth = start;
+            prop_assert_eq!(seqs.observe_sent(start as u16), start);
+            for (kind, jump) in jumps {
+                truth += if kind == 0 { jump } else { jump % 4 };
+                prop_assert_eq!(seqs.observe_sent(truth as u16), truth);
+                prop_assert_eq!(seqs.highest(), Some(truth));
+            }
+        }
     }
 }

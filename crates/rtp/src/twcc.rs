@@ -9,12 +9,11 @@
 //! time). The sender reconstructs per-packet arrival timestamps from this
 //! and feeds its bandwidth estimator.
 
-use crate::seqwindow::SeqWindow;
+use crate::seqwindow::{SeqUnwrapper, SeqWindow};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use rpav_sim::{SimDuration, SimTime};
 
 use crate::error::ParseError;
-use crate::packet::unwrap_seq;
 use crate::rtcp::{self, FeedbackHeader};
 
 /// Receive status of one packet in a feedback span.
@@ -329,7 +328,7 @@ impl TwccFeedback {
 #[derive(Debug, Default)]
 pub struct TwccRecorder {
     arrivals: SeqWindow<SimTime>,
-    last_unwrapped: Option<u64>,
+    seqs: SeqUnwrapper,
     /// First sequence the next feedback will cover.
     next_base: u64,
     fb_count: u8,
@@ -343,14 +342,11 @@ impl TwccRecorder {
 
     /// Record the arrival of a media packet carrying `transport_seq`.
     pub fn on_packet(&mut self, transport_seq: u16, arrival: SimTime) {
-        let unwrapped = match self.last_unwrapped {
-            None => transport_seq as u64,
-            Some(prev) => unwrap_seq(prev, transport_seq),
-        };
-        if self.last_unwrapped.is_none() {
+        let first = self.seqs.highest().is_none();
+        let unwrapped = self.seqs.observe(transport_seq);
+        if first {
             self.next_base = unwrapped;
         }
-        self.last_unwrapped = Some(self.last_unwrapped.unwrap_or(unwrapped).max(unwrapped));
         self.arrivals.insert(unwrapped, arrival);
     }
 
@@ -365,7 +361,7 @@ impl TwccRecorder {
     /// value (the arrival vector keeps its capacity). Returns `false` —
     /// leaving `out` untouched — when there is nothing new to report.
     pub fn build_feedback_into(&mut self, out: &mut TwccFeedback) -> bool {
-        let Some(last) = self.last_unwrapped else {
+        let Some(last) = self.seqs.highest() else {
             return false;
         };
         if last < self.next_base {

@@ -3,8 +3,9 @@
 
 use std::collections::VecDeque;
 
-use rpav_rtp::packet::{unwrap_seq, RtpPacket};
+use rpav_rtp::packet::RtpPacket;
 use rpav_rtp::rfc8888::Rfc8888Packet;
+use rpav_rtp::seqwindow::{SeqUnwrapper, SeqWindow};
 use rpav_sim::{
     FeedbackWatchdog, SimDuration, SimTime, WatchdogConfig, WatchdogEvent, WatchdogState,
     WatchdogStats,
@@ -75,76 +76,6 @@ pub struct ScreamStats {
     pub watchdog_expired: u64,
 }
 
-/// The outstanding-packet window. Sequences are inserted in strictly
-/// increasing order and mostly acknowledged from the front, so a sorted
-/// deque with ack tombstones replaces the former `BTreeMap`: O(1) insert,
-/// O(log n) ack lookup, and no tree rebalancing on the per-packet path.
-/// The front entry is always live (tombstones are compacted on ack), so
-/// the oldest outstanding send time is a single front read.
-#[derive(Debug, Default)]
-struct InFlightWindow {
-    /// (unwrapped seq, send time, wire size, acked) — sorted by seq.
-    q: VecDeque<(u64, SimTime, usize, bool)>,
-}
-
-impl InFlightWindow {
-    fn insert(&mut self, seq: u64, sent: SimTime, size: usize) {
-        debug_assert!(self.q.back().is_none_or(|&(s, ..)| s < seq));
-        self.q.push_back((seq, sent, size, false));
-    }
-
-    /// Acknowledge `seq`: returns its (send time, size) the first time,
-    /// `None` for unknown or already-removed sequences.
-    fn remove(&mut self, seq: u64) -> Option<(SimTime, usize)> {
-        // Sequences are handed out consecutively, so the window is almost
-        // always gap-free and `seq - front` indexes the entry directly;
-        // the binary search only backs this up if a gap ever appears.
-        let &(front_seq, ..) = self.q.front()?;
-        let guess = seq.checked_sub(front_seq)? as usize;
-        let i = if self.q.get(guess).is_some_and(|&(s, ..)| s == seq) {
-            guess
-        } else {
-            self.q.binary_search_by(|&(s, ..)| s.cmp(&seq)).ok()?
-        };
-        let (_, sent, size, acked) = &mut self.q[i];
-        if *acked {
-            return None;
-        }
-        *acked = true;
-        let out = (*sent, *size);
-        while matches!(self.q.front(), Some(&(.., true))) {
-            self.q.pop_front();
-        }
-        Some(out)
-    }
-
-    /// Remove every live entry with sequence strictly below `begin`,
-    /// reporting each to `f` in ascending order.
-    fn remove_below(&mut self, begin: u64, mut f: impl FnMut(u64, usize)) {
-        while let Some(&(seq, _, size, acked)) = self.q.front() {
-            if seq >= begin {
-                break;
-            }
-            self.q.pop_front();
-            if !acked {
-                f(seq, size);
-            }
-        }
-    }
-
-    /// Keep live entries for which `f(send time, size)` is true; acked
-    /// tombstones are dropped along the way.
-    fn retain(&mut self, mut f: impl FnMut(SimTime, usize) -> bool) {
-        self.q
-            .retain(|&(_, sent, size, acked)| !acked && f(sent, size));
-    }
-
-    /// Send time of the oldest outstanding packet.
-    fn oldest_sent(&self) -> Option<SimTime> {
-        self.q.front().map(|&(_, sent, ..)| sent)
-    }
-}
-
 /// The sender-side congestion controller and RTP queue.
 #[derive(Debug)]
 pub struct ScreamSender {
@@ -152,9 +83,11 @@ pub struct ScreamSender {
     /// Congestion window (bytes).
     cwnd: f64,
     /// Outstanding packets: unwrapped seq → (send time, wire size).
-    in_flight: InFlightWindow,
+    in_flight: SeqWindow<(SimTime, usize)>,
     bytes_in_flight: usize,
-    last_seq_unwrapped: Option<u64>,
+    /// Reads the media sequences this side sent, and the feedback naming
+    /// them.
+    sent_seqs: SeqUnwrapper,
     /// Sender RTP queue (packetised frames awaiting transmission).
     queue: VecDeque<RtpPacket>,
     queue_bytes: usize,
@@ -168,7 +101,6 @@ pub struct ScreamSender {
     last_rate_update: Option<SimTime>,
     /// End of the current loss-event guard window (one backoff per RTT).
     loss_guard_until: SimTime,
-    last_fb_highest: Option<u64>,
     /// Largest bytes-in-flight observed recently; bounds useful cwnd
     /// growth (RFC 8298 §4.1.2.1: the window must not grow far beyond
     /// what is actually being used).
@@ -186,9 +118,9 @@ impl ScreamSender {
         ScreamSender {
             config,
             cwnd: (10 * config.mss) as f64,
-            in_flight: InFlightWindow::default(),
+            in_flight: SeqWindow::new(),
             bytes_in_flight: 0,
-            last_seq_unwrapped: None,
+            sent_seqs: SeqUnwrapper::new(),
             queue: VecDeque::new(),
             queue_bytes: 0,
             pace_budget: 0.0,
@@ -198,7 +130,6 @@ impl ScreamSender {
             target_bitrate: config.start_bitrate_bps,
             last_rate_update: None,
             loss_guard_until: SimTime::ZERO,
-            last_fb_highest: None,
             max_inflight: 0.0,
             watchdog: FeedbackWatchdog::new(config.watchdog),
             frozen_cwnd: None,
@@ -250,7 +181,7 @@ impl ScreamSender {
             let timeout = self.watchdog.config().timeout;
             let mut freed = 0usize;
             let mut expired = 0u64;
-            self.in_flight.retain(|sent, size| {
+            self.in_flight.retain(|_, &mut (sent, size)| {
                 if now.saturating_since(sent) > timeout {
                     freed += size;
                     expired += 1;
@@ -350,12 +281,8 @@ impl ScreamSender {
         let packet = self.queue.pop_front()?;
         self.queue_bytes -= packet.wire_size();
 
-        let unwrapped = match self.last_seq_unwrapped {
-            None => packet.sequence as u64,
-            Some(prev) => unwrap_seq(prev, packet.sequence),
-        };
-        self.last_seq_unwrapped = Some(self.last_seq_unwrapped.unwrap_or(unwrapped).max(unwrapped));
-        self.in_flight.insert(unwrapped, now, packet.wire_size());
+        let seq = self.sent_seqs.observe_sent(packet.sequence);
+        self.in_flight.insert(seq, (now, packet.wire_size()));
         self.bytes_in_flight += packet.wire_size();
         self.max_inflight = self.max_inflight.max(self.bytes_in_flight as f64);
         self.stats.sent += 1;
@@ -389,7 +316,7 @@ impl ScreamSender {
             let timeout = self.watchdog.config().timeout;
             // Sends are time-ordered by sequence, so the first entry holds
             // the earliest send time and thus the earliest expiry.
-            if let Some(sent) = self.in_flight.oldest_sent() {
+            if let Some((_, &(sent, _))) = self.in_flight.first() {
                 let expiry = sent + timeout;
                 wake = Some(wake.map_or(expiry, |w| w.min(expiry)));
             }
@@ -416,16 +343,7 @@ impl ScreamSender {
             // shield the restored window from an immediate second backoff.
             self.loss_guard_until = now + self.srtt;
         }
-        let begin_unwrapped = match self.last_fb_highest {
-            None => first.seq as u64,
-            Some(prev) => unwrap_seq(prev, first.seq),
-        };
-        let end_unwrapped = begin_unwrapped + fb.reports.len() as u64;
-        self.last_fb_highest = Some(
-            self.last_fb_highest
-                .unwrap_or(end_unwrapped)
-                .max(end_unwrapped),
-        );
+        let begin_unwrapped = self.sent_seqs.unwrap(first.seq);
 
         // 1. Everything in flight *older* than the span start can never be
         //    acknowledged any more (the bounded span slid past it). The
@@ -433,7 +351,7 @@ impl ScreamSender {
         //    pathology of §4.2.1.
         let mut span_losses = 0u64;
         let mut span_freed = 0usize;
-        self.in_flight.remove_below(begin_unwrapped, |_, size| {
+        self.in_flight.drain_below(begin_unwrapped, |_, (_, size)| {
             span_freed += size;
             span_losses += 1;
         });
@@ -547,7 +465,7 @@ impl ScreamSender {
 mod tests {
     use super::*;
     use bytes::Bytes;
-    use rpav_rtp::rfc8888::Rfc8888Builder;
+    use rpav_rtp::rfc8888::{Rfc8888Builder, Rfc8888Report};
 
     fn pkt(seq: u16, size: usize) -> RtpPacket {
         RtpPacket {
@@ -880,6 +798,39 @@ mod tests {
         assert_eq!(*targets.last().unwrap(), targets[9_999]);
         assert_eq!(s.watchdog_stats().activations, 0);
         assert_eq!(s.stats().watchdog_expired, 0);
+    }
+
+    #[test]
+    fn sends_after_a_sequence_jump_past_half_the_space_drain_on_ack() {
+        // The queue breaker discards packets that already own sequence
+        // numbers, so a window-blocked sender in a long blackout burns tens
+        // of thousands of them at once. The sends after the jump still
+        // leave in order, and an ack naming them must free the window.
+        let mut s = ScreamSender::new(ScreamConfig::default());
+        let mut t = SimTime::from_secs(1);
+        for batch in [0..2u16, 40_000..40_004] {
+            s.enqueue(t, batch.clone().map(|i| pkt(i, 747)).collect());
+            let mut sent = Vec::new();
+            for _ in 0..100 {
+                sent.extend(s.poll_transmit(t).map(|p| p.sequence));
+                t += SimDuration::from_millis(2);
+            }
+            assert_eq!(sent, batch.clone().collect::<Vec<_>>());
+            assert!(s.bytes_in_flight() > 0);
+            let fb = Rfc8888Packet {
+                report_ts: t,
+                reports: batch
+                    .map(|seq| Rfc8888Report {
+                        seq,
+                        received: true,
+                        ato: SimDuration::from_millis(20),
+                    })
+                    .collect(),
+            };
+            s.on_feedback(&fb, t);
+            assert_eq!(s.bytes_in_flight(), 0, "after acking {sent:?}");
+        }
+        assert_eq!(s.stats().span_skipped + s.stats().reported_lost, 0);
     }
 
     #[test]

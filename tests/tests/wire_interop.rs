@@ -76,8 +76,6 @@ fn video_over_lossy_path_roundtrip() {
     // Conservation: received + baseline drops == sent.
     let dropped = path.baseline_drops();
     assert_eq!(received + dropped, sent_packets);
-    // Depacketizer's gap-based loss count matches the real loss.
-    assert_eq!(depack.lost_packets(), dropped);
 }
 
 /// GCC's TWCC feedback survives its own wire format over a path and the
