@@ -8,6 +8,10 @@
 //! pooled per configuration (default 3; the paper pooled ≈130 runs —
 //! raise it for smoother tails).
 
+#[macro_use]
+pub mod acceptance;
+
+use acceptance::{Column, Group, Verdict};
 use rpav_core::prelude::*;
 use rpav_core::stats;
 use rpav_netem::{FaultScript, PacketKind};
@@ -84,48 +88,35 @@ pub fn burst_fade() -> FaultScript {
     )
 }
 
-/// The bonding harnesses' table header; `label` and `extra` name the two
-/// columns each fills its own way.
-pub fn print_bonding_header(label: &str, extra: &str) {
-    println!(
-        "{:<6} {:<7} {:>3} {:<12} {:>9} {:>9} {:>6} {:>6} {:>6} {:>6} {:>5}",
-        "sect",
-        "cc",
-        "run",
-        label,
-        "put Mbps",
-        "stall ms",
-        "fectx",
-        "fecrec",
-        extra,
-        "nacks",
-        "leg0",
-    );
+/// Stall time in milliseconds, as the repair, failover and bonding
+/// tables print it.
+pub const STALL_MS: Column = ("stall_ms", |m| {
+    format!("{:.1}", m.stalled_time.as_millis_f64())
+});
+
+/// The bonding suites' columns, then each suite's own `extra`.
+pub fn bonding_columns(extra: &[Column]) -> Vec<Column> {
+    const BONDING: &[Column] = &[
+        ("put_Mbps", |m| format!("{:.2}", m.goodput_bps() / 1e6)),
+        STALL_MS,
+        ("fectx", |m| m.fec_tx.to_string()),
+        ("fecrec", |m| m.fec_recovered.to_string()),
+        ("nacks", |m| m.nack_seqs_requested.to_string()),
+        ("leg0", |m| format!("{:.2}", m.leg_tx_share(0))),
+    ];
+    [BONDING, extra].concat()
 }
 
-/// One row under [`print_bonding_header`].
-pub fn print_bonding_row(
-    section: &str,
-    cc: &str,
-    run: u64,
-    label: &str,
-    m: &RunMetrics,
-    extra: u64,
-) {
-    println!(
-        "{:<6} {:<7} {:>3} {:<12} {:>9.2} {:>9.1} {:>6} {:>6} {:>6} {:>6} {:>5.2}",
-        section,
-        cc,
-        run,
-        label,
-        m.goodput_bps() / 1e6,
-        m.stalled_time.as_millis_f64(),
-        m.fec_tx,
-        m.fec_recovered,
-        extra,
-        m.nack_seqs_requested,
-        m.leg_tx_share(0),
-    );
+/// Bonding reroutes packet by packet as a leg's health collapses, while
+/// failover first waits out the controller's dwell: the bonded run never
+/// stalls longer than the seed-matched failover run.
+pub fn bonded_stall_at_most_failover(g: &Group) -> Verdict {
+    let bonded = g.metrics("bonded")?.stalled_time;
+    let failover = g.metrics("failover")?.stalled_time;
+    ensure!(
+        bonded <= failover,
+        "bonded stalled {bonded:?} > failover {failover:?}"
+    )
 }
 
 /// The multipath harnesses' primary-operator blackout (`failover_matrix`,
@@ -222,19 +213,6 @@ pub fn print_cdf_quantiles(label: &str, values: &[f64]) {
     println!("{label:<28} {}", row.join(" "));
 }
 
-/// Determinism spot-check shared by the matrix suites: the engine's
-/// (parallel, possibly cached) result for a cell must equal the cell
-/// executed *directly* — no engine, no cache — on the adaptive scheduler.
-/// Under `RPAV_REFERENCE_TICK=1` the engine ran the 1 ms reference loop,
-/// so the check then also compares the two schedulers.
-pub fn assert_replays_directly(outcome: &CellOutcome) {
-    assert_eq!(
-        outcome.cell().execute_with(false).to_bytes(),
-        outcome.metrics().to_bytes(),
-        "engine result diverged from direct execution"
-    );
-}
-
 /// Two executions of one matrix must agree byte for byte: every cell's
 /// metrics, in order, and the aggregates folded from them.
 pub fn assert_same_results(what: &str, a: &MatrixResult, b: &MatrixResult) {
@@ -265,22 +243,6 @@ pub fn print_aggregates(aggregates: &CampaignAggregates) {
         aggregates.playback_ms.mean().unwrap_or(f64::NAN),
         rpav_core::codec::fnv1a(&aggregates.to_bytes())
     );
-}
-
-/// Run `spec` uncached at `jobs = 1` and at `jobs = 8`, assert the two
-/// are byte-identical and that the first cell replays directly, and
-/// return the parallel result.
-pub fn assert_jobs_invariant(spec: &MatrixSpec) -> MatrixResult {
-    let run = |jobs| {
-        CampaignEngine::new()
-            .with_cache_dir(None)
-            .with_jobs(jobs)
-            .run(spec)
-    };
-    let (a, b) = (run(1), run(8));
-    assert_same_results("jobs=1 vs jobs=8", &a, &b);
-    assert_replays_directly(&a.outcomes[0]);
-    b
 }
 
 #[cfg(test)]

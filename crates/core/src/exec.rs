@@ -579,9 +579,16 @@ impl CampaignEngine {
     /// Execute every cell of `spec` and collect submission-ordered
     /// results.
     pub fn run(&self, spec: &MatrixSpec) -> MatrixResult {
-        let cells = spec.expand();
+        self.run_cells(&spec.expand())
+    }
+
+    /// Execute an explicit cell list (`cells[i].index` must equal `i`, as
+    /// [`MatrixSpec::expand`] produces) and collect submission-ordered
+    /// results — the acceptance suites' entry point, which concatenate
+    /// several expansions into one run.
+    pub fn run_cells(&self, cells: &[Cell]) -> MatrixResult {
         let mut outcomes = Vec::with_capacity(cells.len());
-        let report = self.drive(&cells, true, &mut |o| outcomes.push(o));
+        let report = self.drive(cells, true, &mut |o| outcomes.push(o));
         MatrixResult { outcomes, report }
     }
 
@@ -864,14 +871,6 @@ mod tests {
         ExperimentConfig::builder().seed(11).hold_secs(1).build()
     }
 
-    /// [`CampaignEngine::run`] over an explicit cell list, through the
-    /// engine core.
-    fn drive_all(engine: &CampaignEngine, cells: &[Cell]) -> MatrixResult {
-        let mut outcomes = Vec::with_capacity(cells.len());
-        let report = engine.drive(cells, true, &mut |o| outcomes.push(o));
-        MatrixResult { outcomes, report }
-    }
-
     /// Wire buffers are thread-confined (`bytes::Bytes` is `!Send`), and a
     /// cell's inputs and results cross from the worker that simulated it
     /// to the thread that folds them. This is the compile-time proof that
@@ -895,7 +894,7 @@ mod tests {
         // arrive in the order submitted.
         let cells = MatrixSpec::new(short_base()).runs(3).expand();
         let engine = |jobs| CampaignEngine::new().with_cache_dir(None).with_jobs(jobs);
-        let want = drive_all(&engine(1), &cells).report.aggregates.to_bytes();
+        let want = engine(1).run_cells(&cells).report.aggregates.to_bytes();
         for order in [[2, 1, 0], [1, 2, 0]] {
             let reordered: Vec<Cell> = order
                 .iter()
@@ -907,7 +906,7 @@ mod tests {
                 })
                 .collect();
             for jobs in [1, 2] {
-                let got = drive_all(&engine(jobs), &reordered);
+                let got = engine(jobs).run_cells(&reordered);
                 assert_eq!(
                     got.report.aggregates.to_bytes(),
                     want,
@@ -1138,7 +1137,7 @@ mod tests {
         let engine = CampaignEngine::new()
             .with_cache_dir(Some(dir.to_path_buf()))
             .with_jobs(2);
-        drive_all(&engine, cells)
+        engine.run_cells(cells)
     }
 
     /// Run `cells` on a fresh two-worker engine over `dir` through the

@@ -782,17 +782,24 @@ mod tests {
     #[test]
     fn rs_recovers_a_double_burst_xor_provably_cannot() {
         // The tentpole claim in miniature: a 2-packet burst erasure in
-        // one group defeats any single parity but falls to r=2 RS.
+        // one group defeats any single parity but falls to r=2 RS — at the
+        // head of the group, and mid-group across members of unequal
+        // length (shard padding and length recovery both exercised).
         let packets = rs_members(8);
+        assert_ne!(packets[3].payload.len(), packets[4].payload.len());
         let rs = rs_group_of(&packets, 2);
-        let survivors = packets[2..].iter();
-        assert!(
-            rs_recover(&[&rs[0]], survivors.clone(), 0).is_none(),
-            "one shard must fail here"
-        );
         let rs_refs: Vec<&RsParityPacket> = rs.iter().collect();
-        let rec = rs_recover(&rs_refs, survivors, 0).expect("rs repairs burst");
-        assert_eq!(rec, packets[..2]);
+        for lost in [0..2, 3..5] {
+            let survivors = (packets.iter().enumerate())
+                .filter(|(i, _)| !lost.contains(i))
+                .map(|(_, p)| p);
+            assert!(
+                rs_recover(&[&rs[0]], survivors.clone(), 0).is_none(),
+                "one shard must fail on {lost:?}"
+            );
+            let rec = rs_recover(&rs_refs, survivors, 0).expect("rs repairs burst");
+            assert_eq!(rec, packets[lost]);
+        }
     }
 
     #[test]
