@@ -13,12 +13,13 @@
 use std::collections::BTreeSet;
 
 use rpav_core::prelude::*;
+use rpav_core::table;
 use rpav_sim::SimTime;
 
 use crate::{assert_same_results, master_seed, print_aggregates};
 
-/// A table column: its header and a cell's (whitespace-free) field.
-pub type Column = (&'static str, fn(&RunMetrics) -> String);
+/// A table column over a cell's metrics.
+pub type Column = table::Column<RunMetrics>;
 
 /// An invariant's answer: `Err` says why the group fails it.
 pub type Verdict = Result<(), String>;
@@ -134,7 +135,19 @@ impl Acceptance {
         println!("    {}\n", self.detail);
         let result = CampaignEngine::new().run_cells(&cells);
         let groups: Vec<Group> = slots.iter().map(|at| self.group(at, &result)).collect();
-        for line in table(&self.columns, &groups) {
+        // Each row led by its group and member: the two label columns.
+        let members = || {
+            groups
+                .iter()
+                .flat_map(|g| g.members.iter().map(move |m| (g, m)))
+        };
+        let mut rows = table::rows(&self.columns, members().map(|(_, &(.., m))| m));
+        let keys = members().map(|(g, &(member, ..))| [g.label.clone(), member.into()]);
+        let header = ["group".into(), "cell".into()];
+        for (row, keys) in rows.iter_mut().zip(std::iter::once(header).chain(keys)) {
+            row.splice(0..0, keys);
+        }
+        for line in table::aligned(2, &rows) {
             println!("{line}");
         }
         print_aggregates(&result.report.aggregates);
@@ -255,36 +268,6 @@ fn verdicts(suite: &str, invariants: &[Invariant], group: &Group) -> Verdict {
     Ok(())
 }
 
-/// The header and one row per cell, each field padded to its column's
-/// width: the group and cell names left-aligned, the values right-aligned.
-fn table(columns: &[Column], groups: &[Group]) -> Vec<String> {
-    let header = ["group", "cell"]
-        .into_iter()
-        .chain(columns.iter().map(|c| c.0));
-    let mut rows: Vec<Vec<String>> = vec![header.map(String::from).collect()];
-    for group in groups {
-        for &(member, _, m) in &group.members {
-            let keys = [group.label.clone(), member.to_string()];
-            rows.push(
-                keys.into_iter()
-                    .chain(columns.iter().map(|c| (c.1)(m)))
-                    .collect(),
-            );
-        }
-    }
-    let width = |i: usize| rows.iter().map(|r| r[i].len()).max().unwrap_or(0);
-    let widths: Vec<usize> = (0..rows[0].len()).map(width).collect();
-    let pad = |(i, (f, w)): (usize, (&String, &usize))| match i {
-        0 | 1 => format!("{f:<w$}"),
-        _ => format!("{f:>w$}"),
-    };
-    let line = |row: &Vec<String>| {
-        let fields: Vec<String> = row.iter().zip(&widths).enumerate().map(pad).collect();
-        fields.join(" ").trim_end().to_string()
-    };
-    rows.iter().map(line).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -339,23 +322,5 @@ mod tests {
         let failure = check(invariants![reads_a_member_nobody_has]);
         let want = "demo / reads_a_member_nobody_has / sect/Rural/GCC/run0: no member \"single\"";
         assert_eq!(failure, Err(want.into()));
-    }
-
-    #[test]
-    fn every_row_has_as_many_fields_as_the_header() {
-        let columns: Vec<Column> = vec![
-            ("nacks", |m| m.nacks_sent.to_string()),
-            FROZEN,
-            ("survived", |m| {
-                if m.stalls == 0 { "yes" } else { "NO" }.into()
-            }),
-        ];
-        let (cells, metrics) = fixture();
-        let groups = [group(&cells, &metrics), group(&cells, &metrics)];
-        let lines = table(&columns, &groups);
-        assert_eq!(lines.len(), 5);
-        for line in &lines {
-            assert_eq!(line.split_whitespace().count(), 5, "{line}");
-        }
     }
 }

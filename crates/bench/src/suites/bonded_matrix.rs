@@ -19,7 +19,7 @@ use rpav_bench::{matrix_config, primary_blackout, runs_per_config};
 use rpav_bench::{CAP_PRIMARY, CAP_SECONDARY, FAULT_AT, FAULT_FOR, FEC_CAP};
 use rpav_core::prelude::*;
 
-const EXTRA: &[Column] = &[("reord", |m| m.reorder_buffered.to_string())];
+pub(super) const EXTRA: &[Column] = &[("reord", |m| m.reorder_buffered.to_string())];
 
 /// Bonded goodput exceeds the best single leg's. A delay-based controller
 /// reacts to the *slowest* leg's queueing delay, so striping across legs

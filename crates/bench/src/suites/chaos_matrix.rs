@@ -33,7 +33,7 @@ fn yes_no(survived: bool) -> String {
     if survived { "yes" } else { "NO" }.into()
 }
 
-const COLUMNS: &[Column] = &[
+pub(super) const COLUMNS: &[Column] = &[
     ("base_Mbps", |m| {
         format!("{:.1}", outage(m).baseline_bps / 1e6)
     }),

@@ -32,7 +32,7 @@ fn dup_percent(m: &RunMetrics) -> f64 {
     }
 }
 
-const COLUMNS: &[Column] = &[
+pub(super) const COLUMNS: &[Column] = &[
     ("put_Mbps", |m| format!("{:.1}", m.goodput_bps() / 1e6)),
     ("stalls", |m| m.stalls.to_string()),
     STALL_MS,

@@ -7,7 +7,7 @@
 
 use rpav_bench::{banner, master_seed};
 use rpav_core::prelude::*;
-use rpav_core::trace;
+use rpav_core::{table, trace};
 
 pub fn run(_: &crate::Args) {
     banner("Figure 8", "GCC urban flight trace (CSV on stdout)");
@@ -18,7 +18,7 @@ pub fn run(_: &crate::Args) {
         .build();
     let metrics = Simulation::new(cfg).run();
     let rows = trace::build_trace(&metrics);
-    print!("{}", trace::to_csv(&rows));
+    print!("{}", table::csv(trace::COLUMNS, &rows));
 
     // Annotate the handover windows like Fig. 8(a).
     eprintln!("\nhandovers at:");

@@ -42,3 +42,56 @@ suites! {
     repair_matrix: "NACK/RTX loss-repair acceptance",
     resilience_matrix: "crash-safe campaign engine + rpavd acceptance",
 }
+
+#[cfg(test)]
+mod tests {
+    use rpav_bench::acceptance::Column;
+    use rpav_bench::bonding_columns;
+    use rpav_core::metrics::OutageRecord;
+    use rpav_core::prelude::*;
+    use rpav_core::table::malformed;
+    use rpav_sim::{SimDuration, SimTime};
+
+    /// Two runs through one blackout: one recovered, one never came back.
+    fn runs() -> Vec<RunMetrics> {
+        let at = SimTime::from_secs;
+        let run = |recovered: Option<SimTime>| {
+            let outage = OutageRecord {
+                from: at(10),
+                until: at(12),
+                baseline_bps: 4e6,
+                first_arrival_after: recovered,
+                first_frame_after: recovered,
+                rate_half_recovered_at: recovered,
+                rate_recovered_at: recovered,
+            };
+            RunMetrics {
+                duration: SimDuration::from_secs(30),
+                media_sent: 1_000,
+                media_received: 990,
+                outages: vec![outage],
+                ..Default::default()
+            }
+        };
+        vec![run(Some(at(13))), run(None)]
+    }
+
+    /// Every acceptance suite's column list renders well-formed tables,
+    /// as `table::tests::every_column_list_is_well_formed` checks the
+    /// core crate's lists.
+    #[test]
+    fn every_acceptance_column_list_is_well_formed() {
+        let lists: [Vec<Column>; 5] = [
+            super::chaos_matrix::COLUMNS.to_vec(),
+            super::repair_matrix::COLUMNS.to_vec(),
+            super::failover_matrix::COLUMNS.to_vec(),
+            bonding_columns(super::bonded_matrix::EXTRA),
+            bonding_columns(super::nleg_matrix::EXTRA),
+        ];
+        let runs = runs();
+        for columns in &lists {
+            let headers: Vec<&str> = columns.iter().map(|c| c.0).collect();
+            assert_eq!(malformed(columns, &runs), None, "{headers:?}");
+        }
+    }
+}

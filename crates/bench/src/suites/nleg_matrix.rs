@@ -31,7 +31,7 @@ use rpav_sim::{SimDuration, SimTime};
 /// delivery tracks the number of surviving legs.
 const CAP_DEGRADE: f64 = 1.0e6;
 
-const EXTRA: &[Column] = &[
+pub(super) const EXTRA: &[Column] = &[
     ("fecmr", |m| m.fec_multi_recovered.to_string()),
     ("rtx", |m| m.rtx_sent.to_string()),
     ("rtx_nih", |m| m.rtx_not_in_history.to_string()),

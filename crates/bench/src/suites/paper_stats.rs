@@ -7,25 +7,26 @@
 
 use rpav_bench::{banner, campaign, paper_ccs};
 use rpav_core::prelude::*;
-use rpav_core::summary::HeadlineStats;
+use rpav_core::summary::HEADLINE;
+use rpav_core::table;
 
 pub fn run(_: &crate::Args) {
     banner("Headline statistics", "the paper's in-text numbers");
-    println!("{}", HeadlineStats::header());
-    for env in [Environment::Urban, Environment::Rural] {
+    let envs = [Environment::Urban, Environment::Rural];
+    let mut campaigns = Vec::new();
+    for env in envs {
         for cc in paper_ccs(env) {
-            let c = campaign(env, Operator::P1, Mobility::Air, cc);
-            println!("{}", HeadlineStats::from_campaign(&c).row());
+            campaigns.push(campaign(env, Operator::P1, Mobility::Air, cc));
         }
     }
-    println!("\nGround baselines:");
-    for env in [Environment::Urban, Environment::Rural] {
-        let c = campaign(
-            env,
-            Operator::P1,
-            Mobility::Ground,
-            CcMode::paper_static(env),
-        );
-        println!("{}", HeadlineStats::from_campaign(&c).row());
+    let air = campaigns.len();
+    for env in envs {
+        let cc = CcMode::paper_static(env);
+        campaigns.push(campaign(env, Operator::P1, Mobility::Ground, cc));
     }
+    let lines = table::aligned(1, &table::rows(HEADLINE, &campaigns));
+    let (air, ground) = lines.split_at(1 + air);
+    air.iter().for_each(|line| println!("{line}"));
+    println!("\nGround baselines:");
+    ground.iter().for_each(|line| println!("{line}"));
 }

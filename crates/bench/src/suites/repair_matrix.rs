@@ -36,7 +36,7 @@ const SLOT: SimDuration = SimDuration::from_millis(34);
 /// order-of-magnitude PER and forced-keyframe reduction.
 const STATIC_SLACK: SimDuration = SimDuration::from_millis(102);
 
-const COLUMNS: &[Column] = &[
+pub(super) const COLUMNS: &[Column] = &[
     ("put_Mbps", |m| format!("{:.1}", m.goodput_bps() / 1e6)),
     ("per_%", |m| format!("{:.3}", m.per() * 100.0)),
     ("stalls", |m| m.stalls.to_string()),

@@ -15,17 +15,16 @@
 //!   switches.csv    one row per failover switch: run, time, legs, cause
 //! ```
 //!
-//! For campaigns executed in the engine's streaming mode (no per-run
-//! metrics retained), [`aggregates_csv`] renders the one-row summary of
-//! the campaign's [`CampaignAggregates`](crate::summary::CampaignAggregates).
+//! Each table is a [`Column`] list; [`tables`] renders all six.
 
-use std::fmt::Write as _;
 use std::fs;
 use std::io;
 use std::path::Path;
 
-use crate::metrics::RunMetrics;
+use crate::metrics::{FrameRecord, HandoverRecord, RadioTraceRow, RunMetrics, SwitchRecord};
 use crate::scenario::ExperimentConfig;
+use crate::table::{self, Column};
+use rpav_sim::SimTime;
 
 /// Decimation factor for the per-packet OWD table (the raw table for a
 /// full campaign is tens of millions of rows; the paper's analysis bins
@@ -40,199 +39,156 @@ pub struct DatasetRun<'a> {
     pub metrics: &'a RunMetrics,
 }
 
-/// Render the `runs.csv` table.
-pub fn runs_csv(runs: &[DatasetRun<'_>]) -> String {
-    let mut out = String::from(
-        "run,label,environment,operator,mobility,cc,seed,duration_s,\
-         goodput_mbps,per,ho_count,stalls,distinct_cells,repair,\
-         malformed,duplicates,late,nacks_sent,rtx_sent,rtx_recovered,\
-         rtx_late,repair_efficiency,switches,probes,dup_tx,dead_ms,\
-         fec_tx,fec_recovered,fec_multi_recovered,reorder_buffered,leg0_share\n",
-    );
-    for (i, r) in runs.iter().enumerate() {
-        let _ = writeln!(
-            out,
-            "{},{},{},{},{},{},{},{:.1},{:.3},{:.6},{},{},{},{},{},{},{},{},{},{},{},{:.4},{},{},{},{:.0},{},{},{},{},{:.4}",
-            i,
-            r.config.label(),
-            r.config.environment.name(),
-            r.config.operator.name(),
-            r.config.mobility.name(),
-            r.config.cc.name(),
-            r.config.seed,
-            r.metrics.duration.as_secs_f64(),
-            r.metrics.goodput_bps() / 1e6,
-            r.metrics.per(),
-            r.metrics.handovers.len(),
-            r.metrics.stalls,
-            r.metrics.distinct_cells,
-            r.config.repair as u8,
-            r.metrics.malformed_packets + r.metrics.malformed_payloads,
-            r.metrics.duplicate_packets,
-            r.metrics.late_packets,
-            r.metrics.nacks_sent,
-            r.metrics.rtx_sent,
-            r.metrics.rtx_recovered,
-            r.metrics.rtx_late,
-            r.metrics.repair_efficiency(),
-            r.metrics.switches.len(),
-            r.metrics.probes_sent,
-            r.metrics.dup_tx_packets,
-            r.metrics.path_dead_ms(),
-            r.metrics.fec_tx,
-            r.metrics.fec_recovered,
-            r.metrics.fec_multi_recovered,
-            r.metrics.reorder_buffered,
-            r.metrics.leg_tx_share(0),
-        );
-    }
-    out
+/// A [`Column`] of `runs.csv`, whose rows are `(run index, config,
+/// metrics)`: spelt out so that it takes a run of any lifetime.
+pub type RunColumn = (
+    &'static str,
+    fn(&(usize, &ExperimentConfig, &RunMetrics)) -> String,
+);
+
+/// `runs.csv`, one row per run: config axes + headline metrics.
+pub const RUNS: &[RunColumn] = &[
+    ("run", |(i, ..)| i.to_string()),
+    ("label", |(_, c, _)| c.label()),
+    ("environment", |(_, c, _)| c.environment.name().into()),
+    ("operator", |(_, c, _)| c.operator.name().into()),
+    ("mobility", |(_, c, _)| c.mobility.name().into()),
+    ("cc", |(_, c, _)| c.cc.name().into()),
+    ("seed", |(_, c, _)| c.seed.to_string()),
+    ("duration_s", |(.., m)| {
+        format!("{:.1}", m.duration.as_secs_f64())
+    }),
+    ("goodput_mbps", |(.., m)| {
+        format!("{:.3}", m.goodput_bps() / 1e6)
+    }),
+    ("per", |(.., m)| format!("{:.6}", m.per())),
+    ("ho_count", |(.., m)| m.handovers.len().to_string()),
+    ("stalls", |(.., m)| m.stalls.to_string()),
+    ("distinct_cells", |(.., m)| m.distinct_cells.to_string()),
+    ("repair", |(_, c, _)| (c.repair as u8).to_string()),
+    ("malformed", |(.., m)| {
+        (m.malformed_packets + m.malformed_payloads).to_string()
+    }),
+    ("duplicates", |(.., m)| m.duplicate_packets.to_string()),
+    ("late", |(.., m)| m.late_packets.to_string()),
+    ("nacks_sent", |(.., m)| m.nacks_sent.to_string()),
+    ("rtx_sent", |(.., m)| m.rtx_sent.to_string()),
+    ("rtx_recovered", |(.., m)| m.rtx_recovered.to_string()),
+    ("rtx_late", |(.., m)| m.rtx_late.to_string()),
+    ("repair_efficiency", |(.., m)| {
+        format!("{:.4}", m.repair_efficiency())
+    }),
+    ("switches", |(.., m)| m.switches.len().to_string()),
+    ("probes", |(.., m)| m.probes_sent.to_string()),
+    ("dup_tx", |(.., m)| m.dup_tx_packets.to_string()),
+    ("dead_ms", |(.., m)| format!("{:.0}", m.path_dead_ms())),
+    ("fec_tx", |(.., m)| m.fec_tx.to_string()),
+    ("fec_recovered", |(.., m)| m.fec_recovered.to_string()),
+    ("fec_multi_recovered", |(.., m)| {
+        m.fec_multi_recovered.to_string()
+    }),
+    ("reorder_buffered", |(.., m)| m.reorder_buffered.to_string()),
+    ("leg0_share", |(.., m)| format!("{:.4}", m.leg_tx_share(0))),
+];
+
+/// `handovers.csv`, one row per handover: run, time, HET, kind.
+pub const HANDOVERS: &[Column<(usize, HandoverRecord)>] = &[
+    ("run", |(i, _)| i.to_string()),
+    ("t_s", |(_, h)| format!("{:.3}", h.at.as_secs_f64())),
+    ("het_ms", |(_, h)| format!("{:.1}", h.het.as_millis_f64())),
+    ("kind", |(_, h)| format!("{:?}", h.kind)),
+];
+
+/// `frames.csv`, one row per played or skipped frame (a skipped frame's
+/// latency is empty).
+pub const FRAMES: &[Column<(usize, FrameRecord)>] = &[
+    ("run", |(i, _)| i.to_string()),
+    ("frame", |(_, f)| f.number.to_string()),
+    ("display_t_s", |(_, f)| {
+        format!("{:.3}", f.display_at.as_secs_f64())
+    }),
+    ("latency_ms", |(_, f)| {
+        f.latency_ms.map(|l| format!("{l:.1}")).unwrap_or_default()
+    }),
+    ("ssim", |(_, f)| format!("{:.4}", f.ssim)),
+    ("displayed", |(_, f)| (f.displayed as u8).to_string()),
+];
+
+/// `owd.csv`, one row per [`OWD_DECIMATION`]-th delivered media packet.
+pub const OWD: &[Column<(usize, (SimTime, f64))>] = &[
+    ("run", |(i, _)| i.to_string()),
+    ("arrival_t_s", |(_, (t, _))| {
+        format!("{:.4}", t.as_secs_f64())
+    }),
+    ("owd_ms", |(_, (_, ms))| format!("{ms:.2}")),
+];
+
+/// `radio.csv`, one row per radio tick.
+pub const RADIO: &[Column<(usize, RadioTraceRow)>] = &[
+    ("run", |(i, _)| i.to_string()),
+    ("t_s", |(_, r)| format!("{:.1}", r.t.as_secs_f64())),
+    ("altitude_m", |(_, r)| format!("{:.1}", r.altitude_m)),
+    ("capacity_mbps", |(_, r)| {
+        format!("{:.2}", r.capacity_bps / 1e6)
+    }),
+    ("rsrp_dbm", |(_, r)| format!("{:.1}", r.rsrp_dbm)),
+    ("sinr_db", |(_, r)| format!("{:.1}", r.sinr_db)),
+    ("in_handover", |(_, r)| (r.in_handover as u8).to_string()),
+];
+
+/// `switches.csv`, one row per failover switch: run, time, legs, cause.
+pub const SWITCHES: &[Column<(usize, SwitchRecord)>] = &[
+    ("run", |(i, _)| i.to_string()),
+    ("t_s", |(_, s)| format!("{:.3}", s.at.as_secs_f64())),
+    ("from_leg", |(_, s)| s.from_leg.to_string()),
+    ("to_leg", |(_, s)| s.to_leg.to_string()),
+    ("cause", |(_, s)| s.cause.label().into()),
+];
+
+/// `(run index, record)` for every record `of` yields from each run.
+fn records<'a, I: Iterator>(
+    runs: &[DatasetRun<'a>],
+    of: fn(&'a RunMetrics) -> I,
+) -> Vec<(usize, I::Item)> {
+    let per_run = runs.iter().enumerate();
+    let rows = per_run.map(|(i, r)| of(r.metrics).map(move |record| (i, record)));
+    rows.flatten().collect()
 }
 
-/// Render the `handovers.csv` table.
-pub fn handovers_csv(runs: &[DatasetRun<'_>]) -> String {
-    let mut out = String::from("run,t_s,het_ms,kind\n");
-    for (i, r) in runs.iter().enumerate() {
-        for h in &r.metrics.handovers {
-            let _ = writeln!(
-                out,
-                "{},{:.3},{:.1},{:?}",
-                i,
-                h.at.as_secs_f64(),
-                h.het.as_millis_f64(),
-                h.kind
-            );
-        }
-    }
-    out
-}
-
-/// Render the `frames.csv` table.
-pub fn frames_csv(runs: &[DatasetRun<'_>]) -> String {
-    let mut out = String::from("run,frame,display_t_s,latency_ms,ssim,displayed\n");
-    for (i, r) in runs.iter().enumerate() {
-        for f in &r.metrics.frames {
-            let _ = writeln!(
-                out,
-                "{},{},{:.3},{},{:.4},{}",
-                i,
-                f.number,
-                f.display_at.as_secs_f64(),
-                f.latency_ms.map(|l| format!("{l:.1}")).unwrap_or_default(),
-                f.ssim,
-                f.displayed as u8
-            );
-        }
-    }
-    out
-}
-
-/// Render the (decimated) `owd.csv` table.
-pub fn owd_csv(runs: &[DatasetRun<'_>]) -> String {
-    let mut out = String::from("run,arrival_t_s,owd_ms\n");
-    for (i, r) in runs.iter().enumerate() {
-        for (t, ms) in r.metrics.owd.iter().step_by(OWD_DECIMATION) {
-            let _ = writeln!(out, "{},{:.4},{:.2}", i, t.as_secs_f64(), ms);
-        }
-    }
-    out
-}
-
-/// Render the `radio.csv` table.
-pub fn radio_csv(runs: &[DatasetRun<'_>]) -> String {
-    let mut out = String::from("run,t_s,altitude_m,capacity_mbps,rsrp_dbm,sinr_db,in_handover\n");
-    for (i, r) in runs.iter().enumerate() {
-        for row in &r.metrics.radio {
-            let _ = writeln!(
-                out,
-                "{},{:.1},{:.1},{:.2},{:.1},{:.1},{}",
-                i,
-                row.t.as_secs_f64(),
-                row.altitude_m,
-                row.capacity_bps / 1e6,
-                row.rsrp_dbm,
-                row.sinr_db,
-                row.in_handover as u8
-            );
-        }
-    }
-    out
-}
-
-/// Render the `switches.csv` table (failover switch events).
-pub fn switches_csv(runs: &[DatasetRun<'_>]) -> String {
-    let mut out = String::from("run,t_s,from_leg,to_leg,cause\n");
-    for (i, r) in runs.iter().enumerate() {
-        for s in &r.metrics.switches {
-            let _ = writeln!(
-                out,
-                "{},{:.3},{},{},{}",
-                i,
-                s.at.as_secs_f64(),
-                s.from_leg,
-                s.to_leg,
-                s.cause.label()
-            );
-        }
-    }
-    out
+/// Every table of the dataset, as `(file name, CSV)`.
+pub fn tables(runs: &[DatasetRun<'_>]) -> [(&'static str, String); 6] {
+    let indexed = runs
+        .iter()
+        .enumerate()
+        .map(|(i, r)| (i, r.config, r.metrics));
+    let handovers = records(runs, |m| m.handovers.iter().copied());
+    let frames = records(runs, |m| m.frames.iter().copied());
+    let owd = records(runs, |m| m.owd.iter().step_by(OWD_DECIMATION).copied());
+    let radio = records(runs, |m| m.radio.iter().copied());
+    let switches = records(runs, |m| m.switches.iter().copied());
+    [
+        ("runs.csv", table::csv(RUNS, indexed)),
+        ("handovers.csv", table::csv(HANDOVERS, handovers)),
+        ("frames.csv", table::csv(FRAMES, frames)),
+        ("owd.csv", table::csv(OWD, owd)),
+        ("radio.csv", table::csv(RADIO, radio)),
+        ("switches.csv", table::csv(SWITCHES, switches)),
+    ]
 }
 
 /// Write the full dataset into `dir` (created if missing).
 pub fn export(dir: &Path, runs: &[DatasetRun<'_>]) -> io::Result<()> {
     fs::create_dir_all(dir)?;
-    fs::write(dir.join("runs.csv"), runs_csv(runs))?;
-    fs::write(dir.join("handovers.csv"), handovers_csv(runs))?;
-    fs::write(dir.join("frames.csv"), frames_csv(runs))?;
-    fs::write(dir.join("owd.csv"), owd_csv(runs))?;
-    fs::write(dir.join("radio.csv"), radio_csv(runs))?;
-    fs::write(dir.join("switches.csv"), switches_csv(runs))?;
+    for (name, csv) in tables(runs) {
+        fs::write(dir.join(name), csv)?;
+    }
     Ok(())
 }
 
-/// Render a one-row `aggregates.csv` from the engine's streaming
-/// [`CampaignAggregates`](crate::summary::CampaignAggregates) — the dataset artifact of a campaign too large
-/// to hold per-run metrics for (the engine's streaming mode retains
-/// nothing else).
-pub fn aggregates_csv(a: &crate::summary::CampaignAggregates) -> String {
-    let q = |h: &crate::stats::LogHistogram, p: f64| h.quantile(p).unwrap_or(f64::NAN);
-    let mut out = String::from(
-        "cells,failed,media_sent,media_received,media_received_bytes,\
-         stalls,stalled_time_s,nacks_sent,rtx_recovered,fec_recovered,\
-         ssim_samples,ssim_below_half,\
-         goodput_mbps_p50,goodput_mbps_p99,goodput_mbps_mean,\
-         owd_ms_p50,owd_ms_p99,playback_ms_p50,playback_ms_p99\n",
-    );
-    let _ = writeln!(
-        out,
-        "{},{},{},{},{},{},{:.3},{},{},{},{},{},{:.3},{:.3},{:.3},{:.3},{:.3},{:.3},{:.3}",
-        a.cells,
-        a.failed,
-        a.media_sent,
-        a.media_received,
-        a.media_received_bytes,
-        a.stalls,
-        a.stalled_time_us as f64 / 1e6,
-        a.nacks_sent,
-        a.rtx_recovered,
-        a.fec_recovered,
-        a.ssim_samples,
-        a.ssim_below_half,
-        q(&a.goodput_mbps, 0.5),
-        q(&a.goodput_mbps, 0.99),
-        a.goodput_mbps.mean().unwrap_or(f64::NAN),
-        q(&a.owd_ms, 0.5),
-        q(&a.owd_ms, 0.99),
-        q(&a.playback_ms, 0.5),
-        q(&a.playback_ms, 0.99),
-    );
-    out
-}
-
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use crate::metrics::{FrameRecord, HandoverRecord};
+    use crate::codec::fnv1a;
     use crate::scenario::CcMode;
     use rpav_lte::{Environment, HandoverKind};
     use rpav_sim::{SimDuration, SimTime};
@@ -310,9 +266,75 @@ mod tests {
             fec_recovered: 2,
             fec_multi_recovered: 1,
             reorder_buffered: 4,
+            radio: (0..5)
+                .map(|i| RadioTraceRow {
+                    t: SimTime::from_millis(i * 100),
+                    altitude_m: 20.0 * i as f64,
+                    capacity_bps: 12.5e6 - 1e6 * i as f64,
+                    rsrp_dbm: -85.0 - i as f64,
+                    sinr_db: 12.0 - 0.5 * i as f64,
+                    in_handover: i == 3,
+                })
+                .collect(),
             ..Default::default()
         };
         (cfg, m)
+    }
+
+    /// The sample run under two configurations: the fixed campaign the
+    /// table pins and the well-formedness check run over.
+    fn campaign() -> Vec<(ExperimentConfig, RunMetrics)> {
+        let (urban, m) = sample();
+        let rural = ExperimentConfig::builder()
+            .environment(Environment::Rural)
+            .cc(CcMode::paper_scream())
+            .repair(true)
+            .seed(10)
+            .build();
+        vec![(urban, m.clone()), (rural, m)]
+    }
+
+    fn dataset_runs(campaign: &[(ExperimentConfig, RunMetrics)]) -> Vec<DatasetRun<'_>> {
+        let runs = campaign.iter();
+        runs.map(|(config, metrics)| DatasetRun { config, metrics })
+            .collect()
+    }
+
+    /// Why each of the six tables would not render well-formed over the
+    /// campaign, `None` for each that would.
+    pub(crate) fn malformed_tables() -> Vec<Option<String>> {
+        let campaign = campaign();
+        let runs = dataset_runs(&campaign);
+        let indexed = runs
+            .iter()
+            .enumerate()
+            .map(|(i, r)| (i, r.config, r.metrics));
+        vec![
+            table::malformed(RUNS, &indexed.collect::<Vec<_>>()),
+            table::malformed(HANDOVERS, &records(&runs, |m| m.handovers.iter().copied())),
+            table::malformed(FRAMES, &records(&runs, |m| m.frames.iter().copied())),
+            table::malformed(OWD, &records(&runs, |m| m.owd.iter().copied())),
+            table::malformed(RADIO, &records(&runs, |m| m.radio.iter().copied())),
+            table::malformed(SWITCHES, &records(&runs, |m| m.switches.iter().copied())),
+        ]
+    }
+
+    /// FNV-1a of each file over the fixed campaign, pinned when the tables
+    /// were still format strings.
+    #[test]
+    fn tables_stay_put() {
+        let campaign = campaign();
+        let tables = tables(&dataset_runs(&campaign));
+        let hashes = tables.map(|(name, csv)| (name, fnv1a(csv.as_bytes())));
+        let want = [
+            ("runs.csv", 0x7684d6c2a1a39c12),
+            ("handovers.csv", 0xeae5e4097f5ab563),
+            ("frames.csv", 0xbe85fbb873ae6766),
+            ("owd.csv", 0x267de90e7250accb),
+            ("radio.csv", 0x3b0a89c1da1e86e3),
+            ("switches.csv", 0x5b1831e94e95a793),
+        ];
+        assert_eq!(hashes, want);
     }
 
     #[test]
@@ -322,7 +344,7 @@ mod tests {
             config: &cfg,
             metrics: &m,
         }];
-        let r = runs_csv(&runs);
+        let [r, h, f, o, _, s] = tables(&runs).map(|(_, csv)| csv);
         assert!(r.starts_with("run,label"));
         assert_eq!(r.lines().count(), 2);
         assert!(r.contains("GCC-Urban-P1-Air"));
@@ -343,19 +365,15 @@ mod tests {
             r.lines().nth(1).unwrap()
         );
 
-        let h = handovers_csv(&runs);
         assert_eq!(h.lines().count(), 2);
         assert!(h.contains("5.000,28.0,A3"));
 
-        let f = frames_csv(&runs);
         assert_eq!(f.lines().count(), 3);
         // The skipped frame has an empty latency field and displayed=0.
         assert!(f.lines().last().unwrap().ends_with(",0.0000,0"));
 
-        let o = owd_csv(&runs);
         assert_eq!(o.lines().count(), 1 + 99usize.div_ceil(OWD_DECIMATION));
 
-        let s = switches_csv(&runs);
         assert_eq!(s.lines().count(), 2);
         assert!(s.contains("0,7.000,0,1,starvation"));
     }
@@ -369,31 +387,11 @@ mod tests {
         }];
         let dir = std::env::temp_dir().join(format!("rpav-dataset-{}", std::process::id()));
         export(&dir, &runs).unwrap();
-        for name in [
-            "runs.csv",
-            "handovers.csv",
-            "frames.csv",
-            "owd.csv",
-            "radio.csv",
-            "switches.csv",
-        ] {
+        for (name, _) in tables(&runs) {
             let p = dir.join(name);
             assert!(p.exists(), "{name} missing");
             assert!(std::fs::metadata(&p).unwrap().len() > 10);
         }
         std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn aggregates_csv_has_header_and_one_row() {
-        let (_, m) = sample();
-        let mut a = crate::summary::CampaignAggregates::default();
-        a.fold(&m);
-        a.fold_failure();
-        let s = aggregates_csv(&a);
-        let lines: Vec<&str> = s.lines().collect();
-        assert_eq!(lines.len(), 2);
-        assert!(lines[0].starts_with("cells,failed,"));
-        assert!(lines[1].starts_with("1,1,"));
     }
 }

@@ -35,7 +35,10 @@
 //!   maps the flow onto several operators' legs (duplicate, failover,
 //!   bonded) for a [`Simulation::multipath`] session.
 //! * [`trace`] — Fig. 8-style time-series export (CSV).
-//! * [`summary`] — the in-text headline statistics.
+//! * [`summary`] — the in-text headline statistics and the streaming
+//!   campaign aggregates.
+//! * [`table`] — tables as column lists: one CSV and one aligned-text
+//!   renderer for every table the crate and the suites print.
 //!
 //! # Quickstart
 //!
@@ -73,6 +76,7 @@ pub mod scenario;
 pub mod spec;
 pub mod stats;
 pub mod summary;
+pub mod table;
 pub mod trace;
 
 pub use exec::{CampaignEngine, EngineOptions, MatrixResult};

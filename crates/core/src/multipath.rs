@@ -312,10 +312,11 @@ impl Leg {
         self.uplink.set_position(pos.x, pos.y, pos.z);
         self.downlink.set_position(pos.x, pos.y, pos.z);
         let s = self.radio.step(now, pos);
+        let floor = paths::MIN_RATE_BPS;
         self.uplink
-            .set_rate_bps(now, s.uplink_capacity_bps.min(self.cap_bps).max(50e3));
+            .set_rate_bps(now, s.uplink_capacity_bps.min(self.cap_bps).max(floor));
         self.downlink
-            .set_rate_bps(now, s.downlink_capacity_bps.max(50e3));
+            .set_rate_bps(now, s.downlink_capacity_bps.max(floor));
         self.uplink.set_extra_delay(s.retx_delay);
         self.downlink.set_extra_delay(s.retx_delay);
         if let Some(sig) = s.health_signal() {

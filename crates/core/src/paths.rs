@@ -28,6 +28,9 @@ pub const BOTTLENECK_DELAY: SimDuration = SimDuration::from_millis(5);
 pub const WAN_DELAY: SimDuration = SimDuration::from_millis(12);
 /// WAN jitter.
 pub const WAN_JITTER: SimDuration = SimDuration::from_micros(600);
+/// Re-rate floor: a radio tick that reports no capacity still leaves the
+/// bottleneck draining at 50 kbit/s.
+pub const MIN_RATE_BPS: f64 = 50e3;
 
 /// Baseline bursty loss process tuned to the paper's measured PER of
 /// 0.06–0.07 % with consecutive drops (§4.1): rare events (≈0.2 /s at

@@ -12,6 +12,9 @@ use rpav_netem::{GilbertElliott, Packet, PacketKind, Path};
 use rpav_sim::{RngSet, SimDuration, SimTime};
 use rpav_uav::{profiles as uav_profiles, Position};
 
+use crate::paths::{
+    BOTTLENECK_DELAY, DOWNLINK_BPS, MIN_RATE_BPS, UPLINK_INITIAL_BPS, WAN_DELAY, WAN_JITTER,
+};
 use crate::scenario::ExperimentConfig;
 
 /// Altitude bins of Fig. 13 (inclusive upper edges, metres).
@@ -36,26 +39,23 @@ pub fn run_ping(config: &ExperimentConfig) -> Vec<RttSample> {
     let mut radio = RadioModel::new(&profile, &rngs, config.run_index);
     let plan = uav_profiles::paper_flight(Position::ground(0.0, 0.0), config.hold);
 
-    let mut uplink = Path::new(
-        GilbertElliott::off(),
-        rngs.stream_indexed("ping.ul.fault", config.run_index),
-        10e6,
-        SimDuration::from_millis(5),
-        usize::MAX,
-        SimDuration::from_millis(12),
-        SimDuration::from_micros(600),
-        rngs.stream_indexed("ping.ul.wan", config.run_index),
-    );
-    let mut downlink = Path::new(
-        GilbertElliott::off(),
-        rngs.stream_indexed("ping.dl.fault", config.run_index),
-        150e6,
-        SimDuration::from_millis(5),
-        usize::MAX,
-        SimDuration::from_millis(12),
-        SimDuration::from_micros(600),
-        rngs.stream_indexed("ping.dl.wan", config.run_index),
-    );
+    // The study's access chain without baseline loss or a buffer limit.
+    let path = |direction: &str, rate_bps| {
+        let stream =
+            |what| rngs.stream_indexed(&format!("ping.{direction}.{what}"), config.run_index);
+        Path::new(
+            GilbertElliott::off(),
+            stream("fault"),
+            rate_bps,
+            BOTTLENECK_DELAY,
+            usize::MAX,
+            WAN_DELAY,
+            WAN_JITTER,
+            stream("wan"),
+        )
+    };
+    let mut uplink = path("ul", UPLINK_INITIAL_BPS);
+    let mut downlink = path("dl", DOWNLINK_BPS);
 
     let mut samples = Vec::new();
     let mut t = SimTime::ZERO;
@@ -70,8 +70,8 @@ pub fn run_ping(config: &ExperimentConfig) -> Vec<RttSample> {
             next_radio = t + radio.tick();
             let pos = plan.position_at(t);
             let s = radio.step(t, &pos);
-            uplink.set_rate_bps(t, s.uplink_capacity_bps.max(50e3));
-            downlink.set_rate_bps(t, s.downlink_capacity_bps.max(50e3));
+            uplink.set_rate_bps(t, s.uplink_capacity_bps.max(MIN_RATE_BPS));
+            downlink.set_rate_bps(t, s.downlink_capacity_bps.max(MIN_RATE_BPS));
             if let Some(ho) = s.handover {
                 uplink.pause_until(t, ho.complete_at);
                 downlink.pause_until(t, ho.complete_at);

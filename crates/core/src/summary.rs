@@ -1,206 +1,97 @@
-//! Headline statistics — the numbers quoted in the paper's running text.
+//! Headline statistics — the numbers quoted in the paper's running text —
+//! and the streaming campaign aggregates.
 
 use crate::codec::{ByteReader, ByteWriter};
+use crate::metrics::RunMetrics;
 use crate::runner::CampaignResult;
 use crate::stats;
+use crate::table::Column;
 
-/// The in-text statistics for one configuration.
-#[derive(Clone, Debug)]
-pub struct HeadlineStats {
-    /// Configuration label.
-    pub label: String,
-    /// Mean goodput (Mbps).
-    pub goodput_mbps: f64,
-    /// Stall events per minute (§4.2.1: 0.11 / 0.89 / 1.37).
-    pub stalls_per_minute: f64,
-    /// Fraction of playback latency ≤ 300 ms (§4.2.2).
-    pub playback_within_300ms: f64,
-    /// Fraction of SSIM samples < 0.5 (§4.2.3: 0.37–19.09 %).
-    pub ssim_below_half: f64,
-    /// Fraction of FPS windows at ≥ 29 FPS.
-    pub fps_at_30: f64,
-    /// Packet error rate (§4.1: 0.06–0.07 %).
-    pub per: f64,
-    /// Mean handover frequency (HO/s).
-    pub ho_per_second: f64,
-    /// Median one-way latency (ms).
-    pub owd_median_ms: f64,
-    /// 99th-percentile one-way latency (ms).
-    pub owd_p99_ms: f64,
-    /// Wire-damage tally pooled over the campaign: packets that failed to
-    /// parse plus payloads whose metadata header was rejected.
-    pub malformed: u64,
-    /// Duplicate arrivals discarded (netem duplication or a lost RTX race).
-    pub duplicates: u64,
-    /// Packets that arrived after the receiver had given up on them —
-    /// reordered beyond the NACK track window or an RTX past its playout
-    /// deadline.
-    pub late: u64,
-    /// NACK feedback messages sent across the campaign.
-    pub nacks_sent: u64,
-    /// Lost packets recovered by retransmission in time for playout.
-    pub rtx_recovered: u64,
-    /// Wasted retransmissions: RTX that arrived past the playout deadline.
-    pub rtx_wasted: u64,
-    /// Pooled repair efficiency: recovered / requested sequence numbers
-    /// (0.0 when repair was off — nothing was ever requested).
-    pub repair_efficiency: f64,
-    /// Failover switch events across the campaign (multipath runs only).
-    pub switches: u64,
-    /// Packets transmitted a second time on the other leg.
-    pub dup_tx: u64,
-    /// Mean per-run path dead time (ms, summed over legs).
-    pub dead_ms: f64,
-    /// FEC parity packets transmitted (bonded runs only).
-    pub fec_tx: u64,
-    /// Erased packets rebuilt from parity before the NACK path fired.
-    pub fec_recovered: u64,
-    /// Of those, packets from groups that lost more than one member —
-    /// Reed–Solomon repairs beyond any single-parity XOR code.
-    pub fec_multi_recovered: u64,
-    /// Cross-leg arrivals behind the highest delivered sequence, absorbed
-    /// by the reorder-tolerant reassembly window.
-    pub reorder_buffered: u64,
-    /// Mean fraction of first-flight media carried by leg 0 (0.5 = even
-    /// bonded split; 1.0 = everything on the primary).
-    pub leg0_share: f64,
+/// Sum of `f` over the campaign's runs.
+fn sum(c: &CampaignResult, f: fn(&RunMetrics) -> u64) -> u64 {
+    c.runs.iter().map(f).sum()
 }
 
-impl HeadlineStats {
-    /// Compute the headline stats of a campaign.
-    pub fn from_campaign(c: &CampaignResult) -> Self {
-        let playback = c.playback_latency_ms();
-        let ssim = c.ssim();
-        let fps = c.fps_samples();
-        let owd = c.owd_ms();
-        HeadlineStats {
-            label: c.label.clone(),
-            goodput_mbps: stats::mean(
-                &c.runs
-                    .iter()
-                    .map(|r| r.goodput_bps() / 1e6)
-                    .collect::<Vec<f64>>(),
-            ),
-            stalls_per_minute: c.stalls_per_minute(),
-            playback_within_300ms: stats::fraction_at_or_below(&playback, 300.0),
-            ssim_below_half: stats::fraction_below_strict(&ssim, 0.5),
-            fps_at_30: 1.0 - stats::fraction_at_or_below(&fps, 29.0),
-            per: c.per(),
-            ho_per_second: stats::mean(&c.ho_frequencies()),
-            owd_median_ms: if owd.is_empty() {
-                f64::NAN
-            } else {
-                stats::quantile(&owd, 0.5)
-            },
-            owd_p99_ms: if owd.is_empty() {
-                f64::NAN
-            } else {
-                stats::quantile(&owd, 0.99)
-            },
-            malformed: c
-                .runs
-                .iter()
-                .map(|r| r.malformed_packets + r.malformed_payloads)
-                .sum(),
-            duplicates: c.runs.iter().map(|r| r.duplicate_packets).sum(),
-            late: c.runs.iter().map(|r| r.late_packets).sum(),
-            nacks_sent: c.runs.iter().map(|r| r.nacks_sent).sum(),
-            rtx_recovered: c.runs.iter().map(|r| r.rtx_recovered).sum(),
-            rtx_wasted: c.runs.iter().map(|r| r.rtx_late).sum(),
-            repair_efficiency: {
-                let requested: u64 = c.runs.iter().map(|r| r.nack_seqs_requested).sum();
-                let recovered: u64 = c.runs.iter().map(|r| r.rtx_recovered).sum();
-                if requested == 0 {
-                    0.0
-                } else {
-                    recovered as f64 / requested as f64
-                }
-            },
-            switches: c.runs.iter().map(|r| r.switches.len() as u64).sum(),
-            dup_tx: c.runs.iter().map(|r| r.dup_tx_packets).sum(),
-            dead_ms: stats::mean(
-                &c.runs
-                    .iter()
-                    .map(|r| r.path_dead_ms())
-                    .collect::<Vec<f64>>(),
-            ),
-            fec_tx: c.runs.iter().map(|r| r.fec_tx).sum(),
-            fec_recovered: c.runs.iter().map(|r| r.fec_recovered).sum(),
-            fec_multi_recovered: c.runs.iter().map(|r| r.fec_multi_recovered).sum(),
-            reorder_buffered: c.runs.iter().map(|r| r.reorder_buffered).sum(),
-            leg0_share: stats::mean(
-                &c.runs
-                    .iter()
-                    .map(|r| r.leg_tx_share(0))
-                    .collect::<Vec<f64>>(),
-            ),
-        }
-    }
-
-    /// Render one table row.
-    pub fn row(&self) -> String {
-        format!(
-            "{:<24} {:>8.1} {:>10.2} {:>10.1} {:>9.2} {:>8.1} {:>8.3} {:>7.3} {:>8.1} {:>8.1} {:>6} {:>6} {:>6} {:>7} {:>7} {:>6} {:>5.2} {:>4} {:>6} {:>7.0} {:>6} {:>6} {:>6} {:>6} {:>5.2}",
-            self.label,
-            self.goodput_mbps,
-            self.stalls_per_minute,
-            self.playback_within_300ms * 100.0,
-            self.ssim_below_half * 100.0,
-            self.fps_at_30 * 100.0,
-            self.per * 100.0,
-            self.ho_per_second,
-            self.owd_median_ms,
-            self.owd_p99_ms,
-            self.malformed,
-            self.duplicates,
-            self.late,
-            self.nacks_sent,
-            self.rtx_recovered,
-            self.rtx_wasted,
-            self.repair_efficiency,
-            self.switches,
-            self.dup_tx,
-            self.dead_ms,
-            self.fec_tx,
-            self.fec_recovered,
-            self.fec_multi_recovered,
-            self.reorder_buffered,
-            self.leg0_share,
-        )
-    }
-
-    /// Table header matching [`HeadlineStats::row`].
-    pub fn header() -> String {
-        format!(
-            "{:<24} {:>8} {:>10} {:>10} {:>9} {:>8} {:>8} {:>7} {:>8} {:>8} {:>6} {:>6} {:>6} {:>7} {:>7} {:>6} {:>5} {:>4} {:>6} {:>7} {:>6} {:>6} {:>6} {:>6} {:>5}",
-            "configuration",
-            "Mbps",
-            "stalls/mn",
-            "<300ms %",
-            "ssim<.5%",
-            "30fps %",
-            "PER %",
-            "HO/s",
-            "owd p50",
-            "owd p99",
-            "malf",
-            "dup",
-            "late",
-            "nacks",
-            "rec",
-            "waste",
-            "eff",
-            "sw",
-            "dupx",
-            "deadms",
-            "fectx",
-            "fecrec",
-            "fecmr",
-            "reord",
-            "leg0",
-        )
-    }
+/// Mean of `f` over the campaign's runs.
+fn mean(c: &CampaignResult, f: fn(&RunMetrics) -> f64) -> f64 {
+    stats::mean(&c.runs.iter().map(f).collect::<Vec<f64>>())
 }
+
+/// Quantile `q` of the pooled one-way delays (ms); NaN without samples.
+fn owd(c: &CampaignResult, q: f64) -> String {
+    let owd = c.owd_ms();
+    let ms = (!owd.is_empty()).then(|| stats::quantile(&owd, q));
+    format!("{:.1}", ms.unwrap_or(f64::NAN))
+}
+
+/// The in-text statistics, one row per configuration. Fractions print as
+/// per cent; counters are pooled over the campaign's runs.
+pub const HEADLINE: &[Column<CampaignResult>] = &[
+    ("configuration", |c| c.label.clone()),
+    ("Mbps", |c| {
+        format!("{:.1}", mean(c, |r| r.goodput_bps() / 1e6))
+    }),
+    // Stall events per minute (§4.2.1: 0.11 / 0.89 / 1.37).
+    ("stalls/mn", |c| format!("{:.2}", c.stalls_per_minute())),
+    // Playback latency ≤ 300 ms (§4.2.2).
+    ("<300ms%", |c| {
+        let within = stats::fraction_at_or_below(&c.playback_latency_ms(), 300.0);
+        format!("{:.1}", within * 100.0)
+    }),
+    // SSIM samples < 0.5 (§4.2.3: 0.37–19.09 %).
+    ("ssim<.5%", |c| {
+        let below = stats::fraction_below_strict(&c.ssim(), 0.5);
+        format!("{:.2}", below * 100.0)
+    }),
+    // FPS windows at ≥ 29 FPS.
+    ("30fps%", |c| {
+        let at_30 = 1.0 - stats::fraction_at_or_below(&c.fps_samples(), 29.0);
+        format!("{:.1}", at_30 * 100.0)
+    }),
+    // Packet error rate (§4.1: 0.06–0.07 %).
+    ("PER%", |c| format!("{:.3}", c.per() * 100.0)),
+    ("HO/s", |c| {
+        format!("{:.3}", stats::mean(&c.ho_frequencies()))
+    }),
+    ("owd_p50", |c| owd(c, 0.5)),
+    ("owd_p99", |c| owd(c, 0.99)),
+    // Wire damage: packets that failed to parse plus payloads whose
+    // metadata header was rejected.
+    ("malf", |c| {
+        sum(c, |r| r.malformed_packets + r.malformed_payloads).to_string()
+    }),
+    ("dup", |c| sum(c, |r| r.duplicate_packets).to_string()),
+    // Arrivals after the receiver gave up on them.
+    ("late", |c| sum(c, |r| r.late_packets).to_string()),
+    ("nacks", |c| sum(c, |r| r.nacks_sent).to_string()),
+    ("rec", |c| sum(c, |r| r.rtx_recovered).to_string()),
+    // Retransmissions that arrived past the playout deadline.
+    ("waste", |c| sum(c, |r| r.rtx_late).to_string()),
+    // Pooled repair efficiency: recovered / requested sequence numbers
+    // (0 when repair was off).
+    ("eff", |c| {
+        let requested = sum(c, |r| r.nack_seqs_requested);
+        let recovered = sum(c, |r| r.rtx_recovered);
+        let efficiency = match requested {
+            0 => 0.0,
+            _ => recovered as f64 / requested as f64,
+        };
+        format!("{efficiency:.2}")
+    }),
+    ("sw", |c| sum(c, |r| r.switches.len() as u64).to_string()),
+    ("dupx", |c| sum(c, |r| r.dup_tx_packets).to_string()),
+    // Mean per-run path dead time, summed over legs.
+    ("deadms", |c| {
+        format!("{:.0}", mean(c, RunMetrics::path_dead_ms))
+    }),
+    ("fectx", |c| sum(c, |r| r.fec_tx).to_string()),
+    ("fecrec", |c| sum(c, |r| r.fec_recovered).to_string()),
+    // Recovered from groups that lost more than one member.
+    ("fecmr", |c| sum(c, |r| r.fec_multi_recovered).to_string()),
+    ("reord", |c| sum(c, |r| r.reorder_buffered).to_string()),
+    // Mean share of first-flight media on leg 0 (0.5 = even split).
+    ("leg0", |c| format!("{:.2}", mean(c, |r| r.leg_tx_share(0)))),
+];
 
 /// Leading word of [`CampaignAggregates::to_bytes`]; bumped whenever the
 /// layout changes. Version 2 replaced each histogram's f64 sum with its
@@ -209,7 +100,7 @@ pub const AGGREGATES_VERSION: u64 = 2;
 
 /// Streaming campaign aggregates: everything
 /// [`EngineReport`](crate::exec::EngineReport) accumulates about a matrix
-/// without retaining per-run [`RunMetrics`](crate::metrics::RunMetrics).
+/// without retaining per-run [`RunMetrics`].
 /// Counters are exact; distributions live in mergeable [`LogHistogram`]
 /// sketches whose memory is flat in the cell count.
 ///
@@ -259,7 +150,7 @@ pub struct CampaignAggregates {
 
 impl CampaignAggregates {
     /// Fold one completed run in.
-    pub fn fold(&mut self, m: &crate::metrics::RunMetrics) {
+    pub fn fold(&mut self, m: &RunMetrics) {
         self.cells += 1;
         self.media_sent += m.media_sent;
         self.media_received += m.media_received;
@@ -284,18 +175,9 @@ impl CampaignAggregates {
 
     /// Merge another aggregate in (shards, resumed segments).
     pub fn merge(&mut self, other: &CampaignAggregates) {
-        self.cells += other.cells;
-        self.failed += other.failed;
-        self.media_sent += other.media_sent;
-        self.media_received += other.media_received;
-        self.media_received_bytes += other.media_received_bytes;
-        self.stalls += other.stalls;
-        self.stalled_time_us += other.stalled_time_us;
-        self.nacks_sent += other.nacks_sent;
-        self.rtx_recovered += other.rtx_recovered;
-        self.fec_recovered += other.fec_recovered;
-        self.ssim_samples += other.ssim_samples;
-        self.ssim_below_half += other.ssim_below_half;
+        for (counter, theirs) in self.counters_mut().into_iter().zip(other.counters()) {
+            *counter += theirs;
+        }
         self.goodput_mbps.merge(&other.goodput_mbps);
         self.owd_ms.merge(&other.owd_ms);
         self.playback_ms.merge(&other.playback_ms);
@@ -440,37 +322,21 @@ impl CampaignAggregates {
             &mut self.ssim_below_half,
         ]
     }
-
-    /// Human summary lines for bench/engine reports.
-    pub fn summary(&self) -> String {
-        let q = |h: &stats::LogHistogram, q: f64| h.quantile(q).unwrap_or(f64::NAN);
-        format!(
-            "aggregates: {} cells ({} failed) | goodput p50={:.2} p99={:.2} Mbps | \
-             owd p50={:.1} p99={:.1} ms | playback p50={:.1} p99={:.1} ms | \
-             stalls={} nacks={} rtx+fec={}",
-            self.cells,
-            self.failed,
-            q(&self.goodput_mbps, 0.5),
-            q(&self.goodput_mbps, 0.99),
-            q(&self.owd_ms, 0.5),
-            q(&self.owd_ms, 0.99),
-            q(&self.playback_ms, 0.5),
-            q(&self.playback_ms, 0.99),
-            self.stalls,
-            self.nacks_sent,
-            self.rtx_recovered + self.fec_recovered,
-        )
-    }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use crate::metrics::RunMetrics;
     use rpav_sim::SimDuration;
 
-    #[test]
-    fn headline_from_synthetic_campaign() {
+    fn campaign(label: &str, runs: Vec<RunMetrics>) -> CampaignResult {
+        let label = label.into();
+        CampaignResult { label, runs }
+    }
+
+    /// One minute of steady delivery: 50 ms delays, every tenth frame
+    /// late, every twentieth below SSIM 0.5.
+    fn synthetic() -> CampaignResult {
         let mut run = RunMetrics {
             duration: SimDuration::from_secs(60),
             media_sent: 10_000,
@@ -491,27 +357,22 @@ mod tests {
                 displayed: true,
             })
             .collect();
-        let campaign = crate::runner::CampaignResult {
-            label: "synthetic".into(),
-            runs: vec![run],
-        };
-        let h = HeadlineStats::from_campaign(&campaign);
-        assert!((h.playback_within_300ms - 0.9).abs() < 0.01);
-        assert!((h.ssim_below_half - 0.05).abs() < 0.01);
-        assert!((h.stalls_per_minute - 1.0).abs() < 1e-9);
-        assert!((h.per - 0.0007).abs() < 1e-4);
-        assert_eq!(h.owd_median_ms, 50.0);
-        // Rows render without panicking and align with the header.
-        assert!(!h.row().is_empty());
-        assert!(!HeadlineStats::header().is_empty());
+        campaign("synthetic", vec![run])
     }
 
-    #[test]
-    fn repair_counters_pool_and_serialize() {
-        let mk = |scale: u64| RunMetrics {
+    /// One minute: 1 000 packets sent, 990 received.
+    fn minute() -> RunMetrics {
+        RunMetrics {
             duration: SimDuration::from_secs(60),
             media_sent: 1_000,
             media_received: 990,
+            ..Default::default()
+        }
+    }
+
+    /// Two runs with repair counters, the second twice the first.
+    fn repair() -> CampaignResult {
+        let mk = |scale: u64| RunMetrics {
             malformed_packets: 3 * scale,
             malformed_payloads: scale,
             duplicate_packets: 5 * scale,
@@ -520,47 +381,16 @@ mod tests {
             nack_seqs_requested: 100 * scale,
             rtx_recovered: 80 * scale,
             rtx_late: 7 * scale,
-            ..Default::default()
+            ..minute()
         };
-        let campaign = crate::runner::CampaignResult {
-            label: "repair".into(),
-            runs: vec![mk(1), mk(2)],
-        };
-        let h = HeadlineStats::from_campaign(&campaign);
-        // Pooling sums across runs; malformed merges wire and payload
-        // damage.
-        assert_eq!(h.malformed, 12);
-        assert_eq!(h.duplicates, 15);
-        assert_eq!(h.late, 6);
-        assert_eq!(h.nacks_sent, 120);
-        assert_eq!(h.rtx_recovered, 240);
-        assert_eq!(h.rtx_wasted, 21);
-        assert!((h.repair_efficiency - 0.8).abs() < 1e-9);
-        // The serialized row carries every repair column and aligns with
-        // the header.
-        let row = h.row();
-        for needle in ["12", "15", "120", "240", "21", "0.80"] {
-            assert!(row.contains(needle), "row missing {needle}: {row}");
-        }
-        for col in [
-            "malf", "dup", "late", "nacks", "rec", "waste", "eff", "sw", "dupx", "deadms", "fectx",
-            "fecrec", "fecmr", "reord", "leg0",
-        ] {
-            assert!(
-                HeadlineStats::header().contains(col),
-                "header missing {col}"
-            );
-        }
+        campaign("repair", vec![mk(1), mk(2)])
     }
 
-    #[test]
-    fn failover_counters_surface_in_row() {
+    /// One switch, 77 duplicated packets, leg 0 dead for 1.5 s.
+    fn failover() -> CampaignResult {
         let mut run = RunMetrics {
-            duration: SimDuration::from_secs(60),
-            media_sent: 1_000,
-            media_received: 990,
             dup_tx_packets: 77,
-            ..Default::default()
+            ..minute()
         };
         run.switches.push(crate::metrics::SwitchRecord {
             at: rpav_sim::SimTime::from_millis(12_000),
@@ -573,32 +403,18 @@ mod tests {
             time_dead: SimDuration::from_millis(1_500),
             ..Default::default()
         });
-        let campaign = crate::runner::CampaignResult {
-            label: "failover".into(),
-            runs: vec![run],
-        };
-        let h = HeadlineStats::from_campaign(&campaign);
-        assert_eq!(h.switches, 1);
-        assert_eq!(h.dup_tx, 77);
-        assert!((h.dead_ms - 1_500.0).abs() < 1e-9);
-        let row = h.row();
-        for needle in ["77", "1500"] {
-            assert!(row.contains(needle), "row missing {needle}: {row}");
-        }
+        campaign("failover", vec![run])
     }
 
-    #[test]
-    fn bonding_counters_pool_and_surface_in_row() {
+    /// Two bonded runs splitting 60/40 and 40/60 over two legs.
+    fn bonded() -> CampaignResult {
         let mk = |leg0_tx: u64, leg1_tx: u64| {
             let mut run = RunMetrics {
-                duration: SimDuration::from_secs(60),
-                media_sent: 1_000,
-                media_received: 990,
                 fec_tx: 120,
                 fec_recovered: 11,
                 fec_multi_recovered: 4,
                 reorder_buffered: 33,
-                ..Default::default()
+                ..minute()
             };
             for (leg, tx) in [(0u8, leg0_tx), (1u8, leg1_tx)] {
                 run.path_health.push(crate::metrics::PathHealthSummary {
@@ -609,20 +425,86 @@ mod tests {
             }
             run
         };
-        let campaign = crate::runner::CampaignResult {
-            label: "bonded".into(),
-            runs: vec![mk(600, 400), mk(400, 600)],
-        };
-        let h = HeadlineStats::from_campaign(&campaign);
-        assert_eq!(h.fec_tx, 240);
-        assert_eq!(h.fec_recovered, 22);
-        assert_eq!(h.fec_multi_recovered, 8);
-        assert_eq!(h.reorder_buffered, 66);
-        assert!((h.leg0_share - 0.5).abs() < 1e-9);
-        let row = h.row();
-        for needle in ["240", "22", "66", "0.50"] {
-            assert!(row.contains(needle), "row missing {needle}: {row}");
+        campaign("bonded", vec![mk(600, 400), mk(400, 600)])
+    }
+
+    /// Every fixture campaign of the headline table; the last ran
+    /// without repair.
+    pub(crate) fn campaigns() -> Vec<CampaignResult> {
+        let off = campaign("off", vec![minute()]);
+        vec![synthetic(), repair(), failover(), bonded(), off]
+    }
+
+    /// The campaign's field under `header`, read back as a number.
+    fn value(c: &CampaignResult, header: &str) -> f64 {
+        let column = HEADLINE.iter().find(|col| col.0 == header);
+        let field = (column.expect(header).1)(c);
+        field
+            .parse()
+            .unwrap_or_else(|_| panic!("{header}: {field}"))
+    }
+
+    #[test]
+    fn headline_from_synthetic_campaign() {
+        let c = synthetic();
+        assert!((value(&c, "<300ms%") - 90.0).abs() < 1.0);
+        assert!((value(&c, "ssim<.5%") - 5.0).abs() < 1.0);
+        assert!((value(&c, "stalls/mn") - 1.0).abs() < 1e-9);
+        assert!((value(&c, "PER%") - 0.07).abs() < 1e-2);
+        assert_eq!(value(&c, "owd_p50"), 50.0);
+    }
+
+    #[test]
+    fn repair_counters_pool_and_serialize() {
+        // Pooling sums across runs; malformed merges wire and payload
+        // damage.
+        let c = repair();
+        for (header, want) in [
+            ("malf", 12.0),
+            ("dup", 15.0),
+            ("late", 6.0),
+            ("nacks", 120.0),
+            ("rec", 240.0),
+            ("waste", 21.0),
+            ("eff", 0.8),
+        ] {
+            assert_eq!(value(&c, header), want, "{header}");
         }
+    }
+
+    #[test]
+    fn failover_counters_surface_in_row() {
+        let c = failover();
+        assert_eq!(value(&c, "sw"), 1.0);
+        assert_eq!(value(&c, "dupx"), 77.0);
+        assert_eq!(value(&c, "deadms"), 1_500.0);
+    }
+
+    #[test]
+    fn bonding_counters_pool_and_surface_in_row() {
+        let c = bonded();
+        assert_eq!(value(&c, "fectx"), 240.0);
+        assert_eq!(value(&c, "fecrec"), 22.0);
+        assert_eq!(value(&c, "fecmr"), 8.0);
+        assert_eq!(value(&c, "reord"), 66.0);
+        assert_eq!(value(&c, "leg0"), 0.5);
+    }
+
+    #[test]
+    fn repair_efficiency_zero_when_repair_off() {
+        let c = campaigns().pop().unwrap();
+        assert_eq!(value(&c, "eff"), 0.0);
+        assert_eq!(value(&c, "nacks"), 0.0);
+    }
+
+    /// FNV-1a over the value lines of the fixture campaigns' headline CSV
+    /// (the header excluded): the values the fixed-width table printed
+    /// before this column list replaced it, comma-joined.
+    #[test]
+    fn headline_values_stay_put() {
+        let csv = crate::table::csv(HEADLINE, campaigns());
+        let values = csv.split_once('\n').unwrap().1;
+        assert_eq!(crate::codec::fnv1a(values.as_bytes()), 0x3b6f6aca9cf3056e);
     }
 
     #[test]
@@ -682,7 +564,6 @@ mod tests {
         whole.fold_failure();
         assert_eq!(whole.failed, 1);
         assert_ne!(whole.to_bytes(), bytes);
-        assert!(!whole.summary().is_empty());
     }
 
     /// A synthetic run whose delays and frame latencies mix in-range
@@ -870,21 +751,5 @@ mod tests {
         a.fold_failure();
         a.clear();
         assert_eq!(a, CampaignAggregates::default());
-    }
-
-    #[test]
-    fn repair_efficiency_zero_when_repair_off() {
-        let campaign = crate::runner::CampaignResult {
-            label: "off".into(),
-            runs: vec![RunMetrics {
-                duration: SimDuration::from_secs(60),
-                media_sent: 1_000,
-                media_received: 990,
-                ..Default::default()
-            }],
-        };
-        let h = HeadlineStats::from_campaign(&campaign);
-        assert_eq!(h.repair_efficiency, 0.0);
-        assert_eq!(h.nacks_sent, 0);
     }
 }

@@ -4,6 +4,7 @@
 use rpav_sim::{SimDuration, SimTime};
 
 use crate::metrics::RunMetrics;
+use crate::table::Column;
 
 /// One 100 ms row of the joined trace.
 #[derive(Clone, Copy, Debug)]
@@ -82,16 +83,11 @@ pub fn build_trace(metrics: &RunMetrics) -> Vec<TraceRow> {
             ho_idx += 1;
         }
 
-        // Loss: infer from sent-vs-received totals is global; per-window we
-        // approximate via OWD sample density vs expectation — instead use
-        // the radio in_handover + leave a simple 0 unless samples vanish.
-        let expected = (w.len() as f64).max(1.0);
+        // Loss: a window without deliveries while the stream is active
+        // is a full interruption; any other window reads 0.
         let loss_pct = if w.is_empty() && metrics.media_sent > 0 {
-            // No deliveries in the window while the stream is active:
-            // report full interruption.
             100.0
         } else {
-            let _ = expected;
             0.0
         };
 
@@ -109,28 +105,24 @@ pub fn build_trace(metrics: &RunMetrics) -> Vec<TraceRow> {
     rows
 }
 
-/// Render rows as CSV (the release format of the paper's dataset scripts).
-pub fn to_csv(rows: &[TraceRow]) -> String {
-    let mut out = String::from(
-        "t_s,altitude_m,network_latency_ms,playback_latency_ms,loss_pct,handover,capacity_mbps\n",
-    );
-    for r in rows {
-        out.push_str(&format!(
-            "{:.1},{:.1},{:.2},{:.2},{:.1},{},{:.2}\n",
-            r.t.as_secs_f64(),
-            r.altitude_m,
-            r.network_latency_ms,
-            r.playback_latency_ms,
-            r.loss_pct,
-            r.handover as u8,
-            r.capacity_bps / 1e6,
-        ));
-    }
-    out
-}
+/// The trace's columns, in the release format of the paper's dataset
+/// scripts.
+pub const COLUMNS: &[Column<TraceRow>] = &[
+    ("t_s", |r| format!("{:.1}", r.t.as_secs_f64())),
+    ("altitude_m", |r| format!("{:.1}", r.altitude_m)),
+    ("network_latency_ms", |r| {
+        format!("{:.2}", r.network_latency_ms)
+    }),
+    ("playback_latency_ms", |r| {
+        format!("{:.2}", r.playback_latency_ms)
+    }),
+    ("loss_pct", |r| format!("{:.1}", r.loss_pct)),
+    ("handover", |r| (r.handover as u8).to_string()),
+    ("capacity_mbps", |r| format!("{:.2}", r.capacity_bps / 1e6)),
+];
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::metrics::{FrameRecord, HandoverRecord, RadioTraceRow};
     use rpav_lte::HandoverKind;
@@ -139,7 +131,7 @@ mod tests {
         SimTime::from_millis(ms)
     }
 
-    fn metrics() -> RunMetrics {
+    pub(crate) fn metrics() -> RunMetrics {
         RunMetrics {
             duration: SimDuration::from_secs(10),
             media_sent: 1_000,
@@ -204,7 +196,7 @@ mod tests {
     #[test]
     fn csv_renders_header_and_rows() {
         let rows = build_trace(&metrics());
-        let csv = to_csv(&rows);
+        let csv = crate::table::csv(COLUMNS, &rows);
         let lines: Vec<&str> = csv.lines().collect();
         assert!(lines[0].starts_with("t_s,altitude_m"));
         assert_eq!(lines.len(), 101);

@@ -132,37 +132,6 @@ pub fn scatter_layout(
     sites
 }
 
-/// Place `n` macro sites in a ring-plus-jitter layout around the flight
-/// area (kept for scenarios that want a symmetric worst case).
-pub fn ring_layout(
-    n: usize,
-    center: Position,
-    radius_m: f64,
-    antenna_height_m: f64,
-    tx_power_dbm: f64,
-    downtilt_deg: f64,
-    rng: &mut SimRng,
-) -> Vec<BaseStation> {
-    let mut sites = Vec::with_capacity(n);
-    for i in 0..n {
-        let angle = std::f64::consts::TAU * i as f64 / n as f64 + rng.uniform_range(-0.15, 0.15);
-        // Radius jitter keeps the ring from being perfectly symmetric.
-        let r = radius_m * rng.uniform_range(0.55, 1.25);
-        let pos = Position::new(
-            center.x + r * angle.cos(),
-            center.y + r * angle.sin(),
-            antenna_height_m * rng.uniform_range(0.85, 1.15),
-        );
-        sites.push(BaseStation {
-            site: i as u32,
-            position: pos,
-            tx_power_dbm,
-            downtilt_deg,
-        });
-    }
-    sites
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -171,7 +140,7 @@ mod tests {
     #[test]
     fn from_sites_creates_three_sectors_each() {
         let mut rng = RngSet::new(1).stream("cells");
-        let sites = ring_layout(
+        let sites = scatter_layout(
             4,
             Position::ground(0.0, 0.0),
             500.0,
@@ -192,38 +161,5 @@ mod tests {
         assert_eq!(s0.len(), 3);
         let a = (s0[1].azimuth_deg - s0[0].azimuth_deg).rem_euclid(360.0);
         assert!((a - 120.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn ring_layout_is_deterministic() {
-        let mk = || {
-            let mut rng = RngSet::new(7).stream("layout");
-            ring_layout(
-                6,
-                Position::ground(10.0, 20.0),
-                800.0,
-                30.0,
-                43.0,
-                8.0,
-                &mut rng,
-            )
-        };
-        let a = mk();
-        let b = mk();
-        for (x, y) in a.iter().zip(b.iter()) {
-            assert_eq!(x.position, y.position);
-        }
-    }
-
-    #[test]
-    fn ring_layout_respects_radius_band() {
-        let mut rng = RngSet::new(3).stream("layout");
-        let center = Position::ground(0.0, 0.0);
-        let sites = ring_layout(16, center, 1000.0, 30.0, 43.0, 8.0, &mut rng);
-        for s in &sites {
-            let d = s.position.horizontal_distance(&center);
-            assert!((500.0..=1300.0).contains(&d), "site at {d} m");
-            assert!(s.position.z > 20.0);
-        }
     }
 }

@@ -11,7 +11,7 @@ use rpav_sim::{SimDuration, SimRng, SimTime};
 use rpav_uav::Position;
 
 use crate::antenna;
-use crate::cell::{Cell, CellId};
+use crate::cell::Cell;
 
 /// Tunable propagation parameters; profiles in [`crate::profiles`] pick the
 /// urban/rural values.
@@ -61,31 +61,6 @@ pub fn los_probability(params: &ChannelParams, d2d_m: f64, alt_m: f64) -> f64 {
     let ground = (-d2d_m / params.los_scale_m).exp();
     let lift = (alt_m / 100.0).clamp(0.0, 1.0);
     ground + (1.0 - ground) * lift
-}
-
-/// Deterministic spatially-consistent LoS draw: the decision is hashed from
-/// the cell and a 40 m position grid, so a UE moving through one grid cell
-/// sees a stable LoS state instead of per-tick flicker, and every run with
-/// the same geometry reproduces the same LoS map.
-pub fn is_los(
-    params: &ChannelParams,
-    cell: CellId,
-    pos: &Position,
-    alt_m: f64,
-    d2d_m: f64,
-) -> bool {
-    let p = los_probability(params, d2d_m, alt_m);
-    let gx = (pos.x / 40.0).floor() as i64;
-    let gy = (pos.y / 40.0).floor() as i64;
-    let gz = (pos.z / 20.0).floor() as i64;
-    let mut h: u64 = 0x9E3779B97F4A7C15 ^ (cell.0 as u64).wrapping_mul(0x85EBCA77);
-    for v in [gx, gy, gz] {
-        h ^= (v as u64).wrapping_mul(0xC2B2AE3D27D4EB4F);
-        h = h.rotate_left(27).wrapping_mul(0x9E3779B97F4A7C15);
-    }
-    // Map hash to [0,1).
-    let u = (h >> 11) as f64 / (1u64 << 53) as f64;
-    u < p
 }
 
 /// Log-distance path loss (dB) over 3D distance `d3d_m`.
@@ -408,7 +383,7 @@ pub fn uplink_throughput_bps(params: &ChannelParams, sinr_db: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cell::Cell;
+    use crate::cell::CellId;
     use rpav_sim::RngSet;
 
     fn params() -> ChannelParams {
@@ -450,17 +425,6 @@ mod tests {
         assert!(far_high > far_ground);
         assert!(far_high > 0.9);
         assert!((0.0..=1.0).contains(&near_ground));
-    }
-
-    #[test]
-    fn is_los_is_spatially_stable() {
-        let p = params();
-        let pos = Position::new(100.0, 100.0, 1.5);
-        let a = is_los(&p, CellId(3), &pos, 1.5, 200.0);
-        // A 1 m move inside the same grid cell keeps the decision.
-        let pos2 = Position::new(101.0, 100.0, 1.5);
-        let b = is_los(&p, CellId(3), &pos2, 1.5, 200.0);
-        assert_eq!(a, b);
     }
 
     #[test]

@@ -231,22 +231,6 @@ impl BottleneckLink {
     pub fn queue_stats(&self) -> QueueStats {
         self.queue.stats()
     }
-
-    /// Estimated delay a new arrival would face right now: queue drain plus
-    /// own serialisation plus propagation (plus residual pause).
-    pub fn estimated_delay(&self, now: SimTime, size_bytes: usize) -> SimDuration {
-        let mut d = self.prop_delay;
-        d += self.paused_until.saturating_since(now);
-        if self.rate_bps > 0.0 {
-            let backlog_bits = (self.queue.bytes() + size_bytes) as f64 * 8.0;
-            d += SimDuration::from_secs_f64(backlog_bits / self.rate_bps);
-            if let Some((pkt, finish)) = &self.in_service {
-                let _ = pkt;
-                d += finish.saturating_since(now);
-            }
-        }
-        d
-    }
 }
 
 /// A FIFO delay stage with optional jitter: models the wired WAN leg
@@ -414,19 +398,6 @@ mod tests {
         // After serialisation completes, wake at delivery.
         link.advance(t0 + SimDuration::from_millis(1));
         assert_eq!(link.next_wake(), Some(t0 + SimDuration::from_millis(11)));
-    }
-
-    #[test]
-    fn estimated_delay_counts_backlog() {
-        let mut link = link_8mbps();
-        let t0 = SimTime::ZERO;
-        let idle = link.estimated_delay(t0, 1000);
-        // 1 ms serialisation + 10 ms propagation.
-        assert_eq!(idle, SimDuration::from_millis(11));
-        link.enqueue(t0, pkt(0, 1000 - IP_UDP_OVERHEAD));
-        link.enqueue(t0, pkt(1, 1000 - IP_UDP_OVERHEAD));
-        let busy = link.estimated_delay(t0, 1000);
-        assert!(busy > idle);
     }
 
     #[test]

@@ -110,14 +110,6 @@ impl Path {
         }
     }
 
-    /// Whether an attached script has a full blackout in force at `now`.
-    pub fn script_blackout_active(&self, now: SimTime) -> bool {
-        self.script
-            .as_ref()
-            .map(|s| s.blackout_active(now))
-            .unwrap_or(false)
-    }
-
     /// Drop/admit counters of the attached script, if any.
     pub fn script_stats(&self) -> Option<ScriptStats> {
         self.script.as_ref().map(|s| s.stats())
@@ -401,7 +393,6 @@ mod tests {
         // Inside the window: dropped at entry.
         let inside = bo_start + SimDuration::from_secs(1);
         assert!(!path.enqueue(inside, pkt(2, inside)));
-        assert!(path.script_blackout_active(inside));
         // First packet was in service before the pause; the stalled one only
         // arrives after the window plus the remaining pipeline.
         let mut got = Vec::new();

@@ -96,16 +96,6 @@ impl DropTailQueue {
     pub fn stats(&self) -> QueueStats {
         self.stats
     }
-
-    /// Queueing delay a new arrival would experience at `rate_bps` before it
-    /// starts serialising, in seconds. Used by the LTE channel to report
-    /// queue-induced latency.
-    pub fn drain_time_secs(&self, rate_bps: f64) -> f64 {
-        if rate_bps <= 0.0 {
-            return f64::INFINITY;
-        }
-        (self.bytes as f64 * 8.0) / rate_bps
-    }
 }
 
 #[cfg(test)]
@@ -169,13 +159,5 @@ mod tests {
         assert_eq!(q.bytes(), 200 + IP_UDP_OVERHEAD);
         q.pop();
         assert_eq!(q.bytes(), 0);
-    }
-
-    #[test]
-    fn drain_time() {
-        let mut q = DropTailQueue::new(usize::MAX, usize::MAX);
-        q.push(pkt(0, 1000 - IP_UDP_OVERHEAD)); // exactly 1000 wire bytes
-        assert!((q.drain_time_secs(8_000.0) - 1.0).abs() < 1e-9);
-        assert_eq!(q.drain_time_secs(0.0), f64::INFINITY);
     }
 }

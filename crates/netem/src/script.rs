@@ -368,21 +368,6 @@ impl FaultScript {
             })
             .collect()
     }
-
-    /// All timed feedback-blackout windows, in declaration order.
-    pub fn feedback_blackout_windows(&self) -> Vec<(SimTime, SimTime)> {
-        self.clauses
-            .iter()
-            .filter_map(|c| match c {
-                FaultClause::KindBlackout {
-                    from,
-                    until,
-                    kind: PacketKind::Feedback,
-                } => Some((*from, *until)),
-                _ => None,
-            })
-            .collect()
-    }
 }
 
 /// Per-scheduler drop/delay counters.
@@ -882,10 +867,6 @@ mod tests {
                 (SimTime::from_secs(1), SimTime::from_secs(3)),
                 (SimTime::from_secs(20), SimTime::from_secs(25)),
             ]
-        );
-        assert_eq!(
-            s.feedback_blackout_windows(),
-            vec![(SimTime::from_secs(10), SimTime::from_secs(11))]
         );
     }
 

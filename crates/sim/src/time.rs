@@ -157,11 +157,6 @@ impl SimDuration {
     pub fn max(self, other: SimDuration) -> SimDuration {
         SimDuration(self.0.max(other.0))
     }
-
-    /// Multiply by a non-negative float, rounding to the nearest microsecond.
-    pub fn mul_f64(self, k: f64) -> SimDuration {
-        SimDuration((self.0 as f64 * k.max(0.0)).round() as u64)
-    }
 }
 
 impl Add<SimDuration> for SimTime {
@@ -320,8 +315,6 @@ mod tests {
         let d = SimDuration::from_millis(100);
         assert_eq!(d * 3, SimDuration::from_millis(300));
         assert_eq!(d / 4, SimDuration::from_millis(25));
-        assert_eq!(d.mul_f64(2.5), SimDuration::from_millis(250));
-        assert_eq!(d.mul_f64(-1.0), SimDuration::ZERO);
     }
 
     #[test]

@@ -122,22 +122,12 @@ impl FlightPlan {
         Velocity::default()
     }
 
-    /// Altitude at time `t` (m above ground).
-    pub fn altitude_at(&self, t: SimTime) -> f64 {
-        self.position_at(t).z
-    }
-
     /// Maximum altitude reached anywhere on the plan.
     pub fn max_altitude(&self) -> f64 {
         self.segments
             .iter()
             .flat_map(|s| [s.from.z, s.to.z])
             .fold(self.start.z, f64::max)
-    }
-
-    /// True if the plan ever leaves the ground.
-    pub fn is_aerial(&self) -> bool {
-        self.max_altitude() > 2.0
     }
 }
 
@@ -213,7 +203,6 @@ mod tests {
     fn max_altitude_and_aerial() {
         let p = simple_plan();
         assert!((p.max_altitude() - 40.0).abs() < 1e-9);
-        assert!(p.is_aerial());
         let flat = FlightPlan::new(
             Position::ground(0.0, 0.0),
             &[Leg::Goto {
@@ -221,7 +210,7 @@ mod tests {
                 speed_mps: 10.0,
             }],
         );
-        assert!(!flat.is_aerial());
+        assert_eq!(flat.max_altitude(), 0.0);
     }
 
     #[test]

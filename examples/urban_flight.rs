@@ -7,13 +7,12 @@
 //! ```
 
 use rpav_core::prelude::*;
-use rpav_core::summary::HeadlineStats;
-use rpav_core::trace;
+use rpav_core::summary::HEADLINE;
+use rpav_core::{table, trace};
 
 fn main() {
     println!("urban P1, aerial, 2 runs per workload\n");
-    println!("{}", HeadlineStats::header());
-    let mut gcc_metrics = None;
+    let mut campaigns = Vec::new();
     for cc in [
         CcMode::paper_static(Environment::Urban),
         CcMode::paper_scream(),
@@ -29,16 +28,17 @@ fn main() {
             .campaigns()
             .pop()
             .expect("one campaign");
-        println!("{}", HeadlineStats::from_campaign(&campaign).row());
-        if matches!(cc, CcMode::Gcc) {
-            gcc_metrics = campaign.runs.into_iter().next();
-        }
+        campaigns.push(campaign);
     }
+    for line in table::aligned(1, &table::rows(HEADLINE, &campaigns)) {
+        println!("{line}");
+    }
+    let gcc_metrics = campaigns.pop().and_then(|gcc| gcc.runs.into_iter().next());
 
     // Export the GCC flight as the joined time series of Fig. 8.
     if let Some(m) = gcc_metrics {
         let rows = trace::build_trace(&m);
-        let csv = trace::to_csv(&rows);
+        let csv = table::csv(trace::COLUMNS, &rows);
         let path = std::path::Path::new("target").join("urban_gcc_trace.csv");
         std::fs::create_dir_all("target").ok();
         std::fs::write(&path, csv).expect("write trace");
