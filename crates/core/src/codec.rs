@@ -11,6 +11,11 @@
 //! version, so a rebuilt crate silently invalidates every cached result
 //! instead of replaying metrics a code change may have altered.
 //!
+//! The body layout is written down once per type: each record is a list
+//! of its fields in encoding order (`record!`) and each enum a list of its
+//! variants with their tags (`tagged!`), and the writer, the reader, the
+//! shortest encoding and the fixed-size flag all come from that list.
+//!
 //! On-disk records additionally ride inside a checksummed envelope
 //! ([`seal`]/[`unseal`]): a magic + payload length + CRC32 frame so a
 //! torn write, a flipped bit, or an unrelated file degrades to a cache
@@ -475,17 +480,6 @@ impl ByteWriter {
         }
     }
 
-    /// Write a slice behind a length prefix. `stride` is the encoded size
-    /// of one element (its minimum, for elements with optional fields):
-    /// the whole sequence is reserved once instead of growing per field.
-    pub fn seq<T>(&mut self, items: &[T], stride: usize, mut write: impl FnMut(&mut Self, &T)) {
-        self.buf.reserve(8 + items.len() * stride);
-        self.u64(items.len() as u64);
-        for item in items {
-            write(self, item);
-        }
-    }
-
     /// Write raw bytes (length-prefixed).
     pub fn bytes(&mut self, v: &[u8]) {
         self.u64(v.len() as u64);
@@ -552,25 +546,6 @@ impl<'a> ByteReader<'a> {
         self.u64().map(f64::from_bits)
     }
 
-    /// Read a [`SimTime`].
-    pub fn time(&mut self) -> Option<SimTime> {
-        self.u64().map(SimTime::from_micros)
-    }
-
-    /// Read a [`SimDuration`].
-    pub fn duration(&mut self) -> Option<SimDuration> {
-        self.u64().map(SimDuration::from_micros)
-    }
-
-    /// Read an optional value.
-    pub fn opt<T>(&mut self, read: impl FnOnce(&mut Self) -> Option<T>) -> Option<Option<T>> {
-        match self.u8()? {
-            0 => Some(None),
-            1 => read(self).map(Some),
-            _ => None,
-        }
-    }
-
     /// Read a length-prefixed sequence whose elements each encode to at
     /// least `min_stride` (≥ 1) bytes. A length field claiming more
     /// elements than the remaining bytes could hold is rejected *before*
@@ -593,20 +568,20 @@ impl<'a> ByteReader<'a> {
     }
 
     /// Bulk form of [`seq`](Self::seq) for elements that always encode to
-    /// exactly `N` bytes: one length check claims the whole `n × N` body,
-    /// then each element decodes from its own `N`-byte chunk — no
+    /// exactly `len` (≥ 1) bytes: one length check claims the whole
+    /// `n × len` body, then each element decodes from its own chunk — no
     /// per-field cursor checks against the blob. An element reader that
     /// fails, or that does not consume its chunk exactly, is a `None`
     /// like every other malformed input.
-    pub fn seq_fixed<const N: usize, T>(
+    pub fn seq_exact<T>(
         &mut self,
+        len: usize,
         mut read: impl FnMut(&mut ByteReader) -> Option<T>,
     ) -> Option<Vec<T>> {
         let n = usize::try_from(self.u64()?).ok()?;
-        let body = self.take(n.checked_mul(N)?)?;
+        let body = self.take(n.checked_mul(len)?)?;
         let mut out = Vec::with_capacity(n);
-        for chunk in body.chunks_exact(N) {
-            let chunk: &[u8; N] = chunk.try_into().ok()?;
+        for chunk in body.chunks_exact(len) {
             let mut r = ByteReader::new(chunk);
             out.push(read(&mut r)?);
             if !r.exhausted() {
@@ -617,203 +592,202 @@ impl<'a> ByteReader<'a> {
     }
 }
 
-/// Encoded element sizes of the `RunMetrics` sequences, for the
-/// [`ByteWriter::seq`] reservation and the decoders' length bound: exact
-/// for the fixed-layout elements (`OWD` — [`write_owd`] / [`read_owd`] —
-/// and `HANDOVER`, `RADIO`, `SWITCH`, read with
-/// [`ByteReader::seq_fixed`]), the all-`None` minimum for the rest (read
-/// with [`ByteReader::seq`]).
-mod stride {
-    pub const OWD: usize = 8 + 8;
-    pub const HANDOVER: usize = 8 + 8 + 1 + 4 + 4;
-    pub const RADIO: usize = 8 + 4 * 8 + 1;
-    pub const FRAME: usize = 8 + 8 + 1 + 8 + 1;
-    pub const OUTAGE: usize = 8 + 8 + 8 + 4;
-    pub const SWITCH: usize = 8 + 3;
-    pub const PATH_HEALTH: usize = 1 + 3 * 8 + 8 + 1 + 1 + 8;
+/// A value with a place in a record's byte layout: how it is written, how
+/// it is read back, the fewest bytes it can encode to (what
+/// [`ByteReader::seq`] divides a claimed sequence length by, and what
+/// [`ByteWriter`] reserves per element) and whether every value encodes
+/// to exactly that many (a sequence of such values is read with
+/// [`ByteReader::seq_exact`]). Scalars are the writer's and the reader's
+/// methods; `record!` and `tagged!` derive all four from one list per
+/// struct or enum, so the layout is written down once.
+trait Field: Sized {
+    /// Shortest encoding, in bytes (≥ 1).
+    const MIN_LEN: usize;
+    /// Whether every value encodes to exactly `MIN_LEN` bytes.
+    const FIXED: bool;
+    fn write(&self, w: &mut ByteWriter);
+    fn read(r: &mut ByteReader) -> Option<Self>;
 }
 
-fn handover_kind_tag(kind: HandoverKind) -> u8 {
-    match kind {
-        HandoverKind::A3 => 0,
-        HandoverKind::RadioLinkFailure => 1,
+/// Fixed-width scalars: the width, the writer method, the reader method.
+macro_rules! scalar {
+    ($($ty:ty: $len:expr, $write:expr, $read:expr;)*) => {$(
+        impl Field for $ty {
+            const MIN_LEN: usize = $len;
+            const FIXED: bool = true;
+            fn write(&self, w: &mut ByteWriter) {
+                $write(w, *self)
+            }
+            fn read(r: &mut ByteReader) -> Option<Self> {
+                $read(r)
+            }
+        }
+    )*};
+}
+
+scalar! {
+    u8: 1, ByteWriter::u8, ByteReader::u8;
+    bool: 1, ByteWriter::bool, ByteReader::bool;
+    u32: 4, ByteWriter::u32, ByteReader::u32;
+    u64: 8, ByteWriter::u64, ByteReader::u64;
+    f64: 8, ByteWriter::f64, ByteReader::f64;
+    usize: 8,
+        |w: &mut ByteWriter, v: usize| w.u64(v as u64),
+        |r: &mut ByteReader| r.u64().map(|v| v as usize);
+    SimTime: 8, ByteWriter::time, |r: &mut ByteReader| r.u64().map(SimTime::from_micros);
+    SimDuration: 8,
+        ByteWriter::duration,
+        |r: &mut ByteReader| r.u64().map(SimDuration::from_micros);
+}
+
+/// A presence byte, then the value.
+impl<T: Field> Field for Option<T> {
+    const MIN_LEN: usize = 1;
+    const FIXED: bool = false;
+    fn write(&self, w: &mut ByteWriter) {
+        w.opt(self.as_ref(), |w, v| v.write(w));
+    }
+    fn read(r: &mut ByteReader) -> Option<Self> {
+        match r.u8()? {
+            0 => Some(None),
+            1 => T::read(r).map(Some),
+            _ => None,
+        }
     }
 }
 
-fn handover_kind_from(tag: u8) -> Option<HandoverKind> {
-    match tag {
-        0 => Some(HandoverKind::A3),
-        1 => Some(HandoverKind::RadioLinkFailure),
-        _ => None,
+/// A length prefix, then the elements: reserved once at their shortest
+/// length, and read in one bulk pass when they are fixed-size.
+impl<T: Field> Field for Vec<T> {
+    const MIN_LEN: usize = 8;
+    const FIXED: bool = false;
+    fn write(&self, w: &mut ByteWriter) {
+        w.reserve(8 + self.len() * T::MIN_LEN);
+        w.u64(self.len() as u64);
+        for item in self {
+            item.write(w);
+        }
     }
-}
-
-fn switch_cause_tag(cause: SwitchCause) -> u8 {
-    match cause {
-        SwitchCause::Starvation => 0,
-        SwitchCause::RadioLinkFailure => 1,
-        SwitchCause::HandoverSignal => 2,
-        SwitchCause::Degraded => 3,
-    }
-}
-
-fn switch_cause_from(tag: u8) -> Option<SwitchCause> {
-    match tag {
-        0 => Some(SwitchCause::Starvation),
-        1 => Some(SwitchCause::RadioLinkFailure),
-        2 => Some(SwitchCause::HandoverSignal),
-        3 => Some(SwitchCause::Degraded),
-        _ => None,
+    fn read(r: &mut ByteReader) -> Option<Self> {
+        if T::FIXED {
+            r.seq_exact(T::MIN_LEN, T::read)
+        } else {
+            r.seq(T::MIN_LEN, T::read)
+        }
     }
 }
 
 /// The `owd` sequence — one sample per received packet, > 90 % of a
-/// record's bytes — in one fixed-stride pass: the length prefix, then the
-/// buffer grown once and each sample written into its own 16-byte chunk.
-fn write_owd(w: &mut ByteWriter, owd: &[(SimTime, f64)]) {
-    w.u64(owd.len() as u64);
-    let start = w.buf.len();
-    w.buf.resize(start + owd.len() * stride::OWD, 0);
-    for (chunk, &(t, ms)) in w.buf[start..].chunks_exact_mut(stride::OWD).zip(owd) {
-        let (at, value) = chunk.split_at_mut(8);
-        at.copy_from_slice(&t.as_micros().to_le_bytes());
-        value.copy_from_slice(&ms.to_bits().to_le_bytes());
+/// record's bytes — in the same bytes as a sequence of `(SimTime, f64)`
+/// fields, but in one pass each way: the buffer grown once and each
+/// sample written into its own 16-byte chunk; one length check claims
+/// the whole body (so a hostile count is rejected before anything is
+/// reserved), then every chunk is one sample, with no cursor.
+impl Field for Vec<(SimTime, f64)> {
+    const MIN_LEN: usize = 8;
+    const FIXED: bool = false;
+    fn write(&self, w: &mut ByteWriter) {
+        w.u64(self.len() as u64);
+        let start = w.buf.len();
+        w.buf.resize(start + self.len() * OWD_SAMPLE, 0);
+        for (chunk, &(t, ms)) in w.buf[start..].chunks_exact_mut(OWD_SAMPLE).zip(self) {
+            let (at, value) = chunk.split_at_mut(8);
+            at.copy_from_slice(&t.as_micros().to_le_bytes());
+            value.copy_from_slice(&ms.to_bits().to_le_bytes());
+        }
+    }
+    fn read(r: &mut ByteReader) -> Option<Self> {
+        let n = usize::try_from(r.u64()?).ok()?;
+        let body = r.take(n.checked_mul(OWD_SAMPLE)?)?;
+        let word = |b: &[u8]| u64::from_le_bytes(b.try_into().unwrap());
+        let sample = |c: &[u8]| {
+            (
+                SimTime::from_micros(word(&c[..8])),
+                f64::from_bits(word(&c[8..])),
+            )
+        };
+        Some(body.chunks_exact(OWD_SAMPLE).map(sample).collect())
     }
 }
 
-/// [`write_owd`]'s inverse: one length check claims the whole body (so a
-/// hostile count is rejected before anything is reserved), then every
-/// 16-byte chunk is one `(SimTime, f64)` sample — no cursor, no
-/// per-element bounds or exhaustion check.
-fn read_owd(r: &mut ByteReader) -> Option<Vec<(SimTime, f64)>> {
-    let n = usize::try_from(r.u64()?).ok()?;
-    let body = r.take(n.checked_mul(stride::OWD)?)?;
-    let word = |b: &[u8]| u64::from_le_bytes(b.try_into().unwrap());
-    let sample = |c: &[u8]| {
-        (
-            SimTime::from_micros(word(&c[..8])),
-            f64::from_bits(word(&c[8..])),
-        )
+/// Encoded length of one OWD sample.
+const OWD_SAMPLE: usize = <SimTime as Field>::MIN_LEN + <f64 as Field>::MIN_LEN;
+
+/// A fieldless enum as one tag byte: its variants with their tags. The
+/// writer's `match` is exhaustive, so a new variant does not compile
+/// until it has a tag.
+macro_rules! tagged {
+    ($ty:ident { $($variant:ident = $tag:literal),* $(,)? }) => {
+        impl Field for $ty {
+            const MIN_LEN: usize = 1;
+            const FIXED: bool = true;
+            fn write(&self, w: &mut ByteWriter) {
+                w.u8(match self { $($ty::$variant => $tag),* })
+            }
+            fn read(r: &mut ByteReader) -> Option<Self> {
+                match r.u8()? {
+                    $($tag => Some($ty::$variant),)*
+                    _ => None,
+                }
+            }
+        }
     };
-    Some(body.chunks_exact(stride::OWD).map(sample).collect())
 }
 
-fn write_handover(w: &mut ByteWriter, h: &HandoverRecord) {
-    w.time(h.at);
-    w.duration(h.het);
-    w.u8(handover_kind_tag(h.kind));
-    w.u32(h.from);
-    w.u32(h.to);
+/// A struct as its fields, in encoding order. The reader builds the
+/// struct from the same list, so a field left out or listed twice does
+/// not compile; the shortest length and the fixed-size flag are the sum
+/// and the conjunction over the fields' own.
+macro_rules! record {
+    ($ty:ident: $($field:ident),* $(,)?) => {
+        impl Field for $ty {
+            const MIN_LEN: usize = 0 $(+ min_len(|x: &$ty| &x.$field))*;
+            const FIXED: bool = true $(&& fixed(|x: &$ty| &x.$field))*;
+            fn write(&self, w: &mut ByteWriter) {
+                $(Field::write(&self.$field, w);)*
+            }
+            fn read(r: &mut ByteReader) -> Option<Self> {
+                Some($ty { $($field: Field::read(r)?),* })
+            }
+        }
+    };
 }
 
-fn read_handover(r: &mut ByteReader) -> Option<HandoverRecord> {
-    Some(HandoverRecord {
-        at: r.time()?,
-        het: r.duration()?,
-        kind: handover_kind_from(r.u8()?)?,
-        from: r.u32()?,
-        to: r.u32()?,
-    })
+/// `MIN_LEN` of the field `of` picks out of a record.
+const fn min_len<R, T: Field>(_of: fn(&R) -> &T) -> usize {
+    T::MIN_LEN
 }
 
-fn write_radio(w: &mut ByteWriter, row: &RadioTraceRow) {
-    w.time(row.t);
-    w.f64(row.altitude_m);
-    w.f64(row.capacity_bps);
-    w.f64(row.rsrp_dbm);
-    w.f64(row.sinr_db);
-    w.bool(row.in_handover);
+/// `FIXED` of the field `of` picks out of a record.
+const fn fixed<R, T: Field>(_of: fn(&R) -> &T) -> bool {
+    T::FIXED
 }
 
-fn read_radio(r: &mut ByteReader) -> Option<RadioTraceRow> {
-    Some(RadioTraceRow {
-        t: r.time()?,
-        altitude_m: r.f64()?,
-        capacity_bps: r.f64()?,
-        rsrp_dbm: r.f64()?,
-        sinr_db: r.f64()?,
-        in_handover: r.bool()?,
-    })
-}
+tagged! { HandoverKind { A3 = 0, RadioLinkFailure = 1 } }
+tagged! { SwitchCause { Starvation = 0, RadioLinkFailure = 1, HandoverSignal = 2, Degraded = 3 } }
 
-fn write_frame(w: &mut ByteWriter, f: &FrameRecord) {
-    w.u64(f.number);
-    w.time(f.display_at);
-    w.opt(f.latency_ms, |w, v| w.f64(v));
-    w.f64(f.ssim);
-    w.bool(f.displayed);
+record! { HandoverRecord: at, het, kind, from, to }
+record! { RadioTraceRow: t, altitude_m, capacity_bps, rsrp_dbm, sinr_db, in_handover }
+record! { FrameRecord: number, display_at, latency_ms, ssim, displayed }
+record! {
+    OutageRecord: from, until, baseline_bps, first_arrival_after, first_frame_after,
+    rate_half_recovered_at, rate_recovered_at
 }
-
-fn read_frame(r: &mut ByteReader) -> Option<FrameRecord> {
-    Some(FrameRecord {
-        number: r.u64()?,
-        display_at: r.time()?,
-        latency_ms: r.opt(|r| r.f64())?,
-        ssim: r.f64()?,
-        displayed: r.bool()?,
-    })
+record! { SwitchRecord: at, from_leg, to_leg, cause }
+record! {
+    PathHealthSummary: leg, time_healthy, time_degraded, time_dead, reports, final_rtt_ms,
+    final_loss, tx_packets
 }
-
-fn write_outage(w: &mut ByteWriter, o: &OutageRecord) {
-    w.time(o.from);
-    w.time(o.until);
-    w.f64(o.baseline_bps);
-    w.opt(o.first_arrival_after, |w, v| w.time(v));
-    w.opt(o.first_frame_after, |w, v| w.time(v));
-    w.opt(o.rate_half_recovered_at, |w, v| w.time(v));
-    w.opt(o.rate_recovered_at, |w, v| w.time(v));
-}
-
-fn read_outage(r: &mut ByteReader) -> Option<OutageRecord> {
-    Some(OutageRecord {
-        from: r.time()?,
-        until: r.time()?,
-        baseline_bps: r.f64()?,
-        first_arrival_after: r.opt(|r| r.time())?,
-        first_frame_after: r.opt(|r| r.time())?,
-        rate_half_recovered_at: r.opt(|r| r.time())?,
-        rate_recovered_at: r.opt(|r| r.time())?,
-    })
-}
-
-fn write_switch(w: &mut ByteWriter, s: &SwitchRecord) {
-    w.time(s.at);
-    w.u8(s.from_leg);
-    w.u8(s.to_leg);
-    w.u8(switch_cause_tag(s.cause));
-}
-
-fn read_switch(r: &mut ByteReader) -> Option<SwitchRecord> {
-    Some(SwitchRecord {
-        at: r.time()?,
-        from_leg: r.u8()?,
-        to_leg: r.u8()?,
-        cause: switch_cause_from(r.u8()?)?,
-    })
-}
-
-fn write_path_health(w: &mut ByteWriter, p: &PathHealthSummary) {
-    w.u8(p.leg);
-    w.duration(p.time_healthy);
-    w.duration(p.time_degraded);
-    w.duration(p.time_dead);
-    w.u64(p.reports);
-    w.opt(p.final_rtt_ms, |w, v| w.f64(v));
-    w.opt(p.final_loss, |w, v| w.f64(v));
-    w.u64(p.tx_packets);
-}
-
-fn read_path_health(r: &mut ByteReader) -> Option<PathHealthSummary> {
-    Some(PathHealthSummary {
-        leg: r.u8()?,
-        time_healthy: r.duration()?,
-        time_degraded: r.duration()?,
-        time_dead: r.duration()?,
-        reports: r.u64()?,
-        final_rtt_ms: r.opt(|r| r.f64())?,
-        final_loss: r.opt(|r| r.f64())?,
-        tx_packets: r.u64()?,
-    })
+record! {
+    RunMetrics: duration, media_sent, media_received, media_received_bytes, owd, handovers,
+    radio, frames, stalls, stalled_time, frames_late_discarded, sender_discarded,
+    span_skipped, distinct_cells, plis_sent, plis_received, forced_keyframes,
+    watchdog_activations, watchdog_recoveries, watchdog_last_ramp, jitter_inflations,
+    script_dropped, outages, malformed_packets, corrupted_arrivals, duplicate_packets,
+    late_packets, malformed_payloads, nacks_sent, nack_seqs_requested, rtx_recovered,
+    rtx_late, nack_abandoned, rtx_sent, rtx_bytes, rtx_budget_exhausted, rtx_not_in_history,
+    switches, path_health, probes_sent, dup_tx_packets, dup_tx_bytes, path_reports_received,
+    fec_tx, fec_recovered, reorder_buffered, fec_multi_recovered
 }
 
 impl RunMetrics {
@@ -834,53 +808,7 @@ impl RunMetrics {
         w.buf.extend_from_slice(MAGIC);
         w.u32(FORMAT_VERSION);
         w.bytes(env!("CARGO_PKG_VERSION").as_bytes());
-        w.duration(self.duration);
-        w.u64(self.media_sent);
-        w.u64(self.media_received);
-        w.u64(self.media_received_bytes);
-        write_owd(w, &self.owd);
-        w.seq(&self.handovers, stride::HANDOVER, write_handover);
-        w.seq(&self.radio, stride::RADIO, write_radio);
-        w.seq(&self.frames, stride::FRAME, write_frame);
-        w.u64(self.stalls);
-        w.duration(self.stalled_time);
-        w.u64(self.frames_late_discarded);
-        w.u64(self.sender_discarded);
-        w.u64(self.span_skipped);
-        w.u64(self.distinct_cells as u64);
-        w.u64(self.plis_sent);
-        w.u64(self.plis_received);
-        w.u64(self.forced_keyframes);
-        w.u64(self.watchdog_activations);
-        w.u64(self.watchdog_recoveries);
-        w.opt(self.watchdog_last_ramp, |w, v| w.duration(v));
-        w.u64(self.jitter_inflations);
-        w.u64(self.script_dropped);
-        w.seq(&self.outages, stride::OUTAGE, write_outage);
-        w.u64(self.malformed_packets);
-        w.u64(self.corrupted_arrivals);
-        w.u64(self.duplicate_packets);
-        w.u64(self.late_packets);
-        w.u64(self.malformed_payloads);
-        w.u64(self.nacks_sent);
-        w.u64(self.nack_seqs_requested);
-        w.u64(self.rtx_recovered);
-        w.u64(self.rtx_late);
-        w.u64(self.nack_abandoned);
-        w.u64(self.rtx_sent);
-        w.u64(self.rtx_bytes);
-        w.u64(self.rtx_budget_exhausted);
-        w.u64(self.rtx_not_in_history);
-        w.seq(&self.switches, stride::SWITCH, write_switch);
-        w.seq(&self.path_health, stride::PATH_HEALTH, write_path_health);
-        w.u64(self.probes_sent);
-        w.u64(self.dup_tx_packets);
-        w.u64(self.dup_tx_bytes);
-        w.u64(self.path_reports_received);
-        w.u64(self.fec_tx);
-        w.u64(self.fec_recovered);
-        w.u64(self.reorder_buffered);
-        w.u64(self.fec_multi_recovered);
+        Field::write(self, w);
     }
 
     /// Decode a blob written by [`to_bytes`](Self::to_bytes). Returns
@@ -889,69 +817,15 @@ impl RunMetrics {
     /// stale cache entry degrades to a cache miss.
     pub fn from_bytes(buf: &[u8]) -> Option<RunMetrics> {
         let mut r = ByteReader::new(buf);
-        if r.take(4)? != MAGIC {
-            return None;
-        }
-        if r.u32()? != FORMAT_VERSION {
+        if r.take(4)? != MAGIC || r.u32()? != FORMAT_VERSION {
             return None;
         }
         let version_len = r.u64()? as usize;
         if r.take(version_len)? != env!("CARGO_PKG_VERSION").as_bytes() {
             return None;
         }
-        let m = RunMetrics {
-            duration: r.duration()?,
-            media_sent: r.u64()?,
-            media_received: r.u64()?,
-            media_received_bytes: r.u64()?,
-            owd: read_owd(&mut r)?,
-            handovers: r.seq_fixed::<{ stride::HANDOVER }, _>(read_handover)?,
-            radio: r.seq_fixed::<{ stride::RADIO }, _>(read_radio)?,
-            frames: r.seq(stride::FRAME, read_frame)?,
-            stalls: r.u64()?,
-            stalled_time: r.duration()?,
-            frames_late_discarded: r.u64()?,
-            sender_discarded: r.u64()?,
-            span_skipped: r.u64()?,
-            distinct_cells: r.u64()? as usize,
-            plis_sent: r.u64()?,
-            plis_received: r.u64()?,
-            forced_keyframes: r.u64()?,
-            watchdog_activations: r.u64()?,
-            watchdog_recoveries: r.u64()?,
-            watchdog_last_ramp: r.opt(|r| r.duration())?,
-            jitter_inflations: r.u64()?,
-            script_dropped: r.u64()?,
-            outages: r.seq(stride::OUTAGE, read_outage)?,
-            malformed_packets: r.u64()?,
-            corrupted_arrivals: r.u64()?,
-            duplicate_packets: r.u64()?,
-            late_packets: r.u64()?,
-            malformed_payloads: r.u64()?,
-            nacks_sent: r.u64()?,
-            nack_seqs_requested: r.u64()?,
-            rtx_recovered: r.u64()?,
-            rtx_late: r.u64()?,
-            nack_abandoned: r.u64()?,
-            rtx_sent: r.u64()?,
-            rtx_bytes: r.u64()?,
-            rtx_budget_exhausted: r.u64()?,
-            rtx_not_in_history: r.u64()?,
-            switches: r.seq_fixed::<{ stride::SWITCH }, _>(read_switch)?,
-            path_health: r.seq(stride::PATH_HEALTH, read_path_health)?,
-            probes_sent: r.u64()?,
-            dup_tx_packets: r.u64()?,
-            dup_tx_bytes: r.u64()?,
-            path_reports_received: r.u64()?,
-            fec_tx: r.u64()?,
-            fec_recovered: r.u64()?,
-            reorder_buffered: r.u64()?,
-            fec_multi_recovered: r.u64()?,
-        };
-        if !r.exhausted() {
-            return None;
-        }
-        Some(m)
+        let m = <RunMetrics as Field>::read(&mut r)?;
+        r.exhausted().then_some(m)
     }
 
     /// The cache record the engine writes to `RPAV_CACHE`: the one-cell
@@ -1123,10 +997,10 @@ mod tests {
 
     #[test]
     fn owd_bulk_codec_matches_the_per_field_layout() {
-        // The bulk pass writes exactly what a `seq` of `time` + `f64`
-        // fields writes (the layout every sealed record already has), and
-        // reads it back bit for bit, NaN payloads included.
-        let owd = [
+        // The bulk pass writes exactly what a sequence of `SimTime` +
+        // `f64` fields writes (the layout every sealed record already
+        // has), and reads it back bit for bit, NaN payloads included.
+        let owd = vec![
             (SimTime::from_micros(1), 17.25),
             (
                 SimTime::from_micros(u64::MAX),
@@ -1135,17 +1009,18 @@ mod tests {
             (SimTime::ZERO, -0.0),
         ];
         let mut bulk = ByteWriter::new();
-        write_owd(&mut bulk, &owd);
+        Field::write(&owd, &mut bulk);
         let mut fields = ByteWriter::new();
-        fields.seq(&owd, stride::OWD, |w, &(t, ms)| {
-            w.time(t);
-            w.f64(ms);
-        });
+        fields.u64(owd.len() as u64);
+        for (t, ms) in &owd {
+            t.write(&mut fields);
+            ms.write(&mut fields);
+        }
         let bytes = bulk.into_bytes();
         assert_eq!(bytes, fields.into_bytes());
-        assert_eq!(bytes.len(), 8 + owd.len() * stride::OWD);
+        assert_eq!(bytes.len(), 8 + owd.len() * OWD_SAMPLE);
         let mut r = ByteReader::new(&bytes);
-        let back = read_owd(&mut r).expect("decode");
+        let back = Vec::<(SimTime, f64)>::read(&mut r).expect("decode");
         assert!(r.exhausted());
         let bits = |v: &[(SimTime, f64)]| -> Vec<(SimTime, u64)> {
             v.iter().map(|&(t, ms)| (t, ms.to_bits())).collect()
@@ -1153,84 +1028,120 @@ mod tests {
         assert_eq!(bits(&back), bits(&owd));
     }
 
+    fn encoded_len<T: Field>(value: &T) -> usize {
+        let mut w = ByteWriter::new();
+        value.write(&mut w);
+        w.len()
+    }
+
     #[test]
     fn strides_match_the_encoded_element_sizes() {
         let m = sample();
-        let encoded = |write: &dyn Fn(&mut ByteWriter)| {
-            let mut w = ByteWriter::new();
-            write(&mut w);
-            w.into_bytes().len()
+        // The derived shortest lengths are the ones the format has always
+        // had, so every hostile-length bound is where it was.
+        let lens = [
+            HandoverRecord::MIN_LEN,
+            RadioTraceRow::MIN_LEN,
+            FrameRecord::MIN_LEN,
+            OutageRecord::MIN_LEN,
+            SwitchRecord::MIN_LEN,
+            PathHealthSummary::MIN_LEN,
+        ];
+        assert_eq!(lens, [25, 41, 26, 28, 11, 43]);
+        let fixed = [
+            HandoverRecord::FIXED,
+            RadioTraceRow::FIXED,
+            FrameRecord::FIXED,
+            OutageRecord::FIXED,
+            SwitchRecord::FIXED,
+            PathHealthSummary::FIXED,
+            RunMetrics::FIXED,
+        ];
+        assert_eq!(fixed, [true, true, false, false, true, false, false]);
+        // A fixed-size type encodes to its shortest length whatever the
+        // values…
+        let a3 = HandoverRecord {
+            kind: HandoverKind::A3,
+            ..m.handovers[0]
         };
-        assert_eq!(
-            encoded(&|w| write_handover(w, &m.handovers[0])),
-            stride::HANDOVER
-        );
-        assert_eq!(encoded(&|w| write_radio(w, &m.radio[0])), stride::RADIO);
-        assert_eq!(
-            encoded(&|w| write_switch(w, &m.switches[0])),
-            stride::SWITCH
-        );
-        // The elements with optional fields: the stride is the all-`None`
-        // encoding, the lower bound `ByteReader::seq` divides by.
+        for h in [m.handovers[0], a3] {
+            assert_eq!(encoded_len(&h), HandoverRecord::MIN_LEN);
+        }
+        assert_eq!(encoded_len(&m.radio[0]), RadioTraceRow::MIN_LEN);
+        assert_eq!(encoded_len(&m.switches[0]), SwitchRecord::MIN_LEN);
+        // …and a type with optional fields or sequences encodes to it
+        // when every option is `None` and every sequence empty.
         let frame = FrameRecord {
             latency_ms: None,
             ..m.frames[0]
         };
-        assert_eq!(encoded(&|w| write_frame(w, &frame)), stride::FRAME);
+        assert_eq!(encoded_len(&frame), FrameRecord::MIN_LEN);
+        assert!(encoded_len(&m.frames[0]) > FrameRecord::MIN_LEN);
         let outage = OutageRecord {
             first_arrival_after: None,
             rate_half_recovered_at: None,
             ..m.outages[0]
         };
-        assert_eq!(encoded(&|w| write_outage(w, &outage)), stride::OUTAGE);
+        assert_eq!(encoded_len(&outage), OutageRecord::MIN_LEN);
         let health = PathHealthSummary {
             final_rtt_ms: None,
             ..m.path_health[0]
         };
-        assert_eq!(
-            encoded(&|w| write_path_health(w, &health)),
-            stride::PATH_HEALTH
-        );
+        assert_eq!(encoded_len(&health), PathHealthSummary::MIN_LEN);
+        assert_eq!(encoded_len(&RunMetrics::default()), RunMetrics::MIN_LEN);
     }
 
     #[test]
     fn hostile_sequence_lengths_are_rejected_before_allocating() {
         // A 24-byte blob whose length field claims 2^60 elements: the
-        // bound is `remaining / stride`, so nothing is reserved.
+        // bound is `remaining / MIN_LEN`, so nothing is reserved.
         let mut w = ByteWriter::new();
         w.u64(1 << 60);
         w.u64(0);
         w.u64(0);
         let blob = w.into_bytes();
         assert!(ByteReader::new(&blob).seq(1, |r| r.u8()).is_none());
-        assert!(ByteReader::new(&blob)
-            .seq_fixed::<{ stride::RADIO }, _>(read_radio)
-            .is_none());
-        assert!(read_owd(&mut ByteReader::new(&blob)).is_none());
+        assert!(Vec::<RadioTraceRow>::read(&mut ByteReader::new(&blob)).is_none());
+        assert!(Vec::<FrameRecord>::read(&mut ByteReader::new(&blob)).is_none());
+        assert!(Vec::<(SimTime, f64)>::read(&mut ByteReader::new(&blob)).is_none());
         // One more element than the bytes hold is already too many…
         let mut w = ByteWriter::new();
         w.u64(2);
         w.u64(7);
         let blob = w.into_bytes();
         assert!(ByteReader::new(&blob).seq(8, |r| r.u64()).is_none());
-        assert!(read_owd(&mut ByteReader::new(&blob)).is_none());
-        assert!(ByteReader::new(&blob)
-            .seq_fixed::<8, _>(|r| r.u64())
-            .is_none());
+        assert!(Vec::<(SimTime, f64)>::read(&mut ByteReader::new(&blob)).is_none());
+        assert!(ByteReader::new(&blob).seq_exact(8, |r| r.u64()).is_none());
         // …and exactly as many is fine.
         let mut w = ByteWriter::new();
-        w.seq(&[7u64, 9], 8, |w, v| w.u64(*v));
+        vec![7u64, 9].write(&mut w);
         let blob = w.into_bytes();
         assert_eq!(ByteReader::new(&blob).seq(8, |r| r.u64()), Some(vec![7, 9]));
         assert_eq!(
-            ByteReader::new(&blob).seq_fixed::<8, _>(|r| r.u64()),
+            ByteReader::new(&blob).seq_exact(8, |r| r.u64()),
+            Some(vec![7, 9])
+        );
+        assert_eq!(
+            Vec::<u64>::read(&mut ByteReader::new(&blob)),
             Some(vec![7, 9])
         );
         // An element reader that leaves part of its chunk unread is a
         // malformed decode, not a silent misparse.
-        assert!(ByteReader::new(&blob)
-            .seq_fixed::<8, _>(|r| r.u32())
-            .is_none());
+        assert!(ByteReader::new(&blob).seq_exact(8, |r| r.u32()).is_none());
+    }
+
+    /// FNV-1a of the fixture's body and cache record and of the empty
+    /// run's body, pinned before the layouts became field lists: a moved
+    /// byte is a format change.
+    #[test]
+    fn record_bytes_stay_put() {
+        let m = sample();
+        assert_eq!(fnv1a(&m.to_bytes()), 0x95e0_8c41_d6e7_59f7);
+        assert_eq!(fnv1a(&m.to_cache_bytes()), 0x26e4_0b2b_de9b_af08);
+        assert_eq!(
+            fnv1a(&RunMetrics::default().to_bytes()),
+            0x8743_1b65_a60b_86a8
+        );
     }
 
     #[test]

@@ -13,15 +13,17 @@
 //!   owd.csv         one row per delivered media packet (decimated)
 //!   radio.csv       one row per radio tick: altitude, capacity, RSRP, SINR
 //!   switches.csv    one row per failover switch: run, time, legs, cause
+//!   rrc.csv         the RRC capture: each handover as its message pair
 //! ```
 //!
-//! Each table is a [`Column`] list; [`tables`] renders all six.
+//! Each table is a [`Column`] list; [`tables`] renders all seven.
 
 use std::fs;
 use std::io;
 use std::path::Path;
 
 use crate::metrics::{FrameRecord, HandoverRecord, RadioTraceRow, RunMetrics, SwitchRecord};
+use crate::rrc::{self, RrcMessage};
 use crate::scenario::ExperimentConfig;
 use crate::table::{self, Column};
 use rpav_sim::SimTime;
@@ -145,6 +147,15 @@ pub const SWITCHES: &[Column<(usize, SwitchRecord)>] = &[
     ("cause", |(_, s)| s.cause.label().into()),
 ];
 
+/// `rrc.csv`, the analog of the paper's QCSuper capture (§3.2): each
+/// handover as the RRC message pair that brackets its execution time.
+pub const RRC: &[Column<(usize, RrcMessage)>] = &[
+    ("run", |(i, _)| i.to_string()),
+    ("t_s", |(_, (t, ..))| format!("{:.6}", t.as_secs_f64())),
+    ("message", |(_, (_, message, _))| message.to_string()),
+    ("cell", |(_, (.., cell))| cell.to_string()),
+];
+
 /// `(run index, record)` for every record `of` yields from each run.
 fn records<'a, I: Iterator>(
     runs: &[DatasetRun<'a>],
@@ -156,7 +167,7 @@ fn records<'a, I: Iterator>(
 }
 
 /// Every table of the dataset, as `(file name, CSV)`.
-pub fn tables(runs: &[DatasetRun<'_>]) -> [(&'static str, String); 6] {
+pub fn tables(runs: &[DatasetRun<'_>]) -> [(&'static str, String); 7] {
     let indexed = runs
         .iter()
         .enumerate()
@@ -166,6 +177,7 @@ pub fn tables(runs: &[DatasetRun<'_>]) -> [(&'static str, String); 6] {
     let owd = records(runs, |m| m.owd.iter().step_by(OWD_DECIMATION).copied());
     let radio = records(runs, |m| m.radio.iter().copied());
     let switches = records(runs, |m| m.switches.iter().copied());
+    let rrc = records(runs, |m| m.handovers.iter().flat_map(rrc::messages));
     [
         ("runs.csv", table::csv(RUNS, indexed)),
         ("handovers.csv", table::csv(HANDOVERS, handovers)),
@@ -173,6 +185,7 @@ pub fn tables(runs: &[DatasetRun<'_>]) -> [(&'static str, String); 6] {
         ("owd.csv", table::csv(OWD, owd)),
         ("radio.csv", table::csv(RADIO, radio)),
         ("switches.csv", table::csv(SWITCHES, switches)),
+        ("rrc.csv", table::csv(RRC, rrc)),
     ]
 }
 
@@ -193,7 +206,7 @@ pub(crate) mod tests {
     use rpav_lte::{Environment, HandoverKind};
     use rpav_sim::{SimDuration, SimTime};
 
-    fn sample() -> (ExperimentConfig, RunMetrics) {
+    pub(crate) fn sample() -> (ExperimentConfig, RunMetrics) {
         let cfg = ExperimentConfig::builder()
             .environment(Environment::Urban)
             .cc(CcMode::Gcc)
@@ -281,17 +294,22 @@ pub(crate) mod tests {
         (cfg, m)
     }
 
-    /// The sample run under two configurations: the fixed campaign the
-    /// table pins and the well-formedness check run over.
+    /// The sample run under two configurations, the second single-path:
+    /// the fixed campaign the table pins and the well-formedness check
+    /// run over.
     fn campaign() -> Vec<(ExperimentConfig, RunMetrics)> {
         let (urban, m) = sample();
+        let single_path = RunMetrics {
+            path_health: Vec::new(),
+            ..m.clone()
+        };
         let rural = ExperimentConfig::builder()
             .environment(Environment::Rural)
             .cc(CcMode::paper_scream())
             .repair(true)
             .seed(10)
             .build();
-        vec![(urban, m.clone()), (rural, m)]
+        vec![(urban, m), (rural, single_path)]
     }
 
     fn dataset_runs(campaign: &[(ExperimentConfig, RunMetrics)]) -> Vec<DatasetRun<'_>> {
@@ -300,7 +318,7 @@ pub(crate) mod tests {
             .collect()
     }
 
-    /// Why each of the six tables would not render well-formed over the
+    /// Why each of the seven tables would not render well-formed over the
     /// campaign, `None` for each that would.
     pub(crate) fn malformed_tables() -> Vec<Option<String>> {
         let campaign = campaign();
@@ -309,6 +327,7 @@ pub(crate) mod tests {
             .iter()
             .enumerate()
             .map(|(i, r)| (i, r.config, r.metrics));
+        let rrc = records(&runs, |m| m.handovers.iter().flat_map(rrc::messages));
         vec![
             table::malformed(RUNS, &indexed.collect::<Vec<_>>()),
             table::malformed(HANDOVERS, &records(&runs, |m| m.handovers.iter().copied())),
@@ -316,23 +335,26 @@ pub(crate) mod tests {
             table::malformed(OWD, &records(&runs, |m| m.owd.iter().copied())),
             table::malformed(RADIO, &records(&runs, |m| m.radio.iter().copied())),
             table::malformed(SWITCHES, &records(&runs, |m| m.switches.iter().copied())),
+            table::malformed(RRC, &rrc),
         ]
     }
 
     /// FNV-1a of each file over the fixed campaign, pinned when the tables
-    /// were still format strings.
+    /// were still format strings; `runs.csv` moved once, when the
+    /// single-path run's `dead_ms` went from `-0` to `0`.
     #[test]
     fn tables_stay_put() {
         let campaign = campaign();
         let tables = tables(&dataset_runs(&campaign));
         let hashes = tables.map(|(name, csv)| (name, fnv1a(csv.as_bytes())));
         let want = [
-            ("runs.csv", 0x7684d6c2a1a39c12),
+            ("runs.csv", 0xc4d6c088e06a573a),
             ("handovers.csv", 0xeae5e4097f5ab563),
             ("frames.csv", 0xbe85fbb873ae6766),
             ("owd.csv", 0x267de90e7250accb),
             ("radio.csv", 0x3b0a89c1da1e86e3),
             ("switches.csv", 0x5b1831e94e95a793),
+            ("rrc.csv", 0xbc4ab6dbac845d65),
         ];
         assert_eq!(hashes, want);
     }
@@ -344,7 +366,7 @@ pub(crate) mod tests {
             config: &cfg,
             metrics: &m,
         }];
-        let [r, h, f, o, _, s] = tables(&runs).map(|(_, csv)| csv);
+        let [r, h, f, o, _, s, _] = tables(&runs).map(|(_, csv)| csv);
         assert!(r.starts_with("run,label"));
         assert_eq!(r.lines().count(), 2);
         assert!(r.contains("GCC-Urban-P1-Air"));

@@ -31,6 +31,7 @@
 //! * [`runner`] — campaign execution across repeated runs.
 //! * [`ping`] — the cross-traffic-free RTT workload of Fig. 13.
 //! * [`dataset`] — CSV export in the shape of the paper's released dataset.
+//! * [`rrc`] — the RRC capture: each handover as its message pair.
 //! * [`multipath`] — the paper's future-work direction: the policy that
 //!   maps the flow onto several operators' legs (duplicate, failover,
 //!   bonded) for a [`Simulation::multipath`] session.
@@ -71,6 +72,7 @@ pub mod multipath;
 pub mod paths;
 pub mod ping;
 pub mod pipeline;
+pub mod rrc;
 pub mod runner;
 pub mod scenario;
 pub mod spec;

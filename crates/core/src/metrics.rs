@@ -259,12 +259,12 @@ impl RunMetrics {
     }
 
     /// Total time any leg's health estimator classified its path dead
-    /// (milliseconds, summed over legs; 0 on single-path runs).
+    /// (milliseconds, summed over legs; 0 on single-path runs). The sum
+    /// starts at +0: `Sum` starts at −0, which prints as `-0`.
     pub fn path_dead_ms(&self) -> f64 {
         self.path_health
             .iter()
-            .map(|p| p.time_dead.as_millis_f64())
-            .sum()
+            .fold(0.0, |ms, p| ms + p.time_dead.as_millis_f64())
     }
 
     /// Fraction of first-transmission media packets carried by `leg`

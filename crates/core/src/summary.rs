@@ -499,12 +499,13 @@ pub(crate) mod tests {
 
     /// FNV-1a over the value lines of the fixture campaigns' headline CSV
     /// (the header excluded): the values the fixed-width table printed
-    /// before this column list replaced it, comma-joined.
+    /// before this column list replaced it, comma-joined, except that the
+    /// single-path campaigns' `deadms` reads `0`, no longer `-0`.
     #[test]
     fn headline_values_stay_put() {
         let csv = crate::table::csv(HEADLINE, campaigns());
         let values = csv.split_once('\n').unwrap().1;
-        assert_eq!(crate::codec::fnv1a(values.as_bytes()), 0x3b6f6aca9cf3056e);
+        assert_eq!(crate::codec::fnv1a(values.as_bytes()), 0xe652911b0b5372bd);
     }
 
     #[test]

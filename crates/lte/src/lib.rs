@@ -12,7 +12,7 @@
 //!               ──► per-cell RSRP  ──► SINR (serving vs. interference)
 //!               ──► uplink capacity (attenuated Shannon → LTE throughput)
 //! UE mobility   ──► A3 measurement events ──► handovers (HET sampling,
-//!                   ping-pong, radio-link failures) ──► RRC log
+//!                   ping-pong, radio-link failures)
 //! ```
 //!
 //! Key aerial effects reproduced (paper §4.1):
@@ -41,10 +41,8 @@ pub mod channel;
 pub mod handover;
 pub mod profiles;
 pub mod radio;
-pub mod rrc;
 
 pub use cell::{BaseStation, Cell, CellId, Deployment};
 pub use handover::{HandoverEvent, HandoverKind};
 pub use profiles::{Environment, NetworkProfile, Operator};
 pub use radio::{LinkHealthSignal, RadioModel, RadioSample};
-pub use rrc::{RrcLog, RrcMessage, RrcMessageType};

@@ -1,6 +1,6 @@
 //! Produce a release-shaped dataset directory — the analog of the paper's
-//! published measurement data (doi 10.14459/2022mp1687221): per-run CSVs
-//! plus an RRC message capture, from a small simulated campaign.
+//! published measurement data (doi 10.14459/2022mp1687221): per-run CSVs,
+//! the RRC message capture among them, from a small simulated campaign.
 //!
 //! ```sh
 //! cargo run -p rpav-examples --release --bin make_dataset
@@ -9,9 +9,6 @@
 
 use rpav_core::dataset::{self, DatasetRun};
 use rpav_core::prelude::*;
-use rpav_lte::{NetworkProfile, RadioModel, RrcLog};
-use rpav_sim::{RngSet, SimTime};
-use rpav_uav::{profiles as uav_profiles, Position};
 
 fn main() {
     let out = std::path::Path::new("target").join("rpav-dataset");
@@ -40,25 +37,6 @@ fn main() {
     dataset::export(&out, &runs).expect("dataset export");
     println!("{}", result.report.summary());
 
-    // The RRC capture (QCSuper analog) for one urban flight.
-    let profile = NetworkProfile::new(Environment::Urban, Operator::P1);
-    let rngs = RngSet::new(0xDA7A);
-    let mut radio = RadioModel::new(&profile, &rngs, 0);
-    let plan = uav_profiles::paper_flight(
-        Position::ground(0.0, 0.0),
-        rpav_sim::SimDuration::from_secs(5),
-    );
-    let mut rrc = RrcLog::new();
-    let mut t = SimTime::ZERO;
-    while t < SimTime::ZERO + plan.duration() {
-        let s = radio.step(t, &plan.position_at(t));
-        if let Some(ho) = s.handover {
-            rrc.record_handover(&ho);
-        }
-        t += radio.tick();
-    }
-    std::fs::write(out.join("rrc.csv"), rrc.to_csv()).expect("write rrc.csv");
-
     println!("dataset written to {}:", out.display());
     for entry in std::fs::read_dir(&out).unwrap() {
         let e = entry.unwrap();
@@ -68,9 +46,4 @@ fn main() {
             e.metadata().unwrap().len()
         );
     }
-    println!(
-        "\nHET check from the RRC capture alone: {} handovers, e.g. {:?}",
-        rrc.extract_het().len(),
-        rrc.extract_het().first().map(|(_, d)| *d)
-    );
 }
