@@ -185,6 +185,18 @@ fn gate(baseline: &Json, sections: &[Section]) -> Verdict {
     v
 }
 
+/// Where this run's JSON goes: `--out` if given; otherwise a measuring
+/// run (no `--check`) re-measures `BENCH_PIPELINE.json` in the working
+/// directory, and a checking run writes nothing, so gating against the
+/// committed baseline never overwrites it.
+fn output_path(args: &crate::Args) -> Option<&std::path::Path> {
+    match (&args.out, &args.check) {
+        (Some(out), _) => Some(out),
+        (None, None) => Some(std::path::Path::new("BENCH_PIPELINE.json")),
+        (None, Some(_)) => None,
+    }
+}
+
 pub fn run(args: &crate::Args) {
     let quick_only = args.smoke;
 
@@ -226,10 +238,10 @@ pub fn run(args: &crate::Args) {
             .collect::<Vec<_>>()
             .join(",\n")
     );
-    let out = args.out.as_deref();
-    let out = out.unwrap_or(std::path::Path::new("BENCH_PIPELINE.json"));
-    std::fs::write(out, &json).expect("write BENCH_PIPELINE.json");
-    println!("wrote {}", out.display());
+    if let Some(out) = output_path(args) {
+        std::fs::write(out, &json).expect("write BENCH_PIPELINE.json");
+        println!("wrote {}", out.display());
+    }
 
     if let Some(baseline) = baseline {
         let verdict = gate(&baseline, &sections);
@@ -267,6 +279,28 @@ mod tests {
             packets: 10_000,
             allocs: 400,
         }
+    }
+
+    #[test]
+    fn a_checking_run_writes_only_where_told() {
+        let path = |p: &str| Some(std::path::PathBuf::from(p));
+        let args = |check, out| crate::Args {
+            smoke: true,
+            check,
+            out,
+        };
+        let measure = args(None, None);
+        assert_eq!(
+            output_path(&measure),
+            Some(std::path::Path::new("BENCH_PIPELINE.json"))
+        );
+        let gate_only = args(path("BENCH_PIPELINE.json"), None);
+        assert_eq!(output_path(&gate_only), None);
+        let both = args(path("BENCH_PIPELINE.json"), path("target/now.json"));
+        assert_eq!(
+            output_path(&both),
+            Some(std::path::Path::new("target/now.json"))
+        );
     }
 
     #[test]

@@ -5,18 +5,17 @@
 //!
 //! * [`Packet`] — the unit every stage of the pipeline moves around: opaque
 //!   payload bytes plus bookkeeping (sequence number, wire size, send time).
-//! * [`DropTailQueue`] — a byte/packet bounded FIFO with drop statistics;
-//!   the deep, bufferbloated eNodeB uplink queue is one of these with a
-//!   large byte limit.
-//! * [`BottleneckLink`] — serialisation at a (time-varying) bit-rate
-//!   followed by propagation delay. The LTE air interface drives the rate
-//!   from SINR; the WAN leg uses a fixed high rate.
-//! * [`DelayPipe`] — pure delay with optional jitter, FIFO-preserving.
+//! * [`Path`] — one direction of a leg: baseline loss, a byte-bounded
+//!   drop-tail queue (the deep, bufferbloated eNodeB buffer), a radio
+//!   serialiser at a (time-varying) bit-rate plus propagation delay (the
+//!   LTE air interface drives the rate from SINR), and a FIFO WAN leg with
+//!   jitter. Every stage after the loss process is FIFO, so each path
+//!   keeps its packets in one store in entry order and the stages are
+//!   counts over it; [`QueueStats`] are its queue's counters.
 //! * [`GilbertElliott`] — the bursty baseline loss process at every path
 //!   entry.
 //! * [`ReorderStage`] — bounded-displacement packet reordering, composable
 //!   onto a path exit and scriptable via reorder windows.
-//! * [`Path`] — a composition of stages with a single `poll` interface.
 //! * [`FaultScript`] / [`OutageScheduler`] — deterministic scripted fault
 //!   campaigns (timed blackouts, feedback-only loss, delay spikes,
 //!   duplication/corruption/reorder windows, altitude-keyed coverage
@@ -27,17 +26,17 @@
 //! and `next_wake()` to tell the event loop when to come back.
 
 pub mod fault;
-pub mod link;
+#[cfg(test)]
+mod link;
 pub mod packet;
 pub mod path;
-pub mod queue;
+#[cfg(test)]
+mod queue;
 pub mod reorder;
 pub mod script;
 
 pub use fault::{corrupt_payload, GilbertElliott};
-pub use link::{BottleneckLink, DelayPipe};
 pub use packet::{Packet, PacketKind};
-pub use path::Path;
-pub use queue::{DropTailQueue, QueueStats};
+pub use path::{Path, QueueStats};
 pub use reorder::{ReorderConfig, ReorderStage, ReorderStats};
 pub use script::{FaultClause, FaultScript, OutageScheduler, ScriptStats};

@@ -1,11 +1,14 @@
-//! Rate-limited bottleneck links and delay pipes.
+//! The radio link and WAN pipe as separate FIFO stages, each with its own
+//! outbox — the design [`Path`](crate::path::Path) replaced with one store.
+//! Test-only: `path`'s lock-step oracle composes them.
 
 use std::collections::VecDeque;
 
 use rpav_sim::{SimDuration, SimRng, SimTime};
 
 use crate::packet::Packet;
-use crate::queue::{DropTailQueue, QueueStats};
+use crate::path::QueueStats;
+use crate::queue::DropTailQueue;
 
 /// Delivery buffer for a FIFO delay stage. Both in-order stages clamp every
 /// delivery time to a monotonic floor before scheduling, so arrival order
@@ -40,10 +43,6 @@ impl FifoOutbox {
         } else {
             None
         }
-    }
-
-    fn len(&self) -> usize {
-        self.q.len()
     }
 }
 
@@ -123,11 +122,6 @@ impl BottleneckLink {
             self.free_at = self.free_at.max(now);
         }
         self.advance(now);
-    }
-
-    /// Current serialisation rate in bits/s.
-    pub fn rate_bps(&self) -> f64 {
-        self.rate_bps
     }
 
     /// Stall the serialiser until `until` (e.g. during handover execution).
@@ -285,11 +279,6 @@ impl DelayPipe {
     /// Next delivery instant.
     pub fn next_wake(&self) -> Option<SimTime> {
         self.out.peek_time()
-    }
-
-    /// Packets currently inside the pipe.
-    pub fn in_flight(&self) -> usize {
-        self.out.len()
     }
 }
 

@@ -1,23 +1,11 @@
-//! Bounded FIFO queues with drop accounting.
+//! A bounded FIFO queue with drop accounting: the eNodeB queue stage of
+//! the two-stage design [`Path`](crate::path::Path) replaced. Test-only,
+//! a part of `path`'s lock-step oracle (see [`link`](crate::link)).
 
 use std::collections::VecDeque;
 
 use crate::packet::Packet;
-
-/// Counters exposed by every queue for metric extraction.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct QueueStats {
-    /// Packets accepted into the queue.
-    pub enqueued: u64,
-    /// Packets rejected because the queue was full.
-    pub dropped: u64,
-    /// Packets handed onward.
-    pub dequeued: u64,
-    /// Sum of wire bytes accepted.
-    pub bytes_enqueued: u64,
-    /// Sum of wire bytes dropped.
-    pub bytes_dropped: u64,
-}
+use crate::path::QueueStats;
 
 /// A drop-tail FIFO bounded by bytes and/or packet count.
 ///
@@ -70,11 +58,6 @@ impl DropTailQueue {
         self.bytes -= p.size;
         self.stats.dequeued += 1;
         Some(p)
-    }
-
-    /// Peek at the head-of-line packet.
-    pub fn peek(&self) -> Option<&Packet> {
-        self.items.front()
     }
 
     /// Current queue depth in packets.

@@ -1,7 +1,7 @@
 //! Explicit packet reordering with bounded displacement.
 //!
-//! The in-order links in [`link`](crate::link) model the RLC-AM radio leg,
-//! which never reorders. Real WAN paths do — ECMP rehashes, load-balanced
+//! A [`Path`](crate::path::Path)'s radio and WAN legs are FIFO: the RLC-AM
+//! radio leg never reorders. Real WAN paths do — ECMP rehashes, load-balanced
 //! routes, multi-homing — so hostile-wire experiments need a composable
 //! stage that *holds* a randomly chosen packet and re-inserts it a bounded
 //! number of positions later. Displacement is bounded both by packet count
@@ -110,11 +110,6 @@ impl ReorderStage {
     /// Counters so far.
     pub fn stats(&self) -> ReorderStats {
         self.stats
-    }
-
-    /// Packets currently held back.
-    pub fn held_len(&self) -> usize {
-        self.held.len()
     }
 
     /// Offer one packet; returns the packets to deliver now, in order.
@@ -250,7 +245,8 @@ mod tests {
             got.extend(stage.offer(SimTime::from_millis(i), pkt(i)));
         }
         got.extend(stage.flush_due(SimTime::from_secs(10)));
-        assert_eq!(stage.held_len(), 0);
+        assert_eq!(stage.next_release(), None, "nothing left held");
+        assert!(stage.flush_due(SimTime::MAX).is_empty());
         let mut seqs: Vec<u64> = got.iter().map(|p| p.seq).collect();
         seqs.sort_unstable();
         assert_eq!(seqs, (0..500).collect::<Vec<_>>());
@@ -284,6 +280,9 @@ mod tests {
         assert_eq!(a.iter().map(|p| p.seq).collect::<Vec<_>>(), vec![1]);
         let b = stage.offer(SimTime::ZERO, pkt(2));
         assert_eq!(b.iter().map(|p| p.seq).collect::<Vec<_>>(), vec![2, 0]);
-        assert_eq!(stage.held_len(), 0);
+        assert!(
+            stage.flush_due(SimTime::MAX).is_empty(),
+            "nothing left held"
+        );
     }
 }

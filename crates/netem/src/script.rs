@@ -574,16 +574,6 @@ impl OutageScheduler {
         })
     }
 
-    /// Whether a full blackout (timed or positional) is in force at `now`.
-    pub fn blackout_active(&self, now: SimTime) -> bool {
-        self.script.clauses.iter().any(|c| {
-            matches!(
-                c,
-                FaultClause::Blackout { .. } | FaultClause::CoverageHole { .. }
-            ) && c.active(now, self.position)
-        })
-    }
-
     /// End of the latest currently-active *timed* blackout window, if any.
     pub fn blackout_until(&self, now: SimTime) -> Option<SimTime> {
         if !self.has_timed_blackout {
@@ -680,9 +670,8 @@ mod tests {
         assert!(!sch.admit(inside, &pkt(1, PacketKind::Media, inside)));
         assert!(!sch.admit(inside, &pkt(2, PacketKind::Feedback, inside)));
         assert!(sch.admit(after, &pkt(3, PacketKind::Media, after)));
-        assert!(sch.blackout_active(inside));
-        assert!(!sch.blackout_active(after));
         assert_eq!(sch.blackout_until(inside), Some(after));
+        assert_eq!(sch.blackout_until(after), None);
         assert_eq!(sch.stats().blackout_dropped, 2);
         assert_eq!(sch.stats().admitted, 2);
     }
@@ -703,7 +692,9 @@ mod tests {
         let a = sched(per_leg[0].clone().unwrap(), 7);
         let b = sched(per_leg[2].clone().unwrap(), 99);
         let inside = SimTime::from_millis(2_500);
-        assert!(a.blackout_active(inside) && b.blackout_active(inside));
+        let end = SimTime::from_secs(3);
+        assert_eq!(a.blackout_until(inside), Some(end));
+        assert_eq!(b.blackout_until(inside), Some(end));
     }
 
     #[test]
@@ -716,7 +707,7 @@ mod tests {
         assert!(!sch.admit(t, &pkt(1, PacketKind::Feedback, t)));
         assert!(sch.admit(t, &pkt(2, PacketKind::Probe, t)));
         // A feedback-only outage is not a full blackout.
-        assert!(!sch.blackout_active(t));
+        assert_eq!(sch.blackout_until(t), None);
     }
 
     #[test]
@@ -849,7 +840,9 @@ mod tests {
         // Inside radius at altitude: hole bites.
         sch.set_position(10.0, 10.0, 100.0);
         assert!(!sch.admit(t, &pkt(2, PacketKind::Media, t)));
-        assert!(sch.blackout_active(t));
+        // It is a full blackout: every kind is dropped.
+        assert!(!sch.admit(t, &pkt(9, PacketKind::Probe, t)));
+        assert_eq!(sch.stats().hole_dropped, 2);
         // Flying out of the hole restores the link.
         sch.set_position(200.0, 0.0, 100.0);
         assert!(sch.admit(t, &pkt(3, PacketKind::Media, t)));
@@ -1011,7 +1004,7 @@ mod tests {
                 let p = pkt(i, kind, t);
                 prop_assert_eq!(a.admit(t, &p), b.admit(t, &p));
                 prop_assert_eq!(a.extra_delay(t), b.extra_delay(t));
-                prop_assert_eq!(a.blackout_active(t), b.blackout_active(t));
+                prop_assert_eq!(a.blackout_until(t), b.blackout_until(t));
             }
             prop_assert_eq!(a.stats().dropped(), b.stats().dropped());
         }

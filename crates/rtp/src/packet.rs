@@ -38,7 +38,7 @@ pub struct RtpPacket {
 
 /// Header length on the wire: 12 fixed bytes, plus 8 when the
 /// transport-wide extension is attached.
-pub fn header_len(with_twcc: bool) -> usize {
+pub const fn header_len(with_twcc: bool) -> usize {
     if with_twcc {
         20
     } else {
@@ -50,7 +50,7 @@ pub fn header_len(with_twcc: bool) -> usize {
 /// shared by [`RtpPacket::serialize`] and the packetizer's single-buffer
 /// wire construction, so both spell bytes identically.
 pub fn write_header(
-    b: &mut BytesMut,
+    b: &mut impl BufMut,
     marker: bool,
     payload_type: u8,
     sequence: u16,

@@ -8,7 +8,7 @@
 
 use bytes::{BufMut, Bytes, BytesMut};
 use rpav_sim::SimTime;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 
 use crate::error::ParseError;
 use crate::packet::{header_len, write_header, RtpPacket, VIDEO_CLOCK_HZ};
@@ -87,6 +87,11 @@ pub fn decode_meta_slice(payload: &[u8]) -> Result<(FrameMeta, u16, u16), ParseE
     ))
 }
 
+/// Frame buffers a [`Packetizer`] keeps for reuse: 267 ms of 30 fps video,
+/// so in steady state the oldest frame's packets have left the uplink
+/// queue and the 150 ms jitter buffer before its buffer comes up again.
+const RECENT_FRAMES: usize = 8;
+
 /// Splits frames into RTP packets with monotonically increasing media and
 /// transport-wide sequence numbers.
 #[derive(Debug)]
@@ -96,6 +101,10 @@ pub struct Packetizer {
     next_transport_seq: u16,
     /// Attach the transport-wide extension (GCC) or not (SCReAM/static).
     with_twcc: bool,
+    /// This packetizer's last frame buffers, oldest first. Once nothing but
+    /// this handle holds the oldest, it is rewritten in place for a new
+    /// frame (see [`frame_buffer`](Self::frame_buffer)).
+    recent: VecDeque<Bytes>,
 }
 
 impl Packetizer {
@@ -106,6 +115,7 @@ impl Packetizer {
             next_seq: 0,
             next_transport_seq: 0,
             with_twcc,
+            recent: VecDeque::with_capacity(RECENT_FRAMES),
         }
     }
 
@@ -123,9 +133,14 @@ impl Packetizer {
     }
 
     /// Drain-style variant of [`packetize`](Self::packetize): clears `out`
-    /// and fills it, so a per-frame scratch vector keeps its capacity. The
-    /// packet payloads still share one freshly allocated wire buffer (they
-    /// are handed to the network and outlive the call).
+    /// and fills it, so a per-frame scratch vector keeps its capacity.
+    ///
+    /// Header, metadata and stand-in bitstream for the WHOLE frame go into
+    /// ONE buffer: each packet's payload and cached wire image are
+    /// zero-copy views of it, and `serialize` later returns the cached wire
+    /// without touching the bytes again. Fragment i starts at
+    /// `i * frag_len` because every fragment but the last carries a full
+    /// `budget` of fill.
     pub fn packetize_into(
         &mut self,
         meta: FrameMeta,
@@ -140,49 +155,19 @@ impl Packetizer {
             & 0xffff_ffff) as u32;
         out.reserve(count);
         let hdr = header_len(self.with_twcc);
-        // Header, metadata and stand-in bitstream for the WHOLE frame go
-        // into ONE buffer: each packet's payload and cached wire image are
-        // zero-copy views of it, and `serialize` later returns the cached
-        // wire without touching the bytes again (the media hot path used to
-        // allocate per packet here, then allocate and copy it all over
-        // again on send). Fragment i starts at `i * frag_len` because every
-        // fragment but the last carries a full `budget` of fill.
         let frag_len = hdr + META_LEN + budget;
+        let len = (count - 1) * frag_len + hdr + META_LEN + total - budget * (count - 1);
+        let mut b = self.frame_buffer(len);
+        if self.with_twcc {
+            self.write_grid::<{ header_len(true) + META_LEN }>(&mut b, frag_len, count, &meta, ts);
+        } else {
+            self.write_grid::<{ header_len(false) + META_LEN }>(&mut b, frag_len, count, &meta, ts);
+        }
         let base_seq = self.next_seq;
         let base_transport_seq = self.next_transport_seq;
-        let mut b = BytesMut::with_capacity(
-            (count - 1) * frag_len + hdr + META_LEN + total - budget * (count - 1),
-        );
-        for i in 0..count {
-            let fill = if i == count - 1 {
-                total - budget * (count - 1)
-            } else {
-                budget
-            };
-            let marker = i == count - 1;
-            let transport_seq = self.with_twcc.then_some(self.next_transport_seq);
-            let start = b.len();
-            write_header(
-                &mut b,
-                marker,
-                96,
-                self.next_seq,
-                ts,
-                self.ssrc,
-                transport_seq,
-            );
-            b.put_u64(meta.frame_number);
-            b.put_u64(meta.encode_time.as_micros());
-            b.put_u8(meta.keyframe as u8);
-            b.put_u32(meta.frame_bytes);
-            b.put_u16(i as u16);
-            b.put_u16(count as u16);
-            // Stand-in for the actual H.264 bitstream bytes.
-            b.resize(start + hdr + META_LEN + fill, 0xAB);
-            self.next_seq = self.next_seq.wrapping_add(1);
-            if self.with_twcc {
-                self.next_transport_seq = self.next_transport_seq.wrapping_add(1);
-            }
+        self.next_seq = base_seq.wrapping_add(count as u16);
+        if self.with_twcc {
+            self.next_transport_seq = base_transport_seq.wrapping_add(count as u16);
         }
         let frame_wire = b.freeze();
         for i in 0..count {
@@ -204,6 +189,78 @@ impl Packetizer {
                 payload: frame_wire.slice(start + hdr..end),
                 wire: Some(frame_wire.slice(start..end)),
             });
+        }
+        self.recent.push_back(frame_wire);
+    }
+
+    /// A `len`-byte frame buffer whose every byte off the fragment grid is
+    /// the 0xAB stand-in bitstream. The oldest recent frame's buffer is
+    /// taken back when this packetizer holds its only handle, so no packet
+    /// can see the rewrite; otherwise an arena block is filled. Only the
+    /// oldest is checked, so the cost per frame is O(1) even when every
+    /// handle is held (the RTX history keeps them all under repair).
+    fn frame_buffer(&mut self, len: usize) -> BytesMut {
+        if self.recent.len() == RECENT_FRAMES {
+            let oldest = self.recent.pop_front().expect("ring is full");
+            if let Ok(mut b) = oldest.try_into_mut() {
+                // Fragment i starts at i * frag_len in every frame and no
+                // fill range covers a grid offset, so off the grid the old
+                // bytes already are the fill: only a longer frame's tail
+                // needs writing.
+                b.truncate(len);
+                b.resize(len, 0xAB);
+                return b;
+            }
+        }
+        let mut b = BytesMut::with_capacity(len);
+        b.resize(len, 0xAB);
+        b
+    }
+
+    /// Write each fragment's RTP header and metadata (`N` bytes) at its
+    /// grid offset `i * frag_len`, one fixed-width store per fragment. The
+    /// per-frame fields are spelled once by [`write_header`]; only the
+    /// marker, the sequence numbers and the fragment index change per
+    /// fragment.
+    fn write_grid<const N: usize>(
+        &self,
+        buf: &mut [u8],
+        frag_len: usize,
+        count: usize,
+        meta: &FrameMeta,
+        ts: u32,
+    ) {
+        let mut entry = [0u8; N];
+        let mut w: &mut [u8] = &mut entry;
+        let transport_seq = self.with_twcc.then_some(self.next_transport_seq);
+        write_header(
+            &mut w,
+            false,
+            96,
+            self.next_seq,
+            ts,
+            self.ssrc,
+            transport_seq,
+        );
+        w.put_u64(meta.frame_number);
+        w.put_u64(meta.encode_time.as_micros());
+        w.put_u8(meta.keyframe as u8);
+        w.put_u32(meta.frame_bytes);
+        w.put_u16(0);
+        w.put_u16(count as u16);
+        debug_assert!(w.is_empty(), "N is the header plus META_LEN");
+        for i in 0..count {
+            entry[1] = (((i == count - 1) as u8) << 7) | 96;
+            entry[2..4].copy_from_slice(&self.next_seq.wrapping_add(i as u16).to_be_bytes());
+            if let Some(tw) = transport_seq {
+                // After the 12-byte header, the 0xBEDE profile, the length
+                // word and the extension's id byte.
+                entry[17..19].copy_from_slice(&tw.wrapping_add(i as u16).to_be_bytes());
+            }
+            entry[N - 4..N - 2].copy_from_slice(&(i as u16).to_be_bytes());
+            *buf[i * frag_len..]
+                .first_chunk_mut::<N>()
+                .expect("every fragment holds its header and metadata") = entry;
         }
     }
 }
@@ -349,9 +406,99 @@ impl Depacketizer {
     }
 }
 
+/// The packetizer before buffer reuse — a fresh buffer per frame, each
+/// fragment appended with [`write_header`], the metadata and a `resize` of
+/// fill — kept as the oracle `packetize::tests` compares bytes against.
+#[cfg(test)]
+mod reference {
+    use super::*;
+
+    pub(super) struct ReferencePacketizer {
+        pub(super) ssrc: u32,
+        pub(super) next_seq: u16,
+        pub(super) next_transport_seq: u16,
+        pub(super) with_twcc: bool,
+    }
+
+    impl ReferencePacketizer {
+        pub(super) fn packetize(
+            &mut self,
+            meta: FrameMeta,
+            capture_time: SimTime,
+        ) -> Vec<RtpPacket> {
+            let total = meta.frame_bytes as usize;
+            let budget = MAX_PAYLOAD - META_LEN;
+            let count = total.div_ceil(budget).max(1);
+            let ts = ((capture_time.as_micros() as u128 * VIDEO_CLOCK_HZ as u128 / 1_000_000)
+                as u64
+                & 0xffff_ffff) as u32;
+            let hdr = header_len(self.with_twcc);
+            let frag_len = hdr + META_LEN + budget;
+            let base_seq = self.next_seq;
+            let base_transport_seq = self.next_transport_seq;
+            let mut b = BytesMut::with_capacity(
+                (count - 1) * frag_len + hdr + META_LEN + total - budget * (count - 1),
+            );
+            for i in 0..count {
+                let fill = if i == count - 1 {
+                    total - budget * (count - 1)
+                } else {
+                    budget
+                };
+                let transport_seq = self.with_twcc.then_some(self.next_transport_seq);
+                let start = b.len();
+                write_header(
+                    &mut b,
+                    i == count - 1,
+                    96,
+                    self.next_seq,
+                    ts,
+                    self.ssrc,
+                    transport_seq,
+                );
+                b.put_u64(meta.frame_number);
+                b.put_u64(meta.encode_time.as_micros());
+                b.put_u8(meta.keyframe as u8);
+                b.put_u32(meta.frame_bytes);
+                b.put_u16(i as u16);
+                b.put_u16(count as u16);
+                b.resize(start + hdr + META_LEN + fill, 0xAB);
+                self.next_seq = self.next_seq.wrapping_add(1);
+                if self.with_twcc {
+                    self.next_transport_seq = self.next_transport_seq.wrapping_add(1);
+                }
+            }
+            let frame_wire = b.freeze();
+            (0..count)
+                .map(|i| {
+                    let start = i * frag_len;
+                    let end = if i == count - 1 {
+                        frame_wire.len()
+                    } else {
+                        start + frag_len
+                    };
+                    RtpPacket {
+                        marker: i == count - 1,
+                        payload_type: 96,
+                        sequence: base_seq.wrapping_add(i as u16),
+                        timestamp: ts,
+                        ssrc: self.ssrc,
+                        transport_seq: self
+                            .with_twcc
+                            .then_some(base_transport_seq.wrapping_add(i as u16)),
+                        payload: frame_wire.slice(start + hdr..end),
+                        wire: Some(frame_wire.slice(start..end)),
+                    }
+                })
+                .collect()
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn meta(n: u64, bytes: u32) -> FrameMeta {
         FrameMeta {
@@ -491,5 +638,79 @@ mod tests {
         // Overhead is bounded: META_LEN per packet.
         assert!(wire_payload >= 30_000);
         assert!(wire_payload <= 30_000 + pkts.len() * META_LEN);
+    }
+
+    #[test]
+    fn reuses_the_oldest_frame_buffer_once_released() {
+        let mut p = Packetizer::new(7, false);
+        let first = p.packetize(meta(0, 2_000), SimTime::ZERO);
+        let block = first[0].wire.as_ref().unwrap().as_ptr();
+        drop(first);
+        for n in 1..RECENT_FRAMES as u64 {
+            p.packetize(meta(n, 2_000), SimTime::ZERO);
+        }
+        // The ring is full: the next frame takes the first one's buffer.
+        let again = p.packetize(meta(99, 1_500), SimTime::ZERO);
+        assert_eq!(again[0].wire.as_ref().unwrap().as_ptr(), block);
+        // A held packet pins its buffer: that frame's slot is passed over.
+        let held = again[1].clone();
+        drop(again);
+        for n in 0..2 * RECENT_FRAMES as u64 {
+            let pkts = p.packetize(meta(n, 3_000), SimTime::ZERO);
+            assert_ne!(pkts[0].wire.as_ref().unwrap().as_ptr(), block);
+        }
+        assert_eq!(decode_meta(held.payload).unwrap().0.frame_number, 99);
+    }
+
+    proptest! {
+        /// Rewriting a reused buffer's header grid gives byte-for-byte the
+        /// packets a fresh buffer per frame gave (wire image and payload,
+        /// every header field), over frame sizes that grow and shrink,
+        /// keyframes, TWCC on and off, and packets held alive across later
+        /// frames — whose bytes no later frame may change.
+        #[test]
+        fn prop_reused_buffers_match_the_fresh_buffer_reference(
+            with_twcc in any::<bool>(),
+            first_seq in 0u16..u16::MAX,
+            frames in proptest::collection::vec((0u32..40_000, 0u8..4, 0usize..40), 1..120),
+        ) {
+            let mut fast = Packetizer::new(0x2, with_twcc);
+            fast.next_seq = first_seq;
+            fast.next_transport_seq = first_seq.wrapping_mul(3);
+            let mut slow = reference::ReferencePacketizer {
+                ssrc: 0x2,
+                next_seq: fast.next_seq,
+                next_transport_seq: fast.next_transport_seq,
+                with_twcc,
+            };
+            // (release after frame, packet, its wire bytes when made)
+            let mut held: Vec<(usize, RtpPacket, Vec<u8>)> = Vec::new();
+            let mut out = Vec::new();
+            for (n, &(bytes, key, hold)) in frames.iter().enumerate() {
+                let m = FrameMeta {
+                    frame_number: n as u64,
+                    encode_time: SimTime::from_millis(n as u64 * 33),
+                    keyframe: key == 0,
+                    frame_bytes: if key == 0 { bytes + 20_000 } else { bytes },
+                };
+                let at = SimTime::from_micros(n as u64 * 33_333);
+                fast.packetize_into(m, at, &mut out);
+                let want = slow.packetize(m, at);
+                prop_assert_eq!(out.len(), want.len());
+                for (got, want) in out.iter().zip(&want) {
+                    prop_assert_eq!(got, want);
+                    prop_assert_eq!(got.serialize(), want.serialize());
+                }
+                if hold > 0 {
+                    for p in out.iter().step_by(1 + hold % 3) {
+                        held.push((n + hold, p.clone(), p.serialize().to_vec()));
+                    }
+                }
+                held.retain(|(until, p, bytes)| {
+                    assert_eq!(&p.serialize()[..], &bytes[..], "a held packet changed");
+                    *until > n
+                });
+            }
+        }
     }
 }

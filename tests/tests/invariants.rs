@@ -5,7 +5,7 @@
 use bytes::Bytes;
 use proptest::prelude::*;
 use rpav_lte::channel;
-use rpav_netem::{BottleneckLink, Packet, PacketKind};
+use rpav_netem::{GilbertElliott, Packet, PacketKind, Path};
 use rpav_rtp::jitter::{JitterBuffer, JitterConfig};
 use rpav_rtp::packet::RtpPacket;
 use rpav_sim::{SimDuration, SimTime};
@@ -21,19 +21,25 @@ fn media_packet(seq: u64, bytes: usize) -> Packet {
 }
 
 proptest! {
-    /// A lossless bottleneck link conserves packets and preserves FIFO
-    /// order for any arrival pattern, rate schedule and pause.
+    /// A lossless path conserves packets and preserves FIFO order through
+    /// its bottleneck for any arrival pattern, rate schedule and pause.
     #[test]
     fn bottleneck_conserves_and_orders(
         arrivals in proptest::collection::vec((0u64..2_000_000, 200usize..1_400), 1..120),
         rate_khz in 1u64..50_000,
         pause_ms in 0u64..2_000,
+        wan_jitter_us in 0u64..5_000,
     ) {
-        let mut link = BottleneckLink::new(
+        let rngs = rpav_sim::RngSet::new(rate_khz ^ pause_ms);
+        let mut link = Path::new(
+            GilbertElliott::off(),
+            rngs.stream("fault"),
             rate_khz as f64 * 1_000.0,
             SimDuration::from_millis(5),
             usize::MAX,
-            usize::MAX,
+            SimDuration::from_millis(10),
+            SimDuration::from_micros(wan_jitter_us),
+            rngs.stream("wan"),
         );
         let mut times: Vec<u64> = arrivals.iter().map(|(t, _)| *t).collect();
         times.sort_unstable();

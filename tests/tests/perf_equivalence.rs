@@ -185,3 +185,40 @@ fn single_path_skips_ticks_and_a_monitored_session_visits_every_one() {
     let monitored = Simulation::multipath(cfg, MultipathScheme::SinglePath, Vec::new());
     assert_eq!(monitored.run_instrumented().1, grid);
 }
+
+/// A cell's bytes depend on nothing a thread carries between cells: the
+/// per-thread buffer arena, and any buffer a packetizer or path reuses,
+/// must not leak one cell's state into the next. A ground Static cell
+/// runs, then an air GCC cell, then the first again on the same thread,
+/// and once more on a fresh thread: all three runs of the first agree.
+#[test]
+fn a_cell_is_the_same_after_another_cell_and_on_a_fresh_thread() {
+    let cell = |cfg: ExperimentConfig| {
+        let cells = MatrixSpec::new(cfg).expand();
+        assert_eq!(cells.len(), 1);
+        cells.into_iter().next().unwrap()
+    };
+    let ground = cell(config(
+        CcMode::paper_static(Environment::Urban),
+        Environment::Urban,
+        Mobility::Ground,
+        0xE0_0008,
+    ));
+    let air = cell(config(
+        CcMode::Gcc,
+        Environment::Urban,
+        Mobility::Air,
+        0xE0_0009,
+    ));
+    let first = ground.execute_with(false).to_bytes();
+    air.execute_with(false);
+    let after_air = ground.execute_with(false).to_bytes();
+    let fresh = std::thread::spawn(move || ground.execute_with(false).to_bytes())
+        .join()
+        .expect("fresh-thread run");
+    assert!(
+        first == after_air,
+        "ground cell changed after an air cell ran"
+    );
+    assert!(first == fresh, "ground cell differs on a fresh thread");
+}
