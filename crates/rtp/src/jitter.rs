@@ -77,7 +77,9 @@ pub struct JitterStats {
     pub late: u64,
     /// Late packets discarded (only in `drop_on_latency` mode).
     pub dropped_late: u64,
-    /// Duplicates discarded.
+    /// Arrivals discarded as not new: still buffered, or at or below the
+    /// highest sequence already delivered — a repeat, or an original
+    /// that came too late to play.
     pub duplicates: u64,
 }
 
@@ -93,7 +95,7 @@ pub struct JitterBuffer {
     queue: VecDeque<Queued>,
     /// Unwrapped seqs currently buffered — O(1) duplicate detection.
     buffered: SeqWindow<()>,
-    /// Reads arriving sequence numbers.
+    /// Reads the arrivals given to [`push`](Self::push).
     seqs: SeqUnwrapper,
     /// Highest unwrapped seq delivered (duplicate detection watermark).
     delivered_max: Option<u64>,
@@ -158,10 +160,16 @@ impl JitterBuffer {
         media_time + self.config.target
     }
 
-    /// Offer an arriving packet.
+    /// Offer an arriving packet: [`offer`](Self::offer) behind this
+    /// buffer's own reader of its 16-bit sequence.
     pub fn push(&mut self, now: SimTime, packet: RtpPacket) {
         let unwrapped = self.seqs.observe(packet.sequence);
+        self.offer(now, unwrapped, packet);
+    }
 
+    /// Offer an arriving packet under its extended sequence, as the
+    /// stream's reader read it.
+    pub fn offer(&mut self, now: SimTime, unwrapped: u64, packet: RtpPacket) {
         // Duplicate detection: already buffered, or at-or-below the
         // delivery watermark.
         if self.buffered.get(unwrapped).is_some()

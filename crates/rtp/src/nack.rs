@@ -21,7 +21,7 @@ use rpav_sim::{SimDuration, SimTime};
 
 use crate::error::ParseError;
 use crate::rtcp::{self, FeedbackHeader};
-use crate::seqwindow::{SeqUnwrapper, SeqWindow};
+use crate::seqwindow::{SeqReading, SeqUnwrapper, SeqWindow};
 
 /// A generic NACK feedback message: a batch of lost media sequence
 /// numbers.
@@ -194,7 +194,7 @@ struct MissingSeq {
 #[derive(Debug)]
 pub struct NackGenerator {
     config: NackConfig,
-    /// Reads arrivals; its highest is the head of line.
+    /// Reads the arrivals given to [`on_packet`](Self::on_packet).
     seqs: SeqUnwrapper,
     /// Gaps currently being chased, keyed by unwrapped sequence. The
     /// window iterates sequence-ascending, which fixes the order of every
@@ -243,18 +243,24 @@ impl NackGenerator {
         self.stats
     }
 
-    /// Gaps currently being chased.
-    pub fn outstanding(&self) -> usize {
-        self.missing.len()
+    /// Record an arriving media packet by its 16-bit sequence and classify
+    /// it: [`on_arrival`](Self::on_arrival) behind this generator's own
+    /// reader.
+    pub fn on_packet(&mut self, now: SimTime, seq: u16) -> Arrival {
+        let reading = self.seqs.read(seq);
+        self.on_arrival(now, reading)
     }
 
-    /// Record an arriving media packet and classify it.
-    pub fn on_packet(&mut self, now: SimTime, seq: u16) -> Arrival {
-        let Some(prev) = self.seqs.highest() else {
-            self.seqs.observe(seq);
+    /// Record an arriving media packet, as the stream's reader read it,
+    /// and classify it against the head of line before it.
+    pub fn on_arrival(&mut self, now: SimTime, reading: SeqReading) -> Arrival {
+        let SeqReading {
+            seq: unwrapped,
+            head,
+        } = reading;
+        let Some(prev) = head else {
             return Arrival::InOrder;
         };
-        let unwrapped = self.seqs.observe(seq);
         if unwrapped > prev {
             // Advancing the head of line: everything strictly between is
             // now a detected gap. Gaps below the tracking floor would be
@@ -435,7 +441,6 @@ mod tests {
         let t0 = SimTime::from_millis(1_000);
         assert_eq!(g.on_packet(t0, 10), Arrival::InOrder);
         assert_eq!(g.on_packet(t0, 14), Arrival::InOrder); // 11,12,13 missing
-        assert_eq!(g.outstanding(), 3);
         let nack = g.poll(t0).expect("due immediately");
         assert_eq!(nack.lost, vec![11, 12, 13]);
         assert_eq!(g.stats().nacks_sent, 1);

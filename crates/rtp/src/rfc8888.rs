@@ -152,6 +152,9 @@ impl Rfc8888Packet {
 #[derive(Debug)]
 pub struct Rfc8888Builder {
     arrivals: SeqWindow<SimTime>,
+    /// The highest sequence recorded: the span ends here.
+    highest: Option<u64>,
+    /// Reads the arrivals given to [`on_packet`](Self::on_packet).
     seqs: SeqUnwrapper,
     /// Span limit per feedback packet (64 stock, 256 in the paper's
     /// mitigation).
@@ -164,15 +167,25 @@ impl Rfc8888Builder {
         assert!(max_reports > 0);
         Rfc8888Builder {
             arrivals: SeqWindow::new(),
+            highest: None,
             seqs: SeqUnwrapper::new(),
             max_reports,
         }
     }
 
-    /// Record a media packet arrival.
+    /// Record a media packet arrival by its 16-bit sequence:
+    /// [`on_arrival`](Self::on_arrival) behind this builder's own reader.
     pub fn on_packet(&mut self, seq: u16, arrival: SimTime) {
-        let unwrapped = self.seqs.observe(seq);
-        self.arrivals.insert(unwrapped, arrival);
+        let seq = self.seqs.observe(seq);
+        self.on_arrival(seq, arrival);
+    }
+
+    /// Record a media packet arrival by its extended sequence, as the
+    /// stream's reader read it. The sequence goes back to 16 bits only on
+    /// the wire.
+    pub fn on_arrival(&mut self, seq: u64, arrival: SimTime) {
+        self.arrivals.insert(seq, arrival);
+        self.highest = Some(self.highest.map_or(seq, |h| h.max(seq)));
     }
 
     /// Build the feedback packet for the current instant, if anything has
@@ -186,7 +199,7 @@ impl Rfc8888Builder {
     /// vector keeps its capacity). Returns `false` — leaving `out`
     /// untouched — when nothing has been received yet.
     pub fn build_into(&mut self, now: SimTime, out: &mut Rfc8888Packet) -> bool {
-        let Some(highest) = self.seqs.highest() else {
+        let Some(highest) = self.highest else {
             return false;
         };
         let begin = highest.saturating_sub(self.max_reports as u64 - 1);
