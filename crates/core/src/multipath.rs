@@ -41,13 +41,14 @@
 //!
 //! [`Simulation`]: crate::pipeline::Simulation
 
-use std::collections::{HashSet, VecDeque};
+use std::collections::VecDeque;
 
 use bytes::Bytes;
 use rpav_lte::{NetworkProfile, Operator, RadioModel, RadioSample};
 use rpav_netem::{FaultScript, Packet, PacketKind, Path, ReorderConfig};
 use rpav_rtp::fec::{rs_recover_into, RsGroup, RsParityPacket, MAX_FEC_GROUP, MAX_RS_PARITY};
 use rpav_rtp::packet::RtpPacket;
+use rpav_rtp::packetize::decode_meta_slice;
 use rpav_rtp::report::PathReport;
 use rpav_sim::{RngSet, SimDuration, SimRng, SimTime};
 use rpav_uav::Position;
@@ -807,6 +808,12 @@ impl Reassembly {
     }
 }
 
+/// Whether `rtp` carries a fragment of a keyframe: the flag in the
+/// metadata every media payload leads with.
+fn is_keyframe(rtp: &RtpPacket) -> bool {
+    decode_meta_slice(&rtp.payload).is_ok_and(|(meta, _, _)| meta.keyframe)
+}
+
 /// The sender-side multipath policy of one session: which leg(s) each
 /// packet the congestion controller releases rides, what redundancy
 /// travels beside it, and the monitoring plane that informs both —
@@ -820,9 +827,6 @@ pub(crate) struct LegScheduler {
     coupled: bool,
     controller: FailoverController,
     next_probe: SimTime,
-    /// RTP sequences belonging to keyframes, for selective duplication
-    /// and the bonded single-leg fallback.
-    keyframe_seqs: HashSet<u16>,
     deficit: [f64; MAX_LEGS],
     /// The accumulating RS group, its per-leg tx split, the parity
     /// sequence counter and the reusable parity scratch.
@@ -848,7 +852,6 @@ impl LegScheduler {
             coupled,
             controller: FailoverController::new(FailoverConfig::default()),
             next_probe: SimTime::ZERO,
-            keyframe_seqs: HashSet::new(),
             deficit: [0.0; MAX_LEGS],
             rs_group: RsGroup::new(),
             rs_group_tx: [0; MAX_LEGS],
@@ -916,24 +919,11 @@ impl LegScheduler {
     pub fn admit(
         &mut self,
         now: SimTime,
-        keyframe: bool,
         packets: &mut Vec<RtpPacket>,
         cc: &mut CoupledCc,
         legs: &mut [Leg],
         metrics: &mut RunMetrics,
     ) {
-        if keyframe
-            && matches!(
-                self.scheme,
-                MultipathScheme::SelectiveDuplicate | MultipathScheme::Bonded
-            )
-        {
-            self.keyframe_seqs
-                .extend(packets.iter().map(|p| p.sequence));
-            if self.keyframe_seqs.len() > 10_000 {
-                self.keyframe_seqs.clear(); // stale u16 identities
-            }
-        }
         if !self.coupled {
             return cc.enqueue_leg_drain(0, now, packets);
         }
@@ -1063,7 +1053,7 @@ impl LegScheduler {
                 // packets on the surviving leg — time diversity where leg
                 // diversity is gone. (A one-modem rig is plain
                 // single-path; nothing degraded, nothing to compensate.)
-                if self.keyframe_seqs.remove(&rtp.sequence) {
+                if is_keyframe(rtp) {
                     duplicate_on(&mut legs[pick]);
                 }
             } else if pinned.is_none() {
@@ -1079,8 +1069,7 @@ impl LegScheduler {
         let dup = match self.scheme {
             MultipathScheme::Duplicate => true,
             MultipathScheme::SelectiveDuplicate => {
-                self.keyframe_seqs.remove(&rtp.sequence)
-                    || legs[active].health.class(now) != HealthClass::Healthy
+                is_keyframe(rtp) || legs[active].health.class(now) != HealthClass::Healthy
             }
             _ => false,
         };
@@ -1522,6 +1511,62 @@ mod tests {
             t0,
         );
         assert!(leg.health.loss().is_none_or(|l| (0.0..=1.0).contains(&l)));
+    }
+
+    #[test]
+    fn fallback_repeats_keyframe_packets_by_their_flag_not_a_stale_sequence() {
+        // A bonded keyframe sent while FEC is on is never repeated, and one
+        // 16-bit wrap later a delta frame's packet carries the same
+        // sequence. On a lone surviving leg that packet goes once; a
+        // keyframe packet goes twice.
+        let cfg = base();
+        let rngs = RngSet::new(1);
+        let mut legs: Vec<Leg> = (0..2u64)
+            .map(|li| Leg::new(format!("mp.test{li}"), cfg.operator, None, &cfg, &rngs, li))
+            .collect();
+        let mut sched = LegScheduler::new(MultipathScheme::Bonded, &cfg, 2);
+        let mut cc = CoupledCc::new(cfg.cc, cfg.watchdog, 1);
+        let mut metrics = RunMetrics::default();
+        let mut packetizer = rpav_rtp::Packetizer::new(MEDIA_SSRC, false);
+        let (mut keyframe, mut delta) = (Vec::new(), Vec::new());
+        for (frame_number, keyframe, out) in [(0, true, &mut keyframe), (1, false, &mut delta)] {
+            let meta = rpav_rtp::FrameMeta {
+                frame_number,
+                encode_time: SimTime::ZERO,
+                keyframe,
+                frame_bytes: 3_000,
+            };
+            packetizer.packetize_into(meta, SimTime::ZERO, out);
+        }
+        let plan = |up_count: usize| {
+            let (mut up, mut w) = ([false; MAX_LEGS], [0.0; MAX_LEGS]);
+            for li in 0..up_count {
+                (up[li], w[li]) = (true, 1.0);
+            }
+            BondedPlan {
+                up,
+                up_count,
+                w,
+                fec_on: up_count > 1,
+                rs_parity: 1,
+                group_target: usize::from(MAX_FEC_GROUP),
+            }
+        };
+        let now = SimTime::ZERO;
+        let mut staged = keyframe.clone();
+        sched.admit(now, &mut staged, &mut cc, &mut legs, &mut metrics);
+        sched.plan = Some(plan(2));
+        for rtp in &keyframe {
+            sched.send(now, None, rtp, &mut legs, &mut metrics);
+        }
+        assert_eq!(metrics.dup_tx_packets, 0, "FEC on: nothing repeated");
+        sched.plan = Some(plan(1));
+        let mut wrapped = delta[0].clone();
+        wrapped.sequence = keyframe[0].sequence;
+        sched.send(now, None, &wrapped, &mut legs, &mut metrics);
+        assert_eq!(metrics.dup_tx_packets, 0, "a delta packet went twice");
+        sched.send(now, None, &keyframe[1], &mut legs, &mut metrics);
+        assert_eq!(metrics.dup_tx_packets, 1, "a keyframe packet went once");
     }
 
     #[test]
