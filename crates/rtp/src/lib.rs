@@ -34,7 +34,8 @@
 //!   pipeline in §3.2), including the `drop-on-latency` mode discussed in
 //!   Appendix A.4.
 //! * [`seqwindow`] — the sequence space: the one 16-bit → `u64`
-//!   unwrapper and the dense per-sequence window every table above uses.
+//!   unwrapper, the dense per-sequence window every table above uses, and
+//!   the receiver's one reader of arriving media sequences.
 //! * [`fec`] — GF(256) Reed–Solomon forward error correction groups, the
 //!   cross-leg redundancy layer of the bonded multipath scheme.
 //! * [`error`] — the typed [`ParseError`] every wire parser returns; all
