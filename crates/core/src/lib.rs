@@ -66,6 +66,7 @@ pub mod failover;
 pub mod health;
 pub mod journal;
 pub mod json;
+mod lookahead;
 pub mod matrix;
 pub mod metrics;
 pub mod multipath;

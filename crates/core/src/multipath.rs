@@ -188,11 +188,32 @@ impl MultipathScheme {
     }
 }
 
-/// One modem: radio model, both path directions, per-leg wire counters
-/// and — for sessions that monitor their legs — the sender-side health
-/// state and the receiver-side report counters.
+/// One modem's radio model. `radio_index` decorrelates the legs'
+/// fading/handover streams (RadioModel draws from fixed stream names, so
+/// the legs would otherwise fade and hand over in lockstep — the opposite
+/// of the link diversity the rig exists to exploit).
+pub(crate) fn leg_radio(
+    op: Operator,
+    config: &ExperimentConfig,
+    rngs: &RngSet,
+    radio_index: u64,
+) -> RadioModel {
+    let mut profile = NetworkProfile::new(config.environment, op);
+    if let Some(h) = config.hysteresis_override_db {
+        profile.handover.hysteresis_db = h;
+    }
+    if let Some(ttt) = config.ttt_override_ms {
+        profile.handover.time_to_trigger = SimDuration::from_millis(ttt);
+    }
+    RadioModel::new(&profile, rngs, radio_index)
+}
+
+/// One modem's closed-loop side: both path directions, per-leg wire
+/// counters and — for sessions that monitor their legs — the sender-side
+/// health state and the receiver-side report counters. Its radio model
+/// ([`leg_radio`]) is open-loop and sits beside it in the session, which
+/// steps it ahead of the run (DESIGN.md §5).
 pub(crate) struct Leg {
-    pub radio: RadioModel,
     pub uplink: Path,
     pub downlink: Path,
     /// Uplink capacity cap on top of the channel model
@@ -229,31 +250,17 @@ pub(crate) struct Leg {
 }
 
 impl Leg {
-    /// `radio_index` decorrelates the legs' fading/handover streams
-    /// (RadioModel draws from fixed stream names, so the legs would
-    /// otherwise fade and hand over in lockstep — the opposite of the
-    /// link diversity the rig exists to exploit).
     pub fn new(
         stream_prefix: String,
-        op: Operator,
         cap_bps: Option<f64>,
         config: &ExperimentConfig,
         rngs: &RngSet,
-        radio_index: u64,
     ) -> Leg {
-        let mut profile = NetworkProfile::new(config.environment, op);
-        if let Some(h) = config.hysteresis_override_db {
-            profile.handover.hysteresis_db = h;
-        }
-        if let Some(ttt) = config.ttt_override_ms {
-            profile.handover.time_to_trigger = SimDuration::from_millis(ttt);
-        }
         let stream = |suffix: &str| format!("{stream_prefix}.{suffix}");
         // Both directions: fault injector (bursty PER) → bottleneck → WAN.
         // Radio propagation ≈ 5 ms; WAN ≈ 12.5 ms → lowest RTT ≈ 35 ms
         // (§3.1). Parameters live in [`paths`].
         Leg {
-            radio: RadioModel::new(&profile, rngs, radio_index),
             uplink: paths::uplink_path(rngs, &stream("ul"), config.run_index),
             downlink: paths::downlink_path(rngs, &stream("dl"), config.run_index),
             cap_bps: cap_bps.unwrap_or(f64::INFINITY),
@@ -305,14 +312,13 @@ impl Leg {
         );
     }
 
-    /// One radio tick: track the UAV (positional script clauses —
-    /// coverage holes — follow it), re-rate both directions, pause
-    /// through a handover, feed the health estimator its radio-layer
-    /// signal.
-    pub fn radio_tick(&mut self, now: SimTime, pos: &Position) -> RadioSample {
+    /// Apply one radio tick, the model's sample `s` at `pos`: track the
+    /// UAV (positional script clauses — coverage holes — follow it),
+    /// re-rate both directions, pause through a handover, feed the health
+    /// estimator its radio-layer signal.
+    pub fn apply_radio(&mut self, now: SimTime, pos: &Position, s: &RadioSample) {
         self.uplink.set_position(pos.x, pos.y, pos.z);
         self.downlink.set_position(pos.x, pos.y, pos.z);
-        let s = self.radio.step(now, pos);
         let floor = paths::MIN_RATE_BPS;
         self.uplink
             .set_rate_bps(now, s.uplink_capacity_bps.min(self.cap_bps).max(floor));
@@ -328,7 +334,6 @@ impl Leg {
             self.downlink.pause_until(now, ho.complete_at);
         }
         self.extra_loss_prob = s.extra_loss_prob;
-        s
     }
 
     /// Offer one wire payload to this leg's uplink.
@@ -1483,7 +1488,7 @@ mod tests {
         use rpav_rtp::report::PathReport;
         let cfg = base();
         let rngs = RngSet::new(1);
-        let mut leg = Leg::new("mp.test".into(), cfg.operator, None, &cfg, &rngs, 0);
+        let mut leg = Leg::new("mp.test".into(), None, &cfg, &rngs);
         let t0 = SimTime::ZERO + SimDuration::from_millis(50);
         leg.on_report(
             t0,
@@ -1522,7 +1527,7 @@ mod tests {
         let cfg = base();
         let rngs = RngSet::new(1);
         let mut legs: Vec<Leg> = (0..2u64)
-            .map(|li| Leg::new(format!("mp.test{li}"), cfg.operator, None, &cfg, &rngs, li))
+            .map(|li| Leg::new(format!("mp.test{li}"), None, &cfg, &rngs))
             .collect();
         let mut sched = LegScheduler::new(MultipathScheme::Bonded, &cfg, 2);
         let mut cc = CoupledCc::new(cfg.cc, cfg.watchdog, 1);

@@ -23,6 +23,7 @@
 
 use std::collections::VecDeque;
 
+use rpav_lte::RadioModel;
 use rpav_netem::{FaultScript, Packet, PacketKind};
 use rpav_rtp::fec::{RsParityPacket, RS_FEC_PAYLOAD_TYPE};
 use rpav_rtp::jitter::{JitterBuffer, JitterConfig};
@@ -38,12 +39,14 @@ use rpav_rtp::twcc::{TwccFeedback, TwccRecorder};
 use rpav_sim::{RngSet, SimDuration, SimTime};
 use rpav_uav::{profiles as uav_profiles, FlightPlan, Position};
 use rpav_video::player::{DecodedFrame, PlayedFrame};
+use rpav_video::source::FRAME_INTERVAL_US;
 use rpav_video::{quality, Encoder, EncoderConfig, Player, PlayerConfig, SourceVideo};
 
 use crate::cc::CoupledCc;
+use crate::lookahead::{Handoff, RadioFeed, RadioTrace};
 use crate::metrics::{FrameRecord, HandoverRecord, RadioTraceRow, RunMetrics};
 use crate::multipath::{
-    Leg, LegScheduler, MultipathScheme, Reassembly, FEC_RECOVERY_DEADLINE, MEDIA_SSRC,
+    leg_radio, Leg, LegScheduler, MultipathScheme, Reassembly, FEC_RECOVERY_DEADLINE, MEDIA_SSRC,
 };
 use crate::paths;
 use crate::scenario::{CcMode, ExperimentConfig, Mobility, MAX_LEGS};
@@ -77,6 +80,9 @@ pub struct Simulation {
     config: ExperimentConfig,
     plan: FlightPlan,
     legs: Vec<Leg>,
+    /// Leg `i`'s radio model at index `i`. A run lends them all to its
+    /// radio lookahead and takes them back, stepped, when it ends.
+    radios: Vec<RadioModel>,
     /// The multipath policy and monitoring plane (health clocks, path
     /// reports, probes, failover controller). `None` for the plain
     /// single-operator session, which then allocates none of it.
@@ -140,15 +146,9 @@ impl Simulation {
     /// Assemble a single-operator run from its configuration.
     pub fn new(config: ExperimentConfig) -> Self {
         let rngs = RngSet::new(config.seed);
-        let leg = Leg::new(
-            "pipe".into(),
-            config.operator,
-            None,
-            &config,
-            &rngs,
-            config.run_index,
-        );
-        Self::assemble(config, vec![leg], None)
+        let leg = Leg::new("pipe".into(), None, &config, &rngs);
+        let radio = leg_radio(config.operator, &config, &rngs, config.run_index);
+        Self::assemble(config, vec![leg], vec![radio], None)
     }
 
     /// Assemble a multipath run: `config.n_legs` modems (even legs ride
@@ -164,7 +164,7 @@ impl Simulation {
     ) -> Self {
         let rngs = RngSet::new(config.seed);
         let n = config.n_legs.clamp(1, MAX_LEGS);
-        let legs = (0..n)
+        let (legs, radios) = (0..n)
             .map(|li| {
                 let op = if li % 2 == 0 {
                     config.operator
@@ -174,10 +174,14 @@ impl Simulation {
                 let cap = config.leg_cap_bps.map(|c| if li == 0 { c.0 } else { c.1 });
                 let prefix = paths::leg_stream_prefix(op.name(), li);
                 let radio_index = config.run_index ^ ((li as u64) << 32);
-                Leg::new(prefix, op, cap, &config, &rngs, radio_index)
+                (
+                    Leg::new(prefix, cap, &config, &rngs),
+                    leg_radio(op, &config, &rngs, radio_index),
+                )
             })
-            .collect();
-        let mut sim = Self::assemble(config, legs, Some(LegScheduler::new(scheme, &config, n)));
+            .unzip();
+        let scheduler = Some(LegScheduler::new(scheme, &config, n));
+        let mut sim = Self::assemble(config, legs, radios, scheduler);
         for (li, script) in leg_scripts.into_iter().take(n).enumerate() {
             if let Some(script) = script {
                 if li == 0 {
@@ -190,7 +194,12 @@ impl Simulation {
         sim
     }
 
-    fn assemble(config: ExperimentConfig, legs: Vec<Leg>, scheduler: Option<LegScheduler>) -> Self {
+    fn assemble(
+        config: ExperimentConfig,
+        legs: Vec<Leg>,
+        radios: Vec<RadioModel>,
+        scheduler: Option<LegScheduler>,
+    ) -> Self {
         let plan = match config.mobility {
             Mobility::Air => uav_profiles::paper_flight(Position::ground(0.0, 0.0), config.hold),
             Mobility::Ground => uav_profiles::ground_run(
@@ -265,6 +274,7 @@ impl Simulation {
             outage_windows: Vec::new(),
             metrics: RunMetrics::default(),
             legs,
+            radios,
             scheduler,
         }
     }
@@ -298,14 +308,14 @@ impl Simulation {
     /// Execute the run to completion on the adaptive deadline scheduler
     /// and return its metrics.
     pub fn run(mut self) -> RunMetrics {
-        self.run_loop(false, &mut 0)
+        self.run_loop(false, true, &mut 0)
     }
 
     /// Execute with the unconditional 1 ms reference loop. The adaptive
     /// scheduler must be byte-identical to this path;
     /// `tests/perf_equivalence.rs` holds it to that.
     pub fn run_reference(mut self) -> RunMetrics {
-        self.run_loop(true, &mut 0)
+        self.run_loop(true, true, &mut 0)
     }
 
     /// Execute with the adaptive scheduler and also report how many driver
@@ -314,11 +324,14 @@ impl Simulation {
     /// [`Simulation::run`].
     pub fn run_instrumented(mut self) -> (RunMetrics, u64) {
         let mut steps = 0u64;
-        let metrics = self.run_loop(false, &mut steps);
+        let metrics = self.run_loop(false, true, &mut steps);
         (metrics, steps)
     }
 
-    fn run_loop(&mut self, reference: bool, steps: &mut u64) -> RunMetrics {
+    /// Drive the run to its end. `lookahead` steps the radio on a helper
+    /// thread; without it (or when the OS refuses the thread) the session
+    /// runs the same producer inline, with the same results.
+    fn run_loop(&mut self, reference: bool, lookahead: bool, steps: &mut u64) -> RunMetrics {
         let flight_end = SimTime::ZERO + self.plan.duration();
         let end = flight_end + DRAIN;
         // Largest driver-grid instant strictly before `end`: the last tick
@@ -326,27 +339,38 @@ impl Simulation {
         // per-tick state such as the watchdog's feedback-gap stat takes its
         // final sample there.
         let last_tick = SimTime::from_micros((end.as_micros() - 1) / 1_000 * 1_000);
-        let mut t = SimTime::ZERO;
-        while t < end {
-            *steps += 1;
-            self.step(t, flight_end);
-            t = if reference {
-                t + TICK
-            } else {
-                let next = self.next_deadline(t, flight_end);
-                let mut tn = align_up_to_tick(next).max(t + TICK);
-                if tn > last_tick && t < last_tick {
-                    tn = last_tick;
-                }
-                tn
-            };
-        }
+        let trace = RadioTrace::new(std::mem::take(&mut self.radios), self.plan.clone(), end);
+        // Lengths known before the run: one radio row per radio tick, at
+        // most one frame record per encoder capture.
+        self.metrics.radio.reserve_exact(trace.ticks());
+        let captures = flight_end.as_micros().div_ceil(FRAME_INTERVAL_US);
+        self.metrics.frames.reserve_exact(captures as usize);
+        let handoff = Handoff::new(trace);
+        std::thread::scope(|scope| {
+            let mut radio = handoff.start(scope, lookahead);
+            let mut t = SimTime::ZERO;
+            while t < end {
+                *steps += 1;
+                self.step(t, flight_end, &mut radio);
+                t = if reference {
+                    t + TICK
+                } else {
+                    let next = self.next_deadline(t, flight_end);
+                    let mut tn = align_up_to_tick(next).max(t + TICK);
+                    if tn > last_tick && t < last_tick {
+                        tn = last_tick;
+                    }
+                    tn
+                };
+            }
+        });
+        self.radios = handoff.into_models();
         self.metrics.duration = self.plan.duration();
         let pstats = self.player.stats();
         self.metrics.stalls = pstats.stalls;
         self.metrics.stalled_time = pstats.stalled_time;
         self.metrics.frames_late_discarded = pstats.late_discarded;
-        self.metrics.distinct_cells = self.legs[0].radio.distinct_cells();
+        self.metrics.distinct_cells = self.radios[0].distinct_cells();
         if let Some(ss) = self.cc.scream_stats() {
             self.metrics.sender_discarded = ss.queue_discarded;
             self.metrics.span_skipped = ss.span_skipped;
@@ -442,14 +466,15 @@ impl Simulation {
         deadline
     }
 
-    fn step(&mut self, now: SimTime, flight_end: SimTime) {
-        // 1. Radio tick: re-rate links, register handovers. Handover
-        // records and the radio trace follow the primary leg.
+    fn step(&mut self, now: SimTime, flight_end: SimTime, radio: &mut RadioFeed) {
+        // 1. Radio tick: apply each leg's sample, stepped ahead by the
+        // lookahead — re-rate links, register handovers. Handover records
+        // and the radio trace follow the primary leg.
         if now >= self.next_radio {
-            self.next_radio = now + self.legs[0].radio.tick();
-            let pos = self.plan.position_at(now);
-            for (li, leg) in self.legs.iter_mut().enumerate() {
-                let sample = leg.radio_tick(now, &pos);
+            self.next_radio = now + radio.tick();
+            for (li, (leg, tick)) in self.legs.iter_mut().zip(radio.next(now)).enumerate() {
+                let (pos, sample) = (tick.pos, tick.sample);
+                leg.apply_radio(now, &pos, &sample);
                 if li > 0 {
                     continue;
                 }
@@ -952,12 +977,52 @@ mod tests {
             FaultScript::new().reorder_window(SimTime::ZERO, SimDuration::from_secs(60), 0.2, 4);
         let mut sim =
             Simulation::multipath(cfg, MultipathScheme::Failover, vec![None, Some(script)]);
-        sim.run_loop(false, &mut 0);
+        sim.run_loop(false, true, &mut 0);
         // The standby carries probes up and path reports down.
         let held = |p: &rpav_netem::Path| p.reorder_stats().map(|s| s.held);
         assert!(held(&sim.legs[1].uplink) > Some(0));
         assert!(held(&sim.legs[1].downlink) > Some(0));
         assert_eq!(held(&sim.legs[0].downlink), None);
+    }
+
+    /// The lookahead radio equals the inline radio: a single-path air
+    /// cell, a 2-leg failover cell and a 4-leg bonded FEC cell produce the
+    /// same canonical bytes with the helper thread and with the producer
+    /// run inline, under the adaptive and the reference driver alike.
+    #[test]
+    fn the_lookahead_radio_equals_the_inline_radio() {
+        let cfg = |n_legs: usize, seed: u64| {
+            ExperimentConfig::builder()
+                .environment(Environment::Urban)
+                .cc(CcMode::Gcc)
+                .seed(seed)
+                .hold_secs(1)
+                .n_legs(n_legs)
+                .fec_cap(0.25)
+                .repair(true)
+                .build()
+        };
+        type Build = fn(ExperimentConfig) -> Simulation;
+        let cells: [(&str, ExperimentConfig, Build); 3] = [
+            ("single/air", cfg(1, 0x10_0C01), Simulation::new),
+            ("failover/2", cfg(2, 0x10_0C02), |c| {
+                Simulation::multipath(c, MultipathScheme::Failover, Vec::new())
+            }),
+            ("bonded-fec/4", cfg(4, 0x10_0C03), |c| {
+                Simulation::multipath(c, MultipathScheme::Bonded, Vec::new())
+            }),
+        ];
+        for (label, config, build) in cells {
+            for reference in [false, true] {
+                let run = |lookahead| build(config).run_loop(reference, lookahead, &mut 0);
+                let (ahead, inline) = (run(true), run(false));
+                assert!(!ahead.radio.is_empty() && !ahead.handovers.is_empty());
+                assert!(
+                    ahead.to_bytes() == inline.to_bytes(),
+                    "{label} (reference {reference}): the helper's radio diverged from the inline one"
+                );
+            }
+        }
     }
 
     #[test]

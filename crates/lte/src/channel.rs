@@ -102,12 +102,13 @@ pub struct ShadowingField {
 }
 
 impl ShadowingField {
-    /// Create an empty field with the given decorrelation distance.
-    pub fn new(corr_dist_m: f64) -> Self {
+    /// Create an empty field with the given decorrelation distance, with
+    /// room for `slots` slots before any grows.
+    pub fn new(corr_dist_m: f64, slots: usize) -> Self {
         ShadowingField {
-            values: Vec::new(),
-            last: Vec::new(),
-            init: Vec::new(),
+            values: Vec::with_capacity(slots),
+            last: Vec::with_capacity(slots),
+            init: Vec::with_capacity(slots),
             corr_dist_m,
         }
     }
@@ -159,12 +160,13 @@ pub struct TemporalFading {
 }
 
 impl TemporalFading {
-    /// Create a fading field with correlation time `tau`.
-    pub fn new(tau: SimDuration) -> Self {
+    /// Create a fading field with correlation time `tau`, with room for
+    /// `slots` slots before any grows.
+    pub fn new(tau: SimDuration, slots: usize) -> Self {
         TemporalFading {
-            values: Vec::new(),
-            last: Vec::new(),
-            init: Vec::new(),
+            values: Vec::with_capacity(slots),
+            last: Vec::with_capacity(slots),
+            init: Vec::with_capacity(slots),
             tau,
         }
     }
@@ -264,6 +266,15 @@ pub struct GeometrySoa {
 }
 
 impl GeometrySoa {
+    /// An empty table with room for `cells` cells.
+    pub fn with_capacity(cells: usize) -> Self {
+        GeometrySoa {
+            mean_rsrp_dbm: Vec::with_capacity(cells),
+            p_los: Vec::with_capacity(cells),
+            sigma_db: Vec::with_capacity(cells),
+        }
+    }
+
     /// Recompute the table for `cells` at `pos`, reusing the arrays.
     pub fn fill(&mut self, params: &ChannelParams, cells: &[Cell], pos: &Position) {
         self.mean_rsrp_dbm.clear();
@@ -439,7 +450,7 @@ mod tests {
     #[test]
     fn shadowing_is_correlated_over_short_moves() {
         let p = params();
-        let mut field = ShadowingField::new(p.shadow_corr_dist_m);
+        let mut field = ShadowingField::new(p.shadow_corr_dist_m, 1);
         let mut rng = RngSet::new(5).stream("shadow");
         let c = 0;
         let mut pos = Position::ground(0.0, 0.0);
@@ -462,7 +473,7 @@ mod tests {
     #[test]
     fn shadowing_long_run_variance_matches_sigma() {
         let p = params();
-        let mut field = ShadowingField::new(p.shadow_corr_dist_m);
+        let mut field = ShadowingField::new(p.shadow_corr_dist_m, 2);
         let mut rng = RngSet::new(6).stream("shadow");
         let c = 1;
         let mut vals = Vec::new();

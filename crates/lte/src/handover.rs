@@ -141,13 +141,19 @@ pub struct HandoverEngine {
 }
 
 impl HandoverEngine {
-    /// Create an engine camped on `initial_serving`.
-    pub fn new(params: HandoverParams, initial_serving: CellId, rng: SimRng) -> Self {
+    /// Create an engine camped on `initial_serving`, with measurement
+    /// state sized for a deployment of `n_cells` cells.
+    pub fn new(
+        params: HandoverParams,
+        initial_serving: CellId,
+        rng: SimRng,
+        n_cells: usize,
+    ) -> Self {
         HandoverEngine {
             params,
             serving: initial_serving,
-            filtered: Vec::new(),
-            a3_since: Vec::new(),
+            filtered: Vec::with_capacity(n_cells),
+            a3_since: Vec::with_capacity(n_cells),
             preparing: None,
             executing: None,
             rlf_since: None,
@@ -329,7 +335,7 @@ mod tests {
     use rpav_sim::RngSet;
 
     fn engine(params: HandoverParams) -> HandoverEngine {
-        HandoverEngine::new(params, CellId(0), RngSet::new(42).stream("ho"))
+        HandoverEngine::new(params, CellId(0), RngSet::new(42).stream("ho"), 0)
     }
 
     fn tick_ms(i: u64) -> SimTime {
@@ -485,6 +491,7 @@ mod tests {
                 HandoverParams::default(),
                 CellId(0),
                 RngSet::new(seed).stream("ho"),
+                0,
             );
             let mut outliers = 0;
             let mut total = 0;

@@ -129,8 +129,12 @@ impl RadioModel {
         let deployment = profile.build_deployment(rngs);
         let mut fading_rng = rngs.stream_indexed("lte.fading", run_index);
         let ho_rng = rngs.stream_indexed("lte.handover", run_index);
-        let shadowing = ShadowingField::new(profile.channel.shadow_corr_dist_m);
-        let fading = TemporalFading::new(SimDuration::from_millis(900));
+        // Every per-cell buffer is sized here, so `step` allocates nothing
+        // from its first tick on. The shadowing field has one extra slot:
+        // the cross-site common process.
+        let n_cells = deployment.cells.len();
+        let shadowing = ShadowingField::new(profile.channel.shadow_corr_dist_m, n_cells + 1);
+        let fading = TemporalFading::new(SimDuration::from_millis(900), n_cells);
 
         // Camp on the strongest cell at the take-off pad.
         let origin = Position::ground(0.0, 0.0);
@@ -141,10 +145,10 @@ impl RadioModel {
                 best = (cell.id, p);
             }
         }
-        let engine = HandoverEngine::new(profile.handover.clone(), best.0, ho_rng);
+        let engine = HandoverEngine::new(profile.handover.clone(), best.0, ho_rng, n_cells);
         let _ = fading_rng.uniform(); // decouple stream head from camping
 
-        let mut distinct = HashSet::new();
+        let mut distinct = HashSet::with_capacity(n_cells);
         distinct.insert(best.0);
         RadioModel {
             profile: profile.clone(),
@@ -155,8 +159,8 @@ impl RadioModel {
             fading_rng,
             distinct_cells: distinct,
             last_ho_complete: None,
-            rsrp_scratch: Vec::new(),
-            geometry: GeometrySoa::default(),
+            rsrp_scratch: Vec::with_capacity(n_cells),
+            geometry: GeometrySoa::with_capacity(n_cells),
             geometry_pos: None,
             harq: HarqMemo::default(),
         }
